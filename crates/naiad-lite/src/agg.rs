@@ -37,7 +37,8 @@ use std::time::{Duration, Instant};
 
 use crate::compile::VmError;
 use crate::engine::{
-    Engine, EngineError, ErrorKind, ErrorPolicy, QuarantineEntry, QuarantineReport,
+    finalize_quarantine, panic_message, Engine, EngineConfig, EngineError, ErrorPolicy,
+    QuarantineEntry, QuarantineReport, RecordFault,
 };
 use crate::env::{RecordLibrary, UdfEnv};
 use consolidate::budget::DegradationTier;
@@ -47,7 +48,7 @@ use udf_lang::cost::CostModel;
 use udf_lang::intern::Interner;
 use udf_lang::interp::{EvalError, Interp};
 use udf_lang::library::{FnLibrary, LibError};
-use udf_obs::{names, RecorderCell};
+use udf_obs::names;
 
 /// Records per fold chunk. Fixed (worker-count independent) so the chunk
 /// grid — and with it every partial fold and the merge tree — is a pure
@@ -224,62 +225,6 @@ impl PassCounters {
     }
 }
 
-/// One fold-step failure, pre-classification.
-enum FoldFault {
-    Eval(EvalError),
-    Panic(String),
-}
-
-impl FoldFault {
-    fn kind(&self) -> ErrorKind {
-        match self {
-            FoldFault::Eval(EvalError::DuplicateNotify(_)) => ErrorKind::DuplicateNotify,
-            FoldFault::Eval(EvalError::OutOfFuel) => ErrorKind::OutOfFuel,
-            FoldFault::Eval(_) => ErrorKind::Lib,
-            FoldFault::Panic(_) => ErrorKind::Panic,
-        }
-    }
-
-    fn detail(&self) -> String {
-        match self {
-            FoldFault::Eval(e) => e.to_string(),
-            FoldFault::Panic(m) => m.clone(),
-        }
-    }
-
-    /// The [`EngineError`] this fault raises under
-    /// [`ErrorPolicy::FailFast`]. Interpreter-shape errors with no
-    /// [`VmError`] equivalent (unbound variable, arity mismatch) surface as
-    /// library errors carrying the rendered message.
-    fn fail_fast(self, record: usize) -> EngineError {
-        match self {
-            FoldFault::Eval(EvalError::Lib(e)) => EngineError::Record {
-                record,
-                error: VmError::Lib(e),
-            },
-            FoldFault::Eval(EvalError::OutOfFuel) => EngineError::Record {
-                record,
-                error: VmError::OutOfFuel,
-            },
-            FoldFault::Eval(e) => EngineError::Record {
-                record,
-                error: VmError::Lib(LibError::UnknownFunction(e.to_string())),
-            },
-            FoldFault::Panic(message) => EngineError::RecordPanic { record, message },
-        }
-    }
-}
-
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 impl Engine {
     /// Runs a set of user-defined aggregations over `records`.
     ///
@@ -321,10 +266,8 @@ impl Engine {
             interner,
             cm: &queries.cost_model,
             fuel: cfg.fuel.unwrap_or(queries.fuel),
-            max_retries: cfg.retry.max_retries,
-            fail_fast: matches!(cfg.error_policy, ErrorPolicy::FailFast),
+            config: cfg,
             workers: self.workers().max(1),
-            recorder: cfg.recorder.clone(),
         };
 
         let mut counters = PassCounters::default();
@@ -414,45 +357,34 @@ impl Engine {
         }
         let udf_time = fold_start.elapsed().saturating_sub(merge_time);
 
-        // Globally-sorted quarantine report: (record, definition position).
-        let mut merged: Vec<(usize, usize, QuarantineEntry)> = Vec::new();
-        for (di, ents) in entries_by_def.iter_mut().enumerate() {
-            for e in std::mem::take(ents) {
-                merged.push((e.record, di, e));
-            }
-        }
-        merged.sort_by_key(|(r, d, _)| (*r, *d));
-        let mut all: Vec<QuarantineEntry> = Vec::with_capacity(merged.len());
-        for (i, (_, _, mut e)) in merged.into_iter().enumerate() {
-            if i >= cfg.max_payload_samples {
-                e.sample = None;
-            }
-            all.push(e);
-        }
-
-        if let ErrorPolicy::Quarantine { max_errors } = cfg.error_policy {
-            if all.len() > max_errors {
-                return Err(EngineError::TooManyErrors {
-                    limit: max_errors,
-                    observed: all.len(),
-                });
-            }
-        }
-        let quarantine = QuarantineReport {
-            records_quarantined: all.len(),
-            entries: all,
-            shards_lost: 0,
-            records_lost: 0,
-            records_retried: counters.records_retried,
-            retry_attempts: counters.retry_attempts,
-            records_recovered: counters.records_recovered,
-        };
+        // Definitions append in position order and the finalising sort by
+        // record is stable, so entries end up globally sorted by (record,
+        // definition position).
+        let quarantine = finalize_quarantine(
+            QuarantineReport {
+                entries: entries_by_def.into_iter().flatten().collect(),
+                records_retried: counters.records_retried,
+                retry_attempts: counters.retry_attempts,
+                records_recovered: counters.records_recovered,
+                ..QuarantineReport::default()
+            },
+            cfg,
+        )?;
 
         // Emit the metrics surface from the same counters the report
-        // carries, so recorder and report agree by construction.
-        cfg.recorder.add(names::AGG_FOLDS, counters.folds);
-        cfg.recorder.add(names::AGG_MERGES, merges);
-        cfg.recorder.add(names::ENGINE_RECORDS, records.len() as u64);
+        // carries, so recorder and report agree by construction. That is
+        // why the quarantine counters wait for the finalised report rather
+        // than fault time: entries of merge-demoted definitions are
+        // discarded and re-folded, and must not count twice.
+        let recorder = &cfg.recorder;
+        recorder.add(names::AGG_FOLDS, counters.folds);
+        recorder.add(names::AGG_MERGES, merges);
+        recorder.add(names::ENGINE_RECORDS, records.len() as u64);
+        recorder.add(names::ENGINE_QUARANTINED, quarantine.records_quarantined as u64);
+        for e in &quarantine.entries {
+            recorder.add(e.kind.counter(), 1);
+        }
+        recorder.add(names::ENGINE_RETRIES, quarantine.retry_attempts);
 
         Ok(AggReport {
             ids: queries.defs.iter().map(|d| d.id).collect(),
@@ -465,7 +397,7 @@ impl Engine {
             records: records.len(),
             udf_time,
             merge_time,
-            metrics: cfg.recorder.snapshot(),
+            metrics: recorder.snapshot(),
         })
     }
 }
@@ -486,10 +418,8 @@ struct FoldCtx<'a, E: UdfEnv> {
     interner: &'a Interner,
     cm: &'a CostModel,
     fuel: u64,
-    max_retries: u32,
-    fail_fast: bool,
+    config: &'a EngineConfig,
     workers: usize,
-    recorder: RecorderCell,
 }
 
 /// One chunk's outputs for the definitions of a pass group.
@@ -514,29 +444,30 @@ impl<'a, E: UdfEnv> FoldCtx<'a, E> {
             group.iter().map(|&di| queries.defs[di].init_state()).collect();
         let mut entries: Vec<Vec<QuarantineEntry>> = group.iter().map(|_| Vec::new()).collect();
         let mut counters = PassCounters::default();
-        let timing = self.recorder.enabled();
+        // Like a record shard, a span keeps payload samples for its first
+        // `max_payload_samples` entries only; the global cap is applied
+        // when the report is finalised.
+        let mut n_entries = 0usize;
+        let recorder = &self.config.recorder;
+        let timing = recorder.enabled();
         let mut args: Vec<i64> = Vec::with_capacity(self.env.arity());
         for (off, rec) in records[lo..hi].iter().enumerate() {
             let ridx = lo + off;
             args.clear();
             self.env.args(rec, &mut args);
-            let span = timing.then(|| self.recorder.span(names::ENGINE_FOLD_NS));
+            let span = timing.then(|| recorder.span(names::ENGINE_FOLD_NS));
             for (gi, &di) in group.iter().enumerate() {
                 let def = &queries.defs[di];
                 if let Err((fault, retries)) =
                     self.fold_one(rec, &args, def, &mut states[gi], &mut counters)
                 {
-                    if self.fail_fast {
+                    if self.config.error_policy == ErrorPolicy::FailFast {
                         return Err(fault.fail_fast(ridx));
                     }
-                    entries[gi].push(QuarantineEntry {
-                        record: ridx,
-                        query: Some(def.id),
-                        kind: fault.kind(),
-                        detail: fault.detail(),
-                        sample: Some(args.clone()),
-                        retries,
-                    });
+                    let sample =
+                        (n_entries < self.config.max_payload_samples).then(|| args.clone());
+                    n_entries += 1;
+                    entries[gi].push(fault.quarantine(ridx, Some(def.id), sample, retries));
                 }
             }
             drop(span);
@@ -560,9 +491,9 @@ impl<'a, E: UdfEnv> FoldCtx<'a, E> {
         def: &AggDef,
         state: &mut [i64],
         counters: &mut PassCounters,
-    ) -> Result<(), (FoldFault, u32)> {
+    ) -> Result<(), (RecordFault, u32)> {
         let mut retries = 0u32;
-        loop {
+        let result = loop {
             let mut work: BTreeMap<udf_lang::Symbol, i64> = BTreeMap::new();
             for (slot, &v) in def.state.iter().zip(state.iter()) {
                 work.insert(slot.name, v);
@@ -584,32 +515,25 @@ impl<'a, E: UdfEnv> FoldCtx<'a, E> {
                         }
                     }
                     counters.folds += 1;
-                    if retries > 0 {
-                        counters.records_retried += 1;
-                        counters.retry_attempts += u64::from(retries);
-                        counters.records_recovered += 1;
-                    }
-                    return Ok(());
+                    break Ok(());
                 }
-                Ok(Err(EvalError::Lib(LibError::Transient(_)))) if retries < self.max_retries => {
+                Ok(Err(EvalError::Lib(LibError::Transient(_))))
+                    if retries < self.config.retry.max_retries =>
+                {
                     retries += 1;
                 }
-                Ok(Err(e)) => {
-                    if retries > 0 {
-                        counters.records_retried += 1;
-                        counters.retry_attempts += u64::from(retries);
-                    }
-                    return Err((FoldFault::Eval(e), retries));
-                }
-                Err(p) => {
-                    if retries > 0 {
-                        counters.records_retried += 1;
-                        counters.retry_attempts += u64::from(retries);
-                    }
-                    return Err((FoldFault::Panic(panic_message(p)), retries));
-                }
+                Ok(Err(e)) => break Err(RecordFault::Eval(e)),
+                Err(p) => break Err(RecordFault::Panic(panic_message(p.as_ref()))),
+            }
+        };
+        if retries > 0 {
+            counters.records_retried += 1;
+            counters.retry_attempts += u64::from(retries);
+            if result.is_ok() {
+                counters.records_recovered += 1;
             }
         }
+        result.map_err(|fault| (fault, retries))
     }
 
     /// Chunked parallel fold of the whole input for one pass group. Chunk
@@ -701,7 +625,7 @@ fn merge_states<E: UdfEnv>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineConfig, RetryPolicy};
+    use crate::engine::{ErrorKind, RetryPolicy};
     use crate::env::ScalarEnv;
     use crate::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
     use udf_lang::agg::parse_aggs;

@@ -40,6 +40,8 @@ use udf_lang::ast::ProgId;
 use udf_obs::names;
 use udf_lang::cost::{Cost, CostModel};
 use udf_lang::intern::Symbol;
+use udf_lang::interp::EvalError;
+use udf_lang::library::LibError;
 
 /// Which operator to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -73,12 +75,11 @@ pub enum ExecMode {
 pub struct PrefilterExec {
     /// Stack-bytecode guard (notifies dense query 0 with the verdict).
     pub compiled: Compiled,
-    /// Register lowering of the guard for [`ExecBackend::Columnar`].
-    pub reg: RegProgram,
-    /// Direct evaluator for the condition, used by both backends when the
-    /// condition stays in the pure call-free fragment (synthesized
-    /// conditions always do). `None` falls back to the compiled guard.
-    /// See [`crate::fastpred`] for why the VM is too slow here.
+    /// Direct evaluator for the condition, used when the condition stays in
+    /// the pure call-free fragment (synthesized conditions always do).
+    /// `None` falls back to the compiled guard on the scalar [`Vm`], under
+    /// either backend. See [`crate::fastpred`] for why the VM is too slow
+    /// here.
     pub fast: Option<crate::fastpred::FastPred>,
     /// Minimum per-record fuel budget for which skipping is sound: the
     /// consolidated program's instruction count (its longest loop-free
@@ -226,11 +227,9 @@ impl QuerySet {
             .consolidated
             .as_ref()
             .map_or(u64::MAX, |c| c.ops.len() as u64);
-        let reg = RegProgram::lower(&compiled);
         let fast = crate::fastpred::FastPred::build(cond, &merged.params);
         self.prefilter = Some(PrefilterExec {
             compiled,
-            reg,
             fast,
             min_fuel,
         });
@@ -472,6 +471,16 @@ impl ErrorKind {
             VmError::DuplicateNotify(_) => ErrorKind::DuplicateNotify,
             VmError::Lib(_) => ErrorKind::Lib,
             VmError::OutOfFuel => ErrorKind::OutOfFuel,
+        }
+    }
+
+    /// The `engine.quarantined.<kind>` counter this kind increments.
+    pub(crate) fn counter(self) -> &'static str {
+        match self {
+            ErrorKind::DuplicateNotify => names::ENGINE_QUARANTINED_DUPLICATE_NOTIFY,
+            ErrorKind::Lib => names::ENGINE_QUARANTINED_LIB,
+            ErrorKind::OutOfFuel => names::ENGINE_QUARANTINED_OUT_OF_FUEL,
+            ErrorKind::Panic => names::ENGINE_QUARANTINED_PANIC,
         }
     }
 }
@@ -845,6 +854,15 @@ impl Engine {
     ) -> Result<JobReport, EngineError> {
         let n_q = queries.query_ids.len();
         let config = &self.config;
+        let ctx = &ShardCtx {
+            env,
+            queries,
+            mode,
+            track_cost,
+            fuel: config.fuel.unwrap_or(queries.fuel),
+            config,
+            guard,
+        };
         let shard_len = records.len().div_ceil(self.workers.max(1)).max(1);
         let start = Instant::now();
         type ShardResult = Result<Result<ShardOut, EngineError>, String>;
@@ -854,8 +872,11 @@ impl Engine {
                 .enumerate()
                 .map(|(k, shard)| {
                     let base = k * shard_len;
-                    let h = scope.spawn(move || {
-                        run_shard(env, shard, base, queries, mode, track_cost, n_q, config, guard)
+                    let h = scope.spawn(move || match config.backend {
+                        ExecBackend::PerRecord => run_shard(ctx, ScalarExec::new(ctx), shard, base),
+                        ExecBackend::Columnar => {
+                            run_shard(ctx, ColumnarExec::new(ctx), shard, base)
+                        }
                     });
                     (shard.len(), h)
                 })
@@ -901,27 +922,6 @@ impl Engine {
             quarantine.retry_attempts += s.retry_attempts;
             quarantine.records_recovered += s.records_recovered;
         }
-        quarantine.entries.sort_by_key(|e| e.record);
-        quarantine.records_quarantined = quarantine.entries.len();
-        // Payload samples are captured per shard (each shard keeps up to the
-        // global cap, so any entry landing in the global first-N has one);
-        // strip the excess after the global sort so the report is identical
-        // for every worker count.
-        for e in quarantine
-            .entries
-            .iter_mut()
-            .skip(config.max_payload_samples)
-        {
-            e.sample = None;
-        }
-        if let ErrorPolicy::Quarantine { max_errors } = config.error_policy {
-            if quarantine.records_quarantined > max_errors {
-                return Err(EngineError::TooManyErrors {
-                    limit: max_errors,
-                    observed: quarantine.records_quarantined,
-                });
-            }
-        }
         Ok(JobReport {
             counts,
             missing,
@@ -929,7 +929,7 @@ impl Engine {
             cost: track_cost.then_some(cost),
             records: records.len(),
             prefilter_skipped,
-            quarantine,
+            quarantine: finalize_quarantine(quarantine, config)?,
             plan_cache: self.config.plan_cache.as_ref().map(|c| c.stats()),
             metrics: self.config.recorder.snapshot(),
             guard: None,
@@ -948,6 +948,38 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Closes a job's quarantine report: entries in record order, payload
+/// samples capped, overflow raised. The sort is stable, so a caller that
+/// appends same-record entries in its tie-break order keeps that order.
+///
+/// Workers capture payload samples up to the global cap each (per shard or
+/// per chunk), so any entry landing in the global first-N has one; the
+/// excess is stripped after the sort so the report is identical for every
+/// worker count.
+pub(crate) fn finalize_quarantine(
+    mut quarantine: QuarantineReport,
+    config: &EngineConfig,
+) -> Result<QuarantineReport, EngineError> {
+    quarantine.entries.sort_by_key(|e| e.record);
+    quarantine.records_quarantined = quarantine.entries.len();
+    for e in quarantine
+        .entries
+        .iter_mut()
+        .skip(config.max_payload_samples)
+    {
+        e.sample = None;
+    }
+    match config.error_policy {
+        ErrorPolicy::Quarantine { max_errors } if quarantine.records_quarantined > max_errors => {
+            Err(EngineError::TooManyErrors {
+                limit: max_errors,
+                observed: quarantine.records_quarantined,
+            })
+        }
+        _ => Ok(quarantine),
+    }
+}
+
 struct ShardOut {
     counts: Vec<u64>,
     missing: Vec<u64>,
@@ -959,309 +991,173 @@ struct ShardOut {
     prefilter_skipped: u64,
 }
 
-/// How one record's evaluation ended.
-enum RecordFault {
+/// How one evaluation ended, before policy classifies it. Record
+/// evaluation raises `Vm` or `Panic`; aggregation folds (which run on the
+/// AST interpreter) raise `Eval` or `Panic`.
+pub(crate) enum RecordFault {
     Vm(VmError),
+    Eval(EvalError),
     Panic(String),
 }
 
-/// Evaluates every program the mode requires for one record, isolating
-/// panics. On the first failure the whole record is abandoned: its partial
-/// notifications and cost are discarded by the caller.
+impl RecordFault {
+    pub(crate) fn kind(&self) -> ErrorKind {
+        match self {
+            RecordFault::Vm(e) => ErrorKind::of(e),
+            RecordFault::Eval(EvalError::DuplicateNotify(_)) => ErrorKind::DuplicateNotify,
+            RecordFault::Eval(EvalError::OutOfFuel) => ErrorKind::OutOfFuel,
+            RecordFault::Eval(_) => ErrorKind::Lib,
+            RecordFault::Panic(_) => ErrorKind::Panic,
+        }
+    }
+
+    /// The [`EngineError`] this fault raises under
+    /// [`ErrorPolicy::FailFast`]. Interpreter-shape errors with no
+    /// [`VmError`] equivalent (unbound variable, arity mismatch) surface as
+    /// library errors carrying the rendered message.
+    pub(crate) fn fail_fast(self, record: usize) -> EngineError {
+        let error = match self {
+            RecordFault::Panic(message) => return EngineError::RecordPanic { record, message },
+            RecordFault::Vm(e) => e,
+            RecordFault::Eval(EvalError::Lib(e)) => VmError::Lib(e),
+            RecordFault::Eval(EvalError::OutOfFuel) => VmError::OutOfFuel,
+            RecordFault::Eval(e) => VmError::Lib(LibError::UnknownFunction(e.to_string())),
+        };
+        EngineError::Record { record, error }
+    }
+
+    /// The entry this fault leaves under [`ErrorPolicy::Quarantine`].
+    pub(crate) fn quarantine(
+        self,
+        record: usize,
+        query: Option<ProgId>,
+        sample: Option<Vec<i64>>,
+        retries: u32,
+    ) -> QuarantineEntry {
+        QuarantineEntry {
+            record,
+            query,
+            kind: self.kind(),
+            detail: match self {
+                RecordFault::Vm(e) => e.to_string(),
+                RecordFault::Eval(e) => e.to_string(),
+                RecordFault::Panic(m) => m,
+            },
+            sample,
+            retries,
+        }
+    }
+}
+
+/// What one shard's evaluation and policy read but never write.
+struct ShardCtx<'a, E: UdfEnv> {
+    env: &'a E,
+    queries: &'a QuerySet,
+    mode: ExecMode,
+    track_cost: bool,
+    /// Per-record step budget: the engine's override, else the query set's.
+    fuel: u64,
+    config: &'a EngineConfig,
+    guard: Option<&'a GuardRun>,
+}
+
+/// One record's evaluation: its cost, or the query whose UDF faulted
+/// (`None` for the consolidated program) and the fault.
+type Outcome = Result<u64, (Option<ProgId>, RecordFault)>;
+
+/// Evaluates every program `mode` requires for one record on the scalar
+/// stack [`Vm`] — the reference semantics — isolating panics. On the first
+/// failure the whole record is abandoned: its partial notifications and
+/// cost are discarded by the caller.
 fn eval_record<E: UdfEnv>(
+    ctx: &ShardCtx<'_, E>,
     vm: &mut Vm,
-    env: &E,
     rec: &E::Rec,
-    queries: &QuerySet,
     mode: ExecMode,
     track_cost: bool,
     notify: &mut [i8],
-) -> Result<u64, (Option<ProgId>, RecordFault)> {
-    let mut cost = 0u64;
+) -> Outcome {
+    let mut run = |c: &Compiled, query: Option<ProgId>| {
+        match catch_unwind(AssertUnwindSafe(|| {
+            vm.run(c, ctx.env, rec, notify, track_cost)
+        })) {
+            Ok(Ok(cost)) => Ok(cost),
+            Ok(Err(e)) => Err((query, RecordFault::Vm(e))),
+            Err(p) => {
+                // The machine's internal state is unspecified after an
+                // unwind through `run`; carry on with a fresh one.
+                *vm = Vm::new().with_fuel(ctx.fuel);
+                Err((query, RecordFault::Panic(panic_message(p.as_ref()))))
+            }
+        }
+    };
     match mode {
         ExecMode::Many => {
-            for (q, c) in queries.many.iter().enumerate() {
-                let query = Some(queries.query_ids[q]);
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    vm.run(c, env, rec, notify, track_cost)
-                }));
-                match r {
-                    Ok(Ok(c)) => cost += c,
-                    Ok(Err(e)) => return Err((query, RecordFault::Vm(e))),
-                    Err(p) => {
-                        return Err((query, RecordFault::Panic(panic_message(p.as_ref()))))
-                    }
-                }
+            let mut cost = 0u64;
+            for (c, &id) in ctx.queries.many.iter().zip(&ctx.queries.query_ids) {
+                cost += run(c, Some(id))?;
             }
+            Ok(cost)
         }
-        ExecMode::Consolidated => {
-            let c = queries
+        ExecMode::Consolidated => run(
+            ctx.queries
                 .consolidated
                 .as_ref()
-                .expect("checked by Engine::run");
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                vm.run(c, env, rec, notify, track_cost)
-            }));
-            match r {
-                Ok(Ok(c)) => cost += c,
-                Ok(Err(e)) => return Err((None, RecordFault::Vm(e))),
-                Err(p) => return Err((None, RecordFault::Panic(panic_message(p.as_ref())))),
-            }
-        }
+                .expect("checked by Engine::run"),
+            None,
+        ),
     }
-    Ok(cost)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_shard<E: UdfEnv>(
-    env: &E,
-    shard: &[E::Rec],
-    base: usize,
-    queries: &QuerySet,
-    mode: ExecMode,
-    track_cost: bool,
-    n_q: usize,
-    config: &EngineConfig,
-    guard: Option<&GuardRun>,
-) -> Result<ShardOut, EngineError> {
-    if config.backend == ExecBackend::Columnar {
-        return run_shard_columnar(env, shard, base, queries, mode, track_cost, n_q, config, guard);
-    }
-    let fuel = config.fuel.unwrap_or(queries.fuel);
-    let recorder = &config.recorder;
-    let retry = &config.retry;
-    let mut vm = Vm::new().with_fuel(fuel);
-    // Built lazily on the first sampled record; kept separate from the
-    // primary VM so shadow runs never disturb its state.
-    let mut shadow_vm: Option<Vm> = None;
-    // The pre-filter applies only to the consolidated operator and only
-    // when the fuel budget clears its soundness floor (see PrefilterExec).
-    let prefilter = queries.prefilter.as_ref().filter(|pf| {
-        mode == ExecMode::Consolidated && fuel >= pf.min_fuel
-    });
-    // Separate machine so a skip decision never disturbs the primary VM.
-    // Only materialized for the VM fallback; synthesized conditions take
-    // the direct-evaluator path and never touch a second machine.
-    let mut pf_vm = prefilter
-        .filter(|pf| pf.fast.is_none())
-        .map(|_| Vm::new().with_fuel(fuel));
-    let mut pf_notify = [NOTIFY_NONE; 1];
-    let mut pf_args: Vec<i64> = Vec::new();
-    let mut notify = vec![NOTIFY_NONE; n_q];
-    let mut counts = vec![0u64; n_q];
-    let mut missing = vec![0u64; n_q];
-    let mut cost = 0u64;
-    let mut processed = 0u64;
-    let mut prefilter_skipped = 0u64;
-    let mut quarantine: Vec<QuarantineEntry> = Vec::new();
-    let mut records_retried = 0usize;
-    let mut retry_attempts = 0u64;
-    let mut records_recovered = 0usize;
-    for (k, rec) in shard.iter().enumerate() {
-        if guard.is_some_and(|g| g.tripped()) {
-            // Mid-stream demotion: every worker abandons the consolidated
-            // pass at its next record; the engine reruns the whole job
-            // sequentially, so nothing produced here is kept or dropped.
-            break;
-        }
-        let record = base + k;
-        processed += 1;
-        // The span reads the clock only when the sink is enabled, so the
-        // disabled-default hot path stays timer-free.
-        let _record_span = recorder
-            .enabled()
-            .then(|| recorder.span(names::ENGINE_RECORD_NS));
-        let mut retries_used = 0u32;
-        // Pre-filter: a verdict of `false` proves every query broadcasts
-        // `false` on this record without touching the environment, so the
-        // consolidated run is replaced by its proven outcome. Evaluation
-        // errors (e.g. a tiny fuel budget) fall back to the full run.
-        let skipped = prefilter.is_some_and(|pf| {
-            if let Some(fast) = &pf.fast {
-                pf_args.clear();
-                env.args(rec, &mut pf_args);
-                !fast.eval(&pf_args)
-            } else {
-                let pvm = pf_vm.as_mut().expect("pf_vm exists with VM fallback");
-                pf_notify[0] = NOTIFY_NONE;
-                match pvm.run(&pf.compiled, env, rec, &mut pf_notify, false) {
-                    Ok(_) => pf_notify[0] == 0,
-                    Err(_) => false,
-                }
-            }
-        });
-        // Retry loop: only transient faults re-enter; everything else (and
-        // transient faults past the budget) falls through to the policy
-        // below. `transient` rides along in the Err so the guard can skip
-        // shadowing records whose fault state is attempt-dependent.
-        let outcome = if skipped {
-            prefilter_skipped += 1;
-            // The proven outcome: every query notified `false`, no calls
-            // were made, no cost accrued.
-            notify.fill(0);
-            Ok(0)
-        } else {
-            loop {
-                notify.fill(NOTIFY_NONE);
-                match eval_record(&mut vm, env, rec, queries, mode, track_cost, &mut notify) {
-                    Ok(c) => break Ok(c),
-                    Err((query, fault)) => {
-                        let transient =
-                            matches!(&fault, RecordFault::Vm(e) if e.is_transient());
-                        if transient && retries_used < retry.max_retries {
-                            retries_used += 1;
-                            recorder.add(names::ENGINE_RETRIES, 1);
-                            let delay = retry.backoff(record, retries_used);
-                            if !delay.is_zero() {
-                                std::thread::sleep(delay);
-                            }
-                            continue;
-                        }
-                        break Err((query, fault, transient));
-                    }
-                }
-            }
-        };
-        if retries_used > 0 {
-            records_retried += 1;
-            retry_attempts += u64::from(retries_used);
-            if outcome.is_ok() {
-                records_recovered += 1;
-            }
-        }
-        if let Some(g) = guard {
-            // Shadow-execute the sampled record through the sequential
-            // path and compare observable behaviour: per-query broadcast
-            // decisions on success, or the fact of quarantine on failure.
-            // Records that exercised transient faults are skipped — their
-            // outcome depends on attempt counts shared with the shadow
-            // run, so a comparison would report phantom divergence.
-            let transient_involved =
-                retries_used > 0 || matches!(&outcome, Err((_, _, true)));
-            if config.guard.samples(record) && !transient_involved {
-                let _guard_span = recorder.span(names::GUARD_NS);
-                g.record_shadow();
-                recorder.add(names::GUARD_SHADOW_RUNS, 1);
-                let mut shadow_notify = vec![NOTIFY_NONE; n_q];
-                let shadow = {
-                    let svm = shadow_vm.get_or_insert_with(|| Vm::new().with_fuel(fuel));
-                    eval_record(svm, env, rec, queries, ExecMode::Many, false, &mut shadow_notify)
-                };
-                if matches!(&shadow, Err((_, RecordFault::Panic(_)))) {
-                    // Unspecified VM state after an unwind; rebuild lazily.
-                    shadow_vm = None;
-                }
-                let consolidated = match &outcome {
-                    Ok(_) => GuardObservation::from_notify(&notify),
-                    Err(_) => GuardObservation::Quarantined,
-                };
-                let sequential = match &shadow {
-                    Ok(_) => GuardObservation::from_notify(&shadow_notify),
-                    Err(_) => GuardObservation::Quarantined,
-                };
-                if consolidated != sequential {
-                    recorder.add(names::GUARD_MISMATCHES, 1);
-                    g.record_mismatch(
-                        &config.guard,
-                        GuardMismatch {
-                            record,
-                            consolidated,
-                            sequential,
-                        },
-                    );
-                }
-            }
-        }
-        match outcome {
-            Ok(c) => {
-                cost += c;
-                // A skipped record's notification vector is all-`false` by
-                // construction: nothing to count, nothing missing.
-                if !skipped {
-                    for q in 0..n_q {
-                        match notify[q] {
-                            1 => counts[q] += 1,
-                            0 => {}
-                            _ => missing[q] += 1,
-                        }
-                    }
-                }
-            }
-            Err((query, fault, _transient)) => match config.error_policy {
-                ErrorPolicy::FailFast => {
-                    return Err(match fault {
-                        RecordFault::Vm(error) => EngineError::Record { record, error },
-                        RecordFault::Panic(message) => {
-                            EngineError::RecordPanic { record, message }
-                        }
-                    });
-                }
-                ErrorPolicy::Quarantine { max_errors } => {
-                    let (kind, detail) = match &fault {
-                        RecordFault::Vm(e) => (ErrorKind::of(e), e.to_string()),
-                        RecordFault::Panic(m) => (ErrorKind::Panic, m.clone()),
-                    };
-                    recorder.add(names::ENGINE_QUARANTINED, 1);
-                    recorder.add(
-                        match kind {
-                            ErrorKind::DuplicateNotify => {
-                                names::ENGINE_QUARANTINED_DUPLICATE_NOTIFY
-                            }
-                            ErrorKind::Lib => names::ENGINE_QUARANTINED_LIB,
-                            ErrorKind::OutOfFuel => names::ENGINE_QUARANTINED_OUT_OF_FUEL,
-                            ErrorKind::Panic => names::ENGINE_QUARANTINED_PANIC,
-                        },
-                        1,
-                    );
-                    if matches!(fault, RecordFault::Panic(_)) {
-                        // The VM's internal state is unspecified after an
-                        // unwind through `run`; start from a fresh machine.
-                        vm = Vm::new().with_fuel(fuel);
-                    }
-                    let sample = (quarantine.len() < config.max_payload_samples).then(|| {
-                        let mut args = Vec::new();
-                        env.args(rec, &mut args);
-                        args
-                    });
-                    quarantine.push(QuarantineEntry {
-                        record,
-                        query,
-                        kind,
-                        detail,
-                        sample,
-                        retries: retries_used,
-                    });
-                    if quarantine.len() > max_errors {
-                        // The job is doomed to TooManyErrors; stop burning
-                        // CPU on this shard. (Local count lower-bounds the
-                        // global one.)
-                        break;
-                    }
-                }
-            },
+/// The seam between policy and evaluation. [`run_shard`] owns every policy
+/// decision; an implementation only evaluates records, a span at a time.
+/// A new backend implements this and nothing else.
+trait ShardExec<E: UdfEnv> {
+    /// Records evaluated per [`ShardExec::eval`] call. Everything in a span
+    /// is evaluated before policy sees its first record, so a span of one
+    /// evaluates nothing past a guard trip or a quarantine overflow.
+    const SPAN: usize;
+
+    /// Evaluates `recs` (at most [`ShardExec::SPAN`]) into the lane-major
+    /// `notify` buffer (`lane * n_queries + q`, pre-filled with
+    /// [`NOTIFY_NONE`]). Lanes `live` marks `false` must not run; their
+    /// `notify` slots stay untouched and their outcome is never asked for.
+    fn eval(&mut self, recs: &[E::Rec], live: Option<&[bool]>, notify: &mut [i8]);
+
+    /// Takes a live `lane`'s outcome of the last [`ShardExec::eval`].
+    fn outcome(&mut self, lane: usize) -> Outcome;
+}
+
+/// [`ExecBackend::PerRecord`]: the stack [`Vm`], one record per span.
+struct ScalarExec<'a, E: UdfEnv> {
+    ctx: &'a ShardCtx<'a, E>,
+    vm: Vm,
+    last: Outcome,
+}
+
+impl<'a, E: UdfEnv> ScalarExec<'a, E> {
+    fn new(ctx: &'a ShardCtx<'a, E>) -> Self {
+        ScalarExec {
+            ctx,
+            vm: Vm::new().with_fuel(ctx.fuel),
+            last: Ok(0),
         }
     }
-    recorder.add(names::ENGINE_RECORDS, processed);
-    if prefilter.is_some() {
-        // Emitted as shard totals, not per record: the counters are
-        // aggregated sums either way, and a virtual-dispatch sink call per
-        // record would cost a measurable slice of the skip path it meters.
-        recorder.add(names::PREFILTER_RECORDS_SKIPPED, prefilter_skipped);
-        recorder.add(
-            names::PREFILTER_RECORDS_PASSED,
-            processed - prefilter_skipped,
-        );
+}
+
+impl<E: UdfEnv> ShardExec<E> for ScalarExec<'_, E> {
+    const SPAN: usize = 1;
+
+    fn eval(&mut self, recs: &[E::Rec], live: Option<&[bool]>, notify: &mut [i8]) {
+        let (ctx, rec) = (self.ctx, &recs[0]);
+        if live.is_none_or(|m| m[0]) {
+            self.last = eval_record(ctx, &mut self.vm, rec, ctx.mode, ctx.track_cost, notify);
+        }
     }
-    Ok(ShardOut {
-        counts,
-        missing,
-        cost,
-        quarantine,
-        records_retried,
-        retry_attempts,
-        records_recovered,
-        prefilter_skipped,
-    })
+
+    fn outcome(&mut self, _lane: usize) -> Outcome {
+        std::mem::replace(&mut self.last, Ok(0))
+    }
 }
 
 /// Records per [`BatchVm`] batch under [`ExecBackend::Columnar`]. Sized so a
@@ -1269,58 +1165,113 @@ fn run_shard<E: UdfEnv>(
 /// cache-resident.
 const COLUMNAR_BATCH: usize = 256;
 
-/// The columnar twin of [`run_shard`]: records are evaluated a batch at a
-/// time through the register-bytecode executor, then every *policy* decision
-/// — retries, guard shadowing, quarantine accounting, fail-fast ordering,
-/// early termination — replays lane by lane in record order with exactly the
-/// per-record code, so reports are bit-identical between backends. Retries
-/// and guard shadows run through the scalar stack VM (the reference), which
-/// also keeps stateful fault environments observing the same call sequence.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_columnar<E: UdfEnv>(
-    env: &E,
+/// [`ExecBackend::Columnar`]: records are gathered into a [`RecordBatch`]
+/// and evaluated a batch at a time through the register-bytecode executor.
+struct ColumnarExec<'a, E: UdfEnv> {
+    ctx: &'a ShardCtx<'a, E>,
+    progs: Vec<&'a RegProgram>,
+    bvm: BatchVm,
+    batch: RecordBatch,
+    row: Vec<i64>,
+}
+
+impl<'a, E: UdfEnv> ColumnarExec<'a, E> {
+    fn new(ctx: &'a ShardCtx<'a, E>) -> Self {
+        let progs = match ctx.mode {
+            ExecMode::Many => ctx.queries.reg_many.iter().collect(),
+            ExecMode::Consolidated => vec![ctx
+                .queries
+                .reg_consolidated
+                .as_ref()
+                .expect("checked by Engine::run")],
+        };
+        ColumnarExec {
+            ctx,
+            progs,
+            bvm: BatchVm::new(ctx.fuel),
+            batch: RecordBatch::default(),
+            row: Vec::new(),
+        }
+    }
+}
+
+impl<E: UdfEnv> ShardExec<E> for ColumnarExec<'_, E> {
+    const SPAN: usize = COLUMNAR_BATCH;
+
+    fn eval(&mut self, recs: &[E::Rec], live: Option<&[bool]>, notify: &mut [i8]) {
+        let ctx = self.ctx;
+        let _batch_span = ctx.config.recorder.span(names::ENGINE_BATCH_NS);
+        self.batch.regather(ctx.env, recs, &mut self.row);
+        self.bvm.run_masked(
+            &self.progs,
+            &self.batch,
+            ctx.env,
+            recs,
+            notify,
+            ctx.track_cost,
+            live,
+        );
+    }
+
+    fn outcome(&mut self, lane: usize) -> Outcome {
+        match self.bvm.take_fault(lane) {
+            None => Ok(self.bvm.cost(lane)),
+            Some((pi, fault)) => Err((
+                match self.ctx.mode {
+                    ExecMode::Many => Some(self.ctx.queries.query_ids[pi]),
+                    ExecMode::Consolidated => None,
+                },
+                match fault {
+                    LaneFault::Vm(e) => RecordFault::Vm(e),
+                    LaneFault::Panic(m) => RecordFault::Panic(m),
+                },
+            )),
+        }
+    }
+}
+
+/// The policy driver: one shard, any backend. `exec` evaluates a span of
+/// records; every *policy* decision — pre-filter skipping, retries, guard
+/// shadowing, quarantine accounting, fail-fast ordering, early termination
+/// — then replays lane by lane in record order, so reports are
+/// bit-identical between backends. Retries, guard shadows and the
+/// pre-filter's VM fallback run on the scalar stack VM (the reference),
+/// which also keeps stateful fault environments observing the same call
+/// sequence whichever backend made the first attempt.
+fn run_shard<E: UdfEnv, X: ShardExec<E>>(
+    ctx: &ShardCtx<'_, E>,
+    mut exec: X,
     shard: &[E::Rec],
     base: usize,
-    queries: &QuerySet,
-    mode: ExecMode,
-    track_cost: bool,
-    n_q: usize,
-    config: &EngineConfig,
-    guard: Option<&GuardRun>,
 ) -> Result<ShardOut, EngineError> {
-    let fuel = config.fuel.unwrap_or(queries.fuel);
+    let &ShardCtx {
+        env,
+        queries,
+        mode,
+        track_cost,
+        fuel,
+        config,
+        guard,
+    } = ctx;
+    let n_q = queries.query_ids.len();
     let recorder = &config.recorder;
     let retry = &config.retry;
-    let progs: Vec<&RegProgram> = match mode {
-        ExecMode::Many => queries.reg_many.iter().collect(),
-        ExecMode::Consolidated => vec![queries
-            .reg_consolidated
-            .as_ref()
-            .expect("checked by Engine::run")],
-    };
-    let mut bvm = BatchVm::new(fuel);
-    let mut batch = RecordBatch::default();
-    // Scalar stack VM for retry attempts (attempt ≥ 2 re-runs the reference
-    // path, as the per-record backend does on every attempt).
-    let mut scalar_vm = Vm::new().with_fuel(fuel);
-    let mut shadow_vm: Option<Vm> = None;
-    // As in run_shard: the pre-filter applies only to the consolidated
-    // operator under a sufficient fuel budget. It runs as its own batch
-    // pass whose verdicts become the selection mask of the main run.
-    let prefilter = queries.prefilter.as_ref().filter(|pf| {
-        mode == ExecMode::Consolidated && fuel >= pf.min_fuel
-    });
-    // The batch guard machine is only materialized for the VM fallback;
-    // synthesized conditions take the direct-evaluator path.
-    let mut pf_bvm = prefilter
-        .filter(|pf| pf.fast.is_none())
-        .map(|_| BatchVm::new(fuel));
-    let mut pf_notify: Vec<i8> = Vec::new();
+    // Read the clock only when the sink is enabled, so the disabled-default
+    // hot path stays timer-free.
+    let timed = recorder.enabled();
+    // Kept apart from the backend's own machine so a retry, a shadow run
+    // or a skip decision never disturbs its state.
+    let mut reference = Vm::new().with_fuel(fuel);
+    // The pre-filter applies only to the consolidated operator and only
+    // when the fuel budget clears its soundness floor (see PrefilterExec).
+    let prefilter = queries
+        .prefilter
+        .as_ref()
+        .filter(|pf| mode == ExecMode::Consolidated && fuel >= pf.min_fuel);
+    let mut live: Vec<bool> = Vec::new();
     let mut pf_args: Vec<i64> = Vec::new();
-    let mut pf_mask: Vec<bool> = Vec::new();
-    let mut pf_skip: Vec<bool> = Vec::new();
-    let mut row = Vec::new();
-    let mut notify: Vec<i8> = Vec::new();
+    let mut notify_buf = vec![NOTIFY_NONE; X::SPAN * n_q];
+    let mut shadow_notify = vec![NOTIFY_NONE; n_q];
     let mut counts = vec![0u64; n_q];
     let mut missing = vec![0u64; n_q];
     let mut cost = 0u64;
@@ -1330,106 +1281,81 @@ fn run_shard_columnar<E: UdfEnv>(
     let mut records_retried = 0usize;
     let mut retry_attempts = 0u64;
     let mut records_recovered = 0usize;
-    'outer: for (bi, chunk) in shard.chunks(COLUMNAR_BATCH).enumerate() {
+    'shard: for (si, span) in shard.chunks(X::SPAN).enumerate() {
         if guard.is_some_and(|g| g.tripped()) {
+            // Mid-stream demotion: every worker abandons the consolidated
+            // pass at its next span; the engine reruns the whole job
+            // sequentially, so nothing produced here is kept or dropped.
             break;
         }
-        let chunk_base = base + bi * COLUMNAR_BATCH;
-        notify.clear();
-        notify.resize(chunk.len() * n_q, NOTIFY_NONE);
-        {
-            let _batch_span = recorder.span(names::ENGINE_BATCH_NS);
-            batch.regather(env, chunk, &mut row);
-            if let Some(pf) = prefilter {
-                // Pre-filter pass: the guard is call-free, so this touches
-                // no environment state. A lane whose verdict is `false`
-                // (and that did not fault in the guard — fail-open) is
-                // compacted out of the main run's selection and assigned
-                // its proven outcome: all queries `false`, zero cost.
-                pf_mask.clear();
-                pf_skip.clear();
-                if let Some(fast) = &pf.fast {
-                    for rec in chunk {
-                        pf_args.clear();
-                        env.args(rec, &mut pf_args);
-                        let skip = !fast.eval(&pf_args);
-                        pf_skip.push(skip);
-                        pf_mask.push(!skip);
-                    }
-                } else {
-                    let pbvm =
-                        pf_bvm.as_mut().expect("pf_bvm exists with VM fallback");
-                    pf_notify.clear();
-                    pf_notify.resize(chunk.len(), NOTIFY_NONE);
-                    pbvm.run(&[&pf.reg], &batch, env, chunk, &mut pf_notify, false);
-                    for (l, &verdict) in pf_notify.iter().enumerate().take(chunk.len()) {
-                        let faulted = pbvm.take_fault(l).is_some();
-                        let skip = !faulted && verdict == 0;
-                        pf_skip.push(skip);
-                        pf_mask.push(!skip);
-                    }
+        // `engine.record_ns` is a record's evaluation plus its policy. A
+        // one-record span opens it here, ahead of evaluation; a batched
+        // span's evaluation is timed by its backend, leaving the per-lane
+        // policy replay below.
+        let mut span_timer =
+            (timed && X::SPAN == 1).then(|| recorder.span(names::ENGINE_RECORD_NS));
+        let notify = &mut notify_buf[..span.len() * n_q];
+        notify.fill(NOTIFY_NONE);
+        // Pre-filter: a verdict of `false` proves every query broadcasts
+        // `false` on this record without touching the environment, so the
+        // lane is masked out of the evaluation and assigned its proven
+        // outcome below. An evaluation error (e.g. a tiny fuel budget)
+        // fails open: the record takes the full run.
+        if let Some(pf) = prefilter {
+            live.clear();
+            live.extend(span.iter().map(|rec| match &pf.fast {
+                Some(fast) => {
+                    pf_args.clear();
+                    env.args(rec, &mut pf_args);
+                    fast.eval(&pf_args)
                 }
-                bvm.run_masked(
-                    &progs,
-                    &batch,
-                    env,
-                    chunk,
-                    &mut notify,
-                    track_cost,
-                    Some(&pf_mask),
-                );
-                for (l, &skip) in pf_skip.iter().enumerate() {
-                    if skip {
-                        notify[l * n_q..(l + 1) * n_q].fill(0);
-                    }
+                None => {
+                    let mut verdict = [NOTIFY_NONE];
+                    reference
+                        .run(&pf.compiled, env, rec, &mut verdict, false)
+                        .map_or(true, |_| verdict[0] != 0)
                 }
-            } else {
-                bvm.run(&progs, &batch, env, chunk, &mut notify, track_cost);
-            }
+            }));
         }
-        for (k, rec) in chunk.iter().enumerate() {
-            if guard.is_some_and(|g| g.tripped()) {
-                // Mid-stream demotion: lanes the batch already evaluated are
-                // simply not accumulated, matching the per-record backend
-                // (which would not have evaluated them at all).
-                break 'outer;
+        exec.eval(span, prefilter.map(|_| live.as_slice()), notify);
+        for (k, rec) in span.iter().enumerate() {
+            // Lane 0 was checked just above, before the span ran. Later
+            // lanes a batch already evaluated are simply not accumulated,
+            // matching a one-record span (which would not have evaluated
+            // them at all).
+            if k > 0 && guard.is_some_and(|g| g.tripped()) {
+                break 'shard;
             }
-            let record = chunk_base + k;
+            let record = base + si * X::SPAN + k;
             processed += 1;
-            let _record_span = recorder
-                .enabled()
-                .then(|| recorder.span(names::ENGINE_RECORD_NS));
+            let _record_span = span_timer
+                .take()
+                .or_else(|| timed.then(|| recorder.span(names::ENGINE_RECORD_NS)));
+            let lane_notify = &mut notify[k * n_q..(k + 1) * n_q];
             // Per-lane pre-filter accounting happens here, in record order,
             // so early termination (guard trip, quarantine overflow) leaves
-            // counters identical to the per-record backend's. (The recorder
-            // sees shard totals, emitted after the loop.)
-            if prefilter.is_some() && pf_skip[k] {
+            // the counters independent of the span length.
+            let skipped = prefilter.is_some() && !live[k];
+            let mut attempt = if skipped {
                 prefilter_skipped += 1;
-            }
-            let lane_notify = &mut notify[k * n_q..(k + 1) * n_q];
-            let mut retries_used = 0u32;
-            let mut cur: Result<u64, (Option<ProgId>, RecordFault)> = match bvm.take_fault(k) {
-                None => Ok(bvm.cost(k)),
-                Some((pi, f)) => {
-                    let query = match mode {
-                        ExecMode::Many => Some(queries.query_ids[pi]),
-                        ExecMode::Consolidated => None,
-                    };
-                    Err((
-                        query,
-                        match f {
-                            LaneFault::Vm(e) => RecordFault::Vm(e),
-                            LaneFault::Panic(m) => RecordFault::Panic(m),
-                        },
-                    ))
-                }
+                // The proven outcome: every query notified `false`, no
+                // calls were made, no cost accrued.
+                lane_notify.fill(0);
+                Ok(0)
+            } else {
+                exec.outcome(k)
             };
+            // Retry loop: only transient faults re-enter; everything else
+            // (and transient faults past the budget) falls through to the
+            // policy below. `transient` rides along in the Err so the guard
+            // can skip shadowing records whose fault state is
+            // attempt-dependent.
+            let mut retries_used = 0u32;
             let outcome = loop {
-                match cur {
+                match attempt {
                     Ok(c) => break Ok(c),
                     Err((query, fault)) => {
-                        let transient =
-                            matches!(&fault, RecordFault::Vm(e) if e.is_transient());
+                        let transient = matches!(&fault, RecordFault::Vm(e) if e.is_transient());
                         if transient && retries_used < retry.max_retries {
                             retries_used += 1;
                             recorder.add(names::ENGINE_RETRIES, 1);
@@ -1438,11 +1364,10 @@ fn run_shard_columnar<E: UdfEnv>(
                                 std::thread::sleep(delay);
                             }
                             lane_notify.fill(NOTIFY_NONE);
-                            cur = eval_record(
-                                &mut scalar_vm,
-                                env,
+                            attempt = eval_record(
+                                ctx,
+                                &mut reference,
                                 rec,
-                                queries,
                                 mode,
                                 track_cost,
                                 lane_notify,
@@ -1461,20 +1386,27 @@ fn run_shard_columnar<E: UdfEnv>(
                 }
             }
             if let Some(g) = guard {
-                let transient_involved =
-                    retries_used > 0 || matches!(&outcome, Err((_, _, true)));
+                // Shadow-execute the sampled record through the sequential
+                // path and compare observable behaviour: per-query
+                // broadcast decisions on success, or the fact of quarantine
+                // on failure. Records that exercised transient faults are
+                // skipped — their outcome depends on attempt counts shared
+                // with the shadow run, so a comparison would report phantom
+                // divergence.
+                let transient_involved = retries_used > 0 || matches!(&outcome, Err((_, _, true)));
                 if config.guard.samples(record) && !transient_involved {
                     let _guard_span = recorder.span(names::GUARD_NS);
                     g.record_shadow();
                     recorder.add(names::GUARD_SHADOW_RUNS, 1);
-                    let mut shadow_notify = vec![NOTIFY_NONE; n_q];
-                    let shadow = {
-                        let svm = shadow_vm.get_or_insert_with(|| Vm::new().with_fuel(fuel));
-                        eval_record(svm, env, rec, queries, ExecMode::Many, false, &mut shadow_notify)
-                    };
-                    if matches!(&shadow, Err((_, RecordFault::Panic(_)))) {
-                        shadow_vm = None;
-                    }
+                    shadow_notify.fill(NOTIFY_NONE);
+                    let shadow = eval_record(
+                        ctx,
+                        &mut reference,
+                        rec,
+                        ExecMode::Many,
+                        false,
+                        &mut shadow_notify,
+                    );
                     let consolidated = match &outcome {
                         Ok(_) => GuardObservation::from_notify(lane_notify),
                         Err(_) => GuardObservation::Quarantined,
@@ -1499,8 +1431,9 @@ fn run_shard_columnar<E: UdfEnv>(
             match outcome {
                 Ok(c) => {
                     cost += c;
-                    // Skipped lanes are all-`false` by construction.
-                    if !(prefilter.is_some() && pf_skip[k]) {
+                    // A skipped record's notification vector is all-`false`
+                    // by construction: nothing to count, nothing missing.
+                    if !skipped {
                         for q in 0..n_q {
                             match lane_notify[q] {
                                 1 => counts[q] += 1,
@@ -1511,53 +1444,21 @@ fn run_shard_columnar<E: UdfEnv>(
                     }
                 }
                 Err((query, fault, _transient)) => match config.error_policy {
-                    ErrorPolicy::FailFast => {
-                        return Err(match fault {
-                            RecordFault::Vm(error) => EngineError::Record { record, error },
-                            RecordFault::Panic(message) => {
-                                EngineError::RecordPanic { record, message }
-                            }
-                        });
-                    }
+                    ErrorPolicy::FailFast => return Err(fault.fail_fast(record)),
                     ErrorPolicy::Quarantine { max_errors } => {
-                        let (kind, detail) = match &fault {
-                            RecordFault::Vm(e) => (ErrorKind::of(e), e.to_string()),
-                            RecordFault::Panic(m) => (ErrorKind::Panic, m.clone()),
-                        };
                         recorder.add(names::ENGINE_QUARANTINED, 1);
-                        recorder.add(
-                            match kind {
-                                ErrorKind::DuplicateNotify => {
-                                    names::ENGINE_QUARANTINED_DUPLICATE_NOTIFY
-                                }
-                                ErrorKind::Lib => names::ENGINE_QUARANTINED_LIB,
-                                ErrorKind::OutOfFuel => names::ENGINE_QUARANTINED_OUT_OF_FUEL,
-                                ErrorKind::Panic => names::ENGINE_QUARANTINED_PANIC,
-                            },
-                            1,
-                        );
-                        if matches!(fault, RecordFault::Panic(_)) {
-                            // Only a scalar retry attempt can have unwound
-                            // through `scalar_vm` (batch-path panics are
-                            // caught per lane); rebuilding unconditionally
-                            // is harmless and mirrors the reference.
-                            scalar_vm = Vm::new().with_fuel(fuel);
-                        }
+                        recorder.add(fault.kind().counter(), 1);
                         let sample = (quarantine.len() < config.max_payload_samples).then(|| {
                             let mut args = Vec::new();
                             env.args(rec, &mut args);
                             args
                         });
-                        quarantine.push(QuarantineEntry {
-                            record,
-                            query,
-                            kind,
-                            detail,
-                            sample,
-                            retries: retries_used,
-                        });
+                        quarantine.push(fault.quarantine(record, query, sample, retries_used));
                         if quarantine.len() > max_errors {
-                            break 'outer;
+                            // The job is doomed to TooManyErrors; stop
+                            // burning CPU on this shard. (Local count
+                            // lower-bounds the global one.)
+                            break 'shard;
                         }
                     }
                 },
@@ -1566,7 +1467,9 @@ fn run_shard_columnar<E: UdfEnv>(
     }
     recorder.add(names::ENGINE_RECORDS, processed);
     if prefilter.is_some() {
-        // Shard totals, mirroring run_shard's batched emission.
+        // Emitted as shard totals, not per record: the counters are
+        // aggregated sums either way, and a virtual-dispatch sink call per
+        // record would cost a measurable slice of the skip path it meters.
         recorder.add(names::PREFILTER_RECORDS_SKIPPED, prefilter_skipped);
         recorder.add(
             names::PREFILTER_RECORDS_PASSED,

@@ -15,11 +15,12 @@
 //!    the same shared scan still absorb the record.
 
 use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
-use naiad_lite::{AggMode, AggQuerySet, AggReport, Engine, ErrorPolicy, ScalarEnv};
+use naiad_lite::{AggMode, AggQuerySet, AggReport, Engine, ErrorKind, ErrorPolicy, ScalarEnv};
 use proptest::prelude::*;
 use udf_lang::agg::{parse_agg, AggDef};
 use udf_lang::intern::{Interner, Symbol};
 use udf_lang::FnLibrary;
+use udf_obs::names;
 
 /// One generated aggregation shape. `Last` is the non-homomorphic one
 /// (`merge` keeps the right state), pinned to the sequential shard.
@@ -92,9 +93,32 @@ fn run(
     let env = FaultyEnv::new(ScalarEnv::new(1, lib), probe, plan.clone());
     let records =
         FaultyEnv::<ScalarEnv>::index_records((0..n_records).map(|v| vec![v as i64 - 40]));
-    quarantine_engine(workers)
+    let rep = quarantine_engine(workers)
+        .with_retry(naiad_lite::RetryPolicy::immediate(2))
+        .with_recorder(udf_obs::RecorderCell::memory())
         .run_agg(&env, &records, queries, interner, mode)
-        .expect("quarantine policy absorbs record faults")
+        .expect("quarantine policy absorbs record faults");
+    assert_counters_equal_report(&rep, &format!("{workers} workers {mode:?}"));
+    rep
+}
+
+/// `engine.quarantined.*` and `engine.retries` describe the finalised
+/// report (OBSERVABILITY.md), whatever the worker count and mode.
+fn assert_counters_equal_report(rep: &AggReport, ctx: &str) {
+    let q = &rep.quarantine;
+    let snap = rep.metrics.as_ref().expect("memory recorder snapshots");
+    let total = snap.counter(names::ENGINE_QUARANTINED);
+    assert_eq!(total, q.records_quarantined as u64, "{ctx}");
+    for (kind, name) in [
+        (ErrorKind::DuplicateNotify, names::ENGINE_QUARANTINED_DUPLICATE_NOTIFY),
+        (ErrorKind::Lib, names::ENGINE_QUARANTINED_LIB),
+        (ErrorKind::OutOfFuel, names::ENGINE_QUARANTINED_OUT_OF_FUEL),
+        (ErrorKind::Panic, names::ENGINE_QUARANTINED_PANIC),
+    ] {
+        let in_report = q.entries.iter().filter(|e| e.kind == kind).count();
+        assert_eq!(snap.counter(name), in_report as u64, "{ctx}: {kind}");
+    }
+    assert_eq!(snap.counter(names::ENGINE_RETRIES), q.retry_attempts, "{ctx}");
 }
 
 /// The observable output: (states, post-demotion flags, quarantine report).
@@ -203,6 +227,55 @@ fn a_fold_panic_quarantines_only_the_owning_udaf() {
                     assert_eq!(&rep.quarantine, q, "{workers} workers {mode:?}");
                 }
             }
+        }
+    }
+}
+
+/// The counters-equal-report check inside `run`, on the case that needs
+/// the counters to come from the finalised report: transient faults that
+/// are retried, and a definition whose merge faults at run time, whose
+/// parallel-pass entries are discarded and re-folded and must not be
+/// counted twice.
+#[test]
+fn quarantine_counters_survive_retries_and_merge_demotion() {
+    silence_injected_panics();
+    let mut interner = Interner::new();
+    let probe = interner.intern("probe");
+    let (mut defs, mut proved) =
+        defs_of(&[Shape::Sum(2), Shape::CountGt(10), Shape::Last], &mut interner);
+    // Claimed homomorphic, but the merge runs out of fuel: demoted at run time.
+    defs.push(
+        parse_agg(
+            "aggregate sneaky @3 (v) { state s = 0;
+                 fold  { p := probe(v); s := s + p; }
+                 merge { i := 0; while (i < 100000) { i := i + 1; } s := s + rhs_s; } }",
+            &mut interner,
+        )
+        .expect("parses"),
+    );
+    proved.push(true);
+    let queries = AggQuerySet::new(defs, proved).with_fuel(1000);
+    let n_records = 600usize;
+    let plan = FaultPlan::seeded_kinds(
+        7,
+        n_records,
+        30,
+        &[
+            FaultKind::LibError,
+            FaultKind::Panic,
+            FaultKind::Transient(1),
+            FaultKind::Transient(4),
+        ],
+    );
+    for workers in [1usize, 2, 8] {
+        for mode in [AggMode::Separate, AggMode::Consolidated] {
+            let rep = run(workers, mode, &queries, probe, &plan, n_records, &interner);
+            let ctx = format!("{workers} workers {mode:?}");
+            assert_eq!(rep.proved, vec![true, true, false, false], "{ctx}");
+            let by_kind = |k| rep.quarantine.entries.iter().filter(|e| e.kind == k).count();
+            assert!(by_kind(ErrorKind::Lib) > 0, "{ctx}");
+            assert!(by_kind(ErrorKind::Panic) > 0, "{ctx}");
+            assert!(rep.quarantine.retry_attempts > 0, "{ctx}");
         }
     }
 }

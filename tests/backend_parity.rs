@@ -11,10 +11,12 @@
 //! and plan-guard verdicts — must be bit-identical between
 //! `ExecBackend::PerRecord` and `ExecBackend::Columnar`, including under
 //! injected library errors, UDF panics, fuel exhaustion mid-batch, and
-//! transient faults drained by retry.
+//! transient faults drained by retry — and on every early exit of the policy
+//! driver (fail-fast, quarantine overflow, a guard trip), where a batch has
+//! already evaluated lanes the per-record path never reaches.
 
 use naiad_lite::engine::{
-    Engine, EngineConfig, ErrorPolicy, ExecBackend, ExecMode, JobReport, QuerySet,
+    Engine, EngineConfig, EngineError, ErrorPolicy, ExecBackend, ExecMode, JobReport, QuerySet,
 };
 use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
 use naiad_lite::{GuardAction, GuardPolicy, RetryPolicy, ScalarEnv};
@@ -24,6 +26,7 @@ use udf_lang::cost::CostModel;
 use udf_lang::intern::Interner;
 use udf_lang::library::Library;
 use udf_lang::FnLibrary;
+use udf_obs::names;
 
 fn library(interner: &mut Interner) -> FnLibrary {
     let probe = interner.intern("probe");
@@ -56,6 +59,43 @@ fn queries(interner: &mut Interner, n: u32) -> Vec<Program> {
         .collect()
 }
 
+/// Two queries whose only call sits under a parameter guard, so a
+/// pre-filter (`v >= 40`) is synthesized when asked for and skips the
+/// records below it under either backend.
+fn guarded_queries(interner: &mut Interner, n: u32) -> Vec<Program> {
+    (0..n)
+        .map(|k| {
+            udf_lang::parse::parse_program(
+                &format!(
+                    "program g{k} @{k} (v) {{
+                         if (v >= {}) {{
+                             p := probe(v);
+                             if (p > 70) {{ notify true; }} else {{ notify false; }}
+                         }} else {{ notify false; }}
+                     }}",
+                    40 + k * 10
+                ),
+                interner,
+            )
+            .expect("test program parses")
+        })
+        .collect()
+}
+
+/// A hand-merged plan for `guarded_queries(_, 2)` that is wrong on exactly
+/// one input, `v == 96`, where it answers `false` for query 0.
+const DIVERGENT_PLAN: &str = "program wrong @9 (v) {
+    if (v >= 40) {
+        p := probe(v);
+        if (v == 96) { notify @0 false; } else {
+            if (p > 70) { notify @0 true; } else { notify @0 false; }
+        }
+        if (v >= 50) {
+            if (p > 70) { notify @1 true; } else { notify @1 false; }
+        } else { notify @1 false; }
+    } else { notify @0 false; notify @1 false; }
+}";
+
 struct Workload {
     env: FaultyEnv<ScalarEnv>,
     records: Vec<(usize, Vec<i64>)>,
@@ -63,23 +103,55 @@ struct Workload {
 }
 
 fn workload(n_queries: u32, n_records: usize, faults: FaultPlan) -> Workload {
+    build(queries, n_queries, n_records, faults, false, None)
+}
+
+/// `guarded_queries` over 600 records (several batches per shard at one or
+/// two workers), with or without a pre-filter, optionally executing `plan`
+/// in place of the consolidated program.
+fn guarded_workload(faults: FaultPlan, prefilter: bool, plan: Option<&str>) -> Workload {
+    let w = build(guarded_queries, 2, 600, faults, prefilter, plan);
+    assert_eq!(w.queries.prefilter.is_some(), prefilter, "pre-filter attached");
+    w
+}
+
+fn build(
+    make: fn(&mut Interner, u32) -> Vec<Program>,
+    n_queries: u32,
+    n_records: usize,
+    faults: FaultPlan,
+    prefilter: bool,
+    plan: Option<&str>,
+) -> Workload {
     let mut interner = Interner::new();
     let lib = library(&mut interner);
-    let programs = queries(&mut interner, n_queries);
+    let programs = make(&mut interner, n_queries);
     let cm = CostModel::default();
     let merged = consolidate::consolidate_many(
         &programs,
         &mut interner,
         &cm,
         &lib,
-        &consolidate::Options::default(),
+        &consolidate::Options {
+            prefilter,
+            ..consolidate::Options::default()
+        },
         false,
     )
     .expect("test queries consolidate");
-    let queries = QuerySet::compile_many(&programs, &cm, &|f| lib.cost(f))
+    let plan = match plan {
+        Some(src) => udf_lang::parse::parse_program(src, &mut interner).expect("plan parses"),
+        None => merged.program.clone(),
+    };
+    let mut queries = QuerySet::compile_many(&programs, &cm, &|f| lib.cost(f))
         .expect("many compiles")
-        .with_consolidated(&merged.program, &cm, &|f| lib.cost(f), Default::default())
+        .with_consolidated(&plan, &cm, &|f| lib.cost(f), Default::default())
         .expect("merged compiles");
+    if let Some(pf) = &merged.prefilter {
+        queries = queries
+            .with_prefilter(&pf.cond, &plan, &cm, &|f| lib.cost(f))
+            .expect("pre-filter compiles");
+    }
     let trigger = interner.intern("probe");
     let env = FaultyEnv::new(ScalarEnv::new(1, lib), trigger, faults)
         .with_burn_value(1_000_000_000);
@@ -260,5 +332,158 @@ fn retry_accounting_is_identical() {
             p.quarantine.records_recovered, c.quarantine.records_recovered,
             "retries {retries}: recovered"
         );
+    }
+}
+
+/// The recorder counters the policy driver emits on every exit path.
+const DRIVER_COUNTERS: [&str; 4] = [
+    names::ENGINE_RECORDS,
+    names::PREFILTER_RECORDS_SKIPPED,
+    names::PREFILTER_RECORDS_PASSED,
+    names::ENGINE_RETRIES,
+];
+const SKIPPED: usize = 1;
+const RETRIES: usize = 3;
+
+/// Runs a job that is expected to end early and returns its error with the
+/// driver's counters at that point.
+fn run_to_error(
+    w: &Workload,
+    backend: ExecBackend,
+    workers: usize,
+    error_policy: ErrorPolicy,
+    guard: GuardPolicy,
+) -> (EngineError, [u64; 4]) {
+    w.env.reset_transients();
+    let recorder = udf_obs::RecorderCell::memory();
+    let err = Engine::new(workers)
+        .with_config(EngineConfig {
+            error_policy,
+            backend,
+            retry: RetryPolicy::immediate(1),
+            guard,
+            recorder: recorder.clone(),
+            ..EngineConfig::default()
+        })
+        .run(&w.env, &w.records, &w.queries, ExecMode::Consolidated, true)
+        .expect_err("the job must end early");
+    let snap = recorder.snapshot().expect("memory recorder snapshots");
+    (err, DRIVER_COUNTERS.map(|c| snap.counter(c)))
+}
+
+/// Faults on every fifth record that reaches `probe` (`v >= 40`): some
+/// recover within the single retry, the rest fault for good.
+fn reachable_faults() -> FaultPlan {
+    let kinds = [
+        FaultKind::Transient(1),
+        FaultKind::LibError,
+        FaultKind::Transient(2),
+        FaultKind::Panic,
+    ];
+    let mut plan = FaultPlan::none();
+    for (i, r) in (0..600usize).filter(|r| r % 97 >= 40).step_by(5).enumerate() {
+        plan.insert(r, kinds[i % kinds.len()]);
+    }
+    plan
+}
+
+/// Fail-fast and quarantine overflow leave a columnar batch half replayed:
+/// the error (same first record, same overflow count) and the driver's
+/// counters must not show it.
+#[test]
+fn early_exits_are_identical() {
+    silence_injected_panics();
+    for prefilter in [false, true] {
+        let w = guarded_workload(reachable_faults(), prefilter, None);
+        for workers in [1usize, 2, 8] {
+            for policy in [
+                ErrorPolicy::FailFast,
+                ErrorPolicy::Quarantine { max_errors: 3 },
+            ] {
+                let run = |b| run_to_error(&w, b, workers, policy, GuardPolicy::default());
+                let (p, c) = (run(ExecBackend::PerRecord), run(ExecBackend::Columnar));
+                let ctx = format!("prefilter {prefilter} workers {workers} {policy:?}");
+                assert_eq!(p, c, "{ctx}");
+                match (policy, &p.0) {
+                    (ErrorPolicy::FailFast, EngineError::Record { .. })
+                    | (ErrorPolicy::Quarantine { .. }, EngineError::TooManyErrors { .. }) => {}
+                    (_, other) => panic!("{ctx}: unexpected error {other:?}"),
+                }
+                assert!(p.1[RETRIES] > 0, "{ctx}: transient faults were retried");
+                // (A shard that fails fast returns before its end-of-shard
+                // counters; an overflowing one emits them.)
+                if policy != ErrorPolicy::FailFast {
+                    assert_eq!(p.1[SKIPPED] > 0, prefilter, "{ctx}: records skipped");
+                }
+            }
+        }
+    }
+}
+
+/// A guard trip under `FailFast` stops the driver mid-batch. The plan
+/// diverges on exactly one record, so the incident is the same for every
+/// worker count — except `shadow_runs` and the counters, which depend on
+/// how far the other shards got before they saw the trip and are compared
+/// only for the single-worker run.
+#[test]
+fn guard_fail_fast_trip_is_identical() {
+    let guard = GuardPolicy {
+        on_mismatch: GuardAction::FailFast,
+        ..GuardPolicy::audit_all()
+    };
+    for prefilter in [false, true] {
+        let mut w = guarded_workload(FaultPlan::none(), prefilter, Some(DIVERGENT_PLAN));
+        for (r, (_, rec)) in w.records.iter_mut().enumerate() {
+            rec[0] = if r == 333 { 96 } else { r as i64 % 90 };
+        }
+        for workers in [1usize, 2, 8] {
+            let run = |b| {
+                let (err, counters) =
+                    run_to_error(&w, b, workers, ErrorPolicy::FailFast, guard);
+                let EngineError::GuardTripped { mut incident } = err else {
+                    panic!("expected GuardTripped, got {err:?}");
+                };
+                if workers > 1 {
+                    incident.shadow_runs = 0;
+                }
+                (incident, (workers == 1).then_some(counters))
+            };
+            let (p, c) = (run(ExecBackend::PerRecord), run(ExecBackend::Columnar));
+            assert_eq!(p, c, "prefilter {prefilter} workers {workers}");
+            assert_eq!(p.0.mismatches, 1);
+            assert_eq!(p.0.examples[0].record, 333);
+        }
+    }
+}
+
+/// A pre-filter condition outside the direct evaluator's fragment falls
+/// back to the compiled guard on the scalar VM under both backends; the
+/// fallback must skip exactly the records the direct evaluator skips.
+#[test]
+fn prefilter_vm_fallback_matches_direct_evaluator() {
+    silence_injected_panics();
+    let fast = guarded_workload(reachable_faults(), true, None);
+    let mut fallback = guarded_workload(reachable_faults(), true, None);
+    fallback
+        .queries
+        .prefilter
+        .as_mut()
+        .expect("pre-filter attached")
+        .fast = None;
+    let run = |w: &Workload| {
+        run_both(
+            w,
+            ExecMode::Consolidated,
+            None,
+            RetryPolicy::immediate(1),
+            GuardPolicy::default(),
+        )
+    };
+    let (fp, fc) = run(&fast);
+    let (vp, vc) = run(&fallback);
+    assert!(fp.prefilter_skipped > 0, "the pre-filter must skip records");
+    for (r, ctx) in [(&fc, "fast columnar"), (&vp, "vm per-record"), (&vc, "vm columnar")] {
+        assert_parity(&fp, r, ctx);
+        assert_eq!(fp.prefilter_skipped, r.prefilter_skipped, "{ctx}: skipped");
     }
 }

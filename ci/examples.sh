@@ -30,4 +30,12 @@ for ex in $examples; do
     cargo run --release --example "$ex" >/dev/null
 done
 
+# guarded_execution tells its story once per backend (one copy of the plan,
+# two loops over it); make sure neither half was dropped.
+guarded="$(cargo run --release --example guarded_execution 2>/dev/null)"
+for backend in per-record columnar; do
+    echo "$guarded" | grep -q "^-- backend: $backend\$" \
+        || { echo "guarded_execution did not run under $backend" >&2; exit 1; }
+done
+
 echo "examples OK: all $(echo $examples | wc -w) examples ran"

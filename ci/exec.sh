@@ -3,11 +3,13 @@
 # (engine::run_shard over the ShardExec seam) and the aggregation path to
 # "same observables under either backend, any worker count, any fault".
 #
-# 1. naiad-lite's own unit and property tests (VM, regcode, batch executor,
+# 1. naiad-lite's own unit tests (lowering, RegVm vs BatchVm at every fuel,
 #    engine, agg, guard, fault injection).
-# 2. The root suites that drive the engine from outside: backend parity
+# 2. The root suites that drive the engine from outside: RegVm against the
+#    reference interpreter on random programs (prop_vm), backend parity
 #    (chaos sweep plus every early exit of the driver), pushdown on/off
-#    parity, the plan guard, the fail-soft matrix, UDAF determinism.
+#    parity, the plan guard under both backends, the fail-soft matrix, UDAF
+#    determinism.
 # 3. The benchmark's smoke run: bench/ builds against the engine's public
 #    API from source and checks every workload's output against its
 #    interpreter oracle (exit 1 on `correct: false`). Timings from a smoke
@@ -16,7 +18,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 cargo test -q -p naiad-lite
-for suite in backend_parity prefilter_matrix guard_matrix fault_matrix agg_matrix; do
+for suite in prop_vm backend_parity prefilter_matrix guard_matrix fault_matrix agg_matrix; do
     cargo test -q --test "$suite"
 done
 bash bench/run.sh --smoke >/dev/null

@@ -35,12 +35,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::compile::VmError;
 use crate::engine::{
     finalize_quarantine, panic_message, Engine, EngineConfig, EngineError, ErrorPolicy,
     QuarantineEntry, QuarantineReport, RecordFault,
 };
 use crate::env::{RecordLibrary, UdfEnv};
+use crate::VmError;
 use consolidate::budget::DegradationTier;
 use udf_lang::agg::AggDef;
 use udf_lang::ast::ProgId;

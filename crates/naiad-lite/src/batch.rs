@@ -20,29 +20,30 @@
 //!
 //! # Exactness
 //!
-//! Observables are bit-identical to the scalar reference ([`crate::compile::Vm`]):
+//! Observables are bit-identical to the scalar machine
+//! ([`crate::regcode::RegVm`]) running the same program:
 //!
 //! * per-lane fuel/cost columns are charged from the same per-instruction
-//!   `steps`/`cost` totals the scalar register VM uses (which in turn match
-//!   the stack VM op-for-op, see [`crate::regcode`]);
+//!   `steps`/`cost` totals the scalar machine reads (one stack op is one
+//!   step, see [`crate::regcode`]);
 //! * in blocks containing calls or notifies, the per-lane fuel gate runs
 //!   *before* every stateful instruction, so an environment observes
-//!   exactly the calls the reference would have made — even for lanes that
-//!   exhaust fuel mid-block;
+//!   exactly the calls the scalar machine would have made — even for lanes
+//!   that exhaust fuel mid-block;
 //! * runs of consecutive register-only instructions (and entire pure
 //!   blocks) are gated **once** for their summed fuel: a lane that would
 //!   have died partway through such a run dies at its start instead, which
-//!   is indistinguishable from the reference because the run has no side
+//!   is indistinguishable from the scalar run because the run has no side
 //!   effects to order and a faulted lane's partial state (cost,
 //!   notifications) is never observed by the engine;
 //! * external calls are individually wrapped in
 //!   [`std::panic::catch_unwind`], so a panicking environment poisons only
 //!   its own lane.
 
-use crate::compile::VmError;
 use crate::engine::panic_message;
 use crate::env::UdfEnv;
 use crate::regcode::{apply_bin, Block, RArg, RegProgram, ROp};
+use crate::VmError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// No broadcast recorded (mirrors [`crate::compile::NOTIFY_NONE`]).
@@ -653,9 +654,9 @@ impl BatchVm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{Compiled, Vm};
     use crate::env::ScalarEnv;
     use crate::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
+    use crate::regcode::RegVm;
     use udf_lang::ast::ProgId;
     use udf_lang::cost::CostModel;
     use udf_lang::intern::Interner;
@@ -669,19 +670,20 @@ mod tests {
         lib
     }
 
-    fn compile_set(srcs: &[&str], i: &mut Interner, env_cost: &ScalarEnv) -> Vec<Compiled> {
+    fn compile_set(srcs: &[&str], i: &mut Interner, env_cost: &ScalarEnv) -> Vec<RegProgram> {
         let programs: Vec<_> = srcs.iter().map(|s| parse_program(s, i).unwrap()).collect();
         let ids: Vec<ProgId> = programs.iter().map(|p| p.id).collect();
         let cm = CostModel::default();
         programs
             .iter()
-            .map(|p| Compiled::compile(p, &ids, &cm, &|f| env_cost.fn_cost(f)).unwrap())
+            .map(|p| RegProgram::compile(p, &ids, &cm, &|f| env_cost.fn_cost(f)).unwrap())
             .collect()
     }
 
     /// Batch execution over a faulty env must be lane-for-lane identical to
-    /// running the scalar stack VM per record: costs, notifications, and
-    /// fault classification.
+    /// running the scalar machine per record, at every fuel: costs,
+    /// notifications, and fault classification. Each machine gets its own
+    /// copy of the (stateful) environment.
     #[test]
     fn batch_matches_scalar_per_record_under_faults() {
         silence_injected_panics();
@@ -693,7 +695,7 @@ mod tests {
              }",
             "program b @2 (v, w) { if (w <= 5) { notify true; } else { notify false; } }",
         ];
-        for fuel in [7u64, 20, 60, 200] {
+        for fuel in (0..400).chain([crate::compile::DEFAULT_FUEL]) {
             let mut i = Interner::new();
             let trigger = i.intern("f");
             let plan = FaultPlan::seeded_kinds(
@@ -712,8 +714,7 @@ mod tests {
             let scalar_env = FaultyEnv::new(ScalarEnv::new(2, lib(&mut i)), trigger, plan)
                 .with_burn_value(1_000);
             let base = ScalarEnv::new(2, lib(&mut i));
-            let compiled = compile_set(&srcs, &mut i, &base);
-            let regs: Vec<RegProgram> = compiled.iter().map(RegProgram::lower).collect();
+            let regs = compile_set(&srcs, &mut i, &base);
             let reg_refs: Vec<&RegProgram> = regs.iter().collect();
             let n_q = 2usize;
             let recs: Vec<(usize, Vec<i64>)> =
@@ -726,13 +727,13 @@ mod tests {
             let mut notify = vec![NOTIFY_NONE; recs.len() * n_q];
             bvm.run(&reg_refs, &batch, &batch_env, &recs, &mut notify, true);
 
-            // Scalar reference, record at a time.
+            // Scalar machine, record at a time.
             for (lane, rec) in recs.iter().enumerate() {
-                let mut vm = Vm::new().with_fuel(fuel);
+                let mut vm = RegVm::new().with_fuel(fuel);
                 let mut s_notify = vec![NOTIFY_NONE; n_q];
                 let mut s_cost = 0u64;
                 let mut s_fault: Option<(usize, String)> = None;
-                for (pi, c) in compiled.iter().enumerate() {
+                for (pi, c) in regs.iter().enumerate() {
                     let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
                         vm.run(c, &scalar_env, rec, &mut s_notify, true)
                     }));
@@ -744,7 +745,6 @@ mod tests {
                         }
                         Err(p) => {
                             s_fault = Some((pi, format!("panic:{}", panic_message(p.as_ref()))));
-                            vm = Vm::new().with_fuel(fuel);
                             break;
                         }
                     }
@@ -777,7 +777,7 @@ mod tests {
         // must drain everyone to Halt.
         let mut i = Interner::new();
         let base = ScalarEnv::new(2, lib(&mut i));
-        let compiled = compile_set(
+        let regs = compile_set(
             &["program p @1 (v, w) {
                   acc := 0; k := v;
                   while (k > 0) { acc := acc + k; k := k - 1; }
@@ -786,13 +786,13 @@ mod tests {
             &mut i,
             &base,
         );
-        let reg = RegProgram::lower(&compiled[0]);
+        let reg = &regs[0];
         let recs: Vec<Vec<i64>> = (0..50).map(|k| vec![k % 13, 10]).collect();
         let mut row = Vec::new();
         let batch = RecordBatch::gather(&base, &recs, &mut row);
         let mut bvm = BatchVm::new(100_000);
         let mut notify = vec![NOTIFY_NONE; recs.len()];
-        bvm.run(&[&reg], &batch, &base, &recs, &mut notify, false);
+        bvm.run(&[reg], &batch, &base, &recs, &mut notify, false);
         for (lane, rec) in recs.iter().enumerate() {
             assert!(bvm.take_fault(lane).is_none());
             let n = rec[0];

@@ -1,18 +1,21 @@
-//! Bytecode compilation of UDF programs and the evaluation VM.
+//! Compilation of UDF programs to linear stack ops: the front half of
+//! [`crate::regcode::RegProgram::lower`].
 //!
 //! The reference interpreter in `udf-lang` walks the AST and allocates
 //! environments per run; at dataflow rates (hundreds of thousands of records
 //! × dozens of queries) that dominates everything. Following the lineage the
 //! paper cites (Steno compiles LINQ operators to imperative code), programs
-//! are compiled once to a compact slot-addressed bytecode and each record is
-//! evaluated by a reusable [`Vm`] with zero per-record allocation.
+//! are flattened once to a compact slot-addressed stack code, which
+//! [`crate::regcode`] lowers to the register bytecode both backends run.
+//! Nothing executes a [`Compiled`] directly.
 //!
-//! Cost accounting mirrors Figure 2 exactly: every instruction carries the
-//! abstract cost of the syntax node it came from, so `Vm::run` can return
-//! the same cost the reference interpreter would compute (validated by
+//! Cost accounting mirrors Figure 2 exactly: every op carries the abstract
+//! cost of the syntax node it came from, and the lowering charges each op's
+//! cost and step to exactly one register instruction, so a run returns the
+//! same cost the reference interpreter would compute (validated by
 //! differential tests).
 
-use crate::env::UdfEnv;
+use crate::regcode::RBin;
 use std::collections::HashMap;
 use std::fmt;
 use udf_lang::ast::{BoolExpr, BoolOp, CmpOp, IntExpr, IntOp, ProgId, Program, Stmt};
@@ -42,7 +45,7 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// One bytecode instruction. The stack holds `i64`; booleans are 0/1.
+/// One stack op. The (abstract) stack holds `i64`; booleans are 0/1.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
     /// Push a constant.
@@ -51,24 +54,10 @@ pub enum Op {
     Load(u16),
     /// Pop into a slot.
     Store(u16),
-    /// Pop b, a; push `a ⊙ b`.
-    Add,
-    /// See [`Op::Add`].
-    Sub,
-    /// See [`Op::Add`].
-    Mul,
-    /// Pop b, a; push `a < b`.
-    Lt,
-    /// Pop b, a; push `a ≤ b`.
-    Le,
-    /// Pop b, a; push `a = b`.
-    EqI,
+    /// Pop b, a; push `a ⊙ b` (strict, like Figure 2).
+    Bin(RBin),
     /// Pop a; push `¬a`.
     Not,
-    /// Pop b, a; push `a ∧ b` (strict, like Figure 2).
-    And,
-    /// Pop b, a; push `a ∨ b`.
-    Or,
     /// Pop a; jump to target when `a = 0`.
     JumpIfZero(u32),
     /// Unconditional jump.
@@ -153,11 +142,11 @@ impl<'a> Compiler<'a> {
                 self.int_expr(a)?;
                 self.int_expr(b)?;
                 let o = match op {
-                    IntOp::Add => Op::Add,
-                    IntOp::Sub => Op::Sub,
-                    IntOp::Mul => Op::Mul,
+                    IntOp::Add => RBin::Add,
+                    IntOp::Sub => RBin::Sub,
+                    IntOp::Mul => RBin::Mul,
                 };
-                self.emit(o, self.cm.arith);
+                self.emit(Op::Bin(o), self.cm.arith);
             }
         }
         Ok(())
@@ -172,11 +161,11 @@ impl<'a> Compiler<'a> {
                 self.int_expr(a)?;
                 self.int_expr(b)?;
                 let o = match op {
-                    CmpOp::Lt => Op::Lt,
-                    CmpOp::Le => Op::Le,
-                    CmpOp::Eq => Op::EqI,
+                    CmpOp::Lt => RBin::Lt,
+                    CmpOp::Le => RBin::Le,
+                    CmpOp::Eq => RBin::EqI,
                 };
-                self.emit(o, self.cm.cmp);
+                self.emit(Op::Bin(o), self.cm.cmp);
             }
             BoolExpr::Not(a) => {
                 self.bool_expr(a)?;
@@ -186,10 +175,10 @@ impl<'a> Compiler<'a> {
                 self.bool_expr(a)?;
                 self.bool_expr(b)?;
                 let o = match op {
-                    BoolOp::And => Op::And,
-                    BoolOp::Or => Op::Or,
+                    BoolOp::And => RBin::And,
+                    BoolOp::Or => RBin::Or,
                 };
-                self.emit(o, self.cm.connective);
+                self.emit(Op::Bin(o), self.cm.connective);
             }
         }
         Ok(())
@@ -247,8 +236,9 @@ impl<'a> Compiler<'a> {
 
 impl Compiled {
     /// Compiles `program`. `query_ids` lists every [`ProgId`] the program may
-    /// notify, in the dense order used by [`Vm::run`]'s output buffer;
-    /// `fn_cost` prices external calls (usually [`UdfEnv::fn_cost`]).
+    /// notify, in the dense order of the run's output buffer (see
+    /// [`crate::regcode::RegVm::run`]); `fn_cost` prices external calls
+    /// (usually [`crate::env::UdfEnv::fn_cost`]).
     ///
     /// # Errors
     ///
@@ -331,137 +321,16 @@ impl From<LibError> for VmError {
 /// No broadcast recorded for a query in the output buffer.
 pub const NOTIFY_NONE: i8 = -1;
 
-/// Default per-record step budget of a fresh [`Vm`] (see [`Vm::with_fuel`]).
+/// Default per-record step budget (see [`crate::regcode::RegVm::with_fuel`]).
 pub const DEFAULT_FUEL: u64 = 100_000_000;
-
-/// A reusable evaluation machine (stack + slots + scratch argument buffer).
-#[derive(Debug, Default)]
-pub struct Vm {
-    stack: Vec<i64>,
-    slots: Vec<i64>,
-    args: Vec<i64>,
-    fuel: u64,
-}
-
-impl Vm {
-    /// Creates a VM with the default step budget.
-    pub fn new() -> Vm {
-        Vm {
-            stack: Vec::with_capacity(32),
-            slots: Vec::new(),
-            args: Vec::with_capacity(8),
-            fuel: DEFAULT_FUEL,
-        }
-    }
-
-    /// Replaces the per-run step budget.
-    pub fn with_fuel(mut self, fuel: u64) -> Vm {
-        self.fuel = fuel;
-        self
-    }
-
-    /// Runs `compiled` on one record. `notify_out` must hold
-    /// `compiled.n_queries` entries and is *not* cleared here (so several
-    /// programs can accumulate into one buffer); entries are
-    /// [`NOTIFY_NONE`], 0, or 1. Returns the abstract cost when
-    /// `track_cost`, otherwise 0.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmError`] on duplicate notifications, library failures, or
-    /// fuel exhaustion.
-    pub fn run<E: UdfEnv>(
-        &mut self,
-        compiled: &Compiled,
-        env: &E,
-        rec: &E::Rec,
-        notify_out: &mut [i8],
-        track_cost: bool,
-    ) -> Result<Cost, VmError> {
-        debug_assert_eq!(notify_out.len(), compiled.n_queries);
-        self.stack.clear();
-        self.slots.clear();
-        self.slots.resize(compiled.n_slots as usize, 0);
-        // Parameters.
-        self.args.clear();
-        env.args(rec, &mut self.args);
-        debug_assert_eq!(self.args.len(), compiled.n_params as usize);
-        self.slots[..compiled.n_params as usize].copy_from_slice(&self.args);
-
-        let mut pc = 0usize;
-        let mut cost: Cost = 0;
-        let mut fuel = self.fuel;
-        loop {
-            if fuel == 0 {
-                return Err(VmError::OutOfFuel);
-            }
-            fuel -= 1;
-            if track_cost {
-                cost += compiled.costs[pc];
-            }
-            match &compiled.ops[pc] {
-                Op::Const(c) => self.stack.push(*c),
-                Op::Load(s) => self.stack.push(self.slots[*s as usize]),
-                Op::Store(s) => {
-                    let v = self.stack.pop().expect("stack underflow");
-                    self.slots[*s as usize] = v;
-                }
-                Op::Add => self.binop(|a, b| a.wrapping_add(b)),
-                Op::Sub => self.binop(|a, b| a.wrapping_sub(b)),
-                Op::Mul => self.binop(|a, b| a.wrapping_mul(b)),
-                Op::Lt => self.binop(|a, b| i64::from(a < b)),
-                Op::Le => self.binop(|a, b| i64::from(a <= b)),
-                Op::EqI => self.binop(|a, b| i64::from(a == b)),
-                Op::Not => {
-                    let a = self.stack.pop().expect("stack underflow");
-                    self.stack.push(i64::from(a == 0));
-                }
-                Op::And => self.binop(|a, b| i64::from(a != 0 && b != 0)),
-                Op::Or => self.binop(|a, b| i64::from(a != 0 || b != 0)),
-                Op::JumpIfZero(t) => {
-                    let a = self.stack.pop().expect("stack underflow");
-                    if a == 0 {
-                        pc = *t as usize;
-                        continue;
-                    }
-                }
-                Op::Jump(t) => {
-                    pc = *t as usize;
-                    continue;
-                }
-                Op::Call { f, argc } => {
-                    let at = self.stack.len() - *argc as usize;
-                    let v = env.call(rec, *f, &self.stack[at..])?;
-                    self.stack.truncate(at);
-                    self.stack.push(v);
-                }
-                Op::Notify { query, value } => {
-                    let q = *query as usize;
-                    if notify_out[q] != NOTIFY_NONE {
-                        return Err(VmError::DuplicateNotify(*query));
-                    }
-                    notify_out[q] = i8::from(*value);
-                }
-                Op::Halt => return Ok(cost),
-            }
-            pc += 1;
-        }
-    }
-
-    #[inline]
-    fn binop(&mut self, f: impl Fn(i64, i64) -> i64) {
-        let b = self.stack.pop().expect("stack underflow");
-        let a = self.stack.pop().expect("stack underflow");
-        self.stack.push(f(a, b));
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::ScalarEnv;
+    use crate::env::{RecordLibrary, ScalarEnv, UdfEnv};
+    use crate::regcode::{RegProgram, RegVm};
     use udf_lang::intern::Interner;
-    use udf_lang::interp::Interp;
+    use udf_lang::interp::{EvalError, Interp};
     use udf_lang::parse::parse_program;
     use udf_lang::FnLibrary;
 
@@ -472,90 +341,100 @@ mod tests {
         ScalarEnv::new(2, lib)
     }
 
-    fn run_both(src: &str, rec: Vec<i64>) -> (Vec<i8>, Cost, Cost) {
+    /// Runs `src` on the register VM and on the reference interpreter, both
+    /// at `fuel`, asserting they agree on the notifications and the *exact*
+    /// abstract cost, or else on the error class.
+    fn run_both(src: &str, rec: Vec<i64>, fuel: u64) -> Result<Vec<i8>, VmError> {
         let mut i = Interner::new();
         let env = scalar_env(&mut i);
         let p = parse_program(src, &mut i).unwrap();
         let ids: Vec<ProgId> = udf_lang::analysis::notify_ids(&p.body).into_iter().collect();
         let cm = CostModel::default();
-        let compiled =
-            Compiled::compile(&p, &ids, &cm, &|f| env.fn_cost(f)).unwrap();
-        let mut vm = Vm::new();
+        let prog = RegProgram::compile(&p, &ids, &cm, &|f| env.fn_cost(f)).unwrap();
         let mut out = vec![NOTIFY_NONE; ids.len()];
-        let vm_cost = vm.run(&compiled, &env, &rec, &mut out, true).unwrap();
-        // Reference interpreter.
-        let lib = crate::env::RecordLibrary::new(&env, &rec);
-        let interp = Interp::new(cm, &lib);
-        let r = interp.run(&p, &rec, &i).unwrap();
-        // Compare notifications.
-        for (k, &id) in ids.iter().enumerate() {
-            let expected = r.notifications.get(id).map(i8::from).unwrap_or(NOTIFY_NONE);
-            assert_eq!(out[k], expected, "query {id}");
+        let vm = RegVm::new().with_fuel(fuel).run(&prog, &env, &rec, &mut out, true);
+        let lib = RecordLibrary::new(&env, &rec);
+        let reference = Interp::new(cm, &lib).with_fuel(fuel).run(&p, &rec, &i);
+        match (vm, reference) {
+            (Ok(cost), Ok(r)) => {
+                assert_eq!(cost, r.cost, "abstract cost");
+                for (k, &id) in ids.iter().enumerate() {
+                    let expected = r.notifications.get(id).map(i8::from).unwrap_or(NOTIFY_NONE);
+                    assert_eq!(out[k], expected, "query {id}");
+                }
+                Ok(out)
+            }
+            (Err(e), Err(r)) => {
+                let same_class = matches!(
+                    (&e, &r),
+                    (VmError::DuplicateNotify(_), EvalError::DuplicateNotify(_))
+                        | (VmError::OutOfFuel, EvalError::OutOfFuel)
+                        | (VmError::Lib(_), EvalError::Lib(_))
+                );
+                assert!(same_class, "error class: vm {e:?} vs interp {r:?}");
+                Err(e)
+            }
+            (vm, reference) => panic!("divergence: vm {vm:?} vs interp {reference:?}"),
         }
-        (out, vm_cost, r.cost)
     }
 
     #[test]
     fn straight_line_matches_interpreter() {
-        let (_, vc, ic) = run_both(
+        run_both(
             "program p @0 (a, b) { x := a * 2 + b; if (x > 4) { notify true; } else { notify false; } }",
             vec![3, 1],
-        );
-        assert_eq!(vc, ic);
+            DEFAULT_FUEL,
+        )
+        .unwrap();
     }
 
     #[test]
     fn call_and_loop_match_interpreter() {
-        let (_, vc, ic) = run_both(
+        run_both(
             "program p @0 (a, b) {
                  acc := 0; k := a;
                  while (k > 0) { acc := acc + f(k); k := k - 1; }
                  if (acc >= b) { notify true; } else { notify false; }
              }",
             vec![5, 20],
-        );
-        assert_eq!(vc, ic);
+            DEFAULT_FUEL,
+        )
+        .unwrap();
     }
 
     #[test]
     fn strict_connectives_match_interpreter() {
-        let (_, vc, ic) = run_both(
+        run_both(
             "program p @0 (a, b) {
                  if (a < b && !(a == 0) || b <= 3) { notify true; } else { notify false; }
              }",
             vec![2, 7],
-        );
-        assert_eq!(vc, ic);
+            DEFAULT_FUEL,
+        )
+        .unwrap();
     }
 
     #[test]
     fn multi_query_notifications() {
-        let (out, _, _) = run_both(
+        let out = run_both(
             "program p @0 (a, b) {
                  if (a > 0) { notify @3 true; } else { notify @3 false; }
                  if (b > 0) { notify @5 true; } else { notify @5 false; }
              }",
             vec![1, -1],
+            DEFAULT_FUEL,
         );
-        assert_eq!(out, vec![1, 0]); // ids sorted: 3 then 5
+        assert_eq!(out, Ok(vec![1, 0])); // ids sorted: 3 then 5
     }
 
     #[test]
     fn duplicate_notify_is_error() {
-        let mut i = Interner::new();
-        let env = scalar_env(&mut i);
-        let p = parse_program(
-            "program p @0 (a, b) { notify @1 true; notify @1 false; }",
-            &mut i,
-        )
-        .unwrap();
-        let cm = CostModel::default();
-        let compiled =
-            Compiled::compile(&p, &[ProgId(1)], &cm, &|f| env.fn_cost(f)).unwrap();
-        let mut vm = Vm::new();
-        let mut out = vec![NOTIFY_NONE; 1];
         assert_eq!(
-            vm.run(&compiled, &env, &vec![0, 0], &mut out, false),
+            run_both(
+                "program p @0 (a, b) { notify @1 true; notify @1 false; }",
+                vec![0, 0],
+                DEFAULT_FUEL,
+            ),
             Err(VmError::DuplicateNotify(0))
         );
     }
@@ -574,15 +453,8 @@ mod tests {
 
     #[test]
     fn divergent_loop_hits_fuel() {
-        let mut i = Interner::new();
-        let env = scalar_env(&mut i);
-        let p = parse_program("program p @0 (a, b) { while (0 < 1) { skip; } }", &mut i).unwrap();
-        let cm = CostModel::default();
-        let compiled = Compiled::compile(&p, &[], &cm, &|f| env.fn_cost(f)).unwrap();
-        let mut vm = Vm::new().with_fuel(1_000);
-        let mut out = vec![];
         assert_eq!(
-            vm.run(&compiled, &env, &vec![0, 0], &mut out, false),
+            run_both("program p @0 (a, b) { while (0 < 1) { skip; } }", vec![0, 0], 1_000),
             Err(VmError::OutOfFuel)
         );
     }

@@ -2,9 +2,11 @@
 //! `where_consolidated` operators of the paper's §6.1.
 //!
 //! Records are split into contiguous shards, one per worker thread; each
-//! worker owns a [`Vm`] and evaluates either every query's UDF per record
-//! (`Many`) or the single consolidated UDF (`Consolidated`), demultiplexing
-//! notifications into per-query selection counts. The report separates the
+//! worker evaluates either every query's UDF per record (`Many`) or the
+//! single consolidated UDF (`Consolidated`), demultiplexing notifications
+//! into per-query selection counts. Every plan is one [`RegProgram`]; the
+//! two backends are two loops over it — [`RegVm`] a record at a time,
+//! [`BatchVm`] a batch at a time. The report separates the
 //! UDF-phase wall time from everything else, matching the paper's
 //! "UDF time" vs "total time" columns.
 //!
@@ -28,10 +30,11 @@
 //! correctness story (Theorem 1) is unaffected by which policy runs.
 
 use crate::batch::{BatchVm, LaneFault, RecordBatch};
-use crate::compile::{Compiled, Vm, VmError, DEFAULT_FUEL, NOTIFY_NONE};
+use crate::compile::{VmError, DEFAULT_FUEL, NOTIFY_NONE};
 use crate::env::UdfEnv;
+use crate::fastpred::FastPred;
 use crate::guard::{GuardAction, GuardMismatch, GuardObservation, GuardPolicy, GuardReport, GuardRun};
-use crate::regcode::RegProgram;
+use crate::regcode::{RegProgram, RegVm};
 pub use plan_cache::ExecBackend;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,10 +56,9 @@ pub enum ExecMode {
 }
 
 /// A synthesized pre-filter compiled for execution (see
-/// [`consolidate::Prefilter`]). The guard program evaluates the pre-filter
-/// condition over a record's parameters and notifies a single dense query
-/// (index 0) with the verdict: `false` means *no* query of the set can
-/// notify `true` on this record, so the consolidated UDF may be skipped.
+/// [`consolidate::Prefilter`]). The condition is evaluated over a record's
+/// parameters: `false` means *no* query of the set can notify `true` on
+/// this record, so the consolidated UDF may be skipped.
 ///
 /// # Soundness of skipping
 ///
@@ -65,25 +67,20 @@ pub enum ExecMode {
 /// notifies exactly `false` for every query on every path. A skipped record
 /// therefore (a) observes the same library-call sequence as a real run —
 /// none — so stateful or fault-injecting environments stay in lockstep, and
-/// (b) could only have faulted on fuel. The loop-free path executes at most
-/// one instruction per bytecode slot, so requiring the run's fuel budget to
-/// be at least [`PrefilterExec::min_fuel`] (the consolidated instruction
-/// count) rules that out too; smaller budgets disable skipping entirely
-/// (fail-open). A pre-filter evaluation error likewise falls back to the
-/// full run for that record.
+/// (b) could only have faulted on fuel. The loop-free path executes each
+/// instruction at most once, so requiring the run's fuel budget to be at
+/// least [`PrefilterExec::min_fuel`] (the consolidated program's total
+/// steps) rules that out too; smaller budgets disable skipping entirely
+/// (fail-open). The evaluator itself is total (see [`crate::fastpred`]).
 #[derive(Debug, Clone)]
 pub struct PrefilterExec {
-    /// Stack-bytecode guard (notifies dense query 0 with the verdict).
-    pub compiled: Compiled,
-    /// Direct evaluator for the condition, used when the condition stays in
-    /// the pure call-free fragment (synthesized conditions always do).
-    /// `None` falls back to the compiled guard on the scalar [`Vm`], under
-    /// either backend. See [`crate::fastpred`] for why the VM is too slow
-    /// here.
-    pub fast: Option<crate::fastpred::FastPred>,
+    /// Direct evaluator for the condition. Synthesized conditions always
+    /// stay in the pure call-free fragment it supports; see
+    /// [`crate::fastpred`] for why a VM is too slow here.
+    pub fast: FastPred,
     /// Minimum per-record fuel budget for which skipping is sound: the
-    /// consolidated program's instruction count (its longest loop-free
-    /// path).
+    /// consolidated program's [`RegProgram::total_steps`] (an upper bound
+    /// on its longest loop-free path).
     pub min_fuel: u64,
 }
 
@@ -92,16 +89,11 @@ pub struct PrefilterExec {
 pub struct QuerySet {
     /// Dense query ids (broadcast targets), in output order.
     pub query_ids: Vec<ProgId>,
-    /// Per-query compiled UDFs.
-    pub many: Vec<Compiled>,
+    /// Per-query compiled UDFs, in [`QuerySet::query_ids`] order. Both
+    /// backends execute these same programs.
+    pub many: Vec<RegProgram>,
     /// The consolidated UDF, when available.
-    pub consolidated: Option<Compiled>,
-    /// Register-bytecode lowering of [`QuerySet::many`], in the same order.
-    /// Built eagerly at compile time so [`ExecBackend::Columnar`] runs never
-    /// lower on the hot path.
-    pub reg_many: Vec<RegProgram>,
-    /// Register-bytecode lowering of [`QuerySet::consolidated`].
-    pub reg_consolidated: Option<RegProgram>,
+    pub consolidated: Option<RegProgram>,
     /// Synthesized pre-filter, executed before the consolidated UDF when the
     /// fuel budget allows (see [`PrefilterExec`]). Never applies to
     /// [`ExecMode::Many`], whose sequential semantics *is* the reference.
@@ -132,15 +124,12 @@ impl QuerySet {
         let query_ids: Vec<ProgId> = programs.iter().map(|p| p.id).collect();
         let many = programs
             .iter()
-            .map(|p| Compiled::compile(p, &query_ids, cm, fn_cost))
+            .map(|p| RegProgram::compile(p, &query_ids, cm, fn_cost))
             .collect::<Result<Vec<_>, _>>()?;
-        let reg_many = many.iter().map(RegProgram::lower).collect();
         Ok(QuerySet {
             query_ids,
             many,
             consolidated: None,
-            reg_many,
-            reg_consolidated: None,
             prefilter: None,
             consolidation_time: Duration::ZERO,
             fuel: DEFAULT_FUEL,
@@ -151,8 +140,8 @@ impl QuerySet {
     /// Total nanoseconds spent lowering this set to register bytecode
     /// (reported through the `regcode.fold_ns` metric).
     pub fn fold_ns(&self) -> u64 {
-        self.reg_many.iter().map(|r| r.fold_ns).sum::<u64>()
-            + self.reg_consolidated.as_ref().map_or(0, |r| r.fold_ns)
+        self.many.iter().map(|r| r.fold_ns).sum::<u64>()
+            + self.consolidated.as_ref().map_or(0, |r| r.fold_ns)
     }
 
     /// Overrides the per-record VM step budget for this query set.
@@ -184,9 +173,7 @@ impl QuerySet {
         fn_cost: &dyn Fn(Symbol) -> Cost,
         consolidation_time: Duration,
     ) -> Result<QuerySet, crate::compile::CompileError> {
-        let compiled = Compiled::compile(merged, &self.query_ids, cm, fn_cost)?;
-        self.reg_consolidated = Some(RegProgram::lower(&compiled));
-        self.consolidated = Some(compiled);
+        self.consolidated = Some(RegProgram::compile(merged, &self.query_ids, cm, fn_cost)?);
         self.consolidation_time = consolidation_time;
         Ok(self)
     }
@@ -195,44 +182,37 @@ impl QuerySet {
     /// [`consolidate::Prefilter::cond`]). `merged` must be the same program
     /// passed to [`QuerySet::with_consolidated`], which must have been
     /// called first — the skip-soundness fuel floor is derived from its
-    /// instruction count.
+    /// total steps.
+    ///
+    /// A condition outside the [`FastPred`] fragment (a library call, a
+    /// non-parameter variable — nothing the synthesis pass produces)
+    /// attaches **no** pre-filter: the set runs every record in full, like
+    /// after any other rejection.
+    ///
+    /// `_cm` and `_fn_cost` are unused — nothing is compiled here any more
+    /// — and stay only because the benchmark under `bench/` calls this
+    /// signature; a later `benchmark` PR can drop them, and the `Result`.
     ///
     /// # Errors
     ///
-    /// Propagates [`crate::compile::CompileError`]. Returns
-    /// [`crate::compile::CompileError::UnknownQueryId`] never in practice
-    /// (the guard notifies the one id it declares).
+    /// None today.
     pub fn with_prefilter(
         mut self,
         cond: &udf_lang::ast::BoolExpr,
         merged: &udf_lang::ast::Program,
-        cm: &CostModel,
-        fn_cost: &dyn Fn(Symbol) -> Cost,
+        _cm: &CostModel,
+        _fn_cost: &dyn Fn(Symbol) -> Cost,
     ) -> Result<QuerySet, crate::compile::CompileError> {
         debug_assert!(
             self.consolidated.is_some(),
             "with_prefilter requires with_consolidated first"
         );
-        let guard = udf_lang::ast::Program::new(
-            ProgId(0),
-            merged.params.clone(),
-            udf_lang::ast::Stmt::ite(
-                cond.clone(),
-                udf_lang::ast::Stmt::Notify(ProgId(0), true),
-                udf_lang::ast::Stmt::Notify(ProgId(0), false),
-            ),
-        );
-        let compiled = Compiled::compile(&guard, &[ProgId(0)], cm, fn_cost)?;
         let min_fuel = self
             .consolidated
             .as_ref()
-            .map_or(u64::MAX, |c| c.ops.len() as u64);
-        let fast = crate::fastpred::FastPred::build(cond, &merged.params);
-        self.prefilter = Some(PrefilterExec {
-            compiled,
-            fast,
-            min_fuel,
-        });
+            .map_or(u64::MAX, RegProgram::total_steps);
+        self.prefilter =
+            FastPred::build(cond, &merged.params).map(|fast| PrefilterExec { fast, min_fuel });
         Ok(self)
     }
 
@@ -400,8 +380,8 @@ impl RetryPolicy {
 pub struct EngineConfig {
     /// Per-record failure handling.
     pub error_policy: ErrorPolicy,
-    /// Which execution backend evaluates records: the per-record stack VM
-    /// (the reference) or the columnar register-bytecode batch executor.
+    /// Which loop evaluates the plan's register bytecode: a record at a
+    /// time on [`RegVm`], or a batch at a time on the columnar [`BatchVm`].
     /// Observables — notifications, costs, quarantine reports, guard
     /// verdicts — are bit-identical either way; only throughput differs.
     pub backend: ExecBackend,
@@ -1066,18 +1046,18 @@ struct ShardCtx<'a, E: UdfEnv> {
 type Outcome = Result<u64, (Option<ProgId>, RecordFault)>;
 
 /// Evaluates every program `mode` requires for one record on the scalar
-/// stack [`Vm`] — the reference semantics — isolating panics. On the first
-/// failure the whole record is abandoned: its partial notifications and
-/// cost are discarded by the caller.
+/// [`RegVm`], isolating panics. On the first failure the whole record is
+/// abandoned: its partial notifications and cost are discarded by the
+/// caller.
 fn eval_record<E: UdfEnv>(
     ctx: &ShardCtx<'_, E>,
-    vm: &mut Vm,
+    vm: &mut RegVm,
     rec: &E::Rec,
     mode: ExecMode,
     track_cost: bool,
     notify: &mut [i8],
 ) -> Outcome {
-    let mut run = |c: &Compiled, query: Option<ProgId>| {
+    let mut run = |c: &RegProgram, query: Option<ProgId>| {
         match catch_unwind(AssertUnwindSafe(|| {
             vm.run(c, ctx.env, rec, notify, track_cost)
         })) {
@@ -1086,7 +1066,7 @@ fn eval_record<E: UdfEnv>(
             Err(p) => {
                 // The machine's internal state is unspecified after an
                 // unwind through `run`; carry on with a fresh one.
-                *vm = Vm::new().with_fuel(ctx.fuel);
+                *vm = RegVm::new().with_fuel(ctx.fuel);
                 Err((query, RecordFault::Panic(panic_message(p.as_ref()))))
             }
         }
@@ -1128,10 +1108,10 @@ trait ShardExec<E: UdfEnv> {
     fn outcome(&mut self, lane: usize) -> Outcome;
 }
 
-/// [`ExecBackend::PerRecord`]: the stack [`Vm`], one record per span.
+/// [`ExecBackend::PerRecord`]: the scalar [`RegVm`], one record per span.
 struct ScalarExec<'a, E: UdfEnv> {
     ctx: &'a ShardCtx<'a, E>,
-    vm: Vm,
+    vm: RegVm,
     last: Outcome,
 }
 
@@ -1139,7 +1119,7 @@ impl<'a, E: UdfEnv> ScalarExec<'a, E> {
     fn new(ctx: &'a ShardCtx<'a, E>) -> Self {
         ScalarExec {
             ctx,
-            vm: Vm::new().with_fuel(ctx.fuel),
+            vm: RegVm::new().with_fuel(ctx.fuel),
             last: Ok(0),
         }
     }
@@ -1166,7 +1146,7 @@ impl<E: UdfEnv> ShardExec<E> for ScalarExec<'_, E> {
 const COLUMNAR_BATCH: usize = 256;
 
 /// [`ExecBackend::Columnar`]: records are gathered into a [`RecordBatch`]
-/// and evaluated a batch at a time through the register-bytecode executor.
+/// and the same programs run a batch at a time on [`BatchVm`].
 struct ColumnarExec<'a, E: UdfEnv> {
     ctx: &'a ShardCtx<'a, E>,
     progs: Vec<&'a RegProgram>,
@@ -1178,10 +1158,10 @@ struct ColumnarExec<'a, E: UdfEnv> {
 impl<'a, E: UdfEnv> ColumnarExec<'a, E> {
     fn new(ctx: &'a ShardCtx<'a, E>) -> Self {
         let progs = match ctx.mode {
-            ExecMode::Many => ctx.queries.reg_many.iter().collect(),
+            ExecMode::Many => ctx.queries.many.iter().collect(),
             ExecMode::Consolidated => vec![ctx
                 .queries
-                .reg_consolidated
+                .consolidated
                 .as_ref()
                 .expect("checked by Engine::run")],
         };
@@ -1234,10 +1214,10 @@ impl<E: UdfEnv> ShardExec<E> for ColumnarExec<'_, E> {
 /// records; every *policy* decision — pre-filter skipping, retries, guard
 /// shadowing, quarantine accounting, fail-fast ordering, early termination
 /// — then replays lane by lane in record order, so reports are
-/// bit-identical between backends. Retries, guard shadows and the
-/// pre-filter's VM fallback run on the scalar stack VM (the reference),
-/// which also keeps stateful fault environments observing the same call
-/// sequence whichever backend made the first attempt.
+/// bit-identical between backends. Retries and guard shadows run on a
+/// driver-owned scalar [`RegVm`], which also keeps stateful fault
+/// environments observing the same call sequence whichever backend made the
+/// first attempt.
 fn run_shard<E: UdfEnv, X: ShardExec<E>>(
     ctx: &ShardCtx<'_, E>,
     mut exec: X,
@@ -1259,9 +1239,9 @@ fn run_shard<E: UdfEnv, X: ShardExec<E>>(
     // Read the clock only when the sink is enabled, so the disabled-default
     // hot path stays timer-free.
     let timed = recorder.enabled();
-    // Kept apart from the backend's own machine so a retry, a shadow run
-    // or a skip decision never disturbs its state.
-    let mut reference = Vm::new().with_fuel(fuel);
+    // Kept apart from the backend's own machine so a retry or a shadow run
+    // never disturbs its state.
+    let mut reference = RegVm::new().with_fuel(fuel);
     // The pre-filter applies only to the consolidated operator and only
     // when the fuel budget clears its soundness floor (see PrefilterExec).
     let prefilter = queries
@@ -1299,22 +1279,13 @@ fn run_shard<E: UdfEnv, X: ShardExec<E>>(
         // Pre-filter: a verdict of `false` proves every query broadcasts
         // `false` on this record without touching the environment, so the
         // lane is masked out of the evaluation and assigned its proven
-        // outcome below. An evaluation error (e.g. a tiny fuel budget)
-        // fails open: the record takes the full run.
+        // outcome below.
         if let Some(pf) = prefilter {
             live.clear();
-            live.extend(span.iter().map(|rec| match &pf.fast {
-                Some(fast) => {
-                    pf_args.clear();
-                    env.args(rec, &mut pf_args);
-                    fast.eval(&pf_args)
-                }
-                None => {
-                    let mut verdict = [NOTIFY_NONE];
-                    reference
-                        .run(&pf.compiled, env, rec, &mut verdict, false)
-                        .map_or(true, |_| verdict[0] != 0)
-                }
+            live.extend(span.iter().map(|rec| {
+                pf_args.clear();
+                env.args(rec, &mut pf_args);
+                pf.fast.eval(&pf_args)
             }));
         }
         exec.eval(span, prefilter.map(|_| live.as_slice()), notify);

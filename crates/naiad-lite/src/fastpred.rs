@@ -3,9 +3,10 @@
 //! The pre-filter synthesis pass ([`consolidate::prefilter`]) only ever
 //! produces conditions built from record parameters, integer literals and
 //! the wrapping arithmetic/comparison operators — never library calls and
-//! never loops. Running such a condition through the stack VM costs a full
-//! per-record machine setup (slot reset, argument copy, fuel bookkeeping,
-//! one dispatch per instruction), which on well-consolidated cheap families
+//! never loops. Running such a condition through a bytecode VM costs a full
+//! per-record machine setup (register reset, argument copy, fuel
+//! bookkeeping, one dispatch per instruction), which on well-consolidated
+//! cheap families
 //! rivals the cost of the merged program's own fast-fail path and erases
 //! the pushdown's win. This module evaluates the condition directly over
 //! the record's argument vector instead: a small expression tree whose
@@ -14,26 +15,26 @@
 //!
 //! # Semantic equivalence
 //!
-//! The evaluator is exactly the VM on the supported fragment:
+//! The evaluator is exactly the language semantics on the supported
+//! fragment:
 //!
-//! * arithmetic uses [`IntOp::apply`] — the same two's-complement wrapping
-//!   semantics the VM's `Add`/`Sub`/`Mul` opcodes implement;
-//! * comparisons use [`CmpOp::apply`], mirroring `Lt`/`Le`/`EqI`;
+//! * arithmetic uses [`IntOp::apply`] — the two's-complement wrapping
+//!   semantics of the reference interpreter and of both VMs;
+//! * comparisons use [`CmpOp::apply`], likewise;
 //! * `&&` / `||` are evaluated with short-circuiting, which on this pure,
 //!   total fragment is observationally identical to the language's strict
 //!   connectives — there are no side effects, faults or costs the skipped
 //!   operand could contribute.
 //!
-//! Unlike the VM path the evaluator is *total*: it cannot run out of fuel.
-//! That only widens the set of records that receive an exact verdict (the
-//! VM path fails open on evaluation errors); the skip decision itself is
-//! still licensed by the synthesis-time proof, so exactness is sound.
+//! The evaluator is *total*: it has no fuel to run out of and no call that
+//! could fail, so every record receives an exact verdict; the skip decision
+//! itself is licensed by the synthesis-time proof.
 //!
 //! [`build`](FastPred::build) returns `None` when the condition strays
 //! outside the fragment (a library call, or a variable that is not a
-//! parameter of the merged program) — the engine then falls back to the
-//! compiled-guard VM path, preserving behaviour for hand-constructed
-//! conditions.
+//! parameter of the merged program). No synthesized condition does; for a
+//! hand-constructed one the engine then attaches no pre-filter at all
+//! (fail open, like every other rejection).
 
 use udf_lang::ast::{BoolExpr, BoolOp, CmpOp, IntExpr, IntOp};
 use udf_lang::intern::Symbol;
@@ -64,7 +65,7 @@ pub struct FastPred {
 impl FastPred {
     /// Compiles `cond` against the merged program's parameter list.
     /// Returns `None` if the condition uses a library call or an unknown
-    /// variable (the caller falls back to the compiled-guard VM).
+    /// variable (the caller then runs without a pre-filter).
     #[must_use]
     pub fn build(cond: &BoolExpr, params: &[Symbol]) -> Option<FastPred> {
         Some(FastPred {
@@ -138,16 +139,14 @@ fn eval_bool(n: &BoolNode, args: &[i64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{Compiled, Vm, NOTIFY_NONE};
-    use crate::env::{ScalarEnv, UdfEnv};
-    use udf_lang::ast::{ProgId, Program, Stmt};
     use udf_lang::cost::CostModel;
     use udf_lang::intern::Interner;
+    use udf_lang::interp::{Env, Interp};
 
-    /// The direct evaluator must agree with the VM on the compiled guard
-    /// program for every record — including wrapping overflow operands.
+    /// The direct evaluator must agree with the reference interpreter's
+    /// `bool_expr` on every record — including wrapping overflow operands.
     #[test]
-    fn matches_vm_on_guard_program() {
+    fn matches_interpreter_on_condition() {
         let mut interner = Interner::default();
         let a = interner.intern("a");
         let b = interner.intern("b");
@@ -172,41 +171,22 @@ mod tests {
         );
         let fast = FastPred::build(&cond, &params).expect("fragment supported");
 
-        let guard = Program::new(
-            ProgId(0),
-            params.clone(),
-            Stmt::ite(
-                cond,
-                Stmt::Notify(ProgId(0), true),
-                Stmt::Notify(ProgId(0), false),
-            ),
-        );
-        let cm = CostModel::default();
-        let compiled =
-            Compiled::compile(&guard, &[ProgId(0)], &cm, &|_| 1).expect("compiles");
-        let env = ScalarEnv::new(2, udf_lang::FnLibrary::default());
-        let mut vm = Vm::new();
-        let mut notify = [NOTIFY_NONE; 1];
-        let mut args = Vec::new();
+        let lib = udf_lang::FnLibrary::default();
+        let interp = Interp::new(CostModel::default(), &lib);
         for rec in [
-            vec![0i64, 0],
-            vec![41, 0],
-            vec![10, 10],
-            vec![1, -6],
-            vec![0, -6],
-            vec![i64::MAX, 1],
-            vec![i64::MIN, i64::MAX],
+            [0i64, 0],
+            [41, 0],
+            [10, 10],
+            [1, -6],
+            [0, -6],
+            [i64::MAX, 1],
+            [i64::MIN, i64::MAX],
         ] {
-            notify[0] = NOTIFY_NONE;
-            vm.run(&compiled, &env, &rec, &mut notify, false)
-                .expect("guard is total");
-            args.clear();
-            env.args(&rec, &mut args);
-            assert_eq!(
-                fast.eval(&args),
-                notify[0] == 1,
-                "fast/VM divergence on {rec:?}"
-            );
+            let env: Env = params.iter().copied().zip(rec).collect();
+            let (expected, _cost) = interp
+                .bool_expr(&env, &cond, &interner)
+                .expect("condition is total");
+            assert_eq!(fast.eval(&rec), expected, "fast/interp divergence on {rec:?}");
         }
     }
 

@@ -5,14 +5,14 @@
 //! misbehave on exactly the planned records:
 //!
 //! * [`FaultKind::LibError`] — the trigger call returns a library error,
-//!   which the VM surfaces as [`crate::compile::VmError::Lib`];
+//!   which the VM surfaces as [`crate::VmError::Lib`];
 //! * [`FaultKind::Panic`] — the trigger call panics (message prefixed with
 //!   [`INJECTED_PANIC_MARKER`]), exercising the engine's per-record
 //!   `catch_unwind` isolation;
 //! * [`FaultKind::FuelBurn`] — the trigger call returns
 //!   [`FaultyEnv::burn_value`] instead of the healthy value; a UDF that
 //!   loops on the result then exhausts a suitably small step budget,
-//!   producing [`crate::compile::VmError::OutOfFuel`];
+//!   producing [`crate::VmError::OutOfFuel`];
 //! * [`FaultKind::Transient`] — the trigger call fails with
 //!   [`LibError::Transient`] for the first `k` calls on that record and
 //!   succeeds afterwards, exercising the engine's retry-with-backoff path

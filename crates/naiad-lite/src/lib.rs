@@ -15,13 +15,14 @@
 //! * [`mod@env`] — the binding between records and the UDF language: a
 //!   [`env::UdfEnv`] exposes each record's scalar fields as UDF arguments and
 //!   its accessor methods as pure external functions;
-//! * [`compile`] — a register-slot bytecode compiler and VM for UDF programs
-//!   (the engine's fast path; the tree-walking interpreter in `udf-lang`
-//!   remains the semantic reference and the VM is differentially tested
-//!   against it);
-//! * [`regcode`] / [`batch`] — the columnar backend: stack bytecode is
-//!   lowered once per plan into basic-block register bytecode (constant
-//!   folding + copy propagation, exact cost/fuel accounting), and a
+//! * [`compile`] / [`regcode`] — the one executable IR: a UDF program is
+//!   flattened to linear stack ops and lowered once per plan into
+//!   basic-block register bytecode (constant folding + copy propagation,
+//!   exact cost/fuel accounting). The tree-walking interpreter in
+//!   `udf-lang` remains the semantic reference, and the machines below are
+//!   differentially tested against it;
+//! * [`regcode::RegVm`] / [`batch`] — the two loops over that IR: the
+//!   scalar machine runs a program a record at a time, and a
 //!   struct-of-arrays [`batch::RecordBatch`] executor runs each basic block
 //!   across a whole batch of records; selected per job by
 //!   [`engine::ExecBackend`] with bit-identical observables either way;
@@ -65,7 +66,7 @@ pub mod regcode;
 
 pub use agg::{AggMode, AggQuerySet, AggReport, AGG_CHUNK};
 pub use batch::{BatchVm, RecordBatch};
-pub use compile::{CompileError, Compiled, Vm, DEFAULT_FUEL};
+pub use compile::{CompileError, Compiled, VmError, DEFAULT_FUEL};
 pub use engine::{
     Engine, EngineConfig, EngineError, ErrorKind, ErrorPolicy, ExecBackend, ExecMode, JobReport,
     QuarantineEntry, QuarantineReport, QuerySet, QuerySetError, RetryPolicy,

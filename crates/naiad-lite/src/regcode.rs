@@ -1,40 +1,45 @@
-//! Register bytecode: basic-block lowering of the stack bytecode.
+//! Register bytecode: the one executable form of a UDF program.
 //!
-//! The stack VM of [`crate::compile`] pays a dispatch + push/pop per syntax
-//! node. Following the Froid direction (compile the imperative UDF wholesale
-//! into an analyzable form), this module lowers a [`Compiled`] stack program
-//! once per consolidated plan into three-address **register bytecode** over
-//! a fixed slot file: variable slots keep their stack-code indices, operands
-//! are named registers instead of stack positions, constants fold, and loads
-//! propagate into operand positions (copy propagation), so the per-record
-//! work drops to one dispatch per *expression* instead of one per *node*.
-//! Programs are arena-backed — one instruction vector plus one shared
-//! argument pool — and evaluation allocates nothing per record.
+//! A stack machine pays a dispatch + push/pop per syntax node. Following
+//! the Froid direction (compile the imperative UDF wholesale into one
+//! analyzable form that every consumer reads), this module lowers the
+//! linear stack ops of [`crate::compile`] once per plan into three-address
+//! **register bytecode** over a fixed slot file: variable slots keep their
+//! stack-code indices, operands are named registers instead of stack
+//! positions, constants fold, and loads propagate into operand positions
+//! (copy propagation), so the per-record work drops to one dispatch per
+//! *expression* instead of one per *node*. Programs are arena-backed — one
+//! instruction vector plus one shared argument pool — and evaluation
+//! allocates nothing per record. Both backends execute this form: [`RegVm`]
+//! a record at a time, [`crate::batch::BatchVm`] a batch at a time.
 //!
 //! # Exactness
 //!
-//! The engine treats the stack VM as the reference semantics: notifications,
-//! abstract costs, fuel accounting, and fault behavior (which external calls
-//! ran before a failure) must be bit-identical. Folding several stack ops
-//! into one register instruction is made observation-preserving by two
-//! invariants:
+//! The AST interpreter (`udf_lang::interp`) is the reference semantics:
+//! notifications and abstract costs must equal it, and the two machines
+//! must equal each other on fuel accounting and fault behavior (which
+//! external calls ran before a failure). A **fuel step is one stack op**,
+//! as counted by [`RInstr::steps`]. Folding several stack ops into one
+//! register instruction is made observation-preserving by two invariants:
 //!
 //! 1. every instruction carries the summed `cost` and the count (`steps`) of
-//!    the stack ops it absorbs, and the VM charges fuel per *steps*, so a
-//!    run fails with [`VmError::OutOfFuel`] exactly when the stack VM would;
+//!    the stack ops it absorbs, and both machines charge fuel per *steps*,
+//!    so a run fails with [`VmError::OutOfFuel`] at the same budget however
+//!    the ops were grouped;
 //! 2. a stateful op ([`ROp::Call`], [`ROp::Notify`]) is always the **last**
-//!    stack op charged to its instruction — when a call executes here, the
-//!    fuel spent so far equals the stack ops preceding the call, so a
-//!    faulting environment (e.g. [`crate::fault::FaultyEnv`]) observes the
-//!    identical call sequence even when fuel runs out mid-expression.
+//!    stack op charged to its instruction — when a call executes, the fuel
+//!    spent so far equals the stack ops preceding the call, so a faulting
+//!    environment (e.g. [`crate::fault::FaultyEnv`]) observes the identical
+//!    call sequence even when fuel runs out mid-expression.
 //!
 //! Branches on constant conditions are deliberately *not* folded away: the
-//! reference charges the branch dispatch one step, so the condition is
+//! branch dispatch is a stack op and costs one step, so the condition is
 //! materialized and the jump kept, preserving divergent-loop step counts.
 
-use crate::compile::{Compiled, Op, VmError, DEFAULT_FUEL, NOTIFY_NONE};
+use crate::compile::{CompileError, Compiled, Op, VmError, DEFAULT_FUEL, NOTIFY_NONE};
 use crate::env::UdfEnv;
-use udf_lang::cost::Cost;
+use udf_lang::ast::{ProgId, Program};
+use udf_lang::cost::{Cost, CostModel};
 use udf_lang::intern::Symbol;
 
 /// Binary operators of the register machine (strict, like Figure 2).
@@ -58,7 +63,8 @@ pub enum RBin {
     Or,
 }
 
-/// Applies a binary operator with the stack VM's exact semantics.
+/// Applies a binary operator: wrapping arithmetic, 0/1 comparisons and
+/// connectives, as in Figure 2.
 #[inline]
 pub fn apply_bin(op: RBin, a: i64, b: i64) -> i64 {
     match op {
@@ -165,14 +171,15 @@ pub enum ROp {
     Halt,
 }
 
-/// One instruction plus the reference accounting it absorbs.
+/// One instruction plus the accounting of the stack ops it absorbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RInstr {
     /// The operation.
     pub op: ROp,
     /// Summed abstract cost of the folded stack ops.
     pub cost: Cost,
-    /// Number of stack ops folded in (fuel charged per instruction).
+    /// Number of stack ops folded in: the fuel this instruction costs. This
+    /// count *defines* a fuel step for every machine that runs the program.
     pub steps: u32,
 }
 
@@ -255,21 +262,29 @@ fn set_dst(op: &mut ROp, new_dst: u16) {
     }
 }
 
-fn rbin_of(op: &Op) -> Option<RBin> {
-    match op {
-        Op::Add => Some(RBin::Add),
-        Op::Sub => Some(RBin::Sub),
-        Op::Mul => Some(RBin::Mul),
-        Op::Lt => Some(RBin::Lt),
-        Op::Le => Some(RBin::Le),
-        Op::EqI => Some(RBin::EqI),
-        Op::And => Some(RBin::And),
-        Op::Or => Some(RBin::Or),
-        _ => None,
-    }
-}
-
 impl RegProgram {
+    /// Compiles `program` to register bytecode: [`Compiled::compile`], then
+    /// [`RegProgram::lower`]. The arguments are `Compiled::compile`'s.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError`] for unknown notify targets or slot overflow.
+    pub fn compile(
+        program: &Program,
+        query_ids: &[ProgId],
+        cm: &CostModel,
+        fn_cost: &dyn Fn(Symbol) -> Cost,
+    ) -> Result<RegProgram, CompileError> {
+        Compiled::compile(program, query_ids, cm, fn_cost).map(|c| RegProgram::lower(&c))
+    }
+
+    /// Total steps of the code, each instruction counted once: the stack-op
+    /// count of the program it was lowered from, and so an upper bound on
+    /// the fuel any loop-free path can spend.
+    pub fn total_steps(&self) -> u64 {
+        self.blocks.iter().map(|b| b.steps).sum()
+    }
+
     /// Lowers a compiled stack program. Infallible: every well-formed stack
     /// program (as produced by [`Compiled::compile`]) lowers.
     pub fn lower(c: &Compiled) -> RegProgram {
@@ -364,15 +379,7 @@ impl RegProgram {
                         }
                     }
                 }
-                op @ (Op::Add
-                | Op::Sub
-                | Op::Mul
-                | Op::Lt
-                | Op::Le
-                | Op::EqI
-                | Op::And
-                | Op::Or) => {
-                    let rb = rbin_of(op).expect("binary op maps to RBin");
+                &Op::Bin(rb) => {
                     let b = stack.pop().expect("binop rhs");
                     let a = stack.pop().expect("binop lhs");
                     let cost = a.cost + b.cost + opcost;
@@ -450,8 +457,8 @@ impl RegProgram {
                         Av::Reg(r) => (r, cond.cost + opcost, cond.steps + 1),
                         Av::Const(k) => {
                             // Materialize rather than fold the branch: the
-                            // reference charges the dispatch, and divergent
-                            // loops must consume fuel at the same rate.
+                            // dispatch is a step, and divergent loops must
+                            // consume fuel at the same rate.
                             let dst = temp(stack.len(), &mut max_regs);
                             code.push(RInstr {
                                 op: ROp::Const { dst, v: k },
@@ -484,7 +491,7 @@ impl RegProgram {
                     // Sweep every pending op on the stack — not just the
                     // arguments — into the call's group: all of them precede
                     // the call in stack order, so "fuel spent when the call
-                    // runs" stays equal to the reference's op count.
+                    // runs" stays equal to the stack ops before it.
                     for v in stack.iter_mut().take(at) {
                         cost += v.cost;
                         steps += v.steps;
@@ -580,19 +587,10 @@ impl RegProgram {
         }
     }
 
-    /// The block starting at register-pc `pc`. Every reachable control
-    /// transfer lands on a block start, so the lookup is a binary search.
-    pub fn block_at(&self, pc: u32) -> &Block {
-        let idx = self
-            .blocks
-            .binary_search_by_key(&pc, |b| b.start)
-            .expect("control transfers land on block starts");
-        &self.blocks[idx]
-    }
 }
 
-/// A reusable scalar evaluator for [`RegProgram`]s; same contract as
-/// [`crate::compile::Vm::run`], bit-identical observables.
+/// The scalar machine: a reusable record-at-a-time evaluator for
+/// [`RegProgram`]s (register file + scratch argument buffer).
 #[derive(Debug, Default)]
 pub struct RegVm {
     regs: Vec<i64>,
@@ -617,14 +615,17 @@ impl RegVm {
         self
     }
 
-    /// Runs `prog` on one record; see [`crate::compile::Vm::run`] for the
-    /// `notify_out` and cost contract, which this mirrors exactly.
+    /// Runs `prog` on one record. `notify_out` must hold `prog.n_queries`
+    /// entries and is *not* cleared here (so several programs can
+    /// accumulate into one buffer); entries are [`NOTIFY_NONE`], 0, or 1.
+    /// Returns the abstract cost when `track_cost`, otherwise 0. Every piece
+    /// of machine state is reset on entry, so one machine can serve
+    /// unrelated programs back to back.
     ///
     /// # Errors
     ///
     /// Returns [`VmError`] on duplicate notifications, library failures, or
-    /// fuel exhaustion — on the same records, with the same external-call
-    /// sequence, as the stack VM.
+    /// fuel exhaustion.
     pub fn run<E: UdfEnv>(
         &mut self,
         prog: &RegProgram,
@@ -718,11 +719,9 @@ impl RegVm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::Vm;
+    use crate::batch::{BatchVm, LaneFault, RecordBatch};
     use crate::env::ScalarEnv;
     use crate::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
-    use udf_lang::ast::ProgId;
-    use udf_lang::cost::CostModel;
     use udf_lang::intern::Interner;
     use udf_lang::parse::parse_program;
     use udf_lang::FnLibrary;
@@ -745,27 +744,79 @@ mod tests {
         (compiled, reg, env)
     }
 
-    /// Runs both VMs at the given fuel and asserts identical observables:
-    /// result (cost or error) and notification buffer.
-    fn assert_parity(src: &str, rec: &Vec<i64>, fuel: u64) {
-        let (compiled, reg, env) = compile(src);
-        let mut svm = Vm::new().with_fuel(fuel);
-        let mut rvm = RegVm::new().with_fuel(fuel);
-        let mut s_out = vec![NOTIFY_NONE; compiled.n_queries];
-        let mut r_out = vec![NOTIFY_NONE; reg.n_queries];
-        let s = svm.run(&compiled, &env, rec, &mut s_out, true);
-        let r = rvm.run(&reg, &env, rec, &mut r_out, true);
-        assert_eq!(s, r, "fuel {fuel}: result diverged");
-        if s.is_ok() {
-            assert_eq!(s_out, r_out, "fuel {fuel}: notifications diverged");
+    /// One run's observables: the result (cost or error) and, on success,
+    /// the notification buffer (a faulted run's partial buffer is never
+    /// observed by the engine, and the batch machine may stop earlier
+    /// inside a side-effect-free run of instructions).
+    type Observed = (Result<Cost, VmError>, Option<Vec<i8>>);
+
+    fn observed(result: Result<Cost, VmError>, notify: &[i8]) -> Observed {
+        let notify = result.is_ok().then(|| notify.to_vec());
+        (result, notify)
+    }
+
+    fn scalar_run<E: UdfEnv>(reg: &RegProgram, env: &E, rec: &E::Rec, fuel: u64) -> Observed {
+        let mut out = vec![NOTIFY_NONE; reg.n_queries];
+        let r = RegVm::new().with_fuel(fuel).run(reg, env, rec, &mut out, true);
+        observed(r, &out)
+    }
+
+    /// Runs `recs` as one batch, returning each lane's observables.
+    fn batch_run<E: UdfEnv>(reg: &RegProgram, env: &E, recs: &[E::Rec], fuel: u64) -> Vec<Observed> {
+        let n_q = reg.n_queries;
+        let batch = RecordBatch::gather(env, recs, &mut Vec::new());
+        let mut bvm = BatchVm::new(fuel);
+        let mut notify = vec![NOTIFY_NONE; recs.len() * n_q];
+        bvm.run(&[reg], &batch, env, recs, &mut notify, true);
+        (0..recs.len())
+            .map(|lane| {
+                let r = match bvm.take_fault(lane) {
+                    None => Ok(bvm.cost(lane)),
+                    Some((_, LaneFault::Vm(e))) => Err(e),
+                    Some((_, LaneFault::Panic(m))) => panic!("lane {lane} panicked: {m}"),
+                };
+                observed(r, &notify[lane * n_q..(lane + 1) * n_q])
+            })
+            .collect()
+    }
+
+    /// The cross-backend lockstep: at `fuel`, the scalar machine and the
+    /// batch machine (all of `recs` as one batch) observe the same thing on
+    /// every record.
+    fn assert_parity(reg: &RegProgram, env: &ScalarEnv, recs: &[Vec<i64>], fuel: u64) {
+        let batch = batch_run(reg, env, recs, fuel);
+        for (lane, rec) in recs.iter().enumerate() {
+            assert_eq!(
+                scalar_run(reg, env, rec, fuel),
+                batch[lane],
+                "fuel {fuel}, lane {lane} of {}, record {rec:?}",
+                recs.len()
+            );
+        }
+    }
+
+    /// Parity on `rec` as a one-lane batch and on a full 256-lane batch of
+    /// records spread around it, at every fuel 0..400 and [`DEFAULT_FUEL`].
+    /// A program that never halts burns the whole budget on every lane, so
+    /// `halts = false` keeps the default budget to the one-lane batch.
+    fn assert_parity_fuels(src: &str, rec: Vec<i64>, halts: bool) {
+        let (_, reg, env) = compile(src);
+        let full: Vec<Vec<i64>> = (0..256i64)
+            .map(|k| rec.iter().map(|v| v + k % 7 - 3).collect())
+            .collect();
+        let one = [rec];
+        for fuel in 0..400 {
+            assert_parity(&reg, &env, &one, fuel);
+            assert_parity(&reg, &env, &full, fuel);
+        }
+        assert_parity(&reg, &env, &one, DEFAULT_FUEL);
+        if halts {
+            assert_parity(&reg, &env, &full, DEFAULT_FUEL);
         }
     }
 
     fn assert_parity_all_fuels(src: &str, rec: Vec<i64>) {
-        for fuel in 0..400 {
-            assert_parity(src, &rec, fuel);
-        }
-        assert_parity(src, &rec, DEFAULT_FUEL);
+        assert_parity_fuels(src, rec, true);
     }
 
     #[test]
@@ -829,7 +880,7 @@ mod tests {
 
     #[test]
     fn divergent_loop_parity_hits_fuel_at_same_budget() {
-        assert_parity_all_fuels("program p @0 (a, b) { while (0 < 1) { skip; } }", vec![0, 0]);
+        assert_parity_fuels("program p @0 (a, b) { while (0 < 1) { skip; } }", vec![0, 0], false);
     }
 
     #[test]
@@ -865,14 +916,13 @@ mod tests {
         let reg_cost: Cost = reg.code.iter().map(|i| i.cost).sum();
         let stack_cost: Cost = compiled.costs.iter().sum();
         assert_eq!(reg_cost, stack_cost, "every stack cost charged once");
-        let block_steps: u64 = reg.blocks.iter().map(|b| b.steps).sum();
-        assert_eq!(block_steps, reg_steps, "blocks partition the code");
+        assert_eq!(reg.total_steps(), reg_steps, "blocks partition the code");
     }
 
     /// The critical exactness property: with a *stateful* environment, the
     /// sequence of external calls must be identical at every fuel level —
-    /// transient-fault counters advance only when the reference would have
-    /// advanced them.
+    /// transient-fault counters advance on one machine only when they
+    /// advance on the other.
     #[test]
     fn transient_call_counts_identical_at_every_fuel() {
         silence_injected_panics();
@@ -883,37 +933,29 @@ mod tests {
         for fuel in 0..60 {
             let mut i = Interner::new();
             let f = i.intern("f");
-            let mut lib = FnLibrary::new();
-            lib.register(f, "f", 1, 10, |a| a[0] * 2 + 1);
-            let mk_env = |lib: FnLibrary| {
+            let mk_env = || {
+                let mut lib = FnLibrary::new();
+                lib.register(f, "f", 1, 10, |a| a[0] * 2 + 1);
                 FaultyEnv::new(
                     ScalarEnv::new(2, lib),
                     f,
                     FaultPlan::single(0, FaultKind::Transient(3)),
                 )
             };
+            let (s_env, b_env) = (mk_env(), mk_env());
             let p = parse_program(src, &mut i).unwrap();
             let ids: Vec<ProgId> =
                 udf_lang::analysis::notify_ids(&p.body).into_iter().collect();
             let cm = CostModel::default();
-            let mut lib2 = FnLibrary::new();
-            lib2.register(f, "f", 1, 10, |a| a[0] * 2 + 1);
-            let s_env = mk_env(lib);
-            let r_env = mk_env(lib2);
-            let compiled = Compiled::compile(&p, &ids, &cm, &|f| s_env.fn_cost(f)).unwrap();
-            let reg = RegProgram::lower(&compiled);
+            let reg = RegProgram::compile(&p, &ids, &cm, &|f| s_env.fn_cost(f)).unwrap();
             let rec = (0usize, vec![4i64, 9]);
-            // Drive each VM to completion at this fuel, twice, comparing the
-            // full result sequence — the transient counter is the state.
+            // Drive each machine to completion at this fuel, repeatedly,
+            // comparing the full result sequence — the transient counter is
+            // the state.
             for _round in 0..4 {
-                let mut s_out = vec![NOTIFY_NONE; compiled.n_queries];
-                let mut r_out = vec![NOTIFY_NONE; reg.n_queries];
-                let s = Vm::new().with_fuel(fuel).run(&compiled, &s_env, &rec, &mut s_out, true);
-                let r = RegVm::new().with_fuel(fuel).run(&reg, &r_env, &rec, &mut r_out, true);
-                assert_eq!(s, r, "fuel {fuel}: stateful result diverged");
-                if s.is_ok() {
-                    assert_eq!(s_out, r_out);
-                }
+                let s = scalar_run(&reg, &s_env, &rec, fuel);
+                let b = batch_run(&reg, &b_env, std::slice::from_ref(&rec), fuel);
+                assert_eq!(s, b[0], "fuel {fuel}: stateful result diverged");
             }
         }
     }

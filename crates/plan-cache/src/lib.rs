@@ -56,16 +56,14 @@ pub use snapshot::SnapshotRecovery;
 
 /// Which execution backend a consolidated plan is compiled for.
 ///
-/// The engine can run a merged plan either through the per-record stack VM
-/// or through the columnar batch executor (register bytecode over
-/// struct-of-arrays record batches). The backend is part of the plan
-/// fingerprint — see [`PlanKey::derive`] — so a cache hit never serves a
-/// plan compiled for the other backend: backend-specific lowering artifacts
-/// (register programs, batch layouts) must never alias across backends as
-/// the lowering pipelines evolve independently.
+/// The engine runs a merged plan's register bytecode either a record at a
+/// time or through the columnar batch executor (struct-of-arrays record
+/// batches). The backend is part of the plan fingerprint — see
+/// [`PlanKey::derive`] — so a cache hit never serves a plan keyed for the
+/// other backend.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum ExecBackend {
-    /// Reference path: the stack VM interprets each record individually.
+    /// The scalar register VM interprets each record individually.
     #[default]
     PerRecord,
     /// Register bytecode executed block-at-a-time over record batches.

@@ -1,76 +1,90 @@
-//! Hot-path ladder: the four evaluation strategies for one merged program,
+//! Hot-path ladder: the three evaluation strategies for one merged program,
 //! from the tree-walking reference to the columnar batch executor.
 //!
 //! Each rung removes one source of per-record overhead:
 //!
 //! 1. **interp** — the AST interpreter (`udf_lang::interp`), the semantic
 //!    reference. Walks the tree, hashes variable environments.
-//! 2. **stack_vm** — the flattened stack bytecode (`naiad_lite::compile`),
-//!    the engine's per-record backend.
-//! 3. **reg_vm** — register bytecode (`naiad_lite::regcode`): basic blocks,
-//!    constant folding, copy propagation; still one record at a time.
-//! 4. **batch_vm** — the columnar backend (`naiad_lite::batch`): the same
+//! 2. **reg_vm** — register bytecode (`naiad_lite::regcode`): basic blocks,
+//!    constant folding, copy propagation; one record at a time. The
+//!    engine's per-record backend.
+//! 3. **batch_vm** — the columnar backend (`naiad_lite::batch`): the same
 //!    register bytecode over a struct-of-arrays batch, amortizing dispatch
 //!    across lanes (includes the gather, as the engine pays it too).
 //!
-//! Sweeping the merged width (1/4/12/21 source queries) shows where the
-//! columnar win comes from: wider merged programs have more straight-line
-//! arithmetic per record for the batch loop to amortize.
+//! Two families, because the rungs only separate where the VM is the cost:
+//! weather Q1 is library-call-bound (every rung pays the same accessor
+//! calls, so the VM rungs land within a few percent of each other), flight
+//! Q1 is arithmetic-bound (dispatch is the cost, so each rung shows).
+//! Two merged widths (4 and 21 source queries): wider merged programs have
+//! more straight-line arithmetic per record for the batch loop to amortize.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use naiad_lite::batch::{BatchVm, RecordBatch};
-use naiad_lite::compile::{Compiled, Vm, NOTIFY_NONE};
+use naiad_lite::compile::NOTIFY_NONE;
 use naiad_lite::env::UdfEnv;
 use naiad_lite::regcode::{RegProgram, RegVm};
 use naiad_lite::DEFAULT_FUEL;
-use udf_lang::cost::UniformFnCost;
+use udf_lang::ast::Program;
 use udf_lang::intern::Interner;
 
-struct Fixture {
+struct Fixture<E: UdfEnv> {
     interner: Interner,
-    env: udf_data::weather::WeatherEnv,
-    records: Vec<udf_data::weather::CityRecord>,
-    merged: udf_lang::ast::Program,
-    compiled: Compiled,
+    env: E,
+    records: Vec<E::Rec>,
+    merged: Program,
     reg: RegProgram,
 }
 
-fn fixture(n_queries: usize) -> Fixture {
-    let mut interner = Interner::new();
-    let env = udf_data::weather::WeatherEnv::new(&mut interner);
-    let records = udf_data::weather::dataset_sized(256, 42);
-    let fams = udf_data::weather::families();
-    let programs = (fams[0].build)(n_queries, 42, &mut interner);
+fn fixture<E: UdfEnv>(
+    mut interner: Interner,
+    env: E,
+    records: Vec<E::Rec>,
+    programs: Vec<Program>,
+) -> Fixture<E> {
     let cm = udf_lang::CostModel::default();
     let merged = consolidate::consolidate_many(
         &programs,
         &mut interner,
         &cm,
-        &UniformFnCost(udf_data::weather::ACCESSOR_COST),
+        &udf_bench::FnCostOf(&env),
         &consolidate::Options::default(),
         false,
     )
     .expect("bench queries consolidate");
     let query_ids: Vec<udf_lang::ast::ProgId> = programs.iter().map(|p| p.id).collect();
-    let compiled = Compiled::compile(&merged.program, &query_ids, &cm, &|f| env.fn_cost(f))
+    let reg = RegProgram::compile(&merged.program, &query_ids, &cm, &|f| env.fn_cost(f))
         .expect("merged compiles");
-    let reg = RegProgram::lower(&compiled);
     Fixture {
         interner,
         env,
         records,
         merged: merged.program,
-        compiled,
         reg,
     }
 }
 
-fn bench_width(c: &mut Criterion, n_queries: usize) {
-    let fx = fixture(n_queries);
-    let n_q = fx.compiled.n_queries;
+fn weather_q1(n_queries: usize) -> Fixture<udf_data::weather::WeatherEnv> {
+    let mut interner = Interner::new();
+    let env = udf_data::weather::WeatherEnv::new(&mut interner);
+    let records = udf_data::weather::dataset_sized(256, 42);
+    let programs = (udf_data::weather::families()[0].build)(n_queries, 42, &mut interner);
+    fixture(interner, env, records, programs)
+}
+
+fn flight_q1(n_queries: usize) -> Fixture<udf_data::flight::FlightEnv> {
+    let mut interner = Interner::new();
+    let (env, mut records) = udf_data::flight::dataset_sized(2, &mut interner, 42);
+    records.truncate(256);
+    let programs = (udf_data::flight::families()[0].build)(n_queries, 42, &mut interner);
+    fixture(interner, env, records, programs)
+}
+
+fn bench_ladder<E: UdfEnv>(c: &mut Criterion, label: &str, fx: &Fixture<E>) {
+    let n_q = fx.reg.n_queries;
     let mut args = Vec::new();
 
-    c.bench_function(&format!("hot_path/interp/q{n_queries}"), |b| {
+    c.bench_function(&format!("hot_path/interp/{label}"), |b| {
         let mut arg_buf = Vec::new();
         b.iter(|| {
             let mut notified = 0usize;
@@ -89,22 +103,7 @@ fn bench_width(c: &mut Criterion, n_queries: usize) {
         });
     });
 
-    c.bench_function(&format!("hot_path/stack_vm/q{n_queries}"), |b| {
-        let mut vm = Vm::new();
-        let mut notify = vec![NOTIFY_NONE; n_q];
-        b.iter(|| {
-            let mut selected = 0u64;
-            for rec in &fx.records {
-                notify.fill(NOTIFY_NONE);
-                vm.run(&fx.compiled, &fx.env, rec, &mut notify, false)
-                    .expect("stack vm runs");
-                selected += notify.iter().filter(|&&v| v == 1).count() as u64;
-            }
-            black_box(selected)
-        });
-    });
-
-    c.bench_function(&format!("hot_path/reg_vm/q{n_queries}"), |b| {
+    c.bench_function(&format!("hot_path/reg_vm/{label}"), |b| {
         let mut vm = RegVm::new();
         let mut notify = vec![NOTIFY_NONE; n_q];
         b.iter(|| {
@@ -119,7 +118,7 @@ fn bench_width(c: &mut Criterion, n_queries: usize) {
         });
     });
 
-    c.bench_function(&format!("hot_path/batch_vm/q{n_queries}"), |b| {
+    c.bench_function(&format!("hot_path/batch_vm/{label}"), |b| {
         let mut vm = BatchVm::new(DEFAULT_FUEL);
         let mut batch = RecordBatch::default();
         let mut notify = vec![NOTIFY_NONE; fx.records.len() * n_q];
@@ -134,8 +133,9 @@ fn bench_width(c: &mut Criterion, n_queries: usize) {
 }
 
 fn hot_path(c: &mut Criterion) {
-    for n in [1usize, 4, 12, 21] {
-        bench_width(c, n);
+    for n in [4usize, 21] {
+        bench_ladder(c, &format!("weather_q1/q{n}"), &weather_q1(n));
+        bench_ladder(c, &format!("flight_q1/q{n}"), &flight_q1(n));
     }
 }
 

@@ -425,9 +425,9 @@ fn run_guard_demo(recorder: &udf_obs::RecorderCell) -> GuardDemo {
     // 2. Corrupted plan: flip one Notify instruction; the guard detects the
     // divergence, demotes to sequential, and evicts the cached plan.
     let mut corrupted = queries.clone();
-    let compiled = corrupted.consolidated.as_mut().expect("demo plan");
-    for op in &mut compiled.ops {
-        if let naiad_lite::compile::Op::Notify { value, .. } = op {
+    let plan = corrupted.consolidated.as_mut().expect("demo plan");
+    for instr in &mut plan.code {
+        if let naiad_lite::regcode::ROp::Notify { value, .. } = &mut instr.op {
             *value = !*value;
             break;
         }

@@ -361,7 +361,8 @@ pub fn run_family_guarded<E: UdfEnv>(
     }
 }
 
-struct FnCostOf<'a, E: UdfEnv>(&'a E);
+/// Prices external calls as the environment `E` declares them.
+pub struct FnCostOf<'a, E: UdfEnv>(pub &'a E);
 
 impl<'a, E: UdfEnv> udf_lang::cost::FnCost for FnCostOf<'a, E> {
     fn fn_cost(&self, f: udf_lang::intern::Symbol) -> udf_lang::cost::Cost {

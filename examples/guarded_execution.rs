@@ -9,16 +9,26 @@
 //! ```
 
 use query_consolidation::cache::PlanCache;
-use query_consolidation::dataflow::compile::Op;
 use query_consolidation::dataflow::engine::{
     Engine, EngineConfig, ExecBackend, ExecMode, QuerySet,
 };
+use query_consolidation::dataflow::regcode::ROp;
 use query_consolidation::dataflow::{GuardPolicy, ScalarEnv};
 use query_consolidation::engine::Options;
 use query_consolidation::lang::{parse::parse_program, CostModel, FnLibrary, Interner};
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // The query set holds one copy of each plan, which both backends
+    // execute — so the story is the same whichever one runs it.
+    for backend in [ExecBackend::PerRecord, ExecBackend::Columnar] {
+        println!("-- backend: {}", backend.as_str());
+        run(backend)?;
+    }
+    Ok(())
+}
+
+fn run(backend: ExecBackend) -> Result<(), Box<dyn std::error::Error>> {
     let mut interner = Interner::new();
     let rank = interner.intern("rank");
     let mut lib = FnLibrary::new();
@@ -51,12 +61,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &Options::default(),
         false,
         &cache,
-        ExecBackend::PerRecord,
+        backend,
     )?;
     let records: Vec<Vec<i64>> = (0..64).map(|v| vec![v]).collect();
     let env = ScalarEnv::new(1, lib);
     let engine = || {
         Engine::new(2).with_config(EngineConfig {
+            backend,
             guard: GuardPolicy::audit_all(),
             plan_cache: Some(Arc::clone(&cache)),
             ..EngineConfig::default()
@@ -78,8 +89,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // poisoned cache entry — the caller still gets correct counts.
     let mut corrupted = queries.clone();
     let plan = corrupted.consolidated.as_mut().expect("consolidated plan");
-    for op in &mut plan.ops {
-        if let Op::Notify { value, .. } = op {
+    for instr in &mut plan.code {
+        if let ROp::Notify { value, .. } = &mut instr.op {
             *value = !*value;
             break;
         }

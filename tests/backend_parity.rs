@@ -23,7 +23,7 @@ use naiad_lite::{GuardAction, GuardPolicy, RetryPolicy, ScalarEnv};
 use proptest::prelude::*;
 use udf_lang::ast::Program;
 use udf_lang::cost::CostModel;
-use udf_lang::intern::Interner;
+use udf_lang::intern::{Interner, Symbol};
 use udf_lang::library::Library;
 use udf_lang::FnLibrary;
 use udf_obs::names;
@@ -100,6 +100,10 @@ struct Workload {
     env: FaultyEnv<ScalarEnv>,
     records: Vec<(usize, Vec<i64>)>,
     queries: QuerySet,
+    /// The program `queries.consolidated` was compiled from.
+    plan: Program,
+    /// The `probe` library function.
+    probe: Symbol,
 }
 
 fn workload(n_queries: u32, n_records: usize, faults: FaultPlan) -> Workload {
@@ -152,8 +156,8 @@ fn build(
             .with_prefilter(&pf.cond, &plan, &cm, &|f| lib.cost(f))
             .expect("pre-filter compiles");
     }
-    let trigger = interner.intern("probe");
-    let env = FaultyEnv::new(ScalarEnv::new(1, lib), trigger, faults)
+    let probe = interner.intern("probe");
+    let env = FaultyEnv::new(ScalarEnv::new(1, lib), probe, faults)
         .with_burn_value(1_000_000_000);
     let records =
         FaultyEnv::<ScalarEnv>::index_records((0..n_records as i64).map(|v| vec![v % 97]));
@@ -161,6 +165,8 @@ fn build(
         env,
         records,
         queries,
+        plan,
+        probe,
     }
 }
 
@@ -456,20 +462,25 @@ fn guard_fail_fast_trip_is_identical() {
     }
 }
 
-/// A pre-filter condition outside the direct evaluator's fragment falls
-/// back to the compiled guard on the scalar VM under both backends; the
-/// fallback must skip exactly the records the direct evaluator skips.
+/// A hand-made pre-filter condition outside the direct evaluator's
+/// fragment (here: it calls the library) attaches no pre-filter at all, and
+/// the run is bit-identical to one that never asked for a pre-filter.
 #[test]
-fn prefilter_vm_fallback_matches_direct_evaluator() {
+fn call_bearing_prefilter_condition_fails_open() {
+    use udf_lang::ast::{BoolExpr, CmpOp, IntExpr};
     silence_injected_panics();
-    let fast = guarded_workload(reachable_faults(), true, None);
-    let mut fallback = guarded_workload(reachable_faults(), true, None);
-    fallback
+    let off = guarded_workload(reachable_faults(), false, None);
+    let mut hand_made = guarded_workload(reachable_faults(), false, None);
+    let cond = BoolExpr::Cmp(
+        CmpOp::Le,
+        IntExpr::Const(40),
+        IntExpr::Call(hand_made.probe, vec![IntExpr::Var(hand_made.plan.params[0])]),
+    );
+    hand_made.queries = hand_made
         .queries
-        .prefilter
-        .as_mut()
-        .expect("pre-filter attached")
-        .fast = None;
+        .with_prefilter(&cond, &hand_made.plan, &CostModel::default(), &|_| 20)
+        .expect("rejection is not an error");
+    assert!(hand_made.queries.prefilter.is_none(), "no pre-filter attached");
     let run = |w: &Workload| {
         run_both(
             w,
@@ -479,11 +490,11 @@ fn prefilter_vm_fallback_matches_direct_evaluator() {
             GuardPolicy::default(),
         )
     };
-    let (fp, fc) = run(&fast);
-    let (vp, vc) = run(&fallback);
-    assert!(fp.prefilter_skipped > 0, "the pre-filter must skip records");
-    for (r, ctx) in [(&fc, "fast columnar"), (&vp, "vm per-record"), (&vc, "vm columnar")] {
-        assert_parity(&fp, r, ctx);
-        assert_eq!(fp.prefilter_skipped, r.prefilter_skipped, "{ctx}: skipped");
+    let (op, oc) = run(&off);
+    let (hp, hc) = run(&hand_made);
+    assert!(!op.quarantine.is_clean(), "the faults must bite");
+    for (r, ctx) in [(&oc, "off columnar"), (&hp, "hand-made per-record"), (&hc, "hand-made columnar")] {
+        assert_parity(&op, r, ctx);
+        assert_eq!(r.prefilter_skipped, 0, "{ctx}: skipped");
     }
 }

@@ -1,19 +1,21 @@
 // Integration tests may unwrap freely; the clippy gate denies it in src/.
 #![allow(clippy::unwrap_used)]
 
-//! Differential property: the bytecode VM agrees with the reference
-//! interpreter on values, notifications, and the *exact* abstract cost, for
-//! random programs including bounded loops.
+//! Differential property: the scalar register VM agrees with the reference
+//! interpreter on notifications, error class, and the *exact* abstract cost
+//! (the cost half of Theorem 1 rests on this), for random programs
+//! including bounded loops.
 
 use proptest::prelude::*;
 use udf_lang::ast::{BoolExpr, CmpOp, IntExpr, IntOp, ProgId, Program, Stmt};
 use udf_lang::cost::CostModel;
 use udf_lang::intern::Interner;
-use udf_lang::interp::Interp;
+use udf_lang::interp::{EvalError, Interp};
 use udf_lang::library::FnLibrary;
 
-use naiad_lite::compile::{Compiled, Vm, NOTIFY_NONE};
+use naiad_lite::compile::{VmError, NOTIFY_NONE};
 use naiad_lite::env::{RecordLibrary, ScalarEnv};
+use naiad_lite::regcode::{RegProgram, RegVm};
 
 #[derive(Clone, Debug)]
 enum GTerm {
@@ -168,13 +170,13 @@ proptest! {
         let env = ScalarEnv::new(2, lib.clone());
         let cm = CostModel::default();
         let ids = [ProgId(0), ProgId(1), ProgId(2)];
-        let compiled = Compiled::compile(&program, &ids, &cm, &|s| {
+        let compiled = RegProgram::compile(&program, &ids, &cm, &|s| {
             udf_lang::library::Library::cost(&lib, s)
         })
         .expect("compiles");
 
         let rec = vec![a0, a1];
-        let mut vm = Vm::new().with_fuel(5_000_000);
+        let mut vm = RegVm::new().with_fuel(5_000_000);
         let mut out = vec![NOTIFY_NONE; 3];
         let vm_result = vm.run(&compiled, &env, &rec, &mut out, true);
 
@@ -190,7 +192,10 @@ proptest! {
                     prop_assert_eq!(out[k], expected, "query {}", k);
                 }
             }
-            (Err(_), Err(_)) => {} // both reject (duplicate notify), fine
+            // Both reject, for the same reason.
+            (Err(VmError::DuplicateNotify(_)), Err(EvalError::DuplicateNotify(_)))
+            | (Err(VmError::OutOfFuel), Err(EvalError::OutOfFuel))
+            | (Err(VmError::Lib(_)), Err(EvalError::Lib(_))) => {}
             (vm_r, ref_r) => {
                 return Err(TestCaseError::fail(format!(
                     "divergence: vm {vm_r:?} vs interp {ref_r:?}"

@@ -16,6 +16,7 @@
 //! them was emitted verbatim, not consolidated.
 
 use udf_lang::ast::ProgId;
+use udf_obs::write_json_string;
 
 /// How one entailment question `Ψ ⊨ φ` was answered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -229,18 +230,18 @@ fn render_node(n: &ExplainNode, indent: usize, out: &mut String) {
 }
 
 fn node_json(n: &ExplainNode, out: &mut String) {
-    out.push_str("{\"rule\":\"");
-    escape_json(n.rule, out);
-    out.push_str("\",\"detail\":\"");
-    escape_json(&n.detail, out);
-    out.push_str("\",\"entailments\":[");
+    out.push_str("{\"rule\":");
+    write_json_string(out, n.rule);
+    out.push_str(",\"detail\":");
+    write_json_string(out, &n.detail);
+    out.push_str(",\"entailments\":[");
     for (i, e) in n.entailments.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("{\"query\":\"");
-        escape_json(&e.query, out);
-        out.push_str("\",\"proved\":");
+        out.push_str("{\"query\":");
+        write_json_string(out, &e.query);
+        out.push_str(",\"proved\":");
         out.push_str(if e.proved { "true" } else { "false" });
         out.push_str(",\"via\":\"");
         out.push_str(e.via.name());
@@ -254,20 +255,6 @@ fn node_json(n: &ExplainNode, out: &mut String) {
         node_json(c, out);
     }
     out.push_str("]}");
-}
-
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
 }
 
 #[cfg(test)]

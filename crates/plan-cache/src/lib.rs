@@ -10,10 +10,12 @@
 //!   structural hash of the ordered program set ([`udf_lang::canon`]) folded
 //!   with a fingerprint of the plan-relevant options and cost model.
 //! * [`PlanCache`] — a sharded LRU (`RwLock` per shard, capacity + byte
-//!   budget, hit/miss/insert/eviction counters) storing
-//!   [`PortableProgram`]s — interner-independent, so one cache serves many
-//!   engines — together with their [`ConsolidationStats`] and
-//!   [`DegradationTier`].
+//!   budget, hit/miss/insert/eviction counters) storing each plan as its
+//!   wire text — interner-independent, so one cache serves many engines —
+//!   together with its [`ConsolidationStats`] and [`DegradationTier`].
+//! * [`portable`] — the one codec between [`udf_lang::ast`] and that wire
+//!   text ([`write_program`] / [`read_program`]); a hit is one
+//!   `read_program` against the caller's interner.
 //! * [`PlanCache::save`] / [`PlanCache::load`] — a hand-rolled textual
 //!   snapshot for warm starts across processes.
 //! * [`consolidate_many_cached`] — the drop-in consolidation entry point:
@@ -45,13 +47,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
-use udf_lang::ast::Program;
+use udf_lang::ast::{BoolExpr, Program};
 use udf_lang::canon::Fnv128;
 use udf_lang::cost::{CostModel, FnCost};
 use udf_lang::intern::Interner;
 
 pub use framing::RecoveryIncident;
-pub use portable::{PortableAggDef, PortableAggPlan, PortablePlan, PortableProgram};
+pub use portable::{read_program, write_program};
 pub use snapshot::SnapshotRecovery;
 
 /// Which execution backend a consolidated plan is compiled for.
@@ -196,33 +198,69 @@ impl PlanKey {
     }
 }
 
+/// What an entry stores. The two key spaces are disjoint —
+/// [`PlanKey::derive`] and [`PlanKey::derive_agg`] fold distinct domain
+/// tags — so a lookup never sees the other variant, but accessors stay total
+/// for defensive callers.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Plan {
+    /// A merged program (the Ω engine's output) as [`write_program`] text.
+    /// Every constructor either wrote the text itself or read it back once,
+    /// so a malformed plan is rejected when it enters, not met at a hit.
+    Program(String),
+    /// Positional homomorphism verdicts of a UDAF set (`true` = the engine
+    /// may fold the definition in parallel). The key already fingerprints
+    /// the definitions, so nothing else is stored.
+    Agg(Vec<bool>),
+}
+
 /// One cached consolidated plan.
 #[derive(Clone, Debug)]
 pub struct CachedPlan {
-    /// The stored plan — a merged program or a proved aggregation set —
-    /// interner-independent either way.
-    pub plan: PortablePlan,
+    plan: Plan,
     /// Statistics of the run that produced it.
     pub stats: ConsolidationStats,
     /// Degradation tier of the stored plan (drives the upgrade rule).
     pub tier: DegradationTier,
-    /// Approximate footprint, charged against the byte budget.
+    /// Footprint charged against the byte budget: the wire text's length
+    /// (one byte per verdict for an aggregation entry).
     pub bytes: usize,
 }
 
 impl CachedPlan {
-    /// Packages a program consolidation result for caching.
-    pub fn new(program: PortableProgram, stats: ConsolidationStats) -> CachedPlan {
-        CachedPlan::from_plan(PortablePlan::Program(Box::new(program)), stats)
+    /// Packages a program consolidation result — and its verified
+    /// pre-filter condition, when one was synthesized — for caching.
+    pub fn new(
+        program: &Program,
+        prefilter: Option<&BoolExpr>,
+        interner: &Interner,
+        stats: ConsolidationStats,
+    ) -> CachedPlan {
+        let text = write_program(program, prefilter, interner);
+        CachedPlan::from_plan(Plan::Program(text), stats)
     }
 
-    /// Packages a proved aggregation set for caching.
-    pub fn new_agg(plan: PortableAggPlan, stats: ConsolidationStats) -> CachedPlan {
-        CachedPlan::from_plan(PortablePlan::Agg(plan), stats)
+    /// Packages wire text from outside the process (a snapshot), reading it
+    /// once into a scratch interner.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`read_program`]'s description of the first syntax error.
+    pub(crate) fn from_wire(text: String, stats: ConsolidationStats) -> Result<CachedPlan, String> {
+        read_program(&text, &mut Interner::new())?;
+        Ok(CachedPlan::from_plan(Plan::Program(text), stats))
     }
 
-    fn from_plan(plan: PortablePlan, stats: ConsolidationStats) -> CachedPlan {
-        let bytes = plan.approx_bytes() + std::mem::size_of::<CachedPlan>();
+    /// Packages the positional verdicts of a proved aggregation set.
+    pub fn new_agg(proved: Vec<bool>, stats: ConsolidationStats) -> CachedPlan {
+        CachedPlan::from_plan(Plan::Agg(proved), stats)
+    }
+
+    fn from_plan(plan: Plan, stats: ConsolidationStats) -> CachedPlan {
+        let bytes = match &plan {
+            Plan::Program(text) => text.len(),
+            Plan::Agg(proved) => proved.len(),
+        };
         CachedPlan {
             plan,
             tier: stats.tier,
@@ -231,19 +269,25 @@ impl CachedPlan {
         }
     }
 
-    /// The stored program, when this entry holds a program plan.
-    pub fn program(&self) -> Option<&PortableProgram> {
+    /// The stored program's wire text, when this entry holds a program plan.
+    pub fn wire(&self) -> Option<&str> {
         match &self.plan {
-            PortablePlan::Program(p) => Some(p),
-            PortablePlan::Agg(_) => None,
+            Plan::Program(text) => Some(text),
+            Plan::Agg(_) => None,
         }
     }
 
-    /// The stored aggregation plan, when this entry holds one.
-    pub fn agg(&self) -> Option<&PortableAggPlan> {
+    /// Rebuilds the stored program and pre-filter condition against
+    /// `interner`; `None` when this entry holds an aggregation plan.
+    pub fn read(&self, interner: &mut Interner) -> Option<(Program, Option<BoolExpr>)> {
+        read_program(self.wire()?, interner).ok()
+    }
+
+    /// The stored verdicts, when this entry holds an aggregation plan.
+    pub fn proved(&self) -> Option<&[bool]> {
         match &self.plan {
-            PortablePlan::Program(_) => None,
-            PortablePlan::Agg(a) => Some(a),
+            Plan::Program(_) => None,
+            Plan::Agg(proved) => Some(proved),
         }
     }
 }
@@ -643,36 +687,35 @@ pub fn consolidate_many_cached(
     }
     let start = Instant::now();
     let key = PlanKey::derive(programs, interner, opts, cm, backend);
-    // Rebuilds the stored pre-filter (if any) against the caller's interner;
+    // Rebuilds a stored plan against the caller's interner; the pre-filter's
     // synthesis counters are zero on a reload — no proving was done.
-    let rehydrate = |pp: &PortableProgram, interner: &mut Interner| {
-        pp.prefilter.as_ref().map(|pb| consolidate::Prefilter {
-            cond: pb.to_bool(interner),
-            queries: u32::try_from(programs.len()).unwrap_or(u32::MAX),
-            paths_checked: 0,
-            entailment_queries: 0,
+    let queries = u32::try_from(programs.len()).unwrap_or(u32::MAX);
+    let rehydrate = |plan: &CachedPlan, stats: ConsolidationStats, interner: &mut Interner| {
+        let (program, cond) = plan.read(interner)?;
+        Some(Consolidated {
+            program,
+            stats,
+            elapsed: start.elapsed(),
+            explain: None,
+            prefilter: cond.map(|cond| consolidate::Prefilter {
+                cond,
+                queries,
+                paths_checked: 0,
+                entailment_queries: 0,
+            }),
         })
     };
     // Defensive: the agg key space is disjoint by construction, but an
     // entry of the wrong shape is treated as a miss rather than served.
-    let cached = cache.get(key).filter(|p| p.program().is_some());
+    let cached = cache.get(key).filter(|p| p.wire().is_some());
     if let Some(plan) = &cached {
         let budget_spent = BudgetState::new(&opts.budget).exhausted();
         if plan.tier == DegradationTier::Full || budget_spent {
-            if let Some(pp) = plan.program() {
-                let mut stats = plan.stats;
-                stats.solver = udf_smt::SolverStats::default();
+            let mut stats = plan.stats;
+            stats.solver = udf_smt::SolverStats::default();
+            if let Some(served) = rehydrate(plan, stats, interner) {
                 opts.recorder.add(udf_obs::names::PLAN_CACHE_HIT, 1);
-                return Ok((
-                    Consolidated {
-                        program: pp.to_program(interner),
-                        stats,
-                        elapsed: start.elapsed(),
-                        explain: None,
-                        prefilter: rehydrate(pp, interner),
-                    },
-                    PlanOutcome::Hit,
-                ));
+                return Ok((served, PlanOutcome::Hit));
             }
         }
     }
@@ -682,33 +725,23 @@ pub fn consolidate_many_cached(
     // (`Full < Partial < Sequential` in the derived order), so a cached
     // Partial is never displaced by a fresh Sequential.
     let stored_better = match &cached {
-        Some(old) if fresh.stats.tier > old.tier => old.program().map(|pp| (old, pp)),
-        _ => None,
-    };
-    match stored_better {
-        Some((old, pp)) => {
+        Some(old) if fresh.stats.tier > old.tier => {
             let mut stats = old.stats;
             stats.solver = fresh.stats.solver;
             stats.memo_hits += fresh.stats.memo_hits;
+            rehydrate(old, stats, interner)
+        }
+        _ => None,
+    };
+    match stored_better {
+        Some(served) => {
             opts.recorder.add(udf_obs::names::PLAN_CACHE_UPGRADE, 1);
-            Ok((
-                Consolidated {
-                    program: pp.to_program(interner),
-                    stats,
-                    elapsed: start.elapsed(),
-                    explain: None,
-                    prefilter: rehydrate(pp, interner),
-                },
-                PlanOutcome::Upgrade,
-            ))
+            Ok((served, PlanOutcome::Upgrade))
         }
         None => {
-            let mut portable = PortableProgram::from_program(&fresh.program, interner);
-            portable.prefilter = fresh
-                .prefilter
-                .as_ref()
-                .map(|pf| portable::PBool::from_bool(&pf.cond, interner));
-            cache.insert(key, CachedPlan::new(portable, fresh.stats));
+            let cond = fresh.prefilter.as_ref().map(|pf| &pf.cond);
+            let plan = CachedPlan::new(&fresh.program, cond, interner, fresh.stats);
+            cache.insert(key, plan);
             if cached.is_some() {
                 opts.recorder.add(udf_obs::names::PLAN_CACHE_UPGRADE, 1);
                 Ok((fresh, PlanOutcome::Upgrade))
@@ -752,7 +785,7 @@ pub fn consolidate_aggs_cached(
     // a stale or foreign entry and is treated as a miss.
     let cached = cache
         .get(key)
-        .filter(|p| p.agg().is_some_and(|a| a.defs.len() == defs.len()));
+        .filter(|p| p.proved().is_some_and(|flags| flags.len() == defs.len()));
     let from_flags = |flags: &[bool], tier: DegradationTier| consolidate::AggConsolidation {
         outcomes: flags.iter().map(|&p| consolidate::ProofOutcome::Memo(p)).collect(),
         tier,
@@ -762,24 +795,23 @@ pub fn consolidate_aggs_cached(
     if let Some(plan) = &cached {
         let budget_spent = BudgetState::new(&opts.budget).exhausted();
         if plan.tier == DegradationTier::Full || budget_spent {
-            if let Some(agg) = plan.agg() {
+            if let Some(flags) = plan.proved() {
                 opts.recorder.add(udf_obs::names::PLAN_CACHE_HIT, 1);
-                return Ok((from_flags(&agg.proved, plan.tier), key, PlanOutcome::Hit));
+                return Ok((from_flags(flags, plan.tier), key, PlanOutcome::Hit));
             }
         }
     }
     let fresh = consolidate::consolidate_aggs(defs, interner, opts)?;
     let stored_better = match &cached {
-        Some(old) if fresh.tier > old.tier => old.agg().map(|a| (old.tier, a.proved.clone())),
+        Some(old) if fresh.tier > old.tier => old.proved().map(|flags| (old.tier, flags)),
         _ => None,
     };
     match stored_better {
         Some((tier, proved)) => {
             opts.recorder.add(udf_obs::names::PLAN_CACHE_UPGRADE, 1);
-            Ok((from_flags(&proved, tier), key, PlanOutcome::Upgrade))
+            Ok((from_flags(proved, tier), key, PlanOutcome::Upgrade))
         }
         None => {
-            let portable = PortableAggPlan::from_defs(defs, &fresh.proved_flags(), interner);
             let stats = ConsolidationStats {
                 entailment_queries: fresh.stats.entailment_queries,
                 memo_hits: fresh.stats.proof_memo_hits,
@@ -787,7 +819,7 @@ pub fn consolidate_aggs_cached(
                 tier: fresh.tier,
                 ..ConsolidationStats::default()
             };
-            cache.insert(key, CachedPlan::new_agg(portable, stats));
+            cache.insert(key, CachedPlan::new_agg(fresh.proved_flags(), stats));
             if cached.is_some() {
                 opts.recorder.add(udf_obs::names::PLAN_CACHE_UPGRADE, 1);
                 Ok((fresh, key, PlanOutcome::Upgrade))
@@ -805,6 +837,11 @@ mod tests {
     use udf_lang::cost::UniformFnCost;
     use udf_lang::parse::parse_programs;
     use udf_lang::pretty;
+
+    fn skip_plan(id: u32) -> CachedPlan {
+        let p = Program::new(udf_lang::ast::ProgId(id), vec![], udf_lang::ast::Stmt::Skip);
+        CachedPlan::new(&p, None, &Interner::new(), ConsolidationStats::default())
+    }
 
     fn family(i: &mut Interner) -> Vec<Program> {
         parse_programs(
@@ -1043,21 +1080,10 @@ mod tests {
             max_bytes: usize::MAX,
             shards: 1,
         });
-        let plan = |id: u32| {
-            CachedPlan::new(
-                PortableProgram {
-                    id,
-                    params: vec!["x".to_owned()],
-                    body: portable::PStmt::Skip,
-                    prefilter: None,
-                },
-                ConsolidationStats::default(),
-            )
-        };
-        cache.insert(PlanKey(1), plan(1));
-        cache.insert(PlanKey(2), plan(2));
+        cache.insert(PlanKey(1), skip_plan(1));
+        cache.insert(PlanKey(2), skip_plan(2));
         assert!(cache.get(PlanKey(1)).is_some(), "touch 1 so 2 is the LRU");
-        cache.insert(PlanKey(3), plan(3));
+        cache.insert(PlanKey(3), skip_plan(3));
         assert_eq!(cache.len(), 2);
         assert!(cache.get(PlanKey(2)).is_none(), "2 was least recently used");
         assert!(cache.get(PlanKey(1)).is_some());
@@ -1072,21 +1098,10 @@ mod tests {
             max_bytes: usize::MAX,
             shards: 2,
         });
-        let plan = |id: u32| {
-            CachedPlan::new(
-                PortableProgram {
-                    id,
-                    params: vec![],
-                    body: portable::PStmt::Skip,
-                    prefilter: None,
-                },
-                ConsolidationStats::default(),
-            )
-        };
-        cache.insert_tagged(PlanKey(1), plan(1), &[100, 200]);
-        cache.insert_tagged(PlanKey(2), plan(2), &[200]);
-        cache.insert_tagged(PlanKey(3), plan(3), &[300]);
-        cache.insert(PlanKey(4), plan(4)); // untagged: survives everything
+        cache.insert_tagged(PlanKey(1), skip_plan(1), &[100, 200]);
+        cache.insert_tagged(PlanKey(2), skip_plan(2), &[200]);
+        cache.insert_tagged(PlanKey(3), skip_plan(3), &[300]);
+        cache.insert(PlanKey(4), skip_plan(4)); // untagged: survives everything
         assert_eq!(cache.invalidate_tag(200), 2);
         assert!(cache.get(PlanKey(1)).is_none());
         assert!(cache.get(PlanKey(2)).is_none());
@@ -1104,15 +1119,7 @@ mod tests {
             shards: 1,
         });
         let plan = |tier: DegradationTier| {
-            let mut p = CachedPlan::new(
-                PortableProgram {
-                    id: 1,
-                    params: vec![],
-                    body: portable::PStmt::Skip,
-                    prefilter: None,
-                },
-                ConsolidationStats::default(),
-            );
+            let mut p = skip_plan(1);
             p.tier = tier;
             p
         };
@@ -1139,19 +1146,8 @@ mod tests {
             max_bytes: 1,
             shards: 1,
         });
-        let plan = |id: u32| {
-            CachedPlan::new(
-                PortableProgram {
-                    id,
-                    params: vec![],
-                    body: portable::PStmt::Skip,
-                    prefilter: None,
-                },
-                ConsolidationStats::default(),
-            )
-        };
-        cache.insert(PlanKey(1), plan(1));
-        cache.insert(PlanKey(2), plan(2));
+        cache.insert(PlanKey(1), skip_plan(1));
+        cache.insert(PlanKey(2), skip_plan(2));
         // Over budget with >1 entry: evict down to a single entry.
         assert_eq!(cache.len(), 1);
         assert!(cache.stats().evictions >= 1);

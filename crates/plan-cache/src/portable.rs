@@ -1,861 +1,339 @@
-//! Interner-independent program representation.
+//! The plan wire codec: single-line S-expressions over [`udf_lang::ast`].
 //!
 //! A consolidated [`Program`] is built over [`udf_lang::intern::Symbol`]s —
-//! indices into the
-//! interner of the process (and run) that produced it. Consolidation also
-//! manufactures local names like `u0$x%3` (via `rename_locals` and
-//! `Interner::fresh`) that the concrete syntax cannot express, so neither
-//! raw symbols nor pretty-printed text survive a process boundary. A
-//! [`PortableProgram`] stores names as owned strings and converts back
-//! against any interner, which is what lets cached plans be shared across
-//! engines and snapshotted to disk.
+//! indices into the interner of the process (and run) that produced it — so
+//! every crossing of a process boundary (plan-cache snapshots, `udf-serve`
+//! journal frames and checkpoints) spells names out and re-interns them on
+//! the way back. [`write_program`] and [`read_program`] are that crossing,
+//! straight between the AST and text:
 //!
-//! The wire form is a single-line S-expression; tokens are runs of
-//! characters other than whitespace and parentheses, so `$`/`%`/`@` in
-//! generated names need no escaping.
+//! ```text
+//! (program 1 (params a) (seq (assign u0$x%3 (int 1)) (notify 1 true)) (prefilter (le (int 1) (var a))))
+//! ```
+//!
+//! Tokens are runs of characters other than whitespace and parentheses, so
+//! the `$`/`%`/`@` of generated names need no escaping. The concrete syntax
+//! is deliberately *not* the wire form: it cannot spell names like `u0$x%3`
+//! (made by `rename_locals` and `Interner::fresh`), and `pretty`∘`parse` is
+//! the identity only up to `skip` elision and `seq` re-association, whereas
+//! a restart replays plan operations on the exact tree.
 
 use std::fmt::Write as _;
-use udf_lang::agg::{AggDef, StateSlot};
 use udf_lang::ast::{BoolExpr, BoolOp, CmpOp, IntExpr, IntOp, ProgId, Program, Stmt};
 use udf_lang::intern::Interner;
 
-/// An integer expression over string names.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PInt {
-    /// Integer constant.
-    Const(i64),
-    /// Variable reference by name.
-    Var(String),
-    /// Library-function call by name.
-    Call(String, Vec<PInt>),
-    /// Binary arithmetic.
-    Bin(IntOp, Box<PInt>, Box<PInt>),
-}
-
-/// A boolean expression over string names.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PBool {
-    /// Boolean constant.
-    Const(bool),
-    /// Integer comparison.
-    Cmp(CmpOp, PInt, PInt),
-    /// Negation.
-    Not(Box<PBool>),
-    /// Connective.
-    Bin(BoolOp, Box<PBool>, Box<PBool>),
-}
-
-/// A statement over string names.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PStmt {
-    /// No-op.
-    Skip,
-    /// Assignment.
-    Assign(String, PInt),
-    /// Sequencing.
-    Seq(Box<PStmt>, Box<PStmt>),
-    /// Conditional.
-    If(PBool, Box<PStmt>, Box<PStmt>),
-    /// Loop.
-    While(PBool, Box<PStmt>),
-    /// Notification broadcast.
-    Notify(u32, bool),
-}
-
-/// A [`Program`] with every [`udf_lang::intern::Symbol`] resolved to its
-/// name.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PortableProgram {
-    /// Program id.
-    pub id: u32,
-    /// Parameter names in declaration order.
-    pub params: Vec<String>,
-    /// Body.
-    pub body: PStmt,
-    /// The plan's verified cross-query pre-filter condition, when one was
-    /// synthesized (see `consolidate::prefilter`). Parameter-only and
-    /// call-free by construction; round-trips through the wire form as an
-    /// optional `(prefilter …)` section so cached and snapshotted plans
-    /// keep their pushdown acceleration.
-    pub prefilter: Option<PBool>,
-}
-
-fn p_int(e: &IntExpr, i: &Interner) -> PInt {
-    match e {
-        IntExpr::Const(c) => PInt::Const(*c),
-        IntExpr::Var(v) => PInt::Var(i.resolve(*v).to_owned()),
-        IntExpr::Call(f, args) => PInt::Call(
-            i.resolve(*f).to_owned(),
-            args.iter().map(|a| p_int(a, i)).collect(),
-        ),
-        IntExpr::Bin(op, a, b) => PInt::Bin(*op, Box::new(p_int(a, i)), Box::new(p_int(b, i))),
+/// Renders `p` — and its verified cross-query pre-filter condition, when one
+/// was synthesized (see `consolidate::prefilter`) — as one line of wire
+/// text, resolving every symbol against `interner`.
+pub fn write_program(p: &Program, prefilter: Option<&BoolExpr>, interner: &Interner) -> String {
+    let mut out = String::new();
+    let _ = write!(out, "(program {} (params", p.id.0);
+    for &s in &p.params {
+        let _ = write!(out, " {}", interner.resolve(s));
     }
-}
-
-fn p_bool(e: &BoolExpr, i: &Interner) -> PBool {
-    match e {
-        BoolExpr::Const(b) => PBool::Const(*b),
-        BoolExpr::Cmp(op, a, b) => PBool::Cmp(*op, p_int(a, i), p_int(b, i)),
-        BoolExpr::Not(a) => PBool::Not(Box::new(p_bool(a, i))),
-        BoolExpr::Bin(op, a, b) => PBool::Bin(*op, Box::new(p_bool(a, i)), Box::new(p_bool(b, i))),
-    }
-}
-
-fn p_stmt(s: &Stmt, i: &Interner) -> PStmt {
-    match s {
-        Stmt::Skip => PStmt::Skip,
-        Stmt::Assign(x, e) => PStmt::Assign(i.resolve(*x).to_owned(), p_int(e, i)),
-        Stmt::Seq(a, b) => PStmt::Seq(Box::new(p_stmt(a, i)), Box::new(p_stmt(b, i))),
-        Stmt::If(c, a, b) => PStmt::If(p_bool(c, i), Box::new(p_stmt(a, i)), Box::new(p_stmt(b, i))),
-        Stmt::While(c, b) => PStmt::While(p_bool(c, i), Box::new(p_stmt(b, i))),
-        Stmt::Notify(id, b) => PStmt::Notify(id.0, *b),
-    }
-}
-
-fn r_int(e: &PInt, i: &mut Interner) -> IntExpr {
-    match e {
-        PInt::Const(c) => IntExpr::Const(*c),
-        PInt::Var(v) => IntExpr::Var(i.intern(v)),
-        PInt::Call(f, args) => {
-            IntExpr::Call(i.intern(f), args.iter().map(|a| r_int(a, i)).collect())
-        }
-        PInt::Bin(op, a, b) => IntExpr::Bin(*op, Box::new(r_int(a, i)), Box::new(r_int(b, i))),
-    }
-}
-
-fn r_bool(e: &PBool, i: &mut Interner) -> BoolExpr {
-    match e {
-        PBool::Const(b) => BoolExpr::Const(*b),
-        PBool::Cmp(op, a, b) => BoolExpr::Cmp(*op, r_int(a, i), r_int(b, i)),
-        PBool::Not(a) => BoolExpr::Not(Box::new(r_bool(a, i))),
-        PBool::Bin(op, a, b) => BoolExpr::Bin(*op, Box::new(r_bool(a, i)), Box::new(r_bool(b, i))),
-    }
-}
-
-fn r_stmt(s: &PStmt, i: &mut Interner) -> Stmt {
-    match s {
-        PStmt::Skip => Stmt::Skip,
-        PStmt::Assign(x, e) => Stmt::Assign(i.intern(x), r_int(e, i)),
-        PStmt::Seq(a, b) => Stmt::Seq(Box::new(r_stmt(a, i)), Box::new(r_stmt(b, i))),
-        PStmt::If(c, a, b) => Stmt::If(r_bool(c, i), Box::new(r_stmt(a, i)), Box::new(r_stmt(b, i))),
-        PStmt::While(c, b) => Stmt::While(r_bool(c, i), Box::new(r_stmt(b, i))),
-        PStmt::Notify(id, b) => Stmt::Notify(ProgId(*id), *b),
-    }
-}
-
-impl PBool {
-    /// Resolves every symbol of `e` against `interner`.
-    pub fn from_bool(e: &BoolExpr, interner: &Interner) -> PBool {
-        p_bool(e, interner)
-    }
-
-    /// Re-interns every name into `interner`, rebuilding the AST.
-    pub fn to_bool(&self, interner: &mut Interner) -> BoolExpr {
-        r_bool(self, interner)
-    }
-}
-
-impl PortableProgram {
-    /// Resolves every symbol of `p` against `interner`.
-    pub fn from_program(p: &Program, interner: &Interner) -> PortableProgram {
-        PortableProgram {
-            id: p.id.0,
-            params: p.params.iter().map(|&s| interner.resolve(s).to_owned()).collect(),
-            body: p_stmt(&p.body, interner),
-            prefilter: None,
-        }
-    }
-
-    /// Re-interns every name into `interner`, rebuilding the AST.
-    pub fn to_program(&self, interner: &mut Interner) -> Program {
-        Program::new(
-            ProgId(self.id),
-            self.params.iter().map(|p| interner.intern(p)).collect(),
-            r_stmt(&self.body, interner),
-        )
-    }
-
-    /// Approximate heap footprint in bytes (for the cache byte budget).
-    pub fn approx_bytes(&self) -> usize {
-        fn int_bytes(e: &PInt) -> usize {
-            16 + match e {
-                PInt::Const(_) => 0,
-                PInt::Var(v) => v.len(),
-                PInt::Call(f, args) => f.len() + args.iter().map(int_bytes).sum::<usize>(),
-                PInt::Bin(_, a, b) => int_bytes(a) + int_bytes(b),
-            }
-        }
-        fn bool_bytes(e: &PBool) -> usize {
-            16 + match e {
-                PBool::Const(_) => 0,
-                PBool::Cmp(_, a, b) => int_bytes(a) + int_bytes(b),
-                PBool::Not(a) => bool_bytes(a),
-                PBool::Bin(_, a, b) => bool_bytes(a) + bool_bytes(b),
-            }
-        }
-        fn stmt_bytes(s: &PStmt) -> usize {
-            16 + match s {
-                PStmt::Skip | PStmt::Notify(..) => 0,
-                PStmt::Assign(x, e) => x.len() + int_bytes(e),
-                PStmt::Seq(a, b) => stmt_bytes(a) + stmt_bytes(b),
-                PStmt::If(c, a, b) => bool_bytes(c) + stmt_bytes(a) + stmt_bytes(b),
-                PStmt::While(c, b) => bool_bytes(c) + stmt_bytes(b),
-            }
-        }
-        32 + self.params.iter().map(|p| p.len() + 8).sum::<usize>()
-            + stmt_bytes(&self.body)
-            + self.prefilter.as_ref().map_or(0, bool_bytes)
-    }
-
-    /// Renders the single-line S-expression wire form. The pre-filter, when
-    /// present, is appended as an optional trailing `(prefilter …)` section.
-    pub fn to_sexpr(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "(program {} (params", self.id);
-        for p in &self.params {
-            let _ = write!(out, " {p}");
-        }
+    out.push_str(") ");
+    w_stmt(&p.body, interner, &mut out);
+    if let Some(pf) = prefilter {
+        out.push_str(" (prefilter ");
+        w_bool(pf, interner, &mut out);
         out.push(')');
-        out.push(' ');
-        w_stmt(&self.body, &mut out);
-        if let Some(pf) = &self.prefilter {
-            out.push_str(" (prefilter ");
-            w_bool(pf, &mut out);
-            out.push(')');
-        }
-        out.push(')');
-        out
     }
-
-    /// Parses the wire form produced by [`PortableProgram::to_sexpr`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first syntax error.
-    pub fn parse_sexpr(src: &str) -> Result<PortableProgram, String> {
-        let mut toks = tokenize(src);
-        let p = parse_program(&mut toks)?;
-        match toks.next() {
-            None => Ok(p),
-            Some(t) => Err(format!("trailing input: {t:?}")),
-        }
-    }
+    out.push(')');
+    out
 }
 
-/// One state slot of a portable UDAF: declared name, initial value, and the
-/// alias under which `merge` reads the right-hand partial state.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PSlot {
-    /// Declared state-variable name.
-    pub name: String,
-    /// Initial value (the `init` element of the homomorphism).
-    pub init: i64,
-    /// Alias naming the right-hand copy of this slot inside `merge`.
-    pub rhs: String,
-}
-
-/// An [`AggDef`] with every symbol resolved to its name.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PortableAggDef {
-    /// Definition id.
-    pub id: u32,
-    /// Parameter names in declaration order.
-    pub params: Vec<String>,
-    /// State slots in declaration order.
-    pub state: Vec<PSlot>,
-    /// Per-record fold body.
-    pub fold: PStmt,
-    /// Partial-state merge body.
-    pub merge: PStmt,
-}
-
-/// A cached aggregation plan: the definitions of one consolidated UDAF set
-/// together with their positional homomorphism verdicts, so a warm start
-/// skips re-proving.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PortableAggPlan {
-    /// The definitions, in output order.
-    pub defs: Vec<PortableAggDef>,
-    /// Positional verdicts (`true` = merge-correctness proved; the engine
-    /// may fold the definition in parallel).
-    pub proved: Vec<bool>,
-}
-
-/// What a cache entry stores: a merged program plan (the Ω engine's output)
-/// or an aggregation plan (proved UDAF set). The two key spaces are
-/// disjoint — [`crate::PlanKey::derive`] and [`crate::PlanKey::derive_agg`]
-/// fold distinct domain tags — so a lookup never sees the other variant,
-/// but accessors stay total for defensive callers.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PortablePlan {
-    /// A consolidated program (boxed: the inline struct dwarfs the `Agg`
-    /// variant, and cache entries hold these by the thousand).
-    Program(Box<PortableProgram>),
-    /// A proved aggregation set.
-    Agg(PortableAggPlan),
-}
-
-impl PortablePlan {
-    /// Approximate heap footprint in bytes (for the cache byte budget).
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            PortablePlan::Program(p) => p.approx_bytes(),
-            PortablePlan::Agg(a) => a.approx_bytes(),
-        }
-    }
-}
-
-impl PortableAggDef {
-    /// Resolves every symbol of `def` against `interner`.
-    pub fn from_def(def: &AggDef, interner: &Interner) -> PortableAggDef {
-        PortableAggDef {
-            id: def.id.0,
-            params: def.params.iter().map(|&s| interner.resolve(s).to_owned()).collect(),
-            state: def
-                .state
-                .iter()
-                .map(|s| PSlot {
-                    name: interner.resolve(s.name).to_owned(),
-                    init: s.init,
-                    rhs: interner.resolve(s.rhs).to_owned(),
-                })
-                .collect(),
-            fold: p_stmt(&def.fold, interner),
-            merge: p_stmt(&def.merge, interner),
-        }
-    }
-
-    /// Re-interns every name into `interner`, rebuilding (and re-validating)
-    /// the definition.
-    ///
-    /// # Errors
-    ///
-    /// Returns the validation error if the stored definition no longer
-    /// satisfies the [`AggDef`] scope rules (possible only for hand-edited
-    /// snapshots).
-    pub fn to_def(&self, interner: &mut Interner) -> Result<AggDef, String> {
-        let params = self.params.iter().map(|p| interner.intern(p)).collect();
-        let state: Vec<StateSlot> = self
-            .state
-            .iter()
-            .map(|s| StateSlot {
-                name: interner.intern(&s.name),
-                init: s.init,
-                rhs: interner.intern(&s.rhs),
-            })
-            .collect();
-        let fold = r_stmt(&self.fold, interner);
-        let merge = r_stmt(&self.merge, interner);
-        AggDef::new(ProgId(self.id), params, state, fold, merge, interner)
-            .map_err(|e| e.to_string())
-    }
-}
-
-impl PortableAggPlan {
-    /// Packages `defs` and their positional proof verdicts.
-    pub fn from_defs(defs: &[AggDef], proved: &[bool], interner: &Interner) -> PortableAggPlan {
-        PortableAggPlan {
-            defs: defs.iter().map(|d| PortableAggDef::from_def(d, interner)).collect(),
-            proved: proved.to_vec(),
-        }
-    }
-
-    /// Rebuilds the definitions against `interner`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`PortableAggDef::to_def`] failure.
-    pub fn to_defs(&self, interner: &mut Interner) -> Result<Vec<AggDef>, String> {
-        self.defs.iter().map(|d| d.to_def(interner)).collect()
-    }
-
-    /// Approximate heap footprint in bytes (for the cache byte budget).
-    pub fn approx_bytes(&self) -> usize {
-        32 + self.proved.len()
-            + self
-                .defs
-                .iter()
-                .map(|d| {
-                    // Reuse the program estimator over both bodies by
-                    // viewing each as a parameterless portable program.
-                    let fold = PortableProgram {
-                        id: d.id,
-                        params: d.params.clone(),
-                        body: d.fold.clone(),
-                        prefilter: None,
-                    };
-                    let merge = PortableProgram {
-                        id: d.id,
-                        params: Vec::new(),
-                        body: d.merge.clone(),
-                        prefilter: None,
-                    };
-                    fold.approx_bytes()
-                        + merge.approx_bytes()
-                        + d.state.iter().map(|s| s.name.len() + s.rhs.len() + 16).sum::<usize>()
-                })
-                .sum::<usize>()
-    }
-
-    /// Renders the single-line S-expression wire form:
-    ///
-    /// ```text
-    /// (aggplan (proved true false)
-    ///   (aggregate 3 (params x) (state (slot s 0 rhs_s)) (fold S) (merge S)) …)
-    /// ```
-    pub fn to_sexpr(&self) -> String {
-        let mut out = String::new();
-        out.push_str("(aggplan (proved");
-        for p in &self.proved {
-            let _ = write!(out, " {p}");
-        }
-        out.push(')');
-        for d in &self.defs {
-            let _ = write!(out, " (aggregate {} (params", d.id);
-            for p in &d.params {
-                let _ = write!(out, " {p}");
-            }
-            out.push_str(") (state");
-            for s in &d.state {
-                let _ = write!(out, " (slot {} {} {})", s.name, s.init, s.rhs);
-            }
-            out.push_str(") (fold ");
-            w_stmt(&d.fold, &mut out);
-            out.push_str(") (merge ");
-            w_stmt(&d.merge, &mut out);
-            out.push_str("))");
-        }
-        out.push(')');
-        out
-    }
-
-    /// Parses the wire form produced by [`PortableAggPlan::to_sexpr`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first syntax error, including a
-    /// verdict/definition count mismatch.
-    pub fn parse_sexpr(src: &str) -> Result<PortableAggPlan, String> {
-        let mut toks = tokenize(src);
-        let h = head(&mut toks)?;
-        if h != "aggplan" {
-            return Err(format!("expected `aggplan`, found {h:?}"));
-        }
-        let ph = head(&mut toks)?;
-        if ph != "proved" {
-            return Err(format!("expected `proved`, found {ph:?}"));
-        }
-        let mut proved = Vec::new();
-        loop {
-            match toks.next() {
-                Some(Tok::Atom(a)) => match a.as_str() {
-                    "true" => proved.push(true),
-                    "false" => proved.push(false),
-                    other => return Err(format!("bad proved flag {other:?}")),
-                },
-                Some(Tok::Close) => break,
-                other => return Err(format!("expected proved flag or `)`, found {other:?}")),
-            }
-        }
-        let mut defs = Vec::new();
-        loop {
-            match toks.next() {
-                Some(Tok::Open) => defs.push(parse_agg_def(&mut toks)?),
-                Some(Tok::Close) => break,
-                other => return Err(format!("expected `(aggregate` or `)`, found {other:?}")),
-            }
-        }
-        if defs.len() != proved.len() {
-            return Err(format!(
-                "{} definitions but {} proved flags",
-                defs.len(),
-                proved.len()
-            ));
-        }
-        match toks.next() {
-            None => Ok(PortableAggPlan { defs, proved }),
-            Some(t) => Err(format!("trailing input: {t:?}")),
-        }
-    }
-}
-
-/// Parses one `(aggregate …)` body, its opening paren already consumed.
-fn parse_agg_def(toks: &mut Toks) -> Result<PortableAggDef, String> {
-    let h = atom(toks)?;
-    if h != "aggregate" {
-        return Err(format!("expected `aggregate`, found {h:?}"));
-    }
-    let id = num(toks)?;
-    let ph = head(toks)?;
-    if ph != "params" {
-        return Err(format!("expected `params`, found {ph:?}"));
-    }
+/// Parses wire text produced by [`write_program`], interning every name
+/// into `interner`. The `(prefilter …)` section is optional.
+///
+/// # Errors
+///
+/// Returns a description of the first syntax error. The text may come from
+/// a file (snapshot, journal, checkpoint), so no input panics.
+pub fn read_program(
+    src: &str,
+    interner: &mut Interner,
+) -> Result<(Program, Option<BoolExpr>), String> {
+    let toks = &mut Toks { rest: src };
+    toks.head("program")?;
+    let id = ProgId(toks.value()?);
+    toks.head("params")?;
     let mut params = Vec::new();
     loop {
         match toks.next() {
-            Some(Tok::Atom(a)) => params.push(a),
+            Some(Tok::Atom(a)) => params.push(interner.intern(a)),
             Some(Tok::Close) => break,
             other => return Err(format!("expected parameter name or `)`, found {other:?}")),
         }
     }
-    let sh = head(toks)?;
-    if sh != "state" {
-        return Err(format!("expected `state`, found {sh:?}"));
+    let body = r_stmt(toks, interner)?;
+    let prefilter = if toks.peek() == Some(Tok::Open) {
+        toks.head("prefilter")?;
+        let pf = r_bool(toks, interner)?;
+        toks.close()?;
+        Some(pf)
+    } else {
+        None
+    };
+    toks.close()?;
+    match toks.next() {
+        None => Ok((Program::new(id, params, body), prefilter)),
+        Some(t) => Err(format!("trailing input: {t:?}")),
     }
-    let mut state = Vec::new();
-    loop {
-        match toks.next() {
-            Some(Tok::Open) => {
-                let slot = atom(toks)?;
-                if slot != "slot" {
-                    return Err(format!("expected `slot`, found {slot:?}"));
-                }
-                let name = atom(toks)?;
-                let init = num(toks)?;
-                let rhs = atom(toks)?;
-                expect_close(toks)?;
-                state.push(PSlot { name, init, rhs });
-            }
-            Some(Tok::Close) => break,
-            other => return Err(format!("expected `(slot` or `)`, found {other:?}")),
-        }
-    }
-    let fh = head(toks)?;
-    if fh != "fold" {
-        return Err(format!("expected `fold`, found {fh:?}"));
-    }
-    let fold = parse_stmt(toks)?;
-    expect_close(toks)?;
-    let mh = head(toks)?;
-    if mh != "merge" {
-        return Err(format!("expected `merge`, found {mh:?}"));
-    }
-    let merge = parse_stmt(toks)?;
-    expect_close(toks)?;
-    finish(
-        toks,
-        PortableAggDef {
-            id,
-            params,
-            state,
-            fold,
-            merge,
-        },
-    )
 }
 
-fn w_int(e: &PInt, out: &mut String) {
+fn w_int(e: &IntExpr, i: &Interner, out: &mut String) {
     match e {
-        PInt::Const(c) => {
+        IntExpr::Const(c) => {
             let _ = write!(out, "(int {c})");
         }
-        PInt::Var(v) => {
-            let _ = write!(out, "(var {v})");
+        IntExpr::Var(v) => {
+            let _ = write!(out, "(var {})", i.resolve(*v));
         }
-        PInt::Call(f, args) => {
-            let _ = write!(out, "(call {f}");
+        IntExpr::Call(f, args) => {
+            let _ = write!(out, "(call {}", i.resolve(*f));
             for a in args {
                 out.push(' ');
-                w_int(a, out);
+                w_int(a, i, out);
             }
             out.push(')');
         }
-        PInt::Bin(op, a, b) => {
-            let tag = match op {
-                IntOp::Add => "add",
-                IntOp::Sub => "sub",
-                IntOp::Mul => "mul",
-            };
-            let _ = write!(out, "({tag} ");
-            w_int(a, out);
+        IntExpr::Bin(op, a, b) => {
+            out.push_str(match op {
+                IntOp::Add => "(add ",
+                IntOp::Sub => "(sub ",
+                IntOp::Mul => "(mul ",
+            });
+            w_int(a, i, out);
             out.push(' ');
-            w_int(b, out);
+            w_int(b, i, out);
             out.push(')');
         }
     }
 }
 
-fn w_bool(e: &PBool, out: &mut String) {
+fn w_bool(e: &BoolExpr, i: &Interner, out: &mut String) {
     match e {
-        PBool::Const(b) => {
+        BoolExpr::Const(b) => {
             let _ = write!(out, "({b})");
         }
-        PBool::Cmp(op, a, b) => {
-            let tag = match op {
-                CmpOp::Lt => "lt",
-                CmpOp::Le => "le",
-                CmpOp::Eq => "eq",
-            };
-            let _ = write!(out, "({tag} ");
-            w_int(a, out);
+        BoolExpr::Cmp(op, a, b) => {
+            out.push_str(match op {
+                CmpOp::Lt => "(lt ",
+                CmpOp::Le => "(le ",
+                CmpOp::Eq => "(eq ",
+            });
+            w_int(a, i, out);
             out.push(' ');
-            w_int(b, out);
+            w_int(b, i, out);
             out.push(')');
         }
-        PBool::Not(a) => {
+        BoolExpr::Not(a) => {
             out.push_str("(not ");
-            w_bool(a, out);
+            w_bool(a, i, out);
             out.push(')');
         }
-        PBool::Bin(op, a, b) => {
-            let tag = match op {
-                BoolOp::And => "and",
-                BoolOp::Or => "or",
-            };
-            let _ = write!(out, "({tag} ");
-            w_bool(a, out);
+        BoolExpr::Bin(op, a, b) => {
+            out.push_str(match op {
+                BoolOp::And => "(and ",
+                BoolOp::Or => "(or ",
+            });
+            w_bool(a, i, out);
             out.push(' ');
-            w_bool(b, out);
+            w_bool(b, i, out);
             out.push(')');
         }
     }
 }
 
-fn w_stmt(s: &PStmt, out: &mut String) {
+fn w_stmt(s: &Stmt, i: &Interner, out: &mut String) {
     match s {
-        PStmt::Skip => out.push_str("(skip)"),
-        PStmt::Assign(x, e) => {
-            let _ = write!(out, "(assign {x} ");
-            w_int(e, out);
+        Stmt::Skip => out.push_str("(skip)"),
+        Stmt::Assign(x, e) => {
+            let _ = write!(out, "(assign {} ", i.resolve(*x));
+            w_int(e, i, out);
             out.push(')');
         }
-        PStmt::Seq(a, b) => {
+        Stmt::Seq(a, b) => {
             out.push_str("(seq ");
-            w_stmt(a, out);
+            w_stmt(a, i, out);
             out.push(' ');
-            w_stmt(b, out);
+            w_stmt(b, i, out);
             out.push(')');
         }
-        PStmt::If(c, a, b) => {
+        Stmt::If(c, a, b) => {
             out.push_str("(if ");
-            w_bool(c, out);
+            w_bool(c, i, out);
             out.push(' ');
-            w_stmt(a, out);
+            w_stmt(a, i, out);
             out.push(' ');
-            w_stmt(b, out);
+            w_stmt(b, i, out);
             out.push(')');
         }
-        PStmt::While(c, b) => {
+        Stmt::While(c, b) => {
             out.push_str("(while ");
-            w_bool(c, out);
+            w_bool(c, i, out);
             out.push(' ');
-            w_stmt(b, out);
+            w_stmt(b, i, out);
             out.push(')');
         }
-        PStmt::Notify(id, b) => {
-            let _ = write!(out, "(notify {id} {b})");
+        Stmt::Notify(id, b) => {
+            let _ = write!(out, "(notify {} {b})", id.0);
         }
     }
 }
 
-#[derive(Debug, PartialEq, Eq)]
-enum Tok {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tok<'a> {
     Open,
     Close,
-    Atom(String),
+    Atom(&'a str),
 }
 
-fn tokenize(src: &str) -> std::vec::IntoIter<Tok> {
-    let mut toks = Vec::new();
-    let mut atom = String::new();
-    for ch in src.chars() {
-        if ch == '(' || ch == ')' || ch.is_whitespace() {
-            if !atom.is_empty() {
-                toks.push(Tok::Atom(std::mem::take(&mut atom)));
+/// A cursor over the unread wire text; tokens borrow from it.
+#[derive(Clone, Copy)]
+struct Toks<'a> {
+    rest: &'a str,
+}
+
+impl<'a> Toks<'a> {
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let s = self.rest.trim_start();
+        let (tok, len) = match s.chars().next()? {
+            '(' => (Tok::Open, 1),
+            ')' => (Tok::Close, 1),
+            _ => {
+                let end = s
+                    .find(|c: char| c == '(' || c == ')' || c.is_whitespace())
+                    .unwrap_or(s.len());
+                (Tok::Atom(&s[..end]), end)
             }
-            match ch {
-                '(' => toks.push(Tok::Open),
-                ')' => toks.push(Tok::Close),
-                _ => {}
-            }
-        } else {
-            atom.push(ch);
+        };
+        self.rest = &s[len..];
+        Some(tok)
+    }
+
+    fn peek(&self) -> Option<Tok<'a>> {
+        let mut ahead = *self;
+        ahead.next()
+    }
+
+    fn atom(&mut self) -> Result<&'a str, String> {
+        match self.next() {
+            Some(Tok::Atom(a)) => Ok(a),
+            other => Err(format!("expected atom, found {other:?}")),
         }
     }
-    if !atom.is_empty() {
-        toks.push(Tok::Atom(atom));
+
+    /// An atom that is a number or a `true`/`false` flag.
+    fn value<T: std::str::FromStr>(&mut self) -> Result<T, String> {
+        let a = self.atom()?;
+        a.parse().map_err(|_| format!("bad value {a:?}"))
     }
-    toks.into_iter()
-}
 
-type Toks = std::vec::IntoIter<Tok>;
+    /// Consumes `(` and the form's head atom.
+    fn open(&mut self) -> Result<&'a str, String> {
+        match self.next() {
+            Some(Tok::Open) => self.atom(),
+            other => Err(format!("expected `(`, found {other:?}")),
+        }
+    }
 
-fn expect_open(toks: &mut Toks) -> Result<(), String> {
-    match toks.next() {
-        Some(Tok::Open) => Ok(()),
-        other => Err(format!("expected `(`, found {other:?}")),
+    /// Consumes `(` and the given head atom.
+    fn head(&mut self, want: &str) -> Result<(), String> {
+        match self.open()? {
+            h if h == want => Ok(()),
+            h => Err(format!("expected `{want}`, found {h:?}")),
+        }
+    }
+
+    fn close(&mut self) -> Result<(), String> {
+        match self.next() {
+            Some(Tok::Close) => Ok(()),
+            other => Err(format!("expected `)`, found {other:?}")),
+        }
     }
 }
 
-fn expect_close(toks: &mut Toks) -> Result<(), String> {
-    match toks.next() {
-        Some(Tok::Close) => Ok(()),
-        other => Err(format!("expected `)`, found {other:?}")),
-    }
-}
-
-fn atom(toks: &mut Toks) -> Result<String, String> {
-    match toks.next() {
-        Some(Tok::Atom(a)) => Ok(a),
-        other => Err(format!("expected atom, found {other:?}")),
-    }
-}
-
-fn head(toks: &mut Toks) -> Result<String, String> {
-    expect_open(toks)?;
-    atom(toks)
-}
-
-fn num<T: std::str::FromStr>(toks: &mut Toks) -> Result<T, String> {
-    let a = atom(toks)?;
-    a.parse().map_err(|_| format!("bad number {a:?}"))
-}
-
-fn parse_int(toks: &mut Toks) -> Result<PInt, String> {
-    let h = head(toks)?;
-    let e = match h.as_str() {
-        "int" => PInt::Const(num(toks)?),
-        "var" => PInt::Var(atom(toks)?),
+fn r_int(toks: &mut Toks, i: &mut Interner) -> Result<IntExpr, String> {
+    let e = match toks.open()? {
+        "int" => IntExpr::Const(toks.value()?),
+        "var" => IntExpr::Var(i.intern(toks.atom()?)),
         "call" => {
-            let f = atom(toks)?;
+            let f = i.intern(toks.atom()?);
             let mut args = Vec::new();
-            // Arguments run until the closing paren.
-            loop {
-                match toks.as_slice().first() {
-                    Some(Tok::Close) => break,
-                    _ => args.push(parse_int(toks)?),
-                }
+            while toks.peek() != Some(Tok::Close) {
+                args.push(r_int(toks, i)?);
             }
-            return finish(toks, PInt::Call(f, args));
+            IntExpr::Call(f, args)
         }
-        "add" | "sub" | "mul" => {
-            let op = match h.as_str() {
+        h @ ("add" | "sub" | "mul") => {
+            let op = match h {
                 "add" => IntOp::Add,
                 "sub" => IntOp::Sub,
                 _ => IntOp::Mul,
             };
-            let a = parse_int(toks)?;
-            let b = parse_int(toks)?;
-            PInt::Bin(op, Box::new(a), Box::new(b))
+            let a = r_int(toks, i)?;
+            IntExpr::Bin(op, Box::new(a), Box::new(r_int(toks, i)?))
         }
         other => return Err(format!("unknown int form {other:?}")),
     };
-    finish(toks, e)
+    toks.close()?;
+    Ok(e)
 }
 
-fn finish<T>(toks: &mut Toks, v: T) -> Result<T, String> {
-    expect_close(toks)?;
-    Ok(v)
-}
-
-fn parse_bool(toks: &mut Toks) -> Result<PBool, String> {
-    let h = head(toks)?;
-    let e = match h.as_str() {
-        "true" => PBool::Const(true),
-        "false" => PBool::Const(false),
-        "lt" | "le" | "eq" => {
-            let op = match h.as_str() {
+fn r_bool(toks: &mut Toks, i: &mut Interner) -> Result<BoolExpr, String> {
+    let e = match toks.open()? {
+        "true" => BoolExpr::Const(true),
+        "false" => BoolExpr::Const(false),
+        h @ ("lt" | "le" | "eq") => {
+            let op = match h {
                 "lt" => CmpOp::Lt,
                 "le" => CmpOp::Le,
                 _ => CmpOp::Eq,
             };
-            let a = parse_int(toks)?;
-            let b = parse_int(toks)?;
-            PBool::Cmp(op, a, b)
+            let a = r_int(toks, i)?;
+            BoolExpr::Cmp(op, a, r_int(toks, i)?)
         }
-        "not" => PBool::Not(Box::new(parse_bool(toks)?)),
-        "and" | "or" => {
+        "not" => BoolExpr::not(r_bool(toks, i)?),
+        h @ ("and" | "or") => {
             let op = if h == "and" { BoolOp::And } else { BoolOp::Or };
-            let a = parse_bool(toks)?;
-            let b = parse_bool(toks)?;
-            PBool::Bin(op, Box::new(a), Box::new(b))
+            let a = r_bool(toks, i)?;
+            BoolExpr::Bin(op, Box::new(a), Box::new(r_bool(toks, i)?))
         }
         other => return Err(format!("unknown bool form {other:?}")),
     };
-    finish(toks, e)
+    toks.close()?;
+    Ok(e)
 }
 
-fn parse_stmt(toks: &mut Toks) -> Result<PStmt, String> {
-    let h = head(toks)?;
-    let s = match h.as_str() {
-        "skip" => PStmt::Skip,
+fn r_stmt(toks: &mut Toks, i: &mut Interner) -> Result<Stmt, String> {
+    let s = match toks.open()? {
+        "skip" => Stmt::Skip,
         "assign" => {
-            let x = atom(toks)?;
-            let e = parse_int(toks)?;
-            PStmt::Assign(x, e)
+            let x = i.intern(toks.atom()?);
+            Stmt::Assign(x, r_int(toks, i)?)
         }
         "seq" => {
-            let a = parse_stmt(toks)?;
-            let b = parse_stmt(toks)?;
-            PStmt::Seq(Box::new(a), Box::new(b))
+            let a = r_stmt(toks, i)?;
+            Stmt::Seq(Box::new(a), Box::new(r_stmt(toks, i)?))
         }
         "if" => {
-            let c = parse_bool(toks)?;
-            let a = parse_stmt(toks)?;
-            let b = parse_stmt(toks)?;
-            PStmt::If(c, Box::new(a), Box::new(b))
+            let c = r_bool(toks, i)?;
+            let a = r_stmt(toks, i)?;
+            Stmt::ite(c, a, r_stmt(toks, i)?)
         }
         "while" => {
-            let c = parse_bool(toks)?;
-            let b = parse_stmt(toks)?;
-            PStmt::While(c, Box::new(b))
+            let c = r_bool(toks, i)?;
+            Stmt::while_do(c, r_stmt(toks, i)?)
         }
         "notify" => {
-            let id = num(toks)?;
-            let b = match atom(toks)?.as_str() {
-                "true" => true,
-                "false" => false,
-                other => return Err(format!("bad notify flag {other:?}")),
-            };
-            PStmt::Notify(id, b)
+            let id = ProgId(toks.value()?);
+            Stmt::Notify(id, toks.value()?)
         }
         other => return Err(format!("unknown stmt form {other:?}")),
     };
-    finish(toks, s)
-}
-
-fn parse_program(toks: &mut Toks) -> Result<PortableProgram, String> {
-    let h = head(toks)?;
-    if h != "program" {
-        return Err(format!("expected `program`, found {h:?}"));
-    }
-    let id = num(toks)?;
-    let ph = head(toks)?;
-    if ph != "params" {
-        return Err(format!("expected `params`, found {ph:?}"));
-    }
-    let mut params = Vec::new();
-    loop {
-        match toks.next() {
-            Some(Tok::Atom(a)) => params.push(a),
-            Some(Tok::Close) => break,
-            other => return Err(format!("expected parameter name or `)`, found {other:?}")),
-        }
-    }
-    let body = parse_stmt(toks)?;
-    // Optional trailing `(prefilter …)` section (absent in plans written
-    // before pushdown existed — those still parse).
-    let prefilter = match toks.as_slice().first() {
-        Some(Tok::Open) => {
-            let ph = head(toks)?;
-            if ph != "prefilter" {
-                return Err(format!("expected `prefilter`, found {ph:?}"));
-            }
-            let pf = parse_bool(toks)?;
-            expect_close(toks)?;
-            Some(pf)
-        }
-        _ => None,
-    };
-    finish(
-        toks,
-        PortableProgram {
-            id,
-            params,
-            body,
-            prefilter,
-        },
-    )
+    toks.close()?;
+    Ok(s)
 }
 
 #[cfg(test)]
@@ -865,139 +343,42 @@ mod tests {
     use udf_lang::pretty;
 
     #[test]
-    fn program_roundtrip_through_portable() {
-        let mut i = Interner::new();
+    fn parsed_program_round_trips_into_a_fresh_interner() {
+        let mut i1 = Interner::new();
         let p = parse_src(
             "program f @3 (price, city) {
                  x := lookup(city) + 1;
                  if (x < 10 && price < 200) { notify true; } else { notify @4 false; }
                  while (x > 0) { x := x - 1; }
              }",
-            &mut i,
+            &mut i1,
         )
         .expect("test source parses");
-        let portable = PortableProgram::from_program(&p, &i);
-        let back = portable.to_program(&mut i);
-        assert_eq!(pretty::program(&p, &i), pretty::program(&back, &i));
-    }
-
-    #[test]
-    fn sexpr_roundtrip_preserves_generated_names() {
-        let body = PStmt::Seq(
-            Box::new(PStmt::Assign(
-                "u0$x%3".to_owned(),
-                PInt::Bin(
-                    IntOp::Add,
-                    Box::new(PInt::Call("toLower".to_owned(), vec![PInt::Var("a".to_owned())])),
-                    Box::new(PInt::Const(-7)),
-                ),
-            )),
-            Box::new(PStmt::If(
-                PBool::Bin(
-                    BoolOp::Or,
-                    Box::new(PBool::Cmp(
-                        CmpOp::Le,
-                        PInt::Var("u0$x%3".to_owned()),
-                        PInt::Const(0),
-                    )),
-                    Box::new(PBool::Not(Box::new(PBool::Const(false)))),
-                ),
-                Box::new(PStmt::Notify(5, true)),
-                Box::new(PStmt::Skip),
-            )),
+        let wire = write_program(&p, None, &i1);
+        assert!(!wire.contains('\n') && !wire.contains("prefilter"));
+        let (same, pf) = read_program(&wire, &mut i1).expect("wire form parses");
+        assert_eq!(
+            (&same, &pf),
+            (&p, &None),
+            "same interner: the exact tree comes back"
         );
-        let p = PortableProgram {
-            id: 9,
-            params: vec!["a".to_owned(), "b".to_owned()],
-            body,
-            prefilter: Some(PBool::Cmp(
-                CmpOp::Le,
-                PInt::Const(1),
-                PInt::Var("b".to_owned()),
-            )),
-        };
-        let wire = p.to_sexpr();
-        assert!(!wire.contains('\n'));
-        let q = PortableProgram::parse_sexpr(&wire).expect("wire form parses");
-        assert_eq!(p, q);
-    }
-
-    #[test]
-    fn sexpr_without_prefilter_section_still_parses() {
-        // Plans snapshotted before pushdown existed carry no section.
-        let p = PortableProgram::parse_sexpr("(program 1 (params x) (notify 1 false))")
-            .expect("legacy wire form parses");
-        assert_eq!(p.prefilter, None);
-        assert!(!p.to_sexpr().contains("prefilter"));
-    }
-
-    #[test]
-    fn rehydration_into_fresh_interner_prints_identically() {
-        let mut i1 = Interner::new();
-        let p = parse_src("program f @1 (x) { y := x * 3; notify true; }", &mut i1)
-            .expect("test source parses");
-        let portable = PortableProgram::from_program(&p, &i1);
         let mut i2 = Interner::new();
-        let q = portable.to_program(&mut i2);
+        let (q, _) = read_program(&wire, &mut i2).expect("wire form parses");
         assert_eq!(pretty::program(&p, &i1), pretty::program(&q, &i2));
     }
 
     #[test]
-    fn parse_rejects_garbage() {
-        assert!(PortableProgram::parse_sexpr("(program 1 (params) (skip)").is_err());
-        assert!(PortableProgram::parse_sexpr("(program 1 (params) (frob))").is_err());
-        assert!(PortableProgram::parse_sexpr("(program 1 (params) (skip)))").is_err());
-    }
-
-    #[test]
-    fn agg_plan_roundtrip_through_portable_and_wire() {
+    fn read_rejects_garbage() {
         let mut i = Interner::new();
-        let defs = udf_lang::agg::parse_aggs(
-            "aggregate sumsq @7 (x, y) {
-                 state s = 0;
-                 state n = -3;
-                 fold { s := s + x * x; n := n + 1; }
-                 merge { s := s + rhs_s; n := n + rhs_n + 3; }
-             }
-             aggregate hits @8 (x, y) {
-                 state h = 0;
-                 fold { if (y < 10) { h := h + 1; } else { skip; } }
-                 merge { h := h + rhs_h; }
-             }",
-            &mut i,
-        )
-        .expect("test aggs parse");
-        let plan = PortableAggPlan::from_defs(&defs, &[true, false], &i);
-        let wire = plan.to_sexpr();
-        assert!(!wire.contains('\n'));
-        let parsed = PortableAggPlan::parse_sexpr(&wire).expect("wire form parses");
-        assert_eq!(plan, parsed);
-
-        // Rehydrating into a fresh interner reproduces the definitions.
-        let mut i2 = Interner::new();
-        let back = parsed.to_defs(&mut i2).expect("stored defs validate");
-        assert_eq!(back.len(), 2);
-        for (orig, got) in defs.iter().zip(&back) {
-            assert_eq!(orig.id, got.id);
-            assert_eq!(orig.state.len(), got.state.len());
-            assert_eq!(
-                udf_lang::agg::agg_hash(orig, &i),
-                udf_lang::agg::agg_hash(got, &i2),
-                "alpha-invariant hash must survive the round trip"
-            );
+        for bad in [
+            "(program 1 (params) (skip)",
+            "(program 1 (params) (frob))",
+            "(program 1 (params) (skip)))",
+            "(program 1 (params) (notify 1 maybe))",
+            "(program 1 (params) (skip) (postfilter (true)))",
+            "(program -1 (params) (skip))",
+        ] {
+            assert!(read_program(bad, &mut i).is_err(), "{bad}");
         }
-    }
-
-    #[test]
-    fn agg_plan_parse_rejects_garbage() {
-        assert!(PortableAggPlan::parse_sexpr("(aggplan (proved true))").is_err());
-        assert!(PortableAggPlan::parse_sexpr(
-            "(aggplan (proved yes) (aggregate 1 (params) (state) (fold (skip)) (merge (skip))))"
-        )
-        .is_err());
-        assert!(PortableAggPlan::parse_sexpr(
-            "(aggplan (proved true) (aggregate 1 (params) (state) (fold (skip))))"
-        )
-        .is_err());
     }
 }

@@ -3,115 +3,100 @@
 //! The format is line-oriented and hand-rolled (the build is offline; no
 //! serde). Keys are canonical hashes — stable across processes by
 //! construction — and programs are the single-line S-expressions of
-//! [`crate::portable`], so a snapshot written by one run primes the next.
+//! [`crate::portable`], written verbatim from the entry, so a snapshot
+//! written by one run primes the next.
 //!
-//! Format **v2** makes snapshots crash-safe: every entry header carries the
-//! byte length of its payload and an FNV-1a 64 checksum over it, writes go
-//! through a temp file renamed into place (a crash mid-write never leaves a
-//! half-written snapshot at the target path), and
-//! [`load_recovering`] salvages around corrupt or truncated entries instead
-//! of erroring the whole file:
+//! Snapshots are crash-safe: every entry header carries the byte length of
+//! its payload and an FNV-1a 64 checksum over it, writes go through a temp
+//! file renamed into place (a crash mid-write never leaves a half-written
+//! snapshot at the target path), and [`load_recovering`] salvages around
+//! corrupt or truncated entries instead of erroring the whole file:
 //!
 //! ```text
-//! plan-cache-snapshot v2
+//! plan-cache-snapshot v3
 //! entry 00f3…9a 113 a1b2c3d4e5f60718   # key, payload bytes, FNV-1a 64
-//! tier full                            # payload: tier | stat | program
+//! tier full                            # payload: tier | stat | plan
 //! stat entailment_queries 131          # unknown stat names are skipped on
 //! stat rules.if3 2                     # load (forward compatibility)
 //! program (program 1 (params a) (skip))
 //! end
 //! ```
 //!
-//! Strict loading ([`load`]) still accepts the checksum-free **v1** format
-//! written by earlier releases; [`save`] always writes v2.
+//! The plan line is `program <wire text>` for a merged program and
+//! `proved true false …` for an aggregation entry's positional verdicts.
+//! A file with any other header (older formats included) is not read:
+//! strict loading fails, lenient loading starts cold — the cost is a
+//! re-consolidation, never a wrong plan.
 
 use crate::framing::{self, byte_line, RecoveryIncident};
-use crate::portable::PortablePlan;
-use crate::{CacheConfig, CachedPlan, PlanCache, PlanKey, PortableAggPlan, PortableProgram};
+use crate::{CacheConfig, CachedPlan, Plan, PlanCache, PlanKey};
 use consolidate::{ConsolidationStats, DegradationTier};
+use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-const HEADER_V1: &str = "plan-cache-snapshot v1";
-const HEADER_V2: &str = "plan-cache-snapshot v2";
+const HEADER: &str = "plan-cache-snapshot v3";
 
 /// Incident source tag for the shared [`RecoveryIncident`] shape.
 const SUBSYSTEM: &str = "plan-cache";
 
-fn stat_fields(s: &ConsolidationStats) -> Vec<(&'static str, u64)> {
-    vec![
-        ("entailment_queries", s.entailment_queries),
-        ("memo_hits", s.memo_hits),
-        ("pairs_consolidated", s.pairs_consolidated),
-        ("pairs_degraded", s.pairs_degraded),
-        ("rules.if_eliminated", s.rules.if_eliminated),
-        ("rules.if3", s.rules.if3),
-        ("rules.if4", s.rules.if4),
-        ("rules.if5", s.rules.if5),
-        ("rules.loop2", s.rules.loop2),
-        ("rules.loop3", s.rules.loop3),
-        ("rules.loop_seq", s.rules.loop_seq),
-        ("rules.depth_fallbacks", s.rules.depth_fallbacks),
-        ("rules.budget_fallbacks", s.rules.budget_fallbacks),
-        ("solver.checks", s.solver.checks),
-        ("solver.theory_checks", s.solver.theory_checks),
-        ("solver.theory_conflicts", s.solver.theory_conflicts),
-        ("solver.minimized_literals", s.solver.minimized_literals),
-        ("solver.sat_decisions", s.solver.sat_decisions),
-        ("solver.sat_conflicts", s.solver.sat_conflicts),
-        ("solver.sat_propagations", s.solver.sat_propagations),
-        ("solver.simplex_pivots", s.solver.simplex_pivots),
-        ("solver.theory_rounds", s.solver.theory_rounds),
-    ]
-}
+/// Projects one persisted counter out of the statistics.
+type StatField = fn(&mut ConsolidationStats) -> &mut u64;
 
-fn set_stat(s: &mut ConsolidationStats, name: &str, v: u64) {
-    match name {
-        "entailment_queries" => s.entailment_queries = v,
-        "memo_hits" => s.memo_hits = v,
-        "pairs_consolidated" => s.pairs_consolidated = v,
-        "pairs_degraded" => s.pairs_degraded = v,
-        "rules.if_eliminated" => s.rules.if_eliminated = v,
-        "rules.if3" => s.rules.if3 = v,
-        "rules.if4" => s.rules.if4 = v,
-        "rules.if5" => s.rules.if5 = v,
-        "rules.loop2" => s.rules.loop2 = v,
-        "rules.loop3" => s.rules.loop3 = v,
-        "rules.loop_seq" => s.rules.loop_seq = v,
-        "rules.depth_fallbacks" => s.rules.depth_fallbacks = v,
-        "rules.budget_fallbacks" => s.rules.budget_fallbacks = v,
-        "solver.checks" => s.solver.checks = v,
-        "solver.theory_checks" => s.solver.theory_checks = v,
-        "solver.theory_conflicts" => s.solver.theory_conflicts = v,
-        "solver.minimized_literals" => s.solver.minimized_literals = v,
-        "solver.sat_decisions" => s.solver.sat_decisions = v,
-        "solver.sat_conflicts" => s.solver.sat_conflicts = v,
-        "solver.sat_propagations" => s.solver.sat_propagations = v,
-        "solver.simplex_pivots" => s.solver.simplex_pivots = v,
-        "solver.theory_rounds" => s.solver.theory_rounds = v,
-        // Unknown stat names come from newer writers; skip them.
-        _ => {}
-    }
-}
+/// The persisted counters, by wire name: the one table both the writer and
+/// the reader walk, so a counter cannot be saved and not loaded.
+#[rustfmt::skip]
+const STATS: [(&str, StatField); 22] = [
+    ("entailment_queries", |s| &mut s.entailment_queries),
+    ("memo_hits", |s| &mut s.memo_hits),
+    ("pairs_consolidated", |s| &mut s.pairs_consolidated),
+    ("pairs_degraded", |s| &mut s.pairs_degraded),
+    ("rules.if_eliminated", |s| &mut s.rules.if_eliminated),
+    ("rules.if3", |s| &mut s.rules.if3),
+    ("rules.if4", |s| &mut s.rules.if4),
+    ("rules.if5", |s| &mut s.rules.if5),
+    ("rules.loop2", |s| &mut s.rules.loop2),
+    ("rules.loop3", |s| &mut s.rules.loop3),
+    ("rules.loop_seq", |s| &mut s.rules.loop_seq),
+    ("rules.depth_fallbacks", |s| &mut s.rules.depth_fallbacks),
+    ("rules.budget_fallbacks", |s| &mut s.rules.budget_fallbacks),
+    ("solver.checks", |s| &mut s.solver.checks),
+    ("solver.theory_checks", |s| &mut s.solver.theory_checks),
+    ("solver.theory_conflicts", |s| &mut s.solver.theory_conflicts),
+    ("solver.minimized_literals", |s| &mut s.solver.minimized_literals),
+    ("solver.sat_decisions", |s| &mut s.solver.sat_decisions),
+    ("solver.sat_conflicts", |s| &mut s.solver.sat_conflicts),
+    ("solver.sat_propagations", |s| &mut s.solver.sat_propagations),
+    ("solver.simplex_pivots", |s| &mut s.solver.simplex_pivots),
+    ("solver.theory_rounds", |s| &mut s.solver.theory_rounds),
+];
 
-/// Renders one entry's payload — the `tier`/`stat`/`program` lines the
-/// header's length and checksum cover.
+/// Renders one entry's payload — the `tier`/`stat`/plan lines the header's
+/// length and checksum cover.
 fn render_payload(plan: &CachedPlan) -> String {
-    let mut payload = String::new();
-    payload.push_str(&format!("tier {}\n", plan.tier.as_str()));
-    for (name, v) in stat_fields(&plan.stats) {
-        payload.push_str(&format!("stat {name} {v}\n"));
+    let mut payload = format!("tier {}\n", plan.tier.as_str());
+    let mut stats = plan.stats;
+    for (name, field) in STATS {
+        let _ = writeln!(payload, "stat {name} {}", field(&mut stats));
     }
     match &plan.plan {
-        PortablePlan::Program(p) => payload.push_str(&format!("program {}\n", p.to_sexpr())),
-        PortablePlan::Agg(a) => payload.push_str(&format!("aggplan {}\n", a.to_sexpr())),
+        Plan::Program(text) => {
+            let _ = writeln!(payload, "program {text}");
+        }
+        Plan::Agg(proved) => {
+            payload.push_str("proved");
+            for flag in proved {
+                let _ = write!(payload, " {flag}");
+            }
+            payload.push('\n');
+        }
     }
     payload
 }
 
 pub(crate) fn save(cache: &PlanCache, path: &Path) -> io::Result<()> {
     let mut out = String::new();
-    out.push_str(HEADER_V2);
+    out.push_str(HEADER);
     out.push('\n');
     for (key, plan) in cache.entries() {
         let payload = render_payload(&plan);
@@ -136,13 +121,13 @@ fn parse_tier(s: &str) -> Result<DegradationTier, String> {
     }
 }
 
-/// Parses one v2 payload (the `tier`/`stat`/`program` lines) into a cached
-/// plan. Any malformed line is an error — in salvage mode the caller skips
-/// the entry, in strict mode it fails the load.
+/// Parses one payload (the `tier`/`stat`/plan lines) into a cached plan.
+/// Any malformed line is an error — in salvage mode the caller skips the
+/// entry, in strict mode it fails the load.
 fn parse_payload(payload: &str) -> Result<CachedPlan, String> {
     let mut tier = None;
     let mut stats = ConsolidationStats::default();
-    let mut plan: Option<PortablePlan> = None;
+    let mut plan = None;
     for line in payload.lines() {
         let line = line.trim_end();
         if line.is_empty() {
@@ -156,31 +141,30 @@ fn parse_payload(payload: &str) -> Result<CachedPlan, String> {
                     .split_once(' ')
                     .ok_or("stat needs a name and a value")?;
                 let v: u64 = val.parse().map_err(|_| "bad stat value".to_owned())?;
-                set_stat(&mut stats, name, v);
-            }
-            "program" => {
-                if plan.is_some() {
-                    return Err("entry carries two plans".to_owned());
+                // Unknown stat names come from newer writers; skip them.
+                if let Some((_, field)) = STATS.iter().find(|(n, _)| *n == name) {
+                    *field(&mut stats) = v;
                 }
-                plan = Some(PortablePlan::Program(Box::new(
-                    PortableProgram::parse_sexpr(rest).map_err(|e| format!("bad program: {e}"))?,
-                )));
             }
-            "aggplan" => {
-                if plan.is_some() {
-                    return Err("entry carries two plans".to_owned());
-                }
-                plan = Some(PortablePlan::Agg(
-                    PortableAggPlan::parse_sexpr(rest).map_err(|e| format!("bad aggplan: {e}"))?,
-                ));
+            "program" | "proved" if plan.is_some() => {
+                return Err("entry carries two plans".to_owned());
+            }
+            "program" => plan = Some(Plan::Program(rest.to_owned())),
+            "proved" => {
+                let flags = rest
+                    .split_ascii_whitespace()
+                    .map(|f| f.parse().map_err(|_| format!("bad proved flag {f:?}")));
+                plan = Some(Plan::Agg(flags.collect::<Result<_, _>>()?));
             }
             other => return Err(format!("unknown payload directive {other:?}")),
         }
     }
     stats.tier = tier.ok_or("entry missing tier")?;
-    match plan.ok_or("entry missing program")? {
-        PortablePlan::Program(p) => Ok(CachedPlan::new(*p, stats)),
-        PortablePlan::Agg(a) => Ok(CachedPlan::new_agg(a, stats)),
+    match plan.ok_or("entry missing plan")? {
+        Plan::Program(text) => {
+            CachedPlan::from_wire(text, stats).map_err(|e| format!("bad program: {e}"))
+        }
+        Plan::Agg(proved) => Ok(CachedPlan::new_agg(proved, stats)),
     }
 }
 
@@ -210,7 +194,7 @@ impl SnapshotRecovery {
     }
 }
 
-/// Parses one v2 entry header via the shared framing, extracting the key.
+/// Parses one entry header via the shared framing, extracting the key.
 fn parse_entry_header(line: &[u8]) -> Result<(u128, framing::FrameHeader), String> {
     let header = framing::parse_frame_header(line, "entry")?;
     if header.fields.len() != 1 {
@@ -220,9 +204,9 @@ fn parse_entry_header(line: &[u8]) -> Result<(u128, framing::FrameHeader), Strin
     Ok((key, header))
 }
 
-/// The shared v2 parser. In lenient mode every malformed entry is skipped
-/// and accounted; in strict mode (`load`) the first incident fails the load.
-fn parse_v2(bytes: &[u8], cache: &PlanCache) -> SnapshotRecovery {
+/// The shared parser. In lenient mode every malformed entry is skipped and
+/// accounted; in strict mode (`load`) the first incident fails the load.
+fn parse_entries(bytes: &[u8], cache: &PlanCache) -> SnapshotRecovery {
     let mut recovery = SnapshotRecovery::default();
     // Skip the header line (the caller verified it).
     let (_, mut pos) = byte_line(bytes, 0);
@@ -276,88 +260,19 @@ fn verify_entry(
     Ok(resume)
 }
 
-/// Strict legacy parser for the checksum-free v1 format.
-fn load_v1(text: &str, cache: &PlanCache) -> io::Result<()> {
-    let mut lines = text.lines();
-    let _header = lines.next();
-    let mut pending: Option<(
-        PlanKey,
-        Option<DegradationTier>,
-        ConsolidationStats,
-        Option<PortableProgram>,
-    )> = None;
-    for (n, line) in lines.enumerate() {
-        let line = line.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        let (word, rest) = line.split_once(' ').unwrap_or((line, ""));
-        let at = |msg: &str| bad(format!("line {}: {msg}", n + 2));
-        match word {
-            "entry" => {
-                if pending.is_some() {
-                    return Err(at("entry begins before previous `end`"));
-                }
-                let raw = u128::from_str_radix(rest, 16).map_err(|_| at("bad key hex"))?;
-                pending = Some((PlanKey(raw), None, ConsolidationStats::default(), None));
-            }
-            "tier" => {
-                let p = pending.as_mut().ok_or_else(|| at("tier outside entry"))?;
-                p.1 = Some(parse_tier(rest).map_err(|e| at(&e))?);
-            }
-            "stat" => {
-                let p = pending.as_mut().ok_or_else(|| at("stat outside entry"))?;
-                let (name, val) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| at("stat needs a name and a value"))?;
-                let v: u64 = val.parse().map_err(|_| at("bad stat value"))?;
-                set_stat(&mut p.2, name, v);
-            }
-            "program" => {
-                let p = pending.as_mut().ok_or_else(|| at("program outside entry"))?;
-                let prog = PortableProgram::parse_sexpr(rest)
-                    .map_err(|e| at(&format!("bad program: {e}")))?;
-                p.3 = Some(prog);
-            }
-            "end" => {
-                let (key, tier, mut stats, program) =
-                    pending.take().ok_or_else(|| at("end outside entry"))?;
-                let tier = tier.ok_or_else(|| at("entry missing tier"))?;
-                let program = program.ok_or_else(|| at("entry missing program"))?;
-                stats.tier = tier;
-                cache.insert(key, CachedPlan::new(program, stats));
-            }
-            other => return Err(at(&format!("unknown directive {other:?}"))),
-        }
-    }
-    if pending.is_some() {
-        return Err(bad("snapshot truncated inside an entry"));
-    }
-    Ok(())
-}
-
-fn header_of(bytes: &[u8]) -> &[u8] {
-    byte_line(bytes, 0).0
+fn has_header(bytes: &[u8]) -> bool {
+    byte_line(bytes, 0).0 == HEADER.as_bytes()
 }
 
 pub(crate) fn load(path: &Path, config: CacheConfig) -> io::Result<PlanCache> {
     let bytes = std::fs::read(path)?;
+    if !has_header(&bytes) {
+        return Err(bad("missing snapshot header"));
+    }
     let cache = PlanCache::new(config);
-    match header_of(&bytes) {
-        h if h == HEADER_V2.as_bytes() => {
-            let recovery = parse_v2(&bytes, &cache);
-            match recovery.incidents.first() {
-                None => Ok(cache),
-                Some(first) => Err(bad(first.detail.clone())),
-            }
-        }
-        h if h == HEADER_V1.as_bytes() => {
-            let text = std::str::from_utf8(&bytes)
-                .map_err(|_| bad("v1 snapshot is not valid UTF-8"))?;
-            load_v1(text, &cache)?;
-            Ok(cache)
-        }
-        _ => Err(bad("missing snapshot header")),
+    match parse_entries(&bytes, &cache).incidents.first() {
+        None => Ok(cache),
+        Some(first) => Err(bad(first.detail.clone())),
     }
 }
 
@@ -367,59 +282,26 @@ pub(crate) fn load_recovering(
 ) -> io::Result<(PlanCache, SnapshotRecovery)> {
     let bytes = std::fs::read(path)?;
     let cache = PlanCache::new(config);
-    match header_of(&bytes) {
-        h if h == HEADER_V2.as_bytes() => {
-            let recovery = parse_v2(&bytes, &cache);
-            Ok((cache, recovery))
+    let recovery = if has_header(&bytes) {
+        parse_entries(&bytes, &cache)
+    } else {
+        SnapshotRecovery {
+            incidents: vec![RecoveryIncident::new(
+                SUBSYSTEM,
+                "unrecognized snapshot header, starting cold",
+            )],
+            ..SnapshotRecovery::default()
         }
-        h if h == HEADER_V1.as_bytes() => {
-            // Legacy snapshots have no per-entry checksums to salvage with;
-            // parse strictly and degrade to an empty cache on failure.
-            let strict = std::str::from_utf8(&bytes)
-                .map_err(|_| "v1 snapshot is not valid UTF-8".to_owned())
-                .and_then(|text| load_v1(text, &cache).map_err(|e| e.to_string()));
-            match strict {
-                Ok(()) => {
-                    let n = cache.len();
-                    Ok((
-                        cache,
-                        SnapshotRecovery {
-                            total: n,
-                            loaded: n,
-                            ..SnapshotRecovery::default()
-                        },
-                    ))
-                }
-                Err(e) => Ok((
-                    PlanCache::new(config),
-                    SnapshotRecovery {
-                        incidents: vec![RecoveryIncident::new(
-                            SUBSYSTEM,
-                            format!("v1 snapshot unreadable, starting cold: {e}"),
-                        )],
-                        ..SnapshotRecovery::default()
-                    },
-                )),
-            }
-        }
-        _ => Ok((
-            cache,
-            SnapshotRecovery {
-                incidents: vec![RecoveryIncident::new(
-                    SUBSYSTEM,
-                    "unrecognized snapshot header, starting cold",
-                )],
-                ..SnapshotRecovery::default()
-            },
-        )),
-    }
+    };
+    Ok((cache, recovery))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::framing::fnv64;
-    use crate::portable::{PInt, PStmt};
+    use udf_lang::ast::{BoolExpr, CmpOp, IntExpr, ProgId, Program, Stmt};
+    use udf_lang::intern::Interner;
 
     fn sample_cache() -> PlanCache {
         let cache = PlanCache::default();
@@ -432,31 +314,33 @@ mod tests {
         stats.rules.if3 = 1;
         stats.solver.checks = 17;
         stats.tier = DegradationTier::Partial;
-        let plan = CachedPlan::new(
-            PortableProgram {
-                id: 4,
-                params: vec!["price".to_owned()],
-                body: PStmt::Seq(
-                    Box::new(PStmt::Assign(
-                        "u0$x%2".to_owned(),
-                        PInt::Bin(
-                            udf_lang::ast::IntOp::Mul,
-                            Box::new(PInt::Var("price".to_owned())),
-                            Box::new(PInt::Const(3)),
-                        ),
-                    )),
-                    Box::new(PStmt::Notify(4, true)),
-                ),
-                prefilter: Some(crate::portable::PBool::Cmp(
-                    udf_lang::ast::CmpOp::Le,
-                    PInt::Const(10),
-                    PInt::Var("price".to_owned()),
-                )),
-            },
-            stats,
+        let mut i = Interner::new();
+        let (price, x) = (i.intern("price"), i.intern("u0$x%2"));
+        let body = Stmt::Seq(
+            Box::new(Stmt::Assign(
+                x,
+                IntExpr::mul(IntExpr::Var(price), IntExpr::Const(3)),
+            )),
+            Box::new(Stmt::Notify(ProgId(4), true)),
         );
+        let prefilter = BoolExpr::Cmp(CmpOp::Le, IntExpr::Const(10), IntExpr::Var(price));
+        let program = Program::new(ProgId(4), vec![price], body);
+        let plan = CachedPlan::new(&program, Some(&prefilter), &i, stats);
         cache.insert(PlanKey(0xdead_beef_0000_0001), plan);
+        cache.insert(
+            PlanKey(0xdead_beef_0000_0002),
+            CachedPlan::new_agg(vec![true, false], stats),
+        );
         cache
+    }
+
+    /// A snapshot file holding one correctly framed entry, key `2a`.
+    fn framed(payload: &str) -> String {
+        format!(
+            "plan-cache-snapshot v3\nentry 2a {} {:016x}\n{payload}end\n",
+            payload.len(),
+            fnv64(payload.as_bytes())
+        )
     }
 
     fn assert_same_entries(a: &PlanCache, b: &PlanCache) {
@@ -510,48 +394,27 @@ mod tests {
     }
 
     #[test]
-    fn load_accepts_legacy_v1_snapshots() {
-        let dir = std::env::temp_dir().join("plan-cache-test-v1");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.txt");
-        std::fs::write(
-            &path,
-            "plan-cache-snapshot v1\n\
-             entry 2a\n\
-             tier full\n\
-             stat rules.if3 5\n\
-             program (program 1 (params a) (skip))\n\
-             end\n",
-        )
-        .unwrap();
-        let loaded = PlanCache::load(&path, CacheConfig::default()).unwrap();
-        assert_eq!(loaded.len(), 1);
-        let (cache, recovery) = PlanCache::load_recovering(
-            &path,
-            CacheConfig::default(),
-            &udf_obs::RecorderCell::noop(),
-        )
-        .unwrap();
-        assert_eq!(cache.len(), 1);
-        assert_eq!((recovery.total, recovery.loaded, recovery.salvaged), (1, 1, 0));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn load_rejects_malformed_snapshots() {
         let dir = std::env::temp_dir().join("plan-cache-test-malformed");
         std::fs::create_dir_all(&dir).unwrap();
         let cases = [
-            ("bad-header", "nope\n"),
-            ("bad-key", "plan-cache-snapshot v1\nentry zz\nend\n"),
+            ("bad-header", "nope\n".to_owned()),
+            // Older formats are not read: re-consolidating is always safe.
             (
-                "missing-tier",
-                "plan-cache-snapshot v1\nentry 00\nprogram (program 1 (params) (skip))\nend\n",
+                "old-header",
+                framed("tier full\nprogram (program 1 (params) (skip))\n").replace("v3", "v2"),
             ),
-            ("truncated", "plan-cache-snapshot v1\nentry 00\ntier full\n"),
+            ("bad-key", "plan-cache-snapshot v3\nentry zz 0 0\nend\n".to_owned()),
+            ("missing-tier", framed("program (program 1 (params) (skip))\n")),
+            ("bad-program", framed("tier full\nprogram (program 1 (params) (frob))\n")),
+            ("bad-flag", framed("tier full\nproved true yes\n")),
             (
-                "v2-bad-crc",
-                "plan-cache-snapshot v2\nentry 2a 34 0000000000000000\ntier full\nprogram (program 1 (params) (skip))\nend\n",
+                "two-plans",
+                framed("tier full\nproved true\nprogram (program 1 (params) (skip))\n"),
+            ),
+            (
+                "bad-crc",
+                "plan-cache-snapshot v3\nentry 2a 34 0000000000000000\ntier full\nprogram (program 1 (params) (skip))\nend\n".to_owned(),
             ),
         ];
         for (name, text) in cases {
@@ -561,6 +424,15 @@ mod tests {
                 PlanCache::load(&path, CacheConfig::default()).is_err(),
                 "case {name} must be rejected"
             );
+            // The lenient loader turns every one of them into a cold start.
+            let (cache, recovery) = PlanCache::load_recovering(
+                &path,
+                CacheConfig::default(),
+                &udf_obs::RecorderCell::noop(),
+            )
+            .unwrap();
+            assert_eq!(cache.len(), 0, "case {name}");
+            assert_eq!(recovery.incidents.len(), 1, "case {name}");
             std::fs::remove_file(&path).ok();
         }
     }
@@ -574,15 +446,7 @@ mod tests {
                        stat rules.if3 5\n\
                        stat some.future.counter 9\n\
                        program (program 1 (params a) (skip))\n";
-        std::fs::write(
-            &path,
-            format!(
-                "plan-cache-snapshot v2\nentry 2a {} {:016x}\n{payload}end\n",
-                payload.len(),
-                fnv64(payload.as_bytes())
-            ),
-        )
-        .unwrap();
+        std::fs::write(&path, framed(payload)).unwrap();
         let loaded = PlanCache::load(&path, CacheConfig::default()).unwrap();
         let entries = loaded.entries();
         assert_eq!(entries.len(), 1);
@@ -601,12 +465,9 @@ mod tests {
             cache.insert(
                 PlanKey(u128::from(id) + 1),
                 CachedPlan::new(
-                    PortableProgram {
-                        id,
-                        params: vec!["x".to_owned()],
-                        body: PStmt::Notify(id, true),
-                        prefilter: None,
-                    },
+                    &Program::new(ProgId(id), vec![], Stmt::Notify(ProgId(id), true)),
+                    None,
+                    &Interner::new(),
                     ConsolidationStats::default(),
                 ),
             );
@@ -653,7 +514,7 @@ mod tests {
         let cache = sample_cache();
         cache.save(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        // Cut the file mid-payload: the sole entry is unloadable, but the
+        // Cut the file mid-payload: the last entry is unloadable, but the
         // load still succeeds with an accounted salvage.
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
         let (loaded, recovery) = PlanCache::load_recovering(
@@ -662,8 +523,8 @@ mod tests {
             &udf_obs::RecorderCell::noop(),
         )
         .unwrap();
-        assert_eq!(loaded.len(), 0);
-        assert_eq!((recovery.total, recovery.loaded, recovery.salvaged), (1, 0, 1));
+        assert_eq!(loaded.len(), 1);
+        assert_eq!((recovery.total, recovery.loaded, recovery.salvaged), (2, 1, 1));
         std::fs::remove_file(&path).ok();
     }
 }

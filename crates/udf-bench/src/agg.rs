@@ -346,9 +346,6 @@ pub fn agg_header() -> String {
 /// [`crate::family_runs_json`]); the schema backs the committed
 /// `BENCH_agg.json` artifact. Scaling columns are `cons_udf_w{N}_s`.
 pub fn agg_runs_json(runs: &[AggFamilyRun]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
     let mut out = String::from("[\n");
     for (i, r) in runs.iter().enumerate() {
         if i > 0 {
@@ -361,15 +358,15 @@ pub fn agg_runs_json(runs: &[AggFamilyRun]) -> String {
             .collect();
         out.push_str(&format!(
             concat!(
-                "  {{\"domain\":\"{}\",\"family\":\"{}\",\"n_defs\":{},\"n_records\":{},",
+                "  {{\"domain\":{},\"family\":{},\"n_defs\":{},\"n_records\":{},",
                 "\"workers\":{},\"proved\":{},\"tier\":\"{}\",\"consolidation_s\":{:.6},",
                 "\"homomorphism_checks\":{},\"proof_memo_hits\":{},\"smt_checks\":{},",
                 "\"sep_udf_s\":{:.6},\"cons_udf_s\":{:.6},\"speedup\":{:.4},",
                 "\"folds\":{},\"merges\":{},\"quarantined\":{},",
                 "\"digests_agree\":{},\"output_digest\":\"{:016x}\",{}}}"
             ),
-            esc(&r.domain),
-            esc(&r.family),
+            crate::json_str(&r.domain),
+            crate::json_str(&r.family),
             r.n_defs,
             r.n_records,
             r.workers,
@@ -392,4 +389,39 @@ pub fn agg_runs_json(runs: &[AggFamilyRun]) -> String {
     }
     out.push_str("\n]\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn labels_are_emitted_as_escaped_json_strings() {
+        let run = AggFamilyRun {
+            domain: "a\"b\\\n\t\u{1}".to_owned(),
+            family: "MIX".to_owned(),
+            n_defs: 1,
+            n_records: 1,
+            workers: 1,
+            proved: 1,
+            tier: DegradationTier::Full,
+            consolidation: Duration::ZERO,
+            proof_stats: AggProofStats::default(),
+            sep_udf: Duration::ZERO,
+            cons_udf: Duration::ZERO,
+            folds: 0,
+            merges: 0,
+            total_folds: 0,
+            total_merges: 0,
+            quarantined: 0,
+            scaling: vec![(1, Duration::ZERO)],
+            digests_agree: true,
+            output_digest: 0,
+        };
+        let json = agg_runs_json(&[run]);
+        let labels = r#""domain":"a\"b\\\n\t\u0001","family":"MIX","#;
+        assert!(json.contains(labels), "{json}");
+        // Rows are separated by raw newlines; nothing else may be raw.
+        assert!(!json.chars().any(|c| c.is_control() && c != '\n'), "{json}");
+    }
 }

@@ -546,14 +546,18 @@ pub fn header() -> String {
     )
 }
 
+/// `s` as a JSON string literal, quotes included.
+pub(crate) fn json_str(s: &str) -> String {
+    let mut out = String::new();
+    udf_obs::write_json_string(&mut out, s);
+    out
+}
+
 /// Serializes benchmark rows as a JSON array (hand-rolled — the offline
 /// workspace vendors no serde). Wall times are seconds; the schema is the
 /// stable surface behind the committed `BENCH_fig9.json` /
 /// `BENCH_fig10.json` artifacts at the repository root.
 pub fn family_runs_json(runs: &[FamilyRun]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
     let mut out = String::from("[\n");
     for (i, r) in runs.iter().enumerate() {
         if i > 0 {
@@ -561,7 +565,7 @@ pub fn family_runs_json(runs: &[FamilyRun]) -> String {
         }
         out.push_str(&format!(
             concat!(
-                "  {{\"domain\":\"{}\",\"family\":\"{}\",\"n_queries\":{},\"n_records\":{},",
+                "  {{\"domain\":{},\"family\":{},\"n_queries\":{},\"n_records\":{},",
                 "\"many_udf_s\":{:.6},\"cons_udf_s\":{:.6},\"many_total_s\":{:.6},",
                 "\"cons_total_s\":{:.6},\"consolidation_s\":{:.6},\"udf_speedup\":{:.4},",
                 "\"total_speedup\":{:.4},\"merged_size\":{},\"source_size\":{},\"tier\":\"{}\",",
@@ -569,8 +573,8 @@ pub fn family_runs_json(runs: &[FamilyRun]) -> String {
                 "\"backend\":\"{}\",\"records_per_sec\":{:.1},\"output_digest\":\"{:016x}\",",
                 "\"prefilter\":{},\"prefilter_skipped\":{},\"prefilter_skip_rate\":{:.4}}}"
             ),
-            esc(&r.domain),
-            esc(&r.family),
+            json_str(&r.domain),
+            json_str(&r.family),
             r.n_queries,
             r.n_records,
             r.many_udf.as_secs_f64(),

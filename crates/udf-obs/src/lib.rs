@@ -51,7 +51,7 @@ pub mod snapshot;
 
 pub use histogram::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
 pub use recorder::{MemoryRecorder, NoopRecorder, Recorder};
-pub use snapshot::{JsonError, MetricsSnapshot};
+pub use snapshot::{write_json_string, JsonError, MetricsSnapshot};
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -90,7 +90,10 @@ impl MetricsSnapshot {
     }
 }
 
-fn write_json_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal, quotes included: `"`,
+/// `\\` and every control character are escaped. The workspace's one JSON
+/// string writer — the explain tree and the figure emitters call it too.
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -411,7 +414,9 @@ mod tests {
     #[test]
     fn escapes_round_trip() {
         let mut s = MetricsSnapshot::default();
-        s.counters.insert("weird \"name\"\\with\nstuff\tπ".into(), 7);
+        s.counters.insert("weird \"name\"\\with\nstuff\tπ\r\u{1}".into(), 7);
+        let json = s.to_json();
+        assert!(json.contains("\\r\\u0001") && !json.chars().any(char::is_control), "{json}");
         assert_eq!(MetricsSnapshot::from_json(&s.to_json()).unwrap(), s);
     }
 

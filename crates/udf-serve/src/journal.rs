@@ -9,6 +9,9 @@
 //! prefix is folded into a full-state `checkpoint` file (atomic
 //! tmp+fsync+rename, the same publication discipline as the plan-cache
 //! snapshot), after which the journal is truncated back to its header.
+//! Programs inside `reg` frames and checkpoint lines are the single-line
+//! wire text of [`plan_cache::portable`]: one `write_program` out, one
+//! `read_program` back, the exact tree either way.
 //!
 //! # Crash model and invariants
 //!

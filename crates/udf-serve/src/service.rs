@@ -10,7 +10,7 @@ use naiad_lite::engine::{
 };
 use naiad_lite::guard::{GuardAction, GuardObservation, GuardPolicy, PlanIncident};
 use naiad_lite::UdfEnv;
-use plan_cache::{CachedPlan, PlanCache, PlanKey, PortableProgram};
+use plan_cache::{read_program, write_program, CachedPlan, PlanCache, PlanKey};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
@@ -603,7 +603,7 @@ impl<E: UdfEnv> Service<E> {
             self.apply_register(tenant, program)?
         };
         if self.journal.is_some() {
-            let sexpr = PortableProgram::from_program(program, &self.interner).to_sexpr();
+            let sexpr = write_program(program, None, &self.interner);
             let payload =
                 format!("tenant {} outcome {}\n{sexpr}\n", tenant.0, churn_tag(&outcome));
             self.journal_append("reg", &payload)?;
@@ -765,16 +765,10 @@ impl<E: UdfEnv> Service<E> {
             &self.cm,
             self.config.backend,
         );
-        let mut portable = PortableProgram::from_program(merged, &self.interner);
         // A freshly-rebuilt pre-filter rides along so cache consumers with
         // the knob on rehydrate it; churn clears it before this runs, so a
         // stale condition can never be stored against a changed query set.
-        if let Some(pf) = &self.shared_prefilter {
-            portable.prefilter = Some(plan_cache::portable::PBool::from_bool(
-                &pf.cond,
-                &self.interner,
-            ));
-        }
+        let cond = self.shared_prefilter.as_ref().map(|pf| &pf.cond);
         let stats = consolidate::ConsolidationStats {
             tier: self.plan.tier(),
             ..consolidate::ConsolidationStats::default()
@@ -784,7 +778,8 @@ impl<E: UdfEnv> Service<E> {
             .filter_map(|p| self.owner.get(&p.id.0))
             .map(|t| u64::from(t.0))
             .collect();
-        cache.insert_upgrading(key, CachedPlan::new(portable, stats), &tags);
+        let plan = CachedPlan::new(merged, cond, &self.interner, stats);
+        cache.insert_upgrading(key, plan, &tags);
     }
 
     /// Removes `tenant`'s queries from the shared plan (delta removals),
@@ -1338,8 +1333,8 @@ impl<E: UdfEnv> Service<E> {
     }
 
     /// Renders the full-state checkpoint payload: epoch, counters, queue
-    /// contents, tenants (programs in portable s-expression form), pending
-    /// churn, and the complete plan-op history.
+    /// contents, tenants (programs as [`plan_cache::write_program`] text),
+    /// pending churn, and the complete plan-op history.
     fn checkpoint_payload(&self) -> String {
         let enc = self.journal.as_ref().expect("journaled").encode;
         let mut p = String::new();
@@ -1374,11 +1369,7 @@ impl<E: UdfEnv> Service<E> {
                 st.programs.len()
             );
             for prog in &st.programs {
-                let _ = writeln!(
-                    p,
-                    "prog {}",
-                    PortableProgram::from_program(prog, &self.interner).to_sexpr()
-                );
+                let _ = writeln!(p, "prog {}", write_program(prog, None, &self.interner));
             }
         }
         for op in &self.pending_churn {
@@ -1388,7 +1379,7 @@ impl<E: UdfEnv> Service<E> {
                         p,
                         "pend reg {} {}",
                         tenant.0,
-                        PortableProgram::from_program(program, &self.interner).to_sexpr()
+                        write_program(program, None, &self.interner)
                     );
                 }
                 ChurnOp::Deregister { tenant, query } => {
@@ -1399,11 +1390,7 @@ impl<E: UdfEnv> Service<E> {
         for op in &self.plan_ops {
             match op {
                 PlanOp::Add(prog) => {
-                    let _ = writeln!(
-                        p,
-                        "pop add {}",
-                        PortableProgram::from_program(prog, &self.interner).to_sexpr()
-                    );
+                    let _ = writeln!(p, "pop add {}", write_program(prog, None, &self.interner));
                 }
                 PlanOp::Remove(id) => {
                     let _ = writeln!(p, "pop rem {}", id.0);
@@ -1466,8 +1453,7 @@ impl<E: UdfEnv> Service<E> {
                         let src = prog_line
                             .strip_prefix("prog ")
                             .ok_or("expected prog line")?;
-                        let prog =
-                            PortableProgram::parse_sexpr(src)?.to_program(&mut self.interner);
+                        let prog = read_program(src, &mut self.interner)?.0;
                         self.owner.insert(prog.id.0, TenantId(id));
                         programs.push(prog);
                     }
@@ -1484,8 +1470,7 @@ impl<E: UdfEnv> Service<E> {
                     Some("reg") => {
                         let tenant: u32 = parse_field(words.next(), "pend tenant")?;
                         let src = words.collect::<Vec<_>>().join(" ");
-                        let program =
-                            PortableProgram::parse_sexpr(&src)?.to_program(&mut self.interner);
+                        let program = read_program(&src, &mut self.interner)?.0;
                         self.pending_churn.push_back(ChurnOp::Register {
                             tenant: TenantId(tenant),
                             program,
@@ -1504,8 +1489,7 @@ impl<E: UdfEnv> Service<E> {
                 Some("pop") => match words.next() {
                     Some("add") => {
                         let src = words.collect::<Vec<_>>().join(" ");
-                        let prog =
-                            PortableProgram::parse_sexpr(&src)?.to_program(&mut self.interner);
+                        let prog = read_program(&src, &mut self.interner)?.0;
                         self.plan
                             .add(
                                 &prog,
@@ -1594,7 +1578,7 @@ impl<E: UdfEnv> Service<E> {
                 expect_word(&mut words, "outcome")?;
                 let tag = words.next().ok_or("reg frame missing outcome")?;
                 let src = lines.next().ok_or("reg frame missing program")?;
-                let program = PortableProgram::parse_sexpr(src)?.to_program(&mut self.interner);
+                let program = read_program(src, &mut self.interner)?.0;
                 match tag {
                     "deferred" => {
                         self.pending_churn.push_back(ChurnOp::Register { tenant, program });

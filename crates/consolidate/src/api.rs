@@ -397,16 +397,7 @@ pub(crate) fn add_stats(acc: &mut ConsolidationStats, s: &ConsolidationStats) {
     a.budget_fallbacks += r.budget_fallbacks;
     acc.entailment_queries += s.entailment_queries;
     acc.memo_hits += s.memo_hits;
-    let (sv, t) = (&mut acc.solver, &s.solver);
-    sv.checks += t.checks;
-    sv.theory_checks += t.theory_checks;
-    sv.theory_conflicts += t.theory_conflicts;
-    sv.minimized_literals += t.minimized_literals;
-    sv.sat_decisions += t.sat_decisions;
-    sv.sat_conflicts += t.sat_conflicts;
-    sv.sat_propagations += t.sat_propagations;
-    sv.simplex_pivots += t.simplex_pivots;
-    sv.theory_rounds += t.theory_rounds;
+    acc.solver += s.solver;
     acc.pairs_consolidated += s.pairs_consolidated;
     acc.pairs_degraded += s.pairs_degraded;
 }

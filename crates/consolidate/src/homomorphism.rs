@@ -217,16 +217,7 @@ fn prove_one(
         }
     }
     stats.entailment_queries += cx.entailment_queries();
-    let sv = cx.solver_stats();
-    stats.solver.checks += sv.checks;
-    stats.solver.theory_checks += sv.theory_checks;
-    stats.solver.theory_conflicts += sv.theory_conflicts;
-    stats.solver.minimized_literals += sv.minimized_literals;
-    stats.solver.sat_decisions += sv.sat_decisions;
-    stats.solver.sat_conflicts += sv.sat_conflicts;
-    stats.solver.sat_propagations += sv.sat_propagations;
-    stats.solver.simplex_pivots += sv.simplex_pivots;
-    stats.solver.theory_rounds += sv.theory_rounds;
+    stats.solver += cx.solver_stats();
 
     if cx.budget_exhausted() && !proved {
         // Don't memoize a budget artefact as a refutation.
@@ -547,12 +538,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_flagged_max_degrades_within_budget() {
-        // The empty-flag encoding of max IS a homomorphism, but its H2
-        // obligation (four nested branch merges) exceeds the bundled
-        // solver's practical search budget. The answer must still come back
-        // quickly and soundly as "not proved" — sequential fallback, never
-        // a wrong parallel plan and never a runaway prove.
+    fn empty_flagged_max_is_proved_within_budget() {
+        // The empty-flag encoding of max is a homomorphism. Its H2
+        // obligation merges four nested branches, so the refutation visits
+        // many boolean models of ~30 literals each; it goes through because
+        // every theory conflict blocks its few-literal core rather than one
+        // whole model (udf-smt, "Conflict cores").
         let opts = Options::default();
         let t = std::time::Instant::now();
         let (c, _) = prove(
@@ -564,7 +555,7 @@ mod tests {
                               else { if (m < rhs_m) { m := rhs_m; } else { skip; } } } } }",
             &opts,
         );
-        assert_eq!(c.outcomes, vec![ProofOutcome::NotProved]);
+        assert_eq!(c.outcomes, vec![ProofOutcome::Proved]);
         assert!(t.elapsed() < std::time::Duration::from_secs(30));
     }
 }

@@ -154,7 +154,6 @@ impl PlanKey {
         h.u64(opts.solver.theory_limits.lia_budget);
         h.u64(opts.solver.theory_limits.max_probe_pairs as u64);
         h.u64(opts.solver.theory_limits.max_rounds as u64);
-        h.u64(opts.solver.minimize_up_to as u64);
         for cost in cm.components() {
             h.u64(cost);
         }
@@ -190,7 +189,6 @@ impl PlanKey {
         h.u64(opts.solver.theory_limits.lia_budget);
         h.u64(opts.solver.theory_limits.max_probe_pairs as u64);
         h.u64(opts.solver.theory_limits.max_rounds as u64);
-        h.u64(opts.solver.minimize_up_to as u64);
         for cost in cm.components() {
             h.u64(cost);
         }

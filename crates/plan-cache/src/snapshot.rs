@@ -46,7 +46,7 @@ type StatField = fn(&mut ConsolidationStats) -> &mut u64;
 /// The persisted counters, by wire name: the one table both the writer and
 /// the reader walk, so a counter cannot be saved and not loaded.
 #[rustfmt::skip]
-const STATS: [(&str, StatField); 22] = [
+const STATS: [(&str, StatField); 25] = [
     ("entailment_queries", |s| &mut s.entailment_queries),
     ("memo_hits", |s| &mut s.memo_hits),
     ("pairs_consolidated", |s| &mut s.pairs_consolidated),
@@ -64,6 +64,9 @@ const STATS: [(&str, StatField); 22] = [
     ("solver.theory_checks", |s| &mut s.solver.theory_checks),
     ("solver.theory_conflicts", |s| &mut s.solver.theory_conflicts),
     ("solver.minimized_literals", |s| &mut s.solver.minimized_literals),
+    ("solver.core_literals", |s| &mut s.solver.core_literals),
+    ("solver.core_fallbacks", |s| &mut s.solver.core_fallbacks),
+    ("solver.unknowns", |s| &mut s.solver.unknowns),
     ("solver.sat_decisions", |s| &mut s.solver.sat_decisions),
     ("solver.sat_conflicts", |s| &mut s.solver.sat_conflicts),
     ("solver.sat_propagations", |s| &mut s.solver.sat_propagations),

@@ -81,6 +81,9 @@ fn recorder_counters_match_consolidation_stats() {
         (names::SMT_THEORY_CHECKS, s.solver.theory_checks),
         (names::SMT_THEORY_CONFLICTS, s.solver.theory_conflicts),
         (names::SMT_MINIMIZED_LITERALS, s.solver.minimized_literals),
+        (names::SMT_CORE_LITERALS, s.solver.core_literals),
+        (names::SMT_CORE_FALLBACKS, s.solver.core_fallbacks),
+        (names::SMT_UNKNOWN, s.solver.unknowns),
         (names::SMT_SAT_DECISIONS, s.solver.sat_decisions),
         (names::SMT_SAT_CONFLICTS, s.solver.sat_conflicts),
         (names::SMT_SAT_PROPAGATIONS, s.solver.sat_propagations),
@@ -108,9 +111,29 @@ fn recorder_counters_match_consolidation_stats() {
         s.rules.if_eliminated,
         "if1+if2 counters drifted from rules.if_eliminated"
     );
+    // The four solver-phase histograms nest under `smt.check_ns`: one
+    // sample per event the matching counter counts, and together no more
+    // time than the checks they ran inside.
+    let hist = |name: &str| snap.histogram(name).cloned().unwrap_or_default();
+    let check = hist(names::SMT_CHECK_NS);
+    assert_eq!(check.count, s.solver.checks);
+    assert_eq!(hist(names::SMT_THEORY_NS).count, s.solver.theory_checks);
+    assert_eq!(hist(names::SMT_MINIMIZE_NS).count, s.solver.theory_conflicts);
+    let (cnf, sat) = (hist(names::SMT_CNF_NS), hist(names::SMT_SAT_NS));
+    assert!(cnf.count > 0 && cnf.count <= check.count, "one CNF per non-trivial check");
+    assert!(sat.count >= cnf.count, "every compiled check searches at least once");
+    let phases: u64 = [names::SMT_CNF_NS, names::SMT_SAT_NS, names::SMT_THEORY_NS, names::SMT_MINIMIZE_NS]
+        .iter()
+        .map(|n| hist(n).sum)
+        .sum();
+    assert!(phases <= check.sum, "phases {phases} ns exceed checks {} ns", check.sum);
+    // Each blocking clause has at least one literal; none fell back here.
+    assert!(s.solver.core_literals >= s.solver.theory_conflicts);
+    assert_eq!(s.solver.core_fallbacks, 0, "an explanation was not refuted on its own");
     // Sanity: the family is non-trivial — work actually happened.
     assert!(s.entailment_queries > 0, "family produced no queries");
     assert!(s.solver.checks > 0, "family never reached the solver");
+    assert!(s.solver.theory_conflicts > 0, "family never hit a theory conflict");
 }
 
 #[test]

@@ -13,8 +13,17 @@ pub const SMT_CHECKS: &str = "smt.checks";
 pub const SMT_THEORY_CHECKS: &str = "smt.theory_checks";
 /// Counter: theory conflicts that produced a blocking clause.
 pub const SMT_THEORY_CONFLICTS: &str = "smt.theory_conflicts";
-/// Counter: literals removed by greedy conflict minimization.
+/// Counter: literals greedy deletion removed from confirmed candidate cores
+/// (the gap between what the theories blamed and what was needed).
 pub const SMT_MINIMIZED_LITERALS: &str = "smt.minimized_literals";
+/// Counter: literals in learned blocking clauses; over
+/// `smt.theory_conflicts` this is the mean core length.
+pub const SMT_CORE_LITERALS: &str = "smt.core_literals";
+/// Counter: candidate cores the theory did not refute on their own, so the
+/// full assignment was blocked instead.
+pub const SMT_CORE_FALLBACKS: &str = "smt.core_fallbacks";
+/// Counter: checks that ended `Unknown` (budget, overflow, or injected).
+pub const SMT_UNKNOWN: &str = "smt.unknown";
 /// Counter: CDCL decisions across all SAT searches.
 pub const SMT_SAT_DECISIONS: &str = "smt.sat.decisions";
 /// Counter: CDCL conflicts across all SAT searches.
@@ -28,6 +37,15 @@ pub const SMT_SIMPLEX_PIVOTS: &str = "smt.simplex.pivots";
 pub const SMT_THEORY_ROUNDS: &str = "smt.theory.rounds";
 /// Histogram (ns): wall-clock latency of one `Solver::check*` call.
 pub const SMT_CHECK_NS: &str = "smt.check_ns";
+/// Histogram (ns): Tseitin CNF conversion, once per non-trivial check.
+pub const SMT_CNF_NS: &str = "smt.cnf_ns";
+/// Histogram (ns): one boolean search (`SatSolver::solve`), first or resumed.
+pub const SMT_SAT_NS: &str = "smt.sat_ns";
+/// Histogram (ns): one theory final-check over a full propositional model.
+pub const SMT_THEORY_NS: &str = "smt.theory_ns";
+/// Histogram (ns): confirming and shrinking one conflict's candidate core
+/// (theory checks over subsets), once per theory conflict.
+pub const SMT_MINIMIZE_NS: &str = "smt.minimize_ns";
 
 // ---- consolidate: rule engine ---------------------------------------------
 

@@ -7,15 +7,17 @@
 
 use crate::ctx::{Context, Formula, FormulaId};
 use crate::sat::{Lit, SatSolver, Var};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Result of compiling a formula: the clauses have been added to the solver;
 /// `atoms` maps the SAT variables that stand for theory atoms to their
 /// formula ids.
 #[derive(Debug)]
 pub struct CompiledFormula {
-    /// SAT variable → theory atom.
-    pub atoms: HashMap<Var, FormulaId>,
+    /// SAT variable → theory atom, in variable order: the literal sets the
+    /// solver builds from it (and so its cores, and its verdicts on the
+    /// incomplete fragment) do not depend on a hash order.
+    pub atoms: BTreeMap<Var, FormulaId>,
 }
 
 /// Compiles `root` into `solver`, returning the atom mapping.
@@ -28,7 +30,7 @@ pub fn compile(ctx: &Context, root: FormulaId, solver: &mut SatSolver) -> Compil
         ctx,
         solver,
         lit_of: HashMap::new(),
-        atoms: HashMap::new(),
+        atoms: BTreeMap::new(),
     };
     let l = c.lit(root);
     c.solver.add_clause(&[l]);
@@ -39,7 +41,7 @@ struct Compiler<'a> {
     ctx: &'a Context,
     solver: &'a mut SatSolver,
     lit_of: HashMap<FormulaId, Lit>,
-    atoms: HashMap<Var, FormulaId>,
+    atoms: BTreeMap<Var, FormulaId>,
 }
 
 impl<'a> Compiler<'a> {

@@ -6,6 +6,12 @@
 //! algorithm. Disequalities are checked against the closure; asserting an
 //! equality that contradicts a disequality (or vice versa) reports a
 //! conflict.
+//!
+//! Every union also adds an edge to a *proof forest* (Nieuwenhuis–Oliveras):
+//! the two merged nodes, labelled with the input literals or the congruence
+//! that justified the merge. [`Euf::explain`] walks the unique path between
+//! two equal nodes and returns the literals on it, so conflicts and the
+//! class equalities handed to arithmetic name the few literals they rest on.
 
 use crate::ctx::{Context, Term, TermId};
 use std::collections::HashMap;
@@ -15,6 +21,15 @@ use std::collections::HashMap;
 const BUILTIN_ADD: u32 = u32::MAX;
 const BUILTIN_SUB: u32 = u32::MAX - 1;
 const BUILTIN_MUL: u32 = u32::MAX - 2;
+
+/// Why two nodes were merged: the label of a proof-forest edge.
+#[derive(Clone, Debug)]
+enum Why {
+    /// The input literals (by index) that entail the equality.
+    Lits(Vec<usize>),
+    /// Congruence: same symbol, pairwise equal arguments.
+    Cong,
+}
 
 /// A congruence-closure instance over terms of one [`Context`].
 #[derive(Debug, Default)]
@@ -30,9 +45,17 @@ pub struct Euf {
     app: Vec<Option<(u32, Vec<u32>)>>,
     /// Signature table: (fn, arg representatives) → node.
     sig: HashMap<(u32, Vec<u32>), u32>,
-    /// Asserted disequalities (node pairs).
-    diseqs: Vec<(u32, u32)>,
-    dirty: bool,
+    /// Proof forest: `proof[n] = (m, why)` is the edge `n — m` on `n`'s way
+    /// to the root of its tree. One tree per class; the path between two
+    /// nodes never changes once they are connected.
+    proof: Vec<Option<(u32, Why)>>,
+    /// Per class root: an integer constant in the class and its node.
+    konst: Vec<Option<(i64, u32)>>,
+    /// Asserted disequalities: (node, node, literal index).
+    diseqs: Vec<(u32, u32, usize)>,
+    /// Per class root: the disequalities (indices into `diseqs`) with an
+    /// endpoint in the class — the only ones a union can violate.
+    diseqs_of: Vec<Vec<usize>>,
 }
 
 impl Euf {
@@ -46,6 +69,7 @@ impl Euf {
         if let Some(&n) = self.node_of.get(&t) {
             return n;
         }
+        let mut konst = None;
         let app_info = match ctx.term(t).clone() {
             Term::App(f, args) => {
                 let arg_nodes: Vec<u32> = args.iter().map(|&a| self.add_term(ctx, a)).collect();
@@ -71,7 +95,11 @@ impl Euf {
                 let nb = self.add_term(ctx, b);
                 Some((BUILTIN_MUL, vec![na, nb]))
             }
-            Term::Int(_) | Term::Var(_) => None,
+            Term::Int(c) => {
+                konst = Some(c);
+                None
+            }
+            Term::Var(_) => None,
         };
         let n = u32::try_from(self.terms.len()).expect("too many EUF nodes");
         self.terms.push(t);
@@ -79,6 +107,10 @@ impl Euf {
         self.rank.push(0);
         self.use_list.push(Vec::new());
         self.app.push(app_info.clone());
+        self.proof.push(None);
+        // Distinct integer constants are disequal by theory.
+        self.konst.push(konst.map(|c| (c, n)));
+        self.diseqs_of.push(Vec::new());
         self.node_of.insert(t, n);
         if let Some((f, args)) = app_info {
             for &a in &args {
@@ -87,12 +119,12 @@ impl Euf {
             let sig_key = (f, args.iter().map(|&a| self.find(a)).collect::<Vec<_>>());
             if let Some(&existing) = self.sig.get(&sig_key) {
                 // Congruent to an existing application: merge immediately.
-                self.union(existing, n);
+                let fresh = self.union(existing, n, Why::Cong);
+                debug_assert!(fresh.is_ok(), "a fresh node has no constant and no disequality");
             } else {
                 self.sig.insert(sig_key, n);
             }
         }
-        // Distinct integer constants are disequal by theory.
         n
     }
 
@@ -114,9 +146,12 @@ impl Euf {
         root
     }
 
-    fn union(&mut self, a: u32, b: u32) {
-        let mut pending = vec![(a, b)];
-        while let Some((x, y)) = pending.pop() {
+    /// Merges the classes of `a` and `b` and closes under congruence. Stops
+    /// at the first union that puts two distinct constants or the two sides
+    /// of a disequality into one class, and explains it.
+    fn union(&mut self, a: u32, b: u32, why: Why) -> Result<(), Vec<usize>> {
+        let mut pending = vec![(a, b, why)];
+        while let Some((x, y, why)) = pending.pop() {
             let (rx, ry) = (self.find_compress(x), self.find_compress(y));
             if rx == ry {
                 continue;
@@ -130,7 +165,21 @@ impl Euf {
                 self.rank[winner as usize] += 1;
             }
             self.parent[loser as usize] = winner;
-            self.dirty = true;
+            self.link_proof(x, y, why);
+            match (self.konst[winner as usize], self.konst[loser as usize]) {
+                (Some((c, n)), Some((d, m))) if c != d => return Err(self.explain_nodes(n, m)),
+                (None, k) => self.konst[winner as usize] = k,
+                _ => {}
+            }
+            // Only disequalities touching the absorbed class can have closed.
+            let moved = std::mem::take(&mut self.diseqs_of[loser as usize]);
+            for &d in &moved {
+                let (p, q, lit) = self.diseqs[d];
+                if self.find(p) == self.find(q) {
+                    return Err(self.violated(p, q, lit));
+                }
+            }
+            self.diseqs_of[winner as usize].extend(moved);
             // Re-hash every application that used the loser's class.
             let users = std::mem::take(&mut self.use_list[loser as usize]);
             for &u in &users {
@@ -141,7 +190,7 @@ impl Euf {
                 );
                 if let Some(&other) = self.sig.get(&key) {
                     if self.find(other) != self.find(u) {
-                        pending.push((other, u));
+                        pending.push((other, u, Why::Cong));
                     }
                 } else {
                     self.sig.insert(key, u);
@@ -149,21 +198,115 @@ impl Euf {
             }
             self.use_list[winner as usize].extend(users);
         }
+        Ok(())
     }
 
-    /// Asserts `a = b`. Returns `false` when this contradicts an asserted
-    /// disequality or the distinctness of integer constants.
-    pub fn merge(&mut self, ctx: &Context, a: TermId, b: TermId) -> bool {
-        let (na, nb) = (self.add_term(ctx, a), self.add_term(ctx, b));
-        self.union(na, nb);
-        self.consistent(ctx)
+    /// Adds the proof edge `x — y`: re-roots `x`'s tree at `x` by reversing
+    /// the edges on its path to the old root, then hangs it under `y`.
+    fn link_proof(&mut self, x: u32, y: u32, why: Why) {
+        let (mut cur, mut incoming) = (x, Some((y, why)));
+        while let Some((next, why)) = std::mem::replace(&mut self.proof[cur as usize], incoming) {
+            incoming = Some((cur, why));
+            cur = next;
+        }
     }
 
-    /// Asserts `a ≠ b`. Returns `false` when `a` and `b` are already equal.
-    pub fn add_diseq(&mut self, ctx: &Context, a: TermId, b: TermId) -> bool {
+    /// The nodes from `n` up to the root of its proof tree.
+    fn proof_path(&self, mut n: u32) -> Vec<u32> {
+        let mut path = vec![n];
+        while let Some((next, _)) = &self.proof[n as usize] {
+            n = *next;
+            path.push(n);
+        }
+        path
+    }
+
+    /// Input literals that entail `a = b`, for nodes of one class: the
+    /// labels on the proof-forest path between them, congruence edges
+    /// expanded into the explanations of their argument pairs. Each edge is
+    /// expanded once. Sorted, without duplicates.
+    fn explain_nodes(&self, a: u32, b: u32) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut seen = vec![false; self.terms.len()];
+        let mut todo = vec![(a, b)];
+        while let Some((a, b)) = todo.pop() {
+            let (mut pa, mut pb) = (self.proof_path(a), self.proof_path(b));
+            debug_assert_eq!(pa.last(), pb.last(), "explained nodes share a class");
+            // Drop the shared tail above the nearest common ancestor, then
+            // the ancestor itself: what remains are the nodes whose edge
+            // lies on the path.
+            while pa.len() >= 2 && pb.len() >= 2 && pa[pa.len() - 2] == pb[pb.len() - 2] {
+                pa.pop();
+                pb.pop();
+            }
+            pa.pop();
+            pb.pop();
+            for n in pa.into_iter().chain(pb) {
+                if std::mem::replace(&mut seen[n as usize], true) {
+                    continue;
+                }
+                match &self.proof[n as usize] {
+                    Some((_, Why::Lits(lits))) => out.extend_from_slice(lits),
+                    Some((m, Why::Cong)) => {
+                        let args = |k: u32| self.app[k as usize].iter().flat_map(|(_, a)| a);
+                        todo.extend(args(n).copied().zip(args(*m).copied()));
+                    }
+                    None => debug_assert!(false, "path node without an edge"),
+                }
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// The conflict of disequality literal `lit` with its now-equal sides.
+    fn violated(&self, p: u32, q: u32, lit: usize) -> Vec<usize> {
+        let mut core = self.explain_nodes(p, q);
+        core.push(lit);
+        core.sort_unstable();
+        core
+    }
+
+    /// Input literals that entail `a = b`; both terms must be registered
+    /// and [`Euf::equal`].
+    pub fn explain(&self, a: TermId, b: TermId) -> Vec<usize> {
+        self.explain_nodes(self.node_of[&a], self.node_of[&b])
+    }
+
+    /// Asserts `a = b` on the strength of the input literals `reason`.
+    /// `Err` carries the literals behind a contradiction with an asserted
+    /// disequality or with the distinctness of integer constants.
+    pub fn merge(
+        &mut self,
+        ctx: &Context,
+        a: TermId,
+        b: TermId,
+        reason: &[usize],
+    ) -> Result<(), Vec<usize>> {
         let (na, nb) = (self.add_term(ctx, a), self.add_term(ctx, b));
-        self.diseqs.push((na, nb));
-        self.consistent(ctx)
+        self.union(na, nb, Why::Lits(reason.to_vec()))
+    }
+
+    /// Asserts `a ≠ b` as input literal `lit`. `Err` explains why `a` and
+    /// `b` are already equal.
+    pub fn add_diseq(
+        &mut self,
+        ctx: &Context,
+        a: TermId,
+        b: TermId,
+        lit: usize,
+    ) -> Result<(), Vec<usize>> {
+        let (na, nb) = (self.add_term(ctx, a), self.add_term(ctx, b));
+        let (ra, rb) = (self.find(na), self.find(nb));
+        if ra == rb {
+            return Err(self.violated(na, nb, lit));
+        }
+        let d = self.diseqs.len();
+        self.diseqs.push((na, nb, lit));
+        self.diseqs_of[ra as usize].push(d);
+        self.diseqs_of[rb as usize].push(d);
+        Ok(())
     }
 
     /// Whether `a = b` follows from the asserted equalities by congruence.
@@ -173,30 +316,6 @@ impl Euf {
             (Some(&na), Some(&nb)) => self.find(na) == self.find(nb),
             _ => false,
         }
-    }
-
-    /// Checks all disequalities and built-in constant distinctness.
-    pub fn consistent(&mut self, ctx: &Context) -> bool {
-        for &(a, b) in &self.diseqs {
-            if self.find(a) == self.find(b) {
-                return false;
-            }
-        }
-        // Two distinct integer constants in one class is a conflict.
-        let mut const_of_class: HashMap<u32, i64> = HashMap::new();
-        for n in 0..self.terms.len() {
-            if let Term::Int(c) = ctx.term(self.terms[n]) {
-                let root = self.find(u32::try_from(n).expect("node index fits"));
-                if let Some(&prev) = const_of_class.get(&root) {
-                    if prev != *c {
-                        return false;
-                    }
-                } else {
-                    const_of_class.insert(root, *c);
-                }
-            }
-        }
-        true
     }
 
     /// All registered terms (for equality propagation in the combination
@@ -209,12 +328,6 @@ impl Euf {
     /// equal under the closure iff their class ids coincide.
     pub fn class_id(&self, t: TermId) -> Option<u32> {
         self.node_of.get(&t).map(|&n| self.find(n))
-    }
-
-    /// Clears and returns whether any merge happened since the last call
-    /// (used by the Nelson–Oppen fixpoint loop).
-    pub fn take_dirty(&mut self) -> bool {
-        std::mem::take(&mut self.dirty)
     }
 }
 
@@ -234,7 +347,7 @@ mod tests {
         e.add_term(&ctx, fx);
         e.add_term(&ctx, fy);
         assert!(!e.equal(fx, fy));
-        assert!(e.merge(&ctx, x, y));
+        assert!(e.merge(&ctx, x, y, &[0]).is_ok());
         assert!(e.equal(fx, fy));
     }
 
@@ -253,7 +366,7 @@ mod tests {
         let mut e = Euf::new();
         e.add_term(&ctx, gx);
         e.add_term(&ctx, gy);
-        assert!(e.merge(&ctx, x, y));
+        assert!(e.merge(&ctx, x, y, &[0]).is_ok());
         assert!(e.equal(gx, gy));
     }
 
@@ -264,10 +377,10 @@ mod tests {
         let y = ctx.int_var("y");
         let z = ctx.int_var("z");
         let mut e = Euf::new();
-        assert!(e.add_diseq(&ctx, x, z));
-        assert!(e.merge(&ctx, x, y));
+        assert!(e.add_diseq(&ctx, x, z, 0).is_ok());
+        assert!(e.merge(&ctx, x, y, &[1]).is_ok());
         // y = z would close the cycle x = y = z against x ≠ z.
-        assert!(!e.merge(&ctx, y, z));
+        assert_eq!(e.merge(&ctx, y, z, &[2]), Err(vec![0, 1, 2]));
     }
 
     #[test]
@@ -277,8 +390,8 @@ mod tests {
         let one = ctx.int(1);
         let two = ctx.int(2);
         let mut e = Euf::new();
-        assert!(e.merge(&ctx, x, one));
-        assert!(!e.merge(&ctx, x, two));
+        assert!(e.merge(&ctx, x, one, &[0]).is_ok());
+        assert_eq!(e.merge(&ctx, x, two, &[1]), Err(vec![0, 1]));
     }
 
     #[test]
@@ -292,10 +405,12 @@ mod tests {
         let fa = ctx.app(f, vec![a]);
         let fb = ctx.app(f, vec![b]);
         let mut e = Euf::new();
-        assert!(e.merge(&ctx, fa, b));
-        assert!(e.merge(&ctx, fb, c));
-        assert!(e.merge(&ctx, a, b));
+        assert!(e.merge(&ctx, fa, b, &[0]).is_ok());
+        assert!(e.merge(&ctx, fb, c, &[1]).is_ok());
+        assert!(e.merge(&ctx, a, b, &[2]).is_ok());
         assert!(e.equal(b, c));
+        // b = f(a) ≅ f(b) = c: both function facts and the argument equality.
+        assert_eq!(e.explain(b, c), vec![0, 1, 2]);
     }
 
     #[test]
@@ -312,7 +427,7 @@ mod tests {
         let mut e = Euf::new();
         e.add_term(&ctx, sum);
         e.add_term(&ctx, fy);
-        assert!(e.merge(&ctx, x, y));
+        assert!(e.merge(&ctx, x, y, &[0]).is_ok());
         assert!(e.equal(fx, fy));
     }
 
@@ -327,9 +442,42 @@ mod tests {
         // second app must land in the same class.
         let fx = ctx.app(f, vec![x]);
         e.add_term(&ctx, fx);
-        assert!(e.merge(&ctx, x, y));
+        assert!(e.merge(&ctx, x, y, &[0]).is_ok());
         let fy = ctx.app(f, vec![y]);
         e.add_term(&ctx, fy);
         assert!(e.equal(fx, fy));
+    }
+
+    #[test]
+    fn explanations_name_only_the_literals_on_the_path() {
+        // Literals: 0: u = v (bystander), 1: x = y, 2: y = z, 3: w = 7
+        // (bystander), 4: g(f(x), 1) ≠ g(f(z), 1).
+        let mut ctx = Context::new();
+        let f = ctx.fn_sym("f", 1);
+        let g = ctx.fn_sym("g", 2);
+        let [u, v, w, x, y, z] = ["u", "v", "w", "x", "y", "z"].map(|n| ctx.int_var(n));
+        let (one, seven) = (ctx.int(1), ctx.int(7));
+        let (fx, fz) = (ctx.app(f, vec![x]), ctx.app(f, vec![z]));
+        let (gx, gz) = (ctx.app(g, vec![fx, one]), ctx.app(g, vec![fz, one]));
+        let mut e = Euf::new();
+        assert!(e.merge(&ctx, u, v, &[0]).is_ok());
+        assert!(e.merge(&ctx, x, y, &[1]).is_ok());
+        assert!(e.add_diseq(&ctx, gx, gz, 4).is_ok());
+        assert!(e.merge(&ctx, w, seven, &[3]).is_ok());
+        // Closing x = z makes f(x) ≅ f(z), then g(..) ≅ g(..): the conflict
+        // is found inside the merge of literal 2 and blames no bystander.
+        assert_eq!(e.merge(&ctx, y, z, &[2]), Err(vec![1, 2, 4]));
+    }
+
+    #[test]
+    fn asserting_a_disequality_inside_a_class_explains_the_class() {
+        let mut ctx = Context::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| ctx.int_var(n));
+        let mut e = Euf::new();
+        assert!(e.merge(&ctx, a, b, &[0]).is_ok());
+        assert!(e.merge(&ctx, c, d, &[1]).is_ok());
+        assert!(e.merge(&ctx, b, c, &[2]).is_ok());
+        assert_eq!(e.explain(a, c), vec![0, 2]);
+        assert_eq!(e.add_diseq(&ctx, b, d, 3), Err(vec![1, 2, 3]));
     }
 }

@@ -136,8 +136,11 @@ pub struct LiaProblem {
 pub enum LiaResult {
     /// Feasible, with an integer model for variables `0..num_vars`.
     Sat(Vec<i128>),
-    /// Infeasible.
-    Unsat,
+    /// Infeasible, with an explanation: a subset of the problem that is
+    /// already infeasible over the integers. Index `i < constraints.len()`
+    /// names `constraints[i]`; `constraints.len() + j` names `diseqs[j]`.
+    /// Sorted, without duplicates.
+    Unsat(Vec<usize>),
     /// Budget or numeric overflow exhausted.
     Unknown,
 }
@@ -155,6 +158,11 @@ struct Tableau {
     /// Per-disequality: (slack var, required-nonzero offset): violated when
     /// `β(slack) == offset`.
     diseq_slacks: Vec<(usize, Rat)>,
+    /// Per slack row `r` (variable `n_orig + r`): the [`LiaResult::Unsat`]
+    /// index of the constraint or disequality the row was built from. Both
+    /// bounds of a constraint slack come from that one constraint; a
+    /// disequality slack is bounded only by branching *on* the disequality.
+    src: Vec<usize>,
 }
 
 struct Overflow;
@@ -236,34 +244,45 @@ fn tighten_con(expr: &LinExpr, rel: Rel) -> Result<(LinExpr, Option<Rat>, Option
     Ok((coeffs_only, lb, ub))
 }
 
+/// Outcome of [`Tableau::build`].
+enum Built {
+    /// One constraint (by [`LiaResult::Unsat`] index) is infeasible alone.
+    Infeasible(usize),
+    Overflow,
+    Ready(Tableau),
+}
+
 impl Tableau {
-    fn build(p: &LiaProblem) -> Result<Option<Tableau>, ()> {
-        // Returns Ok(None) when a constant constraint is violated (Unsat),
-        // Err(()) never (reserved), Ok(Some) otherwise.
+    fn build(p: &LiaProblem) -> Built {
         let mut slack_rows: Vec<(LinExpr, Option<Rat>, Option<Rat>)> = Vec::new();
-        for con in &p.constraints {
+        let mut src = Vec::new();
+        for (i, con) in p.constraints.iter().enumerate() {
             match tighten_con(&con.expr, con.rel) {
-                Ok((expr, lb, ub)) => slack_rows.push((expr, lb, ub)),
+                Ok(row) => {
+                    slack_rows.push(row);
+                    src.push(i);
+                }
                 Err(Tightened::Trivial) => continue,
-                Err(Tightened::Infeasible) => return Ok(None),
-                Err(Tightened::Overflow) => return Ok(Some(Tableau::overflow_marker())),
+                Err(Tightened::Infeasible) => return Built::Infeasible(i),
+                Err(Tightened::Overflow) => return Built::Overflow,
             }
         }
-        let mut diseq_slacks = Vec::new();
-        for d in &p.diseqs {
+        let mut diseq_offsets = Vec::new();
+        for (j, d) in p.diseqs.iter().enumerate() {
             if d.is_constant() {
                 if d.constant.is_zero() {
-                    return Ok(None); // 0 ≠ 0 is false
+                    return Built::Infeasible(p.constraints.len() + j); // 0 ≠ 0
                 }
                 continue;
             }
             let Some(offset) = d.constant.checked_neg() else {
-                return Ok(Some(Tableau::overflow_marker()));
+                return Built::Overflow;
             };
             let mut expr = d.clone();
             expr.constant = Rat::ZERO;
             slack_rows.push((expr, None, None));
-            diseq_slacks.push(offset);
+            src.push(p.constraints.len() + j);
+            diseq_offsets.push(offset);
         }
 
         let m = slack_rows.len();
@@ -273,9 +292,8 @@ impl Tableau {
         let mut row_of = vec![None; n_total];
         let mut lb = vec![None; n_total];
         let mut ub = vec![None; n_total];
-        let mut diseq_iter = diseq_slacks.into_iter();
-        let mut diseq_out = Vec::new();
-        let mut n_bounded = 0usize;
+        let mut diseq_offsets = diseq_offsets.into_iter();
+        let mut diseq_slacks = Vec::new();
         for (r, (expr, l, u)) in slack_rows.into_iter().enumerate() {
             let s = p.num_vars + r;
             for (&v, &c) in &expr.coeffs {
@@ -286,15 +304,11 @@ impl Tableau {
             lb[s] = l;
             ub[s] = u;
             if l.is_none() && u.is_none() {
-                // Disequality slack.
-                let offset = diseq_iter.next().expect("diseq slack order");
-                diseq_out.push((s, offset));
-            } else {
-                n_bounded += 1;
+                let offset = diseq_offsets.next().expect("diseq slack order");
+                diseq_slacks.push((s, offset));
             }
         }
-        let _ = n_bounded;
-        Ok(Some(Tableau {
+        Built::Ready(Tableau {
             n_orig: p.num_vars,
             n_total,
             rows,
@@ -303,26 +317,18 @@ impl Tableau {
             lb,
             ub,
             beta: vec![Rat::ZERO; n_total],
-            diseq_slacks: diseq_out,
-        }))
+            diseq_slacks,
+            src,
+        })
     }
 
-    fn overflow_marker() -> Tableau {
-        Tableau {
-            n_orig: usize::MAX,
-            n_total: 0,
-            rows: Vec::new(),
-            basic: Vec::new(),
-            row_of: Vec::new(),
-            lb: Vec::new(),
-            ub: Vec::new(),
-            beta: Vec::new(),
-            diseq_slacks: Vec::new(),
+    /// Pushes the source of `v`'s bounds onto `blame`. Original variables
+    /// are bounded only by branch-and-bound splits, which are integer
+    /// tautologies and need no blame.
+    fn blame(&self, v: usize, blame: &mut Vec<usize>) {
+        if v >= self.n_orig {
+            blame.push(self.src[v - self.n_orig]);
         }
-    }
-
-    fn is_overflow_marker(&self) -> bool {
-        self.n_orig == usize::MAX
     }
 
     /// Sets nonbasic variable `j` to value `v`, updating dependent basics.
@@ -418,12 +424,14 @@ impl Tableau {
     }
 
     /// Restores rational feasibility. Bland's rule ensures termination.
-    /// Every pivot executed is counted into `pivots`.
-    fn check(&mut self, pivots: &mut u64) -> Step<Feas> {
+    /// Every pivot executed is counted into `pivots`. On `Infeasible` the
+    /// sources of the conflicting bounds are pushed onto `blame`.
+    fn check(&mut self, pivots: &mut u64, blame: &mut Vec<usize>) -> Step<Feas> {
         // Immediate bound contradictions.
         for v in 0..self.n_total {
             if let (Some(l), Some(u)) = (self.lb[v], self.ub[v]) {
                 if l > u {
+                    self.blame(v, blame);
                     return Ok(Feas::Infeasible);
                 }
             }
@@ -495,6 +503,13 @@ impl Tableau {
                 }
             }
             let Some(j) = pivot_col else {
+                // No pivot: x_b is stuck beyond its bound because every
+                // nonbasic variable of its row already sits at the bound
+                // that helps most. Those bounds are jointly infeasible.
+                self.blame(b, blame);
+                for j in (0..self.n_total).filter(|&j| !self.rows[r][j].is_zero()) {
+                    self.blame(j, blame);
+                }
                 return Ok(Feas::Infeasible);
             };
             *pivots += 1;
@@ -543,25 +558,28 @@ pub fn solve(p: &LiaProblem, budget: &mut u64) -> LiaResult {
 /// double-count cloned history.
 pub fn solve_counted(p: &LiaProblem, budget: &mut u64, pivots: &mut u64) -> LiaResult {
     match Tableau::build(p) {
-        Ok(None) => LiaResult::Unsat,
-        Ok(Some(t)) if t.is_overflow_marker() => LiaResult::Unknown,
-        Ok(Some(t)) => solve_rec(t, budget, pivots),
-        Err(()) => LiaResult::Unknown,
+        Built::Infeasible(i) => LiaResult::Unsat(vec![i]),
+        Built::Overflow => LiaResult::Unknown,
+        Built::Ready(t) => solve_rec(t, budget, pivots),
     }
 }
 
 /// Iterative branch-and-bound over an explicit worklist (DFS). Each node is
 /// a cloned tableau with tightened bounds; depth is bounded by the budget,
-/// never by the call stack.
+/// never by the call stack. The explanation of `Unsat` is the union of the
+/// infeasible leaves' blamed bounds: each split `x ≤ k ∨ x ≥ k+1` is valid
+/// over the integers, and a split around a disequality's offset is valid
+/// given that disequality, which the leaf blames through its slack.
 fn solve_rec(root: Tableau, budget: &mut u64, pivots: &mut u64) -> LiaResult {
     let mut work: Vec<Tableau> = vec![root];
     let mut saw_unknown = false;
+    let mut blame = Vec::new();
     while let Some(mut t) = work.pop() {
         if *budget == 0 {
             return LiaResult::Unknown;
         }
         *budget -= 1;
-        match t.check(pivots) {
+        match t.check(pivots, &mut blame) {
             Err(Overflow) => {
                 saw_unknown = true;
                 continue;
@@ -618,7 +636,9 @@ fn solve_rec(root: Tableau, budget: &mut u64, pivots: &mut u64) -> LiaResult {
     if saw_unknown {
         LiaResult::Unknown
     } else {
-        LiaResult::Unsat
+        blame.sort_unstable();
+        blame.dedup();
+        LiaResult::Unsat(blame)
     }
 }
 
@@ -660,6 +680,14 @@ mod tests {
         solve(p, &mut budget)
     }
 
+    /// The explanation of an infeasible problem.
+    fn core(p: &LiaProblem) -> Vec<usize> {
+        match run(p) {
+            LiaResult::Unsat(core) => core,
+            other => panic!("expected Unsat, got {other:?}"),
+        }
+    }
+
     #[test]
     fn unconstrained_is_sat() {
         let p = LiaProblem {
@@ -689,7 +717,7 @@ mod tests {
             constraints: vec![ge(expr(&[(0, 1)], -5)), le(expr(&[(0, 1)], -3))],
             diseqs: vec![],
         };
-        assert_eq!(run(&p), LiaResult::Unsat);
+        assert_eq!(core(&p), vec![0, 1]);
     }
 
     #[test]
@@ -717,7 +745,7 @@ mod tests {
             constraints: vec![eq(expr(&[(0, 2)], -1))],
             diseqs: vec![],
         };
-        assert_eq!(run(&p), LiaResult::Unsat);
+        assert_eq!(core(&p), vec![0]);
     }
 
     #[test]
@@ -745,7 +773,8 @@ mod tests {
             constraints: vec![ge(expr(&[(0, 1)], 0)), le(expr(&[(0, 1)], -1))],
             diseqs: vec![expr(&[(0, 1)], 0), expr(&[(0, 1)], -1)],
         };
-        assert_eq!(run(&p), LiaResult::Unsat);
+        // Both bounds and (indices 2, 3) both disequalities.
+        assert_eq!(core(&p), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -767,7 +796,7 @@ mod tests {
             constraints: vec![le(expr(&[], 1))], // 1 ≤ 0
             diseqs: vec![],
         };
-        assert_eq!(run(&p), LiaResult::Unsat);
+        assert_eq!(core(&p), vec![0]);
         let p2 = LiaProblem {
             num_vars: 0,
             constraints: vec![le(expr(&[], -1))], // −1 ≤ 0
@@ -779,7 +808,7 @@ mod tests {
             constraints: vec![],
             diseqs: vec![expr(&[], 0)], // 0 ≠ 0
         };
-        assert_eq!(run(&p3), LiaResult::Unsat);
+        assert_eq!(core(&p3), vec![0]);
     }
 
     #[test]
@@ -794,7 +823,7 @@ mod tests {
             ],
             diseqs: vec![],
         };
-        assert_eq!(run(&p), LiaResult::Unsat);
+        assert_eq!(core(&p), vec![0, 1, 2]);
     }
 
     #[test]
@@ -811,7 +840,7 @@ mod tests {
             ],
             diseqs: vec![],
         };
-        assert_eq!(run(&p), LiaResult::Unsat);
+        assert_eq!(core(&p), vec![0, 1, 2]);
     }
 
     #[test]
@@ -832,8 +861,8 @@ mod tests {
         };
         let mut budget = 1;
         assert_eq!(solve(&p, &mut budget), LiaResult::Unknown);
-        let mut budget = DEFAULT_BNB_BUDGET;
-        assert_eq!(solve(&p, &mut budget), LiaResult::Unsat);
+        // Branching is blameless: the core is the equality and x, y ≥ 0.
+        assert_eq!(core(&p), vec![0, 1, 3]);
     }
 
     #[test]
@@ -847,8 +876,24 @@ mod tests {
             diseqs: vec![],
         };
         let mut budget = 10;
-        assert_eq!(solve(&p, &mut budget), LiaResult::Unsat);
+        assert_eq!(solve(&p, &mut budget), LiaResult::Unsat(vec![0]));
         assert!(budget >= 9, "gcd cut should refute without branching");
+    }
+
+    #[test]
+    fn explanation_skips_bystanders() {
+        // y ≤ 7 ∧ x ≥ 5 ∧ x + y ≥ 0 ∧ x ≤ 3 ∧ y ≠ 2: only the x bounds clash.
+        let p = LiaProblem {
+            num_vars: 2,
+            constraints: vec![
+                le(expr(&[(1, 1)], -7)),
+                ge(expr(&[(0, 1)], -5)),
+                ge(expr(&[(0, 1), (1, 1)], 0)),
+                le(expr(&[(0, 1)], -3)),
+            ],
+            diseqs: vec![expr(&[(1, 1)], -2)],
+        };
+        assert_eq!(core(&p), vec![1, 3]);
     }
 
     #[test]

@@ -1,6 +1,13 @@
 //! The lazy-SMT top loop: CDCL enumeration of boolean models with theory
 //! final-checks and blocking-clause learning.
 //!
+//! A theory conflict comes with a *candidate core* — the literals the
+//! infeasible simplex row and the congruence proof rest on — and the clause
+//! learned from it blocks a handful of literals, not one whole model. The
+//! candidate is never trusted: `Solver::confirmed_core` re-checks it, so
+//! every blocking clause negates a literal set the theory has refuted as
+//! given, whatever size the assignment has.
+//!
 //! [`Solver::check`] decides satisfiability of a formula modulo LIA ∪ EUF;
 //! [`Solver::is_valid`] answers entailment questions by refutation — the form
 //! used throughout the consolidation engine (`Ψ ⊨ e` becomes
@@ -9,7 +16,7 @@
 use crate::cnf;
 use crate::ctx::{Context, Formula, FormulaId};
 use crate::sat::{Lit, SatOutcome, SatSolver, Var};
-use crate::theory::{self, TheoryLimits, TheoryLit, TheoryResult, TheoryStats};
+use crate::theory::{self, NoModel, TheoryLimits, TheoryLit, TheoryStats};
 use udf_obs::{names, RecorderCell};
 
 /// Outcome of an SMT check.
@@ -32,8 +39,17 @@ pub struct SolverStats {
     pub theory_checks: u64,
     /// Blocking clauses learned from theory conflicts.
     pub theory_conflicts: u64,
-    /// Literals removed by conflict minimization.
+    /// Literals greedy deletion removed from confirmed candidate cores.
     pub minimized_literals: u64,
+    /// Literals in learned blocking clauses (mean core length is this over
+    /// [`SolverStats::theory_conflicts`]).
+    pub core_literals: u64,
+    /// Candidate cores the theory did not refute on their own, replaced by
+    /// the full assignment. Zero unless an explanation is wrong or a
+    /// resource limit bites on the subset.
+    pub core_fallbacks: u64,
+    /// Checks that ended [`SatResult::Unknown`], forced ones included.
+    pub unknowns: u64,
     /// CDCL decisions across all boolean searches.
     pub sat_decisions: u64,
     /// CDCL conflicts across all boolean searches.
@@ -44,6 +60,23 @@ pub struct SolverStats {
     pub simplex_pivots: u64,
     /// Nelson–Oppen equality-exchange rounds across all theory checks.
     pub theory_rounds: u64,
+}
+
+impl std::ops::AddAssign for SolverStats {
+    fn add_assign(&mut self, o: SolverStats) {
+        self.checks += o.checks;
+        self.theory_checks += o.theory_checks;
+        self.theory_conflicts += o.theory_conflicts;
+        self.minimized_literals += o.minimized_literals;
+        self.core_literals += o.core_literals;
+        self.core_fallbacks += o.core_fallbacks;
+        self.unknowns += o.unknowns;
+        self.sat_decisions += o.sat_decisions;
+        self.sat_conflicts += o.sat_conflicts;
+        self.sat_propagations += o.sat_propagations;
+        self.simplex_pivots += o.simplex_pivots;
+        self.theory_rounds += o.theory_rounds;
+    }
 }
 
 /// Configuration and statistics holder for SMT checks.
@@ -58,8 +91,6 @@ pub struct Solver {
     pub max_final_checks: u64,
     /// Theory limits per final check.
     pub theory_limits: TheoryLimits,
-    /// Maximum literal-set size eligible for greedy conflict minimization.
-    pub minimize_up_to: usize,
     /// Deterministic fault-injection hook: 0-based check indices (counted
     /// by [`SolverStats::checks`]) forced to return [`SatResult::Unknown`]
     /// without running. `Unknown` is always a sound answer, so injection can
@@ -71,6 +102,10 @@ pub struct Solver {
     /// live counters and a per-check latency histogram. Cloning the solver
     /// clones the *handle*: all clones feed the same sink.
     pub recorder: RecorderCell,
+    /// Mutation hook for the tests of [`Solver::confirmed_core`]: drop the
+    /// first literal of every candidate core before it is re-checked.
+    #[cfg(test)]
+    sabotage_candidates: bool,
     stats: SolverStats,
 }
 
@@ -87,9 +122,10 @@ impl Solver {
             max_conflicts: 200_000,
             max_final_checks: 4_000,
             theory_limits: TheoryLimits::default(),
-            minimize_up_to: 24,
             force_unknown_checks: std::collections::BTreeSet::new(),
             recorder: RecorderCell::noop(),
+            #[cfg(test)]
+            sabotage_candidates: false,
             stats: SolverStats::default(),
         }
     }
@@ -123,17 +159,27 @@ impl Solver {
         let _span = self.recorder.span(names::SMT_CHECK_NS);
         self.stats.checks += 1;
         self.recorder.add(names::SMT_CHECKS, 1);
-        if self
+        let out = if self
             .force_unknown_checks
             .contains(&(self.stats.checks - 1))
         {
-            return (SatResult::Unknown, None);
+            (SatResult::Unknown, None)
+        } else {
+            match ctx.formula(f) {
+                Formula::True => (SatResult::Sat, Some(theory::Model::new())),
+                Formula::False => (SatResult::Unsat, None),
+                _ => self.search_fresh(ctx, f),
+            }
+        };
+        if out.0 == SatResult::Unknown {
+            self.stats.unknowns += 1;
+            self.recorder.add(names::SMT_UNKNOWN, 1);
         }
-        match ctx.formula(f) {
-            Formula::True => return (SatResult::Sat, Some(theory::Model::new())),
-            Formula::False => return (SatResult::Unsat, None),
-            _ => {}
-        }
+        out
+    }
+
+    /// Runs [`Solver::search`] on a fresh SAT instance and folds its counters.
+    fn search_fresh(&mut self, ctx: &Context, f: FormulaId) -> (SatResult, Option<theory::Model>) {
         let mut sat = SatSolver::new();
         let out = self.search(ctx, f, &mut sat);
         let st = sat.stats();
@@ -154,19 +200,21 @@ impl Solver {
         f: FormulaId,
         sat: &mut SatSolver,
     ) -> (SatResult, Option<theory::Model>) {
-        let compiled = cnf::compile(ctx, f, sat);
+        let compiled = {
+            let _span = self.recorder.span(names::SMT_CNF_NS);
+            cnf::compile(ctx, f, sat)
+        };
         let atom_vars: Vec<(Var, FormulaId)> =
             compiled.atoms.iter().map(|(&v, &a)| (v, a)).collect();
         let mut saw_unknown = false;
         for _ in 0..self.max_final_checks {
-            match sat.solve(self.max_conflicts) {
-                SatOutcome::Unsat => {
-                    return if saw_unknown {
-                        (SatResult::Unknown, None)
-                    } else {
-                        (SatResult::Unsat, None)
-                    };
-                }
+            let outcome = {
+                let _span = self.recorder.span(names::SMT_SAT_NS);
+                sat.solve(self.max_conflicts)
+            };
+            match outcome {
+                SatOutcome::Unsat if saw_unknown => return (SatResult::Unknown, None),
+                SatOutcome::Unsat => return (SatResult::Unsat, None),
                 SatOutcome::Unknown => return (SatResult::Unknown, None),
                 SatOutcome::Sat => {}
             }
@@ -176,83 +224,109 @@ impl Solver {
                 .collect();
             self.stats.theory_checks += 1;
             self.recorder.add(names::SMT_THEORY_CHECKS, 1);
-            let mut tstats = TheoryStats::default();
-            let (verdict, model) =
-                theory::check_with_model_stats(ctx, &literals, &self.theory_limits, &mut tstats);
-            self.fold_theory_stats(tstats);
-            match verdict {
-                TheoryResult::Consistent => return (SatResult::Sat, model),
-                TheoryResult::Inconsistent => {
+            let checked = {
+                let _span = self.recorder.span(names::SMT_THEORY_NS);
+                self.theory_check(ctx, &literals)
+            };
+            // Indices into `literals` whose conjunction the clause rules out.
+            let blocked: Vec<usize> = match checked {
+                Ok(model) => return (SatResult::Sat, Some(model)),
+                Err(NoModel::Inconsistent(candidate)) => {
                     self.stats.theory_conflicts += 1;
                     self.recorder.add(names::SMT_THEORY_CONFLICTS, 1);
-                    let core = self.minimize(ctx, literals);
-                    let clause: Vec<Lit> = atom_vars
-                        .iter()
-                        .filter_map(|&(v, a)| {
-                            core.iter().find(|&&(ca, _)| ca == a).map(|&(_, pol)| {
-                                if pol {
-                                    Lit::neg(v)
-                                } else {
-                                    Lit::pos(v)
-                                }
-                            })
-                        })
-                        .collect();
-                    sat.add_clause(&clause);
+                    let _span = self.recorder.span(names::SMT_MINIMIZE_NS);
+                    let core = self.confirmed_core(ctx, &literals, candidate);
+                    self.stats.core_literals += core.len() as u64;
+                    self.recorder.add(names::SMT_CORE_LITERALS, core.len() as u64);
+                    core
                 }
-                TheoryResult::Unknown => {
+                Err(NoModel::Unknown) => {
                     // Cannot trust this model; block it wholesale and record
                     // that a final Unsat is no longer conclusive.
                     saw_unknown = true;
-                    let clause: Vec<Lit> = atom_vars
-                        .iter()
-                        .map(|&(v, _)| {
-                            if sat.value(v) {
-                                Lit::neg(v)
-                            } else {
-                                Lit::pos(v)
-                            }
-                        })
-                        .collect();
-                    sat.add_clause(&clause);
+                    (0..literals.len()).collect()
                 }
-            }
+            };
+            // The one place a theory clause enters the SAT core. `blocked` is
+            // either a set `theory::check` refuted as given (see
+            // `confirmed_core`) or a whole model that taints the verdict.
+            let clause: Vec<Lit> = blocked
+                .iter()
+                .map(|&i| {
+                    let (v, _) = atom_vars[i];
+                    if literals[i].1 {
+                        Lit::neg(v)
+                    } else {
+                        Lit::pos(v)
+                    }
+                })
+                .collect();
+            sat.add_clause(&clause);
         }
         (SatResult::Unknown, None)
     }
 
-    /// Greedy theory-conflict minimization: drops literals whose removal
-    /// keeps the set inconsistent, producing a stronger blocking clause.
-    fn minimize(&mut self, ctx: &Context, mut literals: Vec<TheoryLit>) -> Vec<TheoryLit> {
-        if literals.len() > self.minimize_up_to {
-            return literals;
-        }
-        let mut i = 0;
-        while i < literals.len() {
-            let removed = literals.remove(i);
-            let mut tstats = TheoryStats::default();
-            let verdict =
-                theory::check_with_model_stats(ctx, &literals, &self.theory_limits, &mut tstats).0;
-            self.fold_theory_stats(tstats);
-            if verdict == TheoryResult::Inconsistent {
-                self.stats.minimized_literals += 1;
-                self.recorder.add(names::SMT_MINIMIZED_LITERALS, 1);
-                // Keep it removed; index i now points at the next literal.
-            } else {
-                literals.insert(i, removed);
-                i += 1;
-            }
-        }
-        literals
-    }
-
-    /// Accumulates one theory check's work counters into the cumulative
-    /// stats and the recorder.
-    fn fold_theory_stats(&mut self, t: TheoryStats) {
+    /// One theory check, its work counters folded into the stats.
+    fn theory_check(
+        &mut self,
+        ctx: &Context,
+        literals: &[TheoryLit],
+    ) -> Result<theory::Model, NoModel> {
+        let mut t = TheoryStats::default();
+        let checked = theory::check_with_model_stats(ctx, literals, &self.theory_limits, &mut t);
         self.stats.simplex_pivots += t.pivots;
         self.stats.theory_rounds += t.rounds;
         self.recorder.add(names::SMT_SIMPLEX_PIVOTS, t.pivots);
         self.recorder.add(names::SMT_THEORY_ROUNDS, t.rounds);
+        checked
+    }
+
+    /// Whether the theory refutes exactly the literals `literals[i]`, `i ∈ keep`.
+    fn refutes(&mut self, ctx: &Context, literals: &[TheoryLit], keep: &[usize]) -> bool {
+        let subset: Vec<TheoryLit> = keep.iter().map(|&i| literals[i]).collect();
+        matches!(self.theory_check(ctx, &subset), Err(NoModel::Inconsistent(_)))
+    }
+
+    /// Turns the theory's `candidate` explanation of an inconsistent
+    /// `literals` into the core to block: a subset (as indices) that
+    /// [`theory::check_with_model_stats`] has refuted *as given*.
+    ///
+    /// The candidate is only a hint, so it is re-checked first; if the
+    /// theory does not refute it on its own, the whole assignment — refuted
+    /// by the check that produced the candidate — takes its place. Greedy
+    /// deletion then drops every literal whose removal keeps the set
+    /// refuted. Each step that shrinks the set is a refutation of exactly
+    /// the shrunken set, so the invariant holds at every exit, and a wrong
+    /// explanation can cost time but never soundness.
+    fn confirmed_core(
+        &mut self,
+        ctx: &Context,
+        literals: &[TheoryLit],
+        candidate: Vec<usize>,
+    ) -> Vec<usize> {
+        #[cfg(test)]
+        let candidate: Vec<usize> =
+            candidate.into_iter().skip(usize::from(self.sabotage_candidates)).collect();
+        let mut core = if self.refutes(ctx, literals, &candidate) {
+            candidate
+        } else {
+            self.stats.core_fallbacks += 1;
+            self.recorder.add(names::SMT_CORE_FALLBACKS, 1);
+            (0..literals.len()).collect()
+        };
+        let mut i = 0;
+        while i < core.len() {
+            let removed = core.remove(i);
+            if self.refutes(ctx, literals, &core) {
+                self.stats.minimized_literals += 1;
+                self.recorder.add(names::SMT_MINIMIZED_LITERALS, 1);
+                // Keep it removed; index i now points at the next literal.
+            } else {
+                core.insert(i, removed);
+                i += 1;
+            }
+        }
+        core
     }
 
     /// Whether `hypothesis ⇒ conclusion` is valid (proved by refutation).
@@ -442,5 +516,77 @@ mod tests {
         let mut s = solver();
         let _ = s.check(&ctx, phi);
         assert_eq!(s.stats().checks, 1);
+    }
+
+    /// Seeded clause sets over small atoms (`x ≤ c`, `x = y + c`,
+    /// `f(x) = y`, …): many boolean models, most of them refuted by the
+    /// theory, so verdicts rest on the learned blocking clauses.
+    fn clause_corpus(ctx: &mut Context, seed: u64, n: usize) -> Vec<FormulaId> {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let f = ctx.fn_sym("f", 1);
+        let vars = ["x", "y", "z"].map(|v| ctx.int_var(v));
+        let mut corpus = Vec::new();
+        for _ in 0..n {
+            let mut clauses = Vec::new();
+            for _ in 0..rng.gen_range(4..10) {
+                let mut lits = Vec::new();
+                for _ in 0..rng.gen_range(1..3) {
+                    let (a, b) = (vars[rng.gen_range(0..3)], vars[rng.gen_range(0..3)]);
+                    let c = ctx.int(rng.gen_range(-3..4));
+                    let atom = match rng.gen_range(0..5) {
+                        0 => ctx.le(a, c),
+                        1 => ctx.le(c, a),
+                        2 => {
+                            let bc = ctx.add(b, c);
+                            ctx.eq(a, bc)
+                        }
+                        3 => {
+                            let fa = ctx.app(f, vec![a]);
+                            ctx.eq(fa, b)
+                        }
+                        _ => ctx.lt(a, b),
+                    };
+                    lits.push(if rng.gen_range(0..3) == 0 { ctx.not(atom) } else { atom });
+                }
+                clauses.push(ctx.or_all(lits));
+            }
+            corpus.push(ctx.and_all(clauses));
+        }
+        corpus
+    }
+
+    #[test]
+    fn dropping_a_literal_from_every_candidate_changes_no_verdict() {
+        // The mutation makes most explanations wrong (a near-minimal core
+        // minus one literal is consistent). Blocking such a set would turn
+        // satisfiable formulas `Unsat`; the re-check in `confirmed_core`
+        // must catch each one and fall back to the full assignment.
+        let mut ctx = Context::new();
+        let corpus = clause_corpus(&mut ctx, 19, 200);
+        let mut honest = Solver::new();
+        let mut sabotaged = Solver::new();
+        sabotaged.sabotage_candidates = true;
+        sabotaged.recorder = RecorderCell::memory();
+        let mut verdicts = [0usize; 3];
+        for &phi in &corpus {
+            let expected = honest.check(&ctx, phi);
+            assert_eq!(
+                sabotaged.check(&ctx, phi),
+                expected,
+                "{}",
+                ctx.formula_to_string(phi)
+            );
+            verdicts[expected as usize] += 1;
+        }
+        let [sat, unsat, _] = verdicts;
+        assert!(sat > 20 && unsat > 20, "corpus is one-sided: {verdicts:?}");
+        assert!(honest.stats().theory_conflicts > 200, "corpus has too few conflicts");
+        assert_eq!(honest.stats().core_fallbacks, 0, "honest explanations hold");
+        let fallbacks = sabotaged.stats().core_fallbacks;
+        assert!(fallbacks > 100, "only {fallbacks} sabotaged candidates were caught");
+        let snap = sabotaged.recorder.snapshot().expect("memory recorder");
+        assert_eq!(snap.counter(names::SMT_CORE_FALLBACKS), fallbacks);
+        assert_eq!(snap.counter(names::SMT_UNKNOWN), sabotaged.stats().unknowns);
     }
 }

@@ -21,7 +21,7 @@ use crate::ctx::{Context, Formula, FormulaId, Term, TermId};
 use crate::euf::Euf;
 use crate::rational::Rat;
 use crate::simplex::{self, LiaProblem, LiaResult, LinCon, LinExpr, Rel};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Verdict for a literal conjunction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -58,8 +58,7 @@ impl Default for TheoryLimits {
 
 /// Work counters for one or more theory checks.
 ///
-/// Filled by [`check_with_model_stats`]; the plain [`check`] /
-/// [`check_with_model`] entry points discard them.
+/// Filled by [`check_with_model_stats`]; the plain [`check`] discards them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TheoryStats {
     /// Nelson–Oppen exchange rounds executed.
@@ -137,98 +136,106 @@ impl Linearizer {
     }
 }
 
+/// Why [`check_with_model_stats`] produced no model.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum NoModel {
+    /// Provably inconsistent. Carries a *candidate core*: indices into
+    /// `literals` (sorted, distinct) that the theories' own explanations
+    /// blame — the infeasible simplex row, the congruence proof. It is
+    /// usually a small inconsistent subset, but it is a hint: a caller that
+    /// acts on it must check exactly that subset first.
+    Inconsistent(Vec<usize>),
+    /// Resource limits hit; no verdict.
+    Unknown,
+}
+
+impl Linearizer {
+    /// Linear form of `a − b`.
+    fn diff(&mut self, ctx: &Context, a: TermId, b: TermId) -> Result<LinExpr, NoModel> {
+        let (la, lb) = (self.lin(ctx, a).ok_or(NoModel::Unknown)?, self.lin(ctx, b).ok_or(NoModel::Unknown)?);
+        la.checked_sub(&lb).ok_or(NoModel::Unknown)
+    }
+}
+
+/// `e + 1` (turns `e ≤ −1` into the `… ≤ 0` normal form).
+fn plus_one(mut e: LinExpr) -> Result<LinExpr, NoModel> {
+    e.constant = e.constant.checked_add(Rat::ONE).ok_or(NoModel::Unknown)?;
+    Ok(e)
+}
+
 /// Decides consistency of the conjunction of `literals`.
 pub fn check(ctx: &Context, literals: &[TheoryLit], limits: &TheoryLimits) -> TheoryResult {
-    check_with_model(ctx, literals, limits).0
+    match check_with_model_stats(ctx, literals, limits, &mut TheoryStats::default()) {
+        Ok(_) => TheoryResult::Consistent,
+        Err(NoModel::Inconsistent(_)) => TheoryResult::Inconsistent,
+        Err(NoModel::Unknown) => TheoryResult::Unknown,
+    }
 }
 
-/// Like [`check`], additionally returning a source-variable model when the
-/// verdict is [`TheoryResult::Consistent`].
-pub fn check_with_model(
-    ctx: &Context,
-    literals: &[TheoryLit],
-    limits: &TheoryLimits,
-) -> (TheoryResult, Option<Model>) {
-    let mut stats = TheoryStats::default();
-    check_with_model_stats(ctx, literals, limits, &mut stats)
-}
-
-/// Like [`check_with_model`], additionally accumulating work counters
-/// (exchange rounds, simplex calls, pivots) into `stats`.
+/// Like [`check`], but returns the source-variable model when there is one,
+/// explains inconsistency with a candidate core
+/// ([`NoModel::Inconsistent`]), and accumulates work counters (exchange
+/// rounds, simplex calls, pivots) into `stats`.
 pub fn check_with_model_stats(
     ctx: &Context,
     literals: &[TheoryLit],
     limits: &TheoryLimits,
     stats: &mut TheoryStats,
-) -> (TheoryResult, Option<Model>) {
+) -> Result<Model, NoModel> {
     let mut euf = Euf::new();
     let mut lz = Linearizer::new();
-    let mut base: Vec<LinCon> = Vec::new();
-    let mut diseqs: Vec<LinExpr> = Vec::new();
+    // Arithmetic constraints and disequalities, each with its literal.
+    let (mut base, mut base_lit): (Vec<LinCon>, Vec<usize>) = (Vec::new(), Vec::new());
+    let (mut diseqs, mut diseq_lit): (Vec<LinExpr>, Vec<usize>) = (Vec::new(), Vec::new());
 
     // Phase 1: dispatch literals to both theories.
-    for &(atom, polarity) in literals {
+    for (i, &(atom, polarity)) in literals.iter().enumerate() {
         match ctx.formula(atom).clone() {
             Formula::Eq(a, b) => {
-                if polarity {
-                    if !euf.merge(ctx, a, b) {
-                        return (TheoryResult::Inconsistent, None);
-                    }
-                } else if !euf.add_diseq(ctx, a, b) {
-                    return (TheoryResult::Inconsistent, None);
+                let closed = if polarity {
+                    euf.merge(ctx, a, b, &[i])
+                } else {
+                    euf.add_diseq(ctx, a, b, i)
+                };
+                if let Err(core) = closed {
+                    debug_assert!(core.last() == Some(&i), "conflict found at literal {i}");
+                    return Err(NoModel::Inconsistent(core));
                 }
-                let (Some(la), Some(lb)) = (lz.lin(ctx, a), lz.lin(ctx, b)) else {
-                    return (TheoryResult::Unknown, None);
-                };
-                let Some(d) = la.checked_sub(&lb) else {
-                    return (TheoryResult::Unknown, None);
-                };
+                let d = lz.diff(ctx, a, b)?;
                 if polarity {
                     base.push(LinCon {
                         expr: d,
                         rel: Rel::Eq,
                     });
+                    base_lit.push(i);
                 } else {
                     diseqs.push(d);
+                    diseq_lit.push(i);
                 }
             }
             Formula::Le(a, b) | Formula::Lt(a, b) => {
                 let strict = matches!(ctx.formula(atom), Formula::Lt(..));
                 euf.add_term(ctx, a);
                 euf.add_term(ctx, b);
-                let (Some(la), Some(lb)) = (lz.lin(ctx, a), lz.lin(ctx, b)) else {
-                    return (TheoryResult::Unknown, None);
-                };
                 // polarity ∧ strict:  a <  b ≡ a − b + 1 ≤ 0
                 // polarity ∧ weak:    a ≤  b ≡ a − b ≤ 0
                 // ¬polarity ∧ strict: a ≥  b ≡ b − a ≤ 0
                 // ¬polarity ∧ weak:   a >  b ≡ b − a + 1 ≤ 0
-                let (lhs, rhs, add_one) = if polarity {
-                    (la, lb, strict)
+                let (d, add_one) = if polarity {
+                    (lz.diff(ctx, a, b)?, strict)
                 } else {
-                    (lb, la, !strict)
+                    (lz.diff(ctx, b, a)?, !strict)
                 };
-                let Some(mut d) = lhs.checked_sub(&rhs) else {
-                    return (TheoryResult::Unknown, None);
-                };
-                if add_one {
-                    let Some(c) = d.constant.checked_add(Rat::ONE) else {
-                        return (TheoryResult::Unknown, None);
-                    };
-                    d.constant = c;
-                }
                 base.push(LinCon {
-                    expr: d,
+                    expr: if add_one { plus_one(d)? } else { d },
                     rel: Rel::Le,
                 });
+                base_lit.push(i);
             }
             other => {
                 debug_assert!(false, "non-atom in theory check: {other:?}");
             }
         }
-    }
-    if !euf.consistent(ctx) {
-        return (TheoryResult::Inconsistent, None);
     }
 
     // Interface terms: arguments of registered applications (candidates for
@@ -246,32 +253,46 @@ pub fn check_with_model_stats(
     // Phase 2: Nelson–Oppen exchange.
     for _round in 0..limits.max_rounds {
         stats.rounds += 1;
-        // EUF classes → LIA equalities.
-        let mut class_members: HashMap<u32, Vec<TermId>> = HashMap::new();
-        let registered: Vec<TermId> = euf.registered_terms().to_vec();
-        for &t in &registered {
+        // EUF classes → LIA equalities `rep = m`.
+        let mut class_members: BTreeMap<u32, Vec<TermId>> = BTreeMap::new();
+        for &t in euf.registered_terms() {
+            // Every term the probes below evaluate gets its proxy before the
+            // problem is sized.
+            lz.lin(ctx, t).ok_or(NoModel::Unknown)?;
             let root = euf.class_id(t).expect("registered term has a class");
             class_members.entry(root).or_default().push(t);
         }
         let mut constraints = base.clone();
+        let mut class_eqs: Vec<(TermId, TermId)> = Vec::new();
         for members in class_members.values() {
             let rep = members[0];
-            let Some(lrep) = lz.lin(ctx, rep) else {
-                return (TheoryResult::Unknown, None);
-            };
             for &m in &members[1..] {
-                let Some(lm) = lz.lin(ctx, m) else {
-                    return (TheoryResult::Unknown, None);
-                };
-                let Some(d) = lrep.checked_sub(&lm) else {
-                    return (TheoryResult::Unknown, None);
-                };
                 constraints.push(LinCon {
-                    expr: d,
+                    expr: lz.diff(ctx, rep, m)?,
                     rel: Rel::Eq,
                 });
+                class_eqs.push((rep, m));
             }
         }
+        // Simplex explanation → literal indices. A simplex index names, in
+        // order: a base constraint, a class equality (expanded into the
+        // literals its congruence proof uses), in a probe its own side
+        // constraint (not an input: skipped), then from `n_cons` on a
+        // disequality.
+        let blame = |euf: &Euf, n_cons: usize, core: &[usize], out: &mut Vec<usize>| {
+            for &i in core {
+                if i < base_lit.len() {
+                    out.push(base_lit[i]);
+                } else if i < constraints.len() {
+                    let (rep, m) = class_eqs[i - base_lit.len()];
+                    out.extend(euf.explain(rep, m));
+                } else if i >= n_cons {
+                    out.push(diseq_lit[i - n_cons]);
+                }
+            }
+            out.sort_unstable();
+            out.dedup();
+        };
         let problem = LiaProblem {
             num_vars: lz.num_vars,
             constraints: constraints.clone(),
@@ -280,8 +301,12 @@ pub fn check_with_model_stats(
         let mut budget = limits.lia_budget;
         stats.simplex_calls += 1;
         let model = match simplex::solve_counted(&problem, &mut budget, &mut stats.pivots) {
-            LiaResult::Unsat => return (TheoryResult::Inconsistent, None),
-            LiaResult::Unknown => return (TheoryResult::Unknown, None),
+            LiaResult::Unsat(core) => {
+                let mut lits = Vec::new();
+                blame(&euf, constraints.len(), &core, &mut lits);
+                return Err(NoModel::Inconsistent(lits));
+            }
+            LiaResult::Unknown => return Err(NoModel::Unknown),
             LiaResult::Sat(m) => m,
         };
 
@@ -306,36 +331,21 @@ pub fn check_with_model_stats(
                 if euf.equal(t1, t2) {
                     continue;
                 }
-                let (Some(v1), Some(v2)) = (eval(&mut lz, t1), eval(&mut lz, t2)) else {
-                    return (TheoryResult::Unknown, None);
-                };
-                if v1 != v2 {
+                let v1 = eval(&mut lz, t1).ok_or(NoModel::Unknown)?;
+                if v1 != eval(&mut lz, t2).ok_or(NoModel::Unknown)? {
                     continue;
                 }
                 probes += 1;
-                let (Some(l1), Some(l2)) = (lz.lin(ctx, t1), lz.lin(ctx, t2)) else {
-                    return (TheoryResult::Unknown, None);
-                };
-                let Some(d) = l1.checked_sub(&l2) else {
-                    return (TheoryResult::Unknown, None);
-                };
                 // Implied equality iff both `d ≤ −1` and `d ≥ 1` are
-                // infeasible under the current constraints.
-                let mut lt_con = d.clone();
-                let Some(c) = lt_con.constant.checked_add(Rat::ONE) else {
-                    return (TheoryResult::Unknown, None);
-                };
-                lt_con.constant = c; // d + 1 ≤ 0 ≡ d ≤ −1
-                let mut gt_con = match d.checked_scale(Rat::int(-1)) {
-                    Some(g) => g,
-                    None => return (TheoryResult::Unknown, None),
-                };
-                let Some(c) = gt_con.constant.checked_add(Rat::ONE) else {
-                    return (TheoryResult::Unknown, None);
-                };
-                gt_con.constant = c; // −d + 1 ≤ 0 ≡ d ≥ 1
+                // infeasible under the current constraints; the two
+                // explanations together are the reason for the merge.
+                let sides = [
+                    plus_one(lz.diff(ctx, t1, t2)?)?, // d + 1 ≤ 0 ≡ d ≤ −1
+                    plus_one(lz.diff(ctx, t2, t1)?)?, // −d + 1 ≤ 0 ≡ d ≥ 1
+                ];
+                let mut reason = Vec::new();
                 let mut implied = true;
-                for side in [lt_con, gt_con] {
+                for side in sides {
                     let mut cs = constraints.clone();
                     cs.push(LinCon {
                         expr: side,
@@ -349,18 +359,19 @@ pub fn check_with_model_stats(
                     let mut b = limits.lia_budget;
                     stats.simplex_calls += 1;
                     match simplex::solve_counted(&p, &mut b, &mut stats.pivots) {
-                        LiaResult::Unsat => {}
+                        LiaResult::Unsat(core) => {
+                            blame(&euf, p.constraints.len(), &core, &mut reason);
+                        }
                         LiaResult::Sat(_) => {
                             implied = false;
                             break;
                         }
-                        LiaResult::Unknown => return (TheoryResult::Unknown, None),
+                        LiaResult::Unknown => return Err(NoModel::Unknown),
                     }
                 }
                 if implied {
-                    if !euf.merge(ctx, t1, t2) {
-                        return (TheoryResult::Inconsistent, None);
-                    }
+                    euf.merge(ctx, t1, t2, &reason)
+                        .map_err(NoModel::Inconsistent)?;
                     merged_any = true;
                 }
             }
@@ -374,10 +385,10 @@ pub fn check_with_model_stats(
                     }
                 }
             }
-            return (TheoryResult::Consistent, Some(out));
+            return Ok(out);
         }
     }
-    (TheoryResult::Unknown, None)
+    Err(NoModel::Unknown)
 }
 
 #[cfg(test)]
@@ -543,5 +554,65 @@ mod tests {
             check(&ctx, &[(a, true), (b, true)], &limits()),
             TheoryResult::Inconsistent
         );
+    }
+
+    /// The candidate core of an inconsistent literal set.
+    fn core(ctx: &Context, literals: &[TheoryLit]) -> Vec<usize> {
+        let mut stats = TheoryStats::default();
+        match check_with_model_stats(ctx, literals, &limits(), &mut stats) {
+            Err(NoModel::Inconsistent(core)) => core,
+            other => panic!("expected Inconsistent, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn early_exit_reports_the_literal_it_stopped_at() {
+        // x = 1, y ≤ 5, x = 2, z = 3: congruence closure stops at literal 2.
+        let mut ctx = Context::new();
+        let [x, y, z] = ["x", "y", "z"].map(|n| ctx.int_var(n));
+        let [one, two, three, five] = [1, 2, 3, 5].map(|c| ctx.int(c));
+        let lits = [ctx.eq(x, one), ctx.le(y, five), ctx.eq(x, two), ctx.eq(z, three)];
+        assert_eq!(core(&ctx, &lits.map(|a| (a, true))), vec![0, 2]);
+    }
+
+    #[test]
+    fn arithmetic_core_is_the_infeasible_row() {
+        // 5 ≤ x, y ≤ 7, x ≤ 3, z = y: only the bounds on x clash.
+        let mut ctx = Context::new();
+        let [x, y, z] = ["x", "y", "z"].map(|n| ctx.int_var(n));
+        let [three, five, seven] = [3, 5, 7].map(|c| ctx.int(c));
+        let lits = [ctx.le(five, x), ctx.le(y, seven), ctx.le(x, three), ctx.eq(z, y)];
+        assert_eq!(core(&ctx, &lits.map(|a| (a, true))), vec![0, 2]);
+    }
+
+    #[test]
+    fn class_equality_in_a_row_is_replaced_by_its_congruence_proof() {
+        // a = b, w ≤ 3, f(a) ≤ 0, 1 ≤ f(b): arithmetic sees f(a) = f(b) only
+        // as a class equality, which literal 0 explains.
+        let mut ctx = Context::new();
+        let f = ctx.fn_sym("f", 1);
+        let [a, b, w] = ["a", "b", "w"].map(|n| ctx.int_var(n));
+        let [zero, one, three] = [0, 1, 3].map(|c| ctx.int(c));
+        let (fa, fb) = (ctx.app(f, vec![a]), ctx.app(f, vec![b]));
+        let lits = [ctx.eq(a, b), ctx.le(w, three), ctx.le(fa, zero), ctx.le(one, fb)];
+        assert_eq!(core(&ctx, &lits.map(|a| (a, true))), vec![0, 2, 3]);
+    }
+
+    #[test]
+    fn probed_equality_carries_the_literals_that_implied_it() {
+        // z ≤ 0, x ≤ y, y ≤ x, f(x) ≠ f(y): probing derives x = y from
+        // literals 1 and 2, congruence then contradicts literal 3.
+        let mut ctx = Context::new();
+        let f = ctx.fn_sym("f", 1);
+        let [x, y, z] = ["x", "y", "z"].map(|n| ctx.int_var(n));
+        let zero = ctx.int(0);
+        let (fx, fy) = (ctx.app(f, vec![x]), ctx.app(f, vec![y]));
+        let lits = [
+            (ctx.le(z, zero), true),
+            (ctx.le(x, y), true),
+            (ctx.le(y, x), true),
+            (ctx.eq(fx, fy), false),
+        ];
+        assert_eq!(core(&ctx, &lits), vec![1, 2, 3]);
     }
 }

@@ -280,6 +280,49 @@ fn quarantine_counters_survive_retries_and_merge_demotion() {
     }
 }
 
+/// The empty-flag encoding of `max` — the definition whose H2 obligation
+/// the solver could not discharge while it blocked one model per conflict.
+/// The real prover must now license the parallel pass, and the pass must
+/// agree with the sequential fold bit for bit. All-negative inputs and
+/// shards that see no record are the cases the flag exists for: a merge
+/// that ignored it would report the initial `m = 0`.
+#[test]
+fn empty_flagged_max_is_proved_and_matches_the_sequential_fold() {
+    let mut interner = Interner::new();
+    let probe = interner.intern("probe");
+    let def = parse_agg(
+        "aggregate mx @1 (x) { state has = 0; state m = 0;
+           fold { if (has == 0) { m := x; has := 1; }
+                  else { if (m < x) { m := x; } else { skip; } } }
+           merge { if (rhs_has == 0) { skip; }
+                   else { if (has == 0) { m := rhs_m; has := rhs_has; }
+                          else { if (m < rhs_m) { m := rhs_m; } else { skip; } } } } }",
+        &mut interner,
+    )
+    .expect("parses");
+    let queries = AggQuerySet::prove(vec![def.clone()], &mut interner, &Default::default())
+        .expect("prover runs");
+    assert_eq!(queries.proved, vec![true], "H1 and H2 are discharged");
+    let sequential = AggQuerySet::sequential(vec![def]);
+    let plan = FaultPlan::none();
+    // Record values are `index − 40`: 30 records are all negative and leave
+    // most of 8 workers' shards empty; 700 cross the chunk boundary.
+    for (n_records, max) in [(30usize, -11i64), (700, 659)] {
+        let reference =
+            run(1, AggMode::Consolidated, &sequential, probe, &plan, n_records, &interner);
+        assert_eq!(reference.states, vec![vec![1, max]]);
+        for workers in [1usize, 2, 8] {
+            for mode in [AggMode::Separate, AggMode::Consolidated] {
+                let rep = run(workers, mode, &queries, probe, &plan, n_records, &interner);
+                let ctx = format!("{n_records} records, {workers} workers, {mode:?}");
+                assert_eq!(rep.states, reference.states, "{ctx}");
+                assert_eq!(rep.proved, vec![true], "{ctx}: no run-time demotion");
+                assert!(rep.quarantine.is_clean(), "{ctx}");
+            }
+        }
+    }
+}
+
 /// Invariant 2 with *proved* flags coming from the real prover, over a real
 /// domain workload: the stock SUM/CNT/VAR/MIX families at test scale.
 #[test]

@@ -6,17 +6,35 @@
 # 1. udf-smt's and consolidate's own unit tests: simplex and congruence
 #    explanations, the sabotaged-candidate test that only passes because
 #    every blocking clause is re-checked, the H1/H2 homomorphism proofs.
+#    In debug builds (these are) every "not valid" the countermodel pool
+#    answers is re-asked of a fresh solver, in every suite below as well.
 # 2. The root suites that rest on verdicts: brute-force soundness, conflict
-#    cores of 12-40-literal conjunctions and the differential against
-#    full-set minimisation (prop_solver); the paper's examples; incremental
-#    vs from-scratch plans; cold vs cached plans.
+#    cores of 12-40-literal conjunctions, the differential against
+#    full-set minimisation, udf_smt::eval against the brute-force evaluator
+#    and reused countermodels against the solver (prop_solver); the paper's
+#    examples; incremental vs from-scratch plans; cold vs cached plans.
 # 3. The benchmark's cold path at smoke scale: source text to notifications
 #    through the solver, every output checked against the interpreter
-#    oracle (exit 1 on `correct: false`). Timings are not asserted on.
+#    oracle (exit 1 on `correct: false`). Timings are not asserted on; the
+#    plans are: the counts below are exact and deterministic on the default
+#    seeds (42/42), so a solver or pool change that alters one plan fails
+#    here in seconds, not in a 20-minute bench comparison. A change that is
+#    meant to alter plans updates them, and says so.
 set -eu
 cd "$(dirname "$0")/.."
 
 cargo test -q -p udf-smt -p consolidate
 cargo test -q --test prop_solver --test paper_examples --test delta_equivalence --test warm_cache_parity
-bash bench/run.sh --smoke --workload cold-omega >/dev/null
+out="$(bash bench/run.sh --smoke --workload cold-omega)"
+plan_is() {
+    got="$(printf '%s\n' "$out" | awk -v name="$1" '$1 == name { print $2; exit }')"
+    if [ "$got" != "$2" ]; then
+        echo "solver: plan identity broken: $1 is ${got:-missing}, expected $2" >&2
+        exit 1
+    fi
+}
+plan_is consolidate.rules_fired 76.000000
+plan_is consolidate.merged_size_ratio 2.434389
+plan_is plan_cost_ratio 0.326262
+plan_is consolidate.full_tier_share 1.000000
 echo "solver: ok"

@@ -53,6 +53,14 @@ pub struct ConsolidationStats {
     /// Entailments answered from the shared [`crate::memo::EntailmentMemo`]
     /// (no solver work, no budget charge).
     pub memo_hits: u64,
+    /// Entailments answered "not valid" by evaluating a kept countermodel
+    /// (no solver work, no budget charge). Not persisted by the plan cache:
+    /// a plan loaded from a snapshot reports 0.
+    pub countermodel_hits: u64,
+    /// Solver `Sat` models that did not satisfy their own query under
+    /// evaluation and were kept out of the countermodel pool — how often
+    /// the solver's `Sat` holds only in its abstraction. Not persisted.
+    pub countermodel_rejected: u64,
     /// Cumulative SMT solver statistics (summed over all pair contexts).
     /// On a plan-cache hit these are zero: the stored plan is served without
     /// any solver work.
@@ -197,6 +205,8 @@ pub(crate) fn consolidate_pair_budgeted(
             rules,
             entailment_queries: cx.entailment_queries(),
             memo_hits: cx.memo_hits(),
+            countermodel_hits: cx.countermodel_hits(),
+            countermodel_rejected: cx.countermodel_rejected(),
             solver: cx.solver_stats(),
             pairs_consolidated: 1,
             pairs_degraded: 0,
@@ -397,6 +407,8 @@ pub(crate) fn add_stats(acc: &mut ConsolidationStats, s: &ConsolidationStats) {
     a.budget_fallbacks += r.budget_fallbacks;
     acc.entailment_queries += s.entailment_queries;
     acc.memo_hits += s.memo_hits;
+    acc.countermodel_hits += s.countermodel_hits;
+    acc.countermodel_rejected += s.countermodel_rejected;
     acc.solver += s.solver;
     acc.pairs_consolidated += s.pairs_consolidated;
     acc.pairs_degraded += s.pairs_degraded;

@@ -27,6 +27,9 @@ pub enum EntailmentVia {
     Cache,
     /// Served from the shared cross-pair [`crate::memo::EntailmentMemo`].
     Memo,
+    /// Refuted by evaluation: a countermodel kept from an earlier solver
+    /// call makes `Ψ` true and `φ` false (always "not proved").
+    Countermodel,
     /// Decided by an SMT solver call.
     Solver,
     /// The consolidation budget was exhausted; answered "not proved"
@@ -41,6 +44,7 @@ impl EntailmentVia {
             EntailmentVia::Syntactic => "syntactic",
             EntailmentVia::Cache => "cache",
             EntailmentVia::Memo => "memo",
+            EntailmentVia::Countermodel => "countermodel",
             EntailmentVia::Solver => "solver",
             EntailmentVia::BudgetExhausted => "budget_exhausted",
         }

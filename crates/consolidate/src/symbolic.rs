@@ -8,7 +8,8 @@
 //! performed on `Ψ` itself.
 //!
 //! * [`SymbolicCtx`] owns the SMT context/solver, the program-symbol →
-//!   SMT-symbol mapping, and caches for entailment and model queries.
+//!   SMT-symbol mapping, caches for entailment and model queries, and the
+//!   pool of countermodels that answers "not valid" by evaluation.
 //! * [`SymState`] is the per-path state: the context formula plus the current
 //!   variable versions. States are cheap to clone, which is how the engine
 //!   forks at conditionals (`Ψ ∧ e` / `Ψ ∧ ¬e`).
@@ -25,7 +26,7 @@ use udf_lang::ast::{BoolExpr, IntExpr, Stmt};
 use udf_lang::intern::{Interner, Symbol};
 use udf_obs::{names, RecorderCell};
 use udf_smt::ctx::{FormulaId, TermId};
-use udf_smt::{Context, SatResult, Solver};
+use udf_smt::{Context, Interp, SatResult, Solver};
 
 /// How entailment questions `Ψ ⊨ φ` are answered.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -37,8 +38,14 @@ pub enum EntailmentMode {
     Syntactic,
 }
 
-/// A satisfying assignment, as returned by the solver.
+/// A satisfying assignment of the variables, as returned by the solver.
 pub type Model = HashMap<udf_smt::VarId, i128>;
+
+/// Countermodels kept per context. A constant, not a knob: the share of
+/// would-be "not valid" solver calls the pool answers is flat from 4 to 256
+/// (DESIGN.md, *The entailment pipeline*), and memory is this × the live
+/// `Context` size.
+const COUNTERMODEL_POOL: usize = 32;
 
 /// Shared symbolic machinery for one consolidation run.
 pub struct SymbolicCtx<'i> {
@@ -63,6 +70,18 @@ pub struct SymbolicCtx<'i> {
     /// [`crate::memo::EntailmentMemo::invalidate_query`]).
     memo_scope: Vec<u32>,
     memo_hits: u64,
+    /// Interpretations under which some earlier `Ψ ∧ ¬φ` evaluated true,
+    /// most recently useful first; at most [`COUNTERMODEL_POOL`]. Tried
+    /// before the solver: one that makes the *current* `Ψ ∧ ¬φ` true is a
+    /// countermodel of the current question, wherever it came from.
+    countermodels: Vec<Interp>,
+    countermodel_hits: u64,
+    countermodel_rejected: u64,
+    /// Test hook: overwrite this variable's value in every model *after* it
+    /// passed admission, so a kept interpretation no longer satisfies the
+    /// query it was admitted for.
+    #[cfg(test)]
+    sabotage_admitted: Option<(udf_smt::VarId, i128)>,
     recorder: RecorderCell,
     /// Entailment events since the last drain, present iff explain mode is
     /// on (see [`crate::explain`]).
@@ -98,6 +117,11 @@ impl<'i> SymbolicCtx<'i> {
             memo: None,
             memo_scope: Vec::new(),
             memo_hits: 0,
+            countermodels: Vec::new(),
+            countermodel_hits: 0,
+            countermodel_rejected: 0,
+            #[cfg(test)]
+            sabotage_admitted: None,
             recorder: RecorderCell::noop(),
             explain_log: None,
         }
@@ -182,6 +206,18 @@ impl<'i> SymbolicCtx<'i> {
     /// Number of entailments answered from the shared memo table.
     pub fn memo_hits(&self) -> u64 {
         self.memo_hits
+    }
+
+    /// Number of entailments answered "not valid" by a kept countermodel
+    /// (no solver call, no budget charge).
+    pub fn countermodel_hits(&self) -> u64 {
+        self.countermodel_hits
+    }
+
+    /// Number of solver `Sat` models refused by the countermodel pool: their
+    /// own query does not evaluate true under them.
+    pub fn countermodel_rejected(&self) -> u64 {
+        self.countermodel_rejected
     }
 
     /// Cumulative statistics of the underlying SMT solver (checks performed,
@@ -272,7 +308,10 @@ impl<'i> SymbolicCtx<'i> {
         }
     }
 
-    /// Whether `Ψ ⊨ φ`. Cached; `Unknown` counts as *not entailed*.
+    /// Whether `Ψ ⊨ φ`; `Unknown` counts as *not entailed*. Answered by the
+    /// first of: the per-pair cache, the shared memo, a kept countermodel
+    /// ("not valid" only), the solver — which alone says "valid" first and
+    /// alone charges the budget.
     ///
     /// Long programs accumulate hundreds of conjuncts, most of which are
     /// irrelevant to any one query; the solver query is restricted to the
@@ -327,19 +366,88 @@ impl<'i> SymbolicCtx<'i> {
                         return v;
                     }
                 }
-                if !self.charge_budget() {
-                    self.note_entailment(phi, false, EntailmentVia::BudgetExhausted);
-                    return false;
-                }
-                let v = self.solver.is_valid(&mut self.smt, psi, phi);
+                // `Ψ ⊨ φ` is decided by refutation of `Ψ ∧ ¬φ`. A kept
+                // countermodel that makes it true decides "not valid" by
+                // evaluation; like a memo hit, that is no solver work and
+                // charges no budget.
+                let neg = self.smt.not(phi);
+                let q = self.smt.and(psi, neg);
+                let (v, via) = if self.refuted_by_countermodel(q) {
+                    (false, EntailmentVia::Countermodel)
+                } else {
+                    if !self.charge_budget() {
+                        self.note_entailment(phi, false, EntailmentVia::BudgetExhausted);
+                        return false;
+                    }
+                    let (r, model) = self.solver.check_with_model(&self.smt, q);
+                    if let Some(model) = model {
+                        self.keep_countermodel(q, model);
+                    }
+                    (r == SatResult::Unsat, EntailmentVia::Solver)
+                };
                 self.valid_cache.insert((psi, phi), v);
                 if let (Some(memo), Some(key)) = (&self.memo, key) {
                     memo.store_scoped(key, v, &self.memo_scope);
                 }
-                self.note_entailment(phi, v, EntailmentVia::Solver);
+                self.note_entailment(phi, v, via);
                 v
             }
         }
+    }
+
+    /// Whether a kept interpretation makes `q` (some `Ψ ∧ ¬φ`) true. The one
+    /// that does moves to the front: `sp(Ψ, S)` grows by a conjunct at a
+    /// time, so the next question is most likely refuted by the same one.
+    ///
+    /// The verdict rests on the evaluation alone ([`udf_smt::eval`]: a
+    /// total interpretation, real arithmetic), so it is one no sound solver
+    /// contradicts; debug builds ask a fresh one.
+    fn refuted_by_countermodel(&mut self, q: FormulaId) -> bool {
+        let _span = self.recorder.span(names::ENTAIL_COUNTERMODEL_NS);
+        let smt = &self.smt;
+        let Some(k) = self
+            .countermodels
+            .iter_mut()
+            .position(|m| m.formula(smt, q) == Some(true))
+        else {
+            return false;
+        };
+        self.countermodels[..=k].rotate_right(1);
+        self.countermodel_hits += 1;
+        self.recorder.add(names::ENTAIL_COUNTERMODEL_HITS, 1);
+        // A solver of its own: no stats, recorder, budget or injected
+        // `Unknown` is shared, so debug and release runs count alike.
+        debug_assert_ne!(
+            Solver::new().check(&self.smt, q),
+            SatResult::Unsat,
+            "countermodel pool refuted a valid entailment: {}",
+            self.smt.formula_to_string(q)
+        );
+        true
+    }
+
+    /// Offers the solver's `Sat` model of `q` to the pool. It is admitted
+    /// only if `q` evaluates true under it: nonlinear products and function
+    /// tables are opaque to the theory, so some `Sat` models are models of
+    /// the abstraction only.
+    fn keep_countermodel(&mut self, q: FormulaId, model: udf_smt::Model) {
+        let _span = self.recorder.span(names::ENTAIL_COUNTERMODEL_NS);
+        #[cfg(test)]
+        let sabotaged = self.sabotage_admitted.map(|(var, value)| {
+            let mut model = model.clone();
+            model.vars.insert(var, value);
+            Interp::new(model)
+        });
+        let mut interp = Interp::new(model);
+        if interp.formula(&self.smt, q) != Some(true) {
+            self.countermodel_rejected += 1;
+            self.recorder.add(names::ENTAIL_COUNTERMODEL_REJECTED, 1);
+            return;
+        }
+        #[cfg(test)]
+        let interp = sabotaged.unwrap_or(interp);
+        self.countermodels.insert(0, interp);
+        self.countermodels.truncate(COUNTERMODEL_POOL);
     }
 
     /// Conjunction of the `Ψ` conjuncts transitively sharing variables with
@@ -403,7 +511,11 @@ impl<'i> SymbolicCtx<'i> {
             return None;
         }
         let (r, m) = self.solver.check_with_model(&self.smt, st.psi);
-        let out = if r == SatResult::Sat { m } else { None };
+        let out = if r == SatResult::Sat {
+            m.map(|m| m.vars)
+        } else {
+            None
+        };
         self.model_cache.insert(st.psi, out.clone());
         out
     }
@@ -443,8 +555,8 @@ impl<'i> SymbolicCtx<'i> {
         let (r, m) = self.solver.check_with_model(&self.smt, q);
         let out = match (r, m) {
             (SatResult::Sat, Some(m)) => {
-                let v = m.get(&probe_var).copied().unwrap_or(0);
-                Some((m, v))
+                let v = m.vars.get(&probe_var).copied().unwrap_or(0);
+                Some((m.vars, v))
             }
             _ => None,
         };
@@ -804,6 +916,88 @@ mod tests {
         st.assign(&mut cx, x, &e);
         let m = cx.model(&st).expect("Ψ is satisfiable");
         assert_eq!(cx.model_value(&st, &m, x), 7);
+    }
+
+    /// `Ψ = a > 3` and the goals `a > 10`, `a > 20`, `a > 2`: the context
+    /// every countermodel test below asks its questions in.
+    fn above_three<'i>(i: &'i mut Interner) -> (SymbolicCtx<'i>, SymState, [FormulaId; 3]) {
+        let params = vec![i.intern("a")];
+        let psi = parse_bool_expr("a > 3", i).unwrap();
+        let goals = ["a > 10", "a > 20", "a > 2"].map(|g| parse_bool_expr(g, i).unwrap());
+        let (mut cx, mut st) = initial_state(i, EntailmentMode::Smt, &params);
+        st.assume(&mut cx, &psi);
+        let goals = goals.map(|g| cx.formula_of_bool(&st, &g));
+        (cx, st, goals)
+    }
+
+    #[test]
+    fn kept_countermodel_refutes_the_next_question_without_the_solver() {
+        let mut i = Interner::new();
+        let (mut cx, st, [f10, f20, f2]) = above_three(&mut i);
+        cx.enable_explain();
+        assert!(!cx.entails(&st, f10), "a > 3 does not entail a > 10");
+        assert_eq!((cx.solver_stats().checks, cx.countermodel_hits()), (1, 0));
+        // The model of `a > 3 ∧ ¬(a > 10)` also falsifies `a > 20`.
+        assert!(!cx.entails(&st, f20));
+        assert_eq!((cx.solver_stats().checks, cx.countermodel_hits()), (1, 1));
+        // No interpretation makes `a > 3 ∧ ¬(a > 2)` true: "valid" is the
+        // solver's to prove.
+        assert!(cx.entails(&st, f2));
+        assert_eq!((cx.solver_stats().checks, cx.countermodel_hits()), (2, 1));
+        assert_eq!(cx.countermodel_rejected(), 0);
+        let via: Vec<_> = cx
+            .drain_explain()
+            .iter()
+            .map(|e| (e.proved, e.via))
+            .collect();
+        assert_eq!(
+            via,
+            [
+                (false, EntailmentVia::Solver),
+                (false, EntailmentVia::Countermodel),
+                (true, EntailmentVia::Solver),
+            ]
+        );
+        // The verdict was stored like a solver's: asking again is a cache hit.
+        assert!(!cx.entails(&st, f20));
+        assert_eq!(cx.countermodel_hits(), 1);
+    }
+
+    #[test]
+    fn a_pool_answer_rests_on_evaluating_psi_not_on_where_the_model_came_from() {
+        // Every admitted model has `a` overwritten with 0 afterwards, so the
+        // pool holds an interpretation that was admitted for `a > 3 ∧ …` and
+        // no longer satisfies it. Under `a = 0`, `¬(a > 20)` and `¬(a > 2)`
+        // are both true: a pool that trusted admission and looked at `φ`
+        // alone would refute both — the second one wrongly. Evaluating `Ψ`
+        // keeps it silent, and the solver answers as if there were no pool.
+        let mut i = Interner::new();
+        let (mut cx, st, [f10, f20, f2]) = above_three(&mut i);
+        cx.sabotage_admitted = Some((cx.smt.var("a@0"), 0));
+        assert!(!cx.entails(&st, f10));
+        assert_eq!(cx.countermodels.len(), 1, "admitted, then sabotaged");
+        assert!(!cx.entails(&st, f20));
+        assert!(cx.entails(&st, f2), "a > 3 entails a > 2");
+        assert_eq!((cx.solver_stats().checks, cx.countermodel_hits()), (3, 0));
+    }
+
+    #[test]
+    fn a_pool_answer_does_not_charge_the_budget() {
+        use crate::budget::{BudgetState, ConsolidationBudget};
+        let mut i = Interner::new();
+        let (mut cx, st, [f10, f20, f2]) = above_three(&mut i);
+        let budget = std::sync::Arc::new(BudgetState::new(
+            &ConsolidationBudget::UNLIMITED.with_max_solver_queries(1),
+        ));
+        cx.set_budget(budget.clone());
+        assert!(!cx.entails(&st, f10), "the one query the budget allows");
+        assert!(!cx.entails(&st, f20), "answered by the kept countermodel");
+        assert_eq!((budget.queries_charged(), cx.countermodel_hits()), (1, 1));
+        assert!(!budget.exhausted(), "a pool answer is not a solver query");
+        // The next solver-bound question is the one that exhausts it.
+        assert!(!cx.entails(&st, f2), "valid, but unproved: over budget");
+        assert!(budget.exhausted());
+        assert_eq!(cx.solver_stats().checks, 1);
     }
 
     #[test]

@@ -275,9 +275,10 @@ fn main() {
         );
         let checks: u64 = runs.iter().map(|r| r.stats.solver.checks).sum();
         let memo: u64 = runs.iter().map(|r| r.stats.memo_hits).sum();
+        let refuted: u64 = runs.iter().map(|r| r.stats.countermodel_hits).sum();
         let pairs: u64 = runs.iter().map(|r| r.stats.pairs_consolidated).sum();
         println!(
-            "solver work   : {checks} SMT checks, {memo} memo hits over {pairs} pairs ({:.1} checks/pair)",
+            "solver work   : {checks} SMT checks, {memo} memo hits, {refuted} countermodel hits over {pairs} pairs ({:.1} checks/pair)",
             checks as f64 / pairs.max(1) as f64
         );
         let disagreements = runs.iter().filter(|r| !r.outputs_agree).count();
@@ -298,6 +299,7 @@ fn main() {
         println!("{}", snap.to_json());
         let checks: u64 = runs.iter().map(|r| r.stats.solver.checks).sum();
         let memo: u64 = runs.iter().map(|r| r.stats.memo_hits).sum();
+        let refuted: u64 = runs.iter().map(|r| r.stats.countermodel_hits).sum();
         let pairs: u64 = runs.iter().map(|r| r.stats.pairs_consolidated).sum();
         let demo = demo.unwrap_or_default();
         let shadow = demo.shadow_runs + runs.iter().map(|r| r.shadow_runs).sum::<u64>();
@@ -310,6 +312,7 @@ fn main() {
         for (name, stat) in [
             (udf_obs::names::SMT_CHECKS, checks),
             (udf_obs::names::ENTAIL_MEMO_HITS, memo),
+            (udf_obs::names::ENTAIL_COUNTERMODEL_HITS, refuted),
             (udf_obs::names::PAIRS, pairs),
             (udf_obs::names::GUARD_SHADOW_RUNS, shadow),
             (udf_obs::names::GUARD_MISMATCHES, mismatches),

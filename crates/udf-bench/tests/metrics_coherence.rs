@@ -77,6 +77,8 @@ fn recorder_counters_match_consolidation_stats() {
         (names::PAIRS_DEGRADED, s.pairs_degraded),
         (names::ENTAIL_QUERIES, s.entailment_queries),
         (names::ENTAIL_MEMO_HITS, s.memo_hits),
+        (names::ENTAIL_COUNTERMODEL_HITS, s.countermodel_hits),
+        (names::ENTAIL_COUNTERMODEL_REJECTED, s.countermodel_rejected),
         (names::SMT_CHECKS, s.solver.checks),
         (names::SMT_THEORY_CHECKS, s.solver.theory_checks),
         (names::SMT_THEORY_CONFLICTS, s.solver.theory_conflicts),
@@ -214,6 +216,7 @@ fn explain_toggle_does_not_change_the_plan() {
     assert_eq!(plain.stats.rules, traced.stats.rules, "explain changed the rules fired");
     assert_eq!(plain.stats.entailment_queries, traced.stats.entailment_queries);
     assert_eq!(plain.stats.memo_hits, traced.stats.memo_hits);
+    assert_eq!(plain.stats.countermodel_hits, traced.stats.countermodel_hits);
     assert_eq!(plain.stats.pairs_consolidated, traced.stats.pairs_consolidated);
     assert_eq!(plain.stats.pairs_degraded, traced.stats.pairs_degraded);
     assert_eq!(plain.stats.tier, traced.stats.tier);

@@ -89,8 +89,20 @@ pub const ENTAIL_QUERIES: &str = "consolidate.entail.queries";
 pub const ENTAIL_MEMO_HITS: &str = "consolidate.entail.memo_hits";
 /// Counter: entailment queries answered by the per-pair validity cache.
 pub const ENTAIL_CACHE_HITS: &str = "consolidate.entail.cache_hits";
+/// Counter: entailment queries answered "not valid" by a kept countermodel
+/// that evaluates `Ψ` true and `φ` false — no solver call, no budget charge.
+pub const ENTAIL_COUNTERMODEL_HITS: &str = "consolidate.entail.countermodel_hits";
+/// Counter: solver `Sat` models refused by the countermodel pool because
+/// their own query does not evaluate true under them — `Sat` answers that
+/// hold only in the solver's abstraction (opaque products, an application
+/// table that is not a function).
+pub const ENTAIL_COUNTERMODEL_REJECTED: &str = "consolidate.entail.countermodel_rejected";
+/// Histogram (ns): time one entailment query spent evaluating formulas
+/// under kept countermodels (pool look-up on every solver-bound query,
+/// admission check after a `Sat`).
+pub const ENTAIL_COUNTERMODEL_NS: &str = "consolidate.entail.countermodel_ns";
 /// Histogram (ns): wall-clock latency of one entailment query (all paths:
-/// syntactic, cached, memoized, solver).
+/// syntactic, cached, memoized, countermodel, solver).
 pub const ENTAIL_NS: &str = "consolidate.entail_ns";
 /// Counter: cross-simplification hits — a model-guided rewrite (Fig. 3)
 /// confirmed by the solver and applied.

@@ -17,7 +17,9 @@
 //! * [`theory`] — literal translation and the Nelson–Oppen-style equality
 //!   exchange between EUF and LIA,
 //! * [`solver`] — the top loop: SAT search with theory *final checks* and
-//!   blocking-clause learning.
+//!   blocking-clause learning,
+//! * [`eval`] — evaluation under a total interpretation built from a `Sat`
+//!   model: the independent check that a countermodel is one.
 //!
 //! # Incompleteness policy
 //!
@@ -58,6 +60,7 @@ pub mod canon;
 pub mod cnf;
 pub mod ctx;
 pub mod euf;
+pub mod eval;
 pub mod rational;
 pub mod sat;
 pub mod simplex;
@@ -65,4 +68,6 @@ pub mod solver;
 pub mod theory;
 
 pub use ctx::{Context, FnSym, FormulaId, TermId, VarId};
+pub use eval::Interp;
 pub use solver::{SatResult, Solver, SolverStats};
+pub use theory::Model;

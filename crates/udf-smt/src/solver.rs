@@ -148,9 +148,10 @@ impl Solver {
         self.check_with_model(ctx, f).0
     }
 
-    /// Like [`Solver::check`], also returning an integer model for the source
-    /// variables when satisfiable. Variables unconstrained by the found model
-    /// are absent from the map (any value works for them).
+    /// Like [`Solver::check`], also returning the theory's [`theory::Model`]
+    /// (source variables and uninterpreted applications) when satisfiable.
+    /// Variables unconstrained by the found model are absent from it (any
+    /// value works for them).
     pub fn check_with_model(
         &mut self,
         ctx: &Context,
@@ -166,7 +167,7 @@ impl Solver {
             (SatResult::Unknown, None)
         } else {
             match ctx.formula(f) {
-                Formula::True => (SatResult::Sat, Some(theory::Model::new())),
+                Formula::True => (SatResult::Sat, Some(theory::Model::default())),
                 Formula::False => (SatResult::Unsat, None),
                 _ => self.search_fresh(ctx, f),
             }

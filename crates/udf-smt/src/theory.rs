@@ -17,7 +17,7 @@
 //! so the SMT layer never learns a wrong blocking clause and never reports a
 //! wrong `Unsat`.
 
-use crate::ctx::{Context, Formula, FormulaId, Term, TermId};
+use crate::ctx::{Context, Formula, FormulaId, Term, TermId, VarId};
 use crate::euf::Euf;
 use crate::rational::Rat;
 use crate::simplex::{self, LiaProblem, LiaResult, LinCon, LinExpr, Rel};
@@ -72,9 +72,23 @@ pub struct TheoryStats {
 /// A theory literal: an atom formula with a polarity.
 pub type TheoryLit = (FormulaId, bool);
 
-/// An integer model for the source variables mentioned by the literal set.
-/// Variables not occurring in any checked atom are unconstrained and absent.
-pub type Model = std::collections::HashMap<crate::ctx::VarId, i128>;
+/// The integer model a consistent literal set was given: a value for every
+/// source variable and every uninterpreted application the literals mention.
+///
+/// The application values are what the *theory* assigned each `f(…)` proxy.
+/// Where the combination is incomplete they need not describe a function
+/// (two applications on equal arguments may differ), and nonlinear products
+/// are not recorded at all; [`crate::eval::Interp`] turns a model into a
+/// total interpretation and is how a caller finds out whether it really
+/// satisfies a formula.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Model {
+    /// Value per source variable. Variables not occurring in any checked
+    /// atom are unconstrained and absent (any value works for them).
+    pub vars: HashMap<VarId, i128>,
+    /// Value per [`Term::App`] term among the checked atoms' subterms.
+    pub apps: HashMap<TermId, i128>,
+}
 
 struct Linearizer {
     /// Theory-variable index per source variable / opaque term.
@@ -172,7 +186,7 @@ pub fn check(ctx: &Context, literals: &[TheoryLit], limits: &TheoryLimits) -> Th
     }
 }
 
-/// Like [`check`], but returns the source-variable model when there is one,
+/// Like [`check`], but returns the [`Model`] when there is one,
 /// explains inconsistency with a candidate core
 /// ([`NoModel::Inconsistent`]), and accumulates work counters (exchange
 /// rounds, simplex calls, pivots) into `stats`.
@@ -377,12 +391,19 @@ pub fn check_with_model_stats(
             }
         }
         if !merged_any {
-            let mut out = Model::new();
+            let mut out = Model::default();
             for (&t, &proxy) in &lz.var_of_term {
-                if let Term::Var(v) = ctx.term(t) {
-                    if let Some(&val) = model.get(proxy) {
-                        out.insert(*v, val);
+                let Some(&val) = model.get(proxy) else { continue };
+                match ctx.term(t) {
+                    Term::Var(v) => {
+                        out.vars.insert(*v, val);
                     }
+                    Term::App(..) => {
+                        out.apps.insert(t, val);
+                    }
+                    // A nonlinear product's proxy is the abstraction's
+                    // value, not the product's.
+                    _ => {}
                 }
             }
             return Ok(out);

@@ -15,12 +15,19 @@
 //! properties below check the explanations directly, on conjunctions larger
 //! than any size cap the solver ever had, and check the solver that uses
 //! them against a reference that never looks at an explanation.
+//!
+//! The "not valid" side has its own independent check: `udf_smt::eval`
+//! evaluates a formula under a total interpretation built from a `Sat`
+//! model, and the consolidation engine answers entailments from kept
+//! interpretations without calling the solver. Below, that evaluator is
+//! held to this suite's brute-force one, and every refutation it produces
+//! from a model found for a *different* question is held to the solver.
 
 use proptest::prelude::*;
 use udf_smt::ctx::{Context, Formula, FormulaId, Term, TermId};
 use udf_smt::sat::{Lit, SatOutcome, SatSolver};
 use udf_smt::theory::{self, NoModel, TheoryLimits, TheoryLit, TheoryResult, TheoryStats};
-use udf_smt::{cnf, SatResult, Solver};
+use udf_smt::{cnf, Interp, Model, SatResult, Solver};
 
 /// A compact generator language for formulas over three integer variables
 /// and one unary uninterpreted function.
@@ -116,8 +123,9 @@ fn gen_clauses() -> impl Strategy<Value = GenFormula> {
     })
 }
 
-fn gen_formula_with(apps: bool) -> impl Strategy<Value = GenFormula> {
-    gen_atom(move || gen_term(apps, 3)).prop_recursive(3, 24, 2, |inner| {
+/// Formulas of `depth` connective levels over atoms of `depth`-level terms.
+fn gen_formula_of(apps: bool, depth: u32) -> impl Strategy<Value = GenFormula> {
+    gen_atom(move || gen_term(apps, depth)).prop_recursive(depth, 24, 2, |inner| {
         prop_oneof![
             inner.clone().prop_map(|f| GenFormula::Not(Box::new(f))),
             (inner.clone(), inner.clone())
@@ -126,6 +134,10 @@ fn gen_formula_with(apps: bool) -> impl Strategy<Value = GenFormula> {
                 .prop_map(|(a, b)| GenFormula::Or(Box::new(a), Box::new(b))),
         ]
     })
+}
+
+fn gen_formula_with(apps: bool) -> impl Strategy<Value = GenFormula> {
+    gen_formula_of(apps, 3)
 }
 
 fn gen_formula() -> impl Strategy<Value = GenFormula> {
@@ -240,6 +252,38 @@ fn brute_force_has_model(ctx: &Context, f: FormulaId) -> Option<[i64; 3]> {
         }
     }
     None
+}
+
+fn collect_apps(ctx: &Context, t: TermId, out: &mut Vec<TermId>) {
+    match ctx.term(t) {
+        Term::Int(_) | Term::Var(_) => {}
+        Term::App(_, args) => {
+            out.push(t);
+            for &a in args {
+                collect_apps(ctx, a, out);
+            }
+        }
+        Term::Add(a, b) | Term::Sub(a, b) | Term::Mul(a, b) => {
+            collect_apps(ctx, *a, out);
+            collect_apps(ctx, *b, out);
+        }
+    }
+}
+
+/// Every application term of `f`.
+fn app_terms(ctx: &Context, f: FormulaId, out: &mut Vec<TermId>) {
+    match ctx.formula(f) {
+        Formula::True | Formula::False => {}
+        Formula::Le(a, b) | Formula::Lt(a, b) | Formula::Eq(a, b) => {
+            collect_apps(ctx, *a, out);
+            collect_apps(ctx, *b, out);
+        }
+        Formula::Not(g) => app_terms(ctx, *g, out),
+        Formula::And(a, b) | Formula::Or(a, b) => {
+            app_terms(ctx, *a, out);
+            app_terms(ctx, *b, out);
+        }
+    }
 }
 
 /// Builds the literal set of a generated conjunction. Atoms that fold to a
@@ -398,6 +442,82 @@ proptest! {
         assert_core_explains(&mut ctx, &literals);
     }
 
+    /// Two independent evaluators, one answer: `udf_smt::eval` under the
+    /// model that spells out this suite's fixed interpretation (`env` for
+    /// the variables, `f(a) = a·a − 3` for every application in the
+    /// formula) against the brute-force `eval_formula`.
+    #[test]
+    fn eval_agrees_with_the_brute_force_evaluator(
+        gf in gen_formula(),
+        env in (-4i64..5, -4i64..5, -4i64..5),
+    ) {
+        let mut ctx = Context::new();
+        let f = build_formula(&mut ctx, &gf);
+        let env = [env.0, env.1, env.2];
+        let mut model = Model::default();
+        for (name, value) in ["x", "y", "z"].into_iter().zip(env) {
+            model.vars.insert(ctx.var(name), i128::from(value));
+        }
+        let mut apps = Vec::new();
+        app_terms(&ctx, f, &mut apps);
+        for t in apps {
+            model.apps.insert(t, i128::from(eval_term(&ctx, t, &env)));
+        }
+        prop_assert_eq!(
+            Interp::new(model).formula(&ctx, f),
+            Some(eval_formula(&ctx, f, &env)),
+            "{} under {:?}", ctx.formula_to_string(f), env
+        );
+    }
+
+    /// A countermodel is reused only where there is nothing to prove. The
+    /// solver's model of one question `Ψ₀ ∧ ¬φ₀` is turned into an
+    /// interpretation and tried on the questions Ω asks next — the same `Ψ₀`
+    /// grown by a conjunct, `φ₀` weakened and strengthened, unrelated pairs;
+    /// wherever it makes `Ψ` true and `φ` false, the solver must not call
+    /// `Ψ ⊨ φ` valid. Nothing is assumed about the model (it is not even
+    /// checked against its own question): the evaluation is the whole guard.
+    #[test]
+    fn reused_countermodels_never_refute_a_valid_entailment(
+        (g_psi0, g_phi0, g_extra) in
+            (gen_formula_of(true, 2), gen_formula_of(true, 2), gen_formula_of(true, 2)),
+    ) {
+        let mut ctx = Context::new();
+        let psi0 = build_formula(&mut ctx, &g_psi0);
+        let phi0 = build_formula(&mut ctx, &g_phi0);
+        let extra = build_formula(&mut ctx, &g_extra);
+        let neg = ctx.not(phi0);
+        let q0 = ctx.and(psi0, neg);
+        let (_, Some(model)) = Solver::new().check_with_model(&ctx, q0) else {
+            return Ok(());
+        };
+        let mut interp = Interp::new(model);
+        let grown = ctx.and(psi0, extra);
+        let weaker = ctx.or(phi0, extra);
+        let stronger = ctx.and(phi0, extra);
+        let questions = [
+            (psi0, phi0),
+            (grown, phi0),
+            (psi0, weaker),
+            (psi0, stronger),
+            (grown, extra),
+            (extra, phi0),
+        ];
+        for (psi, phi) in questions {
+            let neg = ctx.not(phi);
+            let q = ctx.and(psi, neg);
+            if interp.formula(&ctx, q) == Some(true) {
+                prop_assert!(
+                    !Solver::new().is_valid(&mut ctx, psi, phi),
+                    "a model of {} refutes the valid {} ⊨ {}",
+                    ctx.formula_to_string(q0),
+                    ctx.formula_to_string(psi),
+                    ctx.formula_to_string(phi)
+                );
+            }
+        }
+    }
+
     /// Seeding minimisation from explanations changes no verdict: the
     /// solver agrees with the reference that minimises from the full set.
     #[test]
@@ -407,4 +527,64 @@ proptest! {
         let got = Solver::new().check(&ctx, f);
         prop_assert_eq!(got, reference_check(&ctx, f), "{}", ctx.formula_to_string(f));
     }
+}
+
+/// The congruence trap: a model that gives `f(a) = 1` and `f(b) = 2` while
+/// `a = b` is not a function table. The interpretation built from it is
+/// one anyway — the first application evaluated fixes the entry — so it
+/// cannot make `a = b ∧ f(a) ≠ f(b)` true, in whichever order the two are
+/// met.
+#[test]
+fn inconsistent_application_values_yield_one_function() {
+    let mut ctx = Context::new();
+    let f = ctx.fn_sym("f", 1);
+    let (a, b) = (ctx.int_var("a"), ctx.int_var("b"));
+    let (fa, fb) = (ctx.app(f, vec![a]), ctx.app(f, vec![b]));
+    let mut model = Model::default();
+    model.vars.insert(ctx.var("a"), 5);
+    model.vars.insert(ctx.var("b"), 5);
+    model.apps.insert(fa, 1);
+    model.apps.insert(fb, 2);
+    let same_arg = ctx.eq(a, b);
+    let same_result = ctx.eq(fa, fb);
+    let differ = ctx.not(same_result);
+    let trap = ctx.and(same_arg, differ);
+    assert_ne!(Solver::new().check(&ctx, trap), SatResult::Sat);
+
+    let mut a_first = Interp::new(model.clone());
+    assert_eq!(a_first.term(&ctx, fa), Some(1));
+    assert_eq!(a_first.term(&ctx, fb), Some(1), "f(5) is already 1");
+    assert_eq!(a_first.formula(&ctx, trap), Some(false));
+
+    let mut b_first = Interp::new(model);
+    assert_eq!(b_first.term(&ctx, fb), Some(2));
+    assert_eq!(b_first.term(&ctx, fa), Some(2), "f(5) is already 2");
+    assert_eq!(b_first.formula(&ctx, trap), Some(false));
+}
+
+/// Products are computed, not abstracted, so they can leave `i128`; then the
+/// evaluator has no answer — for the term, and for every formula over it,
+/// whatever the other operands say.
+#[test]
+fn overflow_is_unusable_not_a_verdict() {
+    let mut ctx = Context::new();
+    let x = ctx.int_var("x");
+    let mut model = Model::default();
+    model.vars.insert(ctx.var("x"), i128::from(i64::MAX));
+    let mut interp = Interp::new(model);
+    let x2 = ctx.mul(x, x);
+    let x3 = ctx.mul(x2, x);
+    assert_eq!(interp.term(&ctx, x2), Some(i128::from(i64::MAX).pow(2)));
+    assert_eq!(interp.term(&ctx, x3), None);
+    let zero = ctx.int(0);
+    let positive = ctx.lt(zero, x);
+    let cube_positive = ctx.lt(zero, x3);
+    assert_eq!(interp.formula(&ctx, positive), Some(true));
+    assert_eq!(interp.formula(&ctx, cube_positive), None);
+    let either = ctx.or(positive, cube_positive);
+    assert_eq!(
+        interp.formula(&ctx, either),
+        None,
+        "true ∨ overflow is still no verdict"
+    );
 }

@@ -6,7 +6,7 @@
 # accurate as the surface grows.
 set -eu
 cd "$(dirname "$0")/.."
-# The vendored crates (rand/proptest/criterion subsets) are not held to the
+# The vendored crates (rand/proptest subsets) are not held to the
 # gate — list the workspace's own crates explicitly.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items \
     -p udf-lang -p udf-smt -p udf-obs -p consolidate -p plan-cache \

@@ -3,7 +3,7 @@
 # (engine::run_shard over the ShardExec seam) and the aggregation path to
 # "same observables under either backend, any worker count, any fault".
 #
-# 1. naiad-lite's own unit tests (lowering, RegVm vs BatchVm at every fuel,
+# 1. naiad-lite's own unit tests (the compiler, RegVm vs BatchVm at every fuel,
 #    engine, agg, guard, fault injection).
 # 2. The root suites that drive the engine from outside: RegVm against the
 #    reference interpreter on random programs (prop_vm), backend parity

@@ -152,32 +152,12 @@ pub(crate) fn consolidate_pair_budgeted(
             prefilter: None,
         });
     }
-    let mut cx = SymbolicCtx::new(interner, opts.mode);
-    // One sink for all three layers: the engine's rule counters, the
-    // context's entailment counters and the solver's search counters all
-    // land in `opts.recorder`, which is what makes the emitted metrics
-    // agree with the returned `ConsolidationStats` by construction.
-    cx.set_recorder(opts.recorder.clone());
-    let mut solver = opts.solver.clone();
-    if opts.recorder.enabled() {
-        solver.recorder = opts.recorder.clone();
-    }
-    cx.set_solver(solver);
-    if let Some(b) = budget {
-        cx.set_budget(Arc::clone(b));
-    }
-    if let Some(m) = &opts.memo {
-        cx.set_memo(Arc::clone(m));
-        // Tag every verdict this pair proves (or reuses) with the queries
-        // it serves, so a runtime demotion of one of them can drop exactly
-        // the verdicts its predicates touched.
-        let mut scope: Vec<u32> = notify_ids(&p1.body)
-            .union(&notify_ids(&p2.body))
-            .map(|id| id.0)
-            .collect();
-        scope.sort_unstable();
-        cx.set_memo_scope(scope);
-    }
+    // The queries this pair serves (ascending: a union of ordered sets).
+    let scope = notify_ids(&p1.body)
+        .union(&notify_ids(&p2.body))
+        .map(|id| id.0)
+        .collect();
+    let mut cx = SymbolicCtx::new(interner, opts, budget.cloned(), scope);
     let st = SymState::initial(&mut cx, &p1.params);
     let mut engine = Engine::new(&mut cx, cm, fns, opts, p1.params.iter().copied());
     let body = engine.omega(st, p1.body.clone(), p2.body.clone(), 0);

@@ -31,9 +31,6 @@ pub struct ConsolidationBudget {
     /// Ceiling on SMT entailment queries across the whole run (shared by
     /// all pair threads of an n-way consolidation).
     pub max_solver_queries: Option<u64>,
-    /// Ceiling on Ω recursion depth (tightens `Options::max_depth` when
-    /// smaller).
-    pub max_rule_depth: Option<usize>,
 }
 
 impl ConsolidationBudget {
@@ -41,7 +38,6 @@ impl ConsolidationBudget {
     pub const UNLIMITED: ConsolidationBudget = ConsolidationBudget {
         deadline: None,
         max_solver_queries: None,
-        max_rule_depth: None,
     };
 
     /// Sets the wall-clock deadline.
@@ -55,13 +51,6 @@ impl ConsolidationBudget {
     #[must_use]
     pub fn with_max_solver_queries(mut self, n: u64) -> ConsolidationBudget {
         self.max_solver_queries = Some(n);
-        self
-    }
-
-    /// Sets the rule-depth ceiling.
-    #[must_use]
-    pub fn with_max_rule_depth(mut self, d: usize) -> ConsolidationBudget {
-        self.max_rule_depth = Some(d);
         self
     }
 

@@ -186,18 +186,7 @@ fn prove_one(
     stats.checks += 1;
     opts.recorder.add(names::AGG_HOMOMORPHISM_CHECKS, 1);
     let ob = build_obligations(def, interner);
-    let mut cx = SymbolicCtx::new(interner, opts.mode);
-    cx.set_recorder(opts.recorder.clone());
-    let mut solver = opts.solver.clone();
-    if opts.recorder.enabled() {
-        solver.recorder = opts.recorder.clone();
-    }
-    cx.set_solver(solver);
-    cx.set_budget(Arc::clone(budget));
-    if let Some(m) = &opts.memo {
-        cx.set_memo(Arc::clone(m));
-        cx.set_memo_scope(vec![def.id.0]);
-    }
+    let mut cx = SymbolicCtx::new(interner, opts, Some(Arc::clone(budget)), vec![def.id.0]);
 
     let mut proved = true;
     for law in [&ob.h1, &ob.h2] {

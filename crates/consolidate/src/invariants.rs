@@ -55,24 +55,14 @@ impl LinearInv {
     }
 }
 
-/// Limits for invariant inference.
-#[derive(Clone, Copy, Debug)]
-pub struct InvOptions {
-    /// Maximum candidate relations to track.
-    pub max_candidates: usize,
-    /// Maximum Houdini iterations (each costs one symbolic body execution
-    /// plus one validity query per surviving candidate).
-    pub max_rounds: usize,
-}
-
-impl Default for InvOptions {
-    fn default() -> InvOptions {
-        InvOptions {
-            max_candidates: 24,
-            max_rounds: 4,
-        }
-    }
-}
+/// Maximum candidate relations tracked per loop. Part of the plan
+/// fingerprint (`plan_cache::PlanKey`): it decides which invariants are
+/// found.
+pub const MAX_CANDIDATES: usize = 24;
+/// Maximum Houdini iterations (each costs one symbolic body execution plus
+/// one validity query per surviving candidate). Part of the plan
+/// fingerprint.
+pub const MAX_ROUNDS: usize = 4;
 
 /// Result of [`infer`]: the loop-head state (assigned variables havoced,
 /// invariant assumed) plus the surviving linear relations.
@@ -129,7 +119,6 @@ pub fn infer(
     body1: &Stmt,
     guard2: Option<&BoolExpr>,
     body2: Option<&Stmt>,
-    opts: &InvOptions,
 ) -> LoopHead {
     // Variables the combined loop writes.
     let mut assigned: BTreeSet<Symbol> = assigned_vars(body1);
@@ -188,14 +177,14 @@ pub fn infer(
         ranked.sort_by_key(|&(rank, _)| rank);
         candidates.extend(ranked.into_iter().map(|(_, c)| c));
     }
-    candidates.truncate(opts.max_candidates);
+    candidates.truncate(MAX_CANDIDATES);
 
     // Keep only candidates that hold on entry (batched: one query when all
     // hold, logarithmic bisection otherwise).
     candidates = filter_entailed(cx, entry, candidates);
 
     // Houdini filtering.
-    for _ in 0..opts.max_rounds {
+    for _ in 0..MAX_ROUNDS {
         if candidates.is_empty() {
             break;
         }
@@ -282,15 +271,7 @@ mod tests {
         else {
             panic!("expected loops, got {loop1:?} / {loop2:?}");
         };
-        let head = infer(
-            &mut cx,
-            &st,
-            g1,
-            b1,
-            Some(g2),
-            Some(b2),
-            &InvOptions::default(),
-        );
+        let head = infer(&mut cx, &st, g1, b1, Some(g2), Some(b2));
         // j = i − 1 must be among the invariants (in either orientation).
         let found = head.invariants.iter().any(|inv| match *inv {
             LinearInv::VarOffset(u, v, c) => {
@@ -337,7 +318,7 @@ mod tests {
         let udf_lang::ast::Stmt::While(g, b) = &lp else {
             panic!()
         };
-        let head = infer(&mut cx, &st, g, b, None, None, &InvOptions::default());
+        let head = infer(&mut cx, &st, g, b, None, None);
         let f_k = cx.formula_of_bool(&head.state, &k_eq_5);
         assert!(cx.entails(&head.state, f_k), "unassigned k keeps its value");
         let f_x = cx.formula_of_bool(&head.state, &x_eq_0);
@@ -363,7 +344,7 @@ mod tests {
         let udf_lang::ast::Stmt::While(g, b) = &lp else {
             panic!()
         };
-        let head = infer(&mut cx, &st, g, b, None, None, &InvOptions::default());
+        let head = infer(&mut cx, &st, g, b, None, None);
         let f = cx.formula_of_bool(&head.state, &eq);
         assert!(cx.entails(&head.state, f), "i = j is inductive");
     }

@@ -454,23 +454,12 @@ pub fn verify_candidate(
     interner: &Interner,
     opts: &Options,
 ) -> Result<(u64, u64), Reject> {
-    let mut cx = SymbolicCtx::new(interner, opts.mode);
-    cx.set_recorder(opts.recorder.clone());
-    let mut solver = opts.solver.clone();
-    if opts.recorder.enabled() {
-        solver.recorder = opts.recorder.clone();
-    }
-    cx.set_solver(solver);
+    let ids: Vec<ProgId> = notify_ids(&merged.body).into_iter().collect();
     // A fresh budget of the run's shape: verification is bounded exactly
     // like consolidation itself, and exhaustion fails open.
-    cx.set_budget(Arc::new(BudgetState::new(&opts.budget)));
-    if let Some(m) = &opts.memo {
-        cx.set_memo(Arc::clone(m));
-        let mut scope: Vec<u32> = notify_ids(&merged.body).iter().map(|id| id.0).collect();
-        scope.sort_unstable();
-        cx.set_memo_scope(scope);
-    }
-    let ids: Vec<ProgId> = notify_ids(&merged.body).into_iter().collect();
+    let budget = Arc::new(BudgetState::new(&opts.budget));
+    let scope = ids.iter().map(|id| id.0).collect();
+    let mut cx = SymbolicCtx::new(interner, opts, Some(budget), scope);
     let mut st = SymState::initial(&mut cx, &merged.params);
     st.assume_not(&mut cx, cond);
 

@@ -22,8 +22,8 @@
 //! tests in `tests/` exercise exactly that invariant.
 
 use crate::explain::ExplainEntry;
-use crate::invariants::{self, InvOptions};
-use crate::simplify::{self, is_false, is_true, SimplifyOptions};
+use crate::invariants;
+use crate::simplify::{self, is_false, is_true};
 use crate::symbolic::{EntailmentMode, SymState, SymbolicCtx};
 use std::collections::BTreeSet;
 use udf_obs::names;
@@ -50,33 +50,31 @@ pub enum IfPolicy {
     AlwaysIf5,
 }
 
+/// Node-count guard: If 3 is demoted to If 4 when embedding would copy more
+/// than this many AST nodes. Like the two limits below, part of the plan
+/// fingerprint (`plan_cache::PlanKey`).
+pub const IF3_SIZE_LIMIT: usize = 768;
+/// Recursion depth guard; beyond it the engine emits the remaining
+/// statements verbatim (always sound).
+pub const MAX_DEPTH: usize = 512;
+/// Entailment-query budget per pair consolidation. If 3/If 4 embedding
+/// re-consolidates the second program inside both branches, which can
+/// explore exponentially many contexts on long conditional chains even
+/// when the *output* stays small (If 1/If 2 prune most of it). When the
+/// budget runs out the engine emits the remaining statements verbatim —
+/// always sound, merely less optimized.
+pub const MAX_PAIR_QUERIES: u64 = 900;
+
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct Options {
     /// Entailment mode (SMT vs the syntactic ablation).
     pub mode: EntailmentMode,
-    /// Cross-simplification limits.
-    pub simplify: SimplifyOptions,
-    /// Invariant inference limits.
-    pub inv: InvOptions,
     /// Enable Loop 2/Loop 3 fusion (ablation switch).
     pub loop_fusion: bool,
     /// If-rule dispatch policy.
     pub if_policy: IfPolicy,
-    /// Node-count guard: If 3 is demoted to If 4 when embedding would copy
-    /// more than this many AST nodes.
-    pub if3_size_limit: usize,
-    /// Recursion depth guard; beyond it the engine emits the remaining
-    /// statements verbatim (always sound).
-    pub max_depth: usize,
-    /// Entailment-query budget per pair consolidation. If 3/If 4 embedding
-    /// re-consolidates the second program inside both branches, which can
-    /// explore exponentially many contexts on long conditional chains even
-    /// when the *output* stays small (If 1/If 2 prune most of it). When the
-    /// budget runs out the engine emits the remaining statements verbatim —
-    /// always sound, merely less optimized.
-    pub max_pair_queries: u64,
-    /// Run-wide resource budget (deadline / solver queries / rule depth);
+    /// Run-wide resource budget (deadline / solver queries);
     /// exhaustion degrades the output along the lattice documented in
     /// [`crate::budget`] instead of erroring or hanging.
     pub budget: crate::budget::ConsolidationBudget,
@@ -110,13 +108,8 @@ impl Default for Options {
     fn default() -> Options {
         Options {
             mode: EntailmentMode::Smt,
-            simplify: SimplifyOptions::default(),
-            inv: InvOptions::default(),
             loop_fusion: true,
             if_policy: IfPolicy::default(),
-            if3_size_limit: 768,
-            max_depth: 512,
-            max_pair_queries: 900,
             budget: crate::budget::ConsolidationBudget::UNLIMITED,
             solver: udf_smt::Solver::new(),
             memo: None,
@@ -237,11 +230,11 @@ impl<'c, 'i> Engine<'c, 'i> {
     }
 
     fn simp_int(&mut self, st: &SymState, e: &udf_lang::ast::IntExpr) -> udf_lang::ast::IntExpr {
-        simplify::simplify_int(self.cx, st, e, self.cm, self.fns, &self.opts.simplify)
+        simplify::simplify_int(self.cx, st, e, self.cm, self.fns)
     }
 
     fn simp_bool(&mut self, st: &SymState, e: &BoolExpr) -> BoolExpr {
-        simplify::simplify_bool(self.cx, st, e, self.cm, self.fns, &self.opts.simplify)
+        simplify::simplify_bool(self.cx, st, e, self.cm, self.fns)
     }
 
     /// `related(a, b)`: do the two fragments share a library function or a
@@ -283,19 +276,13 @@ impl<'c, 'i> Engine<'c, 'i> {
     /// Consolidates `s1 ⊗ s2` under `st`, returning the merged statement.
     /// This is `Ω′` from Figure 8.
     pub fn omega(&mut self, st: SymState, s1: Stmt, s2: Stmt, depth: usize) -> Stmt {
-        if self.cx.budget_exhausted()
-            || self
-                .opts
-                .budget
-                .max_rule_depth
-                .is_some_and(|limit| depth > limit)
-        {
+        if self.cx.budget_exhausted() {
             self.stats.budget_fallbacks += 1;
             self.note_rule(depth, names::RULE_BUDGET_FALLBACK, "BudgetFallback", String::new());
             return s1.then(s2);
         }
-        if depth > self.opts.max_depth
-            || self.cx.entailment_queries() - self.query_base > self.opts.max_pair_queries
+        if depth > MAX_DEPTH
+            || self.cx.entailment_queries() - self.query_base > MAX_PAIR_QUERIES
         {
             self.stats.depth_fallbacks += 1;
             self.note_rule(depth, names::RULE_DEPTH_FALLBACK, "DepthFallback", String::new());
@@ -393,7 +380,7 @@ impl<'c, 'i> Engine<'c, 'i> {
             IfPolicy::AlwaysIf4 => 4,
             IfPolicy::AlwaysIf5 => 5,
             IfPolicy::Heuristic => {
-                if self.related_expr_stmt(&c_s, &s2) && embed_size <= self.opts.if3_size_limit {
+                if self.related_expr_stmt(&c_s, &s2) && embed_size <= IF3_SIZE_LIMIT {
                     if self.related_stmt_stmt(&t1, &s2) {
                         3
                     } else {
@@ -410,7 +397,7 @@ impl<'c, 'i> Engine<'c, 'i> {
         match choice {
             // If 3: embed the remainder of program 1 *and* program 2 in both
             // branches.
-            3 if embed_size <= self.opts.if3_size_limit => {
+            3 if embed_size <= IF3_SIZE_LIMIT => {
                 self.stats.if3 += 1;
                 let d = self.detail_bool(&c_s);
                 self.note_rule(depth, names::RULE_IF3, "If3", d);
@@ -421,7 +408,7 @@ impl<'c, 'i> Engine<'c, 'i> {
             // If 4: embed only program 2; program 1's remainder follows the
             // conditional (consolidated with nothing, exactly as in the
             // derived rule).
-            3 | 4 if s2.size() <= self.opts.if3_size_limit => {
+            3 | 4 if s2.size() <= IF3_SIZE_LIMIT => {
                 self.stats.if4 += 1;
                 let d = self.detail_bool(&c_s);
                 self.note_rule(depth, names::RULE_IF4, "If4", d);
@@ -513,7 +500,7 @@ impl<'c, 'i> Engine<'c, 'i> {
         t2: &Stmt,
         depth: usize,
     ) -> Option<Stmt> {
-        let head = invariants::infer(self.cx, st, g1, b1, Some(g2), Some(b2), &self.opts.inv);
+        let head = invariants::infer(self.cx, st, g1, b1, Some(g2), Some(b2));
         let psi1 = head.state;
         // Build ¬(g1 ∧ g2) once.
         let f1 = self.cx.formula_of_bool(&psi1, g1);
@@ -589,7 +576,7 @@ impl<'c, 'i> Engine<'c, 'i> {
         b: Stmt,
         depth: usize,
     ) -> (SymState, Stmt) {
-        let head = invariants::infer(self.cx, &st, &g, &b, None, None, &self.opts.inv);
+        let head = invariants::infer(self.cx, &st, &g, &b, None, None);
         let mut body_st = head.state.clone();
         body_st.assume(self.cx, &g);
         let body = self.omega(body_st, b, Stmt::Skip, depth + 1);

@@ -22,24 +22,14 @@ use udf_lang::ast::{BoolExpr, CmpOp, IntExpr, IntOp};
 use udf_lang::cost::{Cost, CostModel, FnCost};
 use udf_lang::intern::Symbol;
 
-/// Tunables for the candidate search.
-#[derive(Clone, Copy, Debug)]
-pub struct SimplifyOptions {
-    /// Maximum number of validity queries spent per expression node.
-    pub max_candidate_checks: usize,
-    /// Skip candidate search for expressions at or below this cost (they
-    /// cannot get cheaper than a variable/constant anyway).
-    pub trivial_cost: Cost,
-}
-
-impl Default for SimplifyOptions {
-    fn default() -> SimplifyOptions {
-        SimplifyOptions {
-            max_candidate_checks: 8,
-            trivial_cost: 1,
-        }
-    }
-}
+/// Maximum number of validity queries spent per expression node. Part of
+/// the plan fingerprint (`plan_cache::PlanKey`): it decides which rewrites
+/// are found.
+pub const MAX_CANDIDATE_CHECKS: usize = 8;
+/// Candidate search is skipped for expressions at or below this cost (they
+/// cannot get cheaper than a variable/constant anyway). Part of the plan
+/// fingerprint.
+pub const TRIVIAL_COST: Cost = 1;
 
 /// Structural constant folding for integer expressions (cost-monotone).
 pub fn fold_int(e: IntExpr) -> IntExpr {
@@ -111,14 +101,13 @@ pub fn simplify_int(
     e: &IntExpr,
     cm: &CostModel,
     fns: &dyn FnCost,
-    opts: &SimplifyOptions,
 ) -> IntExpr {
     let e = fold_int(e.clone());
     let base_cost = cm.int_expr_cost(&e, fns);
-    if base_cost <= opts.trivial_cost {
+    if base_cost <= TRIVIAL_COST {
         return e;
     }
-    if let Some(better) = candidate_rewrite(cx, st, &e, base_cost, cm, fns, opts) {
+    if let Some(better) = candidate_rewrite(cx, st, &e, base_cost, cm, fns) {
         return better;
     }
     // No whole-expression rewrite: recurse into subexpressions (each rewrite
@@ -127,13 +116,13 @@ pub fn simplify_int(
         IntExpr::Call(f, args) => {
             let args = args
                 .into_iter()
-                .map(|a| simplify_int(cx, st, &a, cm, fns, opts))
+                .map(|a| simplify_int(cx, st, &a, cm, fns))
                 .collect();
             IntExpr::Call(f, args)
         }
         IntExpr::Bin(op, a, b) => {
-            let a = simplify_int(cx, st, &a, cm, fns, opts);
-            let b = simplify_int(cx, st, &b, cm, fns, opts);
+            let a = simplify_int(cx, st, &a, cm, fns);
+            let b = simplify_int(cx, st, &b, cm, fns);
             fold_int(IntExpr::Bin(op, Box::new(a), Box::new(b)))
         }
         other => other,
@@ -152,7 +141,6 @@ fn candidate_rewrite(
     base_cost: Cost,
     cm: &CostModel,
     _fns: &dyn FnCost,
-    opts: &SimplifyOptions,
 ) -> Option<IntExpr> {
     let t_e = cx.term_of_int(st, e);
     let (model, e_val) = cx.model_with_probe(st, t_e)?;
@@ -175,7 +163,7 @@ fn candidate_rewrite(
 
     // Candidate: replace by a constant.
     if let Ok(v) = i64::try_from(e_val) {
-        if base_cost > cm.int_const && checks < opts.max_candidate_checks {
+        if base_cost > cm.int_const && checks < MAX_CANDIDATE_CHECKS {
             checks += 1;
             let cand = IntExpr::Const(v);
             if proves_equal(cx, st, e, &cand) {
@@ -188,7 +176,7 @@ fn candidate_rewrite(
     // Candidate: replace by an in-scope variable with matching model value.
     if base_cost > cm.var {
         for &y in &vars {
-            if checks >= opts.max_candidate_checks {
+            if checks >= MAX_CANDIDATE_CHECKS {
                 break;
             }
             if matches!(e, IntExpr::Var(v) if *v == y) {
@@ -210,7 +198,7 @@ fn candidate_rewrite(
     let offset_cost = cm.var + cm.int_const + cm.arith;
     if base_cost > offset_cost {
         for &y in &vars {
-            if checks >= opts.max_candidate_checks {
+            if checks >= MAX_CANDIDATE_CHECKS {
                 break;
             }
             let yv = cx.model_value(st, &model, y);
@@ -252,7 +240,6 @@ pub fn simplify_bool(
     e: &BoolExpr,
     cm: &CostModel,
     fns: &dyn FnCost,
-    opts: &SimplifyOptions,
 ) -> BoolExpr {
     let e = fold_bool(e.clone());
     if let BoolExpr::Const(_) = e {
@@ -272,20 +259,20 @@ pub fn simplify_bool(
     match e {
         // Bool 3.
         BoolExpr::Cmp(op, a, b) => {
-            let a = simplify_int(cx, st, &a, cm, fns, opts);
-            let b = simplify_int(cx, st, &b, cm, fns, opts);
+            let a = simplify_int(cx, st, &a, cm, fns);
+            let b = simplify_int(cx, st, &b, cm, fns);
             fold_bool(BoolExpr::Cmp(op, a, b))
         }
         // Bool 5.
         BoolExpr::Not(a) => {
-            let a = simplify_bool(cx, st, &a, cm, fns, opts);
+            let a = simplify_bool(cx, st, &a, cm, fns);
             fold_bool(BoolExpr::not(a))
         }
         // Bool 4. Connectives are strict, so both operands simplify under
         // the same Ψ.
         BoolExpr::Bin(op, a, b) => {
-            let a = simplify_bool(cx, st, &a, cm, fns, opts);
-            let b = simplify_bool(cx, st, &b, cm, fns, opts);
+            let a = simplify_bool(cx, st, &a, cm, fns);
+            let b = simplify_bool(cx, st, &b, cm, fns);
             fold_bool(BoolExpr::Bin(op, Box::new(a), Box::new(b)))
         }
         BoolExpr::Const(_) => unreachable!("handled above"),
@@ -349,7 +336,7 @@ mod tests {
         }
         let cm = CostModel::default();
         let fns = UniformFnCost(10);
-        let out = simplify_int(&mut cx, &st, &expr, &cm, &fns, &SimplifyOptions::default());
+        let out = simplify_int(&mut cx, &st, &expr, &cm, &fns);
         pretty::int_expr(&out, &i)
     }
 
@@ -373,7 +360,7 @@ mod tests {
         }
         let cm = CostModel::default();
         let fns = UniformFnCost(10);
-        let out = simplify_bool(&mut cx, &st, &expr, &cm, &fns, &SimplifyOptions::default());
+        let out = simplify_bool(&mut cx, &st, &expr, &cm, &fns);
         pretty::bool_expr(&out, &i)
     }
 

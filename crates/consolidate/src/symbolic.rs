@@ -21,6 +21,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::explain::{EntailmentEvent, EntailmentVia};
+use crate::rules::Options;
 use udf_lang::analysis::assigned_vars;
 use udf_lang::ast::{BoolExpr, IntExpr, Stmt};
 use udf_lang::intern::{Interner, Symbol};
@@ -98,13 +99,36 @@ impl<'i> std::fmt::Debug for SymbolicCtx<'i> {
 }
 
 impl<'i> SymbolicCtx<'i> {
-    /// Creates a fresh symbolic context resolving names against `interner`.
-    pub fn new(interner: &'i Interner, mode: EntailmentMode) -> SymbolicCtx<'i> {
+    /// Creates a fresh symbolic context resolving names against `interner`,
+    /// wired from `opts`: its entailment mode, its solver configuration, its
+    /// shared memo table (verdicts proved by *any* context sharing the table
+    /// — other pair threads, earlier runs — are reused without touching the
+    /// solver or charging the budget) and its metrics sink. The sink serves
+    /// the context's entailment counters and the solver's search counters
+    /// alike, which is what makes the emitted metrics agree with the
+    /// returned `ConsolidationStats` by construction.
+    ///
+    /// `budget` is the run's shared accounting: every solver-backed query
+    /// charges it, and an exhausted budget makes all queries answer "not
+    /// proved". `memo_scope` lists the notify ids of the programs under
+    /// consolidation; verdicts stored in or reused from the shared memo are
+    /// tagged with them, so a runtime demotion of one of those queries can
+    /// drop exactly the verdicts its predicates touched.
+    pub fn new(
+        interner: &'i Interner,
+        opts: &Options,
+        budget: Option<std::sync::Arc<crate::budget::BudgetState>>,
+        memo_scope: Vec<u32>,
+    ) -> SymbolicCtx<'i> {
+        let mut solver = opts.solver.clone();
+        if opts.recorder.enabled() {
+            solver.recorder = opts.recorder.clone();
+        }
         SymbolicCtx {
             smt: Context::new(),
-            solver: Solver::new(),
+            solver,
             interner,
-            mode,
+            mode: opts.mode,
             fn_syms: HashMap::new(),
             valid_cache: HashMap::new(),
             model_cache: HashMap::new(),
@@ -113,28 +137,23 @@ impl<'i> SymbolicCtx<'i> {
             probe_counter: 0,
             entailment_queries: 0,
             entailment_cache_hits: 0,
-            budget: None,
-            memo: None,
-            memo_scope: Vec::new(),
+            budget,
+            memo: opts.memo.clone(),
+            memo_scope,
             memo_hits: 0,
             countermodels: Vec::new(),
             countermodel_hits: 0,
             countermodel_rejected: 0,
             #[cfg(test)]
             sabotage_admitted: None,
-            recorder: RecorderCell::noop(),
+            recorder: opts.recorder.clone(),
             explain_log: None,
         }
     }
 
-    /// Installs a metrics sink; every entailment query, cache/memo hit and
+    /// The metrics sink: every entailment query, cache/memo hit and
     /// cross-simplification rewrite is counted through it (see
     /// [`udf_obs::names`] for the emitted names).
-    pub fn set_recorder(&mut self, recorder: RecorderCell) {
-        self.recorder = recorder;
-    }
-
-    /// The installed metrics sink (no-op by default).
     pub fn recorder(&self) -> &RecorderCell {
         &self.recorder
     }
@@ -175,32 +194,6 @@ impl<'i> SymbolicCtx<'i> {
                 log.push(EntailmentEvent { query, proved, via });
             }
         }
-    }
-
-    /// Overrides the SMT resource limits (used by benchmarks).
-    pub fn set_solver(&mut self, solver: Solver) {
-        self.solver = solver;
-    }
-
-    /// Attaches shared budget accounting; every solver-backed query charges
-    /// it, and an exhausted budget makes all queries answer "not proved".
-    pub fn set_budget(&mut self, budget: std::sync::Arc<crate::budget::BudgetState>) {
-        self.budget = Some(budget);
-    }
-
-    /// Attaches a shared entailment memo table. Verdicts proved by *any*
-    /// context sharing the table (other pair threads, earlier runs) are
-    /// reused without touching the solver or charging the budget.
-    pub fn set_memo(&mut self, memo: std::sync::Arc<crate::memo::EntailmentMemo>) {
-        self.memo = Some(memo);
-    }
-
-    /// Sets the memo scope: the notify ids of the programs under
-    /// consolidation. Verdicts proved or reused while the scope is set are
-    /// tagged with these ids in the shared memo, enabling per-query
-    /// invalidation on runtime demotion.
-    pub fn set_memo_scope(&mut self, scope: Vec<u32>) {
-        self.memo_scope = scope;
     }
 
     /// Number of entailments answered from the shared memo table.
@@ -811,7 +804,11 @@ pub fn initial_state<'i>(
     mode: EntailmentMode,
     params: &[Symbol],
 ) -> (SymbolicCtx<'i>, SymState) {
-    let mut cx = SymbolicCtx::new(interner, mode);
+    let opts = Options {
+        mode,
+        ..Options::default()
+    };
+    let mut cx = SymbolicCtx::new(interner, &opts, None, Vec::new());
     let st = SymState::initial(&mut cx, params);
     (cx, st)
 }
@@ -920,11 +917,15 @@ mod tests {
 
     /// `Ψ = a > 3` and the goals `a > 10`, `a > 20`, `a > 2`: the context
     /// every countermodel test below asks its questions in.
-    fn above_three<'i>(i: &'i mut Interner) -> (SymbolicCtx<'i>, SymState, [FormulaId; 3]) {
+    fn above_three<'i>(
+        i: &'i mut Interner,
+        budget: Option<std::sync::Arc<crate::budget::BudgetState>>,
+    ) -> (SymbolicCtx<'i>, SymState, [FormulaId; 3]) {
         let params = vec![i.intern("a")];
         let psi = parse_bool_expr("a > 3", i).unwrap();
         let goals = ["a > 10", "a > 20", "a > 2"].map(|g| parse_bool_expr(g, i).unwrap());
-        let (mut cx, mut st) = initial_state(i, EntailmentMode::Smt, &params);
+        let mut cx = SymbolicCtx::new(i, &Options::default(), budget, Vec::new());
+        let mut st = SymState::initial(&mut cx, &params);
         st.assume(&mut cx, &psi);
         let goals = goals.map(|g| cx.formula_of_bool(&st, &g));
         (cx, st, goals)
@@ -933,7 +934,7 @@ mod tests {
     #[test]
     fn kept_countermodel_refutes_the_next_question_without_the_solver() {
         let mut i = Interner::new();
-        let (mut cx, st, [f10, f20, f2]) = above_three(&mut i);
+        let (mut cx, st, [f10, f20, f2]) = above_three(&mut i, None);
         cx.enable_explain();
         assert!(!cx.entails(&st, f10), "a > 3 does not entail a > 10");
         assert_eq!((cx.solver_stats().checks, cx.countermodel_hits()), (1, 0));
@@ -972,7 +973,7 @@ mod tests {
         // alone would refute both — the second one wrongly. Evaluating `Ψ`
         // keeps it silent, and the solver answers as if there were no pool.
         let mut i = Interner::new();
-        let (mut cx, st, [f10, f20, f2]) = above_three(&mut i);
+        let (mut cx, st, [f10, f20, f2]) = above_three(&mut i, None);
         cx.sabotage_admitted = Some((cx.smt.var("a@0"), 0));
         assert!(!cx.entails(&st, f10));
         assert_eq!(cx.countermodels.len(), 1, "admitted, then sabotaged");
@@ -985,11 +986,10 @@ mod tests {
     fn a_pool_answer_does_not_charge_the_budget() {
         use crate::budget::{BudgetState, ConsolidationBudget};
         let mut i = Interner::new();
-        let (mut cx, st, [f10, f20, f2]) = above_three(&mut i);
         let budget = std::sync::Arc::new(BudgetState::new(
             &ConsolidationBudget::UNLIMITED.with_max_solver_queries(1),
         ));
-        cx.set_budget(budget.clone());
+        let (mut cx, st, [f10, f20, f2]) = above_three(&mut i, Some(budget.clone()));
         assert!(!cx.entails(&st, f10), "the one query the budget allows");
         assert!(!cx.entails(&st, f20), "answered by the kept countermodel");
         assert_eq!((budget.queries_charged(), cx.countermodel_hits()), (1, 1));

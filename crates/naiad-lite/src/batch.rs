@@ -24,7 +24,7 @@
 //! ([`crate::regcode::RegVm`]) running the same program:
 //!
 //! * per-lane fuel/cost columns are charged from the same per-instruction
-//!   `steps`/`cost` totals the scalar machine reads (one stack op is one
+//!   `steps`/`cost` totals the scalar machine reads (one AST node is one
 //!   step, see [`crate::regcode`]);
 //! * in blocks containing calls or notifies, the per-lane fuel gate runs
 //!   *before* every stateful instruction, so an environment observes
@@ -318,9 +318,10 @@ impl BatchVm {
         let n_regs = prog.n_regs as usize;
         // Register file: parameter columns copied in, variable slots zeroed
         // (reference semantics). Expression temporaries are *not* cleared —
-        // stack discipline guarantees every temporary is written before it
-        // is read, and the interpreter asserts the stack drains at block
-        // boundaries, so stale lanes can never leak through.
+        // the compiler numbers a temporary by its depth among the pending
+        // operands, so every temporary is written before it is read, and no
+        // operand is pending at a block boundary: stale lanes can never leak
+        // through.
         if self.regs.len() < n_regs * cap {
             self.regs.resize(n_regs * cap, 0);
         }

@@ -1,23 +1,27 @@
-//! Compilation of UDF programs to linear stack ops: the front half of
-//! [`crate::regcode::RegProgram::lower`].
+//! The compiler: one pass from a UDF program's AST to the register bytecode
+//! of [`crate::regcode`], the form both backends run.
 //!
 //! The reference interpreter in `udf-lang` walks the AST and allocates
 //! environments per run; at dataflow rates (hundreds of thousands of records
 //! × dozens of queries) that dominates everything. Following the lineage the
-//! paper cites (Steno compiles LINQ operators to imperative code), programs
-//! are flattened once to a compact slot-addressed stack code, which
-//! [`crate::regcode`] lowers to the register bytecode both backends run.
-//! Nothing executes a [`Compiled`] directly.
+//! paper cites (Steno compiles LINQ operators to imperative code), a program
+//! is compiled once per plan by [`RegProgram::compile`]: the variables are
+//! counted (expression temporaries are numbered above them), then one
+//! recursive walk emits three-address instructions, numbering variables as
+//! evaluation meets them, folding constants and propagating variable reads
+//! into operand positions as it goes, opening a basic block after every
+//! branch and at every landing point, and back-patching jumps in place.
 //!
-//! Cost accounting mirrors Figure 2 exactly: every op carries the abstract
-//! cost of the syntax node it came from, and the lowering charges each op's
-//! cost and step to exactly one register instruction, so a run returns the
-//! same cost the reference interpreter would compute (validated by
-//! differential tests).
+//! Cost accounting mirrors Figure 2 exactly: every AST node carries the
+//! abstract cost the interpreter charges for it, and the walk charges each
+//! node's cost and fuel step to exactly one instruction (see the exactness
+//! contract in [`crate::regcode`]), so a run returns the same cost the
+//! reference interpreter would compute (validated by differential tests).
 
-use crate::regcode::RBin;
+use crate::regcode::{apply_bin, Block, RArg, RBin, RInstr, ROp, RegProgram};
 use std::collections::HashMap;
 use std::fmt;
+use udf_lang::analysis::{assigned_vars, read_vars};
 use udf_lang::ast::{BoolExpr, BoolOp, CmpOp, IntExpr, IntOp, ProgId, Program, Stmt};
 use udf_lang::cost::{Cost, CostModel};
 use udf_lang::intern::Symbol;
@@ -30,6 +34,12 @@ pub enum CompileError {
     UnknownQueryId(ProgId),
     /// The program uses more than 65535 variables.
     TooManySlots,
+    /// Variables plus expression temporaries exceed the 65535-register file.
+    TooManyRegisters,
+    /// A call passes more than 255 arguments (the count it passes).
+    TooManyArguments(usize),
+    /// The query list holds more than 65536 ids (the count it holds).
+    TooManyQueries(usize),
 }
 
 impl fmt::Display for CompileError {
@@ -39,104 +49,283 @@ impl fmt::Display for CompileError {
                 write!(f, "notify target {id} is not a registered query id")
             }
             CompileError::TooManySlots => write!(f, "program exceeds 65535 variable slots"),
+            CompileError::TooManyRegisters => {
+                write!(f, "variables and temporaries exceed 65535 registers")
+            }
+            CompileError::TooManyArguments(n) => {
+                write!(f, "call with {n} arguments exceeds the 255-argument limit")
+            }
+            CompileError::TooManyQueries(n) => {
+                write!(f, "query list of {n} ids exceeds the 65536-query limit")
+            }
         }
     }
 }
 
 impl std::error::Error for CompileError {}
 
-/// One stack op. The (abstract) stack holds `i64`; booleans are 0/1.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Op {
-    /// Push a constant.
-    Const(i64),
-    /// Push slot contents.
-    Load(u16),
-    /// Pop into a slot.
-    Store(u16),
-    /// Pop b, a; push `a ⊙ b` (strict, like Figure 2).
-    Bin(RBin),
-    /// Pop a; push `¬a`.
-    Not,
-    /// Pop a; jump to target when `a = 0`.
-    JumpIfZero(u32),
-    /// Unconditional jump.
-    Jump(u32),
-    /// Call external `f` with `argc` stack arguments; push the result.
-    Call {
-        /// Function symbol.
-        f: Symbol,
-        /// Argument count.
-        argc: u8,
-    },
-    /// Record query `query`'s broadcast.
-    Notify {
-        /// Dense query index.
-        query: u16,
-        /// Broadcast value.
-        value: bool,
-    },
-    /// End of program.
-    Halt,
+/// A pending operand: a value the expression walk has produced and no
+/// instruction has consumed yet. `cost`/`steps` are the accounting of the
+/// AST nodes behind it that no instruction has been charged for yet.
+#[derive(Clone, Copy)]
+struct AVal {
+    v: Av,
+    cost: Cost,
+    steps: u32,
 }
 
-/// A compiled program: instructions, per-instruction abstract costs, and
-/// slot layout.
-#[derive(Debug, Clone)]
-pub struct Compiled {
-    /// Instruction stream.
-    pub ops: Vec<Op>,
-    /// Abstract cost charged when the instruction executes.
-    pub costs: Vec<Cost>,
-    /// Total variable slots (parameters first).
-    pub n_slots: u16,
-    /// Number of parameters.
-    pub n_params: u16,
-    /// Number of distinct query ids this program may notify.
-    pub n_queries: usize,
+#[derive(Clone, Copy)]
+enum Av {
+    Const(i64),
+    Reg(u16),
+}
+
+/// The store peephole: makes a pure (side-effect-free) instruction that
+/// writes `from` write `to` instead. False, and nothing changed, for any
+/// other instruction — stateful ops never match, so a store after a call
+/// becomes an explicit [`ROp::Move`] (keeping the call last in its group).
+fn retarget(op: &mut ROp, from: u16, to: u16) -> bool {
+    match op {
+        ROp::Const { dst, .. }
+        | ROp::Move { dst, .. }
+        | ROp::Bin { dst, .. }
+        | ROp::BinK { dst, .. }
+        | ROp::Not { dst, .. }
+            if *dst == from =>
+        {
+            *dst = to;
+            true
+        }
+        _ => false,
+    }
 }
 
 struct Compiler<'a> {
-    ops: Vec<Op>,
-    costs: Vec<Cost>,
+    code: Vec<RInstr>,
+    arg_pool: Vec<RArg>,
+    /// Operands of the expression being compiled, outermost first. Explicit
+    /// rather than returned from the recursion because a call must reach
+    /// *every* operand below its arguments (see [`Compiler::call`]), and
+    /// because a temporary's number is its depth here.
+    pending: Vec<AVal>,
+    /// Variable slots: parameters in declaration order, then locals in the
+    /// order evaluation first meets them (`x := e` reads `e` before it
+    /// writes `x`).
     slots: HashMap<Symbol, u16>,
+    /// How many slots there will be: temporaries are numbered from here up,
+    /// so the variables are counted before the walk numbers them.
+    n_slots: u16,
+    n_regs: u16,
+    /// Slots holding a known constant at this point of the current block.
+    slot_const: Vec<Option<i64>>,
+    /// Start pc of every basic block opened so far, ascending.
+    block_starts: Vec<u32>,
     cm: &'a CostModel,
     fn_cost: &'a dyn Fn(Symbol) -> Cost,
     query_index: &'a HashMap<ProgId, u16>,
 }
 
-impl<'a> Compiler<'a> {
-    fn emit(&mut self, op: Op, cost: Cost) -> usize {
-        self.ops.push(op);
-        self.costs.push(cost);
-        self.ops.len() - 1
+impl Compiler<'_> {
+    fn pc(&self) -> u32 {
+        u32::try_from(self.code.len())
+            .expect("code addressable by u32: an AST that large does not fit in memory")
     }
 
-    fn slot(&mut self, v: Symbol) -> Result<u16, CompileError> {
-        if let Some(&s) = self.slots.get(&v) {
-            return Ok(s);
+    fn emit(&mut self, op: ROp, cost: Cost, steps: u32) -> usize {
+        self.code.push(RInstr { op, cost, steps });
+        self.code.len() - 1
+    }
+
+    /// Starts a basic block at the current pc: nothing known about a slot
+    /// carries over a jump target.
+    fn open_block(&mut self) -> u32 {
+        debug_assert!(self.pending.is_empty(), "operands pending at a block start");
+        let pc = self.pc();
+        if self.block_starts.last() != Some(&pc) {
+            self.block_starts.push(pc);
         }
-        let s = u16::try_from(self.slots.len()).map_err(|_| CompileError::TooManySlots)?;
-        self.slots.insert(v, s);
-        Ok(s)
+        self.slot_const.fill(None);
+        pc
+    }
+
+    fn patch_jump(&mut self, at: usize, to: u32) {
+        if let ROp::Jump { target } | ROp::JumpIfZero { target, .. } = &mut self.code[at].op {
+            *target = to;
+        }
+    }
+
+    fn slot(&mut self, v: Symbol) -> u16 {
+        let next = u16::try_from(self.slots.len()).expect("no more variables than were counted");
+        *self.slots.entry(v).or_insert(next)
+    }
+
+    fn push(&mut self, v: Av, cost: Cost, steps: u32) {
+        self.pending.push(AVal { v, cost, steps });
+    }
+
+    fn pop(&mut self) -> AVal {
+        self.pending
+            .pop()
+            .expect("every expression pushes the operand its parent pops")
+    }
+
+    /// The temporary above the pending operands.
+    fn temp(&mut self) -> Result<u16, CompileError> {
+        let n = u16::try_from(self.n_slots as usize + self.pending.len() + 1)
+            .map_err(|_| CompileError::TooManyRegisters)?;
+        self.n_regs = self.n_regs.max(n);
+        Ok(n - 1)
+    }
+
+    /// Emits a value-producing instruction into a fresh temporary; the
+    /// result becomes a pending operand with nothing left to charge.
+    fn produce(
+        &mut self,
+        op: impl FnOnce(u16) -> ROp,
+        cost: Cost,
+        steps: u32,
+    ) -> Result<(), CompileError> {
+        let dst = self.temp()?;
+        self.emit(op(dst), cost, steps);
+        self.push(Av::Reg(dst), 0, 0);
+        Ok(())
+    }
+
+    fn bin(&mut self, op: RBin, node_cost: Cost) -> Result<(), CompileError> {
+        let b = self.pop();
+        let a = self.pop();
+        let cost = a.cost + b.cost + node_cost;
+        let steps = a.steps + b.steps + 1;
+        let (r, k, reg_on_left) = match (a.v, b.v) {
+            (Av::Const(x), Av::Const(y)) => {
+                self.push(Av::Const(apply_bin(op, x, y)), cost, steps);
+                return Ok(());
+            }
+            (Av::Reg(a), Av::Reg(b)) => {
+                return self.produce(|dst| ROp::Bin { op, dst, a, b }, cost, steps);
+            }
+            (Av::Reg(r), Av::Const(k)) => (r, k, true),
+            (Av::Const(k), Av::Reg(r)) => (r, k, false),
+        };
+        let bin_k = |dst| ROp::BinK {
+            op,
+            dst,
+            r,
+            k,
+            reg_on_left,
+        };
+        self.produce(bin_k, cost, steps)
+    }
+
+    fn not(&mut self) -> Result<(), CompileError> {
+        let a = self.pop();
+        let cost = a.cost + self.cm.not;
+        let steps = a.steps + 1;
+        match a.v {
+            Av::Const(x) => {
+                self.push(Av::Const(i64::from(x == 0)), cost, steps);
+                Ok(())
+            }
+            Av::Reg(src) => self.produce(|dst| ROp::Not { dst, src }, cost, steps),
+        }
+    }
+
+    /// Calls `f` on the top `argc` pending operands. Everything still
+    /// uncharged below the arguments is swept into the call's instruction
+    /// too: those nodes were all evaluated before the call, so "fuel spent
+    /// when the call runs" stays equal to the nodes evaluated before it.
+    fn call(&mut self, f: Symbol, argc: usize) -> Result<(), CompileError> {
+        let at = self.pending.len() - argc;
+        let argc = u8::try_from(argc).map_err(|_| CompileError::TooManyArguments(argc))?;
+        let mut cost = (self.fn_cost)(f);
+        let mut steps = 1u32;
+        for v in &mut self.pending[..at] {
+            cost += std::mem::take(&mut v.cost);
+            steps += std::mem::take(&mut v.steps);
+        }
+        let args_at = u32::try_from(self.arg_pool.len())
+            .expect("argument pool addressable by u32: an AST that large does not fit in memory");
+        for v in self.pending.drain(at..) {
+            cost += v.cost;
+            steps += v.steps;
+            self.arg_pool.push(match v.v {
+                Av::Const(k) => RArg::Const(k),
+                Av::Reg(r) => RArg::Reg(r),
+            });
+        }
+        let call = |dst| ROp::Call {
+            dst,
+            f,
+            args_at,
+            argc,
+        };
+        self.produce(call, cost, steps)
+    }
+
+    /// `slot ← ` the pending operand.
+    fn store(&mut self, slot: u16) {
+        let top = self.pop();
+        let cost = top.cost + self.cm.assign;
+        let steps = top.steps + 1;
+        match top.v {
+            Av::Const(v) => {
+                self.emit(ROp::Const { dst: slot, v }, cost, steps);
+                self.slot_const[slot as usize] = Some(v);
+            }
+            Av::Reg(src) => {
+                // Peephole: a temporary on top was written by the instruction
+                // just emitted (in this block: no expression spans a block
+                // boundary) — when that one is pure, retarget it.
+                let folded = src >= self.n_slots
+                    && self.code.last_mut().is_some_and(|last| {
+                        let hit = retarget(&mut last.op, src, slot);
+                        if hit {
+                            last.cost += cost;
+                            last.steps += steps;
+                        }
+                        hit
+                    });
+                if !folded {
+                    self.emit(ROp::Move { dst: slot, src }, cost, steps);
+                }
+                self.slot_const[slot as usize] = None;
+            }
+        }
+    }
+
+    /// Branches on the pending condition, returning the jump to patch. A
+    /// constant condition is materialised rather than the branch folded
+    /// away: the branch test is a step, and divergent loops must consume
+    /// fuel at the same rate.
+    fn branch(&mut self) -> Result<usize, CompileError> {
+        let cond = self.pop();
+        let (src, cost, steps) = match cond.v {
+            Av::Reg(r) => (r, cond.cost + self.cm.branch, cond.steps + 1),
+            Av::Const(v) => {
+                let dst = self.temp()?;
+                self.emit(ROp::Const { dst, v }, cond.cost, cond.steps);
+                (dst, self.cm.branch, 1)
+            }
+        };
+        Ok(self.emit(ROp::JumpIfZero { src, target: 0 }, cost, steps))
     }
 
     fn int_expr(&mut self, e: &IntExpr) -> Result<(), CompileError> {
         match e {
-            IntExpr::Const(c) => {
-                self.emit(Op::Const(*c), self.cm.int_const);
-            }
+            IntExpr::Const(c) => self.push(Av::Const(*c), self.cm.int_const, 1),
             IntExpr::Var(v) => {
-                let s = self.slot(*v)?;
-                self.emit(Op::Load(s), self.cm.var);
+                let slot = self.slot(*v);
+                let v = match self.slot_const[slot as usize] {
+                    Some(k) => Av::Const(k),
+                    None => Av::Reg(slot),
+                };
+                self.push(v, self.cm.var, 1);
             }
             IntExpr::Call(f, args) => {
                 for a in args {
                     self.int_expr(a)?;
                 }
-                let argc = u8::try_from(args.len()).expect("arity fits u8");
-                let cost = (self.fn_cost)(*f);
-                self.emit(Op::Call { f: *f, argc }, cost);
+                self.call(*f, args.len())?;
             }
             IntExpr::Bin(op, a, b) => {
                 self.int_expr(a)?;
@@ -146,7 +335,7 @@ impl<'a> Compiler<'a> {
                     IntOp::Sub => RBin::Sub,
                     IntOp::Mul => RBin::Mul,
                 };
-                self.emit(Op::Bin(o), self.cm.arith);
+                self.bin(o, self.cm.arith)?;
             }
         }
         Ok(())
@@ -154,9 +343,7 @@ impl<'a> Compiler<'a> {
 
     fn bool_expr(&mut self, e: &BoolExpr) -> Result<(), CompileError> {
         match e {
-            BoolExpr::Const(b) => {
-                self.emit(Op::Const(i64::from(*b)), self.cm.bool_const);
-            }
+            BoolExpr::Const(b) => self.push(Av::Const(i64::from(*b)), self.cm.bool_const, 1),
             BoolExpr::Cmp(op, a, b) => {
                 self.int_expr(a)?;
                 self.int_expr(b)?;
@@ -165,11 +352,11 @@ impl<'a> Compiler<'a> {
                     CmpOp::Le => RBin::Le,
                     CmpOp::Eq => RBin::EqI,
                 };
-                self.emit(Op::Bin(o), self.cm.cmp);
+                self.bin(o, self.cm.cmp)?;
             }
             BoolExpr::Not(a) => {
                 self.bool_expr(a)?;
-                self.emit(Op::Not, self.cm.not);
+                self.not()?;
             }
             BoolExpr::Bin(op, a, b) => {
                 self.bool_expr(a)?;
@@ -178,7 +365,7 @@ impl<'a> Compiler<'a> {
                     BoolOp::And => RBin::And,
                     BoolOp::Or => RBin::Or,
                 };
-                self.emit(Op::Bin(o), self.cm.connective);
+                self.bin(o, self.cm.connective)?;
             }
         }
         Ok(())
@@ -189,8 +376,8 @@ impl<'a> Compiler<'a> {
             Stmt::Skip => {}
             Stmt::Assign(x, e) => {
                 self.int_expr(e)?;
-                let slot = self.slot(*x)?;
-                self.emit(Op::Store(slot), self.cm.assign);
+                let slot = self.slot(*x);
+                self.store(slot);
             }
             Stmt::Seq(a, b) => {
                 self.stmt(a)?;
@@ -198,84 +385,116 @@ impl<'a> Compiler<'a> {
             }
             Stmt::If(c, a, b) => {
                 self.bool_expr(c)?;
-                let jz = self.emit(Op::JumpIfZero(0), self.cm.branch);
+                let to_else = self.branch()?;
+                self.open_block();
                 self.stmt(a)?;
-                let jend = self.emit(Op::Jump(0), 0);
-                let else_target = u32::try_from(self.ops.len()).expect("code fits u32");
-                self.ops[jz] = Op::JumpIfZero(else_target);
+                let to_end = self.emit(ROp::Jump { target: 0 }, 0, 1);
+                let else_pc = self.open_block();
+                self.patch_jump(to_else, else_pc);
                 self.stmt(b)?;
-                let end = u32::try_from(self.ops.len()).expect("code fits u32");
-                self.ops[jend] = Op::Jump(end);
+                let end_pc = self.open_block();
+                self.patch_jump(to_end, end_pc);
             }
             Stmt::While(c, b) => {
-                let head = u32::try_from(self.ops.len()).expect("code fits u32");
+                let head = self.open_block();
                 self.bool_expr(c)?;
-                let jz = self.emit(Op::JumpIfZero(0), self.cm.branch);
+                let to_end = self.branch()?;
+                self.open_block();
                 self.stmt(b)?;
-                self.emit(Op::Jump(head), 0);
-                let end = u32::try_from(self.ops.len()).expect("code fits u32");
-                self.ops[jz] = Op::JumpIfZero(end);
+                self.emit(ROp::Jump { target: head }, 0, 1);
+                let end_pc = self.open_block();
+                self.patch_jump(to_end, end_pc);
             }
             Stmt::Notify(id, v) => {
                 let &query = self
                     .query_index
                     .get(id)
                     .ok_or(CompileError::UnknownQueryId(*id))?;
-                self.emit(
-                    Op::Notify {
-                        query,
-                        value: *v,
-                    },
-                    self.cm.notify,
-                );
+                self.emit(ROp::Notify { query, value: *v }, self.cm.notify, 1);
             }
         }
         Ok(())
     }
+
+    /// The basic blocks between the recorded starts, with their accounting.
+    fn blocks(&self) -> Vec<Block> {
+        let ends = self.block_starts[1..].iter().copied().chain([self.pc()]);
+        self.block_starts
+            .iter()
+            .zip(ends)
+            .map(|(&start, end)| {
+                let range = &self.code[start as usize..end as usize];
+                Block {
+                    start,
+                    end,
+                    steps: range.iter().map(|i| u64::from(i.steps)).sum(),
+                    cost: range.iter().map(|i| i.cost).sum(),
+                    pure: range
+                        .iter()
+                        .all(|i| !matches!(i.op, ROp::Call { .. } | ROp::Notify { .. })),
+                }
+            })
+            .collect()
+    }
 }
 
-impl Compiled {
-    /// Compiles `program`. `query_ids` lists every [`ProgId`] the program may
-    /// notify, in the dense order of the run's output buffer (see
-    /// [`crate::regcode::RegVm::run`]); `fn_cost` prices external calls
-    /// (usually [`crate::env::UdfEnv::fn_cost`]).
+impl RegProgram {
+    /// Compiles `program` to register bytecode. `query_ids` lists every
+    /// [`ProgId`] the program may notify, in the dense order of the run's
+    /// output buffer (see [`crate::regcode::RegVm::run`]); `fn_cost` prices
+    /// external calls (usually [`crate::env::UdfEnv::fn_cost`]).
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError`] for unknown notify targets or slot overflow.
+    /// Returns [`CompileError`] for an unknown notify target and for a
+    /// program past one of the bytecode's field widths: variable slots,
+    /// registers, call arguments, query ids.
     pub fn compile(
         program: &Program,
         query_ids: &[ProgId],
         cm: &CostModel,
         fn_cost: &dyn Fn(Symbol) -> Cost,
-    ) -> Result<Compiled, CompileError> {
-        let query_index: HashMap<ProgId, u16> = query_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, u16::try_from(i).expect("query count fits u16")))
-            .collect();
+    ) -> Result<RegProgram, CompileError> {
+        let t0 = std::time::Instant::now();
+        if query_ids.len() > usize::from(u16::MAX) + 1 {
+            return Err(CompileError::TooManyQueries(query_ids.len()));
+        }
+        let query_index: HashMap<ProgId, u16> =
+            query_ids.iter().copied().zip(0..=u16::MAX).collect();
+        let n_params =
+            u16::try_from(program.params.len()).map_err(|_| CompileError::TooManySlots)?;
+        let mut vars = read_vars(&program.body);
+        vars.extend(assigned_vars(&program.body));
+        vars.extend(&program.params);
+        let n_slots = u16::try_from(vars.len()).map_err(|_| CompileError::TooManySlots)?;
         let mut c = Compiler {
-            ops: Vec::new(),
-            costs: Vec::new(),
-            slots: HashMap::new(),
+            code: Vec::new(),
+            arg_pool: Vec::new(),
+            pending: Vec::new(),
+            slots: HashMap::with_capacity(vars.len()),
+            n_slots,
+            n_regs: n_slots,
+            slot_const: vec![None; n_slots as usize],
+            block_starts: Vec::new(),
             cm,
             fn_cost,
             query_index: &query_index,
         };
-        // Parameters occupy the first slots in declaration order.
+        c.open_block();
         for &p in &program.params {
-            c.slot(p)?;
+            c.slot(p);
         }
-        let n_params = u16::try_from(program.params.len()).map_err(|_| CompileError::TooManySlots)?;
         c.stmt(&program.body)?;
-        c.emit(Op::Halt, 0);
-        let n_slots = u16::try_from(c.slots.len()).map_err(|_| CompileError::TooManySlots)?;
-        Ok(Compiled {
-            ops: c.ops,
-            costs: c.costs,
+        c.emit(ROp::Halt, 0, 1);
+        Ok(RegProgram {
+            blocks: c.blocks(),
+            code: c.code,
+            arg_pool: c.arg_pool,
+            n_regs: c.n_regs,
             n_slots,
             n_params,
             n_queries: query_ids.len(),
+            fold_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
         })
     }
 }
@@ -328,7 +547,7 @@ pub const DEFAULT_FUEL: u64 = 100_000_000;
 mod tests {
     use super::*;
     use crate::env::{RecordLibrary, ScalarEnv, UdfEnv};
-    use crate::regcode::{RegProgram, RegVm};
+    use crate::regcode::RegVm;
     use udf_lang::intern::Interner;
     use udf_lang::interp::{EvalError, Interp};
     use udf_lang::parse::parse_program;
@@ -446,8 +665,90 @@ mod tests {
         let p = parse_program("program p @0 (a, b) { notify @9 true; }", &mut i).unwrap();
         let cm = CostModel::default();
         assert_eq!(
-            Compiled::compile(&p, &[ProgId(1)], &cm, &|f| env.fn_cost(f)).unwrap_err(),
+            RegProgram::compile(&p, &[ProgId(1)], &cm, &|f| env.fn_cost(f)).unwrap_err(),
             CompileError::UnknownQueryId(ProgId(9))
+        );
+    }
+
+    /// A call with 300 arguments parses; it must be refused, not abort the
+    /// thread that compiles it (the service compiles tenants' programs).
+    #[test]
+    fn oversized_call_is_compile_error() {
+        let mut i = Interner::new();
+        let env = scalar_env(&mut i);
+        let src = format!(
+            "program p @0 (a, b) {{ x := f({}); }}",
+            vec!["a"; 300].join(", ")
+        );
+        let p = parse_program(&src, &mut i).unwrap();
+        let cm = CostModel::default();
+        assert_eq!(
+            RegProgram::compile(&p, &[ProgId(0)], &cm, &|f| env.fn_cost(f)).unwrap_err(),
+            CompileError::TooManyArguments(300)
+        );
+    }
+
+    #[test]
+    fn oversized_query_list_is_compile_error() {
+        let mut i = Interner::new();
+        let env = scalar_env(&mut i);
+        let p = parse_program("program p @0 (a, b) { notify true; }", &mut i).unwrap();
+        let cm = CostModel::default();
+        let ids: Vec<ProgId> = (0..=65_536).map(ProgId).collect();
+        assert_eq!(
+            RegProgram::compile(&p, &ids, &cm, &|f| env.fn_cost(f)).unwrap_err(),
+            CompileError::TooManyQueries(65_537)
+        );
+        let reg = RegProgram::compile(&p, &ids[..65_536], &cm, &|f| env.fn_cost(f)).unwrap();
+        assert_eq!(reg.n_queries, 65_536);
+    }
+
+    /// Slots are bounded on their own; temporaries sit above them and must
+    /// be bounded too. `p0 + (p0 + (… + p0 * p0))` holds one operand pending
+    /// per level, so its innermost temporary is `n_slots + depth`.
+    #[test]
+    fn register_file_overflow_is_compile_error() {
+        let mut i = Interner::new();
+        let env = scalar_env(&mut i);
+        let params: Vec<Symbol> = (0..65_530).map(|k| i.intern(&format!("p{k}"))).collect();
+        let p0 = || IntExpr::Var(params[0]);
+        let nested = |depth: usize| {
+            (0..depth).fold(IntExpr::mul(p0(), p0()), |inner, _| {
+                IntExpr::add(p0(), inner)
+            })
+        };
+        let cm = CostModel::default();
+        let compile = |depth| {
+            let body = Stmt::Assign(params[1], nested(depth));
+            let p = Program::new(ProgId(0), params.clone(), body);
+            RegProgram::compile(&p, &[], &cm, &|f| env.fn_cost(f)).map(|reg| reg.n_regs)
+        };
+        assert_eq!(
+            compile(4),
+            Ok(65_535),
+            "registers 0..=65534 are addressable"
+        );
+        assert_eq!(compile(5), Err(CompileError::TooManyRegisters));
+    }
+
+    #[test]
+    fn slot_overflow_is_compile_error() {
+        let mut i = Interner::new();
+        let env = scalar_env(&mut i);
+        let params: Vec<Symbol> = (0..65_535).map(|k| i.intern(&format!("p{k}"))).collect();
+        let cm = CostModel::default();
+        let compile = |local: Symbol| {
+            let p = Program::new(
+                ProgId(0),
+                params.clone(),
+                Stmt::Assign(local, IntExpr::Const(1)),
+            );
+            RegProgram::compile(&p, &[], &cm, &|f| env.fn_cost(f)).map(|reg| reg.n_slots)
+        };
+        assert_eq!(compile(params[7]), Ok(65_535));
+        assert_eq!(
+            compile(i.intern("one_more")),
+            Err(CompileError::TooManySlots)
         );
     }
 

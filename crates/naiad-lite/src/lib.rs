@@ -16,9 +16,9 @@
 //!   [`env::UdfEnv`] exposes each record's scalar fields as UDF arguments and
 //!   its accessor methods as pure external functions;
 //! * [`compile`] / [`regcode`] — the one executable IR: a UDF program is
-//!   flattened to linear stack ops and lowered once per plan into
-//!   basic-block register bytecode (constant folding + copy propagation,
-//!   exact cost/fuel accounting). The tree-walking interpreter in
+//!   compiled once per plan, in one pass over its AST, into basic-block
+//!   register bytecode (constant folding + copy propagation, exact
+//!   cost/fuel accounting). The tree-walking interpreter in
 //!   `udf-lang` remains the semantic reference, and the machines below are
 //!   differentially tested against it;
 //! * [`regcode::RegVm`] / [`batch`] — the two loops over that IR: the
@@ -66,7 +66,7 @@ pub mod regcode;
 
 pub use agg::{AggMode, AggQuerySet, AggReport, AGG_CHUNK};
 pub use batch::{BatchVm, RecordBatch};
-pub use compile::{CompileError, Compiled, VmError, DEFAULT_FUEL};
+pub use compile::{CompileError, VmError, DEFAULT_FUEL};
 pub use engine::{
     Engine, EngineConfig, EngineError, ErrorKind, ErrorPolicy, ExecBackend, ExecMode, JobReport,
     QuarantineEntry, QuarantineReport, QuerySet, QuerySetError, RetryPolicy,

@@ -1,45 +1,47 @@
 //! Register bytecode: the one executable form of a UDF program.
 //!
-//! A stack machine pays a dispatch + push/pop per syntax node. Following
-//! the Froid direction (compile the imperative UDF wholesale into one
-//! analyzable form that every consumer reads), this module lowers the
-//! linear stack ops of [`crate::compile`] once per plan into three-address
-//! **register bytecode** over a fixed slot file: variable slots keep their
-//! stack-code indices, operands are named registers instead of stack
-//! positions, constants fold, and loads propagate into operand positions
-//! (copy propagation), so the per-record work drops to one dispatch per
-//! *expression* instead of one per *node*. Programs are arena-backed — one
-//! instruction vector plus one shared argument pool — and evaluation
-//! allocates nothing per record. Both backends execute this form: [`RegVm`]
-//! a record at a time, [`crate::batch::BatchVm`] a batch at a time.
+//! A tree walk pays a dispatch per syntax node. Following the Froid
+//! direction (compile the imperative UDF wholesale into one analyzable form
+//! that every consumer reads), [`RegProgram::compile`] (in
+//! [`crate::compile`]) turns a program once per plan into three-address
+//! **register bytecode** over a fixed slot file: variables are numbered
+//! slots, operands are named registers, constants fold, and variable reads
+//! propagate into operand positions (copy propagation), so the per-record
+//! work drops to one dispatch per *expression* instead of one per *node*.
+//! Programs are arena-backed — one instruction vector plus one shared
+//! argument pool — and evaluation allocates nothing per record. Both
+//! backends execute this form: [`RegVm`] a record at a time,
+//! [`crate::batch::BatchVm`] a batch at a time.
 //!
 //! # Exactness
 //!
 //! The AST interpreter (`udf_lang::interp`) is the reference semantics:
 //! notifications and abstract costs must equal it, and the two machines
 //! must equal each other on fuel accounting and fault behavior (which
-//! external calls ran before a failure). A **fuel step is one stack op**,
-//! as counted by [`RInstr::steps`]. Folding several stack ops into one
-//! register instruction is made observation-preserving by two invariants:
+//! external calls ran before a failure). A **fuel step is one AST node
+//! evaluated** — a constant, a variable read, a call, an operator, an
+//! assignment, a branch test, a notify — plus one for each jump taken at
+//! the end of a then-branch or a loop body, and one for halt; that is what
+//! [`RInstr::steps`] counts. Folding several nodes into one instruction is
+//! made observation-preserving by two invariants:
 //!
 //! 1. every instruction carries the summed `cost` and the count (`steps`) of
-//!    the stack ops it absorbs, and both machines charge fuel per *steps*,
-//!    so a run fails with [`VmError::OutOfFuel`] at the same budget however
-//!    the ops were grouped;
-//! 2. a stateful op ([`ROp::Call`], [`ROp::Notify`]) is always the **last**
-//!    stack op charged to its instruction — when a call executes, the fuel
-//!    spent so far equals the stack ops preceding the call, so a faulting
+//!    the nodes it absorbs, and both machines charge fuel per *steps*, so a
+//!    run fails with [`VmError::OutOfFuel`] at the same budget however the
+//!    nodes were grouped;
+//! 2. a stateful node ([`ROp::Call`], [`ROp::Notify`]) is always the **last**
+//!    node charged to its instruction — when a call executes, the fuel
+//!    spent so far equals the nodes evaluated before the call, so a faulting
 //!    environment (e.g. [`crate::fault::FaultyEnv`]) observes the identical
 //!    call sequence even when fuel runs out mid-expression.
 //!
 //! Branches on constant conditions are deliberately *not* folded away: the
-//! branch dispatch is a stack op and costs one step, so the condition is
+//! branch test is a node and costs one step, so the condition is
 //! materialized and the jump kept, preserving divergent-loop step counts.
 
-use crate::compile::{CompileError, Compiled, Op, VmError, DEFAULT_FUEL, NOTIFY_NONE};
+use crate::compile::{VmError, DEFAULT_FUEL, NOTIFY_NONE};
 use crate::env::UdfEnv;
-use udf_lang::ast::{ProgId, Program};
-use udf_lang::cost::{Cost, CostModel};
+use udf_lang::cost::Cost;
 use udf_lang::intern::Symbol;
 
 /// Binary operators of the register machine (strict, like Figure 2).
@@ -171,14 +173,14 @@ pub enum ROp {
     Halt,
 }
 
-/// One instruction plus the accounting of the stack ops it absorbs.
+/// One instruction plus the accounting of the AST nodes it absorbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RInstr {
     /// The operation.
     pub op: ROp,
-    /// Summed abstract cost of the folded stack ops.
+    /// Summed abstract cost of the folded nodes.
     pub cost: Cost,
-    /// Number of stack ops folded in: the fuel this instruction costs. This
+    /// Number of nodes folded in: the fuel this instruction costs. This
     /// count *defines* a fuel step for every machine that runs the program.
     pub steps: u32,
 }
@@ -199,7 +201,7 @@ pub struct Block {
     pub pure: bool,
 }
 
-/// A lowered program: instructions, shared argument pool, and basic blocks.
+/// A compiled program: instructions, shared argument pool, and basic blocks.
 #[derive(Debug, Clone)]
 pub struct RegProgram {
     /// Instruction stream.
@@ -211,382 +213,25 @@ pub struct RegProgram {
     pub blocks: Vec<Block>,
     /// Total registers: variable slots first, then expression temporaries.
     pub n_regs: u16,
-    /// Variable slots (parameters first), identical to the stack layout.
+    /// Variable slots: parameters first, then locals in the order
+    /// evaluation first meets them.
     pub n_slots: u16,
     /// Number of parameters.
     pub n_params: u16,
     /// Number of distinct query ids this program may notify.
     pub n_queries: usize,
-    /// Wall time spent lowering (constant folding + copy propagation),
-    /// reported through the `regcode.fold_ns` metric.
+    /// Wall time spent compiling, reported through the `regcode.fold_ns`
+    /// metric.
     pub fold_ns: u64,
 }
 
-/// Abstract value tracked per stack position during lowering; `cost`/`steps`
-/// are the producing ops' accounting not yet charged to any instruction.
-#[derive(Clone, Copy)]
-struct AVal {
-    v: Av,
-    cost: Cost,
-    steps: u32,
-}
-
-#[derive(Clone, Copy)]
-enum Av {
-    Const(i64),
-    Reg(u16),
-}
-
-/// The destination register of a pure (side-effect-free) instruction, used
-/// by the store peephole; stateful ops return `None` so a store after a call
-/// becomes an explicit [`ROp::Move`] (keeping the call last in its group).
-fn pure_dst(op: &ROp) -> Option<u16> {
-    match op {
-        ROp::Const { dst, .. }
-        | ROp::Move { dst, .. }
-        | ROp::Bin { dst, .. }
-        | ROp::BinK { dst, .. }
-        | ROp::Not { dst, .. } => Some(*dst),
-        _ => None,
-    }
-}
-
-fn set_dst(op: &mut ROp, new_dst: u16) {
-    match op {
-        ROp::Const { dst, .. }
-        | ROp::Move { dst, .. }
-        | ROp::Bin { dst, .. }
-        | ROp::BinK { dst, .. }
-        | ROp::Not { dst, .. } => *dst = new_dst,
-        _ => {}
-    }
-}
-
 impl RegProgram {
-    /// Compiles `program` to register bytecode: [`Compiled::compile`], then
-    /// [`RegProgram::lower`]. The arguments are `Compiled::compile`'s.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError`] for unknown notify targets or slot overflow.
-    pub fn compile(
-        program: &Program,
-        query_ids: &[ProgId],
-        cm: &CostModel,
-        fn_cost: &dyn Fn(Symbol) -> Cost,
-    ) -> Result<RegProgram, CompileError> {
-        Compiled::compile(program, query_ids, cm, fn_cost).map(|c| RegProgram::lower(&c))
-    }
-
-    /// Total steps of the code, each instruction counted once: the stack-op
-    /// count of the program it was lowered from, and so an upper bound on
-    /// the fuel any loop-free path can spend.
+    /// Total steps of the code, each instruction counted once: the node
+    /// count of the program it was compiled from (jumps and halt included),
+    /// and so an upper bound on the fuel any loop-free path can spend.
     pub fn total_steps(&self) -> u64 {
         self.blocks.iter().map(|b| b.steps).sum()
     }
-
-    /// Lowers a compiled stack program. Infallible: every well-formed stack
-    /// program (as produced by [`Compiled::compile`]) lowers.
-    pub fn lower(c: &Compiled) -> RegProgram {
-        let t0 = std::time::Instant::now();
-        let n = c.ops.len();
-        // Leaders: entry, every jump target, every fall-through after a jump.
-        let mut leader = vec![false; n];
-        if n > 0 {
-            leader[0] = true;
-        }
-        for (pc, op) in c.ops.iter().enumerate() {
-            if let Op::Jump(t) | Op::JumpIfZero(t) = op {
-                leader[*t as usize] = true;
-                if pc + 1 < n {
-                    leader[pc + 1] = true;
-                }
-            }
-        }
-
-        let mut code: Vec<RInstr> = Vec::with_capacity(n);
-        let mut arg_pool: Vec<RArg> = Vec::new();
-        let mut pc_map = vec![0u32; n];
-        let mut fixups: Vec<usize> = Vec::new();
-        let mut stack: Vec<AVal> = Vec::new();
-        let mut slot_const: Vec<Option<i64>> = vec![None; c.n_slots as usize];
-        let mut max_regs = c.n_slots as usize;
-        let mut block_start = 0usize;
-
-        let temp = |depth: usize, max_regs: &mut usize| -> u16 {
-            let r = c.n_slots as usize + depth;
-            *max_regs = (*max_regs).max(r + 1);
-            u16::try_from(r).expect("register file fits u16")
-        };
-
-        for pc in 0..n {
-            if leader[pc] {
-                debug_assert!(stack.is_empty(), "stack non-empty at block boundary");
-                pc_map[pc] = u32::try_from(code.len()).expect("code fits u32");
-                slot_const.iter_mut().for_each(|s| *s = None);
-                block_start = code.len();
-            }
-            let opcost = c.costs[pc];
-            match &c.ops[pc] {
-                Op::Const(v) => stack.push(AVal {
-                    v: Av::Const(*v),
-                    cost: opcost,
-                    steps: 1,
-                }),
-                Op::Load(s) => {
-                    let v = match slot_const[*s as usize] {
-                        Some(k) => Av::Const(k),
-                        None => Av::Reg(*s),
-                    };
-                    stack.push(AVal {
-                        v,
-                        cost: opcost,
-                        steps: 1,
-                    });
-                }
-                Op::Store(s) => {
-                    let top = stack.pop().expect("store on empty abstract stack");
-                    let cost = top.cost + opcost;
-                    let steps = top.steps + 1;
-                    match top.v {
-                        Av::Const(k) => {
-                            code.push(RInstr {
-                                op: ROp::Const { dst: *s, v: k },
-                                cost,
-                                steps,
-                            });
-                            slot_const[*s as usize] = Some(k);
-                        }
-                        Av::Reg(r) => {
-                            // Peephole: the value was just produced by a pure
-                            // instruction into a temporary — retarget it.
-                            let patch = r >= c.n_slots
-                                && code.len() > block_start
-                                && code.last().and_then(|i| pure_dst(&i.op)) == Some(r);
-                            if patch {
-                                let last = code.last_mut().expect("non-empty code");
-                                set_dst(&mut last.op, *s);
-                                last.cost += cost;
-                                last.steps += steps;
-                            } else {
-                                code.push(RInstr {
-                                    op: ROp::Move { dst: *s, src: r },
-                                    cost,
-                                    steps,
-                                });
-                            }
-                            slot_const[*s as usize] = None;
-                        }
-                    }
-                }
-                &Op::Bin(rb) => {
-                    let b = stack.pop().expect("binop rhs");
-                    let a = stack.pop().expect("binop lhs");
-                    let cost = a.cost + b.cost + opcost;
-                    let steps = a.steps + b.steps + 1;
-                    let rop = match (a.v, b.v) {
-                        (Av::Const(x), Av::Const(y)) => {
-                            stack.push(AVal {
-                                v: Av::Const(apply_bin(rb, x, y)),
-                                cost,
-                                steps,
-                            });
-                            continue;
-                        }
-                        (Av::Reg(ra), Av::Reg(rbr)) => ROp::Bin {
-                            op: rb,
-                            dst: temp(stack.len(), &mut max_regs),
-                            a: ra,
-                            b: rbr,
-                        },
-                        (Av::Reg(ra), Av::Const(kb)) => ROp::BinK {
-                            op: rb,
-                            dst: temp(stack.len(), &mut max_regs),
-                            r: ra,
-                            k: kb,
-                            reg_on_left: true,
-                        },
-                        (Av::Const(ka), Av::Reg(rbr)) => ROp::BinK {
-                            op: rb,
-                            dst: temp(stack.len(), &mut max_regs),
-                            r: rbr,
-                            k: ka,
-                            reg_on_left: false,
-                        },
-                    };
-                    code.push(RInstr {
-                        op: rop,
-                        cost,
-                        steps,
-                    });
-                    let dst = pure_dst(&rop).expect("bin has a destination");
-                    stack.push(AVal {
-                        v: Av::Reg(dst),
-                        cost: 0,
-                        steps: 0,
-                    });
-                }
-                Op::Not => {
-                    let a = stack.pop().expect("not operand");
-                    let cost = a.cost + opcost;
-                    let steps = a.steps + 1;
-                    match a.v {
-                        Av::Const(x) => stack.push(AVal {
-                            v: Av::Const(i64::from(x == 0)),
-                            cost,
-                            steps,
-                        }),
-                        Av::Reg(r) => {
-                            let dst = temp(stack.len(), &mut max_regs);
-                            code.push(RInstr {
-                                op: ROp::Not { dst, src: r },
-                                cost,
-                                steps,
-                            });
-                            stack.push(AVal {
-                                v: Av::Reg(dst),
-                                cost: 0,
-                                steps: 0,
-                            });
-                        }
-                    }
-                }
-                Op::JumpIfZero(t) => {
-                    let cond = stack.pop().expect("branch condition");
-                    let (src, cost, steps) = match cond.v {
-                        Av::Reg(r) => (r, cond.cost + opcost, cond.steps + 1),
-                        Av::Const(k) => {
-                            // Materialize rather than fold the branch: the
-                            // dispatch is a step, and divergent loops must
-                            // consume fuel at the same rate.
-                            let dst = temp(stack.len(), &mut max_regs);
-                            code.push(RInstr {
-                                op: ROp::Const { dst, v: k },
-                                cost: cond.cost,
-                                steps: cond.steps,
-                            });
-                            (dst, opcost, 1)
-                        }
-                    };
-                    fixups.push(code.len());
-                    code.push(RInstr {
-                        op: ROp::JumpIfZero { src, target: *t },
-                        cost,
-                        steps,
-                    });
-                }
-                Op::Jump(t) => {
-                    debug_assert!(stack.is_empty());
-                    fixups.push(code.len());
-                    code.push(RInstr {
-                        op: ROp::Jump { target: *t },
-                        cost: opcost,
-                        steps: 1,
-                    });
-                }
-                Op::Call { f, argc } => {
-                    let at = stack.len() - *argc as usize;
-                    let mut cost = opcost;
-                    let mut steps = 1u32;
-                    // Sweep every pending op on the stack — not just the
-                    // arguments — into the call's group: all of them precede
-                    // the call in stack order, so "fuel spent when the call
-                    // runs" stays equal to the stack ops before it.
-                    for v in stack.iter_mut().take(at) {
-                        cost += v.cost;
-                        steps += v.steps;
-                        v.cost = 0;
-                        v.steps = 0;
-                    }
-                    let args_at = u32::try_from(arg_pool.len()).expect("arg pool fits u32");
-                    for v in stack.drain(at..) {
-                        cost += v.cost;
-                        steps += v.steps;
-                        arg_pool.push(match v.v {
-                            Av::Const(k) => RArg::Const(k),
-                            Av::Reg(r) => RArg::Reg(r),
-                        });
-                    }
-                    let dst = temp(stack.len(), &mut max_regs);
-                    code.push(RInstr {
-                        op: ROp::Call {
-                            dst,
-                            f: *f,
-                            args_at,
-                            argc: *argc,
-                        },
-                        cost,
-                        steps,
-                    });
-                    stack.push(AVal {
-                        v: Av::Reg(dst),
-                        cost: 0,
-                        steps: 0,
-                    });
-                }
-                Op::Notify { query, value } => {
-                    debug_assert!(stack.is_empty(), "notify with pending values");
-                    code.push(RInstr {
-                        op: ROp::Notify {
-                            query: *query,
-                            value: *value,
-                        },
-                        cost: opcost,
-                        steps: 1,
-                    });
-                }
-                Op::Halt => {
-                    debug_assert!(stack.is_empty(), "halt with pending values");
-                    code.push(RInstr {
-                        op: ROp::Halt,
-                        cost: opcost,
-                        steps: 1,
-                    });
-                }
-            }
-        }
-
-        for i in fixups {
-            if let ROp::Jump { target } | ROp::JumpIfZero { target, .. } = &mut code[i].op {
-                *target = pc_map[*target as usize];
-            }
-        }
-
-        // Basic blocks from the (deduplicated) leader positions.
-        let mut starts: Vec<u32> = (0..n).filter(|&pc| leader[pc]).map(|pc| pc_map[pc]).collect();
-        starts.push(u32::try_from(code.len()).expect("code fits u32"));
-        starts.sort_unstable();
-        starts.dedup();
-        let mut blocks = Vec::with_capacity(starts.len());
-        for w in starts.windows(2) {
-            let (start, end) = (w[0], w[1]);
-            if start == end {
-                continue;
-            }
-            let range = &code[start as usize..end as usize];
-            blocks.push(Block {
-                start,
-                end,
-                steps: range.iter().map(|i| u64::from(i.steps)).sum(),
-                cost: range.iter().map(|i| i.cost).sum(),
-                pure: range
-                    .iter()
-                    .all(|i| !matches!(i.op, ROp::Call { .. } | ROp::Notify { .. })),
-            });
-        }
-
-        RegProgram {
-            code,
-            arg_pool,
-            blocks,
-            n_regs: u16::try_from(max_regs).expect("register file fits u16"),
-            n_slots: c.n_slots,
-            n_params: c.n_params,
-            n_queries: c.n_queries,
-            fold_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        }
-    }
-
 }
 
 /// The scalar machine: a reusable record-at-a-time evaluator for
@@ -722,6 +367,8 @@ mod tests {
     use crate::batch::{BatchVm, LaneFault, RecordBatch};
     use crate::env::ScalarEnv;
     use crate::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
+    use udf_lang::ast::{BoolExpr, IntExpr, ProgId, Program, Stmt};
+    use udf_lang::cost::CostModel;
     use udf_lang::intern::Interner;
     use udf_lang::parse::parse_program;
     use udf_lang::FnLibrary;
@@ -733,15 +380,80 @@ mod tests {
         ScalarEnv::new(2, lib)
     }
 
-    fn compile(src: &str) -> (Compiled, RegProgram, ScalarEnv) {
+    fn compile(src: &str) -> (Program, RegProgram, ScalarEnv) {
         let mut i = Interner::new();
         let env = scalar_env(&mut i);
         let p = parse_program(src, &mut i).unwrap();
         let ids: Vec<ProgId> = udf_lang::analysis::notify_ids(&p.body).into_iter().collect();
         let cm = CostModel::default();
-        let compiled = Compiled::compile(&p, &ids, &cm, &|f| env.fn_cost(f)).unwrap();
-        let reg = RegProgram::lower(&compiled);
-        (compiled, reg, env)
+        let reg = RegProgram::compile(&p, &ids, &cm, &|f| env.fn_cost(f)).unwrap();
+        (p, reg, env)
+    }
+
+    /// The step definition of the module docs, stated over the AST and
+    /// independently of the compiler: `(steps, cost)` of every node counted
+    /// once, one free step per jump closing a then-branch or a loop body,
+    /// and one for halt.
+    fn ast_accounting(p: &Program, env: &ScalarEnv) -> (u64, Cost) {
+        fn int(e: &IntExpr, cm: &CostModel, env: &ScalarEnv) -> (u64, Cost) {
+            match e {
+                IntExpr::Const(_) => (1, cm.int_const),
+                IntExpr::Var(_) => (1, cm.var),
+                IntExpr::Call(f, args) => args
+                    .iter()
+                    .map(|a| int(a, cm, env))
+                    .fold((1, env.fn_cost(*f)), |(s, c), (s1, c1)| (s + s1, c + c1)),
+                IntExpr::Bin(_, a, b) => {
+                    let ((sa, ca), (sb, cb)) = (int(a, cm, env), int(b, cm, env));
+                    (sa + sb + 1, ca + cb + cm.arith)
+                }
+            }
+        }
+        fn boolean(e: &BoolExpr, cm: &CostModel, env: &ScalarEnv) -> (u64, Cost) {
+            match e {
+                BoolExpr::Const(_) => (1, cm.bool_const),
+                BoolExpr::Cmp(_, a, b) => {
+                    let ((sa, ca), (sb, cb)) = (int(a, cm, env), int(b, cm, env));
+                    (sa + sb + 1, ca + cb + cm.cmp)
+                }
+                BoolExpr::Not(a) => {
+                    let (s, c) = boolean(a, cm, env);
+                    (s + 1, c + cm.not)
+                }
+                BoolExpr::Bin(_, a, b) => {
+                    let ((sa, ca), (sb, cb)) = (boolean(a, cm, env), boolean(b, cm, env));
+                    (sa + sb + 1, ca + cb + cm.connective)
+                }
+            }
+        }
+        fn stmt(s: &Stmt, cm: &CostModel, env: &ScalarEnv) -> (u64, Cost) {
+            match s {
+                Stmt::Skip => (0, 0),
+                Stmt::Assign(_, e) => {
+                    let (s, c) = int(e, cm, env);
+                    (s + 1, c + cm.assign)
+                }
+                Stmt::Seq(a, b) => {
+                    let ((sa, ca), (sb, cb)) = (stmt(a, cm, env), stmt(b, cm, env));
+                    (sa + sb, ca + cb)
+                }
+                Stmt::If(c, a, b) => {
+                    let (sc, cc) = boolean(c, cm, env);
+                    let ((sa, ca), (sb, cb)) = (stmt(a, cm, env), stmt(b, cm, env));
+                    // branch test + the jump over the else-branch
+                    (sc + 1 + sa + 1 + sb, cc + cm.branch + ca + cb)
+                }
+                Stmt::While(c, b) => {
+                    let (sc, cc) = boolean(c, cm, env);
+                    let (sb, cb) = stmt(b, cm, env);
+                    // branch test + the jump back to the head
+                    (sc + 1 + sb + 1, cc + cm.branch + cb)
+                }
+                Stmt::Notify(..) => (1, cm.notify),
+            }
+        }
+        let (steps, cost) = stmt(&p.body, &CostModel::default(), env);
+        (steps + 1, cost) // halt
     }
 
     /// One run's observables: the result (cost or error) and, on success,
@@ -857,13 +569,13 @@ mod tests {
 
     #[test]
     fn constant_folding_shrinks_code_and_matches() {
-        let (compiled, reg, _) = compile(
+        let (p, reg, env) = compile(
             "program p @0 (a, b) { x := 2 * 3 + 4; y := x + a; if (y > 10) { notify true; } else { notify false; } }",
         );
+        let (ast_steps, _) = ast_accounting(&p, &env);
         assert!(
-            reg.code.len() < compiled.ops.len(),
-            "folding should shrink {} stack ops below {} reg instrs",
-            compiled.ops.len(),
+            (reg.code.len() as u64) < ast_steps,
+            "folding should emit fewer than one instruction per step: {} instrs for {ast_steps} steps",
             reg.code.len()
         );
         // `x` is block-locally constant: `y := x + a` must fold the load.
@@ -904,7 +616,7 @@ mod tests {
 
     #[test]
     fn block_accounting_totals_match_reference() {
-        let (compiled, reg, _) = compile(
+        let (p, reg, env) = compile(
             "program p @0 (a, b) {
                  acc := 0; k := a;
                  while (k > 0) { acc := acc + f(k); k := k - 1; }
@@ -912,10 +624,10 @@ mod tests {
              }",
         );
         let reg_steps: u64 = reg.code.iter().map(|i| u64::from(i.steps)).sum();
-        assert_eq!(reg_steps, compiled.ops.len() as u64, "every stack op charged once");
+        let (ast_steps, ast_cost) = ast_accounting(&p, &env);
+        assert_eq!(reg_steps, ast_steps, "every node, jump and halt charged once");
         let reg_cost: Cost = reg.code.iter().map(|i| i.cost).sum();
-        let stack_cost: Cost = compiled.costs.iter().sum();
-        assert_eq!(reg_cost, stack_cost, "every stack cost charged once");
+        assert_eq!(reg_cost, ast_cost, "every node's cost charged once");
         assert_eq!(reg.total_steps(), reg_steps, "blocks partition the code");
     }
 

@@ -142,13 +142,15 @@ impl PlanKey {
         // Pushdown shapes the stored plan (a `Prefilter` section), so
         // prefilter-on and prefilter-off occupy distinct entries.
         h.byte(u8::from(opts.prefilter));
-        h.u64(opts.if3_size_limit as u64);
-        h.u64(opts.max_depth as u64);
-        h.u64(opts.max_pair_queries);
-        h.u64(opts.simplify.max_candidate_checks as u64);
-        h.u64(opts.simplify.trivial_cost);
-        h.u64(opts.inv.max_candidates as u64);
-        h.u64(opts.inv.max_rounds as u64);
+        // Compile-time limits of Ω: not settable, but editing one changes
+        // which rewrites are found, so it must change the key.
+        h.u64(consolidate::rules::IF3_SIZE_LIMIT as u64);
+        h.u64(consolidate::rules::MAX_DEPTH as u64);
+        h.u64(consolidate::rules::MAX_PAIR_QUERIES);
+        h.u64(consolidate::simplify::MAX_CANDIDATE_CHECKS as u64);
+        h.u64(consolidate::simplify::TRIVIAL_COST);
+        h.u64(consolidate::invariants::MAX_CANDIDATES as u64);
+        h.u64(consolidate::invariants::MAX_ROUNDS as u64);
         h.u64(opts.solver.max_conflicts);
         h.u64(opts.solver.max_final_checks);
         h.u64(opts.solver.theory_limits.lia_budget);

@@ -256,6 +256,18 @@ pub struct EpochReport {
     pub output_digest: u64,
 }
 
+/// What the deterministic start of an epoch did (see
+/// `Service::begin_epoch`).
+struct EpochStart<R> {
+    /// Queue pressure when the epoch began; also decides the epoch's mode.
+    pressure: f64,
+    applied_churn: usize,
+    deferred_churn: usize,
+    churn_errors: Vec<(TenantId, ServeError)>,
+    shed: Vec<ShedBatch>,
+    drained: Vec<PendingBatch<R>>,
+}
+
 /// Monotone service-lifetime record accounting. The zero-silent-drop
 /// invariant is `admitted == processed + shed + queued` — checked after
 /// every epoch.
@@ -1025,34 +1037,23 @@ impl<E: UdfEnv> Service<E> {
         culprits
     }
 
-    /// Executes one epoch: apply (or defer) churn, shed expired batches
-    /// under pressure, drain up to the epoch limit, and run the drained
-    /// records — consolidated when calm, per-tenant sequential when
-    /// pressured or when the shared plan cannot be trusted this epoch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compile/engine failures; per-record faults and guard
-    /// trips are absorbed (quarantine accounting, tenant demotion) rather
-    /// than erroring.
-    pub fn run_epoch(&mut self) -> Result<EpochReport, ServeError> {
-        self.check_poisoned()?;
+    /// The epoch-start transition, shared by live epochs and journal replay
+    /// so a recovered service re-derives exactly the state the original
+    /// reached: advance the epoch counter, apply deferred churn when
+    /// pressure is below the degrade watermark, shed expired batches when it
+    /// is at the shed watermark, drain up to the epoch limit. A function of
+    /// the service state alone; emits no metrics (the live path reports
+    /// from what this returns, recovery counts nothing).
+    fn begin_epoch(&mut self) -> EpochStart<E::Rec> {
         self.epoch += 1;
-        self.config.recorder.add(names::SERVE_EPOCHS, 1);
         let pressure = self.queue.pressure();
-        let mut report = EpochReport {
-            epoch: self.epoch,
-            mode: EpochMode::Idle,
-            processed: 0,
-            shed: Vec::new(),
+        let mut start = EpochStart {
+            pressure,
             applied_churn: 0,
             deferred_churn: 0,
             churn_errors: Vec::new(),
-            demoted: Vec::new(),
-            tenants: BTreeMap::new(),
-            queued_after: 0,
-            plan_tier: self.plan.tier(),
-            output_digest: 0,
+            shed: Vec::new(),
+            drained: Vec::new(),
         };
         if pressure < self.config.degrade_watermark {
             while let Some(op) = self.pending_churn.pop_front() {
@@ -1065,30 +1066,62 @@ impl<E: UdfEnv> Service<E> {
                     }
                 };
                 match result {
-                    Ok(()) => report.applied_churn += 1,
-                    Err(e) => report.churn_errors.push((tenant, e)),
+                    Ok(()) => start.applied_churn += 1,
+                    Err(e) => start.churn_errors.push((tenant, e)),
                 }
             }
         } else {
-            report.deferred_churn = self.pending_churn.len();
+            start.deferred_churn = self.pending_churn.len();
         }
         if pressure >= self.config.shed_watermark {
-            for (shed, records) in self
+            for (shed, _records) in self
                 .queue
                 .shed_expired(self.epoch, self.config.deadline_epochs)
             {
-                self.counters.shed += records.len() as u64;
-                self.config
-                    .recorder
-                    .add(names::SERVE_SHED, records.len() as u64);
-                report.shed.push(shed);
-                drop(records);
+                self.counters.shed += shed.records as u64;
+                start.shed.push(shed);
             }
         }
-        let batches = self.queue.drain_up_to(self.config.epoch_batch_limit);
+        start.drained = self.queue.drain_up_to(self.config.epoch_batch_limit);
+        start
+    }
+
+    /// Executes one epoch: apply (or defer) churn, shed expired batches
+    /// under pressure, drain up to the epoch limit, and run the drained
+    /// records — consolidated when calm, per-tenant sequential when
+    /// pressured or when the shared plan cannot be trusted this epoch.
+    ///
+    /// # Errors
+    ///
+    /// Propagates compile/engine failures; per-record faults and guard
+    /// trips are absorbed (quarantine accounting, tenant demotion) rather
+    /// than erroring.
+    pub fn run_epoch(&mut self) -> Result<EpochReport, ServeError> {
+        self.check_poisoned()?;
+        let start = self.begin_epoch();
+        self.config.recorder.add(names::SERVE_EPOCHS, 1);
+        for shed in &start.shed {
+            let records = shed.records as u64;
+            self.config.recorder.add(names::SERVE_SHED, records);
+        }
+        let pressure = start.pressure;
+        let mut report = EpochReport {
+            epoch: self.epoch,
+            mode: EpochMode::Idle,
+            processed: 0,
+            shed: start.shed,
+            applied_churn: start.applied_churn,
+            deferred_churn: start.deferred_churn,
+            churn_errors: start.churn_errors,
+            demoted: Vec::new(),
+            tenants: BTreeMap::new(),
+            queued_after: 0,
+            plan_tier: self.plan.tier(),
+            output_digest: 0,
+        };
         let mut records: Vec<E::Rec> = Vec::new();
         let mut seqs: Vec<u64> = Vec::new();
-        for b in batches {
+        for b in start.drained {
             let start = b.start_seq;
             for (i, r) in b.records.into_iter().enumerate() {
                 seqs.push(start + i as u64);
@@ -1651,43 +1684,16 @@ impl<E: UdfEnv> Service<E> {
         expect_word(&mut words, "digest")?;
         let digest = u64::from_str_radix(words.next().ok_or("epoch frame missing digest")?, 16)
             .map_err(|_| "bad epoch digest".to_owned())?;
-        self.epoch += 1;
-        if self.epoch != epoch {
+        if self.epoch + 1 != epoch {
             return Err(format!(
                 "epoch frame {epoch} replayed at service epoch {}",
-                self.epoch
+                self.epoch + 1
             ));
         }
-        let pressure = self.queue.pressure();
-        if pressure < self.config.degrade_watermark {
-            while let Some(op) = self.pending_churn.pop_front() {
-                // Same deterministic application as the original epoch;
-                // errors reproduce identically and were report-only.
-                let _ = match op {
-                    ChurnOp::Register { tenant, program } => {
-                        self.apply_register(tenant, &program).map(|_| ())
-                    }
-                    ChurnOp::Deregister { tenant, query } => {
-                        self.apply_deregister(tenant, query).map(|_| ())
-                    }
-                };
-            }
-        }
-        if pressure >= self.config.shed_watermark {
-            for (_, records) in self
-                .queue
-                .shed_expired(self.epoch, self.config.deadline_epochs)
-            {
-                self.counters.shed += records.len() as u64;
-                drop(records);
-            }
-        }
-        let drained: usize = self
-            .queue
-            .drain_up_to(self.config.epoch_batch_limit)
-            .iter()
-            .map(|b| b.records.len())
-            .sum();
+        // The same transition the original epoch made; its churn errors
+        // reproduce identically and were report-only.
+        let start = self.begin_epoch();
+        let drained: usize = start.drained.iter().map(|b| b.records.len()).sum();
         if drained != processed {
             return Err(format!(
                 "epoch {epoch} drained {drained} records on replay but journaled {processed}"

@@ -9,8 +9,8 @@ use udf_lang::ast::Program;
 use udf_lang::intern::Interner;
 use udf_lang::FnLibrary;
 use udf_serve::{
-    Admission, ChurnOutcome, EpochMode, RejectReason, ServeConfig, Service, TenantEpochReport,
-    TenantId,
+    Admission, ChurnOutcome, EpochMode, RejectReason, ServeConfig, ServeError, Service,
+    TenantEpochReport, TenantId,
 };
 
 type Env = FaultyEnv<ScalarEnv>;
@@ -147,6 +147,44 @@ fn churn_defers_under_pressure_and_applies_when_calm() {
     let counts = &rep.tenants[&t].counts;
     assert_eq!(counts[&1], 0, "half(v) ≤ 1 for v < 4");
     assert_eq!(counts[&2], 0);
+}
+
+/// A program past one of the bytecode's field widths is refused at the
+/// submission boundary — the compiler used to abort the calling thread on
+/// it — and the service goes on serving.
+#[test]
+fn uncompilable_registration_is_an_error_and_the_service_keeps_serving() {
+    let mut svc = service(FaultPlan::none(), ServeConfig::default());
+    let t = TenantId(1);
+    let q1 = query(svc.interner_mut(), 1, 5, false);
+    svc.register(t, &q1).expect("healthy registration applies");
+
+    let wide = udf_lang::parse::parse_program(
+        &format!(
+            "program wide @7 (v) {{
+                 p := half({});
+                 if (p > 0) {{ notify true; }} else {{ notify false; }}
+             }}",
+            vec!["v"; 300].join(", ")
+        ),
+        svc.interner_mut(),
+    )
+    .expect("a 300-argument call parses");
+    let refused = svc.register(TenantId(2), &wide);
+    assert!(
+        matches!(refused, Err(ServeError::Compile(_))),
+        "expected a compile error, got {refused:?}"
+    );
+    assert_eq!(svc.status().plan_queries, 1, "a refusal leaves no trace");
+
+    svc.submit(batch(0..20)).expect("journal off: infallible");
+    let rep = svc.run_epoch().expect("epoch runs");
+    assert_eq!(rep.mode, EpochMode::Consolidated);
+    assert_eq!(rep.tenants[&t].counts[&1], 8, "half(v) > 5 for v in 12..20");
+    let q2 = query(svc.interner_mut(), 2, 9, false);
+    svc.register(TenantId(2), &q2)
+        .expect("the refused tenant can still register");
+    assert_eq!(svc.status().plan_queries, 2);
 }
 
 /// Runs `epochs` epochs over the same deterministic record stream and

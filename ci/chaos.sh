@@ -20,7 +20,7 @@ SEEDS="${CHAOS_SEEDS:-0 1 7438951 18446744073709551615 305419896}"
 
 # Build once so per-seed runs are test-only.
 cargo test -q --no-run --test fault_matrix --test guard_matrix --test churn_matrix \
-    --test recovery_matrix
+    --test recovery_matrix --test plan_checkpoint
 
 for seed in $SEEDS; do
     echo "chaos: seed family $seed"
@@ -47,9 +47,15 @@ done
 # uncrashed reference — same epoch output digests, same final accounting,
 # same per-tenant state, with exact frame replay/skip/salvage accounting.
 # Any divergence fails the suite, which fails this phase.
+#
+# tests/plan_checkpoint.rs rides the same sweep with a seeded churn
+# schedule per family: the plan tree a checkpoint carries is installed
+# exactly (every leaf, merge, tier, the free list in order), the recovered
+# service continues like its live twin, inconsistent trees behind a valid
+# checksum are refused, and a checkpoint-only recovery issues no SMT check.
 for seed in $SEEDS; do
     echo "chaos: crash recovery, seed family $seed"
-    CHAOS_SEED="$seed" cargo test -q --test recovery_matrix
+    CHAOS_SEED="$seed" cargo test -q --test recovery_matrix --test plan_checkpoint
 done
 
 echo "chaos: determinism cross-check (two runs, same seed)"

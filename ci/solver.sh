@@ -6,6 +6,9 @@
 # 1. udf-smt's and consolidate's own unit tests: simplex and congruence
 #    explanations, the sabotaged-candidate test that only passes because
 #    every blocking clause is re-checked, the H1/H2 homomorphism proofs.
+#    consolidate's `engine_soundness` pair property runs its full 48
+#    generated cases here (SOUNDNESS_CASES; a plain `cargo test` runs the
+#    first 8 of the same stream so the workspace run stays in budget).
 #    In debug builds (these are) every "not valid" the countermodel pool
 #    answers is re-asked of a fresh solver, in every suite below as well.
 # 2. The root suites that rest on verdicts: brute-force soundness, conflict
@@ -23,7 +26,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-cargo test -q -p udf-smt -p consolidate
+SOUNDNESS_CASES=48 cargo test -q -p udf-smt -p consolidate
 cargo test -q --test prop_solver --test paper_examples --test delta_equivalence --test warm_cache_parity
 out="$(bash bench/run.sh --smoke --workload cold-omega)"
 plan_is() {

@@ -142,6 +142,20 @@ impl DegradationTier {
     }
 }
 
+/// Parses the labels [`DegradationTier::as_str`] writes.
+impl std::str::FromStr for DegradationTier {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<DegradationTier, String> {
+        match s {
+            "full" => Ok(DegradationTier::Full),
+            "partial" => Ok(DegradationTier::Partial),
+            "sequential" => Ok(DegradationTier::Sequential),
+            other => Err(format!("unknown tier {other:?}")),
+        }
+    }
+}
+
 impl std::fmt::Display for DegradationTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())

@@ -42,6 +42,15 @@
 //! A budget-starved delta op degrades only the spine it touched, and a
 //! later [`DeltaPlan::refresh`] under a healthier budget re-merges exactly
 //! the degraded nodes (the plan-cache tier-upgrade rule, applied per node).
+//!
+//! # Failure and persistence
+//!
+//! `add` and `remove` merge the new spine into a scratch list and write
+//! nothing — leaf, membership, free list, rename counter, a doubling — until
+//! the root has merged, so a failed operation leaves the plan exactly as it
+//! was. [`DeltaPlan::export`] / [`DeltaPlan::restore`] turn the tree into
+//! plain data and back ([`PlanImage`]; this crate has no serialiser), which
+//! is how a service checkpoint reinstalls a plan instead of re-proving it.
 
 use crate::api::{add_stats, consolidate_pair_budgeted, ConsolidateError, Consolidated,
                  ConsolidationStats};
@@ -51,7 +60,7 @@ use crate::rules::Options;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use udf_lang::analysis::{notify_ids, rename_locals};
+use udf_lang::analysis::{notify_ids, rename_locals_with};
 use udf_lang::ast::{ProgId, Program};
 use udf_lang::cost::{CostModel, FnCost};
 use udf_lang::intern::Interner;
@@ -68,6 +77,9 @@ pub enum DeltaError {
     IdMismatch(ProgId),
     /// The underlying pair consolidation failed.
     Consolidate(ConsolidateError),
+    /// A [`PlanImage`] handed to [`DeltaPlan::restore`] does not describe a
+    /// tree this module could have built.
+    InvalidImage(String),
 }
 
 impl fmt::Display for DeltaError {
@@ -81,6 +93,7 @@ impl fmt::Display for DeltaError {
                 id.0
             ),
             DeltaError::Consolidate(e) => write!(f, "consolidation failed: {e}"),
+            DeltaError::InvalidImage(why) => write!(f, "invalid plan image: {why}"),
         }
     }
 }
@@ -108,6 +121,52 @@ pub struct DeltaReport {
     /// only — no extra consolidation).
     pub grew: bool,
     /// Tier of the resulting plan (worst node on the root derivation).
+    pub tier: DegradationTier,
+}
+
+/// A [`DeltaPlan`] as plain data: what a checkpoint has to carry so that
+/// [`DeltaPlan::restore`] rebuilds the same tree, and behaves the same on
+/// every later operation, with no solver work. The tree's shape is a
+/// function of its whole add/remove history (slot reuse, doublings, the
+/// rename counter), so the image carries the shape, not the history.
+///
+/// Only merges are stored. An internal node with one live child is a clone
+/// of that child (see the module docs); `restore` re-derives those.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanImage {
+    /// Leaf capacity (a power of two).
+    pub cap: usize,
+    /// The rename counter: the next registration's locals get the prefix
+    /// `d{renames}$`.
+    pub renames: u64,
+    /// Free slots **in order** — the list is LIFO, so its order decides
+    /// which slot each later registration takes.
+    pub free: Vec<usize>,
+    /// Live leaves in slot order.
+    pub leaves: Vec<LeafImage>,
+    /// Internal nodes with two live children, by increasing index.
+    pub nodes: Vec<NodeImage>,
+}
+
+/// One registered query in a [`PlanImage`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LeafImage {
+    /// Leaf slot (tree node `cap + slot`).
+    pub slot: usize,
+    /// The program as registered; its `id` is the leaf's query id.
+    pub original: Program,
+    /// The same program with its locals renamed apart, as the tree holds it.
+    pub renamed: Program,
+}
+
+/// One cached merge in a [`PlanImage`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeImage {
+    /// Index in the implicit tree (`1` is the root, children `2k`, `2k+1`).
+    pub index: usize,
+    /// The merged program of the subtree.
+    pub program: Program,
+    /// Worst tier in the subtree's derivation.
     pub tier: DegradationTier,
 }
 
@@ -147,9 +206,9 @@ pub struct DeltaPlan {
     by_id: HashMap<ProgId, usize>,
     /// Reusable holes, served LIFO.
     free: Vec<usize>,
-    /// Monotone counter making every registration's rename prefix unique —
-    /// re-registering the same program gets fresh locals, keeping all live
-    /// leaves disjoint.
+    /// Counts successful registrations; each one's locals are renamed to
+    /// `d{renames}$…` — re-registering the same program gets new locals,
+    /// keeping all live leaves disjoint.
     renames: u64,
     /// Shared entailment memo: spine re-merges reuse verdicts across
     /// operations (and with any other consolidation sharing the table).
@@ -255,36 +314,42 @@ impl DeltaPlan {
             return Err(DeltaError::IdMismatch(program.id));
         }
         let mut report = DeltaReport::default();
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.grow();
-                report.grew = true;
-                self.free.pop().expect("grow frees the new half")
-            }
+        // A full tree doubles, and the old tree becomes the new root's left
+        // child (see `grow`). Until the spine has merged nothing is written,
+        // so the doubling is only *planned* here: the new leaf will take the
+        // first slot of the new right half, and the one live node beside its
+        // spine will be the old root, at index 2.
+        let grew = self.free.is_empty();
+        let (cap, slot) = match self.free.last() {
+            Some(&slot) => (self.cap, slot),
+            None => (self.cap * 2, self.cap),
         };
-        let renamed = rename_locals(program, interner, &format!("d{}$", self.renames));
+        let sibling = |k: usize| match (grew, k) {
+            (false, _) => self.nodes[k].as_ref(),
+            (true, 2) => self.nodes[1].as_ref(),
+            (true, _) => None,
+        };
+        let leaf = Node {
+            program: rename_apart(program, interner, self.renames),
+            tier: DegradationTier::Full,
+        };
+        // A failed pair (parameter mismatch with the live set) returns here
+        // with the tree, the membership, `free` and `renames` untouched.
+        let node = cap + slot;
+        let spine =
+            self.merge_spine(node, Some(&leaf), sibling, interner, cm, fns, opts, &mut report)?;
+        if grew {
+            self.grow();
+            report.grew = true;
+        }
+        self.free.pop();
         self.renames += 1;
         self.leaves[slot] = Some(Leaf {
             id: program.id,
             original: program.clone(),
         });
         self.by_id.insert(program.id, slot);
-        self.nodes[self.cap + slot] = Some(Node {
-            program: renamed,
-            tier: DegradationTier::Full,
-        });
-        if let Err(e) = self.reconsolidate_path(self.cap + slot, interner, cm, fns, opts, &mut report)
-        {
-            // Roll the registration back so a failed add leaves the plan
-            // exactly as it was (the spine above the leaf was not touched:
-            // reconsolidation writes bottom-up and the first pair failed).
-            self.leaves[slot] = None;
-            self.by_id.remove(&program.id);
-            self.nodes[self.cap + slot] = None;
-            self.free.push(slot);
-            return Err(e.into());
-        }
+        self.install_spine(node, Some(leaf), spine);
         report.tier = self.tier();
         Ok(report)
     }
@@ -294,7 +359,10 @@ impl DeltaPlan {
     ///
     /// # Errors
     ///
-    /// [`DeltaError::UnknownId`] when the id is not live.
+    /// [`DeltaError::UnknownId`] when the id is not live. Removal cannot
+    /// fail compatibility (the survivors were compatible); an internal pair
+    /// error is surfaced rather than panicking, and leaves the plan as it
+    /// was.
     pub fn remove(
         &mut self,
         id: ProgId,
@@ -305,13 +373,13 @@ impl DeltaPlan {
     ) -> Result<DeltaReport, DeltaError> {
         let slot = *self.by_id.get(&id).ok_or(DeltaError::UnknownId(id))?;
         let mut report = DeltaReport::default();
+        let node = self.cap + slot;
+        let sibling = |k: usize| self.nodes[k].as_ref();
+        let spine = self.merge_spine(node, None, sibling, interner, cm, fns, opts, &mut report)?;
         self.by_id.remove(&id);
         self.leaves[slot] = None;
-        self.nodes[self.cap + slot] = None;
         self.free.push(slot);
-        // Removal cannot fail compatibility (survivors were compatible);
-        // surface internal errors anyway rather than panicking.
-        self.reconsolidate_path(self.cap + slot, interner, cm, fns, opts, &mut report)?;
+        self.install_spine(node, None, spine);
         report.tier = self.tier();
         Ok(report)
     }
@@ -341,11 +409,147 @@ impl DeltaPlan {
                 continue;
             }
             if self.nodes[k].is_some() {
-                self.recompute_node(k, interner, cm, fns, &opts, budget.as_ref(), &mut report)?;
+                let (left, right) = (self.nodes[2 * k].as_ref(), self.nodes[2 * k + 1].as_ref());
+                let budget = budget.as_ref();
+                self.nodes[k] =
+                    merge_children(left, right, interner, cm, fns, &opts, budget, &mut report)?;
             }
         }
         report.tier = self.tier();
         Ok(report)
+    }
+
+    /// The plan as plain data (see [`PlanImage`]).
+    pub fn export(&self) -> PlanImage {
+        let live = |k: usize| self.nodes[k].as_ref();
+        PlanImage {
+            cap: self.cap,
+            renames: self.renames,
+            free: self.free.clone(),
+            leaves: (0..self.cap)
+                .filter_map(|slot| {
+                    Some(LeafImage {
+                        slot,
+                        original: self.leaves[slot].as_ref()?.original.clone(),
+                        renamed: live(self.cap + slot)?.program.clone(),
+                    })
+                })
+                .collect(),
+            nodes: (1..self.cap)
+                .filter(|&k| live(2 * k).is_some() && live(2 * k + 1).is_some())
+                .filter_map(|k| {
+                    let node = live(k)?;
+                    Some(NodeImage {
+                        index: k,
+                        program: node.program.clone(),
+                        tier: node.tier,
+                    })
+                })
+                .collect(),
+        }
+    }
+
+    /// Rebuilds a plan from its image with a fresh [`EntailmentMemo`] and no
+    /// solver work: stored merges are installed, passthrough nodes cloned
+    /// from their only live child.
+    ///
+    /// The image is checked before anything is built on it: `cap` is a
+    /// power of two; live slots and `free` partition `0..cap`; query ids are
+    /// distinct; every leaf, original and renamed, notifies exactly its own
+    /// id; a merge is stored for exactly the nodes with two live children,
+    /// and notifies exactly the union of what its children notify. What is
+    /// *not* re-proved is that a stored merge is equivalent to its children
+    /// — that is the solver work being saved, and the engine's plan guard
+    /// audits it against the per-query programs at run time.
+    ///
+    /// # Errors
+    ///
+    /// [`DeltaError::InvalidImage`] naming the first violated check.
+    pub fn restore(image: PlanImage) -> Result<DeltaPlan, DeltaError> {
+        let bad = |why: String| Err(DeltaError::InvalidImage(why));
+        let PlanImage { cap, renames, free, leaves, nodes } = image;
+        if !cap.is_power_of_two() {
+            return bad(format!("capacity {cap} is not a power of two"));
+        }
+        if free.len() + leaves.len() != cap {
+            return bad(format!(
+                "{} live + {} free slots do not fill capacity {cap}",
+                leaves.len(),
+                free.len()
+            ));
+        }
+        let mut plan = DeltaPlan {
+            leaves: vec![None; cap],
+            nodes: vec![None; cap * 2],
+            cap,
+            by_id: HashMap::new(),
+            free,
+            renames,
+            memo: Arc::new(EntailmentMemo::new()),
+        };
+        // `cap` slots were listed; if none is out of range or listed twice,
+        // live and free partition `0..cap`.
+        let mut listed = vec![false; cap];
+        for &slot in plan.free.iter().chain(leaves.iter().map(|l| &l.slot)) {
+            match listed.get_mut(slot) {
+                Some(seen) if !*seen => *seen = true,
+                Some(_) => return bad(format!("slot {slot} is listed twice (live and free?)")),
+                None => return bad(format!("slot {slot} is outside capacity {cap}")),
+            }
+        }
+        for LeafImage { slot, original, renamed } in leaves {
+            let id = original.id;
+            let own = std::iter::once(id).collect();
+            if renamed.id != id
+                || notify_ids(&original.body) != own
+                || notify_ids(&renamed.body) != own
+            {
+                return bad(format!("leaf {slot} does not notify exactly its own id {}", id.0));
+            }
+            if plan.by_id.insert(id, slot).is_some() {
+                return bad(format!("query id {} is registered twice", id.0));
+            }
+            plan.leaves[slot] = Some(Leaf { id, original });
+            plan.nodes[cap + slot] = Some(Node {
+                program: renamed,
+                tier: DegradationTier::Full,
+            });
+        }
+        let inside = |n: &NodeImage| (1..cap).contains(&n.index);
+        if !nodes.iter().all(inside) || !nodes.windows(2).all(|w| w[0].index < w[1].index) {
+            return bad(format!("stored nodes are not in increasing order inside 1..{cap}"));
+        }
+        // Bottom-up, like `refresh`: children are final before their parent.
+        let mut stored = nodes.into_iter().rev().peekable();
+        for k in (1..cap).rev() {
+            let stored_here = stored.next_if(|n| n.index == k);
+            plan.nodes[k] = match (&plan.nodes[2 * k], &plan.nodes[2 * k + 1], stored_here) {
+                (Some(a), Some(b), Some(node)) => {
+                    let mut below = notify_ids(&a.program.body);
+                    below.extend(notify_ids(&b.program.body));
+                    if notify_ids(&node.program.body) != below {
+                        return bad(format!(
+                            "node {k} does not notify exactly what its children notify"
+                        ));
+                    }
+                    Some(Node {
+                        program: node.program,
+                        tier: node.tier,
+                    })
+                }
+                (Some(_), Some(_), None) => {
+                    return bad(format!("node {k} merges two live children but is not stored"));
+                }
+                (_, _, Some(_)) => {
+                    return bad(format!(
+                        "node {k} is stored but does not merge two live children"
+                    ));
+                }
+                (Some(a), None, None) | (None, Some(a), None) => Some(a.clone()),
+                (None, None, None) => None,
+            };
+        }
+        Ok(plan)
     }
 
     /// Doubles the leaf capacity. The old tree's nodes keep their merged
@@ -383,62 +587,100 @@ impl DeltaPlan {
         }
     }
 
-    /// Re-merges every internal node from `node`'s parent up to the root.
-    fn reconsolidate_path(
-        &mut self,
+    /// Merges the spine above `node` — every internal node from its parent
+    /// up to the root — as if `node` held `changed`, without writing
+    /// anything: the result lists the new contents bottom-up, for
+    /// [`DeltaPlan::install_spine`] to commit once the root has merged.
+    /// `sibling(k)` is what node `k` beside the spine holds.
+    #[allow(clippy::too_many_arguments)]
+    fn merge_spine<'a>(
+        &self,
         node: usize,
+        changed: Option<&Node>,
+        sibling: impl Fn(usize) -> Option<&'a Node>,
         interner: &Interner,
         cm: &CostModel,
         fns: &dyn FnCost,
         opts: &Options,
         report: &mut DeltaReport,
-    ) -> Result<(), ConsolidateError> {
+    ) -> Result<Vec<Option<Node>>, ConsolidateError> {
         let budget =
             (!opts.budget.is_unlimited()).then(|| Arc::new(BudgetState::new(&opts.budget)));
         let opts = self.opts_with_memo(opts);
-        let mut k = node / 2;
-        while k >= 1 {
-            self.recompute_node(k, interner, cm, fns, &opts, budget.as_ref(), report)?;
-            if k == 1 {
-                break;
-            }
+        let mut spine: Vec<Option<Node>> = Vec::new();
+        let mut k = node;
+        while k > 1 {
+            let below = spine.last().map_or(changed, Option::as_ref);
+            // `k ^ 1` is the other child of `k`'s parent; even `k` is the left one.
+            let (left, right) = match k & 1 {
+                0 => (below, sibling(k ^ 1)),
+                _ => (sibling(k ^ 1), below),
+            };
+            let merged =
+                merge_children(left, right, interner, cm, fns, &opts, budget.as_ref(), report)?;
+            spine.push(merged);
             k /= 2;
         }
-        Ok(())
+        Ok(spine)
     }
 
-    /// Recomputes one internal node from its children.
-    #[allow(clippy::too_many_arguments)]
-    fn recompute_node(
-        &mut self,
-        k: usize,
-        interner: &Interner,
-        cm: &CostModel,
-        fns: &dyn FnCost,
-        opts: &Options,
-        budget: Option<&Arc<BudgetState>>,
-        report: &mut DeltaReport,
-    ) -> Result<(), ConsolidateError> {
-        let merged = match (&self.nodes[2 * k], &self.nodes[2 * k + 1]) {
-            (Some(a), Some(b)) => {
-                let Consolidated { program, stats, .. } =
-                    consolidate_pair_budgeted(&a.program, &b.program, interner, cm, fns, opts, budget)?;
-                add_stats(&mut report.stats, &stats);
-                report.pairs_recomputed += 1;
-                Some(Node {
-                    program,
-                    tier: stats.tier.max(a.tier).max(b.tier),
-                })
-            }
-            (Some(a), None) | (None, Some(a)) => {
-                report.passthroughs += 1;
-                Some(a.clone())
-            }
-            (None, None) => None,
-        };
-        self.nodes[k] = merged;
-        Ok(())
+    /// Writes `changed` into `node` and a spine from
+    /// [`DeltaPlan::merge_spine`] into the nodes above it.
+    fn install_spine(&mut self, node: usize, changed: Option<Node>, spine: Vec<Option<Node>>) {
+        self.nodes[node] = changed;
+        let mut k = node;
+        for merged in spine {
+            k /= 2;
+            self.nodes[k] = merged;
+        }
     }
+
+}
+
+/// Renames every local of `program` to `d{n}$<name>`. Unlike
+/// [`udf_lang::analysis::rename_locals`] the new names are a function of
+/// `n` alone, not of how many fresh symbols the interner has handed out: a
+/// plan restored into a new interner, and one whose last `add` failed, name
+/// their next leaf exactly as a plan that did neither. `$` cannot occur in
+/// a source identifier and `n` is never reused by a successful `add`, so
+/// live leaves stay disjoint.
+fn rename_apart(program: &Program, interner: &mut Interner, n: u64) -> Program {
+    rename_locals_with(program, interner, |interner, base| {
+        interner.intern(&format!("d{n}${base}"))
+    })
+}
+
+/// What an internal node holds given its children: their consolidation when
+/// both are live, a clone of the only live one (passthrough, no solver
+/// work), nothing when neither is.
+#[allow(clippy::too_many_arguments)]
+fn merge_children(
+    left: Option<&Node>,
+    right: Option<&Node>,
+    interner: &Interner,
+    cm: &CostModel,
+    fns: &dyn FnCost,
+    opts: &Options,
+    budget: Option<&Arc<BudgetState>>,
+    report: &mut DeltaReport,
+) -> Result<Option<Node>, ConsolidateError> {
+    Ok(match (left, right) {
+        (Some(a), Some(b)) => {
+            let Consolidated { program, stats, .. } =
+                consolidate_pair_budgeted(&a.program, &b.program, interner, cm, fns, opts, budget)?;
+            add_stats(&mut report.stats, &stats);
+            report.pairs_recomputed += 1;
+            Some(Node {
+                program,
+                tier: stats.tier.max(a.tier).max(b.tier),
+            })
+        }
+        (Some(a), None) | (None, Some(a)) => {
+            report.passthroughs += 1;
+            Some(a.clone())
+        }
+        (None, None) => None,
+    })
 }
 
 #[cfg(test)]
@@ -522,6 +764,137 @@ mod tests {
         assert_eq!(plan.len(), 1);
         assert!(!plan.contains(ProgId(7)));
         assert_eq!(pretty::program(plan.program().expect("plan"), &i), before);
+    }
+
+    /// Everything `add` / `remove` may write, rendered for equality checks
+    /// (program text rather than symbols: twins intern in different orders).
+    fn whole_tree(plan: &DeltaPlan, i: &Interner) -> String {
+        let text = |p: &Program| pretty::program(p, i);
+        let nodes: Vec<_> = plan
+            .nodes
+            .iter()
+            .map(|n| n.as_ref().map(|n| (text(&n.program), n.tier)))
+            .collect();
+        let leaves: Vec<_> = plan
+            .leaves
+            .iter()
+            .map(|l| l.as_ref().map(|l| (l.id, text(&l.original))))
+            .collect();
+        format!(
+            "{nodes:?} {leaves:?} cap {} free {:?} renames {} by_id {:?}",
+            plan.cap,
+            plan.free,
+            plan.renames,
+            plan.by_id.iter().collect::<std::collections::BTreeMap<_, _>>()
+        )
+    }
+
+    #[test]
+    fn failed_add_into_a_full_tree_leaves_no_ghost_node() {
+        // The rejected program used to be cloned into every passthrough node
+        // below the failing pair (here nodes[3] of the doubled tree), and the
+        // next `remove` then failed half-way through its own writes.
+        let mut i = Interner::new();
+        let cm = CostModel::default();
+        let fns = UniformFnCost(10);
+        let opts = Options::default();
+        let mut plan = DeltaPlan::new();
+        for k in 0..2 {
+            plan.add(&query(k, &mut i), &mut i, &cm, &fns, &opts).expect("add");
+        }
+        assert_eq!((plan.cap, plan.free.len()), (2, 0), "the next add must grow");
+        let before = whole_tree(&plan, &i);
+        let src = "program b @7 (x, y) { z := x; if (z > y) { notify true; } }";
+        let bad = parse_program(src, &mut i).expect("parses");
+        assert!(matches!(
+            plan.add(&bad, &mut i, &cm, &fns, &opts),
+            Err(DeltaError::Consolidate(ConsolidateError::ParamMismatch)),
+        ));
+        assert_eq!(whole_tree(&plan, &i), before, "a failed add must not write anything");
+        plan.remove(ProgId(0), &i, &cm, &fns, &opts).expect("remove after the failed add");
+        assert_eq!(plan.ids(), vec![ProgId(1)]);
+        let root = plan.program().expect("q1 is still registered");
+        assert_eq!(notify_ids(&root.body), std::iter::once(ProgId(1)).collect());
+        // And the plan goes on as one that never saw the bad program.
+        let mut twin = DeltaPlan::new();
+        for k in 0..2 {
+            twin.add(&query(k, &mut i), &mut i, &cm, &fns, &opts).expect("add");
+        }
+        twin.remove(ProgId(0), &i, &cm, &fns, &opts).expect("remove");
+        assert_eq!(whole_tree(&plan, &i), whole_tree(&twin, &i));
+    }
+
+    #[test]
+    fn restore_rebuilds_the_exported_tree_without_the_solver() {
+        let mut i = Interner::new();
+        let cm = CostModel::default();
+        let fns = UniformFnCost(10);
+        let opts = Options::default();
+        let mut plan = DeltaPlan::new();
+        for k in 0..5 {
+            plan.add(&query(k, &mut i), &mut i, &cm, &fns, &opts).expect("add");
+        }
+        plan.remove(ProgId(1), &i, &cm, &fns, &opts).expect("remove");
+        plan.remove(ProgId(4), &i, &cm, &fns, &opts).expect("remove");
+        let image = plan.export();
+        assert_eq!(image.leaves.len(), 3);
+        assert_eq!(image.nodes.len(), 2, "q2|q3 and q0|(q2 q3); the other four are passthroughs");
+        let restored = DeltaPlan::restore(image.clone()).expect("a plan's own image restores");
+        assert_eq!(whole_tree(&restored, &i), whole_tree(&plan, &i));
+        assert_eq!(restored.export(), image);
+    }
+
+    #[test]
+    fn restore_rejects_images_no_plan_could_have_exported() {
+        let mut i = Interner::new();
+        let cm = CostModel::default();
+        let fns = UniformFnCost(10);
+        let opts = Options::default();
+        let mut plan = DeltaPlan::new();
+        for k in 0..3 {
+            plan.add(&query(k, &mut i), &mut i, &cm, &fns, &opts).expect("add");
+        }
+        let image = plan.export();
+        let rejected = |edit: &dyn Fn(&mut PlanImage), what: &str| {
+            let mut image = image.clone();
+            edit(&mut image);
+            match DeltaPlan::restore(image) {
+                Err(DeltaError::InvalidImage(why)) => {
+                    assert!(why.contains(what), "{why:?} should mention {what:?}");
+                }
+                other => panic!("expected InvalidImage({what}), got {other:?}"),
+            }
+        };
+        rejected(&|im| im.cap = 3, "power of two");
+        rejected(&|im| im.free.clear(), "do not fill");
+        rejected(&|im| im.free[0] = im.leaves[0].slot, "listed twice");
+        rejected(&|im| im.free[0] = 9, "outside capacity");
+        rejected(&|im| im.leaves[1].renamed = im.leaves[0].renamed.clone(), "its own id");
+        rejected(&|im| im.nodes[0].program = im.leaves[0].renamed.clone(), "children notify");
+        rejected(&|im| im.nodes.reverse(), "increasing order");
+        rejected(&|im| im.nodes.clear(), "is not stored");
+        rejected(
+            &|im| {
+                let outside = NodeImage { index: 4, ..im.nodes[0].clone() };
+                im.nodes.push(outside);
+            },
+            "inside 1..4",
+        );
+        rejected(
+            &|im| {
+                let passthrough = NodeImage { index: 3, ..im.nodes[0].clone() };
+                im.nodes.push(passthrough);
+            },
+            "does not merge two live children",
+        );
+        rejected(
+            &|im| {
+                let dup = LeafImage { slot: im.free[0], ..im.leaves[0].clone() };
+                im.free.clear();
+                im.leaves.push(dup);
+            },
+            "registered twice",
+        );
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub mod symbolic;
 pub use api::{consolidate_many, consolidate_pair, consolidate_pair_prerenamed, Consolidated,
               ConsolidateError, ConsolidationStats};
 pub use budget::{BudgetState, ConsolidationBudget, DegradationTier};
-pub use delta::{DeltaError, DeltaPlan, DeltaReport};
+pub use delta::{DeltaError, DeltaPlan, DeltaReport, LeafImage, NodeImage, PlanImage};
 pub use homomorphism::{consolidate_aggs, AggConsolidation, AggProofStats, ProofOutcome};
 pub use explain::{EntailmentEvent, EntailmentVia, ExplainEntry, ExplainNode, ExplainReport,
                   PairExplain};

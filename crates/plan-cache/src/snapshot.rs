@@ -115,15 +115,6 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-fn parse_tier(s: &str) -> Result<DegradationTier, String> {
-    match s {
-        "full" => Ok(DegradationTier::Full),
-        "partial" => Ok(DegradationTier::Partial),
-        "sequential" => Ok(DegradationTier::Sequential),
-        other => Err(format!("unknown tier {other:?}")),
-    }
-}
-
 /// Parses one payload (the `tier`/`stat`/plan lines) into a cached plan.
 /// Any malformed line is an error — in salvage mode the caller skips the
 /// entry, in strict mode it fails the load.
@@ -138,7 +129,7 @@ fn parse_payload(payload: &str) -> Result<CachedPlan, String> {
         }
         let (word, rest) = line.split_once(' ').unwrap_or((line, ""));
         match word {
-            "tier" => tier = Some(parse_tier(rest)?),
+            "tier" => tier = Some(rest.parse::<DegradationTier>()?),
             "stat" => {
                 let (name, val) = rest
                     .split_once(' ')

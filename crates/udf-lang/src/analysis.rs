@@ -227,12 +227,26 @@ pub fn subst_stmt(s: &Stmt, map: &BTreeMap<Symbol, Symbol>) -> Stmt {
 /// program. Parameters are left untouched: consolidated programs share their
 /// input `ᾱ`.
 pub fn rename_locals(program: &Program, interner: &mut Interner, prefix: &str) -> Program {
+    rename_locals_with(program, interner, |interner, base| {
+        interner.fresh(&format!("{prefix}{base}"))
+    })
+}
+
+/// [`rename_locals`] with the caller choosing each new name: `name` gets the
+/// interner and a local's current name and returns the symbol to use
+/// instead. The caller answers for the new names being distinct from each
+/// other and from everything else the renamed program will meet.
+pub fn rename_locals_with(
+    program: &Program,
+    interner: &mut Interner,
+    mut name: impl FnMut(&mut Interner, &str) -> Symbol,
+) -> Program {
     let params: BTreeSet<Symbol> = program.params.iter().copied().collect();
     let mut map = BTreeMap::new();
     for v in assigned_vars(&program.body) {
         if !params.contains(&v) {
             let base = interner.resolve(v).to_owned();
-            map.insert(v, interner.fresh(&format!("{prefix}{base}")));
+            map.insert(v, name(interner, &base));
         }
     }
     Program::new(program.id, program.params.clone(), subst_stmt(&program.body, &map))

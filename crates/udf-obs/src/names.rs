@@ -242,6 +242,13 @@ pub const SERVE_EPOCHS: &str = "serve.epochs";
 /// Counter: times a service was reconstructed from its journal via
 /// `Service::recover` (each successful recovery bumps this once).
 pub const SERVE_RECOVERIES: &str = "serve.recoveries";
+/// Counter: plan-tree nodes (live leaves + stored merges) recoveries
+/// installed from a checkpoint as written, with no solver work.
+pub const SERVE_RECOVERY_PLAN_NODES_RESTORED: &str = "serve.recovery.plan_nodes_restored";
+/// Counter: SMT checks issued *during* recoveries — the delta operations the
+/// journal tail made them redo. 0 when every recovery found its query set
+/// unchanged since the checkpoint: "recovery is solver-free" as a number.
+pub const SERVE_RECOVERY_SOLVER_CHECKS: &str = "serve.recovery.solver_checks";
 
 // ---- udf-serve: write-ahead epoch journal ---------------------------------
 

@@ -13,6 +13,15 @@
 //! wire text of [`plan_cache::portable`]: one `write_program` out, one
 //! `read_program` back, the exact tree either way.
 //!
+//! A checkpoint is *state*, the shared plan included: it carries the
+//! [`consolidate::DeltaPlan`] merge tree itself (`plan` / `free` / `leaf`
+//! / `node` lines, format `v2`), and recovery installs that tree after
+//! validating it instead of re-deriving it through Ω — so a restart costs
+//! what the live query set weighs, not what the service has lived through,
+//! and touches the solver only for plan operations in the journal tail
+//! ([`RecoveryReport::solver_checks`]). There is one format and one
+//! reader; any other header is [`JournalError::Corrupt`].
+//!
 //! # Crash model and invariants
 //!
 //! - **Journal before acknowledge.** Every mutating service call appends
@@ -62,7 +71,7 @@ pub const JOURNAL_FILE: &str = "journal.log";
 pub const CHECKPOINT_FILE: &str = "checkpoint";
 
 const JOURNAL_HEADER: &str = "udf-serve-journal v1";
-const CHECKPOINT_HEADER: &str = "udf-serve-checkpoint v1";
+const CHECKPOINT_HEADER: &str = "udf-serve-checkpoint v2";
 const SUBSYSTEM_JOURNAL: &str = "journal";
 
 /// A durability-critical instant at which [`SimCrash`] can kill the
@@ -235,6 +244,16 @@ pub struct RecoveryReport {
     /// `(epoch, output_digest)` of every replayed epoch commit frame, in
     /// order — chaos tests diff these against the uncrashed reference.
     pub replayed_epoch_digests: Vec<(u64, u64)>,
+    /// Plan-tree nodes installed from the checkpoint as written: live
+    /// leaves plus stored merges (passthrough nodes are re-derived, not
+    /// stored). 0 when there was no checkpoint.
+    pub plan_nodes_restored: u64,
+    /// SMT checks recovery issued: the solver bills of every delta
+    /// operation the journal tail made it redo (`reg` / `dereg` frames,
+    /// deferred churn applied by a replayed epoch, replayed demotions).
+    /// Installing the checkpointed plan costs none, so this is 0 unless the
+    /// tail changed the query set.
+    pub solver_checks: u64,
 }
 
 /// The append side of the write-ahead journal, owned by a journaled
@@ -486,7 +505,10 @@ pub(crate) fn load_checkpoint(dir: &Path) -> Result<Option<LoadedCheckpoint>, Jo
     let corrupt = |m: &str| JournalError::Corrupt(format!("checkpoint: {m}"));
     let (line, pos) = framing::byte_line(&bytes, 0);
     if line != CHECKPOINT_HEADER.as_bytes() {
-        return Err(corrupt("bad header"));
+        return Err(corrupt(&format!(
+            "header {:?} is not {CHECKPOINT_HEADER:?}, the only format this build reads",
+            String::from_utf8_lossy(line)
+        )));
     }
     let (line, pos) = framing::byte_line(&bytes, pos);
     let header = framing::parse_frame_header(line, "state").map_err(|e| corrupt(&e))?;

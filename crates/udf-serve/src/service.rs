@@ -4,7 +4,9 @@
 use crate::admission::{Admission, IngestQueue, PendingBatch, ShedBatch};
 use crate::journal::{self, Journal, JournalError, JournalRec, RecoveryReport, SimCrash};
 use crate::tenant::{ChurnOp, ChurnOutcome, TenantId, TenantState};
-use consolidate::{DegradationTier, DeltaError};
+use consolidate::{
+    DegradationTier, DeltaError, DeltaPlan, DeltaReport, LeafImage, NodeImage, PlanImage,
+};
 use naiad_lite::engine::{
     Engine, EngineConfig, EngineError, ErrorPolicy, ExecMode, JobReport, QuerySet, RetryPolicy,
 };
@@ -323,7 +325,7 @@ pub struct Service<E: UdfEnv> {
     interner: Interner,
     cm: CostModel,
     config: ServeConfig,
-    plan: consolidate::DeltaPlan,
+    plan: DeltaPlan,
     tenants: BTreeMap<TenantId, TenantState>,
     owner: HashMap<u32, TenantId>,
     pending_churn: VecDeque<ChurnOp>,
@@ -338,20 +340,12 @@ pub struct Service<E: UdfEnv> {
     shared_prefilter: Option<consolidate::Prefilter>,
     qs_dirty: bool,
     counters: Accounting,
-    /// Full add/remove history of the shared plan. [`consolidate::DeltaPlan`]'s
-    /// tree shape (free-slot reuse, grow relabeling, rename counters) is a
-    /// function of the whole history, not the surviving membership — so
-    /// checkpoints persist this history and recovery replays it to rebuild
-    /// a bit-identical plan.
-    plan_ops: Vec<PlanOp>,
+    /// Solver checks this instance has spent on delta operations (register,
+    /// deregister, demotion). Not durable: [`Service::recover`] reads it
+    /// after replay to report what recovery itself cost the solver.
+    delta_solver_checks: u64,
     journal: Option<Journal<E::Rec>>,
     poisoned: bool,
-}
-
-/// One plan-surgery operation, kept for bit-identical plan rebuild.
-enum PlanOp {
-    Add(Program),
-    Remove(ProgId),
 }
 
 impl<E: UdfEnv> fmt::Debug for Service<E> {
@@ -369,7 +363,7 @@ impl<E: UdfEnv> Service<E> {
             interner: Interner::new(),
             cm: CostModel::default(),
             config,
-            plan: consolidate::DeltaPlan::new(),
+            plan: DeltaPlan::new(),
             tenants: BTreeMap::new(),
             owner: HashMap::new(),
             pending_churn: VecDeque::new(),
@@ -379,7 +373,7 @@ impl<E: UdfEnv> Service<E> {
             shared_prefilter: None,
             qs_dirty: false,
             counters: Accounting::default(),
-            plan_ops: Vec::new(),
+            delta_solver_checks: 0,
             journal: None,
             poisoned: false,
         }
@@ -425,14 +419,24 @@ impl<E: UdfEnv> Service<E> {
     /// fresh checkpoint is published so the recovered state is durable
     /// before the first new operation. The result is bit-identical to the
     /// uncrashed service: same tenants, queue, pending churn, accounting,
-    /// plan shape, and next-epoch behavior.
+    /// plan tree, and next-epoch behavior.
+    ///
+    /// The checkpointed plan is *installed*, not re-derived: no Ω, no
+    /// solver (it is validated first — see `restore_checkpoint` — and the
+    /// default [`GuardPolicy::audit_all`] keeps auditing it against the
+    /// per-query programs on every record). Only plan operations in the
+    /// journal tail are redone, against an empty entailment memo, as in a
+    /// freshly started process; [`RecoveryReport::solver_checks`] is their
+    /// bill and is 0 when the tail holds none.
     ///
     /// # Errors
     ///
     /// [`ServeError::Journal`] on I/O failure or when an atomically
     /// published artifact (checkpoint, journal header) is corrupt — torn
     /// *tails* are salvaged, but rot in state that was durably acknowledged
-    /// must not be guessed around.
+    /// must not be guessed around. A checkpoint in any format but the
+    /// current one, or whose plan tree is inconsistent with itself or with
+    /// the tenants, is corrupt in this sense.
     pub fn recover(
         env: E,
         interner: Interner,
@@ -452,7 +456,8 @@ impl<E: UdfEnv> Service<E> {
         let mut next_seq = 0u64;
         if let Some(ckpt) = journal::load_checkpoint(dir)? {
             next_seq = ckpt.next_seq;
-            svc.restore_checkpoint(&ckpt.payload)
+            report.plan_nodes_restored = svc
+                .restore_checkpoint(&ckpt.payload)
                 .map_err(|e| JournalError::Corrupt(format!("checkpoint: {e}")))?;
         }
         let loaded = journal::load_journal(dir)?;
@@ -475,6 +480,7 @@ impl<E: UdfEnv> Service<E> {
             next_seq = frame.seq + 1;
             report.frames_replayed += 1;
         }
+        report.solver_checks = svc.delta_solver_checks;
         svc.journal = Some(Journal::resume(dir, next_seq, sim, recorder.clone())?);
         // Publish the recovered state before accepting new work: the torn
         // tail is folded away and a second crash re-recovers from here.
@@ -483,6 +489,8 @@ impl<E: UdfEnv> Service<E> {
         recorder.add(names::JOURNAL_FRAMES_REPLAYED, report.frames_replayed);
         recorder.add(names::JOURNAL_FRAMES_SKIPPED, report.frames_skipped);
         recorder.add(names::JOURNAL_FRAMES_SALVAGED, report.frames_salvaged);
+        recorder.add(names::SERVE_RECOVERY_PLAN_NODES_RESTORED, report.plan_nodes_restored);
+        recorder.add(names::SERVE_RECOVERY_SOLVER_CHECKS, report.solver_checks);
         Ok((svc, report))
     }
 
@@ -520,6 +528,12 @@ impl<E: UdfEnv> Service<E> {
             queued: self.queue.queued_records() as u64,
             ..self.counters
         }
+    }
+
+    /// The shared consolidated plan (read-only; churn goes through
+    /// [`Service::register`] / [`Service::deregister`]).
+    pub fn plan(&self) -> &DeltaPlan {
+        &self.plan
     }
 
     /// A tenant's state, if registered.
@@ -707,8 +721,7 @@ impl<E: UdfEnv> Service<E> {
                     &EnvCost(&self.env),
                     &self.config.consolidation,
                 )?;
-            self.config.recorder.add(names::SERVE_DELTA_RECONSOLIDATIONS, 1);
-            self.plan_ops.push(PlanOp::Add(program.clone()));
+            self.note_delta(&report);
             ChurnOutcome::Applied(Box::new(report))
         };
         let state = self.tenants.entry(tenant).or_insert_with(TenantState::new);
@@ -742,8 +755,7 @@ impl<E: UdfEnv> Service<E> {
                 &EnvCost(&self.env),
                 &self.config.consolidation,
             )?;
-            self.config.recorder.add(names::SERVE_DELTA_RECONSOLIDATIONS, 1);
-            self.plan_ops.push(PlanOp::Remove(query));
+            self.note_delta(&report);
             ChurnOutcome::Applied(Box::new(report))
         } else {
             ChurnOutcome::AppliedSolo
@@ -758,6 +770,12 @@ impl<E: UdfEnv> Service<E> {
         self.shared_prefilter = None;
         self.store_plan_in_cache();
         Ok(outcome)
+    }
+
+    /// Books one delta operation on the shared plan.
+    fn note_delta(&mut self, report: &DeltaReport) {
+        self.config.recorder.add(names::SERVE_DELTA_RECONSOLIDATIONS, 1);
+        self.delta_solver_checks += report.stats.solver.checks;
     }
 
     /// Stores the current shared plan in the attached cache, tagged with
@@ -807,15 +825,14 @@ impl<E: UdfEnv> Service<E> {
         let mut memo_dropped = 0usize;
         for id in ids {
             if self.plan.contains(id) {
-                self.plan.remove(
+                let report = self.plan.remove(
                     id,
                     &self.interner,
                     &self.cm,
                     &EnvCost(&self.env),
                     &self.config.consolidation,
                 )?;
-                self.config.recorder.add(names::SERVE_DELTA_RECONSOLIDATIONS, 1);
-                self.plan_ops.push(PlanOp::Remove(id));
+                self.note_delta(&report);
             }
             memo_dropped += self.plan.memo().invalidate_query(id.0);
         }
@@ -1367,7 +1384,12 @@ impl<E: UdfEnv> Service<E> {
 
     /// Renders the full-state checkpoint payload: epoch, counters, queue
     /// contents, tenants (programs as [`plan_cache::write_program`] text),
-    /// pending churn, and the complete plan-op history.
+    /// pending churn, and the shared plan's tree ([`DeltaPlan::export`]):
+    /// one `plan <cap> <renames>` line, the `free` list in order, a `leaf
+    /// <slot> <renamed program>` per live leaf and a `node <index> <tier>
+    /// <merged program>` per internal node with two live children. A leaf's
+    /// program as registered is not repeated: it is its tenant's `prog`
+    /// line with the same id.
     fn checkpoint_payload(&self) -> String {
         let enc = self.journal.as_ref().expect("journaled").encode;
         let mut p = String::new();
@@ -1420,26 +1442,40 @@ impl<E: UdfEnv> Service<E> {
                 }
             }
         }
-        for op in &self.plan_ops {
-            match op {
-                PlanOp::Add(prog) => {
-                    let _ = writeln!(p, "pop add {}", write_program(prog, None, &self.interner));
-                }
-                PlanOp::Remove(id) => {
-                    let _ = writeln!(p, "pop rem {}", id.0);
-                }
-            }
+        let plan = self.plan.export();
+        let _ = writeln!(p, "plan {} {}", plan.cap, plan.renames);
+        p.push_str("free");
+        for slot in &plan.free {
+            let _ = write!(p, " {slot}");
+        }
+        p.push('\n');
+        for leaf in &plan.leaves {
+            let renamed = write_program(&leaf.renamed, None, &self.interner);
+            let _ = writeln!(p, "leaf {} {renamed}", leaf.slot);
+        }
+        for node in &plan.nodes {
+            let merged = write_program(&node.program, None, &self.interner);
+            let _ = writeln!(p, "node {} {} {merged}", node.index, node.tier.as_str());
         }
         p
     }
 
     /// Restores checkpointed state into a fresh service (inverse of
-    /// [`Service::checkpoint_payload`]). Plan-op history is replayed
-    /// through real delta operations so the rebuilt tree is bit-identical.
-    fn restore_checkpoint(&mut self, payload: &str) -> Result<(), String>
+    /// [`Service::checkpoint_payload`]) and returns how many plan-tree
+    /// nodes (leaves and stored merges) it installed. The plan is installed
+    /// as written — no delta operation, no solver — so the frame checksum is
+    /// not what vouches for it: every plan leaf must be a query of a tenant
+    /// that is not demoted and every such query a leaf, and
+    /// [`DeltaPlan::restore`] checks the tree against itself. Any violation
+    /// is an error and [`Service::recover`] then returns no service at all.
+    fn restore_checkpoint(&mut self, payload: &str) -> Result<u64, String>
     where
         E::Rec: JournalRec,
     {
+        let mut shape: Option<(usize, u64)> = None;
+        let mut free: Vec<usize> = Vec::new();
+        let mut renamed_leaves: Vec<(usize, Program)> = Vec::new();
+        let mut nodes: Vec<NodeImage> = Vec::new();
         let mut lines = payload.lines().peekable();
         while let Some(line) = lines.next() {
             let mut words = line.split_ascii_whitespace();
@@ -1502,8 +1538,7 @@ impl<E: UdfEnv> Service<E> {
                 Some("pend") => match words.next() {
                     Some("reg") => {
                         let tenant: u32 = parse_field(words.next(), "pend tenant")?;
-                        let src = words.collect::<Vec<_>>().join(" ");
-                        let program = read_program(&src, &mut self.interner)?.0;
+                        let program = read_program(rest_after(line, 3)?, &mut self.interner)?.0;
                         self.pending_churn.push_back(ChurnOp::Register {
                             tenant: TenantId(tenant),
                             program,
@@ -1519,41 +1554,58 @@ impl<E: UdfEnv> Service<E> {
                     }
                     _ => return Err(format!("bad pend line {line:?}")),
                 },
-                Some("pop") => match words.next() {
-                    Some("add") => {
-                        let src = words.collect::<Vec<_>>().join(" ");
-                        let prog = read_program(&src, &mut self.interner)?.0;
-                        self.plan
-                            .add(
-                                &prog,
-                                &mut self.interner,
-                                &self.cm,
-                                &EnvCost(&self.env),
-                                &self.config.consolidation,
-                            )
-                            .map_err(|e| format!("plan-op replay (add): {e}"))?;
-                        self.plan_ops.push(PlanOp::Add(prog));
-                    }
-                    Some("rem") => {
-                        let query: u32 = parse_field(words.next(), "pop query")?;
-                        self.plan
-                            .remove(
-                                ProgId(query),
-                                &self.interner,
-                                &self.cm,
-                                &EnvCost(&self.env),
-                                &self.config.consolidation,
-                            )
-                            .map_err(|e| format!("plan-op replay (remove): {e}"))?;
-                        self.plan_ops.push(PlanOp::Remove(ProgId(query)));
-                    }
-                    _ => return Err(format!("bad pop line {line:?}")),
-                },
+                Some("plan") => {
+                    let cap = parse_field(words.next(), "plan cap")?;
+                    shape = Some((cap, parse_field(words.next(), "plan renames")?));
+                }
+                Some("free") => {
+                    free = words
+                        .map(|w| parse_field(Some(w), "free slot"))
+                        .collect::<Result<_, _>>()?;
+                }
+                Some("leaf") => {
+                    let slot = parse_field(words.next(), "leaf slot")?;
+                    let renamed = read_program(rest_after(line, 2)?, &mut self.interner)?.0;
+                    renamed_leaves.push((slot, renamed));
+                }
+                Some("node") => {
+                    let index = parse_field(words.next(), "node index")?;
+                    let tier = parse_field(words.next(), "node tier")?;
+                    let program = read_program(rest_after(line, 3)?, &mut self.interner)?.0;
+                    nodes.push(NodeImage { index, program, tier });
+                }
                 _ => return Err(format!("unrecognized checkpoint line {line:?}")),
             }
         }
+        let (cap, renames) = shape.ok_or("checkpoint carries no plan line")?;
+        let shared = |id: ProgId| {
+            let tenant = self.tenants.get(self.owner.get(&id.0)?)?;
+            let program = tenant.programs.iter().find(|p| p.id == id)?;
+            (!tenant.demoted).then(|| program.clone())
+        };
+        let leaves = renamed_leaves
+            .into_iter()
+            .map(|(slot, renamed)| match shared(renamed.id) {
+                Some(original) => Ok(LeafImage { slot, original, renamed }),
+                None => Err(format!(
+                    "plan leaf {} is not a query of any tenant in the shared plan",
+                    renamed.id.0
+                )),
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let undemoted = self.tenants.values().filter(|t| !t.demoted);
+        let queries: usize = undemoted.map(|t| t.programs.len()).sum();
+        if queries != leaves.len() {
+            return Err(format!(
+                "{queries} queries belong in the shared plan but it has {} leaves",
+                leaves.len()
+            ));
+        }
+        let installed = (leaves.len() + nodes.len()) as u64;
+        let image = PlanImage { cap, renames, free, leaves, nodes };
+        self.plan = DeltaPlan::restore(image).map_err(|e| e.to_string())?;
         self.qs_dirty = true;
-        Ok(())
+        Ok(installed)
     }
 
     /// Replays one journal frame into service state. Deterministic parts
@@ -1783,6 +1835,14 @@ fn parse_field<T: std::str::FromStr>(word: Option<&str>, what: &str) -> Result<T
     word.ok_or_else(|| format!("missing {what}"))?
         .parse()
         .map_err(|_| format!("bad {what}"))
+}
+
+/// The rest of a checkpoint line after its first `fields` single-space-
+/// separated words — a program's wire text, exactly as it was written.
+fn rest_after(line: &str, fields: usize) -> Result<&str, String> {
+    line.splitn(fields + 1, ' ')
+        .nth(fields)
+        .ok_or_else(|| format!("line {line:?} ends before its program"))
 }
 
 /// Consumes one expected literal word from a frame line.

@@ -187,6 +187,44 @@ fn uncompilable_registration_is_an_error_and_the_service_keeps_serving() {
     assert_eq!(svc.status().plan_queries, 2);
 }
 
+/// A registration the live set refuses (its parameter list differs) leaves
+/// no trace in the plan. It used to leave the rejected program in the
+/// passthrough nodes of a tree it had just doubled; the next deregistration
+/// then failed after it had already dropped the query's membership.
+#[test]
+fn a_refused_registration_into_a_full_tree_leaves_no_trace() {
+    let run = |offer_bad_program: bool| {
+        let mut svc = service(FaultPlan::none(), ServeConfig::default());
+        let t = TenantId(1);
+        for id in 0..2 {
+            let q = query(svc.interner_mut(), id, 3 + i64::from(id), false);
+            svc.register(t, &q).expect("registration applies");
+        }
+        if offer_bad_program {
+            let bad = udf_lang::parse::parse_program(
+                "program b @7 (x, y) { z := half(x); if (z > y) { notify true; } }",
+                svc.interner_mut(),
+            )
+            .expect("parses");
+            let refused = svc.register(TenantId(2), &bad);
+            assert!(
+                matches!(refused, Err(ServeError::Delta(_))),
+                "expected a parameter mismatch, got {refused:?}"
+            );
+            assert_eq!(svc.status().plan_queries, 2);
+        }
+        svc.deregister(t, udf_lang::ast::ProgId(0))
+            .expect("deregistration after the refusal applies");
+        assert_eq!(svc.status().plan_queries, 1);
+        svc.submit(batch(0..20)).expect("journal off: infallible");
+        let rep = svc.run_epoch().expect("epoch runs");
+        assert_eq!(rep.mode, EpochMode::Consolidated);
+        assert_eq!(rep.tenants[&t].counts[&1], 10, "half(v) > 4 for v in 10..20");
+        rep.output_digest
+    };
+    assert_eq!(run(true), run(false));
+}
+
 /// Runs `epochs` epochs over the same deterministic record stream and
 /// returns every tenant's per-epoch report.
 fn drive(

@@ -31,11 +31,19 @@ for ex in $examples; do
 done
 
 # guarded_execution tells its story once per backend (one copy of the plan,
-# two loops over it); make sure neither half was dropped.
+# two loops over it); make sure neither half was dropped, and that in each
+# half the guard trip evicted the corrupted plan from the engine's cache
+# (EngineConfig::plan_cache -> PlanCache::invalidate, the one cache
+# invalidation path).
 guarded="$(cargo run --release --example guarded_execution 2>/dev/null)"
 for backend in per-record columnar; do
     echo "$guarded" | grep -q "^-- backend: $backend\$" \
         || { echo "guarded_execution did not run under $backend" >&2; exit 1; }
+    echo "$guarded" | awk -v head="-- backend: $backend" '
+        /^-- backend: / { inside = ($0 == head) }
+        inside && /cache evictions=1$/ { found = 1 }
+        END { exit !found }' \
+        || { echo "guarded_execution evicted no cached plan under $backend" >&2; exit 1; }
 done
 
 echo "examples OK: all $(echo $examples | wc -w) examples ran"

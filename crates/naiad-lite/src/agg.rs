@@ -74,16 +74,10 @@ pub struct AggQuerySet {
     pub proved: Vec<bool>,
     /// Cost model charged by the fold/merge interpreter.
     pub cost_model: CostModel,
-    /// Per-fold-step budget ([`crate::DEFAULT_FUEL`] by default; overridden
-    /// per job by [`crate::EngineConfig::fuel`]).
-    pub fuel: u64,
     /// Wall-clock time the prover spent on this set.
     pub consolidation_time: Duration,
     /// Proof-side degradation tier (`Full` = every definition parallel).
     pub tier: DegradationTier,
-    /// Cache key of the aggregation plan, when it came through a
-    /// [`plan_cache::PlanCache`].
-    pub plan_key: Option<plan_cache::PlanKey>,
 }
 
 impl AggQuerySet {
@@ -95,10 +89,8 @@ impl AggQuerySet {
             defs,
             proved,
             cost_model: CostModel::default(),
-            fuel: crate::DEFAULT_FUEL,
             consolidation_time: Duration::ZERO,
             tier,
-            plan_key: None,
         }
     }
 
@@ -129,8 +121,8 @@ impl AggQuerySet {
 
     /// Like [`AggQuerySet::prove`], but through a
     /// [`plan_cache::PlanCache`]: warm verdicts skip the prover (and the
-    /// solver) entirely, and [`AggQuerySet::plan_key`] records the cache
-    /// entry so runtime incidents can invalidate it.
+    /// solver) entirely. A merge that faults at run time demotes its
+    /// definition to the sequential shard; nothing is evicted.
     ///
     /// # Errors
     ///
@@ -142,20 +134,12 @@ impl AggQuerySet {
         opts: &consolidate::Options,
         cache: &plan_cache::PlanCache,
     ) -> Result<AggQuerySet, consolidate::api::ConsolidateError> {
-        let (proof, key, _outcome) =
-            plan_cache::consolidate_aggs_cached(cache, &defs, interner, &cm, opts)?;
+        let (proof, ..) = plan_cache::consolidate_aggs_cached(cache, &defs, interner, &cm, opts)?;
         let mut qs = AggQuerySet::new(defs, proof.proved_flags());
         qs.cost_model = cm;
         qs.consolidation_time = proof.elapsed;
         qs.tier = proof.tier;
-        qs.plan_key = Some(key);
         Ok(qs)
-    }
-
-    /// Overrides the per-fold-step fuel budget.
-    pub fn with_fuel(mut self, fuel: u64) -> AggQuerySet {
-        self.fuel = fuel;
-        self
     }
 
     /// Overrides the cost model.
@@ -265,7 +249,7 @@ impl Engine {
             env,
             interner,
             cm: &queries.cost_model,
-            fuel: cfg.fuel.unwrap_or(queries.fuel),
+            fuel: cfg.fuel.unwrap_or(crate::DEFAULT_FUEL),
             config: cfg,
             workers: self.workers().max(1),
         };
@@ -481,9 +465,8 @@ impl<'a, E: UdfEnv> FoldCtx<'a, E> {
 
     /// One fold step with scratch-copy commit and transient retry.
     ///
-    /// Transient library faults are retried up to `max_retries` times;
-    /// in-memory folds retry immediately, without the record path's
-    /// backoff sleeps.
+    /// Transient library faults are retried immediately, up to
+    /// [`EngineConfig::max_retries`] times, as on the record path.
     fn fold_one(
         &self,
         rec: &E::Rec,
@@ -518,7 +501,7 @@ impl<'a, E: UdfEnv> FoldCtx<'a, E> {
                     break Ok(());
                 }
                 Ok(Err(EvalError::Lib(LibError::Transient(_))))
-                    if retries < self.config.retry.max_retries =>
+                    if retries < self.config.max_retries =>
                 {
                     retries += 1;
                 }
@@ -625,7 +608,7 @@ fn merge_states<E: UdfEnv>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ErrorKind, RetryPolicy};
+    use crate::engine::ErrorKind;
     use crate::env::ScalarEnv;
     use crate::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
     use udf_lang::agg::parse_aggs;
@@ -823,10 +806,7 @@ mod tests {
         env.reset_transients();
         let cfg = EngineConfig {
             error_policy: ErrorPolicy::Quarantine { max_errors: 1000 },
-            retry: RetryPolicy {
-                max_retries: 2,
-                ..RetryPolicy::default()
-            },
+            max_retries: 2,
             ..EngineConfig::default()
         };
         let rep = Engine::new(2)
@@ -861,8 +841,9 @@ mod tests {
         let records = scalar_records(600);
         let expect: i64 = records.iter().map(|r| r[0]).sum();
         let env = ScalarEnv::new(1, FnLibrary::new());
-        let queries = AggQuerySet::new(defs, vec![true]).with_fuel(1000);
+        let queries = AggQuerySet::new(defs, vec![true]);
         let rep = quarantine_engine(4)
+            .with_fuel(1000)
             .run_agg(&env, &records, &queries, &interner, AggMode::Consolidated)
             .expect("run");
         assert_eq!(rep.proved, vec![false], "demoted at run time");

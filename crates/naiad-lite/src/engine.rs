@@ -100,9 +100,6 @@ pub struct QuerySet {
     pub prefilter: Option<PrefilterExec>,
     /// Time spent consolidating (reported separately, as in Figure 10).
     pub consolidation_time: Duration,
-    /// Per-record VM step budget ([`DEFAULT_FUEL`] unless overridden here or
-    /// by [`EngineConfig::fuel`]).
-    pub fuel: u64,
     /// Cache key of the consolidated plan, when it came through a
     /// [`plan_cache::PlanCache`]. The plan guard invalidates this key on a
     /// trip so the poisoned entry is never re-served.
@@ -132,7 +129,6 @@ impl QuerySet {
             consolidated: None,
             prefilter: None,
             consolidation_time: Duration::ZERO,
-            fuel: DEFAULT_FUEL,
             plan_key: None,
         })
     }
@@ -142,13 +138,6 @@ impl QuerySet {
     pub fn fold_ns(&self) -> u64 {
         self.many.iter().map(|r| r.fold_ns).sum::<u64>()
             + self.consolidated.as_ref().map_or(0, |r| r.fold_ns)
-    }
-
-    /// Overrides the per-record VM step budget for this query set.
-    #[must_use]
-    pub fn with_fuel(mut self, fuel: u64) -> QuerySet {
-        self.fuel = fuel;
-        self
     }
 
     /// Records the plan-cache key of the consolidated program, enabling
@@ -303,78 +292,6 @@ pub enum ErrorPolicy {
     },
 }
 
-/// Per-record retry behaviour for transient faults.
-///
-/// A [`VmError`] that classifies as transient ([`VmError::is_transient`] —
-/// today exactly [`udf_lang::library::LibError::Transient`]) is retried up
-/// to `max_retries` times before the record is quarantined or the job
-/// fails. Between attempts the worker sleeps a capped exponential backoff
-/// with deterministic jitter: attempt `k` waits in
-/// `[d/2, d]` where `d = min(base_backoff·2^(k−1), max_backoff)` and the
-/// point inside the interval is a pure hash of
-/// `(jitter_seed, record, k)` — reproducible run to run, yet decorrelated
-/// across records so a burst of transient faults does not retry in
-/// lockstep.
-///
-/// The default disables retries (`max_retries == 0`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retry attempts per record before giving up (0 disables retries).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles each further attempt.
-    pub base_backoff: Duration,
-    /// Upper bound on the per-attempt backoff.
-    pub max_backoff: Duration,
-    /// Seed of the deterministic jitter hash.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 0,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(100),
-            jitter_seed: 0x5851_f42d_4c95_7f2d,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy retrying up to `n` times with no sleeping — the right shape
-    /// for tests and for in-memory libraries whose transient faults clear
-    /// on their own (e.g. a warming cache).
-    pub fn immediate(n: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_retries: n,
-            base_backoff: Duration::ZERO,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// The backoff before retry attempt `attempt` (1-based) of `record`.
-    /// Pure in `(self, record, attempt)`.
-    pub fn backoff(&self, record: usize, attempt: u32) -> Duration {
-        if self.base_backoff.is_zero() {
-            return Duration::ZERO;
-        }
-        let doublings = attempt.saturating_sub(1).min(16);
-        let exp = self
-            .base_backoff
-            .saturating_mul(1u32 << doublings)
-            .min(self.max_backoff);
-        let half = u64::try_from(exp.as_nanos() / 2).unwrap_or(u64::MAX / 2);
-        let mut state = self
-            .jitter_seed
-            ^ (record as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ (u64::from(attempt) << 48);
-        let jitter = crate::fault::splitmix64(&mut state)
-            .checked_rem(half + 1)
-            .unwrap_or_default();
-        Duration::from_nanos(half + jitter)
-    }
-}
-
 /// Engine-wide execution configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -385,28 +302,28 @@ pub struct EngineConfig {
     /// Observables — notifications, costs, quarantine reports, guard
     /// verdicts — are bit-identical either way; only throughput differs.
     pub backend: ExecBackend,
-    /// Transient-fault retry behaviour (disabled by default).
-    pub retry: RetryPolicy,
+    /// Retry attempts per record for a [`VmError`] that classifies as
+    /// transient ([`VmError::is_transient`] — today exactly
+    /// [`udf_lang::library::LibError::Transient`]) before the record is
+    /// quarantined or the job fails. Retries run immediately, on the
+    /// driver's own [`RegVm`]. `0` (the default) disables them.
+    pub max_retries: u32,
     /// Differential plan validation (disabled by default). Only applies to
     /// [`ExecMode::Consolidated`] runs — the sequential path *is* the
     /// reference semantics and needs no guarding.
     pub guard: GuardPolicy,
-    /// Per-record VM step budget override (`None` uses [`QuerySet::fuel`]).
+    /// Per-record VM step budget (`None` uses [`DEFAULT_FUEL`]). The one
+    /// fuel knob: aggregation folds and merges read it too.
     pub fuel: Option<u64>,
     /// How many quarantine entries keep a copy of the record's scalar
     /// arguments (the sample payload); later entries record only the index,
     /// query and error kind, keeping report size bounded.
     pub max_payload_samples: usize,
-    /// Shared consolidated-plan cache. When present,
-    /// [`QuerySet::compile_consolidated_cached`] consults it before invoking
-    /// the Ω engine, and [`JobReport::plan_cache`] snapshots its counters.
+    /// The cache the query set's plan came from, for eviction only: when
+    /// the guard trips, the entry under [`QuerySet::plan_key`] is removed
+    /// ([`plan_cache::PlanCache::invalidate`]) so the next compile of the
+    /// same set re-consolidates instead of re-serving the diverging plan.
     pub plan_cache: Option<std::sync::Arc<plan_cache::PlanCache>>,
-    /// The entailment memo the consolidation layer proves through, when the
-    /// caller shares one across runs. A guard trip then invalidates not just
-    /// the cached plan but every memoized verdict derived from the demoted
-    /// queries' predicates — without this, re-registering the same query set
-    /// would re-prove the poisoned plan entirely from the memo, solver-free.
-    pub entailment_memo: Option<std::sync::Arc<consolidate::EntailmentMemo>>,
     /// Metrics sink. No-op by default; install
     /// [`udf_obs::RecorderCell::memory`] to collect per-record latency,
     /// record/quarantine counters and (when the same cell is shared with
@@ -420,12 +337,11 @@ impl Default for EngineConfig {
         EngineConfig {
             error_policy: ErrorPolicy::FailFast,
             backend: ExecBackend::default(),
-            retry: RetryPolicy::default(),
+            max_retries: 0,
             guard: GuardPolicy::default(),
             fuel: None,
             max_payload_samples: 8,
             plan_cache: None,
-            entailment_memo: None,
             recorder: udf_obs::RecorderCell::noop(),
         }
     }
@@ -492,7 +408,8 @@ pub struct QuarantineEntry {
     /// [`EngineConfig::max_payload_samples`] entries only.
     pub sample: Option<Vec<i64>>,
     /// Retry attempts spent on this record before it was quarantined
-    /// (non-zero only for transient faults under an active [`RetryPolicy`]).
+    /// (non-zero only for transient faults under
+    /// [`EngineConfig::max_retries`]).
     pub retries: u32,
 }
 
@@ -565,8 +482,8 @@ pub enum EngineError {
     /// consolidated program.
     MissingConsolidated,
     /// The plan guard tripped under [`GuardAction::FailFast`]: the
-    /// consolidated plan diverged from the sequential semantics on at least
-    /// [`GuardPolicy::mismatch_threshold`] sampled records.
+    /// consolidated plan diverged from the sequential semantics on a
+    /// sampled record.
     GuardTripped {
         /// Structured account of the divergence.
         incident: crate::guard::PlanIncident,
@@ -623,9 +540,6 @@ pub struct JobReport {
     /// What was dropped instead of failing (empty under
     /// [`ErrorPolicy::FailFast`]).
     pub quarantine: QuarantineReport,
-    /// Counters of the engine's [`plan_cache::PlanCache`] at job end (`None`
-    /// when the engine has no cache attached).
-    pub plan_cache: Option<plan_cache::CacheStats>,
     /// Snapshot of [`EngineConfig::recorder`] at job end (`None` when the
     /// recorder is the no-op default). Note the recorder accumulates across
     /// runs sharing one config, so per-run deltas require a fresh cell.
@@ -700,10 +614,11 @@ impl Engine {
         self
     }
 
-    /// Replaces only the transient-fault retry policy.
+    /// Replaces only the transient-fault retry count
+    /// ([`EngineConfig::max_retries`]).
     #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Engine {
-        self.config.retry = retry;
+    pub fn with_retry(mut self, max_retries: u32) -> Engine {
+        self.config.max_retries = max_retries;
         self
     }
 
@@ -730,7 +645,7 @@ impl Engine {
     ///
     /// When [`EngineConfig::guard`] is active and `mode` is
     /// [`ExecMode::Consolidated`], a deterministic sample of records is
-    /// shadow-executed through the sequential path; on a threshold breach
+    /// shadow-executed through the sequential path; on the first divergence
     /// the configured [`GuardAction`] applies (see [`crate::guard`]). A
     /// demotion discards the consolidated pass entirely and reruns the job
     /// in [`ExecMode::Many`], so the returned report is bit-identical to a
@@ -766,9 +681,8 @@ impl Engine {
         if !grun.tripped() {
             // Healthy plan — or LogOnly, which reports without tripping.
             let mut report = primary?;
-            let incident = grun
-                .threshold_reached(&policy)
-                .then(|| grun.incident(&policy, records.len(), false));
+            let incident =
+                (grun.mismatches() > 0).then(|| grun.incident(&policy, records.len(), false));
             report.guard = Some(GuardReport {
                 shadow_runs: grun.shadow_runs(),
                 mismatches: grun.mismatches(),
@@ -802,20 +716,9 @@ impl Engine {
         }
     }
 
-    /// Removes the query set's plan from the attached cache, if both exist,
-    /// and drops every shared entailment-memo verdict derived from the
-    /// queries' predicates (see [`EngineConfig::entailment_memo`]). Returns
-    /// whether a cached plan was evicted.
+    /// Removes the query set's plan from the attached cache, if both exist.
+    /// Returns whether a cached plan was evicted.
     fn invalidate_plan(&self, queries: &QuerySet) -> bool {
-        if let Some(memo) = &self.config.entailment_memo {
-            let mut dropped = 0usize;
-            for id in &queries.query_ids {
-                dropped += memo.invalidate_query(id.0);
-            }
-            self.config
-                .recorder
-                .add(names::ENTAIL_MEMO_INVALIDATED, dropped as u64);
-        }
         match (&self.config.plan_cache, queries.plan_key) {
             (Some(cache), Some(key)) => cache.invalidate(key),
             _ => false,
@@ -839,7 +742,7 @@ impl Engine {
             queries,
             mode,
             track_cost,
-            fuel: config.fuel.unwrap_or(queries.fuel),
+            fuel: config.fuel.unwrap_or(DEFAULT_FUEL),
             config,
             guard,
         };
@@ -910,7 +813,6 @@ impl Engine {
             records: records.len(),
             prefilter_skipped,
             quarantine: finalize_quarantine(quarantine, config)?,
-            plan_cache: self.config.plan_cache.as_ref().map(|c| c.stats()),
             metrics: self.config.recorder.snapshot(),
             guard: None,
         })
@@ -1035,7 +937,7 @@ struct ShardCtx<'a, E: UdfEnv> {
     queries: &'a QuerySet,
     mode: ExecMode,
     track_cost: bool,
-    /// Per-record step budget: the engine's override, else the query set's.
+    /// Per-record step budget: [`EngineConfig::fuel`], else [`DEFAULT_FUEL`].
     fuel: u64,
     config: &'a EngineConfig,
     guard: Option<&'a GuardRun>,
@@ -1235,7 +1137,6 @@ fn run_shard<E: UdfEnv, X: ShardExec<E>>(
     } = ctx;
     let n_q = queries.query_ids.len();
     let recorder = &config.recorder;
-    let retry = &config.retry;
     // Read the clock only when the sink is enabled, so the disabled-default
     // hot path stays timer-free.
     let timed = recorder.enabled();
@@ -1327,13 +1228,9 @@ fn run_shard<E: UdfEnv, X: ShardExec<E>>(
                     Ok(c) => break Ok(c),
                     Err((query, fault)) => {
                         let transient = matches!(&fault, RecordFault::Vm(e) if e.is_transient());
-                        if transient && retries_used < retry.max_retries {
+                        if transient && retries_used < config.max_retries {
                             retries_used += 1;
                             recorder.add(names::ENGINE_RETRIES, 1);
-                            let delay = retry.backoff(record, retries_used);
-                            if !delay.is_zero() {
-                                std::thread::sleep(delay);
-                            }
                             lane_notify.fill(NOTIFY_NONE);
                             attempt = eval_record(
                                 ctx,

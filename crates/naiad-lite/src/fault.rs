@@ -15,8 +15,8 @@
 //!   producing [`crate::VmError::OutOfFuel`];
 //! * [`FaultKind::Transient`] — the trigger call fails with
 //!   [`LibError::Transient`] for the first `k` calls on that record and
-//!   succeeds afterwards, exercising the engine's retry-with-backoff path
-//!   (see [`crate::engine::RetryPolicy`]).
+//!   succeeds afterwards, exercising the engine's retry path (see
+//!   [`crate::engine::EngineConfig::max_retries`]).
 //!
 //! Faults key on the *record index*, not on execution order, so `Many` and
 //! `Consolidated` runs over the same records fault identically — the

@@ -11,9 +11,10 @@
 //! the quarantine decision:
 //!
 //! * agree → nothing happens beyond a `guard.shadow_runs` tick;
-//! * diverge → the mismatch is counted and an example captured; when the
-//!   count reaches [`GuardPolicy::mismatch_threshold`] the job *trips* and
-//!   the configured [`GuardAction`] decides what happens next.
+//! * diverge → the mismatch is counted, an example captured, and the job
+//!   *trips*: the configured [`GuardAction`] decides what happens next. The
+//!   first divergence trips — Theorem 1 promises the *same* notifications,
+//!   so a plan that differed once is not trusted for another record.
 //!
 //! On a trip with [`GuardAction::Demote`], the engine discards the
 //! consolidated results mid-stream (workers abort at the next record), runs
@@ -25,15 +26,16 @@
 //! (or in [`crate::engine::EngineError::GuardTripped`] under
 //! [`GuardAction::FailFast`]).
 //!
-//! Sampling is keyed on the *record index* with a splitmix64 hash, so which
-//! records are shadowed is independent of worker count and scheduling — the
-//! same job shape always audits the same records.
+//! Sampling is keyed on the *record index* with a splitmix64 hash under a
+//! fixed seed, so which records are shadowed is independent of worker
+//! count and scheduling — the same job shape always audits the same
+//! records.
 
 use crate::compile::NOTIFY_NONE;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// What the engine does when the guard's mismatch threshold is reached.
+/// What the engine does when a shadowed record diverges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GuardAction {
     /// Discard the consolidated results, rerun the job through the
@@ -71,27 +73,22 @@ pub struct GuardPolicy {
     /// in `[0.0, 1.0]`. `0.0` disables the guard; `1.0` audits every
     /// record.
     pub sample_rate: f64,
-    /// Number of divergent records that trips the job (min 1). Values
-    /// above 1 tolerate isolated glitches before reacting.
-    pub mismatch_threshold: usize,
     /// Reaction to a trip.
     pub on_mismatch: GuardAction,
-    /// Seed of the deterministic sampling hash. Two jobs with the same
-    /// seed, rate, and record count audit the same record indices
-    /// regardless of worker count.
-    pub sample_seed: u64,
 }
 
 impl Default for GuardPolicy {
     fn default() -> GuardPolicy {
         GuardPolicy {
             sample_rate: 0.0,
-            mismatch_threshold: 1,
             on_mismatch: GuardAction::Demote,
-            sample_seed: 0x9b1d_eb4d_b743_fa2c,
         }
     }
 }
+
+/// Seed of the deterministic sampling hash: two jobs with the same rate and
+/// record count audit the same record indices regardless of worker count.
+const SAMPLE_SEED: u64 = 0x9b1d_eb4d_b743_fa2c;
 
 impl GuardPolicy {
     /// A guard auditing every record and demoting on the first divergence —
@@ -109,8 +106,8 @@ impl GuardPolicy {
     }
 
     /// Deterministically decides whether `record` is shadow-executed.
-    /// Depends only on `(sample_seed, record, sample_rate)` — never on
-    /// worker count or scheduling.
+    /// Depends only on `(record, sample_rate)` — never on worker count or
+    /// scheduling.
     pub fn samples(&self, record: usize) -> bool {
         if self.sample_rate >= 1.0 {
             return true;
@@ -118,7 +115,7 @@ impl GuardPolicy {
         if self.sample_rate <= 0.0 {
             return false;
         }
-        let mut state = self.sample_seed ^ (record as u64).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        let mut state = SAMPLE_SEED ^ (record as u64).wrapping_mul(0xff51_afd7_ed55_8ccd);
         let hash = crate::fault::splitmix64(&mut state);
         // Map the rate to a threshold over the full u64 range; the hash is
         // uniform, so P(hash < threshold) == sample_rate up to rounding.
@@ -177,8 +174,6 @@ pub struct PlanIncident {
     pub shadow_runs: u64,
     /// Divergent records observed.
     pub mismatches: u64,
-    /// The threshold that was reached.
-    pub threshold: usize,
     /// The action the policy prescribed.
     pub action: GuardAction,
     /// Up to [`MAX_MISMATCH_EXAMPLES`] captured divergences.
@@ -191,11 +186,9 @@ impl std::fmt::Display for PlanIncident {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "plan guard tripped: {}/{} shadowed records diverged \
-             (threshold {}, action {})",
+            "plan guard tripped: {}/{} shadowed records diverged (action {})",
             self.mismatches,
             self.shadow_runs,
-            self.threshold,
             self.action.as_str()
         )
     }
@@ -210,7 +203,7 @@ pub struct GuardReport {
     pub mismatches: u64,
     /// Whether the job was demoted to sequential execution.
     pub demoted: bool,
-    /// The structured incident, when the threshold was reached.
+    /// The structured incident, when any shadowed record diverged.
     pub incident: Option<PlanIncident>,
 }
 
@@ -239,20 +232,17 @@ impl GuardRun {
     }
 
     /// Counts one divergence and captures it (up to the example cap). Trips
-    /// the run when the threshold is reached and the action aborts the
-    /// consolidated pass ([`GuardAction::LogOnly`] never trips, so workers
-    /// run to completion and outputs are untouched).
+    /// the run unless the action is [`GuardAction::LogOnly`], which never
+    /// trips, so workers run to completion and outputs are untouched.
     pub(crate) fn record_mismatch(&self, policy: &GuardPolicy, mismatch: GuardMismatch) {
-        let seen = self.mismatches.fetch_add(1, Ordering::Relaxed) + 1;
+        self.mismatches.fetch_add(1, Ordering::Relaxed);
         {
             let mut ex = self.examples.lock().unwrap_or_else(|e| e.into_inner());
             if ex.len() < MAX_MISMATCH_EXAMPLES {
                 ex.push(mismatch);
             }
         }
-        if seen >= policy.mismatch_threshold.max(1) as u64
-            && policy.on_mismatch != GuardAction::LogOnly
-        {
+        if policy.on_mismatch != GuardAction::LogOnly {
             self.tripped.store(true, Ordering::Relaxed);
         }
     }
@@ -268,12 +258,6 @@ impl GuardRun {
 
     pub(crate) fn mismatches(&self) -> u64 {
         self.mismatches.load(Ordering::Relaxed)
-    }
-
-    /// Whether the mismatch count reached the policy threshold (also true
-    /// for [`GuardAction::LogOnly`], which reports without tripping).
-    pub(crate) fn threshold_reached(&self, policy: &GuardPolicy) -> bool {
-        self.mismatches() >= policy.mismatch_threshold.max(1) as u64
     }
 
     /// Assembles the structured incident. Examples are sorted by record so
@@ -294,7 +278,6 @@ impl GuardRun {
             records,
             shadow_runs: self.shadow_runs(),
             mismatches: self.mismatches(),
-            threshold: policy.mismatch_threshold.max(1),
             action: policy.on_mismatch,
             examples,
             plan_invalidated,
@@ -334,37 +317,26 @@ mod tests {
             (rate - 0.25).abs() < 0.02,
             "observed rate {rate} too far from 0.25"
         );
-        // A different seed audits a different subset.
-        let q = GuardPolicy {
-            sample_seed: 1,
-            ..p
-        };
-        let other: Vec<usize> = (0..100_000).filter(|&r| q.samples(r)).collect();
-        assert_ne!(picked, other);
     }
 
     #[test]
-    fn threshold_trips_exactly_at_the_bound() {
-        let policy = GuardPolicy {
-            sample_rate: 1.0,
-            mismatch_threshold: 3,
-            ..GuardPolicy::default()
-        };
+    fn trips_on_the_first_divergence() {
+        let policy = GuardPolicy::audit_all();
         let run = GuardRun::new();
-        let diverge = |r| GuardMismatch {
-            record: r,
-            consolidated: GuardObservation::Quarantined,
-            sequential: GuardObservation::Notified(vec![Some(true)]),
-        };
-        for r in 0..2 {
-            run.record_mismatch(&policy, diverge(r));
-            assert!(!run.tripped(), "below threshold after {} mismatches", r + 1);
-        }
-        run.record_mismatch(&policy, diverge(2));
-        assert!(run.tripped());
+        run.record_shadow();
+        assert!(!run.tripped(), "an agreeing shadow run never trips");
+        run.record_mismatch(
+            &policy,
+            GuardMismatch {
+                record: 0,
+                consolidated: GuardObservation::Quarantined,
+                sequential: GuardObservation::Notified(vec![Some(true)]),
+            },
+        );
+        assert!(run.tripped(), "one divergence trips the run");
         let incident = run.incident(&policy, 100, true);
-        assert_eq!(incident.mismatches, 3);
-        assert_eq!(incident.examples.len(), 3);
+        assert_eq!(incident.mismatches, 1);
+        assert_eq!(incident.examples.len(), 1);
         assert!(incident.plan_invalidated);
     }
 
@@ -373,7 +345,6 @@ mod tests {
         let policy = GuardPolicy {
             sample_rate: 1.0,
             on_mismatch: GuardAction::LogOnly,
-            ..GuardPolicy::default()
         };
         let run = GuardRun::new();
         run.record_mismatch(
@@ -385,16 +356,17 @@ mod tests {
             },
         );
         assert!(!run.tripped());
-        assert!(run.threshold_reached(&policy));
+        assert_eq!(run.mismatches(), 1, "the divergence is still reported");
+        let incident = run.incident(&policy, 1, false);
+        assert_eq!(incident.action, GuardAction::LogOnly);
+        assert_eq!(incident.examples.len(), 1);
     }
 
     #[test]
     fn example_capture_is_capped() {
         let policy = GuardPolicy {
             sample_rate: 1.0,
-            mismatch_threshold: usize::MAX,
             on_mismatch: GuardAction::LogOnly,
-            ..GuardPolicy::default()
         };
         let run = GuardRun::new();
         for r in 0..MAX_MISMATCH_EXAMPLES + 5 {

@@ -44,9 +44,8 @@
 //!   shadow-executes a deterministic sample of records through the
 //!   sequential path during consolidated runs, and on divergence demotes
 //!   the job to sequential execution (self-healing) and invalidates the
-//!   cached plan. Transient library faults are additionally retried with
-//!   capped, deterministically-jittered backoff under an
-//!   [`engine::RetryPolicy`].
+//!   cached plan. Transient library faults are additionally retried,
+//!   immediately, up to [`engine::EngineConfig::max_retries`] times.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,7 +68,7 @@ pub use batch::{BatchVm, RecordBatch};
 pub use compile::{CompileError, VmError, DEFAULT_FUEL};
 pub use engine::{
     Engine, EngineConfig, EngineError, ErrorKind, ErrorPolicy, ExecBackend, ExecMode, JobReport,
-    QuarantineEntry, QuarantineReport, QuerySet, QuerySetError, RetryPolicy,
+    QuarantineEntry, QuarantineReport, QuerySet, QuerySetError,
 };
 pub use regcode::{RegProgram, RegVm};
 pub use env::{ScalarEnv, UdfEnv};

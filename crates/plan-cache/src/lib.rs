@@ -338,11 +338,6 @@ struct Entry {
     /// Global tick of the last touch; loaded/stored relaxed (gets take only
     /// the shard read lock).
     last_used: AtomicU64,
-    /// Opaque caller-chosen labels (e.g. tenant ids) for scoped
-    /// invalidation; sorted. Runtime-only — snapshots do not persist tags,
-    /// so a warm-started cache holds untagged entries (a conservative
-    /// caller re-tags on its first insert).
-    tags: Vec<u64>,
 }
 
 #[derive(Default)]
@@ -421,25 +416,14 @@ impl PlanCache {
     /// Inserts (or replaces) a plan, evicting least-recently-used entries
     /// while the shard is over its capacity or byte budget.
     pub fn insert(&self, key: PlanKey, plan: CachedPlan) {
-        self.insert_tagged(key, plan, &[]);
-    }
-
-    /// Like [`PlanCache::insert`], labeling the entry with `tags` — opaque
-    /// caller-chosen scopes (e.g. one tag per tenant whose queries the plan
-    /// merges) that [`PlanCache::invalidate_tag`] can later evict by.
-    pub fn insert_tagged(&self, key: PlanKey, plan: CachedPlan, tags: &[u64]) {
         let tick = self.next_tick();
         let mut shard = self.shard(key).write().unwrap_or_else(|e| e.into_inner());
         let bytes = plan.bytes;
-        let mut sorted = tags.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
         if let Some(old) = shard.map.insert(
             key.0,
             Entry {
                 plan: Arc::new(plan),
                 last_used: AtomicU64::new(tick),
-                tags: sorted,
             },
         ) {
             shard.bytes -= old.plan.bytes;
@@ -504,55 +488,6 @@ impl PlanCache {
             }
             None => false,
         }
-    }
-
-    /// Removes every entry labeled with `tag` (see
-    /// [`PlanCache::insert_tagged`]), returning how many were evicted. Like
-    /// [`PlanCache::invalidate`] this is a correctness removal: a tenant
-    /// demotion calls it so no surviving cached plan still merges the
-    /// demoted tenant's queries.
-    pub fn invalidate_tag(&self, tag: u64) -> usize {
-        let mut removed = 0;
-        for s in &self.shards {
-            let mut shard = s.write().unwrap_or_else(|e| e.into_inner());
-            let victims: Vec<u128> = shard
-                .map
-                .iter()
-                .filter(|(_, e)| e.tags.binary_search(&tag).is_ok())
-                .map(|(&k, _)| k)
-                .collect();
-            for k in victims {
-                if let Some(e) = shard.map.remove(&k) {
-                    shard.bytes -= e.plan.bytes;
-                    removed += 1;
-                }
-            }
-        }
-        self.invalidations.fetch_add(removed as u64, Ordering::Relaxed);
-        removed
-    }
-
-    /// Inserts `plan` under `key` only if it does not make the cached tier
-    /// worse — the tier-upgrade rule applied at insertion time. Returns
-    /// whether the entry was stored. Tags behave as in
-    /// [`PlanCache::insert_tagged`].
-    pub fn insert_upgrading(&self, key: PlanKey, plan: CachedPlan, tags: &[u64]) -> bool {
-        if let Some(old) = self.get_untouched(key) {
-            // `DegradationTier`'s derived order is Full < Partial <
-            // Sequential, so "worse" is "greater".
-            if plan.tier > old.tier {
-                return false;
-            }
-        }
-        self.insert_tagged(key, plan, tags);
-        true
-    }
-
-    /// Looks up a plan without refreshing its LRU position or counting a
-    /// hit/miss (internal: tier comparison shouldn't skew cache telemetry).
-    fn get_untouched(&self, key: PlanKey) -> Option<Arc<CachedPlan>> {
-        let shard = self.shard(key).read().unwrap_or_else(|e| e.into_inner());
-        shard.map.get(&key.0).map(|e| Arc::clone(&e.plan))
     }
 
     /// Number of cached plans.
@@ -1089,54 +1024,6 @@ mod tests {
         assert!(cache.get(PlanKey(1)).is_some());
         assert!(cache.get(PlanKey(3)).is_some());
         assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn tag_invalidation_evicts_exactly_the_labeled_entries() {
-        let cache = PlanCache::new(CacheConfig {
-            capacity: 16,
-            max_bytes: usize::MAX,
-            shards: 2,
-        });
-        cache.insert_tagged(PlanKey(1), skip_plan(1), &[100, 200]);
-        cache.insert_tagged(PlanKey(2), skip_plan(2), &[200]);
-        cache.insert_tagged(PlanKey(3), skip_plan(3), &[300]);
-        cache.insert(PlanKey(4), skip_plan(4)); // untagged: survives everything
-        assert_eq!(cache.invalidate_tag(200), 2);
-        assert!(cache.get(PlanKey(1)).is_none());
-        assert!(cache.get(PlanKey(2)).is_none());
-        assert!(cache.get(PlanKey(3)).is_some());
-        assert!(cache.get(PlanKey(4)).is_some());
-        assert_eq!(cache.invalidate_tag(200), 0);
-        assert_eq!(cache.stats().invalidations, 2);
-    }
-
-    #[test]
-    fn insert_upgrading_never_stores_a_worse_tier() {
-        let cache = PlanCache::new(CacheConfig {
-            capacity: 16,
-            max_bytes: usize::MAX,
-            shards: 1,
-        });
-        let plan = |tier: DegradationTier| {
-            let mut p = skip_plan(1);
-            p.tier = tier;
-            p
-        };
-        assert!(cache.insert_upgrading(PlanKey(9), plan(DegradationTier::Partial), &[7]));
-        // A Sequential plan is worse: refused, the Partial entry survives.
-        assert!(!cache.insert_upgrading(PlanKey(9), plan(DegradationTier::Sequential), &[7]));
-        assert_eq!(
-            cache.get(PlanKey(9)).map(|p| p.tier),
-            Some(DegradationTier::Partial)
-        );
-        // A Full plan upgrades.
-        assert!(cache.insert_upgrading(PlanKey(9), plan(DegradationTier::Full), &[7]));
-        assert_eq!(
-            cache.get(PlanKey(9)).map(|p| p.tier),
-            Some(DegradationTier::Full)
-        );
-        assert_eq!(cache.invalidate_tag(7), 1);
     }
 
     #[test]

@@ -132,7 +132,6 @@ fn main() {
             scale.passes,
             None,
             naiad_lite::GuardPolicy::default(),
-            naiad_lite::RetryPolicy::default(),
             backend,
         );
         println!(
@@ -222,7 +221,6 @@ fn run_prefilter(
                 scale.passes,
                 None,
                 naiad_lite::GuardPolicy::default(),
-                naiad_lite::RetryPolicy::default(),
                 backend,
             ));
         }

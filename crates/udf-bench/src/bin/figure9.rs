@@ -148,7 +148,6 @@ fn main() {
                     seed,
                     &opts,
                     guard_policy,
-                    naiad_lite::RetryPolicy::default(),
                     backend,
                 ) {
                     println!("{}", format_row(&r));
@@ -365,9 +364,7 @@ struct GuardDemo {
 /// according to the job reports.
 fn run_guard_demo(recorder: &udf_obs::RecorderCell) -> GuardDemo {
     use naiad_lite::engine::{EngineConfig, QuerySet};
-    use naiad_lite::{
-        fault, Engine, ErrorPolicy, ExecMode, GuardPolicy, RetryPolicy, ScalarEnv,
-    };
+    use naiad_lite::{fault, Engine, ErrorPolicy, ExecMode, GuardPolicy, ScalarEnv};
     use std::sync::Arc;
 
     println!("--- guarded-execution demo ---");
@@ -405,11 +402,11 @@ fn run_guard_demo(recorder: &udf_obs::RecorderCell) -> GuardDemo {
     .expect("demo consolidates");
     let records: Vec<Vec<i64>> = (0..64i64).map(|v| vec![v]).collect();
     let env = ScalarEnv::new(1, lib);
-    let engine = |guard: GuardPolicy, retry: RetryPolicy| {
+    let engine = |guard: GuardPolicy, max_retries: u32| {
         Engine::new(2).with_config(EngineConfig {
             error_policy: ErrorPolicy::Quarantine { max_errors: 64 },
             guard,
-            retry,
+            max_retries,
             plan_cache: Some(Arc::clone(&cache)),
             recorder: recorder.clone(),
             ..EngineConfig::default()
@@ -417,7 +414,7 @@ fn run_guard_demo(recorder: &udf_obs::RecorderCell) -> GuardDemo {
     };
 
     // 1. Healthy plan under full audit: shadow work, no divergence.
-    let audited = engine(GuardPolicy::audit_all(), RetryPolicy::default())
+    let audited = engine(GuardPolicy::audit_all(), 0)
         .run(&env, &records, &queries, ExecMode::Consolidated, false)
         .expect("audited healthy run");
     let g = audited.guard.expect("guard report");
@@ -435,7 +432,7 @@ fn run_guard_demo(recorder: &udf_obs::RecorderCell) -> GuardDemo {
             break;
         }
     }
-    let healed = engine(GuardPolicy::audit_all(), RetryPolicy::default())
+    let healed = engine(GuardPolicy::audit_all(), 0)
         .run(&env, &records, &corrupted, ExecMode::Consolidated, false)
         .expect("demotion self-heals");
     let g = healed.guard.expect("guard report");
@@ -460,7 +457,7 @@ fn run_guard_demo(recorder: &udf_obs::RecorderCell) -> GuardDemo {
     lib2.register(probe2, "probe", 1, 20, |a| a[0]);
     let faulty = fault::FaultyEnv::new(ScalarEnv::new(1, lib2), probe2, plan);
     let indexed = fault::FaultyEnv::<ScalarEnv>::index_records(records.iter().cloned());
-    let retried = engine(GuardPolicy::default(), RetryPolicy::immediate(3))
+    let retried = engine(GuardPolicy::default(), 3)
         .run(&faulty, &indexed, &queries, ExecMode::Many, false)
         .expect("transients drain");
     demo.retries += retried.quarantine.retry_attempts;

@@ -89,7 +89,9 @@ pub struct FamilyRun {
     /// the guard (self-healing fallback).
     pub guard_demotions: u64,
     /// Transient-fault retry attempts spent across all passes and both
-    /// modes — 0 unless a [`naiad_lite::RetryPolicy`] was active.
+    /// modes. The sweeps run with retries off
+    /// ([`naiad_lite::EngineConfig::max_retries`] is 0), so a non-zero
+    /// value here would mean the engine retried without being asked.
     pub retries: u64,
     /// Execution backend the engine ran under.
     pub backend: ExecBackend,
@@ -200,16 +202,14 @@ pub fn run_family_cached<E: UdfEnv>(
         passes,
         cache,
         naiad_lite::GuardPolicy::default(),
-        naiad_lite::RetryPolicy::default(),
         ExecBackend::PerRecord,
     )
 }
 
-/// Like [`run_family_cached`] but with an explicit plan-guard,
-/// transient-retry, and execution-backend configuration on the engine; the
-/// guard/retry counters land in the returned [`FamilyRun`] columns. The
-/// defaults (guard/retry disabled, [`ExecBackend::PerRecord`]) make this
-/// exactly [`run_family_cached`].
+/// Like [`run_family_cached`] but with an explicit plan-guard and
+/// execution-backend configuration on the engine; the guard counters land
+/// in the returned [`FamilyRun`] columns. The defaults (guard disabled,
+/// [`ExecBackend::PerRecord`]) make this exactly [`run_family_cached`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_family_guarded<E: UdfEnv>(
     domain: &str,
@@ -223,7 +223,6 @@ pub fn run_family_guarded<E: UdfEnv>(
     passes: usize,
     cache: Option<&plan_cache::PlanCache>,
     guard: naiad_lite::GuardPolicy,
-    retry: naiad_lite::RetryPolicy,
     backend: ExecBackend,
 ) -> FamilyRun {
     let cm = CostModel::default();
@@ -274,7 +273,6 @@ pub fn run_family_guarded<E: UdfEnv>(
             max_errors: usize::MAX,
         })
         .with_guard(guard)
-        .with_retry(retry)
         .with_backend(backend)
         .with_recorder(opts.recorder.clone());
     let mut many_udf = Duration::ZERO;
@@ -414,21 +412,18 @@ pub fn run_domain(domain: DomainKind, scale: Scale, seed: u64, opts: &Options) -
         seed,
         opts,
         naiad_lite::GuardPolicy::default(),
-        naiad_lite::RetryPolicy::default(),
         ExecBackend::PerRecord,
     )
 }
 
-/// Like [`run_domain`] but running every family under the given plan-guard,
-/// transient-retry, and execution-backend configuration (see
-/// [`run_family_guarded`]).
+/// Like [`run_domain`] but running every family under the given plan-guard
+/// and execution-backend configuration (see [`run_family_guarded`]).
 pub fn run_domain_guarded(
     domain: DomainKind,
     scale: Scale,
     seed: u64,
     opts: &Options,
     guard: naiad_lite::GuardPolicy,
-    retry: naiad_lite::RetryPolicy,
     backend: ExecBackend,
 ) -> Vec<FamilyRun> {
     let workers = std::thread::available_parallelism()
@@ -445,7 +440,7 @@ pub fn run_domain_guarded(
                 let programs = (fam.build)(scale.queries, seed, &mut interner);
                 out.push(run_family_guarded(
                     "weather", fam.label, &env, &records, programs, &mut interner, workers, opts,
-                    scale.passes, None, guard, retry, backend,
+                    scale.passes, None, guard, backend,
                 ));
             }
         }
@@ -457,7 +452,7 @@ pub fn run_domain_guarded(
                 let programs = (fam.build)(scale.queries, seed, &mut interner);
                 out.push(run_family_guarded(
                     "flight", fam.label, &env, &records, programs, &mut interner, workers, opts,
-                    scale.passes, None, guard, retry, backend,
+                    scale.passes, None, guard, backend,
                 ));
             }
         }
@@ -470,7 +465,7 @@ pub fn run_domain_guarded(
                 let programs = (fam.build)(scale.queries, seed, &mut interner);
                 out.push(run_family_guarded(
                     "news", fam.label, &env, &records, programs, &mut interner, workers, opts,
-                    scale.passes, None, guard, retry, backend,
+                    scale.passes, None, guard, backend,
                 ));
             }
         }
@@ -483,7 +478,7 @@ pub fn run_domain_guarded(
                 let programs = (fam.build)(scale.queries, seed, &mut interner);
                 out.push(run_family_guarded(
                     "twitter", fam.label, &env, &records, programs, &mut interner, workers, opts,
-                    scale.passes, None, guard, retry, backend,
+                    scale.passes, None, guard, backend,
                 ));
             }
         }
@@ -504,7 +499,7 @@ pub fn run_domain_guarded(
                 let programs = build(scale.queries, seed, &mut interner);
                 out.push(run_family_guarded(
                     "stock", label, &env, &records, programs, &mut interner, workers, opts,
-                    scale.passes, None, guard, retry, backend,
+                    scale.passes, None, guard, backend,
                 ));
             }
         }

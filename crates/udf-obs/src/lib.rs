@@ -18,8 +18,8 @@
 //! * [`SpanTimer`] — RAII timer that records elapsed nanoseconds into a
 //!   histogram metric on drop.
 //! * [`MetricsSnapshot`] — plain-data copy of all counters/histograms with
-//!   a hand-rolled JSON codec (`to_json`/`from_json`; the build container
-//!   is offline, so no serde).
+//!   a hand-rolled JSON writer (`to_json`; no serde). The dump is
+//!   write-only: people and scripts read it, nothing here parses it back.
 //!
 //! Metric names are centralized in [`names`]; `OBSERVABILITY.md` at the
 //! workspace root documents every name, unit, and emission site.
@@ -51,7 +51,7 @@ pub mod snapshot;
 
 pub use histogram::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
 pub use recorder::{MemoryRecorder, NoopRecorder, Recorder};
-pub use snapshot::{write_json_string, JsonError, MetricsSnapshot};
+pub use snapshot::{write_json_string, MetricsSnapshot};
 
 use std::sync::Arc;
 use std::time::Instant;

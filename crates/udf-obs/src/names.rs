@@ -169,9 +169,6 @@ pub const PLAN_CACHE_MISS: &str = "plan_cache.miss";
 /// Counter: plan-cache hits on a degraded entry that were re-consolidated
 /// and upgraded to a better tier.
 pub const PLAN_CACHE_UPGRADE: &str = "plan_cache.upgrade";
-/// Counter: plan-cache entries removed by tag-scoped invalidation (e.g. a
-/// tenant demotion evicting every plan derived from that tenant's queries).
-pub const PLAN_CACHE_TAG_INVALIDATED: &str = "plan_cache.tag_invalidated";
 /// Counter: entailment-memo verdicts dropped because a query they were
 /// derived from was demoted or quarantined at runtime.
 pub const ENTAIL_MEMO_INVALIDATED: &str = "consolidate.entail.memo_invalidated";

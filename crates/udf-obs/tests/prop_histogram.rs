@@ -6,7 +6,7 @@
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
-use udf_obs::{bucket_bounds, bucket_index, Histogram, MetricsSnapshot, RecorderCell, BUCKETS};
+use udf_obs::{bucket_bounds, bucket_index, Histogram, BUCKETS};
 
 /// Reference bucketing: linear scan over the documented inclusive bounds.
 fn reference_bucket(value: u64) -> usize {
@@ -46,26 +46,6 @@ proptest! {
             let got = s.buckets.iter().find(|&&(b, _)| b as usize == i).map_or(0, |&(_, n)| n);
             prop_assert_eq!(got, expected, "bucket {} disagrees", i);
         }
-    }
-
-    #[test]
-    fn json_round_trips_arbitrary_snapshots(
-        counters in prop::collection::vec((any::<u16>(), any::<u64>()), 0..20),
-        samples in prop::collection::vec(any::<u64>(), 0..100),
-    ) {
-        // Build a snapshot through the real recorder surface so the data is
-        // shaped exactly like production dumps.
-        let cell = RecorderCell::memory();
-        static NAMES: [&str; 4] = ["a.one", "b.two", "c.three", "d.four_ns"];
-        for (k, v) in &counters {
-            cell.add(NAMES[(*k as usize) % 3], *v % (1 << 32));
-        }
-        for v in &samples {
-            cell.observe(NAMES[3], *v);
-        }
-        let snap = cell.snapshot().expect("memory recorder snapshots");
-        let parsed = MetricsSnapshot::from_json(&snap.to_json()).expect("own dump parses");
-        prop_assert_eq!(parsed, snap);
     }
 }
 

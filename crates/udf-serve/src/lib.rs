@@ -16,14 +16,16 @@
 //!   entailment verdicts from the plan's scoped memo.
 //! - **Admission control & backpressure** ([`admission`]): a bounded
 //!   ingest queue with explicit admit/reject decisions and deadline-aware
-//!   shedding; pressure watermarks defer churn and degrade execution to
-//!   the sequential reference semantics. Nothing is ever dropped silently:
+//!   shedding; pressure watermarks (75 % and 90 % of the queue) defer
+//!   churn and degrade execution to the sequential reference semantics,
+//!   then shed expired batches. Nothing is ever dropped silently:
 //!   `admitted == processed + shed + queued` holds after every epoch.
 //! - **Per-tenant isolation** ([`tenant`], [`Service::run_epoch`]): guard
 //!   trips and quarantine overruns are attributed to the owning tenant,
 //!   which is demoted alone — its queries leave the shared plan, its memo
-//!   verdicts and tagged plan-cache entries are invalidated, and every
-//!   other tenant's results are unchanged.
+//!   verdicts are invalidated, and every other tenant's results are
+//!   unchanged. Every consolidated epoch audits every record against the
+//!   per-query programs and stops at the first divergence.
 //!
 //! The service is clocked by explicit [`Service::run_epoch`] calls, never
 //! wall time, so seeded runs are byte-reproducible (chaos CI relies on

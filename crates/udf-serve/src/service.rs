@@ -8,16 +8,15 @@ use consolidate::{
     DegradationTier, DeltaError, DeltaPlan, DeltaReport, LeafImage, NodeImage, PlanImage,
 };
 use naiad_lite::engine::{
-    Engine, EngineConfig, EngineError, ErrorPolicy, ExecMode, JobReport, QuerySet, RetryPolicy,
+    Engine, EngineConfig, EngineError, ErrorPolicy, ExecMode, JobReport, QuerySet,
 };
 use naiad_lite::guard::{GuardAction, GuardObservation, GuardPolicy, PlanIncident};
 use naiad_lite::UdfEnv;
-use plan_cache::{read_program, write_program, CachedPlan, PlanCache, PlanKey};
+use plan_cache::{read_program, write_program};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
 use udf_lang::analysis::notify_ids;
 use udf_lang::ast::{ProgId, Program};
@@ -35,9 +34,31 @@ impl<E: UdfEnv> FnCost for EnvCost<'_, E> {
     }
 }
 
-/// Service configuration. Watermarks are queue-pressure fractions
-/// (`queued records / queue_capacity`); time is measured in epochs, never
-/// wall clock, so every run with the same inputs reproduces exactly.
+/// Queue pressure (`queued records / queue_capacity`) at or above which
+/// the service degrades: churn is deferred and the epoch executes
+/// sequentially (per-tenant `Many` runs — the reference semantics, no guard
+/// overhead, no solver work).
+const DEGRADE_WATERMARK: f64 = 0.75;
+
+/// Queue pressure at or above which batches older than
+/// [`ServeConfig::deadline_epochs`] are shed (explicitly accounted in the
+/// epoch report).
+const SHED_WATERMARK: f64 = 0.90;
+
+/// The plan guard of every consolidated epoch: each record is audited
+/// against the per-query programs, and the first divergence aborts the run
+/// ([`GuardAction::FailFast`]) so the service demotes at tenant granularity
+/// itself instead of the engine's job granularity. Not configurable:
+/// [`Service::recover`] installs a checkpointed plan without re-proving it
+/// on the promise that this audit runs.
+const EPOCH_GUARD: GuardPolicy = GuardPolicy {
+    sample_rate: 1.0,
+    on_mismatch: GuardAction::FailFast,
+};
+
+/// Service configuration. Time is measured in epochs, never wall clock, so
+/// every run with the same inputs reproduces exactly. Epochs run on the
+/// per-record backend, degrade at 75 % queue pressure and shed at 90 %.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bounded ingest capacity in records; submissions that would exceed it
@@ -46,37 +67,19 @@ pub struct ServeConfig {
     /// Records processed per epoch (batches are atomic: the first queued
     /// batch always runs, even when it alone exceeds the limit).
     pub epoch_batch_limit: usize,
-    /// Pressure at or above which the service degrades: churn is deferred
-    /// and the epoch executes sequentially (per-tenant `Many` runs — the
-    /// reference semantics, no guard overhead, no solver work).
-    pub degrade_watermark: f64,
-    /// Pressure at or above which batches older than
-    /// [`ServeConfig::deadline_epochs`] are shed (explicitly accounted in
-    /// the epoch report).
-    pub shed_watermark: f64,
     /// Batch age (in epochs) beyond which it is sheddable under pressure.
     pub deadline_epochs: u64,
-    /// Plan-guard sampling for consolidated epochs. The action is forced to
-    /// [`GuardAction::FailFast`] internally: the service handles demotion
-    /// itself at tenant granularity instead of the engine's job granularity.
-    pub guard: GuardPolicy,
-    /// Transient-fault retry policy forwarded to the engine.
-    pub retry: RetryPolicy,
+    /// Transient-fault retries per record, forwarded to the engine
+    /// ([`EngineConfig::max_retries`]).
+    pub max_retries: u32,
     /// Quarantined records attributed to one tenant before it is demoted
     /// out of the shared plan.
     pub tenant_quarantine_budget: u64,
     /// Consolidation options for delta plan surgery (its budget bounds each
     /// register/deregister operation).
     pub consolidation: consolidate::Options,
-    /// Shared plan cache; delta plans are stored tagged per tenant so a
-    /// demotion evicts exactly that tenant's plans.
-    pub plan_cache: Option<Arc<PlanCache>>,
     /// Engine worker threads per epoch run.
     pub workers: usize,
-    /// Execution backend for epoch runs (per-record reference interpreter
-    /// or columnar record batches); also part of the plan-cache key so
-    /// cached plans never cross backends.
-    pub backend: naiad_lite::engine::ExecBackend,
     /// Metrics sink for the `serve.*` counters (and, shared with
     /// `consolidation.recorder`, the whole stack's).
     pub recorder: udf_obs::RecorderCell,
@@ -96,16 +99,11 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_capacity: 4096,
             epoch_batch_limit: 1024,
-            degrade_watermark: 0.75,
-            shed_watermark: 0.90,
             deadline_epochs: 4,
-            guard: GuardPolicy::audit_all(),
-            retry: RetryPolicy::default(),
+            max_retries: 0,
             tenant_quarantine_budget: 16,
             consolidation: consolidate::Options::default(),
-            plan_cache: None,
             workers: 1,
-            backend: naiad_lite::engine::ExecBackend::default(),
             recorder: udf_obs::RecorderCell::noop(),
             journal_checkpoint_every: 64,
             sim_crash: None,
@@ -423,11 +421,11 @@ impl<E: UdfEnv> Service<E> {
     ///
     /// The checkpointed plan is *installed*, not re-derived: no Ω, no
     /// solver (it is validated first — see `restore_checkpoint` — and the
-    /// default [`GuardPolicy::audit_all`] keeps auditing it against the
-    /// per-query programs on every record). Only plan operations in the
-    /// journal tail are redone, against an empty entailment memo, as in a
-    /// freshly started process; [`RecoveryReport::solver_checks`] is their
-    /// bill and is 0 when the tail holds none.
+    /// epoch guard keeps auditing it against the per-query programs on
+    /// every record). Only plan operations in the journal tail are redone,
+    /// against an empty entailment memo, as in a freshly started process;
+    /// [`RecoveryReport::solver_checks`] is their bill and is 0 when the
+    /// tail holds none.
     ///
     /// # Errors
     ///
@@ -619,7 +617,7 @@ impl<E: UdfEnv> Service<E> {
         // not inside a later epoch.
         let fc = |f: Symbol| self.env.fn_cost(f);
         QuerySet::compile_many(std::slice::from_ref(program), &self.cm, &fc)?;
-        let outcome = if self.queue.pressure() >= self.config.degrade_watermark {
+        let outcome = if self.queue.pressure() >= DEGRADE_WATERMARK {
             self.pending_churn.push_back(ChurnOp::Register {
                 tenant,
                 program: program.clone(),
@@ -673,7 +671,7 @@ impl<E: UdfEnv> Service<E> {
                 }
                 Some(_) => {}
             }
-            if self.queue.pressure() >= self.config.degrade_watermark {
+            if self.queue.pressure() >= DEGRADE_WATERMARK {
                 self.pending_churn
                     .push_back(ChurnOp::Deregister { tenant, query });
                 break 'outcome ChurnOutcome::Deferred;
@@ -731,7 +729,6 @@ impl<E: UdfEnv> Service<E> {
         // The old pre-filter was proved against the previous query set;
         // drop it now and let the next rebuild synthesize a fresh one.
         self.shared_prefilter = None;
-        self.store_plan_in_cache();
         Ok(outcome)
     }
 
@@ -768,7 +765,6 @@ impl<E: UdfEnv> Service<E> {
         // The old pre-filter was proved against the previous query set;
         // drop it now and let the next rebuild synthesize a fresh one.
         self.shared_prefilter = None;
-        self.store_plan_in_cache();
         Ok(outcome)
     }
 
@@ -778,45 +774,10 @@ impl<E: UdfEnv> Service<E> {
         self.delta_solver_checks += report.stats.solver.checks;
     }
 
-    /// Stores the current shared plan in the attached cache, tagged with
-    /// every owning tenant, under the tier-upgrade rule.
-    fn store_plan_in_cache(&self) {
-        let Some(cache) = &self.config.plan_cache else {
-            return;
-        };
-        let Some(merged) = self.plan.program() else {
-            return;
-        };
-        let programs = self.plan.programs();
-        let key = PlanKey::derive(
-            &programs,
-            &self.interner,
-            &self.config.consolidation,
-            &self.cm,
-            self.config.backend,
-        );
-        // A freshly-rebuilt pre-filter rides along so cache consumers with
-        // the knob on rehydrate it; churn clears it before this runs, so a
-        // stale condition can never be stored against a changed query set.
-        let cond = self.shared_prefilter.as_ref().map(|pf| &pf.cond);
-        let stats = consolidate::ConsolidationStats {
-            tier: self.plan.tier(),
-            ..consolidate::ConsolidationStats::default()
-        };
-        let tags: Vec<u64> = programs
-            .iter()
-            .filter_map(|p| self.owner.get(&p.id.0))
-            .map(|t| u64::from(t.0))
-            .collect();
-        let plan = CachedPlan::new(merged, cond, &self.interner, stats);
-        cache.insert_upgrading(key, plan, &tags);
-    }
-
-    /// Removes `tenant`'s queries from the shared plan (delta removals),
-    /// drops every entailment-memo verdict their predicates touched, and
-    /// evicts the tenant's tagged plan-cache entries. Only this tenant's
-    /// artifacts are invalidated — other tenants keep their plans, verdicts,
-    /// and tiers.
+    /// Removes `tenant`'s queries from the shared plan (delta removals) and
+    /// drops every entailment-memo verdict their predicates touched. Only
+    /// this tenant's artifacts are invalidated — other tenants keep their
+    /// plans, verdicts, and tiers.
     fn demote_tenant(&mut self, tenant: TenantId) -> Result<(), ServeError> {
         let ids = match self.tenants.get(&tenant) {
             Some(t) if !t.demoted => t.query_ids(),
@@ -839,12 +800,6 @@ impl<E: UdfEnv> Service<E> {
         self.config
             .recorder
             .add(names::ENTAIL_MEMO_INVALIDATED, memo_dropped as u64);
-        if let Some(cache) = &self.config.plan_cache {
-            let evicted = cache.invalidate_tag(u64::from(tenant.0));
-            self.config
-                .recorder
-                .add(names::PLAN_CACHE_TAG_INVALIDATED, evicted as u64);
-        }
         if let Some(state) = self.tenants.get_mut(&tenant) {
             state.demoted = true;
         }
@@ -853,34 +808,31 @@ impl<E: UdfEnv> Service<E> {
         // The old pre-filter was proved against the previous query set;
         // drop it now and let the next rebuild synthesize a fresh one.
         self.shared_prefilter = None;
-        self.store_plan_in_cache();
         Ok(())
     }
 
-    /// Engine for one run. The quarantine ceiling is effectively unbounded:
-    /// the service's own tenant budgets decide demotion, and a job abort
-    /// would turn per-record faults into lost records.
+    /// Engine for one run: per-record backend, default fuel, no plan cache.
+    /// The quarantine ceiling is effectively unbounded: the service's own
+    /// tenant budgets decide demotion, and a job abort would turn per-record
+    /// faults into lost records.
     fn engine(&self, guard: GuardPolicy) -> Engine {
         Engine::new(self.config.workers).with_config(EngineConfig {
             error_policy: ErrorPolicy::Quarantine {
                 max_errors: usize::MAX / 2,
             },
-            retry: self.config.retry,
+            max_retries: self.config.max_retries,
             guard,
-            fuel: None,
             max_payload_samples: 0,
-            plan_cache: self.config.plan_cache.clone(),
-            entailment_memo: Some(Arc::clone(self.plan.memo())),
-            backend: self.config.backend,
             recorder: self.config.recorder.clone(),
+            ..EngineConfig::default()
         })
     }
 
     /// Rebuilds the shared query set from the plan when dirty. When
     /// `consolidation.prefilter` is on, a fresh pre-filter is synthesized
     /// and verified against the *current* plan (churn invalidated the old
-    /// one) and the enriched plan is re-stored in the cache; a rejected
-    /// synthesis simply leaves the set unfiltered — fail-open.
+    /// one); a rejected synthesis simply leaves the set unfiltered —
+    /// fail-open.
     fn rebuild_shared(&mut self) -> Result<(), ServeError> {
         if !self.qs_dirty {
             return Ok(());
@@ -911,9 +863,6 @@ impl<E: UdfEnv> Service<E> {
             _ => None,
         };
         self.qs_dirty = false;
-        if self.shared_prefilter.is_some() {
-            self.store_plan_in_cache();
-        }
         Ok(())
     }
 
@@ -1072,7 +1021,7 @@ impl<E: UdfEnv> Service<E> {
             shed: Vec::new(),
             drained: Vec::new(),
         };
-        if pressure < self.config.degrade_watermark {
+        if pressure < DEGRADE_WATERMARK {
             while let Some(op) = self.pending_churn.pop_front() {
                 let (tenant, result) = match op {
                     ChurnOp::Register { tenant, program } => {
@@ -1090,7 +1039,7 @@ impl<E: UdfEnv> Service<E> {
         } else {
             start.deferred_churn = self.pending_churn.len();
         }
-        if pressure >= self.config.shed_watermark {
+        if pressure >= SHED_WATERMARK {
             for (shed, _records) in self
                 .queue
                 .shed_expired(self.epoch, self.config.deadline_epochs)
@@ -1166,7 +1115,7 @@ impl<E: UdfEnv> Service<E> {
             }
             report.tenants.insert(*tenant, rep);
         }
-        let mut sequential_epoch = pressure >= self.config.degrade_watermark;
+        let mut sequential_epoch = pressure >= DEGRADE_WATERMARK;
         let mut consolidated_ran = false;
         if !sequential_epoch {
             // Consolidated attempt loop: a guard trip demotes the culprit
@@ -1181,11 +1130,7 @@ impl<E: UdfEnv> Service<E> {
                 else {
                     break;
                 };
-                let guard = GuardPolicy {
-                    on_mismatch: GuardAction::FailFast,
-                    ..self.config.guard
-                };
-                let engine = self.engine(guard);
+                let engine = self.engine(EPOCH_GUARD);
                 let outcome = {
                     let Some(qs) = self.shared_qs.as_ref() else {
                         break;

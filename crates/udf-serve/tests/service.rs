@@ -8,6 +8,7 @@ use naiad_lite::{ScalarEnv, UdfEnv};
 use udf_lang::ast::Program;
 use udf_lang::intern::Interner;
 use udf_lang::FnLibrary;
+use udf_obs::{names, RecorderCell};
 use udf_serve::{
     Admission, ChurnOutcome, EpochMode, RejectReason, ServeConfig, ServeError, Service,
     TenantEpochReport, TenantId,
@@ -113,7 +114,6 @@ fn churn_defers_under_pressure_and_applies_when_calm() {
         ServeConfig {
             queue_capacity: 4,
             epoch_batch_limit: 4,
-            degrade_watermark: 0.75,
             ..ServeConfig::default()
         },
     );
@@ -223,6 +223,73 @@ fn a_refused_registration_into_a_full_tree_leaves_no_trace() {
         rep.output_digest
     };
     assert_eq!(run(true), run(false));
+}
+
+/// The promise [`Service::recover`] relies on when it installs a
+/// checkpointed plan without re-proving it: every record of a consolidated
+/// epoch is shadow-run through the per-query programs. And the default
+/// configuration never retries a transient fault, while one retry is
+/// visible in the same counter.
+#[test]
+fn consolidated_epochs_audit_every_record_and_default_config_never_retries() {
+    let recorder = RecorderCell::memory();
+    let mut svc = service(
+        FaultPlan::none(),
+        ServeConfig {
+            recorder: recorder.clone(),
+            ..ServeConfig::default()
+        },
+    );
+    for (id, th, t) in [
+        (1, 3, TenantId(1)),
+        (2, 6, TenantId(1)),
+        (3, 9, TenantId(2)),
+    ] {
+        let q = query(svc.interner_mut(), id, th, false);
+        svc.register(t, &q).expect("registers");
+    }
+    let mut consolidated = 0u64;
+    for e in 0..3i64 {
+        svc.submit(batch(e * 20..e * 20 + 20))
+            .expect("journal off: infallible");
+        let rep = svc.run_epoch().expect("epoch runs");
+        assert_eq!(rep.mode, EpochMode::Consolidated, "epoch {}", rep.epoch);
+        consolidated += rep.processed as u64;
+    }
+    let snap = recorder.snapshot().expect("memory recorder snapshots");
+    assert_eq!(consolidated, 60);
+    assert_eq!(snap.counter(names::GUARD_SHADOW_RUNS), consolidated);
+    assert_eq!(snap.counter(names::GUARD_MISMATCHES), 0);
+
+    // Transient faults on every record the hostile query touches.
+    let retries = |config: ServeConfig| {
+        let recorder = RecorderCell::memory();
+        let faults = FaultPlan::seeded_kinds(0x7e57, 20, 6, &[FaultKind::Transient(1)]);
+        let mut svc = service(
+            faults,
+            ServeConfig {
+                recorder: recorder.clone(),
+                ..config
+            },
+        );
+        let q = query(svc.interner_mut(), 1, 3, true);
+        svc.register(TenantId(1), &q).expect("registers");
+        svc.submit(batch(0..20)).expect("journal off: infallible");
+        svc.run_epoch().expect("epoch runs");
+        let snap = recorder.snapshot().expect("memory recorder snapshots");
+        (
+            snap.counter(names::ENGINE_RETRIES),
+            snap.counter(names::ENGINE_QUARANTINED),
+        )
+    };
+    let (retried, quarantined) = retries(ServeConfig::default());
+    assert_eq!(retried, 0, "the default configuration never retries");
+    assert!(quarantined > 0, "the transient faults did fire");
+    let (retried, _) = retries(ServeConfig {
+        max_retries: 1,
+        ..ServeConfig::default()
+    });
+    assert!(retried > 0, "one retry per transient fault is counted");
 }
 
 /// Runs `epochs` epochs over the same deterministic record stream and
@@ -367,8 +434,8 @@ fn guarded_query(interner: &mut Interner, id: u32, k: i64, threshold: i64) -> Pr
 }
 
 /// Churn must never leave a stale pre-filter attached: every register /
-/// deregister clears it immediately (before the changed plan is stored),
-/// and the next calm epoch re-synthesizes it for the *new* query set.
+/// deregister clears it immediately, and the next calm epoch re-synthesizes
+/// it for the *new* query set.
 #[test]
 fn prefilter_rebuilds_on_churn() {
     let mut svc = service(

@@ -93,8 +93,11 @@ fn run(
     let env = FaultyEnv::new(ScalarEnv::new(1, lib), probe, plan.clone());
     let records =
         FaultyEnv::<ScalarEnv>::index_records((0..n_records).map(|v| vec![v as i64 - 40]));
+    // Every fold and merge of the shapes here takes a handful of steps; the
+    // small budget makes a looping merge run out of fuel quickly.
     let rep = quarantine_engine(workers)
-        .with_retry(naiad_lite::RetryPolicy::immediate(2))
+        .with_retry(2)
+        .with_fuel(1000)
         .with_recorder(udf_obs::RecorderCell::memory())
         .run_agg(&env, &records, queries, interner, mode)
         .expect("quarantine policy absorbs record faults");
@@ -254,7 +257,7 @@ fn quarantine_counters_survive_retries_and_merge_demotion() {
         .expect("parses"),
     );
     proved.push(true);
-    let queries = AggQuerySet::new(defs, proved).with_fuel(1000);
+    let queries = AggQuerySet::new(defs, proved);
     let n_records = 600usize;
     let plan = FaultPlan::seeded_kinds(
         7,

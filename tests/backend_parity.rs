@@ -19,7 +19,7 @@ use naiad_lite::engine::{
     Engine, EngineConfig, EngineError, ErrorPolicy, ExecBackend, ExecMode, JobReport, QuerySet,
 };
 use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
-use naiad_lite::{GuardAction, GuardPolicy, RetryPolicy, ScalarEnv};
+use naiad_lite::{GuardAction, GuardPolicy, ScalarEnv};
 use proptest::prelude::*;
 use udf_lang::ast::Program;
 use udf_lang::cost::CostModel;
@@ -177,7 +177,7 @@ fn run_both(
     w: &Workload,
     mode: ExecMode,
     fuel: Option<u64>,
-    retry: RetryPolicy,
+    max_retries: u32,
     guard: GuardPolicy,
 ) -> (JobReport, JobReport) {
     let run = |backend: ExecBackend| {
@@ -186,7 +186,7 @@ fn run_both(
             .with_config(EngineConfig {
                 error_policy: ErrorPolicy::Quarantine { max_errors: 4096 },
                 backend,
-                retry,
+                max_retries,
                 guard,
                 fuel,
                 ..EngineConfig::default()
@@ -249,7 +249,7 @@ proptest! {
                 &w,
                 mode,
                 Some(fuel),
-                RetryPolicy::immediate(retries),
+                retries,
                 GuardPolicy::default(),
             );
             assert_parity(&p, &c, &format!("seed {seed} mode {mode:?}"));
@@ -277,7 +277,7 @@ proptest! {
             &w,
             ExecMode::Consolidated,
             None,
-            RetryPolicy::immediate(2),
+            2,
             guard,
         );
         assert_parity(&p, &c, &format!("guarded seed {seed}"));
@@ -296,13 +296,7 @@ fn fuel_exhaustion_mid_batch_is_exact() {
     let w = workload(4, 128, FaultPlan::none());
     let mut quarantined = 0usize;
     for fuel in [5, 12, 20, 35, 60, 100, 350] {
-        let (p, c) = run_both(
-            &w,
-            ExecMode::Many,
-            Some(fuel),
-            RetryPolicy::default(),
-            GuardPolicy::default(),
-        );
+        let (p, c) = run_both(&w, ExecMode::Many, Some(fuel), 0, GuardPolicy::default());
         assert_parity(&p, &c, &format!("fuel {fuel}"));
         quarantined += p.quarantine.records_quarantined;
     }
@@ -326,7 +320,7 @@ fn retry_accounting_is_identical() {
             &w,
             ExecMode::Consolidated,
             None,
-            RetryPolicy::immediate(retries),
+            retries,
             GuardPolicy::default(),
         );
         assert_parity(&p, &c, &format!("retries {retries}"));
@@ -366,7 +360,7 @@ fn run_to_error(
         .with_config(EngineConfig {
             error_policy,
             backend,
-            retry: RetryPolicy::immediate(1),
+            max_retries: 1,
             guard,
             recorder: recorder.clone(),
             ..EngineConfig::default()
@@ -481,15 +475,7 @@ fn call_bearing_prefilter_condition_fails_open() {
         .with_prefilter(&cond, &hand_made.plan, &CostModel::default(), &|_| 20)
         .expect("rejection is not an error");
     assert!(hand_made.queries.prefilter.is_none(), "no pre-filter attached");
-    let run = |w: &Workload| {
-        run_both(
-            w,
-            ExecMode::Consolidated,
-            None,
-            RetryPolicy::immediate(1),
-            GuardPolicy::default(),
-        )
-    };
+    let run = |w: &Workload| run_both(w, ExecMode::Consolidated, None, 1, GuardPolicy::default());
     let (op, oc) = run(&off);
     let (hp, hc) = run(&hand_made);
     assert!(!op.quarantine.is_clean(), "the faults must bite");

@@ -6,10 +6,8 @@
 //! same epoch-by-epoch transcript (ci/chaos.sh additionally diffs two
 //! whole same-seed runs at the process level).
 
-use naiad_lite::engine::RetryPolicy;
 use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
 use naiad_lite::{ScalarEnv, UdfEnv};
-use std::time::Duration;
 use udf_lang::intern::Interner;
 use udf_lang::FnLibrary;
 use udf_serve::{
@@ -71,12 +69,7 @@ fn service(seed: u64) -> Service<Env> {
             epoch_batch_limit: 32,
             deadline_epochs: 2,
             tenant_quarantine_budget: 4,
-            retry: RetryPolicy {
-                max_retries: 1,
-                base_backoff: Duration::ZERO,
-                max_backoff: Duration::ZERO,
-                jitter_seed: seed,
-            },
+            max_retries: 1,
             ..ServeConfig::default()
         },
     );
@@ -218,17 +211,12 @@ fn query(svc: &mut Service<Env>, id: u32, f: &str, th: i64) -> udf_lang::ast::Pr
     .expect("generated program parses")
 }
 
-fn pressured_config(seed: u64) -> ServeConfig {
+fn pressured_config() -> ServeConfig {
     ServeConfig {
         queue_capacity: 96,
         epoch_batch_limit: 8,
         deadline_epochs: 1,
-        retry: RetryPolicy {
-            max_retries: 1,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-            jitter_seed: seed,
-        },
+        max_retries: 1,
         ..ServeConfig::default()
     }
 }
@@ -257,7 +245,7 @@ fn flood(svc: &mut Service<Env>) {
 fn deregister_defers_through_shed_then_applies() {
     silence_injected_panics();
     let (env, interner) = chaos_env(7);
-    let mut svc = Service::new(env, pressured_config(7));
+    let mut svc = Service::new(env, pressured_config());
     *svc.interner_mut() = interner;
     let q0 = query(&mut svc, 0, "half", 5);
     let q1 = query(&mut svc, 1, "half", 9);
@@ -324,7 +312,7 @@ fn deferred_register_survives_crash_before_apply() {
     let (env, interner) = chaos_env(seed);
     // Frames: reg q0 = 1, flood = 2..=13, reg q1 = 14; the first epoch's
     // commit frame (15) tears mid-append.
-    let mut cfg = pressured_config(seed);
+    let mut cfg = pressured_config();
     cfg.sim_crash = Some(SimCrash {
         point: CrashPoint::MidAppend,
         after: 15,
@@ -352,7 +340,7 @@ fn deferred_register_survives_crash_before_apply() {
     drop(svc);
     let (env2, interner2) = chaos_env(seed);
     let (mut svc, report) =
-        Service::recover(env2, interner2, pressured_config(seed), &dir).expect("recover");
+        Service::recover(env2, interner2, pressured_config(), &dir).expect("recover");
     assert!(report.truncated_tail, "the torn epoch frame is truncated");
     assert_eq!(report.frames_salvaged, 1);
     // The crashed epoch never became durable: the queue is still full and

@@ -25,7 +25,7 @@ use naiad_lite::engine::{
     Engine, EngineConfig, EngineError, ErrorPolicy, ExecBackend, ExecMode, JobReport, QuerySet,
 };
 use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
-use naiad_lite::{ErrorKind, GuardAction, GuardPolicy, RetryPolicy, ScalarEnv};
+use naiad_lite::{ErrorKind, GuardAction, GuardPolicy, ScalarEnv};
 use plan_cache::PlanCache;
 use std::sync::Arc;
 use udf_lang::ast::Program;
@@ -251,7 +251,7 @@ fn retry_drains_transient_faults_below_the_retry_budget() {
 
     let engine = Engine::new(4)
         .with_error_policy(ErrorPolicy::Quarantine { max_errors: 64 })
-        .with_retry(RetryPolicy::immediate(max_retries))
+        .with_retry(max_retries)
         .with_fuel(TEST_FUEL)
         .with_recorder(udf_obs::RecorderCell::memory());
     for mode in [ExecMode::Many, ExecMode::Consolidated] {
@@ -302,7 +302,7 @@ fn retry_budget_exhaustion_quarantines_with_exact_accounting() {
 
     let engine = Engine::new(4)
         .with_error_policy(ErrorPolicy::Quarantine { max_errors: 64 })
-        .with_retry(RetryPolicy::immediate(max_retries))
+        .with_retry(max_retries)
         .with_fuel(TEST_FUEL);
     for mode in [ExecMode::Many, ExecMode::Consolidated] {
         h.env.reset_transients();

@@ -27,7 +27,7 @@ use udf_lang::FnLibrary;
 
 use naiad_lite::engine::{Engine, EngineConfig, ExecBackend, ExecMode, JobReport, QuerySet};
 use naiad_lite::fault::{FaultKind, FaultPlan, FaultyEnv};
-use naiad_lite::{ErrorPolicy, GuardAction, GuardPolicy, RetryPolicy, ScalarEnv};
+use naiad_lite::{ErrorPolicy, GuardAction, GuardPolicy, ScalarEnv};
 
 /// One query of the mix. `a` and `b` are the two record fields.
 #[derive(Clone, Debug)]
@@ -134,7 +134,7 @@ fn run(
                 on_mismatch: GuardAction::LogOnly,
                 ..GuardPolicy::audit_all()
             },
-            retry: RetryPolicy::immediate(3),
+            max_retries: 3,
             backend,
             ..EngineConfig::default()
         })

@@ -21,12 +21,10 @@
 //!
 //! `ci/chaos.sh` sweeps this file across `CHAOS_SEED` values.
 
-use naiad_lite::engine::RetryPolicy;
 use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
 use naiad_lite::{ScalarEnv, UdfEnv};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::time::Duration;
 use udf_lang::intern::Interner;
 use udf_lang::FnLibrary;
 use udf_serve::{CrashPoint, JournalError, ServeConfig, ServeError, Service, SimCrash, TenantId};
@@ -76,7 +74,7 @@ fn build_env(seed: u64) -> (Env, Interner) {
     (FaultyEnv::new(ScalarEnv::new(1, lib), probe, faults), interner)
 }
 
-fn config(seed: u64, sim: Option<SimCrash>) -> ServeConfig {
+fn config(sim: Option<SimCrash>) -> ServeConfig {
     ServeConfig {
         queue_capacity: 96,
         epoch_batch_limit: 32,
@@ -86,12 +84,7 @@ fn config(seed: u64, sim: Option<SimCrash>) -> ServeConfig {
         // so the sweep exercises compaction + tail replay, not just replay.
         journal_checkpoint_every: 6,
         sim_crash: sim,
-        retry: RetryPolicy {
-            max_retries: 1,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-            jitter_seed: seed,
-        },
+        max_retries: 1,
         ..ServeConfig::default()
     }
 }
@@ -236,7 +229,7 @@ fn insert_digest(digests: &mut BTreeMap<u64, u64>, epoch: u64, digest: u64, when
 
 fn run_reference(seed: u64, steps: u32) -> RunOut {
     let (env, interner) = build_env(seed);
-    let mut svc = Service::new(env, config(seed, None));
+    let mut svc = Service::new(env, config(None));
     *svc.interner_mut() = interner;
     let mut digests = BTreeMap::new();
     for op in &build_ops(seed, steps) {
@@ -265,8 +258,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 fn run_crashed(seed: u64, steps: u32, sim: SimCrash, tag: &str) -> Option<RunOut> {
     let dir = fresh_dir(tag);
     let (env, interner) = build_env(seed);
-    let mut svc =
-        Service::open(env, interner, config(seed, Some(sim)), &dir).expect("open journaled");
+    let mut svc = Service::open(env, interner, config(Some(sim)), &dir).expect("open journaled");
     let ops = build_ops(seed, steps);
     let mut digests: BTreeMap<u64, u64> = BTreeMap::new();
     let mut hole: Option<u64> = None;
@@ -286,11 +278,13 @@ fn run_crashed(seed: u64, steps: u32, sim: SimCrash, tag: &str) -> Option<RunOut
                 // whatever it was doing half-done on disk.
                 drop(svc);
                 let (env2, interner2) = build_env(seed);
-                let (svc2, report) =
-                    Service::recover(env2, interner2, config(seed, None), &dir)
-                        .unwrap_or_else(|e| {
-                            panic!("recover after {point} at op {i} ({}): {e}", ops[i].describe())
-                        });
+                let (svc2, report) = Service::recover(env2, interner2, config(None), &dir)
+                    .unwrap_or_else(|e| {
+                        panic!(
+                            "recover after {point} at op {i} ({}): {e}",
+                            ops[i].describe()
+                        )
+                    });
                 assert_eq!(
                     report.frames_salvaged as usize,
                     report.incidents.len(),
@@ -382,7 +376,7 @@ fn journaling_is_observation_only_and_clean_recovery_is_exact() {
     let reference = run_reference(seed, steps);
     let dir = fresh_dir(&format!("clean-{seed:x}"));
     let (env, interner) = build_env(seed);
-    let mut svc = Service::open(env, interner, config(seed, None), &dir).expect("open");
+    let mut svc = Service::open(env, interner, config(None), &dir).expect("open");
     let mut digests = BTreeMap::new();
     for op in &build_ops(seed, steps) {
         if let Some((e, d)) = apply_op(&mut svc, op).expect("journaled op") {
@@ -401,7 +395,7 @@ fn journaling_is_observation_only_and_clean_recovery_is_exact() {
     drop(svc);
     let (env2, interner2) = build_env(seed);
     let (recovered, report) =
-        Service::recover(env2, interner2, config(seed, None), &dir).expect("clean recover");
+        Service::recover(env2, interner2, config(None), &dir).expect("clean recover");
     assert!(!report.truncated_tail, "clean shutdown leaves no torn tail");
     assert_eq!(report.frames_salvaged, 0);
     assert!(report.incidents.is_empty());

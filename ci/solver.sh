@@ -14,9 +14,17 @@
 # 2. The root suites that rest on verdicts: brute-force soundness, conflict
 #    cores of 12-40-literal conjunctions, the differential against
 #    full-set minimisation, udf_smt::eval against the brute-force evaluator
-#    and reused countermodels against the solver (prop_solver); the paper's
-#    examples; incremental vs from-scratch plans; cold vs cached plans.
-# 3. The benchmark's cold path at smoke scale: source text to notifications
+#    and reused countermodels against the solver (prop_solver); the theory
+#    kernel's answers, models, cores and work counters on seeded corpora,
+#    held to digests pinned before its representation last changed
+#    (solver_golden); the paper's examples; incremental vs from-scratch
+#    plans; cold vs cached plans.
+# 3. The solver's own tests, prop_solver and solver_golden again in the
+#    release profile. Overflow checks are off there: an unchecked operation
+#    wraps silently instead of panicking, so only the checked_* discipline
+#    keeps an overflow an `Unknown`, and these runs are where a slip shows
+#    (the `Rat` fast-path test compares against the general formulas).
+# 4. The benchmark's cold path at smoke scale: source text to notifications
 #    through the solver, every output checked against the interpreter
 #    oracle (exit 1 on `correct: false`). Timings are not asserted on; the
 #    plans are: the counts below are exact and deterministic on the default
@@ -27,7 +35,9 @@ set -eu
 cd "$(dirname "$0")/.."
 
 SOUNDNESS_CASES=48 cargo test -q -p udf-smt -p consolidate
-cargo test -q --test prop_solver --test paper_examples --test delta_equivalence --test warm_cache_parity
+cargo test -q --test prop_solver --test solver_golden --test paper_examples --test delta_equivalence --test warm_cache_parity
+cargo test --release -q -p udf-smt
+cargo test --release -q --test prop_solver --test solver_golden
 out="$(bash bench/run.sh --smoke --workload cold-omega)"
 plan_is() {
     got="$(printf '%s\n' "$out" | awk -v name="$1" '$1 == name { print $2; exit }')"

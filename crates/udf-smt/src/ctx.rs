@@ -8,6 +8,48 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A map keyed by the solver's own ids ([`TermId`], node indices, lists of
+/// them), hashed by [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// Multiply-rotate hashing (FxHash's) for keys the program makes itself:
+/// a few cycles per word instead of SipHash's tens, which dominate a map
+/// that lives for one theory check. No key comes from outside the program,
+/// so there is nothing to defend against collisions crafted by an input.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(4);
+        for c in &mut chunks {
+            self.add(u64::from(u32::from_le_bytes([c[0], c[1], c[2], c[3]])));
+        }
+        for &b in chunks.remainder() {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Handle to a term in a [`Context`]. Equal handles denote structurally equal
 /// terms.

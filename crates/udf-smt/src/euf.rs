@@ -12,9 +12,12 @@
 //! that justified the merge. [`Euf::explain`] walks the unique path between
 //! two equal nodes and returns the literals on it, so conflicts and the
 //! class equalities handed to arithmetic name the few literals they rest on.
+//!
+//! One instance lives for one theory check, so set-up is most of its cost:
+//! argument lists, edge labels and signature keys sit in flat arenas, and
+//! a signature is looked up through one reused buffer.
 
-use crate::ctx::{Context, Term, TermId};
-use std::collections::HashMap;
+use crate::ctx::{Context, IdMap, Term, TermId};
 
 /// Pseudo function symbols for interpreted operators (disjoint from real
 /// [`crate::ctx::FnSym`] indices, which are dense from 0).
@@ -23,32 +26,48 @@ const BUILTIN_SUB: u32 = u32::MAX - 1;
 const BUILTIN_MUL: u32 = u32::MAX - 2;
 
 /// Why two nodes were merged: the label of a proof-forest edge.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Why {
-    /// The input literals (by index) that entail the equality.
-    Lits(Vec<usize>),
+    /// The input literals (by index) that entail the equality:
+    /// `Euf::lits[start..end]`.
+    Lits(u32, u32),
     /// Congruence: same symbol, pairwise equal arguments.
     Cong,
+}
+
+/// An application node: its symbol and its argument nodes,
+/// `Euf::args[start..end]`.
+#[derive(Clone, Copy, Debug)]
+struct App {
+    f: u32,
+    start: u32,
+    end: u32,
 }
 
 /// A congruence-closure instance over terms of one [`Context`].
 #[derive(Debug, Default)]
 pub struct Euf {
     /// Dense node index per registered term.
-    node_of: HashMap<TermId, u32>,
+    node_of: IdMap<TermId, u32>,
     terms: Vec<TermId>,
     parent: Vec<u32>,
     rank: Vec<u32>,
     /// App nodes in which each node occurs as an argument.
     use_list: Vec<Vec<u32>>,
-    /// For App nodes: (fn index, arg node indices); `None` for leaves.
-    app: Vec<Option<(u32, Vec<u32>)>>,
-    /// Signature table: (fn, arg representatives) → node.
-    sig: HashMap<(u32, Vec<u32>), u32>,
+    /// Per node: its application, `None` for leaves.
+    app: Vec<Option<App>>,
+    /// Argument nodes of every application, back to back.
+    args: Vec<u32>,
+    /// Signature table: `[fn, arg representatives…]` → node.
+    sig: IdMap<Vec<u32>, u32>,
+    /// Reused buffer a signature is built in before it is looked up.
+    key: Vec<u32>,
     /// Proof forest: `proof[n] = (m, why)` is the edge `n — m` on `n`'s way
     /// to the root of its tree. One tree per class; the path between two
     /// nodes never changes once they are connected.
     proof: Vec<Option<(u32, Why)>>,
+    /// Literal lists of the [`Why::Lits`] edge labels, back to back.
+    lits: Vec<usize>,
     /// Per class root: an integer constant in the class and its node.
     konst: Vec<Option<(i64, u32)>>,
     /// Asserted disequalities: (node, node, literal index).
@@ -56,6 +75,12 @@ pub struct Euf {
     /// Per class root: the disequalities (indices into `diseqs`) with an
     /// endpoint in the class — the only ones a union can violate.
     diseqs_of: Vec<Vec<usize>>,
+    /// Reused worklist of [`Euf::union`].
+    pending: Vec<(u32, u32, Why)>,
+}
+
+fn index(n: usize) -> u32 {
+    u32::try_from(n).expect("too many EUF nodes")
 }
 
 impl Euf {
@@ -70,62 +95,93 @@ impl Euf {
             return n;
         }
         let mut konst = None;
-        let app_info = match ctx.term(t).clone() {
-            Term::App(f, args) => {
-                let arg_nodes: Vec<u32> = args.iter().map(|&a| self.add_term(ctx, a)).collect();
-                Some((f.0, arg_nodes))
-            }
-            // Arithmetic nodes participate in congruence as if they were
-            // applications of builtin symbols (`+`, `−`, `×` are functions,
-            // so `x = x' ∧ y = y' ⇒ x+y = x'+y'` is sound). This lets the
-            // closure derive most equalities without round-tripping through
-            // the arithmetic solver. LIA still owns their *theory* meaning.
+        // Arithmetic nodes participate in congruence as if they were
+        // applications of builtin symbols (`+`, `−`, `×` are functions, so
+        // `x = x' ∧ y = y' ⇒ x+y = x'+y'` is sound). This lets the closure
+        // derive most equalities without round-tripping through the
+        // arithmetic solver. LIA still owns their *theory* meaning.
+        let pair;
+        let app_terms: Option<(u32, &[TermId])> = match ctx.term(t) {
+            Term::App(f, args) => Some((f.0, args)),
             Term::Add(a, b) => {
-                let na = self.add_term(ctx, a);
-                let nb = self.add_term(ctx, b);
-                Some((BUILTIN_ADD, vec![na, nb]))
+                pair = [*a, *b];
+                Some((BUILTIN_ADD, &pair))
             }
             Term::Sub(a, b) => {
-                let na = self.add_term(ctx, a);
-                let nb = self.add_term(ctx, b);
-                Some((BUILTIN_SUB, vec![na, nb]))
+                pair = [*a, *b];
+                Some((BUILTIN_SUB, &pair))
             }
             Term::Mul(a, b) => {
-                let na = self.add_term(ctx, a);
-                let nb = self.add_term(ctx, b);
-                Some((BUILTIN_MUL, vec![na, nb]))
+                pair = [*a, *b];
+                Some((BUILTIN_MUL, &pair))
             }
             Term::Int(c) => {
-                konst = Some(c);
+                konst = Some(*c);
                 None
             }
             Term::Var(_) => None,
         };
-        let n = u32::try_from(self.terms.len()).expect("too many EUF nodes");
+        let mut app_info = None;
+        if let Some((f, arg_terms)) = app_terms {
+            // Subterms first; their nodes then go into the arena in order.
+            for &a in arg_terms {
+                self.add_term(ctx, a);
+            }
+            let start = index(self.args.len());
+            for a in arg_terms {
+                self.args.push(self.node_of[a]);
+            }
+            app_info = Some(App {
+                f,
+                start,
+                end: index(self.args.len()),
+            });
+        }
+        let n = index(self.terms.len());
         self.terms.push(t);
         self.parent.push(n);
         self.rank.push(0);
         self.use_list.push(Vec::new());
-        self.app.push(app_info.clone());
+        self.app.push(app_info);
         self.proof.push(None);
         // Distinct integer constants are disequal by theory.
         self.konst.push(konst.map(|c| (c, n)));
         self.diseqs_of.push(Vec::new());
         self.node_of.insert(t, n);
-        if let Some((f, args)) = app_info {
-            for &a in &args {
+        if let Some(app) = app_info {
+            for k in app.start..app.end {
+                let a = self.args[k as usize];
                 self.use_list[a as usize].push(n);
             }
-            let sig_key = (f, args.iter().map(|&a| self.find(a)).collect::<Vec<_>>());
-            if let Some(&existing) = self.sig.get(&sig_key) {
+            if let Some(existing) = self.signature_of(app) {
                 // Congruent to an existing application: merge immediately.
                 let fresh = self.union(existing, n, Why::Cong);
                 debug_assert!(fresh.is_ok(), "a fresh node has no constant and no disequality");
             } else {
-                self.sig.insert(sig_key, n);
+                self.sig.insert(self.key.clone(), n);
             }
         }
         n
+    }
+
+    /// Builds `app`'s current signature in [`Euf::key`] and returns the node
+    /// the table holds for it, if any.
+    fn signature_of(&mut self, app: App) -> Option<u32> {
+        self.key.clear();
+        self.key.push(app.f);
+        for k in app.start..app.end {
+            let r = self.find(self.args[k as usize]);
+            self.key.push(r);
+        }
+        self.sig.get(self.key.as_slice()).copied()
+    }
+
+    /// Argument nodes of node `n` (empty for a leaf).
+    fn args_of(&self, n: u32) -> &[u32] {
+        match self.app[n as usize] {
+            Some(App { start, end, .. }) => &self.args[start as usize..end as usize],
+            None => &[],
+        }
     }
 
     fn find(&self, mut n: u32) -> u32 {
@@ -150,8 +206,9 @@ impl Euf {
     /// at the first union that puts two distinct constants or the two sides
     /// of a disequality into one class, and explains it.
     fn union(&mut self, a: u32, b: u32, why: Why) -> Result<(), Vec<usize>> {
-        let mut pending = vec![(a, b, why)];
-        while let Some((x, y, why)) = pending.pop() {
+        self.pending.clear();
+        self.pending.push((a, b, why));
+        while let Some((x, y, why)) = self.pending.pop() {
             let (rx, ry) = (self.find_compress(x), self.find_compress(y));
             if rx == ry {
                 continue;
@@ -183,17 +240,13 @@ impl Euf {
             // Re-hash every application that used the loser's class.
             let users = std::mem::take(&mut self.use_list[loser as usize]);
             for &u in &users {
-                let (f, args) = self.app[u as usize].clone().expect("user is an App node");
-                let key = (
-                    f,
-                    args.iter().map(|&n| self.find(n)).collect::<Vec<u32>>(),
-                );
-                if let Some(&other) = self.sig.get(&key) {
+                let app = self.app[u as usize].expect("user is an App node");
+                if let Some(other) = self.signature_of(app) {
                     if self.find(other) != self.find(u) {
-                        pending.push((other, u, Why::Cong));
+                        self.pending.push((other, u, Why::Cong));
                     }
                 } else {
-                    self.sig.insert(key, u);
+                    self.sig.insert(self.key.clone(), u);
                 }
             }
             self.use_list[winner as usize].extend(users);
@@ -214,8 +267,8 @@ impl Euf {
     /// The nodes from `n` up to the root of its proof tree.
     fn proof_path(&self, mut n: u32) -> Vec<u32> {
         let mut path = vec![n];
-        while let Some((next, _)) = &self.proof[n as usize] {
-            n = *next;
+        while let Some((next, _)) = self.proof[n as usize] {
+            n = next;
             path.push(n);
         }
         path
@@ -245,11 +298,13 @@ impl Euf {
                 if std::mem::replace(&mut seen[n as usize], true) {
                     continue;
                 }
-                match &self.proof[n as usize] {
-                    Some((_, Why::Lits(lits))) => out.extend_from_slice(lits),
+                match self.proof[n as usize] {
+                    Some((_, Why::Lits(start, end))) => {
+                        out.extend_from_slice(&self.lits[start as usize..end as usize]);
+                    }
                     Some((m, Why::Cong)) => {
-                        let args = |k: u32| self.app[k as usize].iter().flat_map(|(_, a)| a);
-                        todo.extend(args(n).copied().zip(args(*m).copied()));
+                        let pairs = self.args_of(n).iter().zip(self.args_of(m));
+                        todo.extend(pairs.map(|(&x, &y)| (x, y)));
                     }
                     None => debug_assert!(false, "path node without an edge"),
                 }
@@ -285,7 +340,9 @@ impl Euf {
         reason: &[usize],
     ) -> Result<(), Vec<usize>> {
         let (na, nb) = (self.add_term(ctx, a), self.add_term(ctx, b));
-        self.union(na, nb, Why::Lits(reason.to_vec()))
+        let start = index(self.lits.len());
+        self.lits.extend_from_slice(reason);
+        self.union(na, nb, Why::Lits(start, index(self.lits.len())))
     }
 
     /// Asserts `a ≠ b` as input literal `lit`. `Err` explains why `a` and

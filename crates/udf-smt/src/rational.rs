@@ -3,6 +3,14 @@
 //! The simplex works over rationals; every operation is checked and
 //! overflow surfaces as `None`, which the solver maps to
 //! [`crate::solver::SatResult::Unknown`] (never to a wrong answer).
+//!
+//! Most values the solver meets are integers: the linearizer emits integer
+//! coefficients, and pivots on ±1 keep them integral. So addition,
+//! subtraction and multiplication take a fast path when both operands are
+//! integers, and gcds run in `u64` whenever both operands fit. Lowest terms
+//! are unique, and each fast path overflows exactly when the general
+//! formula does, so every result — `None` included — is the one the
+//! general formula gives; the tests hold them to it.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -14,13 +22,49 @@ pub struct Rat {
     den: i128,
 }
 
-fn gcd(mut a: i128, mut b: i128) -> i128 {
+/// Greatest common divisor (`gcd(0, 0) = 0`). Euclid's steps run in `u64`
+/// as soon as both operands fit.
+pub(crate) fn gcd(mut a: u128, mut b: u128) -> u128 {
     while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+        if let (Ok(mut x), Ok(mut y)) = (u64::try_from(a), u64::try_from(b)) {
+            while y != 0 {
+                (x, y) = (y, x % y);
+            }
+            return u128::from(x);
+        }
+        (a, b) = (b, a % b);
     }
-    a.abs()
+    a
+}
+
+/// `gcd(|a|, d)` for a positive `d`: at most `d`, so it fits.
+fn gcd_with_den(a: i128, d: i128) -> i128 {
+    i128::try_from(gcd(a.unsigned_abs(), d.unsigned_abs()))
+        .expect("a gcd with a positive denominator is at most it")
+}
+
+/// `a/b` against `c/d` (`b, d > 0`) with no product that can overflow:
+/// compare the integer parts, then the fractional parts by their
+/// reciprocals, which reverses the order — Euclid's algorithm run on both
+/// fractions at once. The denominators shrink every round.
+fn cmp_exact(mut a: i128, mut b: i128, mut c: i128, mut d: i128) -> Ordering {
+    let mut reversed = false;
+    loop {
+        let (qa, ra) = (a.div_euclid(b), a.rem_euclid(b));
+        let (qc, rc) = (c.div_euclid(d), c.rem_euclid(d));
+        let ord = match (qa.cmp(&qc), ra, rc) {
+            (Ordering::Equal, 0, 0) => Ordering::Equal,
+            (Ordering::Equal, 0, _) => Ordering::Less,
+            (Ordering::Equal, _, 0) => Ordering::Greater,
+            (Ordering::Equal, _, _) => {
+                (a, b, c, d) = (b, ra, d, rc);
+                reversed = !reversed;
+                continue;
+            }
+            (ord, _, _) => ord,
+        };
+        return if reversed { ord.reverse() } else { ord };
+    }
 }
 
 impl Rat {
@@ -29,18 +73,26 @@ impl Rat {
     /// One.
     pub const ONE: Rat = Rat { num: 1, den: 1 };
 
-    /// Creates `num/den` in lowest terms. Returns `None` if `den == 0`.
+    /// Creates `num/den` in lowest terms. Returns `None` if `den == 0` or
+    /// the value's lowest terms do not fit (`i128::MIN / -1`).
     pub fn new(num: i128, den: i128) -> Option<Rat> {
+        if den == 1 {
+            return Some(Rat { num, den });
+        }
         if den == 0 {
             return None;
         }
-        let g = gcd(num, den);
-        let (mut num, mut den) = if g == 0 { (0, 1) } else { (num / g, den / g) };
-        if den < 0 {
-            num = num.checked_neg()?;
-            den = den.checked_neg()?;
-        }
-        Some(Rat { num, den })
+        let g = gcd(num.unsigned_abs(), den.unsigned_abs());
+        let (n, d) = (num.unsigned_abs() / g, den.unsigned_abs() / g);
+        let num = if (num < 0) == (den < 0) {
+            i128::try_from(n).ok()?
+        } else {
+            0i128.checked_sub_unsigned(n)?
+        };
+        Some(Rat {
+            num,
+            den: i128::try_from(d).ok()?,
+        })
     }
 
     /// Creates an integer rational.
@@ -82,13 +134,31 @@ impl Rat {
         self.num.div_euclid(self.den)
     }
 
-    /// Ceiling as an integer.
+    /// Ceiling as an integer. A non-integer has `den ≥ 2`, so its floor is
+    /// at most half the numerator and one more cannot overflow.
     pub fn ceil(self) -> i128 {
-        -((-self.num).div_euclid(self.den))
+        if self.is_integer() {
+            self.num
+        } else {
+            self.floor() + 1
+        }
     }
 
     /// Checked addition.
     pub fn checked_add(self, o: Rat) -> Option<Rat> {
+        // a/1 + c/d = (a·d + c)/d, already in lowest terms because c/d is.
+        match (self.den, o.den) {
+            (1, 1) => return Some(Rat::int(self.num.checked_add(o.num)?)),
+            (1, d) => {
+                let n = self.num.checked_mul(d)?.checked_add(o.num)?;
+                return Some(Rat { num: n, den: d });
+            }
+            (d, 1) => {
+                let n = self.num.checked_add(o.num.checked_mul(d)?)?;
+                return Some(Rat { num: n, den: d });
+            }
+            _ => {}
+        }
         let n = self
             .num
             .checked_mul(o.den)?
@@ -98,28 +168,34 @@ impl Rat {
 
     /// Checked subtraction.
     pub fn checked_sub(self, o: Rat) -> Option<Rat> {
-        self.checked_add(Rat {
-            num: o.num.checked_neg()?,
-            den: o.den,
-        })
+        self.checked_add(o.checked_neg()?)
     }
 
     /// Checked multiplication.
     pub fn checked_mul(self, o: Rat) -> Option<Rat> {
-        // Cross-reduce first to keep magnitudes small.
-        let g1 = gcd(self.num, o.den).max(1);
-        let g2 = gcd(o.num, self.den).max(1);
+        if self.den == 1 && o.den == 1 {
+            return Some(Rat::int(self.num.checked_mul(o.num)?));
+        }
+        // Cross-reduce first to keep magnitudes small. Both operands are in
+        // lowest terms, so the cross-reduced product is too.
+        let g1 = gcd_with_den(self.num, o.den).max(1);
+        let g2 = gcd_with_den(o.num, self.den).max(1);
         let n = (self.num / g1).checked_mul(o.num / g2)?;
         let d = (self.den / g2).checked_mul(o.den / g1)?;
-        Rat::new(n, d)
+        Some(Rat { num: n, den: d })
     }
 
     /// Checked division. `None` on division by zero or overflow.
     pub fn checked_div(self, o: Rat) -> Option<Rat> {
-        if o.num == 0 {
-            return None;
-        }
-        self.checked_mul(Rat::new(o.den, o.num)?)
+        let recip = match o.num.signum() {
+            0 => return None,
+            1 => Rat { num: o.den, den: o.num },
+            _ => Rat {
+                num: -o.den,
+                den: o.num.checked_neg()?,
+            },
+        };
+        self.checked_mul(recip)
     }
 
     /// Checked negation.
@@ -139,21 +215,16 @@ impl PartialOrd for Rat {
 
 impl Ord for Rat {
     fn cmp(&self, other: &Rat) -> Ordering {
-        // a/b vs c/d with b,d > 0 — compare a*d vs c*b. Overflow here is a
-        // genuine possibility only with astronomically large pivots; fall
-        // back to f64 comparison with exact tie-break in that case is unsound,
-        // so instead saturate through i128→f64 only when equality is
-        // impossible. In practice, checked ops upstream keep magnitudes small.
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
+        // a/b vs c/d with b, d > 0: compare a·d with c·b when both fit.
         match (
             self.num.checked_mul(other.den),
             other.num.checked_mul(self.den),
         ) {
             (Some(l), Some(r)) => l.cmp(&r),
-            _ => {
-                let l = self.num as f64 / self.den as f64;
-                let r = other.num as f64 / other.den as f64;
-                l.partial_cmp(&r).unwrap_or(Ordering::Equal)
-            }
+            _ => cmp_exact(self.num, self.den, other.num, other.den),
         }
     }
 }
@@ -171,6 +242,7 @@ impl fmt::Display for Rat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     #[test]
     fn normalization() {
@@ -223,5 +295,221 @@ mod tests {
         let big = Rat::int(i128::MAX);
         assert!(big.checked_add(Rat::ONE).is_none());
         assert!(big.checked_mul(Rat::int(2)).is_none());
+    }
+
+    #[test]
+    fn comparison_is_exact_where_cross_products_overflow() {
+        // (2¹⁰⁰+1)/(2⁴⁰+1) and 2¹⁰⁰/(2⁴⁰+1) are distinct lowest-terms values
+        // whose quotients agree to far beyond an f64 mantissa.
+        let (p, q) = (1i128 << 100, (1i128 << 40) + 1);
+        let above = Rat::new(p + 1, q).unwrap();
+        let below = Rat::new(p, q).unwrap();
+        assert_ne!(above, below);
+        assert_eq!(above.cmp(&below), Ordering::Greater);
+        assert_eq!(below.cmp(&above), Ordering::Less);
+        // Different denominators: p/q + 1/q against p/q + 1/(2q).
+        let halfway = Rat::new(2 * p + 1, 2 * q).unwrap();
+        assert_eq!(above.cmp(&halfway), Ordering::Greater);
+        assert_eq!(halfway.cmp(&below), Ordering::Greater);
+        let c = Rat::new(i128::MAX, q).unwrap();
+        let d = Rat::new(i128::MAX - 1, q).unwrap();
+        assert_eq!(c.cmp(&d), Ordering::Greater);
+        let e = Rat::new(i128::MAX, (1i128 << 41) + 3).unwrap();
+        assert_eq!(c.cmp(&e), Ordering::Greater);
+        assert_eq!(e.cmp(&c), Ordering::Less);
+        assert_eq!(e.checked_neg().unwrap().cmp(&c.checked_neg().unwrap()), Ordering::Greater);
+    }
+
+    #[test]
+    fn rounding_the_extremes_cannot_overflow() {
+        assert_eq!(Rat::int(i128::MIN).ceil(), i128::MIN);
+        assert_eq!(Rat::int(i128::MIN).floor(), i128::MIN);
+        assert_eq!(Rat::int(i128::MAX).ceil(), i128::MAX);
+        let r = Rat::new(i128::MIN, 3).unwrap();
+        assert_eq!(r.ceil(), i128::MIN / 3);
+        assert_eq!(r.floor(), i128::MIN / 3 - 1);
+        let r = Rat::new(i128::MAX, 2).unwrap();
+        assert_eq!(r.ceil(), i128::MAX / 2 + 1);
+    }
+
+    /// The general formulas, with no fast path: what every operation
+    /// computes by definition. Its gcd takes the remainder and absolute
+    /// value wrapping, so the reference is total on `i128::MIN`; its
+    /// comparison multiplies out to 256 bits.
+    mod reference {
+        use std::cmp::Ordering;
+
+        pub type Pair = (i128, i128);
+
+        fn gcd(mut a: i128, mut b: i128) -> i128 {
+            while b != 0 {
+                let t = a.wrapping_rem(b);
+                a = b;
+                b = t;
+            }
+            a.wrapping_abs()
+        }
+
+        pub fn new(num: i128, den: i128) -> Option<Pair> {
+            if den == 0 {
+                return None;
+            }
+            let g = gcd(num, den);
+            let (mut num, mut den) = if g == 0 { (0, 1) } else { (num / g, den / g) };
+            if den < 0 {
+                num = num.checked_neg()?;
+                den = den.checked_neg()?;
+            }
+            Some((num, den))
+        }
+
+        pub fn add((a, b): Pair, (c, d): Pair) -> Option<Pair> {
+            let n = a.checked_mul(d)?.checked_add(c.checked_mul(b)?)?;
+            new(n, b.checked_mul(d)?)
+        }
+
+        pub fn sub(x: Pair, (c, d): Pair) -> Option<Pair> {
+            add(x, (c.checked_neg()?, d))
+        }
+
+        pub fn mul((a, b): Pair, (c, d): Pair) -> Option<Pair> {
+            let g1 = gcd(a, d).max(1);
+            let g2 = gcd(c, b).max(1);
+            let n = (a / g1).checked_mul(c / g2)?;
+            let m = (b / g2).checked_mul(d / g1)?;
+            new(n, m)
+        }
+
+        pub fn div(x: Pair, (c, d): Pair) -> Option<Pair> {
+            if c == 0 {
+                return None;
+            }
+            mul(x, new(d, c)?)
+        }
+
+        /// `x·y` as (negative, high 128 bits, low 128 bits) of the magnitude.
+        fn wide_mul(x: i128, y: i128) -> (bool, u128, u128) {
+            const LO: u128 = u64::MAX as u128;
+            let (p, q) = (x.unsigned_abs(), y.unsigned_abs());
+            let (p1, p0, q1, q0) = (p >> 64, p & LO, q >> 64, q & LO);
+            let (p00, p01, p10, p11) = (p0 * q0, p0 * q1, p1 * q0, p1 * q1);
+            let mid = (p00 >> 64) + (p01 & LO) + (p10 & LO);
+            let lo = (p00 & LO) | ((mid & LO) << 64);
+            let hi = p11 + (p01 >> 64) + (p10 >> 64) + (mid >> 64);
+            ((x < 0) != (y < 0) && p != 0 && q != 0, hi, lo)
+        }
+
+        pub fn cmp((a, b): Pair, (c, d): Pair) -> Ordering {
+            let (ln, lh, ll) = wide_mul(a, d);
+            let (rn, rh, rl) = wide_mul(c, b);
+            match (ln, rn) {
+                (false, true) => Ordering::Greater,
+                (true, false) => Ordering::Less,
+                (false, false) => (lh, ll).cmp(&(rh, rl)),
+                (true, true) => (rh, rl).cmp(&(lh, ll)),
+            }
+        }
+
+        pub fn floor((a, b): Pair) -> i128 {
+            a.div_euclid(b)
+        }
+
+        /// Truncation toward zero of a negative magnitude is its ceiling.
+        pub fn ceil((a, b): Pair) -> i128 {
+            if a >= 0 {
+                a / b + i128::from(a % b != 0)
+            } else {
+                let m = a.unsigned_abs() / b.unsigned_abs();
+                0i128.checked_sub_unsigned(m).expect("|a| / b fits below zero")
+            }
+        }
+    }
+
+    fn pair(r: Rat) -> reference::Pair {
+        (r.num(), r.den())
+    }
+
+    /// Holds every operation on `x` and `y` (valid lowest-terms values) to
+    /// the reference.
+    fn agrees(x: Rat, y: Rat) {
+        let (px, py) = (pair(x), pair(y));
+        let ctx = || format!("{x} and {y}");
+        assert_eq!(x.checked_add(y).map(pair), reference::add(px, py), "add {}", ctx());
+        assert_eq!(x.checked_sub(y).map(pair), reference::sub(px, py), "sub {}", ctx());
+        assert_eq!(x.checked_mul(y).map(pair), reference::mul(px, py), "mul {}", ctx());
+        assert_eq!(x.checked_div(y).map(pair), reference::div(px, py), "div {}", ctx());
+        assert_eq!(x.cmp(&y), reference::cmp(px, py), "cmp {}", ctx());
+        assert_eq!(x.floor(), reference::floor(px), "floor {x}");
+        assert_eq!(x.ceil(), reference::ceil(px), "ceil {x}");
+    }
+
+    /// Numerators and denominators near the edges the fast paths and the
+    /// `u64` gcd switch on.
+    fn edge(rng: &mut SmallRng) -> i128 {
+        let base = match rng.gen_range(0..6) {
+            0 => i128::MAX,
+            1 => i128::MIN,
+            2 => i128::from(i64::MAX),
+            3 => i128::from(u64::MAX),
+            4 => 1i128 << rng.gen_range(1..127),
+            _ => i128::from(rng.gen::<i64>()) * i128::from(rng.gen::<i64>()),
+        };
+        let nudged = base.saturating_add(i128::from(rng.gen_range(-3i64..4)));
+        if rng.gen_bool(0.5) {
+            nudged
+        } else {
+            nudged.saturating_neg()
+        }
+    }
+
+    #[test]
+    fn fast_paths_equal_the_general_formulas() {
+        for n in -30..=30 {
+            for d in -30..=30 {
+                assert_eq!(Rat::new(n, d).map(pair), reference::new(n, d), "new {n}/{d}");
+            }
+        }
+        let small: Vec<Rat> = (-8..=8)
+            .flat_map(|n| (1..=8).filter_map(move |d| Rat::new(n, d)))
+            .collect();
+        for &x in &small {
+            for &y in &small {
+                agrees(x, y);
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(7);
+        for _ in 0..200_000 {
+            let num = match rng.gen_range(0..3) {
+                0 => edge(&mut rng),
+                1 => i128::from(rng.gen::<i64>()),
+                _ => i128::from(rng.gen_range(-9i64..10)),
+            };
+            let den = match rng.gen_range(0..4) {
+                0 => edge(&mut rng),
+                1 => i128::from(rng.gen::<i64>()),
+                2 => 1,
+                _ => i128::from(rng.gen_range(-9i64..10)),
+            };
+            assert_eq!(Rat::new(num, den).map(pair), reference::new(num, den), "new {num}/{den}");
+        }
+        let mut values: Vec<Rat> = Vec::new();
+        while values.len() < 600 {
+            let num = if rng.gen_bool(0.5) { edge(&mut rng) } else { i128::from(rng.gen::<i64>()) };
+            let den = match rng.gen_range(0..3) {
+                0 => edge(&mut rng),
+                1 => i128::from(rng.gen::<i64>()),
+                _ => 1,
+            };
+            values.extend(Rat::new(num, den));
+        }
+        values.extend([Rat::ZERO, Rat::ONE, Rat::int(-1)]);
+        values.extend([Rat::int(i128::MIN), Rat::int(i128::MAX)]);
+        for &x in &values {
+            for &y in &values {
+                agrees(x, y);
+            }
+            agrees(x, small[rng.gen_range(0..small.len())]);
+            agrees(small[rng.gen_range(0..small.len())], x);
+        }
     }
 }

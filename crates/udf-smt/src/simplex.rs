@@ -10,14 +10,15 @@
 //! All arithmetic is exact (checked `i128` rationals); overflow and
 //! branching-budget exhaustion surface as [`LiaResult::Unknown`].
 
-use crate::rational::Rat;
-use std::collections::BTreeMap;
+use crate::rational::{gcd, Rat};
 
-/// A linear expression `Σ coeffs[v]·x_v + constant`.
+/// A linear expression `Σ c·x_v + constant` over the `(v, c)` pairs of
+/// `coeffs`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LinExpr {
-    /// Coefficients per variable index (no zero entries).
-    pub coeffs: BTreeMap<usize, Rat>,
+    /// `(variable index, coefficient)` pairs, sorted by variable, without
+    /// repeated variables or zero coefficients.
+    pub coeffs: Vec<(usize, Rat)>,
     /// Constant offset.
     pub constant: Rat,
 }
@@ -31,67 +32,107 @@ impl Default for LinExpr {
 impl LinExpr {
     /// The zero expression.
     pub fn zero() -> LinExpr {
-        LinExpr {
-            coeffs: BTreeMap::new(),
-            constant: Rat::ZERO,
-        }
+        LinExpr::constant(Rat::ZERO)
     }
 
     /// A constant expression.
     pub fn constant(c: Rat) -> LinExpr {
         LinExpr {
-            coeffs: BTreeMap::new(),
+            coeffs: Vec::new(),
             constant: c,
         }
     }
 
     /// The expression `x_v`.
     pub fn var(v: usize) -> LinExpr {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(v, Rat::ONE);
         LinExpr {
-            coeffs,
+            coeffs: vec![(v, Rat::ONE)],
             constant: Rat::ZERO,
         }
     }
 
-    /// Adds `c·x_v` in place. Returns `None` on overflow.
+    /// Adds `c·x_v` in place. Returns `None` on overflow, leaving the
+    /// expression unchanged.
     pub fn add_term(&mut self, v: usize, c: Rat) -> Option<()> {
-        let entry = self.coeffs.entry(v).or_insert(Rat::ZERO);
-        *entry = entry.checked_add(c)?;
-        if entry.is_zero() {
-            self.coeffs.remove(&v);
+        match self.coeffs.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => {
+                let sum = self.coeffs[i].1.checked_add(c)?;
+                if sum.is_zero() {
+                    self.coeffs.remove(i);
+                } else {
+                    self.coeffs[i].1 = sum;
+                }
+            }
+            Err(i) if !c.is_zero() => self.coeffs.insert(i, (v, c)),
+            Err(_) => {}
         }
         Some(())
     }
 
     /// `self + other`. Returns `None` on overflow.
     pub fn checked_add(&self, other: &LinExpr) -> Option<LinExpr> {
-        let mut out = self.clone();
-        for (&v, &c) in &other.coeffs {
-            out.add_term(v, c)?;
-        }
-        out.constant = out.constant.checked_add(other.constant)?;
-        Some(out)
+        self.merge(other, Rat::checked_add, Some)
     }
 
     /// `self − other`. Returns `None` on overflow.
     pub fn checked_sub(&self, other: &LinExpr) -> Option<LinExpr> {
-        let neg = other.checked_scale(Rat::int(-1))?;
-        self.checked_add(&neg)
+        self.merge(other, Rat::checked_sub, Rat::checked_neg)
+    }
+
+    /// Merges the two sorted coefficient lists: `both` combines a variable
+    /// (and the constants) present on both sides, `right` maps one present
+    /// only in `other`. Zero results are dropped.
+    fn merge(
+        &self,
+        other: &LinExpr,
+        both: fn(Rat, Rat) -> Option<Rat>,
+        right: fn(Rat) -> Option<Rat>,
+    ) -> Option<LinExpr> {
+        let mut coeffs = Vec::with_capacity(self.coeffs.len() + other.coeffs.len());
+        let (mut i, mut j) = (0, 0);
+        while i < self.coeffs.len() || j < other.coeffs.len() {
+            let (v, c) = match (self.coeffs.get(i), other.coeffs.get(j)) {
+                (Some(&(v, a)), Some(&(w, _))) if v < w => {
+                    i += 1;
+                    (v, a)
+                }
+                (Some(&(v, a)), Some(&(w, b))) if v == w => {
+                    (i, j) = (i + 1, j + 1);
+                    (v, both(a, b)?)
+                }
+                (_, Some(&(w, b))) => {
+                    j += 1;
+                    (w, right(b)?)
+                }
+                (Some(&(v, a)), None) => {
+                    i += 1;
+                    (v, a)
+                }
+                (None, None) => unreachable!("loop condition"),
+            };
+            if !c.is_zero() {
+                coeffs.push((v, c));
+            }
+        }
+        Some(LinExpr {
+            coeffs,
+            constant: both(self.constant, other.constant)?,
+        })
     }
 
     /// `k · self`. Returns `None` on overflow.
     pub fn checked_scale(&self, k: Rat) -> Option<LinExpr> {
-        let mut out = LinExpr::zero();
-        for (&v, &c) in &self.coeffs {
+        let mut coeffs = Vec::with_capacity(self.coeffs.len());
+        for &(v, c) in &self.coeffs {
             let c2 = c.checked_mul(k)?;
             if !c2.is_zero() {
-                out.coeffs.insert(v, c2);
+                coeffs.push((v, c2));
             }
         }
-        out.constant = self.constant.checked_mul(k)?;
-        Some(out)
+        Some(LinExpr {
+            coeffs,
+            constant: self.constant.checked_mul(k)?,
+        })
     }
 
     /// Whether the expression mentions no variables.
@@ -145,16 +186,60 @@ pub enum LiaResult {
     Unknown,
 }
 
+/// Where a variable sits in the tableau.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Pos {
+    /// Basic in this row.
+    Basic(usize),
+    /// Nonbasic, in this column slot.
+    Slot(usize),
+}
+
+/// Per-variable state: bounds, the current assignment β, and its place.
+#[derive(Clone, Copy, Debug)]
+struct Column {
+    lb: Option<Rat>,
+    ub: Option<Rat>,
+    beta: Rat,
+    pos: Pos,
+}
+
+impl Column {
+    fn free(pos: Pos) -> Column {
+        Column {
+            lb: None,
+            ub: None,
+            beta: Rat::ZERO,
+            pos,
+        }
+    }
+
+    fn below_ub(&self) -> bool {
+        self.ub.is_none_or(|u| self.beta < u)
+    }
+
+    fn above_lb(&self) -> bool {
+        self.lb.is_none_or(|l| self.beta > l)
+    }
+}
+
+/// The tableau over the original variables `0..n_orig` and one slack per
+/// row (variable `n_orig + r`). Each row has one basic variable, so exactly
+/// `n_orig` variables are nonbasic at any time; the matrix keeps a column
+/// slot for each of those only.
 #[derive(Clone, Debug)]
 struct Tableau {
     n_orig: usize,
-    n_total: usize,
-    rows: Vec<Vec<Rat>>,
+    /// Row-major `rows × n_orig` coefficients: row `r` reads
+    /// `x_{basic[r]} = Σ_s cells[r·n_orig + s]·x_{nonbasic[s]}`. A
+    /// branch-and-bound node copies it as one buffer.
+    cells: Vec<Rat>,
+    /// Per row: its basic variable.
     basic: Vec<usize>,
-    row_of: Vec<Option<usize>>,
-    lb: Vec<Option<Rat>>,
-    ub: Vec<Option<Rat>>,
-    beta: Vec<Rat>,
+    /// Per column slot: its nonbasic variable.
+    nonbasic: Vec<usize>,
+    /// Per variable.
+    cols: Vec<Column>,
     /// Per-disequality: (slack var, required-nonzero offset): violated when
     /// `β(slack) == offset`.
     diseq_slacks: Vec<(usize, Rat)>,
@@ -175,73 +260,76 @@ enum Feas {
     Infeasible,
 }
 
-fn gcd_i128(mut a: i128, mut b: i128) -> i128 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a.abs()
-}
-
-/// Integer tightening of `Σ cᵢxᵢ ⊲ b` (xs integral): scale so coefficients
-/// are integers, divide by their gcd `g`, and round the bound (`floor` for
-/// `≤`, `ceil` for `≥`); equalities with `g ∤ b` are infeasible outright.
-/// Returns `(coeff-only expr, lb, ub)` or `Err(Tightened::Infeasible)`;
-/// `Err(Tightened::Trivial)` marks constraints that became vacuous.
+/// Why [`tighten_con`] produced no row.
 enum Tightened {
     Infeasible,
+    /// The constraint is vacuous.
     Trivial,
     Overflow,
 }
 
-fn tighten_con(expr: &LinExpr, rel: Rel) -> Result<(LinExpr, Option<Rat>, Option<Rat>), Tightened> {
-    // Scale all coefficients and the constant to integers.
+/// Bounds `(lb, ub)` on a row's slack.
+type Bounds = (Option<Rat>, Option<Rat>);
+
+/// A row's nonzero entries as `(column slot, coefficient)`: the pivot's
+/// reused scratch row.
+type Row = Vec<(usize, Rat)>;
+
+/// Integer tightening of `Σ cᵢxᵢ ⊲ b` (xs integral): scale so coefficients
+/// are integers, divide by their gcd `g`, and round the bound (`floor` for
+/// `≤`, `ceil` for `≥`); equalities with `g ∤ b` are infeasible outright.
+/// Writes the coefficients into the zeroed `row` and returns the slack's
+/// bounds; `row` is untouched on `Err`.
+fn tighten_con(expr: &LinExpr, rel: Rel, row: &mut [Rat]) -> Result<Bounds, Tightened> {
+    let integral = expr.constant.is_integer() && expr.coeffs.iter().all(|(_, c)| c.is_integer());
+    if integral {
+        return tighten_integral(expr, rel, row);
+    }
     let mut lcm: i128 = 1;
-    for c in expr.coeffs.values().chain(std::iter::once(&expr.constant)) {
+    for c in expr.coeffs.iter().map(|(_, c)| c).chain(std::iter::once(&expr.constant)) {
         let d = c.den();
-        let g = gcd_i128(lcm, d).max(1);
+        let g = i128::try_from(gcd(lcm.unsigned_abs(), d.unsigned_abs()))
+            .expect("a gcd of positive i128s fits");
         lcm = (lcm / g).checked_mul(d).ok_or(Tightened::Overflow)?;
     }
-    let scale = Rat::int(lcm);
-    let scaled = expr.checked_scale(scale).ok_or(Tightened::Overflow)?;
-    let mut g: i128 = 0;
-    for c in scaled.coeffs.values() {
-        g = gcd_i128(g, c.num());
-    }
+    let scaled = expr.checked_scale(Rat::int(lcm)).ok_or(Tightened::Overflow)?;
+    tighten_integral(&scaled, rel, row)
+}
+
+/// [`tighten_con`] on integer coefficients and constant. The linearizer
+/// emits only such rows, mostly with coefficient gcd 1, which are copied
+/// as they are.
+fn tighten_integral(expr: &LinExpr, rel: Rel, row: &mut [Rat]) -> Result<Bounds, Tightened> {
+    let g = expr.coeffs.iter().fold(0, |g, (_, c)| gcd(g, c.num().unsigned_abs()));
     if g == 0 {
         // Constant constraint.
-        let c = scaled.constant;
+        let c = expr.constant;
         let ok = match rel {
             Rel::Le => c <= Rat::ZERO,
             Rel::Ge => c >= Rat::ZERO,
             Rel::Eq => c.is_zero(),
         };
-        return if ok {
-            Err(Tightened::Trivial)
+        return Err(if ok {
+            Tightened::Trivial
         } else {
-            Err(Tightened::Infeasible)
-        };
+            Tightened::Infeasible
+        });
     }
-    // Σ c x ⊲ b with b = −constant; divide by g.
-    let b = scaled.constant.checked_neg().ok_or(Tightened::Overflow)?;
-    let bg = b.checked_div(Rat::int(g)).ok_or(Tightened::Overflow)?;
-    let mut coeffs_only = scaled.clone();
-    coeffs_only.constant = Rat::ZERO;
-    let coeffs_only = coeffs_only
-        .checked_scale(Rat::new(1, g).ok_or(Tightened::Overflow)?)
-        .ok_or(Tightened::Overflow)?;
-    let (lb, ub) = match rel {
+    // Σ c x ⊲ b with b = −constant; divide by g. (g = 2¹²⁷ only when every
+    // coefficient is i128::MIN.)
+    let b = expr.constant.num().checked_neg().ok_or(Tightened::Overflow)?;
+    let g = i128::try_from(g).map_err(|_| Tightened::Overflow)?;
+    let bg = Rat::new(b, g).expect("positive denominator");
+    let bounds = match rel {
         Rel::Le => (None, Some(Rat::int(bg.floor()))),
         Rel::Ge => (Some(Rat::int(bg.ceil())), None),
-        Rel::Eq => {
-            if !bg.is_integer() {
-                return Err(Tightened::Infeasible);
-            }
-            (Some(bg), Some(bg))
-        }
+        Rel::Eq if bg.is_integer() => (Some(bg), Some(bg)),
+        Rel::Eq => return Err(Tightened::Infeasible),
     };
-    Ok((coeffs_only, lb, ub))
+    for &(v, c) in &expr.coeffs {
+        row[v] = if g == 1 { c } else { Rat::int(c.num() / g) };
+    }
+    Ok(bounds)
 }
 
 /// Outcome of [`Tableau::build`].
@@ -254,20 +342,32 @@ enum Built {
 
 impl Tableau {
     fn build(p: &LiaProblem) -> Built {
-        let mut slack_rows: Vec<(LinExpr, Option<Rat>, Option<Rat>)> = Vec::new();
-        let mut src = Vec::new();
+        // One row per constraint and disequality that mentions a variable
+        // (the others are decided here and get none).
+        let m = p.constraints.iter().filter(|c| !c.expr.is_constant()).count()
+            + p.diseqs.iter().filter(|d| !d.is_constant()).count();
+        let n = p.num_vars;
+        let mut t = Tableau {
+            n_orig: n,
+            cells: vec![Rat::ZERO; m * n],
+            basic: Vec::with_capacity(m),
+            nonbasic: (0..n).collect(),
+            cols: (0..n).map(|v| Column::free(Pos::Slot(v))).collect(),
+            diseq_slacks: Vec::new(),
+            src: Vec::with_capacity(m),
+        };
         for (i, con) in p.constraints.iter().enumerate() {
-            match tighten_con(&con.expr, con.rel) {
-                Ok(row) => {
-                    slack_rows.push(row);
-                    src.push(i);
-                }
-                Err(Tightened::Trivial) => continue,
+            let r = t.basic.len();
+            // A constant constraint writes nothing, and may come after the
+            // last row.
+            let row = t.cells.get_mut(r * n..(r + 1) * n).unwrap_or_default();
+            match tighten_con(&con.expr, con.rel, row) {
+                Ok(bounds) => t.add_slack(bounds, i),
+                Err(Tightened::Trivial) => {}
                 Err(Tightened::Infeasible) => return Built::Infeasible(i),
                 Err(Tightened::Overflow) => return Built::Overflow,
             }
         }
-        let mut diseq_offsets = Vec::new();
         for (j, d) in p.diseqs.iter().enumerate() {
             if d.is_constant() {
                 if d.constant.is_zero() {
@@ -278,48 +378,41 @@ impl Tableau {
             let Some(offset) = d.constant.checked_neg() else {
                 return Built::Overflow;
             };
-            let mut expr = d.clone();
-            expr.constant = Rat::ZERO;
-            slack_rows.push((expr, None, None));
-            src.push(p.constraints.len() + j);
-            diseq_offsets.push(offset);
+            let r = t.basic.len();
+            for &(v, c) in &d.coeffs {
+                t.cells[r * n + v] = c;
+            }
+            t.diseq_slacks.push((t.n_orig + r, offset));
+            t.add_slack((None, None), p.constraints.len() + j);
         }
+        debug_assert_eq!(t.basic.len(), m, "every counted row was built");
+        Built::Ready(t)
+    }
 
-        let m = slack_rows.len();
-        let n_total = p.num_vars + m;
-        let mut rows = vec![vec![Rat::ZERO; n_total]; m];
-        let mut basic = Vec::with_capacity(m);
-        let mut row_of = vec![None; n_total];
-        let mut lb = vec![None; n_total];
-        let mut ub = vec![None; n_total];
-        let mut diseq_offsets = diseq_offsets.into_iter();
-        let mut diseq_slacks = Vec::new();
-        for (r, (expr, l, u)) in slack_rows.into_iter().enumerate() {
-            let s = p.num_vars + r;
-            for (&v, &c) in &expr.coeffs {
-                rows[r][v] = c;
-            }
-            basic.push(s);
-            row_of[s] = Some(r);
-            lb[s] = l;
-            ub[s] = u;
-            if l.is_none() && u.is_none() {
-                let offset = diseq_offsets.next().expect("diseq slack order");
-                diseq_slacks.push((s, offset));
-            }
-        }
-        Built::Ready(Tableau {
-            n_orig: p.num_vars,
-            n_total,
-            rows,
-            basic,
-            row_of,
+    /// Makes the next row's slack basic with `bounds`, built from the
+    /// problem's `src`-th constraint or disequality.
+    fn add_slack(&mut self, (lb, ub): Bounds, src: usize) {
+        let r = self.basic.len();
+        self.basic.push(self.n_orig + r);
+        self.cols.push(Column {
             lb,
             ub,
-            beta: vec![Rat::ZERO; n_total],
-            diseq_slacks,
-            src,
-        })
+            ..Column::free(Pos::Basic(r))
+        });
+        self.src.push(src);
+    }
+
+    /// Coefficients of row `r`, by column slot.
+    fn row(&self, r: usize) -> &[Rat] {
+        &self.cells[r * self.n_orig..(r + 1) * self.n_orig]
+    }
+
+    /// The column slot of nonbasic variable `j`.
+    fn slot(&self, j: usize) -> usize {
+        match self.cols[j].pos {
+            Pos::Slot(s) => s,
+            Pos::Basic(_) => unreachable!("x_{j} is nonbasic"),
+        }
     }
 
     /// Pushes the source of `v`'s bounds onto `blame`. Original variables
@@ -331,105 +424,98 @@ impl Tableau {
         }
     }
 
+    /// `β(x_{basic[r]}) += a_{rj} · delta` for every row `r` but `skip`.
+    fn shift_basics(&mut self, j: usize, delta: Rat, skip: Option<usize>) -> Step<()> {
+        let s = self.slot(j);
+        for r in 0..self.basic.len() {
+            let a = self.cells[r * self.n_orig + s];
+            if a.is_zero() || Some(r) == skip {
+                continue;
+            }
+            let b = &mut self.cols[self.basic[r]].beta;
+            *b = b.checked_add(a.checked_mul(delta).ok_or(Overflow)?).ok_or(Overflow)?;
+        }
+        Ok(())
+    }
+
     /// Sets nonbasic variable `j` to value `v`, updating dependent basics.
     fn update(&mut self, j: usize, v: Rat) -> Step<()> {
-        let delta = v.checked_sub(self.beta[j]).ok_or(Overflow)?;
+        let delta = v.checked_sub(self.cols[j].beta).ok_or(Overflow)?;
         if delta.is_zero() {
             return Ok(());
         }
-        for r in 0..self.rows.len() {
-            let a = self.rows[r][j];
-            if a.is_zero() {
-                continue;
-            }
-            let b = self.basic[r];
-            let inc = a.checked_mul(delta).ok_or(Overflow)?;
-            self.beta[b] = self.beta[b].checked_add(inc).ok_or(Overflow)?;
-        }
-        self.beta[j] = v;
+        self.shift_basics(j, delta, None)?;
+        self.cols[j].beta = v;
         Ok(())
     }
 
     /// Pivot row `r` (basic `x_b`) with nonbasic `j`, then set `x_b := v`.
-    fn pivot_and_update(&mut self, r: usize, j: usize, v: Rat) -> Step<()> {
+    fn pivot_and_update(&mut self, r: usize, j: usize, v: Rat, scratch: &mut Row) -> Step<()> {
         let xb = self.basic[r];
-        let a = self.rows[r][j];
+        let a = self.cells[r * self.n_orig + self.slot(j)];
         debug_assert!(!a.is_zero());
         let theta = v
-            .checked_sub(self.beta[xb])
+            .checked_sub(self.cols[xb].beta)
             .ok_or(Overflow)?
             .checked_div(a)
             .ok_or(Overflow)?;
-        self.beta[xb] = v;
-        self.beta[j] = self.beta[j].checked_add(theta).ok_or(Overflow)?;
-        for r2 in 0..self.rows.len() {
-            if r2 == r {
-                continue;
-            }
-            let c = self.rows[r2][j];
-            if c.is_zero() {
-                continue;
-            }
-            let b2 = self.basic[r2];
-            let inc = c.checked_mul(theta).ok_or(Overflow)?;
-            self.beta[b2] = self.beta[b2].checked_add(inc).ok_or(Overflow)?;
-        }
-        self.pivot(r, j)
+        self.cols[xb].beta = v;
+        self.cols[j].beta = self.cols[j].beta.checked_add(theta).ok_or(Overflow)?;
+        self.shift_basics(j, theta, Some(r))?;
+        self.pivot(r, j, scratch)
     }
 
-    /// Exchanges basic `x_b` of row `r` with nonbasic `j`.
-    fn pivot(&mut self, r: usize, j: usize) -> Step<()> {
+    /// Exchanges basic `x_b` of row `r` with nonbasic `j`, in place: `x_b`
+    /// takes over `j`'s column slot, and the solved row goes through
+    /// `scratch` as its nonzero entries only.
+    fn pivot(&mut self, r: usize, j: usize, scratch: &mut Row) -> Step<()> {
+        let n = self.n_orig;
         let xb = self.basic[r];
-        let a = self.rows[r][j];
+        let sj = self.slot(j);
+        let a = self.cells[r * n + sj];
         // Solve row for x_j: x_j = (x_b − Σ_{k≠j} a_k x_k) / a.
         let inv = Rat::ONE.checked_div(a).ok_or(Overflow)?;
-        let mut new_row = vec![Rat::ZERO; self.n_total];
-        for (k, cell) in new_row.iter_mut().enumerate() {
-            if k == j {
-                continue;
-            }
-            let ak = self.rows[r][k];
-            if !ak.is_zero() {
-                *cell = ak
-                    .checked_neg()
-                    .ok_or(Overflow)?
-                    .checked_mul(inv)
-                    .ok_or(Overflow)?;
+        scratch.clear();
+        for (s, &ak) in self.row(r).iter().enumerate() {
+            if s != sj && !ak.is_zero() {
+                let nk = ak.checked_neg().ok_or(Overflow)?.checked_mul(inv).ok_or(Overflow)?;
+                scratch.push((s, nk));
             }
         }
-        new_row[xb] = inv;
-        // Substitute x_j in every other row.
-        for r2 in 0..self.rows.len() {
-            if r2 == r {
+        scratch.push((sj, inv));
+        // Substitute x_j in every other row. Slot `sj` now stands for x_b,
+        // whose coefficient there was zero while it was basic.
+        for r2 in 0..self.basic.len() {
+            let c = self.cells[r2 * n + sj];
+            if r2 == r || c.is_zero() {
                 continue;
             }
-            let c = self.rows[r2][j];
-            if c.is_zero() {
-                continue;
-            }
-            self.rows[r2][j] = Rat::ZERO;
-            for (k, &nk) in new_row.iter().enumerate() {
-                if nk.is_zero() {
-                    continue;
-                }
+            let row = &mut self.cells[r2 * n..(r2 + 1) * n];
+            row[sj] = Rat::ZERO;
+            for &(k, nk) in scratch.iter() {
                 let inc = c.checked_mul(nk).ok_or(Overflow)?;
-                self.rows[r2][k] = self.rows[r2][k].checked_add(inc).ok_or(Overflow)?;
+                row[k] = row[k].checked_add(inc).ok_or(Overflow)?;
             }
         }
-        self.rows[r] = new_row;
+        let row = &mut self.cells[r * n..(r + 1) * n];
+        row.fill(Rat::ZERO);
+        for &(k, nk) in scratch.iter() {
+            row[k] = nk;
+        }
         self.basic[r] = j;
-        self.row_of[xb] = None;
-        self.row_of[j] = Some(r);
+        self.nonbasic[sj] = xb;
+        self.cols[xb].pos = Pos::Slot(sj);
+        self.cols[j].pos = Pos::Basic(r);
         Ok(())
     }
 
     /// Restores rational feasibility. Bland's rule ensures termination.
     /// Every pivot executed is counted into `pivots`. On `Infeasible` the
     /// sources of the conflicting bounds are pushed onto `blame`.
-    fn check(&mut self, pivots: &mut u64, blame: &mut Vec<usize>) -> Step<Feas> {
+    fn check(&mut self, pivots: &mut u64, blame: &mut Vec<usize>, scratch: &mut Row) -> Step<Feas> {
         // Immediate bound contradictions.
-        for v in 0..self.n_total {
-            if let (Some(l), Some(u)) = (self.lb[v], self.ub[v]) {
+        for (v, col) in self.cols.iter().enumerate() {
+            if let (Some(l), Some(u)) = (col.lb, col.ub) {
                 if l > u {
                     self.blame(v, blame);
                     return Ok(Feas::Infeasible);
@@ -437,17 +523,18 @@ impl Tableau {
             }
         }
         // Clamp nonbasic variables into their bounds.
-        for v in 0..self.n_total {
-            if self.row_of[v].is_some() {
+        for v in 0..self.cols.len() {
+            let col = self.cols[v];
+            if matches!(col.pos, Pos::Basic(_)) {
                 continue;
             }
-            if let Some(l) = self.lb[v] {
-                if self.beta[v] < l {
+            if let Some(l) = col.lb {
+                if col.beta < l {
                     self.update(v, l)?;
                 }
             }
-            if let Some(u) = self.ub[v] {
-                if self.beta[v] > u {
+            if let Some(u) = self.cols[v].ub {
+                if self.cols[v].beta > u {
                     self.update(v, u)?;
                 }
             }
@@ -455,18 +542,18 @@ impl Tableau {
         loop {
             // Bland: smallest-index violating basic variable.
             let mut viol: Option<(usize, usize, bool)> = None; // (var, row, need_increase)
-            for r in 0..self.rows.len() {
-                let b = self.basic[r];
-                if let Some(l) = self.lb[b] {
-                    if self.beta[b] < l {
+            for (r, &b) in self.basic.iter().enumerate() {
+                let col = &self.cols[b];
+                if let Some(l) = col.lb {
+                    if col.beta < l {
                         if viol.is_none_or(|(v, _, _)| b < v) {
                             viol = Some((b, r, true));
                         }
                         continue;
                     }
                 }
-                if let Some(u) = self.ub[b] {
-                    if self.beta[b] > u && viol.is_none_or(|(v, _, _)| b < v) {
+                if let Some(u) = col.ub {
+                    if col.beta > u && viol.is_none_or(|(v, _, _)| b < v) {
                         viol = Some((b, r, false));
                     }
                 }
@@ -475,45 +562,43 @@ impl Tableau {
                 return Ok(Feas::Feasible);
             };
             let target = if need_increase {
-                self.lb[b].expect("violated lower bound exists")
+                self.cols[b].lb.expect("violated lower bound exists")
             } else {
-                self.ub[b].expect("violated upper bound exists")
+                self.cols[b].ub.expect("violated upper bound exists")
             };
-            // Bland: smallest-index eligible nonbasic variable.
-            let mut pivot_col: Option<usize> = None;
-            for j in 0..self.n_total {
-                if self.row_of[j].is_some() || j == b {
-                    continue;
-                }
-                let a = self.rows[r][j];
-                if a.is_zero() {
-                    continue;
-                }
-                let can = if need_increase {
-                    // Increase x_b: raise x_j if a>0 (x_j below ub), lower if a<0.
-                    (a.signum() > 0 && self.ub[j].is_none_or(|u| self.beta[j] < u))
-                        || (a.signum() < 0 && self.lb[j].is_none_or(|l| self.beta[j] > l))
-                } else {
-                    (a.signum() > 0 && self.lb[j].is_none_or(|l| self.beta[j] > l))
-                        || (a.signum() < 0 && self.ub[j].is_none_or(|u| self.beta[j] < u))
-                };
-                if can {
-                    pivot_col = Some(j);
-                    break;
-                }
-            }
+            // Bland: smallest-index eligible nonbasic variable. To increase
+            // x_b, raise x_j if a > 0 (x_j below its upper bound) or lower it
+            // if a < 0; to decrease x_b, the other way round.
+            let pivot_col = self
+                .row(r)
+                .iter()
+                .zip(&self.nonbasic)
+                .filter(|&(&a, &j)| {
+                    let col = &self.cols[j];
+                    if a.is_zero() {
+                        false
+                    } else if (a.signum() > 0) == need_increase {
+                        col.below_ub()
+                    } else {
+                        col.above_lb()
+                    }
+                })
+                .map(|(_, &j)| j)
+                .min();
             let Some(j) = pivot_col else {
                 // No pivot: x_b is stuck beyond its bound because every
                 // nonbasic variable of its row already sits at the bound
                 // that helps most. Those bounds are jointly infeasible.
                 self.blame(b, blame);
-                for j in (0..self.n_total).filter(|&j| !self.rows[r][j].is_zero()) {
-                    self.blame(j, blame);
+                for (a, &j) in self.row(r).iter().zip(&self.nonbasic) {
+                    if !a.is_zero() {
+                        self.blame(j, blame);
+                    }
                 }
                 return Ok(Feas::Infeasible);
             };
             *pivots += 1;
-            self.pivot_and_update(r, j, target)?;
+            self.pivot_and_update(r, j, target, scratch)?;
             // After the pivot, x_j (now basic at row r) has value `target`;
             // the entering variable may itself violate its bounds — the loop
             // continues until no basic violation remains.
@@ -522,19 +607,20 @@ impl Tableau {
 
     fn tighten(&mut self, v: usize, lower: Option<Rat>, upper: Option<Rat>) -> bool {
         // Returns false when the new bounds are immediately contradictory.
+        let col = &mut self.cols[v];
         if let Some(l) = lower {
-            match self.lb[v] {
+            match col.lb {
                 Some(cur) if cur >= l => {}
-                _ => self.lb[v] = Some(l),
+                _ => col.lb = Some(l),
             }
         }
         if let Some(u) = upper {
-            match self.ub[v] {
+            match col.ub {
                 Some(cur) if cur <= u => {}
-                _ => self.ub[v] = Some(u),
+                _ => col.ub = Some(u),
             }
         }
-        match (self.lb[v], self.ub[v]) {
+        match (col.lb, col.ub) {
             (Some(l), Some(u)) => l <= u,
             _ => true,
         }
@@ -574,12 +660,14 @@ fn solve_rec(root: Tableau, budget: &mut u64, pivots: &mut u64) -> LiaResult {
     let mut work: Vec<Tableau> = vec![root];
     let mut saw_unknown = false;
     let mut blame = Vec::new();
+    let mut scratch = Vec::new();
     while let Some(mut t) = work.pop() {
         if *budget == 0 {
             return LiaResult::Unknown;
         }
         *budget -= 1;
-        match t.check(pivots, &mut blame) {
+        match t.check(pivots, &mut blame, &mut scratch) {
+
             Err(Overflow) => {
                 saw_unknown = true;
                 continue;
@@ -589,24 +677,24 @@ fn solve_rec(root: Tableau, budget: &mut u64, pivots: &mut u64) -> LiaResult {
         }
         // Branch on a fractional original variable.
         let split = (0..t.n_orig)
-            .find(|&v| !t.beta[v].is_integer())
+            .find(|&v| !t.cols[v].beta.is_integer())
             .map(|v| {
-                let fl = Rat::int(t.beta[v].floor());
+                let fl = Rat::int(t.cols[v].beta.floor());
                 (v, fl)
             })
             .or_else(|| {
                 // Integral model: enforce disequalities.
                 t.diseq_slacks.iter().find_map(|&(s, offset)| {
-                    (t.beta[s] == offset).then_some((s, offset)) // branch around `offset`
+                    (t.cols[s].beta == offset).then_some((s, offset)) // branch around `offset`
                 })
             });
         let Some((v, pivot_val)) = split else {
-            let model = (0..t.n_orig).map(|v| t.beta[v].floor()).collect();
+            let model = t.cols[..t.n_orig].iter().map(|c| c.beta.floor()).collect();
             return LiaResult::Sat(model);
         };
         // Low branch: x_v ≤ pivot_val (fractional case) or ≤ offset−1
         // (diseq case, where β is exactly `offset`, an integer).
-        let (low, high) = if t.beta[v].is_integer() {
+        let (low, high) = if t.cols[v].beta.is_integer() {
             // Disequality split around the integer value.
             let Some(l) = pivot_val.checked_sub(Rat::ONE) else {
                 saw_unknown = true;

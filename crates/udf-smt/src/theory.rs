@@ -17,11 +17,11 @@
 //! so the SMT layer never learns a wrong blocking clause and never reports a
 //! wrong `Unsat`.
 
-use crate::ctx::{Context, Formula, FormulaId, Term, TermId, VarId};
+use crate::ctx::{Context, Formula, FormulaId, IdMap, Term, TermId, VarId};
 use crate::euf::Euf;
 use crate::rational::Rat;
 use crate::simplex::{self, LiaProblem, LiaResult, LinCon, LinExpr, Rel};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Verdict for a literal conjunction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -92,17 +92,17 @@ pub struct Model {
 
 struct Linearizer {
     /// Theory-variable index per source variable / opaque term.
-    var_of_term: HashMap<TermId, usize>,
+    var_of_term: IdMap<TermId, usize>,
     num_vars: usize,
-    memo: HashMap<TermId, Option<LinExpr>>,
+    memo: IdMap<TermId, Option<LinExpr>>,
 }
 
 impl Linearizer {
     fn new() -> Linearizer {
         Linearizer {
-            var_of_term: HashMap::new(),
+            var_of_term: IdMap::default(),
             num_vars: 0,
-            memo: HashMap::new(),
+            memo: IdMap::default(),
         }
     }
 
@@ -116,24 +116,37 @@ impl Linearizer {
         v
     }
 
-    /// Linear form of `t`; `None` on arithmetic overflow.
-    fn lin(&mut self, ctx: &Context, t: TermId) -> Option<LinExpr> {
-        if let Some(cached) = self.memo.get(&t) {
-            return cached.clone();
+    /// Linear form of `t`, computed once; `None` on arithmetic overflow.
+    fn lin(&mut self, ctx: &Context, t: TermId) -> Option<&LinExpr> {
+        if !self.memo.contains_key(&t) {
+            let form = self.form(ctx, t);
+            self.memo.insert(t, form);
         }
-        let result = match ctx.term(t).clone() {
+        self.memo[&t].as_ref()
+    }
+
+    /// Linear forms of `a` and `b`, `a` first (proxies are numbered in the
+    /// order terms are first met).
+    fn pair(&mut self, ctx: &Context, a: TermId, b: TermId) -> Option<(&LinExpr, &LinExpr)> {
+        self.lin(ctx, a)?;
+        self.lin(ctx, b)?;
+        Some((self.memo[&a].as_ref()?, self.memo[&b].as_ref()?))
+    }
+
+    fn form(&mut self, ctx: &Context, t: TermId) -> Option<LinExpr> {
+        match *ctx.term(t) {
             Term::Int(c) => Some(LinExpr::constant(Rat::int(i128::from(c)))),
             Term::Var(_) | Term::App(..) => Some(LinExpr::var(self.proxy(t))),
             Term::Add(a, b) => {
-                let (la, lb) = (self.lin(ctx, a)?, self.lin(ctx, b)?);
-                la.checked_add(&lb)
+                let (la, lb) = self.pair(ctx, a, b)?;
+                la.checked_add(lb)
             }
             Term::Sub(a, b) => {
-                let (la, lb) = (self.lin(ctx, a)?, self.lin(ctx, b)?);
-                la.checked_sub(&lb)
+                let (la, lb) = self.pair(ctx, a, b)?;
+                la.checked_sub(lb)
             }
             Term::Mul(a, b) => {
-                let (la, lb) = (self.lin(ctx, a)?, self.lin(ctx, b)?);
+                let (la, lb) = self.pair(ctx, a, b)?;
                 if la.is_constant() {
                     lb.checked_scale(la.constant)
                 } else if lb.is_constant() {
@@ -144,9 +157,13 @@ impl Linearizer {
                     Some(LinExpr::var(self.proxy(t)))
                 }
             }
-        };
-        self.memo.insert(t, result.clone());
-        result
+        }
+    }
+
+    /// Linear form of `a − b`.
+    fn diff(&mut self, ctx: &Context, a: TermId, b: TermId) -> Result<LinExpr, NoModel> {
+        let (la, lb) = self.pair(ctx, a, b).ok_or(NoModel::Unknown)?;
+        la.checked_sub(lb).ok_or(NoModel::Unknown)
     }
 }
 
@@ -163,18 +180,19 @@ pub enum NoModel {
     Unknown,
 }
 
-impl Linearizer {
-    /// Linear form of `a − b`.
-    fn diff(&mut self, ctx: &Context, a: TermId, b: TermId) -> Result<LinExpr, NoModel> {
-        let (la, lb) = (self.lin(ctx, a).ok_or(NoModel::Unknown)?, self.lin(ctx, b).ok_or(NoModel::Unknown)?);
-        la.checked_sub(&lb).ok_or(NoModel::Unknown)
-    }
-}
-
 /// `e + 1` (turns `e ≤ −1` into the `… ≤ 0` normal form).
 fn plus_one(mut e: LinExpr) -> Result<LinExpr, NoModel> {
     e.constant = e.constant.checked_add(Rat::ONE).ok_or(NoModel::Unknown)?;
     Ok(e)
+}
+
+/// Value of `l` under `model`; `None` on overflow or a non-integer.
+fn eval(l: &LinExpr, model: &[i128]) -> Option<i128> {
+    let mut acc = l.constant;
+    for &(v, c) in &l.coeffs {
+        acc = acc.checked_add(c.checked_mul(Rat::int(model[v]))?)?;
+    }
+    acc.is_integer().then(|| acc.floor())
 }
 
 /// Decides consistency of the conjunction of `literals`.
@@ -198,13 +216,15 @@ pub fn check_with_model_stats(
 ) -> Result<Model, NoModel> {
     let mut euf = Euf::new();
     let mut lz = Linearizer::new();
-    // Arithmetic constraints and disequalities, each with its literal.
-    let (mut base, mut base_lit): (Vec<LinCon>, Vec<usize>) = (Vec::new(), Vec::new());
-    let (mut diseqs, mut diseq_lit): (Vec<LinExpr>, Vec<usize>) = (Vec::new(), Vec::new());
+    // The arithmetic side: the literals' constraints and disequalities, each
+    // with its literal. A round appends its class equalities after the
+    // literals' constraints, a probe its one side constraint after those.
+    let mut problem = LiaProblem::default();
+    let (mut base_lit, mut diseq_lit): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
 
     // Phase 1: dispatch literals to both theories.
     for (i, &(atom, polarity)) in literals.iter().enumerate() {
-        match ctx.formula(atom).clone() {
+        match *ctx.formula(atom) {
             Formula::Eq(a, b) => {
                 let closed = if polarity {
                     euf.merge(ctx, a, b, &[i])
@@ -217,13 +237,13 @@ pub fn check_with_model_stats(
                 }
                 let d = lz.diff(ctx, a, b)?;
                 if polarity {
-                    base.push(LinCon {
+                    problem.constraints.push(LinCon {
                         expr: d,
                         rel: Rel::Eq,
                     });
                     base_lit.push(i);
                 } else {
-                    diseqs.push(d);
+                    problem.diseqs.push(d);
                     diseq_lit.push(i);
                 }
             }
@@ -240,54 +260,59 @@ pub fn check_with_model_stats(
                 } else {
                     (lz.diff(ctx, b, a)?, !strict)
                 };
-                base.push(LinCon {
+                problem.constraints.push(LinCon {
                     expr: if add_one { plus_one(d)? } else { d },
                     rel: Rel::Le,
                 });
                 base_lit.push(i);
             }
-            other => {
+            ref other => {
                 debug_assert!(false, "non-atom in theory check: {other:?}");
             }
         }
     }
+    let n_base = problem.constraints.len();
 
     // Interface terms: arguments of registered applications (candidates for
-    // implied-equality probing).
-    let mut interface: BTreeSet<TermId> = BTreeSet::new();
+    // implied-equality probing), in term order.
+    let mut interface: Vec<TermId> = Vec::new();
     for &t in euf.registered_terms() {
         if let Term::App(_, args) = ctx.term(t) {
-            for &a in args {
-                interface.insert(a);
-            }
+            interface.extend_from_slice(args);
         }
     }
-    let interface: Vec<TermId> = interface.into_iter().collect();
+    interface.sort_unstable();
+    interface.dedup();
 
     // Phase 2: Nelson–Oppen exchange.
+    let mut classes: Vec<(u32, usize)> = Vec::new();
+    let mut class_eqs: Vec<(TermId, TermId)> = Vec::new();
     for _round in 0..limits.max_rounds {
         stats.rounds += 1;
-        // EUF classes → LIA equalities `rep = m`.
-        let mut class_members: BTreeMap<u32, Vec<TermId>> = BTreeMap::new();
-        for &t in euf.registered_terms() {
-            // Every term the probes below evaluate gets its proxy before the
-            // problem is sized.
+        // EUF classes → LIA equalities `rep = m`: each class's first
+        // registered term against every later one. Every term the probes
+        // below evaluate gets its proxy before the problem is sized.
+        let terms = euf.registered_terms();
+        classes.clear();
+        for (k, &t) in terms.iter().enumerate() {
             lz.lin(ctx, t).ok_or(NoModel::Unknown)?;
-            let root = euf.class_id(t).expect("registered term has a class");
-            class_members.entry(root).or_default().push(t);
+            classes.push((euf.class_id(t).expect("registered term has a class"), k));
         }
-        let mut constraints = base.clone();
-        let mut class_eqs: Vec<(TermId, TermId)> = Vec::new();
-        for members in class_members.values() {
-            let rep = members[0];
-            for &m in &members[1..] {
-                constraints.push(LinCon {
-                    expr: lz.diff(ctx, rep, m)?,
+        classes.sort_unstable();
+        problem.constraints.truncate(n_base);
+        class_eqs.clear();
+        for class in classes.chunk_by(|x, y| x.0 == y.0) {
+            let rep = terms[class[0].1];
+            for &(_, k) in &class[1..] {
+                problem.constraints.push(LinCon {
+                    expr: lz.diff(ctx, rep, terms[k])?,
                     rel: Rel::Eq,
                 });
-                class_eqs.push((rep, m));
+                class_eqs.push((rep, terms[k]));
             }
         }
+        problem.num_vars = lz.num_vars;
+        let n_round = problem.constraints.len();
         // Simplex explanation → literal indices. A simplex index names, in
         // order: a base constraint, a class equality (expanded into the
         // literals its congruence proof uses), in a probe its own side
@@ -295,10 +320,10 @@ pub fn check_with_model_stats(
         // disequality.
         let blame = |euf: &Euf, n_cons: usize, core: &[usize], out: &mut Vec<usize>| {
             for &i in core {
-                if i < base_lit.len() {
+                if i < n_base {
                     out.push(base_lit[i]);
-                } else if i < constraints.len() {
-                    let (rep, m) = class_eqs[i - base_lit.len()];
+                } else if i < n_round {
+                    let (rep, m) = class_eqs[i - n_base];
                     out.extend(euf.explain(rep, m));
                 } else if i >= n_cons {
                     out.push(diseq_lit[i - n_cons]);
@@ -307,17 +332,12 @@ pub fn check_with_model_stats(
             out.sort_unstable();
             out.dedup();
         };
-        let problem = LiaProblem {
-            num_vars: lz.num_vars,
-            constraints: constraints.clone(),
-            diseqs: diseqs.clone(),
-        };
         let mut budget = limits.lia_budget;
         stats.simplex_calls += 1;
         let model = match simplex::solve_counted(&problem, &mut budget, &mut stats.pivots) {
             LiaResult::Unsat(core) => {
                 let mut lits = Vec::new();
-                blame(&euf, constraints.len(), &core, &mut lits);
+                blame(&euf, n_round, &core, &mut lits);
                 return Err(NoModel::Inconsistent(lits));
             }
             LiaResult::Unknown => return Err(NoModel::Unknown),
@@ -325,14 +345,17 @@ pub fn check_with_model_stats(
         };
 
         // Probe LIA-implied equalities between interface terms whose model
-        // values coincide but whose EUF classes differ.
-        let eval = |lz: &mut Linearizer, t: TermId| -> Option<i128> {
-            let l = lz.lin(ctx, t)?;
-            let mut acc = l.constant;
-            for (&v, &c) in &l.coeffs {
-                acc = acc.checked_add(c.checked_mul(Rat::int(model[v]))?)?;
+        // values coincide but whose EUF classes differ. Each term's value is
+        // evaluated at most once per round, when a pair first needs it.
+        let mut values: Vec<Option<i128>> = vec![None; interface.len()];
+        let mut value = |lz: &mut Linearizer, k: usize| -> Result<i128, NoModel> {
+            if let Some(v) = values[k] {
+                return Ok(v);
             }
-            acc.is_integer().then(|| acc.floor())
+            let l = lz.lin(ctx, interface[k]).ok_or(NoModel::Unknown)?;
+            let v = eval(l, &model).ok_or(NoModel::Unknown)?;
+            values[k] = Some(v);
+            Ok(v)
         };
         let mut merged_any = false;
         let mut probes = 0usize;
@@ -345,8 +368,7 @@ pub fn check_with_model_stats(
                 if euf.equal(t1, t2) {
                     continue;
                 }
-                let v1 = eval(&mut lz, t1).ok_or(NoModel::Unknown)?;
-                if v1 != eval(&mut lz, t2).ok_or(NoModel::Unknown)? {
+                if value(&mut lz, i)? != value(&mut lz, j)? {
                     continue;
                 }
                 probes += 1;
@@ -360,21 +382,17 @@ pub fn check_with_model_stats(
                 let mut reason = Vec::new();
                 let mut implied = true;
                 for side in sides {
-                    let mut cs = constraints.clone();
-                    cs.push(LinCon {
+                    problem.constraints.push(LinCon {
                         expr: side,
                         rel: Rel::Le,
                     });
-                    let p = LiaProblem {
-                        num_vars: lz.num_vars,
-                        constraints: cs,
-                        diseqs: diseqs.clone(),
-                    };
                     let mut b = limits.lia_budget;
                     stats.simplex_calls += 1;
-                    match simplex::solve_counted(&p, &mut b, &mut stats.pivots) {
+                    let solved = simplex::solve_counted(&problem, &mut b, &mut stats.pivots);
+                    problem.constraints.pop();
+                    match solved {
                         LiaResult::Unsat(core) => {
-                            blame(&euf, p.constraints.len(), &core, &mut reason);
+                            blame(&euf, n_round + 1, &core, &mut reason);
                         }
                         LiaResult::Sat(_) => {
                             implied = false;

@@ -9,7 +9,8 @@
 #    reference interpreter on random programs (prop_vm), backend parity
 #    (chaos sweep plus every early exit of the driver), pushdown on/off
 #    parity, the plan guard under both backends, the fail-soft matrix, UDAF
-#    determinism.
+#    determinism, and `run_agg` against a fold on the reference interpreter
+#    (prop_agg).
 # 3. The benchmark's smoke run: bench/ builds against the engine's public
 #    API from source and checks every workload's output against its
 #    interpreter oracle (exit 1 on `correct: false`). Timings from a smoke
@@ -18,7 +19,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 cargo test -q -p naiad-lite
-for suite in prop_vm backend_parity prefilter_matrix guard_matrix fault_matrix agg_matrix; do
+for suite in prop_vm backend_parity prefilter_matrix guard_matrix fault_matrix agg_matrix prop_agg; do
     cargo test -q --test "$suite"
 done
 bash bench/run.sh --smoke >/dev/null

@@ -29,8 +29,17 @@
 //! state simply does not absorb the record, other definitions fold it
 //! normally. State commits are all-or-nothing per fold step: a fold that
 //! dies mid-body leaves no partial mutation behind.
+//!
+//! Folds and merges run on the same register bytecode as every record
+//! query: each job compiles a definition's [`AggDef::fold_view`] (variables
+//! `state ++ params`) and [`AggDef::merge_view`] (`state ++ rhs`) once with
+//! [`RegProgram::compile`] and runs them on [`RegVm`]. A fold sees the
+//! current state in front of the record's arguments; after `Halt` the new
+//! state is the first `state.len()` variable slots, since every assignment
+//! stores into its variable's slot. Registers start at 0 where the reference
+//! interpreter would raise an unbound-variable error, which is why
+//! [`AggDef::validate`] refuses any read that is not definitely assigned.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -39,14 +48,14 @@ use crate::engine::{
     finalize_quarantine, panic_message, Engine, EngineConfig, EngineError, ErrorPolicy,
     QuarantineEntry, QuarantineReport, RecordFault,
 };
-use crate::env::{RecordLibrary, UdfEnv};
+use crate::env::{ScalarEnv, UdfEnv};
+use crate::regcode::{RegProgram, RegVm};
 use crate::VmError;
 use consolidate::budget::DegradationTier;
 use udf_lang::agg::AggDef;
-use udf_lang::ast::ProgId;
-use udf_lang::cost::CostModel;
-use udf_lang::intern::Interner;
-use udf_lang::interp::{EvalError, Interp};
+use udf_lang::ast::{ProgId, Program};
+use udf_lang::cost::{Cost, CostModel};
+use udf_lang::intern::{Interner, Symbol};
 use udf_lang::library::{FnLibrary, LibError};
 use udf_obs::names;
 
@@ -72,7 +81,7 @@ pub struct AggQuerySet {
     /// Positional homomorphism verdicts; `false` pins the definition to the
     /// sequential fallback shard.
     pub proved: Vec<bool>,
-    /// Cost model charged by the fold/merge interpreter.
+    /// Cost model the fold and merge bodies are compiled under.
     pub cost_model: CostModel,
     /// Wall-clock time the prover spent on this set.
     pub consolidation_time: Duration,
@@ -173,7 +182,9 @@ pub struct AggReport {
     /// not distinct records — globally sorted by (record, definition
     /// position) and therefore worker-count deterministic.
     pub quarantine: QuarantineReport,
-    /// Successful fold steps (surviving (record, definition) pairs).
+    /// Successful fold steps whose state the report keeps (surviving
+    /// (record, definition) pairs; the discarded parallel pass of a
+    /// merge-demoted definition is not counted, its sequential re-fold is).
     pub folds: u64,
     /// Partial-state merges executed (including any later discarded by a
     /// merge-fault demotion).
@@ -191,10 +202,9 @@ pub struct AggReport {
     pub metrics: Option<udf_obs::MetricsSnapshot>,
 }
 
-/// Worker-local accumulator for one pass.
+/// Worker-local retry accumulator for one pass.
 #[derive(Default)]
 struct PassCounters {
-    folds: u64,
     records_retried: usize,
     retry_attempts: u64,
     records_recovered: usize,
@@ -202,7 +212,6 @@ struct PassCounters {
 
 impl PassCounters {
     fn absorb(&mut self, o: &PassCounters) {
-        self.folds += o.folds;
         self.records_retried += o.records_retried;
         self.retry_attempts += o.retry_attempts;
         self.records_recovered += o.records_recovered;
@@ -213,7 +222,8 @@ impl Engine {
     /// Runs a set of user-defined aggregations over `records`.
     ///
     /// See the module docs for the execution model. The parameter list of
-    /// every definition must match `env.arity()`.
+    /// every definition must match `env.arity()`. `_interner` is unused:
+    /// the bodies are compiled, and no error message needs a name.
     ///
     /// # Errors
     ///
@@ -223,13 +233,15 @@ impl Engine {
     /// * [`EngineError::TooManyErrors`] — quarantine overflow under
     ///   [`ErrorPolicy::Quarantine`];
     /// * [`EngineError::WorkerPanicked`] — a worker died outside
-    ///   per-record execution.
+    ///   per-record execution;
+    /// * [`EngineError::Compile`] — a body exceeds the register bytecode's
+    ///   field widths.
     pub fn run_agg<E: UdfEnv>(
         &self,
         env: &E,
         records: &[E::Rec],
         queries: &AggQuerySet,
-        interner: &Interner,
+        _interner: &Interner,
         mode: AggMode,
     ) -> Result<AggReport, EngineError> {
         for def in &queries.defs {
@@ -244,17 +256,30 @@ impl Engine {
                 });
             }
         }
+        // Each definition's fold (over `state ++ params`) and merge (over
+        // `state ++ rhs`), compiled once for the job.
+        let compile = |def: &AggDef, view: Program| {
+            RegProgram::compile(&view, &[], &queries.cost_model, &|f| env.fn_cost(f))
+                .map_err(|error| EngineError::Compile { query: def.id, error })
+        };
+        let mut fold_code = Vec::with_capacity(queries.defs.len());
+        let mut merge_code = Vec::with_capacity(queries.defs.len());
+        for def in &queries.defs {
+            fold_code.push(compile(def, def.fold_view())?);
+            merge_code.push(compile(def, def.merge_view())?);
+        }
         let cfg = self.config();
         let ctx = FoldCtx {
             env,
-            interner,
-            cm: &queries.cost_model,
+            folds: &fold_code,
             fuel: cfg.fuel.unwrap_or(crate::DEFAULT_FUEL),
             config: cfg,
             workers: self.workers().max(1),
         };
+        let mut merge_vm = RegVm::new().with_fuel(ctx.fuel);
 
         let mut counters = PassCounters::default();
+        let mut folds = 0u64;
         let mut merges = 0u64;
         let n_defs = queries.defs.len();
         let mut states: Vec<Vec<i64>> = vec![Vec::new(); n_defs];
@@ -278,6 +303,7 @@ impl Engine {
             let mt = Instant::now();
             for (gi, &di) in group.iter().enumerate() {
                 let def = &queries.defs[di];
+                let merge_env = ScalarEnv::new(2 * def.state.len(), FnLibrary::new());
                 let mut layer: Vec<Vec<i64>> =
                     chunks.iter().map(|c| c.states[gi].clone()).collect();
                 if layer.is_empty() {
@@ -291,7 +317,14 @@ impl Engine {
                             next.push(pair[0].clone());
                             continue;
                         }
-                        match merge_states(def, &pair[0], &pair[1], &ctx) {
+                        let merged = merge_states(
+                            &mut merge_vm,
+                            &merge_code[di],
+                            &merge_env,
+                            &pair[0],
+                            &pair[1],
+                        );
+                        match merged {
                             Ok(s) => {
                                 merges += 1;
                                 next.push(s);
@@ -308,20 +341,21 @@ impl Engine {
                     states[di] = layer.swap_remove(0);
                 } else {
                     // A proved definition whose merge still faulted at run
-                    // time (symbolic proofs are total, execution is not:
-                    // e.g. a merge-local read before assignment). Demote to
-                    // the sequential shard — slower, identical to the
-                    // single-pass semantics.
+                    // time (symbolic proofs are total, execution is not: a
+                    // loop past the fuel budget). Demote to the sequential
+                    // shard — slower, identical to the single-pass semantics.
                     proved_out[di] = false;
                 }
             }
             merge_time += mt.elapsed();
             for c in chunks {
                 counters.absorb(&c.counters);
-                for (gi, ents) in c.entries.into_iter().enumerate() {
-                    let di = group[gi];
-                    if proved_out[di] {
-                        entries_by_def[di].extend(ents);
+                for (gi, (ents, n)) in c.entries.into_iter().zip(c.folds).enumerate() {
+                    // A demoted definition's pass is discarded: its
+                    // sequential re-fold supplies entries and fold count.
+                    if proved_out[group[gi]] {
+                        entries_by_def[group[gi]].extend(ents);
+                        folds += n;
                     }
                 }
             }
@@ -334,6 +368,7 @@ impl Engine {
         for group in &group_for_mode(mode, &seq_all) {
             let shard = ctx.fold_span(records, 0, records.len(), queries, group)?;
             counters.absorb(&shard.counters);
+            folds += shard.folds.iter().sum::<u64>();
             for (gi, (st, ents)) in shard.states.into_iter().zip(shard.entries).enumerate() {
                 states[group[gi]] = st;
                 entries_by_def[group[gi]] = ents;
@@ -361,7 +396,7 @@ impl Engine {
         // than fault time: entries of merge-demoted definitions are
         // discarded and re-folded, and must not count twice.
         let recorder = &cfg.recorder;
-        recorder.add(names::AGG_FOLDS, counters.folds);
+        recorder.add(names::AGG_FOLDS, folds);
         recorder.add(names::AGG_MERGES, merges);
         recorder.add(names::ENGINE_RECORDS, records.len() as u64);
         recorder.add(names::ENGINE_QUARANTINED, quarantine.records_quarantined as u64);
@@ -376,7 +411,7 @@ impl Engine {
             proved: proved_out,
             states,
             quarantine,
-            folds: counters.folds,
+            folds,
             merges,
             records: records.len(),
             udf_time,
@@ -396,11 +431,41 @@ fn group_for_mode(mode: AggMode, idx: &[usize]) -> Vec<Vec<usize>> {
     }
 }
 
+/// A record as a compiled fold sees it: the current state in front of the
+/// record's already-decoded arguments (the `state ++ params` of
+/// [`AggDef::fold_view`]); calls go to the real environment.
+struct FoldEnv<'a, E: UdfEnv> {
+    env: &'a E,
+    state: &'a [i64],
+    args: &'a [i64],
+}
+
+impl<E: UdfEnv> UdfEnv for FoldEnv<'_, E> {
+    type Rec = E::Rec;
+
+    fn arity(&self) -> usize {
+        self.state.len() + self.args.len()
+    }
+
+    fn args(&self, _rec: &E::Rec, out: &mut Vec<i64>) {
+        out.extend_from_slice(self.state);
+        out.extend_from_slice(self.args);
+    }
+
+    fn call(&self, rec: &E::Rec, f: Symbol, args: &[i64]) -> Result<i64, LibError> {
+        self.env.call(rec, f, args)
+    }
+
+    fn fn_cost(&self, f: Symbol) -> Cost {
+        self.env.fn_cost(f)
+    }
+}
+
 /// Immutable fold-execution context shared by workers.
 struct FoldCtx<'a, E: UdfEnv> {
     env: &'a E,
-    interner: &'a Interner,
-    cm: &'a CostModel,
+    /// Compiled folds, by definition position.
+    folds: &'a [RegProgram],
     fuel: u64,
     config: &'a EngineConfig,
     workers: usize,
@@ -410,6 +475,8 @@ struct FoldCtx<'a, E: UdfEnv> {
 struct ChunkResult {
     states: Vec<Vec<i64>>,
     entries: Vec<Vec<QuarantineEntry>>,
+    /// Successful folds per definition of the group.
+    folds: Vec<u64>,
     counters: PassCounters,
 }
 
@@ -427,6 +494,7 @@ impl<'a, E: UdfEnv> FoldCtx<'a, E> {
         let mut states: Vec<Vec<i64>> =
             group.iter().map(|&di| queries.defs[di].init_state()).collect();
         let mut entries: Vec<Vec<QuarantineEntry>> = group.iter().map(|_| Vec::new()).collect();
+        let mut folds = vec![0u64; group.len()];
         let mut counters = PassCounters::default();
         // Like a record shard, a span keeps payload samples for its first
         // `max_payload_samples` entries only; the global cap is applied
@@ -434,6 +502,7 @@ impl<'a, E: UdfEnv> FoldCtx<'a, E> {
         let mut n_entries = 0usize;
         let recorder = &self.config.recorder;
         let timing = recorder.enabled();
+        let mut vm = RegVm::new().with_fuel(self.fuel);
         let mut args: Vec<i64> = Vec::with_capacity(self.env.arity());
         for (off, rec) in records[lo..hi].iter().enumerate() {
             let ridx = lo + off;
@@ -441,17 +510,19 @@ impl<'a, E: UdfEnv> FoldCtx<'a, E> {
             self.env.args(rec, &mut args);
             let span = timing.then(|| recorder.span(names::ENGINE_FOLD_NS));
             for (gi, &di) in group.iter().enumerate() {
-                let def = &queries.defs[di];
-                if let Err((fault, retries)) =
-                    self.fold_one(rec, &args, def, &mut states[gi], &mut counters)
-                {
-                    if self.config.error_policy == ErrorPolicy::FailFast {
-                        return Err(fault.fail_fast(ridx));
+                let fold = &self.folds[di];
+                match self.fold_one(&mut vm, fold, rec, &args, &mut states[gi], &mut counters) {
+                    Ok(()) => folds[gi] += 1,
+                    Err((fault, retries)) => {
+                        if self.config.error_policy == ErrorPolicy::FailFast {
+                            return Err(fault.fail_fast(ridx));
+                        }
+                        let sample =
+                            (n_entries < self.config.max_payload_samples).then(|| args.clone());
+                        n_entries += 1;
+                        let id = Some(queries.defs[di].id);
+                        entries[gi].push(fault.quarantine(ridx, id, sample, retries));
                     }
-                    let sample =
-                        (n_entries < self.config.max_payload_samples).then(|| args.clone());
-                    n_entries += 1;
-                    entries[gi].push(fault.quarantine(ridx, Some(def.id), sample, retries));
                 }
             }
             drop(span);
@@ -459,54 +530,47 @@ impl<'a, E: UdfEnv> FoldCtx<'a, E> {
         Ok(ChunkResult {
             states,
             entries,
+            folds,
             counters,
         })
     }
 
-    /// One fold step with scratch-copy commit and transient retry.
+    /// One fold step with all-or-nothing commit and transient retry: the
+    /// state is overwritten only by a run that reached `Halt`.
     ///
     /// Transient library faults are retried immediately, up to
     /// [`EngineConfig::max_retries`] times, as on the record path.
     fn fold_one(
         &self,
+        vm: &mut RegVm,
+        fold: &RegProgram,
         rec: &E::Rec,
         args: &[i64],
-        def: &AggDef,
         state: &mut [i64],
         counters: &mut PassCounters,
     ) -> Result<(), (RecordFault, u32)> {
         let mut retries = 0u32;
         let result = loop {
-            let mut work: BTreeMap<udf_lang::Symbol, i64> = BTreeMap::new();
-            for (slot, &v) in def.state.iter().zip(state.iter()) {
-                work.insert(slot.name, v);
-            }
-            for (&p, &a) in def.params.iter().zip(args) {
-                work.insert(p, a);
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let lib = RecordLibrary::new(self.env, rec);
-                let interp = Interp::new(self.cm.clone(), &lib).with_fuel(self.fuel);
-                let mut w = work;
-                interp.stmt_in(&mut w, &def.fold, self.interner).map(|_| w)
-            }));
-            match outcome {
-                Ok(Ok(w)) => {
-                    for (slot, v) in def.state.iter().zip(state.iter_mut()) {
-                        if let Some(&nv) = w.get(&slot.name) {
-                            *v = nv;
-                        }
-                    }
-                    counters.folds += 1;
+            let env = FoldEnv {
+                env: self.env,
+                state,
+                args,
+            };
+            match catch_unwind(AssertUnwindSafe(|| vm.run(fold, &env, rec, &mut [], false))) {
+                Ok(Ok(_)) => {
+                    state.copy_from_slice(&vm.registers()[..state.len()]);
                     break Ok(());
                 }
-                Ok(Err(EvalError::Lib(LibError::Transient(_))))
-                    if retries < self.config.max_retries =>
-                {
+                Ok(Err(e)) if e.is_transient() && retries < self.config.max_retries => {
                     retries += 1;
                 }
-                Ok(Err(e)) => break Err(RecordFault::Eval(e)),
-                Err(p) => break Err(RecordFault::Panic(panic_message(p.as_ref()))),
+                Ok(Err(e)) => break Err(RecordFault::Vm(e)),
+                Err(p) => {
+                    // The machine's internal state is unspecified after an
+                    // unwind through `run`; carry on with a fresh one.
+                    *vm = RegVm::new().with_fuel(self.fuel);
+                    break Err(RecordFault::Panic(panic_message(p.as_ref())));
+                }
             }
         };
         if retries > 0 {
@@ -578,31 +642,20 @@ impl<'a, E: UdfEnv> FoldCtx<'a, E> {
     }
 }
 
-/// Merges two partial states through the definition's merge body. The body
-/// is validated call-free, so an empty library suffices; any residual
-/// evaluation error (e.g. a merge-local read before assignment) is
-/// returned for the caller to demote the definition.
-fn merge_states<E: UdfEnv>(
-    def: &AggDef,
+/// Merges two partial states through the definition's compiled merge body,
+/// run on `left ++ right` over `env` (a call-free body needs no library).
+/// A fault (a loop past the fuel budget) is returned for the caller to
+/// demote the definition.
+fn merge_states(
+    vm: &mut RegVm,
+    merge: &RegProgram,
+    env: &ScalarEnv,
     left: &[i64],
     right: &[i64],
-    ctx: &FoldCtx<'_, E>,
-) -> Result<Vec<i64>, EvalError> {
-    let lib = FnLibrary::new();
-    let interp = Interp::new(ctx.cm.clone(), &lib).with_fuel(ctx.fuel);
-    let mut work: BTreeMap<udf_lang::Symbol, i64> = BTreeMap::new();
-    for (slot, &v) in def.state.iter().zip(left) {
-        work.insert(slot.name, v);
-    }
-    for (slot, &v) in def.state.iter().zip(right) {
-        work.insert(slot.rhs, v);
-    }
-    interp.stmt_in(&mut work, &def.merge, ctx.interner)?;
-    Ok(def
-        .state
-        .iter()
-        .map(|slot| work.get(&slot.name).copied().unwrap_or(0))
-        .collect())
+) -> Result<Vec<i64>, VmError> {
+    let rec: Vec<i64> = left.iter().chain(right).copied().collect();
+    vm.run(merge, env, &rec, &mut [], false)?;
+    Ok(vm.registers()[..left.len()].to_vec())
 }
 
 #[cfg(test)]
@@ -849,6 +902,29 @@ mod tests {
         assert_eq!(rep.proved, vec![false], "demoted at run time");
         assert_eq!(rep.tier, DegradationTier::Sequential);
         assert_eq!(rep.states[0], vec![expect], "sequential rerun is correct");
+    }
+
+    /// A body past the bytecode's field widths is refused before any
+    /// record is read, naming the definition.
+    #[test]
+    fn oversized_body_is_a_compile_error() {
+        let mut interner = Interner::new();
+        let src = format!(
+            "aggregate wide @7 (x) {{ state s = 0; fold {{ s := f({}); }} merge {{ s := s + rhs_s; }} }}",
+            vec!["x"; 300].join(", ")
+        );
+        let defs = parse_aggs(&src, &mut interner).expect("parse");
+        let env = ScalarEnv::new(1, FnLibrary::new());
+        let err = Engine::new(1)
+            .run_agg(&env, &scalar_records(3), &AggQuerySet::sequential(defs), &interner, AggMode::Consolidated)
+            .expect_err("too many arguments");
+        assert_eq!(
+            err,
+            EngineError::Compile {
+                query: ProgId(7),
+                error: crate::CompileError::TooManyArguments(300),
+            }
+        );
     }
 
     #[test]

@@ -43,8 +43,6 @@ use udf_lang::ast::ProgId;
 use udf_obs::names;
 use udf_lang::cost::{Cost, CostModel};
 use udf_lang::intern::Symbol;
-use udf_lang::interp::EvalError;
-use udf_lang::library::LibError;
 
 /// Which operator to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -488,6 +486,14 @@ pub enum EngineError {
         /// Structured account of the divergence.
         incident: crate::guard::PlanIncident,
     },
+    /// An aggregation body does not fit the register bytecode's field
+    /// widths (see [`crate::compile::CompileError`]).
+    Compile {
+        /// The definition whose fold or merge failed to compile.
+        query: ProgId,
+        /// Why.
+        error: crate::compile::CompileError,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -509,6 +515,9 @@ impl fmt::Display for EngineError {
                 "ExecMode::Consolidated requires QuerySet::with_consolidated"
             ),
             EngineError::GuardTripped { incident } => write!(f, "{incident}"),
+            EngineError::Compile { query, error } => {
+                write!(f, "aggregation {query} does not compile: {error}")
+            }
         }
     }
 }
@@ -873,12 +882,10 @@ struct ShardOut {
     prefilter_skipped: u64,
 }
 
-/// How one evaluation ended, before policy classifies it. Record
-/// evaluation raises `Vm` or `Panic`; aggregation folds (which run on the
-/// AST interpreter) raise `Eval` or `Panic`.
+/// How one evaluation ended, before policy classifies it: a record's UDFs
+/// and an aggregation's fold both run on [`RegVm`].
 pub(crate) enum RecordFault {
     Vm(VmError),
-    Eval(EvalError),
     Panic(String),
 }
 
@@ -886,26 +893,17 @@ impl RecordFault {
     pub(crate) fn kind(&self) -> ErrorKind {
         match self {
             RecordFault::Vm(e) => ErrorKind::of(e),
-            RecordFault::Eval(EvalError::DuplicateNotify(_)) => ErrorKind::DuplicateNotify,
-            RecordFault::Eval(EvalError::OutOfFuel) => ErrorKind::OutOfFuel,
-            RecordFault::Eval(_) => ErrorKind::Lib,
             RecordFault::Panic(_) => ErrorKind::Panic,
         }
     }
 
     /// The [`EngineError`] this fault raises under
-    /// [`ErrorPolicy::FailFast`]. Interpreter-shape errors with no
-    /// [`VmError`] equivalent (unbound variable, arity mismatch) surface as
-    /// library errors carrying the rendered message.
+    /// [`ErrorPolicy::FailFast`].
     pub(crate) fn fail_fast(self, record: usize) -> EngineError {
-        let error = match self {
-            RecordFault::Panic(message) => return EngineError::RecordPanic { record, message },
-            RecordFault::Vm(e) => e,
-            RecordFault::Eval(EvalError::Lib(e)) => VmError::Lib(e),
-            RecordFault::Eval(EvalError::OutOfFuel) => VmError::OutOfFuel,
-            RecordFault::Eval(e) => VmError::Lib(LibError::UnknownFunction(e.to_string())),
-        };
-        EngineError::Record { record, error }
+        match self {
+            RecordFault::Panic(message) => EngineError::RecordPanic { record, message },
+            RecordFault::Vm(error) => EngineError::Record { record, error },
+        }
     }
 
     /// The entry this fault leaves under [`ErrorPolicy::Quarantine`].
@@ -922,7 +920,6 @@ impl RecordFault {
             kind: self.kind(),
             detail: match self {
                 RecordFault::Vm(e) => e.to_string(),
-                RecordFault::Eval(e) => e.to_string(),
                 RecordFault::Panic(m) => m,
             },
             sample,

@@ -3,8 +3,10 @@
 //! A UDF sees a record through two channels (paper §3): the record's scalar
 //! fields arrive as the program's arguments `ᾱ`, and richer accessors
 //! (e.g. `getTempOfMonth(m)` on a weather record) are *pure external
-//! functions* closed over the record. A [`UdfEnv`] packages both; the engine
-//! materializes a per-record [`udf_lang::Library`] view with no allocation.
+//! functions* closed over the record. A [`UdfEnv`] packages both; a
+//! [`RecordLibrary`] views one record as a [`udf_lang::Library`] with no
+//! allocation, so the reference interpreter runs over the same binding as
+//! the engine's machines (tests and benchmark oracles use it).
 
 use udf_lang::cost::Cost;
 use udf_lang::intern::Symbol;

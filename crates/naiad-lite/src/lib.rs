@@ -33,7 +33,8 @@
 //!   faulting or panicking records are excluded from every query's output
 //!   and accounted in a [`engine::QuarantineReport`] instead of aborting
 //!   the job;
-//! * [`agg`] — user-defined aggregations: homomorphism-proved UDAFs fold
+//! * [`agg`] — user-defined aggregations, their folds and merges compiled
+//!   to the same register bytecode: homomorphism-proved UDAFs fold
 //!   in parallel over a fixed chunk grid and merge in a deterministic tree
 //!   (bit-identical at every worker count); unproved definitions fall back
 //!   to a sequential shard, and consolidated mode shares one scan and one

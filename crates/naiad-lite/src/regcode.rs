@@ -11,7 +11,8 @@
 //! Programs are arena-backed — one instruction vector plus one shared
 //! argument pool — and evaluation allocates nothing per record. Both
 //! backends execute this form: [`RegVm`] a record at a time,
-//! [`crate::batch::BatchVm`] a batch at a time.
+//! [`crate::batch::BatchVm`] a batch at a time. Aggregation folds and
+//! merges ([`crate::agg`]) run on [`RegVm`] too.
 //!
 //! # Exactness
 //!
@@ -258,6 +259,15 @@ impl RegVm {
     pub fn with_fuel(mut self, fuel: u64) -> RegVm {
         self.fuel = fuel;
         self
+    }
+
+    /// The register file as the last [`RegVm::run`] left it: the program's
+    /// variable slots first (parameters, then locals), then temporaries.
+    /// After a run that reached `Halt`, slot `i` holds variable `i`'s final
+    /// value — every assignment stores into its variable's slot — which is
+    /// how an aggregation fold hands back its new state.
+    pub fn registers(&self) -> &[i64] {
+        &self.regs
     }
 
     /// Runs `prog` on one record. `notify_out` must hold `prog.n_queries`
@@ -686,6 +696,112 @@ mod tests {
             .expect("program has a call");
         assert!(matches!(reg.code[call_idx + 1].op, ROp::Move { .. }));
         assert_eq!(reg.code[call_idx + 1].steps, 1, "store charges its own step");
+    }
+
+    /// Variables in the order the compiler numbers their slots: parameters,
+    /// then each variable as the walk first meets it (an assignment reads
+    /// its right-hand side before it writes its target).
+    fn slot_order(p: &Program) -> Vec<Symbol> {
+        fn note(v: Symbol, out: &mut Vec<Symbol>) {
+            if !out.contains(&v) {
+                out.push(v);
+            }
+        }
+        fn int(e: &IntExpr, out: &mut Vec<Symbol>) {
+            match e {
+                IntExpr::Const(_) => {}
+                IntExpr::Var(v) => note(*v, out),
+                IntExpr::Call(_, args) => args.iter().for_each(|a| int(a, out)),
+                IntExpr::Bin(_, a, b) => {
+                    int(a, out);
+                    int(b, out);
+                }
+            }
+        }
+        fn boolean(e: &BoolExpr, out: &mut Vec<Symbol>) {
+            match e {
+                BoolExpr::Const(_) => {}
+                BoolExpr::Cmp(_, a, b) => {
+                    int(a, out);
+                    int(b, out);
+                }
+                BoolExpr::Not(a) => boolean(a, out),
+                BoolExpr::Bin(_, a, b) => {
+                    boolean(a, out);
+                    boolean(b, out);
+                }
+            }
+        }
+        fn stmt(s: &Stmt, out: &mut Vec<Symbol>) {
+            match s {
+                Stmt::Skip | Stmt::Notify(..) => {}
+                Stmt::Assign(x, e) => {
+                    int(e, out);
+                    note(*x, out);
+                }
+                Stmt::Seq(a, b) => {
+                    stmt(a, out);
+                    stmt(b, out);
+                }
+                Stmt::If(c, a, b) => {
+                    boolean(c, out);
+                    stmt(a, out);
+                    stmt(b, out);
+                }
+                Stmt::While(c, b) => {
+                    boolean(c, out);
+                    stmt(b, out);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        p.params.iter().for_each(|&v| note(v, &mut out));
+        stmt(&p.body, &mut out);
+        out
+    }
+
+    /// What an aggregation fold relies on to read its new state back: after
+    /// `Halt`, every variable slot holds the variable's final value in the
+    /// reference interpreter — constant stores, folded stores, copies and
+    /// stores after calls alike. A variable the run never assigned (its
+    /// branch not taken) holds the register file's initial 0.
+    #[test]
+    fn halted_slots_hold_final_variable_values() {
+        let srcs = [
+            "program p @0 (a, b) { x := 2 * 3; y := x + a; z := y; y := f(z); w := y - b; }",
+            "program p @0 (a, b) {
+                 acc := 0; k := a;
+                 while (k > 0) { acc := acc + f(k); k := k - 1; }
+                 if (acc < b) { m := acc; } else { m := b; n := 1; }
+             }",
+            "program p @0 (a, b) { s := a; s := s; t := 5; if (t == 5) { t := t * b; } }",
+        ];
+        for src in srcs {
+            let mut i = Interner::new();
+            let env = scalar_env(&mut i);
+            let p = parse_program(src, &mut i).unwrap();
+            let cm = CostModel::default();
+            let reg = RegProgram::compile(&p, &[], &cm, &|f| env.fn_cost(f)).unwrap();
+            let order = slot_order(&p);
+            assert_eq!(order.len(), reg.n_slots as usize, "{src}");
+            for rec in [vec![3, 50], vec![4, -2], vec![0, 0], vec![-7, 9]] {
+                let mut vm = RegVm::new();
+                vm.run(&reg, &env, &rec, &mut [], false).unwrap();
+                let view = crate::env::RecordLibrary::new(&env, &rec);
+                let reference = udf_lang::interp::Interp::new(cm.clone(), &view)
+                    .run(&p, &rec, &i)
+                    .unwrap();
+                for (slot, v) in order.iter().enumerate() {
+                    let expected = reference.env.get(v).copied().unwrap_or(0);
+                    assert_eq!(
+                        vm.registers()[slot],
+                        expected,
+                        "{src}: `{}` on {rec:?}",
+                        i.resolve(*v)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -239,6 +239,23 @@ mod tests {
         }
     }
 
+    /// Every generated body reads only definitely-assigned variables (the
+    /// engine compiles folds and merges to registers that start at 0, so
+    /// `AggDef::validate` refuses anything else), whatever the draw.
+    #[test]
+    fn every_family_validates_in_every_domain() {
+        let mut i = Interner::new();
+        for d in DomainKind::ALL {
+            for f in families(d) {
+                for seed in 0..8 {
+                    for def in (f.build)(6, seed, &mut i) {
+                        assert_eq!(def.validate(&i), Ok(()), "{} {}", d.name(), f.label);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn provable_families_prove_and_mix_degrades_partially() {
         let mut i = Interner::new();

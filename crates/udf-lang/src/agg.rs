@@ -30,7 +30,7 @@
 //! Each `state` declaration introduces one slot with its `init` constant;
 //! inside `merge` the right-hand partial state is visible as `rhs_<slot>`.
 
-use crate::analysis::{assigned_vars, called_fns, notify_ids, read_vars};
+use crate::analysis::{assigned_vars, called_fns, first_unassigned_read, notify_ids, read_vars};
 use crate::ast::{ProgId, Program, Stmt};
 use crate::canon::{program_hash, Fnv128};
 use crate::intern::{Interner, Symbol};
@@ -94,6 +94,9 @@ pub enum AggError {
     MergeReadsForeign(String),
     /// `fold` reads a variable outside `params ∪ state ∪ own locals` (named).
     FoldReadsForeign(String),
+    /// `fold` or `merge` may read one of its own locals (named) before any
+    /// assignment reaches it.
+    MaybeUninitialized(String),
 }
 
 impl fmt::Display for AggError {
@@ -107,6 +110,9 @@ impl fmt::Display for AggError {
             AggError::MergeAssignsInput(n) => write!(f, "merge assigns input `{n}`"),
             AggError::MergeReadsForeign(n) => write!(f, "merge reads foreign variable `{n}`"),
             AggError::FoldReadsForeign(n) => write!(f, "fold reads foreign variable `{n}`"),
+            AggError::MaybeUninitialized(n) => {
+                write!(f, "variable `{n}` may be read before initialization")
+            }
         }
     }
 }
@@ -138,12 +144,13 @@ impl AggDef {
         Ok(def)
     }
 
-    /// Checks the structural well-formedness rules listed on [`AggError`].
+    /// Checks the well-formedness rules listed on [`AggError`].
     ///
-    /// The read checks are *scope* checks, not definite-assignment: a scratch
-    /// local read before its first assignment is caught at run time by the
-    /// interpreter (`UnboundVar`) and quarantined like any other per-record
-    /// fault.
+    /// Beyond the scope checks, every read must be definitely assigned
+    /// ([`first_unassigned_read`]): `fold` starts from `params ∪ state`,
+    /// `merge` from `state ∪ rhs`. So no scratch local is ever read unset, and
+    /// a compiled body — whose registers start at 0 — computes exactly what
+    /// the interpreter does.
     ///
     /// # Errors
     ///
@@ -194,6 +201,14 @@ impl AggDef {
             .find(|v| !state.contains(v) && !rhs.contains(v) && !merge_assigned.contains(v))
         {
             return Err(AggError::MergeReadsForeign(interner.resolve(v).to_string()));
+        }
+
+        let fold_entry: BTreeSet<Symbol> = params.union(&state).copied().collect();
+        let merge_entry: BTreeSet<Symbol> = state.union(&rhs).copied().collect();
+        let unset = first_unassigned_read(&self.fold, &fold_entry)
+            .or_else(|| first_unassigned_read(&self.merge, &merge_entry));
+        if let Some(v) = unset {
+            return Err(AggError::MaybeUninitialized(interner.resolve(v).to_string()));
         }
         Ok(())
     }
@@ -556,6 +571,27 @@ mod tests {
         // fold reads an undeclared variable
         let bad3 = "aggregate a @1 (x) { state s = 0; fold { s := q; } merge { s := rhs_s; } }";
         assert!(parse_agg(bad3, &mut it).unwrap_err().contains("foreign"));
+    }
+
+    #[test]
+    fn rejects_one_sided_local_in_fold_and_merge() {
+        let mut it = Interner::new();
+        let fold = "aggregate a @1 (x) { state s = 0;
+            fold { if (x < 0) { t := x; } s := s + t; }
+            merge { s := s + rhs_s; } }";
+        let err = parse_agg(fold, &mut it).unwrap_err();
+        assert_eq!(err, AggError::MaybeUninitialized("t".to_string()).to_string());
+        let merge = "aggregate a @1 (x) { state s = 0;
+            fold { s := s + x; }
+            merge { if (rhs_s < 0) { t := rhs_s; } else { skip; } s := s + t; } }";
+        let err = parse_agg(merge, &mut it).unwrap_err();
+        assert_eq!(err, AggError::MaybeUninitialized("t".to_string()).to_string());
+        // Assigned on both branches, or before a loop that reassigns it: fine.
+        let ok = "aggregate a @1 (x) { state s = 0;
+            fold { if (x < 0) { t := x; } else { t := 0; }
+                   i := 0; while (i < 2) { t := t + 1; i := i + 1; } s := s + t; }
+            merge { s := s + rhs_s; } }";
+        assert!(parse_agg(ok, &mut it).is_ok());
     }
 
     #[test]

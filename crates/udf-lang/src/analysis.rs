@@ -292,64 +292,64 @@ pub fn validate(program: &Program, interner: &Interner) -> Result<(), ValidateEr
             ));
         }
     }
-    let mut defined = params;
-    check_defined(&program.body, &mut defined, interner)?;
-    Ok(())
-}
-
-fn expr_defined(
-    vars: &BTreeSet<Symbol>,
-    defined: &BTreeSet<Symbol>,
-    interner: &Interner,
-) -> Result<(), ValidateError> {
-    for v in vars {
-        if !defined.contains(v) {
-            return Err(ValidateError::MaybeUninitialized(
-                interner.resolve(*v).to_owned(),
-            ));
-        }
+    match first_unassigned_read(&program.body, &params) {
+        Some(v) => Err(ValidateError::MaybeUninitialized(
+            interner.resolve(v).to_owned(),
+        )),
+        None => Ok(()),
     }
-    Ok(())
 }
 
-fn check_defined(
-    s: &Stmt,
-    defined: &mut BTreeSet<Symbol>,
-    interner: &Interner,
-) -> Result<(), ValidateError> {
+/// Definite assignment: the first variable `s` may read before any
+/// assignment reaches it, when only the variables in `defined` hold a value
+/// on entry. Conservative and forward — a conditional assignment counts
+/// after the `if` only when both branches make it, and nothing assigned in
+/// a loop body flows out of the loop (the body may run zero times).
+pub fn first_unassigned_read(s: &Stmt, defined: &BTreeSet<Symbol>) -> Option<Symbol> {
+    check_defined(s, &mut defined.clone()).err()
+}
+
+fn expr_defined(vars: &BTreeSet<Symbol>, defined: &BTreeSet<Symbol>) -> Result<(), Symbol> {
+    match vars.iter().find(|&v| !defined.contains(v)) {
+        Some(&v) => Err(v),
+        None => Ok(()),
+    }
+}
+
+fn check_defined(s: &Stmt, defined: &mut BTreeSet<Symbol>) -> Result<(), Symbol> {
     match s {
         Stmt::Skip | Stmt::Notify(..) => Ok(()),
         Stmt::Assign(x, e) => {
             let mut vars = BTreeSet::new();
             int_expr_vars(e, &mut vars);
-            expr_defined(&vars, defined, interner)?;
+            expr_defined(&vars, defined)?;
             defined.insert(*x);
             Ok(())
         }
         Stmt::Seq(a, b) => {
-            check_defined(a, defined, interner)?;
-            check_defined(b, defined, interner)
+            check_defined(a, defined)?;
+            check_defined(b, defined)
         }
         Stmt::If(c, a, b) => {
             let mut vars = BTreeSet::new();
             bool_expr_vars(c, &mut vars);
-            expr_defined(&vars, defined, interner)?;
+            expr_defined(&vars, defined)?;
             let mut then_defs = defined.clone();
-            check_defined(a, &mut then_defs, interner)?;
+            check_defined(a, &mut then_defs)?;
             let mut else_defs = defined.clone();
-            check_defined(b, &mut else_defs, interner)?;
+            check_defined(b, &mut else_defs)?;
             *defined = then_defs.intersection(&else_defs).copied().collect();
             Ok(())
         }
         Stmt::While(c, b) => {
             let mut vars = BTreeSet::new();
             bool_expr_vars(c, &mut vars);
-            expr_defined(&vars, defined, interner)?;
+            expr_defined(&vars, defined)?;
             // The body may execute zero times: definitions inside it do not
             // flow out, but the body itself is checked starting from the
             // current definitions.
             let mut body_defs = defined.clone();
-            check_defined(b, &mut body_defs, interner)
+            check_defined(b, &mut body_defs)
         }
     }
 }

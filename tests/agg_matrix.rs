@@ -101,7 +101,17 @@ fn run(
         .with_recorder(udf_obs::RecorderCell::memory())
         .run_agg(&env, &records, queries, interner, mode)
         .expect("quarantine policy absorbs record faults");
-    assert_counters_equal_report(&rep, &format!("{workers} workers {mode:?}"));
+    let ctx = format!("{workers} workers {mode:?}");
+    assert_counters_equal_report(&rep, &ctx);
+    // Every (record, definition) pair folds into the kept state exactly
+    // once, unless quarantined — a merge-demoted definition's discarded
+    // parallel pass included.
+    let pairs = n_records * queries.defs.len();
+    assert_eq!(
+        rep.folds,
+        (pairs - rep.quarantine.records_quarantined) as u64,
+        "{ctx}"
+    );
     rep
 }
 
@@ -280,6 +290,34 @@ fn quarantine_counters_survive_retries_and_merge_demotion() {
             assert!(by_kind(ErrorKind::Panic) > 0, "{ctx}");
             assert!(rep.quarantine.retry_attempts > 0, "{ctx}");
         }
+    }
+}
+
+/// A definition demoted by a merge fault is folded twice — the discarded
+/// parallel pass, then the sequential re-fold — but only the kept fold
+/// counts: 600 records × 2 definitions, not 600 × 3.
+#[test]
+fn a_merge_demoted_definition_counts_its_folds_once() {
+    let mut interner = Interner::new();
+    let probe = interner.intern("probe");
+    let (mut defs, mut proved) = defs_of(&[Shape::Sum(1)], &mut interner);
+    defs.push(
+        parse_agg(
+            "aggregate sneaky @1 (v) { state s = 0;
+                 fold  { s := s + v; }
+                 merge { i := 0; while (i < 100000) { i := i + 1; } s := s + rhs_s; } }",
+            &mut interner,
+        )
+        .expect("parses"),
+    );
+    proved.push(true);
+    let queries = AggQuerySet::new(defs, proved);
+    for mode in [AggMode::Separate, AggMode::Consolidated] {
+        let rep = run(2, mode, &queries, probe, &FaultPlan::none(), 600, &interner);
+        assert_eq!(rep.proved, vec![true, false], "{mode:?}");
+        assert_eq!(rep.folds, 1200, "{mode:?}");
+        let snap = rep.metrics.as_ref().expect("memory recorder snapshots");
+        assert_eq!(snap.counter(names::AGG_FOLDS), 1200, "{mode:?}");
     }
 }
 

@@ -39,9 +39,9 @@
 //!
 //! Each node carries the [`DegradationTier`] of its own merge; the plan's
 //! tier is the worst tier on the root's derivation, recomputed bottom-up.
-//! A budget-starved delta op degrades only the spine it touched, and a
-//! later [`DeltaPlan::refresh`] under a healthier budget re-merges exactly
-//! the degraded nodes (the plan-cache tier-upgrade rule, applied per node).
+//! A budget-starved delta op degrades only the spine it touched. A
+//! degraded node is merged again only when a later `add` or `remove`
+//! passes through it; nothing re-merges the whole tree.
 //!
 //! # Failure and persistence
 //!
@@ -224,12 +224,6 @@ impl Default for DeltaPlan {
 impl DeltaPlan {
     /// Creates an empty plan with its own [`EntailmentMemo`].
     pub fn new() -> DeltaPlan {
-        DeltaPlan::with_memo(Arc::new(EntailmentMemo::new()))
-    }
-
-    /// Creates an empty plan sharing an existing memo table (e.g. the one a
-    /// plan cache or another plan already uses).
-    pub fn with_memo(memo: Arc<EntailmentMemo>) -> DeltaPlan {
         DeltaPlan {
             leaves: vec![None],
             nodes: vec![None, None],
@@ -237,7 +231,7 @@ impl DeltaPlan {
             by_id: HashMap::new(),
             free: vec![0],
             renames: 0,
-            memo,
+            memo: Arc::new(EntailmentMemo::new()),
         }
     }
 
@@ -380,41 +374,6 @@ impl DeltaPlan {
         self.leaves[slot] = None;
         self.free.push(slot);
         self.install_spine(node, None, spine);
-        report.tier = self.tier();
-        Ok(report)
-    }
-
-    /// Re-merges every node whose subtree is degraded below
-    /// [`DegradationTier::Full`] — the tier-upgrade rule applied to the
-    /// live tree. Call under a healthier budget after pressure subsides.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pair-consolidation failures ([`DeltaError::Consolidate`]).
-    pub fn refresh(
-        &mut self,
-        interner: &Interner,
-        cm: &CostModel,
-        fns: &dyn FnCost,
-        opts: &Options,
-    ) -> Result<DeltaReport, DeltaError> {
-        let mut report = DeltaReport::default();
-        let budget =
-            (!opts.budget.is_unlimited()).then(|| Arc::new(BudgetState::new(&opts.budget)));
-        let opts = self.opts_with_memo(opts);
-        // Bottom-up: internal nodes in decreasing index order sit above
-        // their children, so each recompute sees already-refreshed inputs.
-        for k in (1..self.cap).rev() {
-            if self.nodes[k].as_ref().is_some_and(|n| n.tier == DegradationTier::Full) {
-                continue;
-            }
-            if self.nodes[k].is_some() {
-                let (left, right) = (self.nodes[2 * k].as_ref(), self.nodes[2 * k + 1].as_ref());
-                let budget = budget.as_ref();
-                self.nodes[k] =
-                    merge_children(left, right, interner, cm, fns, &opts, budget, &mut report)?;
-            }
-        }
         report.tier = self.tier();
         Ok(report)
     }

@@ -4,9 +4,9 @@
 //! record scan. Proved-homomorphic definitions (see
 //! `consolidate::homomorphism`) are folded in parallel: the input is cut
 //! into fixed-size chunks — the chunk grid depends only on the record
-//! count, never on the worker count — workers claim chunks from a shared
-//! counter, fold each chunk from the initial state, and the partial states
-//! are merged in a deterministic contiguous binary tree by chunk index.
+//! count, never on the worker count — the crate's task runner folds each
+//! chunk from the initial state, and the partial states are merged in a
+//! deterministic contiguous binary tree by chunk index.
 //! Results are therefore bit-identical at every worker count. Definitions
 //! whose proof failed (or was never attempted) run on a single sequential
 //! shard — the sound fallback tier.
@@ -28,7 +28,10 @@
 //! quarantines that record *for that definition only* — the definition's
 //! state simply does not absorb the record, other definitions fold it
 //! normally. State commits are all-or-nothing per fold step: a fold that
-//! dies mid-body leaves no partial mutation behind.
+//! dies mid-body leaves no partial mutation behind. Isolation, transient
+//! retry and admission are the record path's own ([`crate::engine`]); a
+//! chunk that panics outside its folds (a record that cannot be decoded) is
+//! [`EngineError::WorkerPanicked`] naming that chunk.
 //!
 //! Folds and merges run on the same register bytecode as every record
 //! query: each job compiles a definition's [`AggDef::fold_view`] (variables
@@ -40,15 +43,11 @@
 //! interpreter would raise an unbound-variable error, which is why
 //! [`AggDef::validate`] refuses any read that is not definitely assigned.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::engine::{
-    finalize_quarantine, panic_message, Engine, EngineConfig, EngineError, ErrorPolicy,
-    QuarantineEntry, QuarantineReport, RecordFault,
-};
+use crate::engine::{Engine, EngineConfig, EngineError, QuarantineReport};
 use crate::env::{ScalarEnv, UdfEnv};
+use crate::policy::{attempt, finalize_quarantine, run_tasks, Outcome};
 use crate::regcode::{RegProgram, RegVm};
 use crate::VmError;
 use consolidate::budget::DegradationTier;
@@ -127,35 +126,6 @@ impl AggQuerySet {
         qs.tier = proof.tier;
         Ok(qs)
     }
-
-    /// Like [`AggQuerySet::prove`], but through a
-    /// [`plan_cache::PlanCache`]: warm verdicts skip the prover (and the
-    /// solver) entirely. A merge that faults at run time demotes its
-    /// definition to the sequential shard; nothing is evicted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`consolidate::api::ConsolidateError`] on malformed sets.
-    pub fn prove_cached(
-        defs: Vec<AggDef>,
-        interner: &mut Interner,
-        cm: CostModel,
-        opts: &consolidate::Options,
-        cache: &plan_cache::PlanCache,
-    ) -> Result<AggQuerySet, consolidate::api::ConsolidateError> {
-        let (proof, ..) = plan_cache::consolidate_aggs_cached(cache, &defs, interner, &cm, opts)?;
-        let mut qs = AggQuerySet::new(defs, proof.proved_flags());
-        qs.cost_model = cm;
-        qs.consolidation_time = proof.elapsed;
-        qs.tier = proof.tier;
-        Ok(qs)
-    }
-
-    /// Overrides the cost model.
-    pub fn with_cost_model(mut self, cm: CostModel) -> AggQuerySet {
-        self.cost_model = cm;
-        self
-    }
 }
 
 fn tier_of(proved: &[bool]) -> DegradationTier {
@@ -202,22 +172,6 @@ pub struct AggReport {
     pub metrics: Option<udf_obs::MetricsSnapshot>,
 }
 
-/// Worker-local retry accumulator for one pass.
-#[derive(Default)]
-struct PassCounters {
-    records_retried: usize,
-    retry_attempts: u64,
-    records_recovered: usize,
-}
-
-impl PassCounters {
-    fn absorb(&mut self, o: &PassCounters) {
-        self.records_retried += o.records_retried;
-        self.retry_attempts += o.retry_attempts;
-        self.records_recovered += o.records_recovered;
-    }
-}
-
 impl Engine {
     /// Runs a set of user-defined aggregations over `records`.
     ///
@@ -229,11 +183,11 @@ impl Engine {
     ///
     /// * [`EngineError::Record`] / [`EngineError::RecordPanic`] — first
     ///   faulting (record, definition) pair under
-    ///   [`ErrorPolicy::FailFast`];
+    ///   [`crate::ErrorPolicy::FailFast`];
     /// * [`EngineError::TooManyErrors`] — quarantine overflow under
-    ///   [`ErrorPolicy::Quarantine`];
-    /// * [`EngineError::WorkerPanicked`] — a worker died outside
-    ///   per-record execution;
+    ///   [`crate::ErrorPolicy::Quarantine`];
+    /// * [`EngineError::WorkerPanicked`] — a chunk (or the sequential
+    ///   shard, index 0) panicked outside its folds;
     /// * [`EngineError::Compile`] — a body exceeds the register bytecode's
     ///   field widths.
     pub fn run_agg<E: UdfEnv>(
@@ -274,16 +228,16 @@ impl Engine {
             folds: &fold_code,
             fuel: cfg.fuel.unwrap_or(crate::DEFAULT_FUEL),
             config: cfg,
-            workers: self.workers().max(1),
+            workers: self.workers(),
         };
         let mut merge_vm = RegVm::new().with_fuel(ctx.fuel);
 
-        let mut counters = PassCounters::default();
         let mut folds = 0u64;
         let mut merges = 0u64;
         let n_defs = queries.defs.len();
         let mut states: Vec<Vec<i64>> = vec![Vec::new(); n_defs];
-        let mut entries_by_def: Vec<Vec<QuarantineEntry>> = vec![Vec::new(); n_defs];
+        // Per definition: its quarantine entries and retry tally.
+        let mut reports: Vec<QuarantineReport> = vec![QuarantineReport::default(); n_defs];
         let mut proved_out = queries.proved.clone();
 
         let fold_start = Instant::now();
@@ -296,7 +250,7 @@ impl Engine {
         // mode runs a single pass decoding each record once for all of them.
         let par_groups: Vec<Vec<usize>> = group_for_mode(mode, &proved_idx);
         for group in &par_groups {
-            let chunks = ctx.parallel_chunks(records, queries, group)?;
+            let chunks = ctx.fold_spans(records, AGG_CHUNK, queries, group)?;
             // Deterministic contiguous tree merge per definition, driver
             // side: chunk partials are reduced pairwise by chunk index, a
             // pure function of the record count.
@@ -304,8 +258,7 @@ impl Engine {
             for (gi, &di) in group.iter().enumerate() {
                 let def = &queries.defs[di];
                 let merge_env = ScalarEnv::new(2 * def.state.len(), FnLibrary::new());
-                let mut layer: Vec<Vec<i64>> =
-                    chunks.iter().map(|c| c.states[gi].clone()).collect();
+                let mut layer: Vec<Vec<i64>> = chunks.iter().map(|c| c[gi].state.clone()).collect();
                 if layer.is_empty() {
                     layer.push(def.init_state());
                 }
@@ -349,13 +302,13 @@ impl Engine {
             }
             merge_time += mt.elapsed();
             for c in chunks {
-                counters.absorb(&c.counters);
-                for (gi, (ents, n)) in c.entries.into_iter().zip(c.folds).enumerate() {
+                for (gi, pass) in c.into_iter().enumerate() {
                     // A demoted definition's pass is discarded: its
-                    // sequential re-fold supplies entries and fold count.
+                    // sequential re-fold supplies entries, retry tally and
+                    // fold count.
                     if proved_out[group[gi]] {
-                        entries_by_def[group[gi]].extend(ents);
-                        folds += n;
+                        reports[group[gi]].absorb(pass.quarantine);
+                        folds += pass.folds;
                     }
                 }
             }
@@ -366,12 +319,12 @@ impl Engine {
         // scan across all of them; separate mode scans per definition.
         let seq_all: Vec<usize> = (0..n_defs).filter(|&i| !proved_out[i]).collect();
         for group in &group_for_mode(mode, &seq_all) {
-            let shard = ctx.fold_span(records, 0, records.len(), queries, group)?;
-            counters.absorb(&shard.counters);
-            folds += shard.folds.iter().sum::<u64>();
-            for (gi, (st, ents)) in shard.states.into_iter().zip(shard.entries).enumerate() {
-                states[group[gi]] = st;
-                entries_by_def[group[gi]] = ents;
+            for shard in ctx.fold_spans(records, records.len().max(1), queries, group)? {
+                for (pass, &di) in shard.into_iter().zip(group) {
+                    states[di] = pass.state;
+                    reports[di] = pass.quarantine;
+                    folds += pass.folds;
+                }
             }
         }
         let udf_time = fold_start.elapsed().saturating_sub(merge_time);
@@ -379,16 +332,11 @@ impl Engine {
         // Definitions append in position order and the finalising sort by
         // record is stable, so entries end up globally sorted by (record,
         // definition position).
-        let quarantine = finalize_quarantine(
-            QuarantineReport {
-                entries: entries_by_def.into_iter().flatten().collect(),
-                records_retried: counters.records_retried,
-                retry_attempts: counters.retry_attempts,
-                records_recovered: counters.records_recovered,
-                ..QuarantineReport::default()
-            },
-            cfg,
-        )?;
+        let mut quarantine = QuarantineReport::default();
+        for r in reports {
+            quarantine.absorb(r);
+        }
+        let quarantine = finalize_quarantine(quarantine, cfg)?;
 
         // Emit the metrics surface from the same counters the report
         // carries, so recorder and report agree by construction. That is
@@ -471,174 +419,107 @@ struct FoldCtx<'a, E: UdfEnv> {
     workers: usize,
 }
 
-/// One chunk's outputs for the definitions of a pass group.
-struct ChunkResult {
-    states: Vec<Vec<i64>>,
-    entries: Vec<Vec<QuarantineEntry>>,
-    /// Successful folds per definition of the group.
-    folds: Vec<u64>,
-    counters: PassCounters,
+/// One definition's share of a pass over one span: its state, what it
+/// quarantined (entries and retry tally), and its successful folds.
+struct DefPass {
+    state: Vec<i64>,
+    quarantine: QuarantineReport,
+    folds: u64,
 }
 
 impl<'a, E: UdfEnv> FoldCtx<'a, E> {
-    /// Folds `[lo, hi)` sequentially for the given definitions, decoding
-    /// each record once for the whole group.
-    fn fold_span(
+    /// Folds the whole input for one pass group in spans of `span`
+    /// records on the task runner, returning each span's passes in span
+    /// order. The first error in span order is returned, so it is the same
+    /// at every worker count.
+    fn fold_spans(
         &self,
         records: &[E::Rec],
-        lo: usize,
-        hi: usize,
+        span: usize,
         queries: &AggQuerySet,
         group: &[usize],
-    ) -> Result<ChunkResult, EngineError> {
-        let mut states: Vec<Vec<i64>> =
-            group.iter().map(|&di| queries.defs[di].init_state()).collect();
-        let mut entries: Vec<Vec<QuarantineEntry>> = group.iter().map(|_| Vec::new()).collect();
-        let mut folds = vec![0u64; group.len()];
-        let mut counters = PassCounters::default();
-        // Like a record shard, a span keeps payload samples for its first
-        // `max_payload_samples` entries only; the global cap is applied
-        // when the report is finalised.
-        let mut n_entries = 0usize;
+    ) -> Result<Vec<Vec<DefPass>>, EngineError> {
+        let n_spans = records.len().div_ceil(span).max(1);
+        run_tasks(self.workers, n_spans, |c| {
+            let lo = c * span;
+            self.fold_span(&records[lo..(lo + span).min(records.len())], lo, queries, group)
+        })
+        .into_iter()
+        .enumerate()
+        .map(|(c, r)| {
+            r.unwrap_or_else(|message| Err(EngineError::WorkerPanicked { shard: c, message }))
+        })
+        .collect()
+    }
+
+    /// Folds `span` (whose first record is record `base`) sequentially for
+    /// the given definitions, decoding each record once for the whole group.
+    fn fold_span(
+        &self,
+        span: &[E::Rec],
+        base: usize,
+        queries: &AggQuerySet,
+        group: &[usize],
+    ) -> Result<Vec<DefPass>, EngineError> {
+        let mut passes: Vec<DefPass> = group
+            .iter()
+            .map(|&di| DefPass {
+                state: queries.defs[di].init_state(),
+                quarantine: QuarantineReport::default(),
+                folds: 0,
+            })
+            .collect();
         let recorder = &self.config.recorder;
         let timing = recorder.enabled();
         let mut vm = RegVm::new().with_fuel(self.fuel);
         let mut args: Vec<i64> = Vec::with_capacity(self.env.arity());
-        for (off, rec) in records[lo..hi].iter().enumerate() {
-            let ridx = lo + off;
+        for (off, rec) in span.iter().enumerate() {
             args.clear();
             self.env.args(rec, &mut args);
-            let span = timing.then(|| recorder.span(names::ENGINE_FOLD_NS));
-            for (gi, &di) in group.iter().enumerate() {
-                let fold = &self.folds[di];
-                match self.fold_one(&mut vm, fold, rec, &args, &mut states[gi], &mut counters) {
-                    Ok(()) => folds[gi] += 1,
-                    Err((fault, retries)) => {
-                        if self.config.error_policy == ErrorPolicy::FailFast {
-                            return Err(fault.fail_fast(ridx));
-                        }
-                        let sample =
-                            (n_entries < self.config.max_payload_samples).then(|| args.clone());
-                        n_entries += 1;
-                        let id = Some(queries.defs[di].id);
-                        entries[gi].push(fault.quarantine(ridx, id, sample, retries));
+            let _timer = timing.then(|| recorder.span(names::ENGINE_FOLD_NS));
+            for (pass, &di) in passes.iter_mut().zip(group) {
+                let id = Some(queries.defs[di].id);
+                let Err(fault) = self.fold_one(&mut vm, di, rec, &args, &mut pass.state, id)
+                else {
+                    pass.folds += 1;
+                    continue;
+                };
+                let (outcome, retries) = pass.quarantine.retry(self.config.max_retries, fault, || {
+                    self.fold_one(&mut vm, di, rec, &args, &mut pass.state, id)
+                });
+                match outcome {
+                    Ok(_) => pass.folds += 1,
+                    Err(fault) => {
+                        pass.quarantine.admit(self.config, base + off, fault, retries, || {
+                            args.clone()
+                        })?;
                     }
                 }
             }
-            drop(span);
         }
-        Ok(ChunkResult {
-            states,
-            entries,
-            folds,
-            counters,
-        })
+        Ok(passes)
     }
 
-    /// One fold step with all-or-nothing commit and transient retry: the
-    /// state is overwritten only by a run that reached `Halt`.
-    ///
-    /// Transient library faults are retried immediately, up to
-    /// [`EngineConfig::max_retries`] times, as on the record path.
+    /// One isolated fold step of definition `di` with all-or-nothing
+    /// commit: the state is overwritten only by a run that reached `Halt`.
     fn fold_one(
         &self,
         vm: &mut RegVm,
-        fold: &RegProgram,
+        di: usize,
         rec: &E::Rec,
         args: &[i64],
         state: &mut [i64],
-        counters: &mut PassCounters,
-    ) -> Result<(), (RecordFault, u32)> {
-        let mut retries = 0u32;
-        let result = loop {
-            let env = FoldEnv {
-                env: self.env,
-                state,
-                args,
-            };
-            match catch_unwind(AssertUnwindSafe(|| vm.run(fold, &env, rec, &mut [], false))) {
-                Ok(Ok(_)) => {
-                    state.copy_from_slice(&vm.registers()[..state.len()]);
-                    break Ok(());
-                }
-                Ok(Err(e)) if e.is_transient() && retries < self.config.max_retries => {
-                    retries += 1;
-                }
-                Ok(Err(e)) => break Err(RecordFault::Vm(e)),
-                Err(p) => {
-                    // The machine's internal state is unspecified after an
-                    // unwind through `run`; carry on with a fresh one.
-                    *vm = RegVm::new().with_fuel(self.fuel);
-                    break Err(RecordFault::Panic(panic_message(p.as_ref())));
-                }
-            }
+        id: Option<ProgId>,
+    ) -> Outcome {
+        let env = FoldEnv {
+            env: self.env,
+            state,
+            args,
         };
-        if retries > 0 {
-            counters.records_retried += 1;
-            counters.retry_attempts += u64::from(retries);
-            if result.is_ok() {
-                counters.records_recovered += 1;
-            }
-        }
-        result.map_err(|fault| (fault, retries))
-    }
-
-    /// Chunked parallel fold of the whole input for one pass group. Chunk
-    /// results are collected by chunk index, so any [`EngineError`] (e.g.
-    /// fail-fast) surfaces from the lowest faulting chunk — worker-count
-    /// deterministic.
-    fn parallel_chunks(
-        &self,
-        records: &[E::Rec],
-        queries: &AggQuerySet,
-        group: &[usize],
-    ) -> Result<Vec<ChunkResult>, EngineError> {
-        let n_chunks = records.len().div_ceil(AGG_CHUNK).max(1);
-        let next = AtomicUsize::new(0);
-        let slots: Vec<std::sync::Mutex<Option<Result<ChunkResult, EngineError>>>> =
-            (0..n_chunks).map(|_| std::sync::Mutex::new(None)).collect();
-        let workers = self.workers.min(n_chunks);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let next = &next;
-                let slots = &slots;
-                handles.push(scope.spawn(move || loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_chunks {
-                        return;
-                    }
-                    let lo = c * AGG_CHUNK;
-                    let hi = ((c + 1) * AGG_CHUNK).min(records.len());
-                    let r = self.fold_span(records, lo, hi, queries, group);
-                    if let Ok(mut slot) = slots[c].lock() {
-                        *slot = Some(r);
-                    }
-                }));
-            }
-            for (shard, h) in handles.into_iter().enumerate() {
-                if h.join().is_err() {
-                    return Err(EngineError::WorkerPanicked {
-                        shard,
-                        message: "aggregation worker panicked".to_string(),
-                    });
-                }
-            }
-            Ok(())
-        })?;
-        let mut out = Vec::with_capacity(n_chunks);
-        for slot in slots {
-            match slot.into_inner() {
-                Ok(Some(r)) => out.push(r?),
-                _ => {
-                    return Err(EngineError::WorkerPanicked {
-                        shard: 0,
-                        message: "aggregation chunk result missing".to_string(),
-                    })
-                }
-            }
-        }
-        Ok(out)
+        let cost = attempt(vm, self.fuel, &self.folds[di], &env, rec, &mut [], false)
+            .map_err(|f| (id, f))?;
+        state.copy_from_slice(&vm.registers()[..state.len()]);
+        Ok(cost)
     }
 }
 
@@ -661,7 +542,7 @@ fn merge_states(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ErrorKind;
+    use crate::engine::{ErrorKind, ErrorPolicy};
     use crate::env::ScalarEnv;
     use crate::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
     use udf_lang::agg::parse_aggs;

@@ -40,7 +40,7 @@
 //!   [`std::panic::catch_unwind`], so a panicking environment poisons only
 //!   its own lane.
 
-use crate::engine::panic_message;
+use crate::policy::panic_message;
 use crate::env::UdfEnv;
 use crate::regcode::{apply_bin, Block, RArg, RegProgram, ROp};
 use crate::VmError;

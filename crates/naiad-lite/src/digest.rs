@@ -8,8 +8,6 @@
 //! FNV-1a 64 constants as [`plan_cache::framing::fnv64`], streamed one
 //! word at a time instead of over a contiguous byte string.
 
-use crate::engine::JobReport;
-
 /// Streaming FNV-1a 64 hasher over little-endian `u64` words.
 ///
 /// Feeding the words of a byte string one at a time produces the same
@@ -50,27 +48,6 @@ impl Default for Fnv64 {
     fn default() -> Fnv64 {
         Fnv64::new()
     }
-}
-
-/// Digest of a job's observable output: per-query selected counts, missing
-/// notifications, and the quarantined record set, in that order.
-///
-/// Two runs of the same job — at any worker count, in either execution
-/// mode, with or without pre-filtering — must produce the same digest;
-/// CI's cross-backend and crash-recovery gates compare it bit-for-bit.
-#[must_use]
-pub fn job_report_digest(report: &JobReport) -> u64 {
-    let mut h = Fnv64::new();
-    for &c in &report.counts {
-        h.u64(c);
-    }
-    for &m in &report.missing {
-        h.u64(m);
-    }
-    for r in report.quarantine.records() {
-        h.u64(r as u64);
-    }
-    h.finish()
 }
 
 #[cfg(test)]

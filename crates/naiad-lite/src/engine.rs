@@ -20,9 +20,14 @@
 //!   faulting record, as the original engine did;
 //! * [`ErrorPolicy::Quarantine`] excludes the faulting record from *every*
 //!   query's output, records it in the job's [`QuarantineReport`], and keeps
-//!   going. Per-record execution is additionally wrapped in
-//!   [`std::panic::catch_unwind`], so a panicking UDF environment poisons
-//!   only the record that triggered it, not the worker or the process.
+//!   going.
+//!
+//! Either way every evaluation is isolated — a panicking UDF environment
+//! poisons only the record that triggered it, not the worker or the
+//! process — and a transient library fault is retried first, up to
+//! [`EngineConfig::max_retries`] times. Shards run on the crate's one task
+//! runner; isolation, retry and admission are the same code that runs an
+//! aggregation's folds ([`crate::agg`]), so the two paths cannot drift.
 //!
 //! Because a quarantined record is dropped from all queries in both
 //! [`ExecMode::Many`] and [`ExecMode::Consolidated`], the two modes stay
@@ -34,10 +39,10 @@ use crate::compile::{VmError, DEFAULT_FUEL, NOTIFY_NONE};
 use crate::env::UdfEnv;
 use crate::fastpred::FastPred;
 use crate::guard::{GuardAction, GuardMismatch, GuardObservation, GuardPolicy, GuardReport, GuardRun};
+use crate::policy::{attempt, finalize_quarantine, run_tasks, Outcome, RecordFault};
 use crate::regcode::{RegProgram, RegVm};
 pub use plan_cache::ExecBackend;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use udf_lang::ast::ProgId;
 use udf_obs::names;
@@ -462,9 +467,10 @@ pub enum EngineError {
         /// Panic payload rendered as text.
         message: String,
     },
-    /// A worker thread panicked outside per-record execution.
+    /// A record shard or an aggregation chunk panicked outside per-record
+    /// execution.
     WorkerPanicked {
-        /// Shard index of the poisoned worker.
+        /// Index of the shard or chunk.
         shard: usize,
         /// Panic payload rendered as text.
         message: String,
@@ -481,7 +487,7 @@ pub enum EngineError {
     MissingConsolidated,
     /// The plan guard tripped under [`GuardAction::FailFast`]: the
     /// consolidated plan diverged from the sequential semantics on a
-    /// sampled record.
+    /// shadowed record.
     GuardTripped {
         /// Structured account of the divergence.
         incident: crate::guard::PlanIncident,
@@ -653,9 +659,9 @@ impl Engine {
     /// Runs `queries` over `records` in the given mode.
     ///
     /// When [`EngineConfig::guard`] is active and `mode` is
-    /// [`ExecMode::Consolidated`], a deterministic sample of records is
-    /// shadow-executed through the sequential path; on the first divergence
-    /// the configured [`GuardAction`] applies (see [`crate::guard`]). A
+    /// [`ExecMode::Consolidated`], every record is shadow-executed through
+    /// the sequential path; on the first divergence the configured
+    /// [`GuardAction`] applies (see [`crate::guard`]). A
     /// demotion discards the consolidated pass entirely and reruns the job
     /// in [`ExecMode::Many`], so the returned report is bit-identical to a
     /// pure-sequential run — no records are dropped by the switch.
@@ -755,28 +761,12 @@ impl Engine {
             config,
             guard,
         };
-        let shard_len = records.len().div_ceil(self.workers.max(1)).max(1);
+        let shard_len = records.len().div_ceil(self.workers).max(1);
+        let shards: Vec<&[E::Rec]> = records.chunks(shard_len).collect();
         let start = Instant::now();
-        type ShardResult = Result<Result<ShardOut, EngineError>, String>;
-        let shard_results: Vec<(usize, ShardResult)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = records
-                .chunks(shard_len)
-                .enumerate()
-                .map(|(k, shard)| {
-                    let base = k * shard_len;
-                    let h = scope.spawn(move || match config.backend {
-                        ExecBackend::PerRecord => run_shard(ctx, ScalarExec::new(ctx), shard, base),
-                        ExecBackend::Columnar => {
-                            run_shard(ctx, ColumnarExec::new(ctx), shard, base)
-                        }
-                    });
-                    (shard.len(), h)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(len, h)| (len, h.join().map_err(|p| panic_message(p.as_ref()))))
-                .collect()
+        let shard_results = run_tasks(self.workers, shards.len(), |k| match config.backend {
+            ExecBackend::PerRecord => run_shard(ctx, ScalarExec::new(ctx), shards[k], k * shard_len),
+            ExecBackend::Columnar => run_shard(ctx, ColumnarExec::new(ctx), shards[k], k * shard_len),
         });
         let udf_time = start.elapsed();
         let mut counts = vec![0u64; n_q];
@@ -784,21 +774,18 @@ impl Engine {
         let mut cost = 0u64;
         let mut prefilter_skipped = 0u64;
         let mut quarantine = QuarantineReport::default();
-        for (shard_idx, (len, joined)) in shard_results.into_iter().enumerate() {
+        for (k, joined) in shard_results.into_iter().enumerate() {
             let s = match joined {
                 Ok(r) => r?,
+                // A panic outside per-record isolation means the engine
+                // itself is poisoned for that shard.
                 Err(message) => match config.error_policy {
-                    // A worker panic outside per-record catch_unwind means
-                    // the engine itself is poisoned for that shard.
                     ErrorPolicy::FailFast => {
-                        return Err(EngineError::WorkerPanicked {
-                            shard: shard_idx,
-                            message,
-                        });
+                        return Err(EngineError::WorkerPanicked { shard: k, message });
                     }
                     ErrorPolicy::Quarantine { .. } => {
                         quarantine.shards_lost += 1;
-                        quarantine.records_lost += len;
+                        quarantine.records_lost += shards[k].len();
                         continue;
                     }
                 },
@@ -809,10 +796,7 @@ impl Engine {
             }
             cost += s.cost;
             prefilter_skipped += s.prefilter_skipped;
-            quarantine.entries.extend(s.quarantine);
-            quarantine.records_retried += s.records_retried;
-            quarantine.retry_attempts += s.retry_attempts;
-            quarantine.records_recovered += s.records_recovered;
+            quarantine.absorb(s.quarantine);
         }
         Ok(JobReport {
             counts,
@@ -828,104 +812,13 @@ impl Engine {
     }
 }
 
-/// Renders a caught panic payload as text.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-/// Closes a job's quarantine report: entries in record order, payload
-/// samples capped, overflow raised. The sort is stable, so a caller that
-/// appends same-record entries in its tie-break order keeps that order.
-///
-/// Workers capture payload samples up to the global cap each (per shard or
-/// per chunk), so any entry landing in the global first-N has one; the
-/// excess is stripped after the sort so the report is identical for every
-/// worker count.
-pub(crate) fn finalize_quarantine(
-    mut quarantine: QuarantineReport,
-    config: &EngineConfig,
-) -> Result<QuarantineReport, EngineError> {
-    quarantine.entries.sort_by_key(|e| e.record);
-    quarantine.records_quarantined = quarantine.entries.len();
-    for e in quarantine
-        .entries
-        .iter_mut()
-        .skip(config.max_payload_samples)
-    {
-        e.sample = None;
-    }
-    match config.error_policy {
-        ErrorPolicy::Quarantine { max_errors } if quarantine.records_quarantined > max_errors => {
-            Err(EngineError::TooManyErrors {
-                limit: max_errors,
-                observed: quarantine.records_quarantined,
-            })
-        }
-        _ => Ok(quarantine),
-    }
-}
-
 struct ShardOut {
     counts: Vec<u64>,
     missing: Vec<u64>,
     cost: u64,
-    quarantine: Vec<QuarantineEntry>,
-    records_retried: usize,
-    retry_attempts: u64,
-    records_recovered: usize,
+    /// Entries and retry tally; finalised once for the whole job.
+    quarantine: QuarantineReport,
     prefilter_skipped: u64,
-}
-
-/// How one evaluation ended, before policy classifies it: a record's UDFs
-/// and an aggregation's fold both run on [`RegVm`].
-pub(crate) enum RecordFault {
-    Vm(VmError),
-    Panic(String),
-}
-
-impl RecordFault {
-    pub(crate) fn kind(&self) -> ErrorKind {
-        match self {
-            RecordFault::Vm(e) => ErrorKind::of(e),
-            RecordFault::Panic(_) => ErrorKind::Panic,
-        }
-    }
-
-    /// The [`EngineError`] this fault raises under
-    /// [`ErrorPolicy::FailFast`].
-    pub(crate) fn fail_fast(self, record: usize) -> EngineError {
-        match self {
-            RecordFault::Panic(message) => EngineError::RecordPanic { record, message },
-            RecordFault::Vm(error) => EngineError::Record { record, error },
-        }
-    }
-
-    /// The entry this fault leaves under [`ErrorPolicy::Quarantine`].
-    pub(crate) fn quarantine(
-        self,
-        record: usize,
-        query: Option<ProgId>,
-        sample: Option<Vec<i64>>,
-        retries: u32,
-    ) -> QuarantineEntry {
-        QuarantineEntry {
-            record,
-            query,
-            kind: self.kind(),
-            detail: match self {
-                RecordFault::Vm(e) => e.to_string(),
-                RecordFault::Panic(m) => m,
-            },
-            sample,
-            retries,
-        }
-    }
 }
 
 /// What one shard's evaluation and policy read but never write.
@@ -940,14 +833,10 @@ struct ShardCtx<'a, E: UdfEnv> {
     guard: Option<&'a GuardRun>,
 }
 
-/// One record's evaluation: its cost, or the query whose UDF faulted
-/// (`None` for the consolidated program) and the fault.
-type Outcome = Result<u64, (Option<ProgId>, RecordFault)>;
-
 /// Evaluates every program `mode` requires for one record on the scalar
-/// [`RegVm`], isolating panics. On the first failure the whole record is
-/// abandoned: its partial notifications and cost are discarded by the
-/// caller.
+/// [`RegVm`], one isolated [`attempt`] each. On the first failure the whole
+/// record is abandoned: its partial notifications and cost are discarded by
+/// the caller.
 fn eval_record<E: UdfEnv>(
     ctx: &ShardCtx<'_, E>,
     vm: &mut RegVm,
@@ -957,18 +846,7 @@ fn eval_record<E: UdfEnv>(
     notify: &mut [i8],
 ) -> Outcome {
     let mut run = |c: &RegProgram, query: Option<ProgId>| {
-        match catch_unwind(AssertUnwindSafe(|| {
-            vm.run(c, ctx.env, rec, notify, track_cost)
-        })) {
-            Ok(Ok(cost)) => Ok(cost),
-            Ok(Err(e)) => Err((query, RecordFault::Vm(e))),
-            Err(p) => {
-                // The machine's internal state is unspecified after an
-                // unwind through `run`; carry on with a fresh one.
-                *vm = RegVm::new().with_fuel(ctx.fuel);
-                Err((query, RecordFault::Panic(panic_message(p.as_ref()))))
-            }
-        }
+        attempt(vm, ctx.fuel, c, ctx.env, rec, notify, track_cost).map_err(|f| (query, f))
     };
     match mode {
         ExecMode::Many => {
@@ -1155,10 +1033,7 @@ fn run_shard<E: UdfEnv, X: ShardExec<E>>(
     let mut cost = 0u64;
     let mut processed = 0u64;
     let mut prefilter_skipped = 0u64;
-    let mut quarantine: Vec<QuarantineEntry> = Vec::new();
-    let mut records_retried = 0usize;
-    let mut retry_attempts = 0u64;
-    let mut records_recovered = 0usize;
+    let mut quarantine = QuarantineReport::default();
     'shard: for (si, span) in shard.chunks(X::SPAN).enumerate() {
         if guard.is_some_and(|g| g.tripped()) {
             // Mid-stream demotion: every worker abandons the consolidated
@@ -1205,7 +1080,7 @@ fn run_shard<E: UdfEnv, X: ShardExec<E>>(
             // so early termination (guard trip, quarantine overflow) leaves
             // the counters independent of the span length.
             let skipped = prefilter.is_some() && !live[k];
-            let mut attempt = if skipped {
+            let first = if skipped {
                 prefilter_skipped += 1;
                 // The proven outcome: every query notified `false`, no
                 // calls were made, no cost accrued.
@@ -1214,52 +1089,27 @@ fn run_shard<E: UdfEnv, X: ShardExec<E>>(
             } else {
                 exec.outcome(k)
             };
-            // Retry loop: only transient faults re-enter; everything else
-            // (and transient faults past the budget) falls through to the
-            // policy below. `transient` rides along in the Err so the guard
-            // can skip shadowing records whose fault state is
-            // attempt-dependent.
-            let mut retries_used = 0u32;
-            let outcome = loop {
-                match attempt {
-                    Ok(c) => break Ok(c),
-                    Err((query, fault)) => {
-                        let transient = matches!(&fault, RecordFault::Vm(e) if e.is_transient());
-                        if transient && retries_used < config.max_retries {
-                            retries_used += 1;
-                            recorder.add(names::ENGINE_RETRIES, 1);
-                            lane_notify.fill(NOTIFY_NONE);
-                            attempt = eval_record(
-                                ctx,
-                                &mut reference,
-                                rec,
-                                mode,
-                                track_cost,
-                                lane_notify,
-                            );
-                            continue;
-                        }
-                        break Err((query, fault, transient));
-                    }
-                }
+            let (outcome, retries) = match first {
+                Err(fault) => quarantine.retry(config.max_retries, fault, || {
+                    lane_notify.fill(NOTIFY_NONE);
+                    eval_record(ctx, &mut reference, rec, mode, track_cost, lane_notify)
+                }),
+                ok => (ok, 0),
             };
-            if retries_used > 0 {
-                records_retried += 1;
-                retry_attempts += u64::from(retries_used);
-                if outcome.is_ok() {
-                    records_recovered += 1;
-                }
+            if retries > 0 {
+                recorder.add(names::ENGINE_RETRIES, u64::from(retries));
             }
             if let Some(g) = guard {
-                // Shadow-execute the sampled record through the sequential
-                // path and compare observable behaviour: per-query
-                // broadcast decisions on success, or the fact of quarantine
-                // on failure. Records that exercised transient faults are
+                // Shadow-execute the record through the sequential path and
+                // compare observable behaviour: per-query broadcast
+                // decisions on success, or the fact of quarantine on
+                // failure. Records that exercised transient faults are
                 // skipped — their outcome depends on attempt counts shared
                 // with the shadow run, so a comparison would report phantom
                 // divergence.
-                let transient_involved = retries_used > 0 || matches!(&outcome, Err((_, _, true)));
-                if config.guard.samples(record) && !transient_involved {
+                let transient_involved =
+                    retries > 0 || outcome.as_ref().is_err_and(|(_, f)| f.is_transient());
+                if !transient_involved {
                     let _guard_span = recorder.span(names::GUARD_NS);
                     g.record_shadow();
                     recorder.add(names::GUARD_SHADOW_RUNS, 1);
@@ -1308,25 +1158,25 @@ fn run_shard<E: UdfEnv, X: ShardExec<E>>(
                         }
                     }
                 }
-                Err((query, fault, _transient)) => match config.error_policy {
-                    ErrorPolicy::FailFast => return Err(fault.fail_fast(record)),
-                    ErrorPolicy::Quarantine { max_errors } => {
-                        recorder.add(names::ENGINE_QUARANTINED, 1);
-                        recorder.add(fault.kind().counter(), 1);
-                        let sample = (quarantine.len() < config.max_payload_samples).then(|| {
-                            let mut args = Vec::new();
-                            env.args(rec, &mut args);
-                            args
-                        });
-                        quarantine.push(fault.quarantine(record, query, sample, retries_used));
-                        if quarantine.len() > max_errors {
-                            // The job is doomed to TooManyErrors; stop
-                            // burning CPU on this shard. (Local count
-                            // lower-bounds the global one.)
-                            break 'shard;
-                        }
+                Err(fault) => {
+                    let kind = fault.1.kind();
+                    quarantine.admit(config, record, fault, retries, || {
+                        let mut args = Vec::new();
+                        env.args(rec, &mut args);
+                        args
+                    })?;
+                    recorder.add(names::ENGINE_QUARANTINED, 1);
+                    recorder.add(kind.counter(), 1);
+                    if matches!(
+                        config.error_policy,
+                        ErrorPolicy::Quarantine { max_errors } if quarantine.entries.len() > max_errors
+                    ) {
+                        // The job is doomed to TooManyErrors; stop burning
+                        // CPU on this shard. (Local count lower-bounds the
+                        // global one.)
+                        break 'shard;
                     }
-                },
+                }
             }
         }
     }
@@ -1346,9 +1196,6 @@ fn run_shard<E: UdfEnv, X: ShardExec<E>>(
         missing,
         cost,
         quarantine,
-        records_retried,
-        retry_attempts,
-        records_recovered,
         prefilter_skipped,
     })
 }

@@ -5,10 +5,10 @@
 //! but a deployed engine also faces hazards the proof does not cover: a
 //! plan-cache entry rotted on disk, a miscompiled merged program, or a
 //! library whose behaviour drifted between consolidation time and run time.
-//! The *plan guard* defends against all of them by shadow-executing a
-//! deterministic sample of records through the sequential `Many` path while
-//! a `Consolidated` job runs, comparing both the per-query notifications and
-//! the quarantine decision:
+//! The *plan guard* defends against all of them by shadow-executing every
+//! record through the sequential `Many` path while a `Consolidated` job
+//! runs, comparing both the per-query notifications and the quarantine
+//! decision:
 //!
 //! * agree → nothing happens beyond a `guard.shadow_runs` tick;
 //! * diverge → the mismatch is counted, an example captured, and the job
@@ -25,11 +25,6 @@
 //! structured [`PlanIncident`] lands in [`crate::engine::JobReport::guard`]
 //! (or in [`crate::engine::EngineError::GuardTripped`] under
 //! [`GuardAction::FailFast`]).
-//!
-//! Sampling is keyed on the *record index* with a splitmix64 hash under a
-//! fixed seed, so which records are shadowed is independent of worker
-//! count and scheduling — the same job shape always audits the same
-//! records.
 
 use crate::compile::NOTIFY_NONE;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -65,14 +60,13 @@ impl GuardAction {
 
 /// Configuration of the plan guard (see the module docs).
 ///
-/// The default is disabled (`sample_rate == 0.0`): no shadow runs, no
-/// comparisons, no overhead beyond one predicate per job.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The default is off: no shadow runs, no comparisons, no overhead beyond
+/// one predicate per job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GuardPolicy {
-    /// Fraction of records shadow-executed through the sequential path,
-    /// in `[0.0, 1.0]`. `0.0` disables the guard; `1.0` audits every
-    /// record.
-    pub sample_rate: f64,
+    /// Whether consolidated runs shadow-execute every record through the
+    /// sequential path.
+    pub audit: bool,
     /// Reaction to a trip.
     pub on_mismatch: GuardAction,
 }
@@ -80,51 +74,28 @@ pub struct GuardPolicy {
 impl Default for GuardPolicy {
     fn default() -> GuardPolicy {
         GuardPolicy {
-            sample_rate: 0.0,
+            audit: false,
             on_mismatch: GuardAction::Demote,
         }
     }
 }
 
-/// Seed of the deterministic sampling hash: two jobs with the same rate and
-/// record count audit the same record indices regardless of worker count.
-const SAMPLE_SEED: u64 = 0x9b1d_eb4d_b743_fa2c;
-
 impl GuardPolicy {
-    /// A guard auditing every record and demoting on the first divergence —
-    /// the strictest setting, used by the validation tests.
+    /// A guard auditing every record and demoting on the first divergence.
     pub fn audit_all() -> GuardPolicy {
         GuardPolicy {
-            sample_rate: 1.0,
+            audit: true,
             ..GuardPolicy::default()
         }
     }
 
     /// Whether the policy performs any shadow runs at all.
     pub fn is_active(&self) -> bool {
-        self.sample_rate > 0.0
-    }
-
-    /// Deterministically decides whether `record` is shadow-executed.
-    /// Depends only on `(record, sample_rate)` — never on worker count or
-    /// scheduling.
-    pub fn samples(&self, record: usize) -> bool {
-        if self.sample_rate >= 1.0 {
-            return true;
-        }
-        if self.sample_rate <= 0.0 {
-            return false;
-        }
-        let mut state = SAMPLE_SEED ^ (record as u64).wrapping_mul(0xff51_afd7_ed55_8ccd);
-        let hash = crate::fault::splitmix64(&mut state);
-        // Map the rate to a threshold over the full u64 range; the hash is
-        // uniform, so P(hash < threshold) == sample_rate up to rounding.
-        let threshold = (self.sample_rate * (u64::MAX as f64)) as u64;
-        hash < threshold
+        self.audit
     }
 }
 
-/// One side of a divergence: what a path decided for a sampled record.
+/// One side of a divergence: what a path decided for a shadowed record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GuardObservation {
     /// The path evaluated the record; per-query broadcast decisions, in
@@ -291,32 +262,14 @@ mod tests {
 
     #[test]
     fn default_policy_is_disabled() {
-        let p = GuardPolicy::default();
-        assert!(!p.is_active());
-        assert!((0..10_000).all(|r| !p.samples(r)));
+        assert!(!GuardPolicy::default().is_active());
     }
 
     #[test]
     fn full_rate_samples_everything() {
         let p = GuardPolicy::audit_all();
         assert!(p.is_active());
-        assert!((0..10_000).all(|r| p.samples(r)));
-    }
-
-    #[test]
-    fn sampling_tracks_the_rate_and_is_deterministic() {
-        let p = GuardPolicy {
-            sample_rate: 0.25,
-            ..GuardPolicy::default()
-        };
-        let picked: Vec<usize> = (0..100_000).filter(|&r| p.samples(r)).collect();
-        let again: Vec<usize> = (0..100_000).filter(|&r| p.samples(r)).collect();
-        assert_eq!(picked, again, "sampling must be a pure function of the index");
-        let rate = picked.len() as f64 / 100_000.0;
-        assert!(
-            (rate - 0.25).abs() < 0.02,
-            "observed rate {rate} too far from 0.25"
-        );
+        assert_eq!(p.on_mismatch, GuardAction::Demote);
     }
 
     #[test]
@@ -343,7 +296,7 @@ mod tests {
     #[test]
     fn log_only_reaches_threshold_without_tripping() {
         let policy = GuardPolicy {
-            sample_rate: 1.0,
+            audit: true,
             on_mismatch: GuardAction::LogOnly,
         };
         let run = GuardRun::new();
@@ -365,7 +318,7 @@ mod tests {
     #[test]
     fn example_capture_is_capped() {
         let policy = GuardPolicy {
-            sample_rate: 1.0,
+            audit: true,
             on_mismatch: GuardAction::LogOnly,
         };
         let run = GuardRun::new();

@@ -42,11 +42,14 @@
 //! * [`fault`] — deterministic fault injection ([`fault::FaultPlan`] /
 //!   [`fault::FaultyEnv`]) for exercising the failure model in tests;
 //! * [`guard`] — differential plan validation: a [`guard::GuardPolicy`]
-//!   shadow-executes a deterministic sample of records through the
-//!   sequential path during consolidated runs, and on divergence demotes
-//!   the job to sequential execution (self-healing) and invalidates the
-//!   cached plan. Transient library faults are additionally retried,
-//!   immediately, up to [`engine::EngineConfig::max_retries`] times.
+//!   shadow-executes every record through the sequential path during
+//!   consolidated runs, and on divergence demotes the job to sequential
+//!   execution (self-healing) and invalidates the cached plan.
+//!
+//! Record shards and aggregation chunks share one failure policy: one task
+//! runner, one isolated evaluation, one transient-fault retry (immediate,
+//! up to [`engine::EngineConfig::max_retries`] times) and one quarantine
+//! admission rule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,6 +65,7 @@ pub mod env;
 pub mod fastpred;
 pub mod fault;
 pub mod guard;
+mod policy;
 pub mod regcode;
 
 pub use agg::{AggMode, AggQuerySet, AggReport, AGG_CHUNK};

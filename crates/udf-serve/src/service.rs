@@ -52,7 +52,7 @@ const SHED_WATERMARK: f64 = 0.90;
 /// [`Service::recover`] installs a checkpointed plan without re-proving it
 /// on the promise that this audit runs.
 const EPOCH_GUARD: GuardPolicy = GuardPolicy {
-    sample_rate: 1.0,
+    audit: true,
     on_mismatch: GuardAction::FailFast,
 };
 

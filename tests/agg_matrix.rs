@@ -15,10 +15,15 @@
 //!    the same shared scan still absorb the record.
 
 use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
-use naiad_lite::{AggMode, AggQuerySet, AggReport, Engine, ErrorKind, ErrorPolicy, ScalarEnv};
+use naiad_lite::{
+    AggMode, AggQuerySet, AggReport, Engine, EngineError, ErrorKind, ErrorPolicy, ScalarEnv,
+    UdfEnv,
+};
 use proptest::prelude::*;
 use udf_lang::agg::{parse_agg, AggDef};
+use udf_lang::cost::Cost;
 use udf_lang::intern::{Interner, Symbol};
+use udf_lang::library::LibError;
 use udf_lang::FnLibrary;
 use udf_obs::names;
 
@@ -112,6 +117,11 @@ fn run(
         (pairs - rep.quarantine.records_quarantined) as u64,
         "{ctx}"
     );
+    // Every retried (record, definition) pair the report keeps either
+    // recovered or is an entry carrying its retries.
+    let q = &rep.quarantine;
+    let unrecovered = q.entries.iter().filter(|e| e.retries > 0).count();
+    assert_eq!(q.records_retried, q.records_recovered + unrecovered, "{ctx}");
     rep
 }
 
@@ -318,6 +328,105 @@ fn a_merge_demoted_definition_counts_its_folds_once() {
         assert_eq!(rep.folds, 1200, "{mode:?}");
         let snap = rep.metrics.as_ref().expect("memory recorder snapshots");
         assert_eq!(snap.counter(names::AGG_FOLDS), 1200, "{mode:?}");
+    }
+}
+
+/// A merge-demoted definition's discarded parallel pass keeps none of its
+/// retry tally. Both definitions fault transiently on record 5 past the
+/// retry budget: SUM keeps its entry with 2 retries; `sneaky`'s parallel
+/// pass spends the rest of the fault and is discarded, and its sequential
+/// re-fold needs no retry.
+#[test]
+fn a_merge_demoted_definition_keeps_no_retries_of_its_discarded_pass() {
+    let mut interner = Interner::new();
+    let probe = interner.intern("probe");
+    let (mut defs, mut proved) = defs_of(&[Shape::Sum(1)], &mut interner);
+    defs.push(
+        parse_agg(
+            "aggregate sneaky @1 (v) { state s = 0;
+                 fold  { p := probe(v); s := s + p; }
+                 merge { i := 0; while (i < 100000) { i := i + 1; } s := s + rhs_s; } }",
+            &mut interner,
+        )
+        .expect("parses"),
+    );
+    proved.push(true);
+    let queries = AggQuerySet::new(defs, proved);
+    let plan = FaultPlan::single(5, FaultKind::Transient(6));
+    for mode in [AggMode::Separate, AggMode::Consolidated] {
+        let rep = run(2, mode, &queries, probe, &plan, 600, &interner);
+        let q = &rep.quarantine;
+        assert_eq!(rep.proved, vec![true, false], "{mode:?}");
+        assert_eq!(q.entries.len(), 1, "{mode:?}");
+        assert_eq!((q.entries[0].record, q.entries[0].retries), (5, 2), "{mode:?}");
+        assert_eq!(
+            (q.records_retried, q.retry_attempts, q.records_recovered),
+            (1, 2, 0),
+            "{mode:?}"
+        );
+    }
+}
+
+/// Indexed scalar records whose decode panics on one record: a panic
+/// outside every fold.
+struct Undecodable {
+    inner: ScalarEnv,
+    bad: usize,
+}
+
+impl UdfEnv for Undecodable {
+    type Rec = (usize, Vec<i64>);
+
+    fn arity(&self) -> usize {
+        self.inner.arity()
+    }
+
+    fn args(&self, rec: &Self::Rec, out: &mut Vec<i64>) {
+        if rec.0 == self.bad {
+            panic!("cannot decode record {}", rec.0);
+        }
+        self.inner.args(&rec.1, out);
+    }
+
+    fn call(&self, rec: &Self::Rec, f: Symbol, args: &[i64]) -> Result<i64, LibError> {
+        self.inner.call(&rec.1, f, args)
+    }
+
+    fn fn_cost(&self, f: Symbol) -> Cost {
+        self.inner.fn_cost(f)
+    }
+}
+
+/// A chunk lost to a panic outside its folds is reported by its chunk
+/// index and its payload, whatever the worker count: record 300 lies in
+/// chunk 1 of the 256-record grid.
+#[test]
+fn a_lost_chunk_names_its_chunk_and_its_panic() {
+    let mut interner = Interner::new();
+    let probe = interner.intern("probe");
+    let (defs, proved) = defs_of(&[Shape::Sum(1)], &mut interner);
+    let queries = AggQuerySet::new(defs, proved);
+    let mut lib = FnLibrary::new();
+    lib.register(probe, "probe", 1, 20, |a| a[0]);
+    let env = Undecodable {
+        inner: ScalarEnv::new(1, lib),
+        bad: 300,
+    };
+    let records: Vec<(usize, Vec<i64>)> = (0..2000).map(|i| (i, vec![i as i64])).collect();
+    for workers in [1usize, 2, 8] {
+        for mode in [AggMode::Separate, AggMode::Consolidated] {
+            let err = quarantine_engine(workers)
+                .run_agg(&env, &records, &queries, &interner, mode)
+                .expect_err("record 300 cannot be decoded");
+            assert_eq!(
+                err,
+                EngineError::WorkerPanicked {
+                    shard: 1,
+                    message: "cannot decode record 300".to_string(),
+                },
+                "{workers} workers {mode:?}"
+            );
+        }
     }
 }
 

@@ -13,7 +13,7 @@
 //!    accounting when `k > max_retries`.
 //! 3. **LogOnly is read-only** — an auditing guard never changes job
 //!    outputs, even over a corrupted plan.
-//! 4. **Disabled guard is free** — `sample_rate = 0` performs no shadow
+//! 4. **Disabled guard is free** — `audit: false` performs no shadow
 //!    runs and leaves reports identical to an unguarded engine's.
 //!
 //! The corruption scenarios (1 and 3) run under both execution backends and
@@ -396,13 +396,13 @@ fn disabled_guard_runs_zero_shadows_and_changes_nothing() {
     let engine = guarded_engine(
         &cache,
         GuardPolicy {
-            sample_rate: 0.0,
+            audit: false,
             ..GuardPolicy::default()
         },
     );
     let guarded = engine
         .run(&h.env, &h.records, &h.queries, ExecMode::Consolidated, false)
-        .expect("sample_rate = 0 run");
+        .expect("unaudited run");
     assert!(
         guarded.guard.is_none(),
         "an inactive guard must not even report"

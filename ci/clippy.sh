@@ -8,11 +8,12 @@
 # production code: faults are data here, not bugs. For them
 # clippy::unwrap_used is denied on top of all default warnings; integration
 # tests and unit-test modules opt back in via explicit allow attributes. The
-# remaining crates (language, solver, datasets, benches) are held to
-# -D warnings.
+# remaining crates (language, solver, datasets, benches) and the root
+# package (the cross-crate suites under tests/, the qc binary, the examples)
+# are held to -D warnings.
 set -eu
 cd "$(dirname "$0")/.."
 cargo clippy -p naiad-lite -p consolidate -p plan-cache -p udf-serve -p udf-obs --all-targets --no-deps -- \
     -D warnings -D clippy::unwrap_used
-cargo clippy -p udf-lang -p udf-smt -p udf-data -p udf-bench --all-targets --no-deps -- \
-    -D warnings
+cargo clippy -p udf-lang -p udf-smt -p udf-data -p udf-bench -p query-consolidation \
+    --all-targets --no-deps -- -D warnings

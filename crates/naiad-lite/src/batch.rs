@@ -40,23 +40,14 @@
 //!   [`std::panic::catch_unwind`], so a panicking environment poisons only
 //!   its own lane.
 
-use crate::policy::panic_message;
 use crate::env::UdfEnv;
+use crate::policy::{panic_message, RecordFault};
 use crate::regcode::{apply_bin, Block, RArg, RegProgram, ROp};
 use crate::VmError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// No broadcast recorded (mirrors [`crate::compile::NOTIFY_NONE`]).
 use crate::compile::NOTIFY_NONE;
-
-/// How one lane failed.
-#[derive(Debug)]
-pub enum LaneFault {
-    /// The VM faulted (library error, fuel exhaustion, duplicate notify).
-    Vm(VmError),
-    /// The environment panicked during a call on this lane.
-    Panic(String),
-}
 
 /// A struct-of-arrays view of a run of records: one `i64` column per scalar
 /// field, gathered once per batch through [`UdfEnv::args`].
@@ -201,7 +192,7 @@ pub struct BatchVm {
     regs: Vec<i64>,
     fuel: Vec<u64>,
     cost: Vec<u64>,
-    fault: Vec<Option<(usize, LaneFault)>>,
+    fault: Vec<Option<(usize, RecordFault)>>,
     alive: Vec<u32>,
     buckets: Vec<Vec<u32>>,
     sel: Vec<u32>,
@@ -233,8 +224,8 @@ impl BatchVm {
     /// pre-filled with [`NOTIFY_NONE`] by the caller), and a lane that
     /// faults in program `j` skips programs `j+1..` entirely.
     ///
-    /// Afterwards, [`BatchVm::take_fault`] yields each lane's failure (if
-    /// any, tagged with the faulting program index) and [`BatchVm::cost`]
+    /// Afterwards each lane holds its failure (if any, tagged with the
+    /// faulting program index) for the engine to take, and [`BatchVm::cost`]
     /// its accumulated cost.
     pub fn run<E: UdfEnv>(
         &mut self,
@@ -294,7 +285,7 @@ impl BatchVm {
 
     /// The fault that removed `lane`, if any, tagged with the index of the
     /// program that faulted. Consumes the fault.
-    pub fn take_fault(&mut self, lane: usize) -> Option<(usize, LaneFault)> {
+    pub(crate) fn take_fault(&mut self, lane: usize) -> Option<(usize, RecordFault)> {
         self.fault[lane].take()
     }
 
@@ -465,7 +456,7 @@ impl BatchVm {
         for &l in sel {
             let li = l as usize;
             if self.fuel[li] < steps {
-                self.fault[li] = Some((pi, LaneFault::Vm(VmError::OutOfFuel)));
+                self.fault[li] = Some((pi, RecordFault::Vm(VmError::OutOfFuel)));
                 any_fault = true;
             } else {
                 self.fuel[li] -= steps;
@@ -607,12 +598,12 @@ impl BatchVm {
                         match call {
                             Ok(Ok(v)) => self.regs[bd + li] = v,
                             Ok(Err(e)) => {
-                                self.fault[li] = Some((pi, LaneFault::Vm(VmError::Lib(e))));
+                                self.fault[li] = Some((pi, RecordFault::Vm(VmError::Lib(e))));
                                 any_fault = true;
                             }
                             Err(p) => {
                                 self.fault[li] =
-                                    Some((pi, LaneFault::Panic(panic_message(p.as_ref()))));
+                                    Some((pi, RecordFault::Panic(panic_message(p.as_ref()))));
                                 any_fault = true;
                             }
                         }
@@ -629,7 +620,7 @@ impl BatchVm {
                         let slot = li * n_q + query as usize;
                         if notify[slot] != NOTIFY_NONE {
                             self.fault[li] =
-                                Some((pi, LaneFault::Vm(VmError::DuplicateNotify(query))));
+                                Some((pi, RecordFault::Vm(VmError::DuplicateNotify(query))));
                             any_fault = true;
                         } else {
                             notify[slot] = i8::from(value);
@@ -754,8 +745,8 @@ mod tests {
                     (
                         pi,
                         match f {
-                            LaneFault::Vm(e) => format!("{e:?}"),
-                            LaneFault::Panic(m) => format!("panic:{m}"),
+                            RecordFault::Vm(e) => format!("{e:?}"),
+                            RecordFault::Panic(m) => format!("panic:{m}"),
                         },
                     )
                 });

@@ -34,12 +34,12 @@
 //! notification-equivalent on the surviving records — the consolidation
 //! correctness story (Theorem 1) is unaffected by which policy runs.
 
-use crate::batch::{BatchVm, LaneFault, RecordBatch};
+use crate::batch::{BatchVm, RecordBatch};
 use crate::compile::{VmError, DEFAULT_FUEL, NOTIFY_NONE};
 use crate::env::UdfEnv;
 use crate::fastpred::FastPred;
 use crate::guard::{GuardAction, GuardMismatch, GuardObservation, GuardPolicy, GuardReport, GuardRun};
-use crate::policy::{attempt, finalize_quarantine, run_tasks, Outcome, RecordFault};
+use crate::policy::{attempt, finalize_quarantine, run_tasks, Outcome};
 use crate::regcode::{RegProgram, RegVm};
 pub use plan_cache::ExecBackend;
 use std::fmt;
@@ -510,7 +510,10 @@ impl fmt::Display for EngineError {
                 write!(f, "record {record}: UDF panicked: {message}")
             }
             EngineError::WorkerPanicked { shard, message } => {
-                write!(f, "worker for shard {shard} panicked: {message}")
+                write!(
+                    f,
+                    "record shard or aggregation chunk {shard} panicked: {message}"
+                )
             }
             EngineError::TooManyErrors { limit, observed } => write!(
                 f,
@@ -978,10 +981,7 @@ impl<E: UdfEnv> ShardExec<E> for ColumnarExec<'_, E> {
                     ExecMode::Many => Some(self.ctx.queries.query_ids[pi]),
                     ExecMode::Consolidated => None,
                 },
-                match fault {
-                    LaneFault::Vm(e) => RecordFault::Vm(e),
-                    LaneFault::Panic(m) => RecordFault::Panic(m),
-                },
+                fault,
             )),
         }
     }

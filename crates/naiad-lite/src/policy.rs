@@ -84,7 +84,9 @@ pub(crate) fn run_tasks<T: Send>(
 }
 
 /// How one evaluation ended, before policy classifies it: a record's UDFs
-/// and an aggregation's fold both run on [`RegVm`].
+/// (on [`RegVm`] or in a [`crate::BatchVm`] lane) and an aggregation's fold
+/// on [`RegVm`].
+#[derive(Debug)]
 pub(crate) enum RecordFault {
     Vm(VmError),
     Panic(String),

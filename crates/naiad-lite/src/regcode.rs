@@ -374,9 +374,10 @@ impl RegVm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchVm, LaneFault, RecordBatch};
+    use crate::batch::{BatchVm, RecordBatch};
     use crate::env::ScalarEnv;
     use crate::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
+    use crate::policy::RecordFault;
     use udf_lang::ast::{BoolExpr, IntExpr, ProgId, Program, Stmt};
     use udf_lang::cost::CostModel;
     use udf_lang::intern::Interner;
@@ -494,8 +495,8 @@ mod tests {
             .map(|lane| {
                 let r = match bvm.take_fault(lane) {
                     None => Ok(bvm.cost(lane)),
-                    Some((_, LaneFault::Vm(e))) => Err(e),
-                    Some((_, LaneFault::Panic(m))) => panic!("lane {lane} panicked: {m}"),
+                    Some((_, RecordFault::Vm(e))) => Err(e),
+                    Some((_, RecordFault::Panic(m))) => panic!("lane {lane} panicked: {m}"),
                 };
                 observed(r, &notify[lane * n_q..(lane + 1) * n_q])
             })

@@ -426,6 +426,10 @@ fn a_lost_chunk_names_its_chunk_and_its_panic() {
                 },
                 "{workers} workers {mode:?}"
             );
+            assert_eq!(
+                err.to_string(),
+                "record shard or aggregation chunk 1 panicked: cannot decode record 300"
+            );
         }
     }
 }

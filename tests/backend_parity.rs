@@ -15,27 +15,20 @@
 //! driver (fail-fast, quarantine overflow, a guard trip), where a batch has
 //! already evaluated lanes the per-record path never reaches.
 
+mod common;
+
+use common::{check, library, probe_env, Oracle};
 use naiad_lite::engine::{
     Engine, EngineConfig, EngineError, ErrorPolicy, ExecBackend, ExecMode, JobReport, QuerySet,
 };
 use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
-use naiad_lite::{GuardAction, GuardPolicy, ScalarEnv};
+use naiad_lite::{GuardAction, GuardPolicy, ScalarEnv, DEFAULT_FUEL};
 use proptest::prelude::*;
 use udf_lang::ast::Program;
 use udf_lang::cost::CostModel;
 use udf_lang::intern::{Interner, Symbol};
 use udf_lang::library::Library;
-use udf_lang::FnLibrary;
 use udf_obs::names;
-
-fn library(interner: &mut Interner) -> FnLibrary {
-    let probe = interner.intern("probe");
-    let half = interner.intern("half");
-    let mut lib = FnLibrary::new();
-    lib.register(probe, "probe", 1, 20, |a| a[0]);
-    lib.register(half, "half", 1, 10, |a| a[0] / 2);
-    lib
-}
 
 /// Threshold queries with a data-dependent spin loop, so lanes of one batch
 /// diverge (different trip counts) and fuel exhaustion can strike mid-loop.
@@ -104,6 +97,24 @@ struct Workload {
     plan: Program,
     /// The `probe` library function.
     probe: Symbol,
+    /// The sources, for the oracle.
+    programs: Vec<Program>,
+    interner: Interner,
+}
+
+impl Workload {
+    /// The sources on the interpreter at `fuel` (the engine's default when
+    /// `None`). [`run_both`] resets the transient faults it consumes.
+    fn oracle(&self, fuel: Option<u64>) -> Oracle {
+        let fuel = fuel.unwrap_or(DEFAULT_FUEL);
+        Oracle::new(
+            &self.env,
+            &self.records,
+            &self.programs,
+            &self.interner,
+            fuel,
+        )
+    }
 }
 
 fn workload(n_queries: u32, n_records: usize, faults: FaultPlan) -> Workload {
@@ -157,8 +168,7 @@ fn build(
             .expect("pre-filter compiles");
     }
     let probe = interner.intern("probe");
-    let env = FaultyEnv::new(ScalarEnv::new(1, lib), probe, faults)
-        .with_burn_value(1_000_000_000);
+    let env = probe_env(&mut interner, faults);
     let records =
         FaultyEnv::<ScalarEnv>::index_records((0..n_records as i64).map(|v| vec![v % 97]));
     Workload {
@@ -167,6 +177,8 @@ fn build(
         queries,
         plan,
         probe,
+        programs,
+        interner,
     }
 }
 
@@ -244,6 +256,7 @@ proptest! {
             ],
         );
         let w = workload(4, 96, faults);
+        let oracle = w.oracle(Some(fuel));
         for mode in [ExecMode::Many, ExecMode::Consolidated] {
             let (p, c) = run_both(
                 &w,
@@ -252,7 +265,9 @@ proptest! {
                 retries,
                 GuardPolicy::default(),
             );
-            assert_parity(&p, &c, &format!("seed {seed} mode {mode:?}"));
+            let ctx = format!("seed {seed} mode {mode:?}");
+            assert_parity(&p, &c, &ctx);
+            check(&p, &oracle, &ctx);
         }
     }
 
@@ -281,6 +296,7 @@ proptest! {
             guard,
         );
         assert_parity(&p, &c, &format!("guarded seed {seed}"));
+        check(&p, &w.oracle(None), &format!("guarded seed {seed}"));
         let g = p.guard.expect("guard was active");
         prop_assert!(g.shadow_runs > 0, "audit_all must shadow records");
         prop_assert_eq!(g.mismatches, 0, "Theorem 1: consolidated == sequential");
@@ -298,6 +314,7 @@ fn fuel_exhaustion_mid_batch_is_exact() {
     for fuel in [5, 12, 20, 35, 60, 100, 350] {
         let (p, c) = run_both(&w, ExecMode::Many, Some(fuel), 0, GuardPolicy::default());
         assert_parity(&p, &c, &format!("fuel {fuel}"));
+        check(&p, &w.oracle(Some(fuel)), &format!("fuel {fuel}"));
         quarantined += p.quarantine.records_quarantined;
     }
     assert!(quarantined > 0, "the sweep must actually exhaust fuel");
@@ -324,6 +341,7 @@ fn retry_accounting_is_identical() {
             GuardPolicy::default(),
         );
         assert_parity(&p, &c, &format!("retries {retries}"));
+        check(&p, &w.oracle(None), &format!("retries {retries}"));
         assert_eq!(
             p.quarantine.retry_attempts, c.quarantine.retry_attempts,
             "retries {retries}: attempts"
@@ -479,6 +497,7 @@ fn call_bearing_prefilter_condition_fails_open() {
     let (op, oc) = run(&off);
     let (hp, hc) = run(&hand_made);
     assert!(!op.quarantine.is_clean(), "the faults must bite");
+    check(&op, &off.oracle(None), "off per-record");
     for (r, ctx) in [(&oc, "off columnar"), (&hp, "hand-made per-record"), (&hc, "hand-made columnar")] {
         assert_parity(&op, r, ctx);
         assert_eq!(r.prefilter_skipped, 0, "{ctx}: skipped");

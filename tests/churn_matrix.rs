@@ -6,10 +6,11 @@
 //! same epoch-by-epoch transcript (ci/chaos.sh additionally diffs two
 //! whole same-seed runs at the process level).
 
-use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
+mod common;
+
+use common::{chaos, serve_env, splitmix64};
+use naiad_lite::fault::{silence_injected_panics, FaultyEnv};
 use naiad_lite::{ScalarEnv, UdfEnv};
-use udf_lang::intern::Interner;
-use udf_lang::FnLibrary;
 use udf_serve::{
     Admission, ChurnOutcome, CrashPoint, JournalError, ServeConfig, ServeError, Service, SimCrash,
     TenantId,
@@ -18,50 +19,8 @@ use udf_serve::{
 type Env = FaultyEnv<ScalarEnv>;
 type Rec = <Env as UdfEnv>::Rec;
 
-/// Folds the `CHAOS_SEED` environment variable (see `ci/chaos.sh`) into a
-/// base seed, so the schedule sweeps across seed families while staying
-/// fully reproducible within one run.
-fn chaos(seed: u64) -> u64 {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => seed ^ s.trim().parse::<u64>().unwrap_or(0),
-        Err(_) => seed,
-    }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Builds the faulty environment plus the interner its library was
-/// interned against (recovery needs them as a pair).
-fn chaos_env(seed: u64) -> (Env, Interner) {
-    let mut interner = Interner::new();
-    let probe = interner.intern("probe");
-    let half = interner.intern("half");
-    let mut lib = FnLibrary::new();
-    lib.register(probe, "probe", 1, 20, |a| a[0]);
-    lib.register(half, "half", 1, 10, |a| a[0] / 2);
-    // Faults hit `probe` callers only; Transient(1) models a fault the
-    // single-retry policy recovers from.
-    let faults = FaultPlan::seeded_kinds(
-        seed,
-        4096,
-        48,
-        &[
-            FaultKind::LibError,
-            FaultKind::Transient(1),
-            FaultKind::Panic,
-        ],
-    );
-    (FaultyEnv::new(ScalarEnv::new(1, lib), probe, faults), interner)
-}
-
 fn service(seed: u64) -> Service<Env> {
-    let (env, interner) = chaos_env(seed);
+    let (env, interner) = serve_env(seed);
     let mut svc = Service::new(
         env,
         ServeConfig {
@@ -244,7 +203,7 @@ fn flood(svc: &mut Service<Env>) {
 #[test]
 fn deregister_defers_through_shed_then_applies() {
     silence_injected_panics();
-    let (env, interner) = chaos_env(7);
+    let (env, interner) = serve_env(7);
     let mut svc = Service::new(env, pressured_config());
     *svc.interner_mut() = interner;
     let q0 = query(&mut svc, 0, "half", 5);
@@ -309,7 +268,7 @@ fn deferred_register_survives_crash_before_apply() {
     let dir = std::env::temp_dir().join("udf-serve-churn-crash-before-apply");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create journal dir");
-    let (env, interner) = chaos_env(seed);
+    let (env, interner) = serve_env(seed);
     // Frames: reg q0 = 1, flood = 2..=13, reg q1 = 14; the first epoch's
     // commit frame (15) tears mid-append.
     let mut cfg = pressured_config();
@@ -338,7 +297,7 @@ fn deferred_register_survives_crash_before_apply() {
         other => panic!("expected the armed crash, got {other:?}"),
     }
     drop(svc);
-    let (env2, interner2) = chaos_env(seed);
+    let (env2, interner2) = serve_env(seed);
     let (mut svc, report) =
         Service::recover(env2, interner2, pressured_config(), &dir).expect("recover");
     assert!(report.truncated_tail, "the torn epoch frame is truncated");

@@ -3,6 +3,9 @@
 //! engine on the final query set (Theorem 1 transfers node by node), while
 //! doing strictly less solver work for single-query churn.
 
+mod common;
+
+use common::{check, check_merged, scalar_records, Oracle};
 use consolidate::{consolidate_many, DeltaPlan, Options};
 use naiad_lite::engine::{Engine, ErrorPolicy, ExecMode, QuerySet};
 use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
@@ -44,27 +47,12 @@ fn queries(interner: &mut Interner, n: u32) -> Vec<Program> {
         .collect()
 }
 
-/// The oracle: the merged program notifies exactly like each source, on a
-/// value sweep covering every threshold.
-fn assert_notify_equivalent(
-    merged: &Program,
-    sources: &[&Program],
-    interner: &Interner,
-    lib: &FnLibrary,
-) {
-    let interp = udf_lang::interp::Interp::new(CostModel::default(), lib);
-    for v in -5i64..75 {
-        let m = interp.run(merged, &[v], interner).expect("merged runs");
-        for p in sources {
-            let r = interp.run(p, &[v], interner).expect("source runs");
-            assert_eq!(
-                m.notifications.get(p.id),
-                r.notifications.get(p.id),
-                "record {v}: delta plan must notify like source {:?}",
-                p.id
-            );
-        }
-    }
+/// Both halves of Thm. 1 for a delta plan on a value sweep covering every
+/// threshold.
+fn check_plan(plan: &DeltaPlan, sources: &[Program], interner: &mut Interner) {
+    let env = ScalarEnv::new(1, library(interner));
+    let merged = plan.program().expect("non-empty plan");
+    check_merged(sources, merged, &env, &scalar_records(-5..75), interner);
 }
 
 /// The acceptance criterion: on a 21-query merged plan, a delta add (and a
@@ -85,13 +73,7 @@ fn delta_add_and_remove_beat_scratch_on_solver_checks() {
             .expect("delta add");
     }
     assert_eq!(plan.len(), 21);
-    let sources: Vec<&Program> = programs[..21].iter().collect();
-    assert_notify_equivalent(
-        plan.program().expect("non-empty plan"),
-        &sources,
-        &interner,
-        &lib,
-    );
+    check_plan(&plan, &programs[..21], &mut interner);
 
     // Add query #22 by delta: only the O(log n) spine re-consolidates.
     let add = plan
@@ -110,13 +92,7 @@ fn delta_add_and_remove_beat_scratch_on_solver_checks() {
         (add.pairs_recomputed as usize) < 21,
         "delta add must not re-merge the whole tree"
     );
-    let sources: Vec<&Program> = programs.iter().collect();
-    assert_notify_equivalent(
-        plan.program().expect("non-empty plan"),
-        &sources,
-        &interner,
-        &lib,
-    );
+    check_plan(&plan, &programs, &mut interner);
 
     // Remove a mid-tree query by delta.
     let remove = plan
@@ -135,17 +111,12 @@ fn delta_add_and_remove_beat_scratch_on_solver_checks() {
         remove.stats.solver.checks,
         scratch.stats.solver.checks
     );
-    let sources: Vec<&Program> = remaining.iter().collect();
-    assert_notify_equivalent(
-        plan.program().expect("non-empty plan"),
-        &sources,
-        &interner,
-        &lib,
-    );
+    check_plan(&plan, &remaining, &mut interner);
 }
 
-/// Compiles `programs` with `merged` attached and runs both modes over a
-/// faulty environment, returning (counts, quarantined record indices).
+/// Compiles `programs` with `merged` attached, runs it over a faulty
+/// environment held to Thm. 1 against `programs`, and returns (counts,
+/// quarantined record indices).
 fn run_with_faults(
     programs: &[Program],
     merged: &Program,
@@ -166,19 +137,19 @@ fn run_with_faults(
         &[FaultKind::LibError, FaultKind::Panic, FaultKind::Transient(9)],
     );
     let env = FaultyEnv::new(ScalarEnv::new(1, lib), trigger, plan);
-    let records = FaultyEnv::<ScalarEnv>::index_records((0..80).map(|v| vec![v]));
+    let records = FaultyEnv::<ScalarEnv>::index_records(scalar_records(0..80));
+    let oracle = Oracle::new(&env, &records, programs, interner, naiad_lite::DEFAULT_FUEL);
+    env.reset_transients();
     let run = Engine::new(2)
         .with_error_policy(ErrorPolicy::Quarantine { max_errors: 1000 })
-        .run(&env, &records, &qs, ExecMode::Consolidated, false)
+        .run(&env, &records, &qs, ExecMode::Consolidated, true)
         .expect("quarantine absorbs faults");
+    check(&run, &oracle, "merged under faults");
     (run.counts.clone(), run.quarantine.records())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 8,
-        ..ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 8 })]
 
     /// Any seeded register/deregister sequence yields a plan whose
     /// notifications — and, under fault injection, whose quarantine
@@ -213,9 +184,8 @@ proptest! {
             return Ok(());
         }
 
+        check_plan(&plan, &live, &mut interner);
         let merged = plan.program().expect("non-empty plan").clone();
-        let sources: Vec<&Program> = live.iter().collect();
-        assert_notify_equivalent(&merged, &sources, &interner, &lib);
 
         // Engine-level: same counts AND same quarantine decisions as the
         // from-scratch plan, under injected faults.

@@ -2,24 +2,31 @@
 //! execute on the dataflow engine, asserting the paper's guarantees with the
 //! *abstract* cost model (deterministic, unlike wall time).
 
+mod common;
+
+use common::{check, EnvCost, Oracle};
 use query_consolidation::dataflow::engine::{Engine, ExecMode, QuerySet};
 use query_consolidation::dataflow::env::UdfEnv;
+use query_consolidation::dataflow::DEFAULT_FUEL;
 use query_consolidation::engine::{consolidate_many, EntailmentMode, IfPolicy, Options};
 use query_consolidation::lang::{CostModel, Interner};
 use query_consolidation::workloads::{flight, news, stock, twitter, weather};
 
-struct EnvCost<'a, E: UdfEnv>(&'a E);
-
-impl<'a, E: UdfEnv> udf_lang::cost::FnCost for EnvCost<'a, E> {
-    fn fn_cost(&self, f: udf_lang::intern::Symbol) -> udf_lang::cost::Cost {
-        self.0.fn_cost(f)
-    }
+/// [`check_with_options`] under the default options.
+fn check_end_to_end<E: UdfEnv>(
+    env: &E,
+    records: &[E::Rec],
+    programs: Vec<udf_lang::ast::Program>,
+    interner: &mut Interner,
+    label: &str,
+) -> (u64, u64) {
+    check_with_options(env, records, programs, interner, &Options::default(), label)
 }
 
-/// Consolidates `programs`, runs both plans with cost tracking, and checks:
-/// identical per-query outputs, zero missing notifications, and consolidated
-/// abstract cost ≤ sequential abstract cost.
-fn check_end_to_end<E: UdfEnv>(
+/// Consolidates `programs` and runs both plans with cost tracking, each
+/// held to Thm. 1 against the sources on the interpreter. Returns the
+/// (sequential, consolidated) abstract cost.
+fn check_with_options<E: UdfEnv>(
     env: &E,
     records: &[E::Rec],
     programs: Vec<udf_lang::ast::Program>,
@@ -34,20 +41,15 @@ fn check_end_to_end<E: UdfEnv>(
         .expect("compile many")
         .with_consolidated(&merged.program, &cm, &|f| env.fn_cost(f), merged.elapsed)
         .expect("compile consolidated");
+    let oracle = Oracle::new(env, records, &programs, interner, DEFAULT_FUEL);
     let engine = Engine::new(2);
-    let many = engine
-        .run(env, records, &qs, ExecMode::Many, true)
-        .expect("where_many");
-    let cons = engine
-        .run(env, records, &qs, ExecMode::Consolidated, true)
-        .expect("where_consolidated");
-    assert_eq!(many.counts, cons.counts, "{label}: outputs must agree");
-    assert_eq!(cons.missing.iter().sum::<u64>(), 0, "{label}: every query notifies");
-    let (mc, cc) = (many.cost.unwrap(), cons.cost.unwrap());
-    assert!(
-        cc <= mc,
-        "{label}: consolidated abstract cost {cc} exceeds sequential {mc}"
-    );
+    let [mc, cc] = [ExecMode::Many, ExecMode::Consolidated].map(|mode| {
+        let run = engine
+            .run(env, records, &qs, mode, true)
+            .expect("the engine runs");
+        check(&run, &oracle, &format!("{label} {mode:?}"));
+        run.cost.expect("tracked")
+    });
     (mc, cc)
 }
 
@@ -58,14 +60,7 @@ fn weather_families_end_to_end() {
     let records = weather::dataset_sized(25, 3);
     for fam in weather::families() {
         let programs = (fam.build)(8, 5, &mut interner);
-        let (mc, cc) = check_end_to_end(
-            &env,
-            &records,
-            programs,
-            &mut interner,
-            &Options::default(),
-            fam.label,
-        );
+        let (mc, cc) = check_end_to_end(&env, &records, programs, &mut interner, fam.label);
         // Every weather family shares computation; demand a real saving.
         assert!(
             cc * 10 <= mc * 9,
@@ -81,14 +76,7 @@ fn flight_families_end_to_end() {
     let (env, records) = flight::dataset_sized(1, &mut interner, 3);
     for fam in flight::families() {
         let programs = (fam.build)(8, 5, &mut interner);
-        check_end_to_end(
-            &env,
-            &records,
-            programs,
-            &mut interner,
-            &Options::default(),
-            fam.label,
-        );
+        check_end_to_end(&env, &records, programs, &mut interner, fam.label);
     }
 }
 
@@ -99,14 +87,7 @@ fn news_families_end_to_end() {
     let records = news::dataset_sized(120, 3);
     for fam in news::families() {
         let programs = (fam.build)(8, 5, &mut interner);
-        let (mc, cc) = check_end_to_end(
-            &env,
-            &records,
-            programs,
-            &mut interner,
-            &Options::default(),
-            fam.label,
-        );
+        let (mc, cc) = check_end_to_end(&env, &records, programs, &mut interner, fam.label);
         assert!(cc < mc, "news {} should save something", fam.label);
     }
 }
@@ -118,14 +99,7 @@ fn twitter_families_end_to_end() {
     let records = twitter::dataset_sized(150, 3);
     for fam in twitter::families() {
         let programs = (fam.build)(8, 5, &mut interner);
-        check_end_to_end(
-            &env,
-            &records,
-            programs,
-            &mut interner,
-            &Options::default(),
-            fam.label,
-        );
+        check_end_to_end(&env, &records, programs, &mut interner, fam.label);
     }
 }
 
@@ -136,14 +110,7 @@ fn stock_families_end_to_end() {
     let records = stock::dataset_sized(4, 600, 3);
     for (label, build) in stock::families_sized(600) {
         let programs = build(6, 5, &mut interner);
-        let (mc, cc) = check_end_to_end(
-            &env,
-            &records,
-            programs,
-            &mut interner,
-            &Options::default(),
-            label,
-        );
+        let (mc, cc) = check_end_to_end(&env, &records, programs, &mut interner, label);
         assert!(cc < mc, "stock {label} should save something");
     }
 }
@@ -179,14 +146,8 @@ fn ablation_configs_remain_correct() {
     let fams = weather::families();
     for (k, opts) in configs.iter().enumerate() {
         let programs = (fams[4].build)(6, 9, &mut interner); // Mix
-        check_end_to_end(
-            &env,
-            &records,
-            programs,
-            &mut interner,
-            opts,
-            &format!("config {k}"),
-        );
+        let label = format!("config {k}");
+        check_with_options(&env, &records, programs, &mut interner, opts, &label);
     }
 }
 
@@ -201,22 +162,8 @@ fn consolidation_reduces_cost_more_with_more_overlap() {
     let fams = weather::families();
     let q3_programs = (fams[2].build)(8, 7, &mut interner);
     let mix_programs = (fams[4].build)(8, 7, &mut interner);
-    let (m3, c3) = check_end_to_end(
-        &env,
-        &records,
-        q3_programs,
-        &mut interner,
-        &Options::default(),
-        "q3",
-    );
-    let (mm, cm_) = check_end_to_end(
-        &env,
-        &records,
-        mix_programs,
-        &mut interner,
-        &Options::default(),
-        "mix",
-    );
+    let (m3, c3) = check_end_to_end(&env, &records, q3_programs, &mut interner, "q3");
+    let (mm, cm_) = check_end_to_end(&env, &records, mix_programs, &mut interner, "mix");
     let s3 = m3 as f64 / c3 as f64;
     let smix = mm as f64 / cm_ as f64;
     assert!(

@@ -13,62 +13,26 @@
 //!    its tier; solver `Unknown`s (injected or budget-induced) only lose
 //!    rewrites, never flip verdicts.
 
+mod common;
+
+use common::{
+    chaos, check, check_merged, judge_merged, library, probing_queries, quarantine_engine,
+    scalar_records, Harness, Oracle, TEST_FUEL,
+};
 use consolidate::{consolidate_many, ConsolidationBudget, DegradationTier, Options};
 use naiad_lite::engine::{Engine, EngineError, ErrorKind, ErrorPolicy, ExecMode, QuerySet};
-use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
-use naiad_lite::ScalarEnv;
+use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan};
+use naiad_lite::{ScalarEnv, DEFAULT_FUEL};
 use std::time::Duration;
-use udf_lang::ast::Program;
+use udf_lang::ast::{IntExpr, Program, Stmt};
 use udf_lang::cost::CostModel;
 use udf_lang::intern::Interner;
 use udf_lang::library::Library;
 use udf_lang::FnLibrary;
 
-/// A library with one external function `probe(v) = v`, used as the fault
-/// trigger, plus `half(v) = v / 2`.
-fn library(interner: &mut Interner) -> FnLibrary {
-    let probe = interner.intern("probe");
-    let half = interner.intern("half");
-    let mut lib = FnLibrary::new();
-    lib.register(probe, "probe", 1, 20, |a| a[0]);
-    lib.register(half, "half", 1, 10, |a| a[0] / 2);
-    lib
-}
-
-/// `n` threshold queries over `probe(v)`; query `k` selects records with
-/// `probe(v) > 10k`. A `FaultKind::FuelBurn` record makes `probe` return a
-/// huge value, which the `while` loop then counts down — exhausting any
-/// modest fuel budget.
-fn probing_queries(interner: &mut Interner, n: u32) -> Vec<Program> {
-    (0..n)
-        .map(|k| {
-            udf_lang::parse::parse_program(
-                &format!(
-                    "program q{k} @{k} (v) {{
-                         p := probe(v);
-                         spin := half(p);
-                         while (spin > 50) {{ spin := spin - 1; }}
-                         if (p > {}) {{ notify true; }} else {{ notify false; }}
-                     }}",
-                    k * 10
-                ),
-                interner,
-            )
-            .expect("test program parses")
-        })
-        .collect()
-}
-
-struct Harness {
-    env: FaultyEnv<ScalarEnv>,
-    records: Vec<(usize, Vec<i64>)>,
-    queries: QuerySet,
-    n_queries: usize,
-}
-
-/// Builds the standard harness: 200 scalar records `0..200`, `n_queries`
-/// probing queries compiled in both Many and Consolidated form, and the
-/// given fault plan on `probe`.
+/// The standard harness: `n_queries` probing queries compiled in both
+/// Many and Consolidated form over records `0..200`, with the given fault
+/// plan on `probe`.
 fn harness(n_queries: u32, plan: FaultPlan) -> Harness {
     let mut interner = Interner::new();
     let lib = library(&mut interner);
@@ -87,35 +51,7 @@ fn harness(n_queries: u32, plan: FaultPlan) -> Harness {
         .expect("many compiles")
         .with_consolidated(&merged.program, &cm, &|f| lib.cost(f), merged.elapsed)
         .expect("merged compiles");
-    let trigger = interner.intern("probe");
-    let env = FaultyEnv::new(ScalarEnv::new(1, lib), trigger, plan).with_burn_value(1_000_000_000);
-    let records = FaultyEnv::<ScalarEnv>::index_records((0..200).map(|v| vec![v]));
-    Harness {
-        env,
-        records,
-        queries,
-        n_queries: n_queries as usize,
-    }
-}
-
-/// Fuel low enough that a burn record exhausts it, high enough that every
-/// healthy record (≤ ~100 spin iterations per query) never comes close.
-const TEST_FUEL: u64 = 50_000;
-
-/// Folds the `CHAOS_SEED` environment variable (see `ci/chaos.sh`) into a
-/// base seed, so the whole matrix can be swept across seed families while
-/// staying fully reproducible within one run.
-fn chaos(seed: u64) -> u64 {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => seed ^ s.trim().parse::<u64>().unwrap_or(0),
-        Err(_) => seed,
-    }
-}
-
-fn quarantine_engine() -> Engine {
-    Engine::new(4)
-        .with_error_policy(ErrorPolicy::Quarantine { max_errors: 64 })
-        .with_fuel(TEST_FUEL)
+    Harness::new(&mut interner, &programs, queries, plan)
 }
 
 #[test]
@@ -124,12 +60,11 @@ fn quarantine_hits_exactly_the_faulted_records_in_both_modes() {
     let plan = FaultPlan::seeded(chaos(0xfa01), 200, 12);
     let expected = plan.records();
     let h = harness(4, plan.clone());
-    let baseline = harness(4, FaultPlan::none());
     let engine = quarantine_engine();
 
     for mode in [ExecMode::Many, ExecMode::Consolidated] {
-        let run = engine
-            .run(&h.env, &h.records, &h.queries, mode, false)
+        let run = h
+            .run(&engine, mode)
             .expect("quarantine policy absorbs record faults");
         assert_eq!(
             run.quarantine.records(),
@@ -150,22 +85,8 @@ fn quarantine_hits_exactly_the_faulted_records_in_both_modes() {
             assert_eq!(e.kind, expected_kind, "record {}: {}", e.record, e.detail);
         }
 
-        // Counts equal a clean run over the surviving records only.
-        let clean = engine
-            .run(&baseline.env, &baseline.records, &baseline.queries, mode, false)
-            .expect("clean run");
-        assert!(clean.quarantine.is_clean());
-        for q in 0..h.n_queries {
-            let faulted_selected = expected
-                .iter()
-                .filter(|&&r| r as i64 > (q as i64) * 10)
-                .count() as u64;
-            assert_eq!(
-                run.counts[q],
-                clean.counts[q] - faulted_selected,
-                "query {q} in {mode:?}: survivors must count exactly"
-            );
-        }
+        // Survivors count exactly as the sources do on them alone.
+        check(&run, &h.oracle, &format!("{mode:?}"));
     }
 }
 
@@ -174,20 +95,13 @@ fn many_and_consolidated_agree_on_survivors() {
     silence_injected_panics();
     let h = harness(5, FaultPlan::seeded(chaos(0xfa02), 200, 15));
     let engine = quarantine_engine();
-    let many = engine
-        .run(&h.env, &h.records, &h.queries, ExecMode::Many, true)
-        .expect("many runs");
-    let cons = engine
-        .run(&h.env, &h.records, &h.queries, ExecMode::Consolidated, true)
+    let many = h.run(&engine, ExecMode::Many).expect("many runs");
+    let cons = h
+        .run(&engine, ExecMode::Consolidated)
         .expect("consolidated runs");
     assert_eq!(many.quarantine.records(), cons.quarantine.records());
-    assert_eq!(many.counts, cons.counts, "notification parity on survivors");
-    assert_eq!(many.missing, vec![0; h.n_queries]);
-    assert_eq!(cons.missing, vec![0; h.n_queries]);
-    assert!(
-        cons.cost.expect("tracked") <= many.cost.expect("tracked"),
-        "Theorem 1 cost bound must hold on the surviving records"
-    );
+    check(&many, &h.oracle, "many");
+    check(&cons, &h.oracle, "consolidated");
 }
 
 #[test]
@@ -195,8 +109,8 @@ fn fail_fast_policy_reports_the_first_fault() {
     silence_injected_panics();
     let h = harness(3, FaultPlan::single(17, FaultKind::LibError));
     let engine = Engine::new(1).with_fuel(TEST_FUEL); // default FailFast
-    let err = engine
-        .run(&h.env, &h.records, &h.queries, ExecMode::Many, false)
+    let err = h
+        .run(&engine, ExecMode::Many)
         .expect_err("fail-fast must abort");
     match err {
         EngineError::Record { record, .. } => assert_eq!(record, 17),
@@ -204,8 +118,8 @@ fn fail_fast_policy_reports_the_first_fault() {
     }
 
     let h = harness(3, FaultPlan::single(23, FaultKind::Panic));
-    let err = engine
-        .run(&h.env, &h.records, &h.queries, ExecMode::Many, false)
+    let err = h
+        .run(&engine, ExecMode::Many)
         .expect_err("fail-fast must abort on panic");
     match err {
         EngineError::RecordPanic { record, message } => {
@@ -223,8 +137,8 @@ fn max_errors_bounds_error_floods() {
     let engine = Engine::new(4)
         .with_error_policy(ErrorPolicy::Quarantine { max_errors: 5 })
         .with_fuel(TEST_FUEL);
-    let err = engine
-        .run(&h.env, &h.records, &h.queries, ExecMode::Many, false)
+    let err = h
+        .run(&engine, ExecMode::Many)
         .expect_err("40 faults exceed a limit of 5");
     match err {
         EngineError::TooManyErrors { limit, observed } => {
@@ -247,9 +161,7 @@ fn sample_payloads_are_capped_and_correct() {
             max_payload_samples: 3,
             ..Default::default()
         });
-    let run = engine
-        .run(&h.env, &h.records, &h.queries, ExecMode::Many, false)
-        .expect("runs");
+    let run = h.run(&engine, ExecMode::Many).expect("runs");
     let with_sample: Vec<_> = run
         .quarantine
         .entries
@@ -277,10 +189,11 @@ fn quarantine_report_is_identical_across_worker_counts() {
     let mut baseline: Option<(naiad_lite::QuarantineReport, Vec<u64>)> = None;
     for workers in [1usize, 2, 8] {
         let h = harness(3, plan.clone());
-        let run = Engine::new(workers)
+        let engine = Engine::new(workers)
             .with_error_policy(ErrorPolicy::Quarantine { max_errors: 64 })
-            .with_fuel(TEST_FUEL)
-            .run(&h.env, &h.records, &h.queries, ExecMode::Many, false)
+            .with_fuel(TEST_FUEL);
+        let run = h
+            .run(&engine, ExecMode::Many)
             .expect("quarantine absorbs the faults");
         assert!(
             run.quarantine
@@ -316,8 +229,8 @@ fn every_error_kind_round_trips_through_quarantine() {
     ];
     for (fault, expected_kind) in cases {
         let h = harness(2, FaultPlan::single(31, fault));
-        let run = quarantine_engine()
-            .run(&h.env, &h.records, &h.queries, ExecMode::Many, false)
+        let run = h
+            .run(&quarantine_engine(), ExecMode::Many)
             .expect("quarantine absorbs the fault");
         assert_eq!(run.quarantine.records(), vec![31], "{fault:?}");
         let e = &run.quarantine.entries[0];
@@ -368,37 +281,11 @@ fn consolidated_mode_without_program_is_an_error_not_a_panic() {
 // Budgeted consolidation: the degradation lattice.
 // ---------------------------------------------------------------------------
 
-/// Runs the interpreter over both the sources and a merged program,
-/// asserting notification equivalence and the Theorem 1 cost bound — the
-/// soundness oracle for degraded outputs.
-fn assert_merged_sound(
-    programs: &[Program],
-    merged: &Program,
-    interner: &Interner,
-    lib: &FnLibrary,
-) {
-    let cm = CostModel::default();
-    let interp = udf_lang::interp::Interp::new(cm, lib);
-    for v in -5..60 {
-        let m = interp.run(merged, &[v], interner).expect("merged runs");
-        let mut seq_cost = 0;
-        for p in programs {
-            let r = interp.run(p, &[v], interner).expect("source runs");
-            assert_eq!(
-                m.notifications.get(p.id),
-                r.notifications.get(p.id),
-                "record {v}: merged must notify like source {:?}",
-                p.id
-            );
-            seq_cost += r.cost;
-        }
-        assert!(
-            m.cost <= seq_cost,
-            "record {v}: merged cost {} exceeds sequential {}",
-            m.cost,
-            seq_cost
-        );
-    }
+/// Both halves of Thm. 1 for a degraded plan, on a value sweep covering
+/// every threshold.
+fn check_sweep(programs: &[Program], merged: &Program, interner: &mut Interner) {
+    let env = ScalarEnv::new(1, library(interner));
+    check_merged(programs, merged, &env, &scalar_records(-5..60), interner);
 }
 
 #[test]
@@ -415,7 +302,7 @@ fn starved_query_budget_degrades_to_sequential_but_sound() {
         .expect("budget exhaustion must not error");
     assert_eq!(merged.stats.tier, DegradationTier::Sequential);
     assert_eq!(merged.stats.rules.if3 + merged.stats.rules.if4, 0);
-    assert_merged_sound(&programs, &merged.program, &interner, &lib);
+    check_sweep(&programs, &merged.program, &mut interner);
 }
 
 #[test]
@@ -436,7 +323,7 @@ fn partial_budget_consolidates_a_prefix_and_stays_sound() {
         "40 queries cannot fully consolidate 6 programs: {:?}",
         merged.stats
     );
-    assert_merged_sound(&programs, &merged.program, &interner, &lib);
+    check_sweep(&programs, &merged.program, &mut interner);
 
     // An unlimited run of the same family reports Full.
     let mut interner2 = Interner::new();
@@ -474,26 +361,22 @@ fn zero_deadline_returns_immediately_with_sequential_plan() {
     );
     assert_eq!(merged.stats.tier, DegradationTier::Sequential);
     assert_eq!(merged.stats.pairs_degraded, 7, "all pairs concatenate");
-    assert_merged_sound(&programs, &merged.program, &interner, &lib);
-
-    // The degraded plan still compiles and runs on the engine.
     let qs = QuerySet::compile_many(&programs, &cm, &|f| lib.cost(f))
         .expect("many compiles")
         .with_consolidated(&merged.program, &cm, &|f| lib.cost(f), merged.elapsed)
         .expect("degraded plan compiles");
-    let mut i2 = Interner::new();
-    let lib2 = library(&mut i2);
-    let env = ScalarEnv::new(1, lib2);
-    let records: Vec<Vec<i64>> = (0..50).map(|v| vec![v]).collect();
-    let engine = Engine::new(2);
-    let many = engine
-        .run(&env, &records, &qs, ExecMode::Many, true)
-        .expect("many runs");
-    let cons = engine
-        .run(&env, &records, &qs, ExecMode::Consolidated, true)
-        .expect("sequential plan runs");
-    assert_eq!(many.counts, cons.counts);
-    assert!(cons.cost.expect("tracked") <= many.cost.expect("tracked"));
+    check_sweep(&programs, &merged.program, &mut interner);
+
+    // The degraded plan still compiles and runs on the engine.
+    let env = ScalarEnv::new(1, lib);
+    let records = scalar_records(0..50);
+    let oracle = Oracle::new(&env, &records, &programs, &interner, DEFAULT_FUEL);
+    for mode in [ExecMode::Many, ExecMode::Consolidated] {
+        let run = Engine::new(2)
+            .run(&env, &records, &qs, mode, true)
+            .expect("the sequential plan runs");
+        check(&run, &oracle, &format!("{mode:?}"));
+    }
 }
 
 #[test]
@@ -512,7 +395,7 @@ fn budgeted_pair_never_exceeds_query_ceiling_by_much() {
         };
         let merged = consolidate_many(&programs.clone(), &mut interner, &cm, &lib, &opts, false)
             .expect("never errors");
-        assert_merged_sound(&programs, &merged.program, &interner, &lib);
+        check_sweep(&programs, &merged.program, &mut interner);
     }
 }
 
@@ -536,7 +419,7 @@ fn injected_unknowns_only_lose_rewrites_never_soundness() {
         };
         let merged = consolidate_many(&programs, &mut interner, &cm, &lib, &opts, false)
             .expect("unknown injection must not error");
-        assert_merged_sound(&programs, &merged.program, &interner, &lib);
+        check_sweep(&programs, &merged.program, &mut interner);
     }
 }
 
@@ -559,5 +442,59 @@ fn starved_theory_limits_never_flip_entailment_verdicts() {
     };
     let merged = consolidate_many(&programs, &mut interner, &cm, &lib, &opts, false)
         .expect("starved solver must not error");
-    assert_merged_sound(&programs, &merged.program, &interner, &lib);
+    check_sweep(&programs, &merged.program, &mut interner);
+}
+
+// ---------------------------------------------------------------------------
+// The oracle's cost half bites on its own.
+// ---------------------------------------------------------------------------
+
+/// A merged plan that notifies correctly but re-does work is still wrong by
+/// Thm. 1. The family shares nothing (`probe` in one query, `half` in the
+/// other), so its merged plan costs exactly Σ and has no slack to hide a
+/// redundant call in: prepending one `probe(v)` keeps every notification
+/// and must fail the cost half alone.
+#[test]
+fn a_redundant_call_in_a_zero_slack_plan_fails_only_the_cost_half() {
+    let mut interner = Interner::new();
+    let lib = library(&mut interner);
+    let programs: Vec<Program> = [
+        "program a @0 (v) { x := probe(v); if (x > 10) { notify true; } else { notify false; } }",
+        "program b @1 (v) { y := half(v); if (y > 5) { notify true; } else { notify false; } }",
+    ]
+    .iter()
+    .map(|src| udf_lang::parse::parse_program(src, &mut interner).expect("parses"))
+    .collect();
+    let cm = CostModel::default();
+    let merged = consolidate_many(
+        &programs,
+        &mut interner,
+        &cm,
+        &lib,
+        &Options::default(),
+        false,
+    )
+    .expect("consolidates")
+    .program;
+    let env = ScalarEnv::new(1, lib);
+    let records = scalar_records(-5..60);
+    let costs = check_merged(&programs, &merged, &env, &records, &interner);
+    assert!(costs.iter().all(|(m, s)| m == s), "zero slack: {costs:?}");
+
+    let mut mutated = merged.clone();
+    let call = IntExpr::Call(
+        interner.intern("probe"),
+        vec![IntExpr::Var(merged.params[0])],
+    );
+    let redundant = Stmt::Assign(interner.intern("redundant"), call);
+    mutated.body = redundant.then(merged.body);
+    let verdict = judge_merged(&programs, &mutated, &env, &records, &interner);
+    assert_eq!(
+        verdict.notify, None,
+        "the redundant call changes no notification"
+    );
+    assert!(
+        verdict.cost.is_some(),
+        "the cost half must catch the redundant call"
+    );
 }

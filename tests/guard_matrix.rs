@@ -21,67 +21,20 @@
 //! and counts: the query set holds one copy of each plan, so there is no
 //! second copy for a backend to run healthy while the first is corrupted.
 
+mod common;
+
+use common::{chaos, check, library, probing_queries, quarantine_engine, Harness, TEST_FUEL};
 use naiad_lite::engine::{
     Engine, EngineConfig, EngineError, ErrorPolicy, ExecBackend, ExecMode, JobReport, QuerySet,
 };
-use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
-use naiad_lite::{ErrorKind, GuardAction, GuardPolicy, ScalarEnv};
+use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan};
+use naiad_lite::{ErrorKind, GuardAction, GuardPolicy};
 use plan_cache::PlanCache;
 use std::sync::Arc;
-use udf_lang::ast::Program;
 use udf_lang::cost::CostModel;
 use udf_lang::intern::Interner;
 use udf_lang::library::Library;
-use udf_lang::FnLibrary;
 use udf_obs::names;
-
-/// Same sizing as `fault_matrix`: burn records exhaust it, healthy records
-/// never come close.
-const TEST_FUEL: u64 = 50_000;
-
-fn library(interner: &mut Interner) -> FnLibrary {
-    let probe = interner.intern("probe");
-    let half = interner.intern("half");
-    let mut lib = FnLibrary::new();
-    lib.register(probe, "probe", 1, 20, |a| a[0]);
-    lib.register(half, "half", 1, 10, |a| a[0] / 2);
-    lib
-}
-
-fn probing_queries(interner: &mut Interner, n: u32) -> Vec<Program> {
-    (0..n)
-        .map(|k| {
-            udf_lang::parse::parse_program(
-                &format!(
-                    "program q{k} @{k} (v) {{
-                         p := probe(v);
-                         spin := half(p);
-                         while (spin > 50) {{ spin := spin - 1; }}
-                         if (p > {}) {{ notify true; }} else {{ notify false; }}
-                     }}",
-                    k * 10
-                ),
-                interner,
-            )
-            .expect("test program parses")
-        })
-        .collect()
-}
-
-/// Folds the `CHAOS_SEED` environment variable (see `ci/chaos.sh`) into a
-/// base seed; identical to the helper in `fault_matrix`.
-fn chaos(seed: u64) -> u64 {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => seed ^ s.trim().parse::<u64>().unwrap_or(0),
-        Err(_) => seed,
-    }
-}
-
-struct Harness {
-    env: FaultyEnv<ScalarEnv>,
-    records: Vec<(usize, Vec<i64>)>,
-    queries: QuerySet,
-}
 
 const BACKENDS: [ExecBackend; 2] = [ExecBackend::PerRecord, ExecBackend::Columnar];
 
@@ -110,15 +63,7 @@ fn harness_for(cache: &PlanCache, plan: FaultPlan, backend: ExecBackend) -> Harn
         backend,
     )
     .expect("cached consolidation succeeds");
-    let trigger = interner.intern("probe");
-    let env =
-        FaultyEnv::new(ScalarEnv::new(1, lib), trigger, plan).with_burn_value(1_000_000_000);
-    let records = FaultyEnv::<ScalarEnv>::index_records((0..200).map(|v| vec![v]));
-    Harness {
-        env,
-        records,
-        queries,
-    }
+    Harness::new(&mut interner, &programs, queries, plan)
 }
 
 /// Flips the broadcast value of the first `Notify` instruction in the
@@ -177,9 +122,10 @@ fn corrupted_plan_scenario(backend: ExecBackend, workers: usize) -> JobReport {
     corrupt_consolidated(&mut h.queries);
 
     let engine = guarded_engine_on(&cache, GuardPolicy::audit_all(), backend, workers);
-    let guarded = engine
-        .run(&h.env, &h.records, &h.queries, ExecMode::Consolidated, false)
+    let guarded = h
+        .run(&engine, ExecMode::Consolidated)
         .expect("Demote self-heals instead of failing");
+    check(&guarded, &h.oracle, &ctx);
     let guard = guarded.guard.clone().expect("guarded consolidated run reports");
     assert!(guard.demoted, "{ctx}: divergence must demote the job");
     assert!(guard.mismatches >= 1, "{ctx}");
@@ -213,7 +159,7 @@ fn corrupted_plan_scenario(backend: ExecBackend, workers: usize) -> JobReport {
         backend,
         workers,
     );
-    match failfast.run(&h.env, &h.records, &h.queries, ExecMode::Consolidated, false) {
+    match h.run(&failfast, ExecMode::Consolidated) {
         Err(EngineError::GuardTripped { incident }) => {
             assert!(incident.mismatches >= 1, "{ctx}");
             assert_eq!(incident.action, GuardAction::FailFast, "{ctx}");
@@ -247,18 +193,16 @@ fn retry_drains_transient_faults_below_the_retry_budget() {
     }
     let cache = Arc::new(PlanCache::default());
     let h = harness(&cache, plan);
-    let clean = harness(&cache, FaultPlan::none());
 
-    let engine = Engine::new(4)
-        .with_error_policy(ErrorPolicy::Quarantine { max_errors: 64 })
+    let engine = quarantine_engine()
         .with_retry(max_retries)
-        .with_fuel(TEST_FUEL)
         .with_recorder(udf_obs::RecorderCell::memory());
     for mode in [ExecMode::Many, ExecMode::Consolidated] {
         h.env.reset_transients();
-        let run = engine
-            .run(&h.env, &h.records, &h.queries, mode, false)
+        let run = h
+            .run(&engine, mode)
             .expect("transients drain within the budget");
+        check(&run, &h.oracle, &format!("{mode:?}"));
         assert!(
             run.quarantine.is_clean(),
             "k ≤ max_retries must quarantine nothing ({mode:?})"
@@ -270,10 +214,6 @@ fn retry_drains_transient_faults_below_the_retry_budget() {
             u64::from(depth) * 3,
             "each record needs exactly `depth` retries ({mode:?})"
         );
-        let baseline = engine
-            .run(&clean.env, &clean.records, &clean.queries, mode, false)
-            .expect("clean reference run");
-        assert_eq!(run.counts, baseline.counts, "{mode:?}");
     }
     let snapshot = engine
         .config()
@@ -300,15 +240,13 @@ fn retry_budget_exhaustion_quarantines_with_exact_accounting() {
     let cache = Arc::new(PlanCache::default());
     let h = harness(&cache, plan);
 
-    let engine = Engine::new(4)
-        .with_error_policy(ErrorPolicy::Quarantine { max_errors: 64 })
-        .with_retry(max_retries)
-        .with_fuel(TEST_FUEL);
+    let engine = quarantine_engine().with_retry(max_retries);
     for mode in [ExecMode::Many, ExecMode::Consolidated] {
         h.env.reset_transients();
-        let run = engine
-            .run(&h.env, &h.records, &h.queries, mode, false)
+        let run = h
+            .run(&engine, mode)
             .expect("quarantine absorbs the exhausted records");
+        check(&run, &h.oracle, &format!("{mode:?}"));
         assert_eq!(
             run.quarantine.records(),
             faulted.to_vec(),
@@ -337,11 +275,9 @@ fn log_only_scenario(backend: ExecBackend) -> JobReport {
     corrupt_consolidated(&mut h.queries);
 
     // Reference: the corrupted plan run with no guard at all.
-    let unguarded = Engine::new(4)
-        .with_error_policy(ErrorPolicy::Quarantine { max_errors: 64 })
-        .with_backend(backend)
-        .with_fuel(TEST_FUEL)
-        .run(&h.env, &h.records, &h.queries, ExecMode::Consolidated, false)
+    let plain = quarantine_engine().with_backend(backend);
+    let unguarded = h
+        .run(&plain, ExecMode::Consolidated)
         .expect("unguarded run");
 
     let engine = guarded_engine_on(
@@ -353,8 +289,8 @@ fn log_only_scenario(backend: ExecBackend) -> JobReport {
         backend,
         4,
     );
-    let audited = engine
-        .run(&h.env, &h.records, &h.queries, ExecMode::Consolidated, false)
+    let audited = h
+        .run(&engine, ExecMode::Consolidated)
         .expect("LogOnly never fails the job");
     let guard = audited.guard.clone().expect("guard report present");
     assert!(!guard.demoted, "{ctx}: LogOnly must not demote");
@@ -387,10 +323,8 @@ fn disabled_guard_runs_zero_shadows_and_changes_nothing() {
     let cache = Arc::new(PlanCache::default());
     let h = harness(&cache, FaultPlan::seeded(chaos(0xfa06), 200, 8));
 
-    let plain = Engine::new(4)
-        .with_error_policy(ErrorPolicy::Quarantine { max_errors: 64 })
-        .with_fuel(TEST_FUEL)
-        .run(&h.env, &h.records, &h.queries, ExecMode::Consolidated, false)
+    let plain = h
+        .run(&quarantine_engine(), ExecMode::Consolidated)
         .expect("plain run");
 
     let engine = guarded_engine(
@@ -400,9 +334,10 @@ fn disabled_guard_runs_zero_shadows_and_changes_nothing() {
             ..GuardPolicy::default()
         },
     );
-    let guarded = engine
-        .run(&h.env, &h.records, &h.queries, ExecMode::Consolidated, false)
+    let guarded = h
+        .run(&engine, ExecMode::Consolidated)
         .expect("unaudited run");
+    check(&guarded, &h.oracle, "unaudited");
     assert!(
         guarded.guard.is_none(),
         "an inactive guard must not even report"

@@ -11,6 +11,9 @@
 //! changed, which every machine, the fuel contract and every stored
 //! snapshot observe.
 
+mod common;
+
+use common::EnvCost;
 use query_consolidation::cache::{ExecBackend, PlanKey};
 use query_consolidation::dataflow::digest::Fnv64;
 use query_consolidation::dataflow::engine::QuerySet;
@@ -22,15 +25,6 @@ use query_consolidation::workloads::{flight, news, stock, twitter, weather, Fami
 use udf_lang::ast::{ProgId, Program};
 use udf_lang::parse::parse_program;
 
-struct EnvCost<'a, E: UdfEnv>(&'a E);
-
-impl<E: UdfEnv> udf_lang::cost::FnCost for EnvCost<'_, E> {
-    fn fn_cost(&self, f: udf_lang::intern::Symbol) -> udf_lang::cost::Cost {
-        self.0.fn_cost(f)
-    }
-}
-
-/// Folds everything a machine reads of `p` into `h`.
 fn fold_program(h: &mut Fnv64, p: &RegProgram) {
     let rendered = format!(
         "{:?}|{:?}|{:?}|{}|{}",

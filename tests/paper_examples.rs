@@ -1,10 +1,13 @@
 //! The paper's worked examples (Sections 2 and 4) as executable tests
 //! against the public API.
 
+mod common;
+
+use common::check_merged;
+use query_consolidation::dataflow::ScalarEnv;
 use query_consolidation::engine::{consolidate_pair, consolidate_pair_prerenamed, Options};
 use query_consolidation::lang::{
     analysis::rename_locals, parse::parse_program, pretty, CostModel, FnLibrary, Interner,
-    Interp,
 };
 
 /// Example 1: the consolidated flight filter retrieves and lowercases the
@@ -48,21 +51,12 @@ fn example1_consolidation_structure() {
         "the lookup must be shared:\n{printed}"
     );
     // Behaviour on the full truth table of interesting inputs.
-    let interp = Interp::new(CostModel::default(), &lib);
-    let r1 = rename_locals(&f1, &mut interner, "x$");
-    let r2 = rename_locals(&f2, &mut interner, "y$");
-    for airline in [1i64, 2, 3] {
-        for price in [100i64, 300] {
-            let a = interp.run(&r1, &[airline, price], &interner).unwrap();
-            let b = interp.run(&r2, &[airline, price], &interner).unwrap();
-            let m = interp
-                .run(&merged.program, &[airline, price], &interner)
-                .unwrap();
-            assert_eq!(m.notifications.get(f1.id), a.notifications.get(f1.id));
-            assert_eq!(m.notifications.get(f2.id), b.notifications.get(f2.id));
-            assert!(m.cost <= a.cost + b.cost);
-        }
-    }
+    let records: Vec<Vec<i64>> = [1i64, 2, 3]
+        .into_iter()
+        .flat_map(|airline| [vec![airline, 100], vec![airline, 300]])
+        .collect();
+    let env = ScalarEnv::new(2, lib);
+    check_merged(&[f1, f2], &merged.program, &env, &records, &interner);
 }
 
 /// Example 2: min-temperature and max-temperature loops fuse into one loop
@@ -111,17 +105,12 @@ fn example2_weather_loops_fuse() {
         2,
         "per-month call must be shared:\n{printed}"
     );
-    let interp = Interp::new(CostModel::default(), &lib);
-    let a = interp.run(&r1, &[0], &interner).unwrap();
-    let b = interp.run(&r2, &[0], &interner).unwrap();
-    let m = interp.run(&merged.program, &[0], &interner).unwrap();
-    assert_eq!(m.notifications.get(g1.id), a.notifications.get(g1.id));
-    assert_eq!(m.notifications.get(g2.id), b.notifications.get(g2.id));
+    let env = ScalarEnv::new(1, lib);
+    let costs = check_merged(&[r1, r2], &merged.program, &env, &[vec![0]], &interner);
+    let (m, sequential) = costs[0];
     assert!(
-        m.cost * 3 <= (a.cost + b.cost) * 2,
-        "fusion should save at least a third: {} vs {}",
-        m.cost,
-        a.cost + b.cost
+        m * 3 <= sequential * 2,
+        "fusion should save at least a third: {m} vs {sequential}"
     );
 }
 
@@ -150,14 +139,10 @@ fn example5_complementary_tests() {
         &Options::default(),
     )
     .unwrap();
-    let interp = Interp::new(CostModel::default(), &lib);
-    for (x, alpha) in [(1i64, 5i64), (5, 5), (9, 5)] {
-        let m = interp.run(&merged.program, &[x, alpha], &interner).unwrap();
-        assert_eq!(m.notifications.get(p1.id), Some(x > alpha));
-        assert_eq!(m.notifications.get(p2.id), Some(x <= alpha));
-        let a = interp.run(&p1, &[x, alpha], &interner).unwrap();
-        let b = interp.run(&p2, &[x, alpha], &interner).unwrap();
-        assert!(m.cost < a.cost + b.cost, "one test instead of two");
+    let records = [vec![1, 5], vec![5, 5], vec![9, 5]];
+    let env = ScalarEnv::new(2, lib);
+    for (m, sequential) in check_merged(&[p1, p2], &merged.program, &env, &records, &interner) {
+        assert!(m < sequential, "one test instead of two");
     }
 }
 
@@ -205,13 +190,7 @@ fn example6_offset_loops_fuse() {
         1,
         "one f call per iteration:\n{printed}"
     );
-    let interp = Interp::new(CostModel::default(), &lib);
-    for alpha in [0i64, 1, 4, 9] {
-        let a = interp.run(&r1, &[alpha], &interner).unwrap();
-        let b = interp.run(&r2, &[alpha], &interner).unwrap();
-        let m = interp.run(&merged.program, &[alpha], &interner).unwrap();
-        assert_eq!(m.notifications.get(p1.id), a.notifications.get(p1.id));
-        assert_eq!(m.notifications.get(p2.id), b.notifications.get(p2.id));
-        assert!(m.cost <= a.cost + b.cost);
-    }
+    let env = ScalarEnv::new(1, lib);
+    let records = [vec![0], vec![1], vec![4], vec![9]];
+    check_merged(&[r1, r2], &merged.program, &env, &records, &interner);
 }

@@ -15,12 +15,15 @@
 //!
 //! `ci/chaos.sh` sweeps this file across `CHAOS_SEED` values.
 
+mod common;
+
+use common::{chaos, library, splitmix64};
 use naiad_lite::ScalarEnv;
 use plan_cache::framing;
 use std::path::{Path, PathBuf};
 use udf_lang::ast::ProgId;
 use udf_lang::intern::Interner;
-use udf_lang::{pretty, FnLibrary};
+use udf_lang::pretty;
 use udf_serve::{
     ChurnOutcome, JournalError, RecoveryReport, ServeConfig, ServeError, Service, TenantId,
 };
@@ -28,31 +31,9 @@ use udf_serve::{
 const CHECKPOINT: &str = "checkpoint";
 const JOURNAL: &str = "journal.log";
 
-/// Folds the `CHAOS_SEED` environment variable (see `ci/chaos.sh`) into a
-/// base seed.
-fn chaos(seed: u64) -> u64 {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => seed ^ s.trim().parse::<u64>().unwrap_or(0),
-        Err(_) => seed,
-    }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 fn build_env() -> (ScalarEnv, Interner) {
     let mut interner = Interner::new();
-    let probe = interner.intern("probe");
-    let half = interner.intern("half");
-    let mut lib = FnLibrary::new();
-    lib.register(probe, "probe", 1, 20, |a| a[0]);
-    lib.register(half, "half", 1, 10, |a| a[0] / 2);
-    (ScalarEnv::new(1, lib), interner)
+    (ScalarEnv::new(1, library(&mut interner)), interner)
 }
 
 fn config() -> ServeConfig {

@@ -17,6 +17,9 @@
 //! pre-filter or none at all — never the naive one), and the cache
 //! round-trip (a plan-cache hit rehydrates the pre-filter bit-for-bit).
 
+mod common;
+
+use common::{check, Oracle};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -27,7 +30,7 @@ use udf_lang::FnLibrary;
 
 use naiad_lite::engine::{Engine, EngineConfig, ExecBackend, ExecMode, JobReport, QuerySet};
 use naiad_lite::fault::{FaultKind, FaultPlan, FaultyEnv};
-use naiad_lite::{ErrorPolicy, GuardAction, GuardPolicy, ScalarEnv};
+use naiad_lite::{ErrorPolicy, GuardAction, GuardPolicy, ScalarEnv, DEFAULT_FUEL};
 
 /// One query of the mix. `a` and `b` are the two record fields.
 #[derive(Clone, Debug)]
@@ -124,6 +127,8 @@ fn run(
         plan.insert(r, kind);
     }
     let env = FaultyEnv::new(ScalarEnv::new(2, lib), probe, plan);
+    let oracle = Oracle::new(&env, records, &programs, &interner, DEFAULT_FUEL);
+    env.reset_transients();
     let report = Engine::new(workers)
         .with_config(EngineConfig {
             error_policy: ErrorPolicy::Quarantine { max_errors: 1024 },
@@ -140,6 +145,11 @@ fn run(
         })
         .run(&env, records, &qs, ExecMode::Consolidated, true)
         .unwrap();
+    check(
+        &report,
+        &oracle,
+        &format!("pushdown {prefilter}, {backend:?}, {workers} workers"),
+    );
     (report, attached)
 }
 
@@ -245,8 +255,10 @@ fn negated_guard_is_not_skipped_wrongly() {
     let records: Vec<Vec<i64>> = (0..60).map(|a| vec![a, 0]).collect();
     let env = ScalarEnv::new(2, library(&mut Interner::new()));
     let report = Engine::new(2)
-        .run(&env, &records, &qs, ExecMode::Consolidated, false)
+        .run(&env, &records, &qs, ExecMode::Consolidated, true)
         .unwrap();
+    let oracle = Oracle::new(&env, &records, &programs, &interner, DEFAULT_FUEL);
+    check(&report, &oracle, "negated guard");
     // Records 0..25 notify true; a wrongly-polarized pre-filter would have
     // skipped them (skips broadcast all-false) and counted 0 here.
     assert_eq!(report.counts, vec![25]);

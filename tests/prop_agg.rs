@@ -22,6 +22,8 @@
 //! few iterations of a small body) or far past it (a million iterations),
 //! where both machines agree that the fold or merge runs out.
 
+mod common;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use naiad_lite::env::RecordLibrary;
@@ -134,10 +136,10 @@ fn fold_range<E: UdfEnv>(
     interner: &Interner,
     out: &mut [Folded],
 ) {
-    for r in lo..hi {
+    for (r, rec) in records.iter().enumerate().take(hi).skip(lo) {
         for &di in group {
             let f = &mut out[di];
-            match fold_step(env, &records[r], &defs[di], &mut f.state, interner) {
+            match fold_step(env, rec, &defs[di], &mut f.state, interner) {
                 Ok(()) => f.folds += 1,
                 Err((kind, retries)) => f.entries.push((r, Some(defs[di].id), kind, retries)),
             }
@@ -222,7 +224,7 @@ fn reference<E: UdfEnv>(
     let mut entries: Vec<(usize, Entry)> = result
         .iter()
         .enumerate()
-        .flat_map(|(di, f)| f.entries.iter().map(move |e| (di, e.clone())))
+        .flat_map(|(di, f)| f.entries.iter().map(move |e| (di, *e)))
         .collect();
     entries.sort_by_key(|(di, e)| (e.0, *di));
     Outcome {
@@ -269,11 +271,7 @@ struct Gen(u64);
 
 impl Gen {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        common::splitmix64(&mut self.0)
     }
 
     fn below(&mut self, n: usize) -> usize {

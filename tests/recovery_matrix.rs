@@ -21,58 +21,17 @@
 //!
 //! `ci/chaos.sh` sweeps this file across `CHAOS_SEED` values.
 
-use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
+mod common;
+
+use common::{chaos, serve_env, splitmix64};
+use naiad_lite::fault::{silence_injected_panics, FaultyEnv};
 use naiad_lite::{ScalarEnv, UdfEnv};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use udf_lang::intern::Interner;
-use udf_lang::FnLibrary;
 use udf_serve::{CrashPoint, JournalError, ServeConfig, ServeError, Service, SimCrash, TenantId};
 
 type Env = FaultyEnv<ScalarEnv>;
 type Rec = <Env as UdfEnv>::Rec;
-
-/// Folds the `CHAOS_SEED` environment variable (see `ci/chaos.sh`) into a
-/// base seed, so the sweep covers seed families while staying fully
-/// reproducible within one run.
-fn chaos(seed: u64) -> u64 {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => seed ^ s.trim().parse::<u64>().unwrap_or(0),
-        Err(_) => seed,
-    }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Builds the chaos environment plus the interner its function library was
-/// interned against. Reference, journaled, crashed, and recovered runs each
-/// build a fresh copy — `FaultPlan` keys faults on record identity, so a
-/// rebuilt env replays the exact same fault schedule.
-fn build_env(seed: u64) -> (Env, Interner) {
-    let mut interner = Interner::new();
-    let probe = interner.intern("probe");
-    let half = interner.intern("half");
-    let mut lib = FnLibrary::new();
-    lib.register(probe, "probe", 1, 20, |a| a[0]);
-    lib.register(half, "half", 1, 10, |a| a[0] / 2);
-    let faults = FaultPlan::seeded_kinds(
-        seed,
-        4096,
-        48,
-        &[
-            FaultKind::LibError,
-            FaultKind::Transient(1),
-            FaultKind::Panic,
-        ],
-    );
-    (FaultyEnv::new(ScalarEnv::new(1, lib), probe, faults), interner)
-}
 
 fn config(sim: Option<SimCrash>) -> ServeConfig {
     ServeConfig {
@@ -228,7 +187,7 @@ fn insert_digest(digests: &mut BTreeMap<u64, u64>, epoch: u64, digest: u64, when
 }
 
 fn run_reference(seed: u64, steps: u32) -> RunOut {
-    let (env, interner) = build_env(seed);
+    let (env, interner) = serve_env(seed);
     let mut svc = Service::new(env, config(None));
     *svc.interner_mut() = interner;
     let mut digests = BTreeMap::new();
@@ -257,7 +216,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// the recovered-and-completed run's observables.
 fn run_crashed(seed: u64, steps: u32, sim: SimCrash, tag: &str) -> Option<RunOut> {
     let dir = fresh_dir(tag);
-    let (env, interner) = build_env(seed);
+    let (env, interner) = serve_env(seed);
     let mut svc = Service::open(env, interner, config(Some(sim)), &dir).expect("open journaled");
     let ops = build_ops(seed, steps);
     let mut digests: BTreeMap<u64, u64> = BTreeMap::new();
@@ -277,7 +236,7 @@ fn run_crashed(seed: u64, steps: u32, sim: SimCrash, tag: &str) -> Option<RunOut
                 // The process "died": the in-memory service is dropped with
                 // whatever it was doing half-done on disk.
                 drop(svc);
-                let (env2, interner2) = build_env(seed);
+                let (env2, interner2) = serve_env(seed);
                 let (svc2, report) = Service::recover(env2, interner2, config(None), &dir)
                     .unwrap_or_else(|e| {
                         panic!(
@@ -375,7 +334,7 @@ fn journaling_is_observation_only_and_clean_recovery_is_exact() {
     let steps = 48;
     let reference = run_reference(seed, steps);
     let dir = fresh_dir(&format!("clean-{seed:x}"));
-    let (env, interner) = build_env(seed);
+    let (env, interner) = serve_env(seed);
     let mut svc = Service::open(env, interner, config(None), &dir).expect("open");
     let mut digests = BTreeMap::new();
     for op in &build_ops(seed, steps) {
@@ -393,7 +352,7 @@ fn journaling_is_observation_only_and_clean_recovery_is_exact() {
     // "Power down" gracefully (no final checkpoint call on purpose — the
     // journal tail alone must carry the un-checkpointed suffix).
     drop(svc);
-    let (env2, interner2) = build_env(seed);
+    let (env2, interner2) = serve_env(seed);
     let (recovered, report) =
         Service::recover(env2, interner2, config(None), &dir).expect("clean recover");
     assert!(!report.truncated_tail, "clean shutdown leaves no torn tail");

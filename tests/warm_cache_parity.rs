@@ -13,53 +13,18 @@
 //!    `where_consolidated` run selects the same records and quarantines the
 //!    same records as the cold run (and as `where_many`).
 
-use naiad_lite::engine::{Engine, ErrorPolicy, ExecMode, QuerySet};
-use naiad_lite::fault::{silence_injected_panics, FaultPlan, FaultyEnv};
-use naiad_lite::ScalarEnv;
+mod common;
+
+use common::{check, library, probing_queries, quarantine_engine, Harness, TEST_FUEL};
+use naiad_lite::engine::{Engine, ExecMode, QuerySet};
+use naiad_lite::fault::{silence_injected_panics, FaultPlan};
 use plan_cache::{PlanCache, PlanOutcome};
-use udf_lang::ast::Program;
 use udf_lang::cost::CostModel;
 use udf_lang::intern::Interner;
 use udf_lang::library::Library;
-use udf_lang::FnLibrary;
-
-/// Fuel low enough that an injected burn record exhausts it, high enough
-/// that healthy records never come close (same sizing as `fault_matrix`).
-const TEST_FUEL: u64 = 50_000;
-
-fn library(interner: &mut Interner) -> FnLibrary {
-    let probe = interner.intern("probe");
-    let half = interner.intern("half");
-    let mut lib = FnLibrary::new();
-    lib.register(probe, "probe", 1, 20, |a| a[0]);
-    lib.register(half, "half", 1, 10, |a| a[0] / 2);
-    lib
-}
-
-fn probing_queries(interner: &mut Interner, n: u32) -> Vec<Program> {
-    (0..n)
-        .map(|k| {
-            udf_lang::parse::parse_program(
-                &format!(
-                    "program q{k} @{k} (v) {{
-                         p := probe(v);
-                         spin := half(p);
-                         while (spin > 50) {{ spin := spin - 1; }}
-                         if (p > {}) {{ notify true; }} else {{ notify false; }}
-                     }}",
-                    k * 10
-                ),
-                interner,
-            )
-            .expect("test program parses")
-        })
-        .collect()
-}
 
 struct Run {
-    env: FaultyEnv<ScalarEnv>,
-    records: Vec<(usize, Vec<i64>)>,
-    queries: QuerySet,
+    h: Harness,
     merged_text: String,
     outcome: PlanOutcome,
     solver_checks: u64,
@@ -86,24 +51,12 @@ fn submit(cache: &PlanCache, plan: FaultPlan) -> Run {
     )
     .expect("cached consolidation succeeds");
     let merged_text = udf_lang::pretty::program(&merged.program, &interner);
-    let trigger = interner.intern("probe");
-    let env =
-        FaultyEnv::new(ScalarEnv::new(1, lib), trigger, plan).with_burn_value(1_000_000_000);
-    let records = FaultyEnv::<ScalarEnv>::index_records((0..200).map(|v| vec![v]));
     Run {
-        env,
-        records,
-        queries,
+        h: Harness::new(&mut interner, &programs, queries, plan),
         merged_text,
         outcome,
         solver_checks: merged.stats.solver.checks,
     }
-}
-
-fn quarantine_engine() -> Engine {
-    Engine::new(4)
-        .with_error_policy(ErrorPolicy::Quarantine { max_errors: 64 })
-        .with_fuel(TEST_FUEL)
 }
 
 #[test]
@@ -128,26 +81,31 @@ fn warm_cache_run_is_indistinguishable_from_cold() {
     );
 
     // Execution parity on the fault-matrix survivors: cold consolidated,
-    // warm consolidated, and warm many must agree on counts and quarantine.
+    // warm consolidated, and warm many quarantine the same records and each
+    // holds to Thm. 1 on the rest.
     let engine = quarantine_engine();
-    let cold_cons = engine
-        .run(&cold.env, &cold.records, &cold.queries, ExecMode::Consolidated, false)
+    let cold_cons = cold
+        .h
+        .run(&engine, ExecMode::Consolidated)
         .expect("cold consolidated run");
-    let warm_cons = engine
-        .run(&warm.env, &warm.records, &warm.queries, ExecMode::Consolidated, false)
+    let warm_cons = warm
+        .h
+        .run(&engine, ExecMode::Consolidated)
         .expect("warm consolidated run");
-    let warm_many = engine
-        .run(&warm.env, &warm.records, &warm.queries, ExecMode::Many, false)
-        .expect("warm many run");
+    let warm_many = warm.h.run(&engine, ExecMode::Many).expect("warm many run");
+    check(&cold_cons, &cold.h.oracle, "cold consolidated");
+    check(&warm_cons, &warm.h.oracle, "warm consolidated");
+    check(&warm_many, &warm.h.oracle, "warm many");
 
-    assert_eq!(cold_cons.counts, warm_cons.counts);
     assert_eq!(
         cold_cons.quarantine.records(),
         warm_cons.quarantine.records(),
         "warm run must quarantine exactly the records the cold run did"
     );
-    assert_eq!(warm_many.counts, warm_cons.counts);
-    assert_eq!(warm_many.quarantine.records(), warm_cons.quarantine.records());
+    assert_eq!(
+        warm_many.quarantine.records(),
+        warm_cons.quarantine.records()
+    );
 
     let stats = cache.stats();
     assert_eq!(stats.hits, 1);
@@ -163,13 +121,16 @@ fn healthy_records_select_identically_through_the_cache() {
     assert_eq!(warm.outcome, PlanOutcome::Hit);
 
     let engine = Engine::new(2).with_fuel(TEST_FUEL);
-    let a = engine
-        .run(&cold.env, &cold.records, &cold.queries, ExecMode::Consolidated, false)
+    let a = cold
+        .h
+        .run(&engine, ExecMode::Consolidated)
         .expect("cold run");
-    let b = engine
-        .run(&warm.env, &warm.records, &warm.queries, ExecMode::Consolidated, false)
+    let b = warm
+        .h
+        .run(&engine, ExecMode::Consolidated)
         .expect("warm run");
-    assert_eq!(a.counts, b.counts);
+    check(&a, &cold.h.oracle, "cold");
+    check(&b, &warm.h.oracle, "warm");
     assert_eq!(a.quarantine.records_quarantined, 0);
     assert_eq!(b.quarantine.records_quarantined, 0);
 }

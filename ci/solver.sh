@@ -28,9 +28,10 @@
 #    through the solver, every output checked against the interpreter
 #    oracle (exit 1 on `correct: false`). Timings are not asserted on; the
 #    plans are: the counts below are exact and deterministic on the default
-#    seeds (42/42), so a solver or pool change that alters one plan fails
-#    here in seconds, not in a 20-minute bench comparison. A change that is
-#    meant to alter plans updates them, and says so.
+#    seeds (42/42) and on the held-out pair (--seed 20140609 --query-seed 7),
+#    so a solver or pool change that alters one plan fails here in seconds,
+#    not in a 20-minute bench comparison. A change that is meant to alter
+#    plans updates them, and says so.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -38,16 +39,23 @@ SOUNDNESS_CASES=48 cargo test -q -p udf-smt -p consolidate
 cargo test -q --test prop_solver --test solver_golden --test paper_examples --test delta_equivalence --test warm_cache_parity
 cargo test --release -q -p udf-smt
 cargo test --release -q --test prop_solver --test solver_golden
-out="$(bash bench/run.sh --smoke --workload cold-omega)"
 plan_is() {
     got="$(printf '%s\n' "$out" | awk -v name="$1" '$1 == name { print $2; exit }')"
     if [ "$got" != "$2" ]; then
-        echo "solver: plan identity broken: $1 is ${got:-missing}, expected $2" >&2
+        echo "solver: plan identity broken ($seeds): $1 is ${got:-missing}, expected $2" >&2
         exit 1
     fi
 }
+seeds="42/42"
+out="$(bash bench/run.sh --smoke --workload cold-omega)"
 plan_is consolidate.rules_fired 76.000000
 plan_is consolidate.merged_size_ratio 2.434389
 plan_is plan_cost_ratio 0.326262
+plan_is consolidate.full_tier_share 1.000000
+seeds="20140609/7"
+out="$(bash bench/run.sh --smoke --workload cold-omega --seed 20140609 --query-seed 7)"
+plan_is consolidate.rules_fired 83.000000
+plan_is consolidate.merged_size_ratio 2.337900
+plan_is plan_cost_ratio 0.341973
 plan_is consolidate.full_tier_share 1.000000
 echo "solver: ok"

@@ -46,8 +46,9 @@ fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, String> {
 /// results in task order. Thread `t` runs task `t` first, so every thread
 /// has work even when there are as many tasks as threads, then claims the
 /// next unclaimed task until none is left. A task that panics yields `Err`
-/// with its payload; its thread goes on with the next task. One thread's
-/// worth of tasks runs on the calling thread instead of a spawned one.
+/// with its payload; its thread goes on with the next task. Every one of
+/// the `min(workers, n)` threads is spawned; the calling thread only waits
+/// for them, and runs the tasks itself only when that number is at most 1.
 pub(crate) fn run_tasks<T: Send>(
     workers: usize,
     n: usize,

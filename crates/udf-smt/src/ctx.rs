@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A map keyed by the solver's own ids ([`TermId`], node indices, lists of
 /// them), hashed by [`IdHasher`].
@@ -115,8 +116,15 @@ pub enum Formula {
 }
 
 /// Arena of hash-consed terms and formulas plus symbol tables.
+///
+/// The arena only grows, so a handle keeps its meaning for the context's
+/// whole life. Each context — a new one or a clone — also carries a
+/// process-unique identity: the [`crate::Solver`] keys the theory lemmas it
+/// retains to it, since the same handle may name another atom in another
+/// context, or in a clone that diverged after cloning.
 #[derive(Debug, Default, Clone)]
 pub struct Context {
+    id: ContextId,
     terms: Vec<Term>,
     term_ids: HashMap<Term, TermId>,
     formulas: Vec<Formula>,
@@ -127,10 +135,37 @@ pub struct Context {
     fn_ids: HashMap<String, FnSym>,
 }
 
+/// A [`Context`]'s process-unique identity. Every `default()` and every
+/// `clone()` takes a new one, so a cloned context is never its original.
+#[derive(Debug)]
+struct ContextId(u64);
+
+/// The next [`ContextId`]; 0 is never handed out.
+static NEXT_CONTEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+impl Default for ContextId {
+    fn default() -> ContextId {
+        // Relaxed: the counter publishes no other data, only uniqueness matters.
+        ContextId(NEXT_CONTEXT_ID.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for ContextId {
+    fn clone(&self) -> ContextId {
+        ContextId::default()
+    }
+}
+
 impl Context {
     /// Creates an empty context.
     pub fn new() -> Context {
         Context::default()
+    }
+
+    /// This context's identity: distinct from that of every other context
+    /// (clones included) created in this process.
+    pub(crate) fn id(&self) -> u64 {
+        self.id.0
     }
 
     fn intern_term(&mut self, t: Term) -> TermId {

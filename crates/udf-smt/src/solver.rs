@@ -8,13 +8,20 @@
 //! every blocking clause negates a literal set the theory has refuted as
 //! given, whatever size the assignment has.
 //!
+//! Such a set stays refuted for as long as its atoms mean what they meant,
+//! which is the life of their [`Context`]. The solver keeps every confirmed
+//! core as a *lemma* of that context, and a later check of a formula over
+//! the same context starts with a blocking clause for each lemma whose atoms
+//! all occur in it: a conflict is learned once per context instead of once
+//! per check. Nothing else carries over from one check to the next.
+//!
 //! [`Solver::check`] decides satisfiability of a formula modulo LIA ∪ EUF;
 //! [`Solver::is_valid`] answers entailment questions by refutation — the form
 //! used throughout the consolidation engine (`Ψ ⊨ e` becomes
 //! `check(Ψ ∧ ¬e) = Unsat`).
 
 use crate::cnf;
-use crate::ctx::{Context, Formula, FormulaId};
+use crate::ctx::{Context, Formula, FormulaId, IdMap};
 use crate::sat::{Lit, SatOutcome, SatSolver, Var};
 use crate::theory::{self, NoModel, TheoryLimits, TheoryLit, TheoryStats};
 use udf_obs::{names, RecorderCell};
@@ -81,8 +88,11 @@ impl std::ops::AddAssign for SolverStats {
 
 /// Configuration and statistics holder for SMT checks.
 ///
-/// The solver is stateless across [`Solver::check`] calls apart from
-/// statistics, so one instance can serve many queries.
+/// Across [`Solver::check`] calls the solver keeps its statistics and the
+/// theory lemmas (confirmed cores) it learned on the [`Context`] it last
+/// checked against. A check against another context — a new one, or a clone
+/// — drops the lemmas first, so one instance can serve many queries over
+/// many contexts; the lemmas only ever save work on the same one.
 #[derive(Clone, Debug)]
 pub struct Solver {
     /// SAT conflict budget per boolean search.
@@ -107,6 +117,15 @@ pub struct Solver {
     #[cfg(test)]
     sabotage_candidates: bool,
     stats: SolverStats,
+    lemmas: Lemmas,
+}
+
+/// Literal sets `theory::check` refuted as given, all over the atoms of the
+/// one [`Context`] whose identity is `ctx` (0: none yet).
+#[derive(Clone, Debug, Default)]
+struct Lemmas {
+    ctx: u64,
+    cores: Vec<Vec<TheoryLit>>,
 }
 
 impl Default for Solver {
@@ -127,6 +146,7 @@ impl Solver {
             #[cfg(test)]
             sabotage_candidates: false,
             stats: SolverStats::default(),
+            lemmas: Lemmas::default(),
         }
     }
 
@@ -179,10 +199,24 @@ impl Solver {
         out
     }
 
-    /// Runs [`Solver::search`] on a fresh SAT instance and folds its counters.
+    /// Runs [`Solver::search`] on a fresh SAT instance, seeded with the
+    /// lemmas of `ctx` that apply to `f`, and folds its counters.
     fn search_fresh(&mut self, ctx: &Context, f: FormulaId) -> (SatResult, Option<theory::Model>) {
+        if self.lemmas.ctx != ctx.id() {
+            self.lemmas = Lemmas {
+                ctx: ctx.id(),
+                cores: Vec::new(),
+            };
+        }
         let mut sat = SatSolver::new();
-        let out = self.search(ctx, f, &mut sat);
+        let compiled = {
+            let _span = self.recorder.span(names::SMT_CNF_NS);
+            cnf::compile(ctx, f, &mut sat)
+        };
+        let atom_vars: Vec<(Var, FormulaId)> =
+            compiled.atoms.iter().map(|(&v, &a)| (v, a)).collect();
+        let replayed = self.replay_lemmas(&atom_vars, &mut sat);
+        let out = self.search(ctx, &atom_vars, &mut sat);
         let st = sat.stats();
         self.stats.sat_decisions += st.decisions;
         self.stats.sat_conflicts += st.conflicts;
@@ -190,23 +224,59 @@ impl Solver {
         self.recorder.add(names::SMT_SAT_DECISIONS, st.decisions);
         self.recorder.add(names::SMT_SAT_CONFLICTS, st.conflicts);
         self.recorder.add(names::SMT_SAT_PROPAGATIONS, st.propagations);
+        if replayed && out.0 == SatResult::Unsat {
+            // A solver of its own, with no lemmas, stats or recorder shared:
+            // a retained lemma that was not a refutation shows as a `Sat`.
+            debug_assert_ne!(
+                Solver {
+                    max_conflicts: self.max_conflicts,
+                    max_final_checks: self.max_final_checks,
+                    theory_limits: self.theory_limits,
+                    ..Solver::new()
+                }
+                .check(ctx, f),
+                SatResult::Sat,
+                "a retained lemma refuted a satisfiable formula: {}",
+                ctx.formula_to_string(f)
+            );
+        }
         out
     }
 
-    /// The CDCL(T) loop proper: enumerate boolean models of `f` with `sat`,
-    /// final-check each against the theory, learn blocking clauses.
+    /// Adds one blocking clause per retained lemma whose atoms all occur in
+    /// `atom_vars`; whether it added any.
+    fn replay_lemmas(&self, atom_vars: &[(Var, FormulaId)], sat: &mut SatSolver) -> bool {
+        if self.lemmas.cores.is_empty() {
+            return false;
+        }
+        let var_of: IdMap<FormulaId, Var> = atom_vars.iter().map(|&(v, a)| (a, v)).collect();
+        let mut replayed = false;
+        let mut clause = Vec::new();
+        for core in &self.lemmas.cores {
+            clause.clear();
+            for &(a, value) in core {
+                match var_of.get(&a) {
+                    Some(&v) => clause.push(blocking(v, value)),
+                    None => break,
+                }
+            }
+            if clause.len() == core.len() {
+                sat.add_clause(&clause);
+                replayed = true;
+            }
+        }
+        replayed
+    }
+
+    /// The CDCL(T) loop proper: enumerate boolean models of the compiled
+    /// formula with `sat`, final-check each against the theory, learn
+    /// blocking clauses and keep the confirmed ones as lemmas.
     fn search(
         &mut self,
         ctx: &Context,
-        f: FormulaId,
+        atom_vars: &[(Var, FormulaId)],
         sat: &mut SatSolver,
     ) -> (SatResult, Option<theory::Model>) {
-        let compiled = {
-            let _span = self.recorder.span(names::SMT_CNF_NS);
-            cnf::compile(ctx, f, sat)
-        };
-        let atom_vars: Vec<(Var, FormulaId)> =
-            compiled.atoms.iter().map(|(&v, &a)| (v, a)).collect();
         let mut saw_unknown = false;
         for _ in 0..self.max_final_checks {
             let outcome = {
@@ -239,28 +309,24 @@ impl Solver {
                     let core = self.confirmed_core(ctx, &literals, candidate);
                     self.stats.core_literals += core.len() as u64;
                     self.recorder.add(names::SMT_CORE_LITERALS, core.len() as u64);
+                    self.lemmas.cores.push(core.iter().map(|&i| literals[i]).collect());
                     core
                 }
                 Err(NoModel::Unknown) => {
                     // Cannot trust this model; block it wholesale and record
-                    // that a final Unsat is no longer conclusive.
+                    // that a final Unsat is no longer conclusive. It is no
+                    // refutation, so it is not kept as a lemma.
                     saw_unknown = true;
                     (0..literals.len()).collect()
                 }
             };
-            // The one place a theory clause enters the SAT core. `blocked` is
-            // either a set `theory::check` refuted as given (see
+            // The one place a theory clause found by this search enters the
+            // SAT core (`replay_lemmas` adds those of earlier searches).
+            // `blocked` is either a set `theory::check` refuted as given (see
             // `confirmed_core`) or a whole model that taints the verdict.
             let clause: Vec<Lit> = blocked
                 .iter()
-                .map(|&i| {
-                    let (v, _) = atom_vars[i];
-                    if literals[i].1 {
-                        Lit::neg(v)
-                    } else {
-                        Lit::pos(v)
-                    }
-                })
+                .map(|&i| blocking(atom_vars[i].0, literals[i].1))
                 .collect();
             sat.add_clause(&clause);
         }
@@ -346,6 +412,15 @@ impl Solver {
     /// Whether `f` is unsatisfiable.
     pub fn is_unsat(&mut self, ctx: &Context, f: FormulaId) -> bool {
         self.check(ctx, f) == SatResult::Unsat
+    }
+}
+
+/// The literal of a blocking clause that rules out `v` having `value`.
+fn blocking(v: Var, value: bool) -> Lit {
+    if value {
+        Lit::neg(v)
+    } else {
+        Lit::pos(v)
     }
 }
 
@@ -557,6 +632,27 @@ mod tests {
         corpus
     }
 
+    /// Each formula of `corpus` through a clone of `solver` of its own, so
+    /// no lemma carries over from one formula to the next: the verdicts,
+    /// and the clones' statistics summed.
+    fn one_solver_per_formula(
+        solver: &Solver,
+        ctx: &Context,
+        corpus: &[FormulaId],
+    ) -> (Vec<SatResult>, SolverStats) {
+        let mut stats = SolverStats::default();
+        let verdicts = corpus
+            .iter()
+            .map(|&phi| {
+                let mut s = solver.clone();
+                let verdict = s.check(ctx, phi);
+                stats += s.stats();
+                verdict
+            })
+            .collect();
+        (verdicts, stats)
+    }
+
     #[test]
     fn dropping_a_literal_from_every_candidate_changes_no_verdict() {
         // The mutation makes most explanations wrong (a near-minimal core
@@ -565,29 +661,102 @@ mod tests {
         // must catch each one and fall back to the full assignment.
         let mut ctx = Context::new();
         let corpus = clause_corpus(&mut ctx, 19, 200);
-        let mut honest = Solver::new();
         let mut sabotaged = Solver::new();
         sabotaged.sabotage_candidates = true;
         sabotaged.recorder = RecorderCell::memory();
+        let (expected, honest) = one_solver_per_formula(&Solver::new(), &ctx, &corpus);
+        let (got, sabotaged_stats) = one_solver_per_formula(&sabotaged, &ctx, &corpus);
+        for (i, &phi) in corpus.iter().enumerate() {
+            assert_eq!(got[i], expected[i], "{}", ctx.formula_to_string(phi));
+        }
         let mut verdicts = [0usize; 3];
-        for &phi in &corpus {
-            let expected = honest.check(&ctx, phi);
-            assert_eq!(
-                sabotaged.check(&ctx, phi),
-                expected,
-                "{}",
-                ctx.formula_to_string(phi)
-            );
-            verdicts[expected as usize] += 1;
+        for &v in &expected {
+            verdicts[v as usize] += 1;
         }
         let [sat, unsat, _] = verdicts;
         assert!(sat > 20 && unsat > 20, "corpus is one-sided: {verdicts:?}");
-        assert!(honest.stats().theory_conflicts > 200, "corpus has too few conflicts");
-        assert_eq!(honest.stats().core_fallbacks, 0, "honest explanations hold");
-        let fallbacks = sabotaged.stats().core_fallbacks;
+        assert!(honest.theory_conflicts > 200, "corpus has too few conflicts");
+        assert_eq!(honest.core_fallbacks, 0, "honest explanations hold");
+        let fallbacks = sabotaged_stats.core_fallbacks;
         assert!(fallbacks > 100, "only {fallbacks} sabotaged candidates were caught");
         let snap = sabotaged.recorder.snapshot().expect("memory recorder");
         assert_eq!(snap.counter(names::SMT_CORE_FALLBACKS), fallbacks);
-        assert_eq!(snap.counter(names::SMT_UNKNOWN), sabotaged.stats().unknowns);
+        assert_eq!(snap.counter(names::SMT_UNKNOWN), sabotaged_stats.unknowns);
+    }
+
+    #[test]
+    fn retained_lemmas_change_no_verdict_and_save_theory_checks() {
+        // The twin of the test above with one solver for the whole corpus,
+        // so every confirmed core of one formula is replayed into the later
+        // ones over the same context. Where a sabotaged candidate is caught,
+        // the retained core is the one deletion shrank from the whole
+        // assignment; both solvers must still answer as fresh ones do.
+        let mut ctx = Context::new();
+        let corpus = clause_corpus(&mut ctx, 19, 200);
+        let (expected, fresh) = one_solver_per_formula(&Solver::new(), &ctx, &corpus);
+        let mut honest = Solver::new();
+        let mut sabotaged = Solver::new();
+        sabotaged.sabotage_candidates = true;
+        for (i, &phi) in corpus.iter().enumerate() {
+            let shown = ctx.formula_to_string(phi);
+            assert_eq!(honest.check(&ctx, phi), expected[i], "{shown}");
+            assert_eq!(sabotaged.check(&ctx, phi), expected[i], "{shown}");
+        }
+        let retained = honest.stats().theory_checks;
+        assert!(
+            retained < fresh.theory_checks,
+            "retention saved no theory check: {retained} vs {}",
+            fresh.theory_checks
+        );
+        assert!(sabotaged.stats().core_fallbacks > 0, "the sabotage never bit");
+    }
+
+    #[test]
+    fn lemmas_never_cross_contexts() {
+        // `x ≤ 0 ∧ 1 ≤ x` (refuted) or `x ≤ 0 ∧ x ≤ 5` (consistent), built
+        // so that both get the same ids in contexts that agree up to `x ≤ 0`.
+        fn conjunction(ctx: &mut Context, refuted: bool) -> [FormulaId; 3] {
+            let x = ctx.int_var("x");
+            let zero = ctx.int(0);
+            let p = ctx.le(x, zero);
+            let q = if refuted {
+                let one = ctx.int(1);
+                ctx.le(one, x)
+            } else {
+                let five = ctx.int(5);
+                ctx.le(x, five)
+            };
+            [p, q, ctx.and(p, q)]
+        }
+        let mut s = Solver::new();
+        let mut ctx = Context::new();
+        let refuted = conjunction(&mut ctx, true);
+        assert_eq!(s.check(&ctx, refuted[2]), SatResult::Unsat);
+        assert!(s.stats().theory_conflicts > 0, "no lemma was learned");
+        let theory_checks = s.stats().theory_checks;
+        assert_eq!(s.check(&ctx, refuted[2]), SatResult::Unsat);
+        assert_eq!(s.stats().theory_checks, theory_checks, "the lemma was not replayed");
+
+        // Each context below is moved into `ctx`'s place before it is
+        // checked, so a store keyed by the context's address, not its
+        // identity, would replay the lemma on the same ids and answer
+        // `Unsat`.
+        ctx = Context::new();
+        let consistent = conjunction(&mut ctx, false);
+        assert_eq!(consistent, refuted, "the ids must collide for the test to bite");
+        assert_eq!(s.check(&ctx, consistent[2]), SatResult::Sat);
+
+        // A clone that shares `x ≤ 0` with its original and diverged after.
+        ctx = Context::new();
+        let x = ctx.int_var("x");
+        let zero = ctx.int(0);
+        let _ = ctx.le(x, zero);
+        let mut twin = ctx.clone();
+        let original = conjunction(&mut ctx, true);
+        assert_eq!(s.check(&ctx, original[2]), SatResult::Unsat);
+        let consistent = conjunction(&mut twin, false);
+        assert_eq!(consistent, refuted, "the ids must collide for the test to bite");
+        ctx = twin;
+        assert_eq!(s.check(&ctx, consistent[2]), SatResult::Sat);
     }
 }

@@ -14,8 +14,10 @@
 //! Three seeded corpora, each digested with FNV-64:
 //! - literal sets through `theory::check_with_model_stats` (result, sorted
 //!   model, core, `TheoryStats`), under default and under starved limits;
-//! - clause sets through `Solver::check_with_model` (verdict, sorted model,
-//!   then the accumulated `SolverStats`);
+//! - clause sets through `Solver::check_with_model`, each on a fresh clone
+//!   of the configured solver (verdict, sorted model, then the clones'
+//!   `SolverStats` summed), and once more through one solver that retains
+//!   its lemmas across the corpus, which must reach the same verdicts;
 //! - `LiaProblem`s through `simplex::solve_counted` with fractional
 //!   coefficients and disequalities, so non-integer rationals and
 //!   branch-and-bound both run, plus wide coefficients that overflow.
@@ -26,7 +28,7 @@ use udf_smt::ctx::{Context, FnSym, Formula, FormulaId, TermId};
 use udf_smt::rational::Rat;
 use udf_smt::simplex::{self, LiaProblem, LiaResult, LinCon, LinExpr, Rel};
 use udf_smt::theory::{self, NoModel, TheoryLimits, TheoryLit, TheoryStats};
-use udf_smt::{Model, SatResult, Solver};
+use udf_smt::{Model, SatResult, Solver, SolverStats};
 
 /// Compares `got` with the pinned table, reporting the whole actual table
 /// on a mismatch so a deliberate re-pin is one copy.
@@ -180,32 +182,47 @@ fn theory_digest(seed: u64, n: usize, wide: bool, limits: &TheoryLimits) -> (u64
     (h.finish(), kinds)
 }
 
-/// Digest of `n` seeded clause sets through one solver, its accumulated
-/// statistics last, and how many ended sat, unsat and unknown.
-fn solver_digest(seed: u64, n: usize, solver: &mut Solver) -> (u64, [usize; 3]) {
+/// `n` seeded clause sets over one context.
+fn clause_corpus(seed: u64, n: usize) -> (Context, Vec<FormulaId>) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut ctx = Context::new();
     let terms = Terms::new(&mut ctx, 2, false);
+    let corpus = (0..n)
+        .map(|_| {
+            let clauses: Vec<FormulaId> = (0..rng.gen_range(6..16))
+                .map(|_| {
+                    let lits: Vec<FormulaId> = (0..rng.gen_range(1..4))
+                        .map(|_| {
+                            let atom = terms.atom(&mut ctx, &mut rng, 1);
+                            if rng.gen_bool(0.3) {
+                                ctx.not(atom)
+                            } else {
+                                atom
+                            }
+                        })
+                        .collect();
+                    ctx.or_all(lits)
+                })
+                .collect();
+            ctx.and_all(clauses)
+        })
+        .collect();
+    (ctx, corpus)
+}
+
+/// Digest of `n` seeded clause sets, each through a clone of `solver` of
+/// its own (so no retained lemma carries over from one to the next), the
+/// clones' statistics summed last, and how many ended sat, unsat and
+/// unknown.
+fn solver_digest(seed: u64, n: usize, solver: &Solver) -> (u64, [usize; 3]) {
+    let (ctx, corpus) = clause_corpus(seed, n);
     let mut h = Fnv64::new();
     let mut kinds = [0usize; 3];
-    for _ in 0..n {
-        let clauses: Vec<FormulaId> = (0..rng.gen_range(6..16))
-            .map(|_| {
-                let lits: Vec<FormulaId> = (0..rng.gen_range(1..4))
-                    .map(|_| {
-                        let atom = terms.atom(&mut ctx, &mut rng, 1);
-                        if rng.gen_bool(0.3) {
-                            ctx.not(atom)
-                        } else {
-                            atom
-                        }
-                    })
-                    .collect();
-                ctx.or_all(lits)
-            })
-            .collect();
-        let phi = ctx.and_all(clauses);
+    let mut stats = SolverStats::default();
+    for phi in corpus {
+        let mut solver = solver.clone();
         let (verdict, model) = solver.check_with_model(&ctx, phi);
+        stats += solver.stats();
         kinds[match verdict {
             SatResult::Sat => 0,
             SatResult::Unsat => 1,
@@ -214,7 +231,7 @@ fn solver_digest(seed: u64, n: usize, solver: &mut Solver) -> (u64, [usize; 3]) 
         let model = model.as_ref().map(render_model).unwrap_or_default();
         h.bytes(format!("{verdict:?} {model};").as_bytes());
     }
-    h.bytes(format!("{:?}", solver.stats()).as_bytes());
+    h.bytes(format!("{stats:?}").as_bytes());
     (h.finish(), kinds)
 }
 
@@ -336,8 +353,8 @@ fn solver_checks_answer_as_pinned() {
     let mut starved = Solver::new();
     starved.theory_limits = STARVED;
     let cases = [
-        ("default", solver_digest(21, 300, &mut Solver::new())),
-        ("starved", solver_digest(21, 300, &mut starved)),
+        ("default", solver_digest(21, 300, &Solver::new())),
+        ("starved", solver_digest(21, 300, &starved)),
     ];
     let [sat, unsat, _] = cases[0].1 .1;
     assert!(sat > 20 && unsat > 20, "corpus is one-sided: {sat} sat, {unsat} unsat");
@@ -350,6 +367,37 @@ fn solver_checks_answer_as_pinned() {
             ("starved", 0x6a3e55ee6c2f2435),
         ],
     );
+}
+
+/// The corpus of `solver_checks_answer_as_pinned` through one solver,
+/// which keeps the cores it confirms on one formula as lemmas for the next:
+/// the verdicts are those of a fresh solver per formula, reached with fewer
+/// theory checks.
+#[test]
+fn retained_lemmas_keep_the_pinned_verdicts() {
+    let mut starved = Solver::new();
+    starved.theory_limits = STARVED;
+    let (ctx, corpus) = clause_corpus(21, 300);
+    for (label, configured) in [("default", Solver::new()), ("starved", starved)] {
+        let mut retaining = configured.clone();
+        let mut fresh_checks = 0;
+        for &phi in &corpus {
+            let mut fresh = configured.clone();
+            let expected = fresh.check(&ctx, phi);
+            fresh_checks += fresh.stats().theory_checks;
+            assert_eq!(
+                retaining.check(&ctx, phi),
+                expected,
+                "{label}: {}",
+                ctx.formula_to_string(phi)
+            );
+        }
+        let retained_checks = retaining.stats().theory_checks;
+        assert!(
+            retained_checks < fresh_checks,
+            "{label}: retention saved no theory check ({retained_checks} vs {fresh_checks})"
+        );
+    }
 }
 
 #[test]

@@ -32,9 +32,9 @@ done
 
 # guarded_execution tells its story once per backend (one copy of the plan,
 # two loops over it); make sure neither half was dropped, and that in each
-# half the guard trip evicted the corrupted plan from the engine's cache
-# (EngineConfig::plan_cache -> PlanCache::invalidate, the one cache
-# invalidation path).
+# half the guard trip evicted the corrupted plan from the cache it came
+# from (plan_cache::evict_if_tripped -> PlanCache::invalidate, the one cache
+# invalidation path; the engine itself knows no cache).
 guarded="$(cargo run --release --example guarded_execution 2>/dev/null)"
 for backend in per-record columnar; do
     echo "$guarded" | grep -q "^-- backend: $backend\$" \

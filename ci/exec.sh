@@ -20,8 +20,18 @@
 #    API from source and checks every workload's output against its
 #    interpreter oracle (exit 1 on `correct: false`). Timings from a smoke
 #    run are not asserted on.
+#
+# First, the executor must not depend on the plan store: plan-cache keys on
+# naiad-lite's ExecBackend and evicts on its guard reports, never the other
+# way round.
 set -eu
 cd "$(dirname "$0")/.."
+
+deps="$(cargo tree --offline -p naiad-lite -e normal)"
+if echo "$deps" | grep -q "plan-cache"; then
+    echo "naiad-lite depends on plan-cache (cargo tree -p naiad-lite -e normal)" >&2
+    exit 1
+fi
 
 cargo test -q -p naiad-lite
 for suite in prop_vm backend_parity prefilter_matrix guard_matrix fault_matrix agg_matrix prop_agg; do

@@ -41,13 +41,44 @@ use crate::fastpred::FastPred;
 use crate::guard::{GuardAction, GuardMismatch, GuardObservation, GuardPolicy, GuardReport, GuardRun};
 use crate::policy::{attempt, finalize_quarantine, run_tasks, Outcome};
 use crate::regcode::{RegProgram, RegVm};
-pub use plan_cache::ExecBackend;
 use std::fmt;
 use std::time::{Duration, Instant};
 use udf_lang::ast::ProgId;
 use udf_obs::names;
 use udf_lang::cost::{Cost, CostModel};
 use udf_lang::intern::Symbol;
+
+/// Which execution backend runs a plan's register bytecode: a record at a
+/// time, or through the columnar batch executor (struct-of-arrays record
+/// batches). Observables are bit-identical either way. A plan cache that
+/// keys plans per backend folds this into its key.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+pub enum ExecBackend {
+    /// The scalar register VM interprets each record individually.
+    #[default]
+    PerRecord,
+    /// Register bytecode executed block-at-a-time over record batches.
+    Columnar,
+}
+
+impl ExecBackend {
+    /// Short lowercase label for reports and `--backend` flags.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            ExecBackend::PerRecord => "per-record",
+            ExecBackend::Columnar => "columnar",
+        }
+    }
+
+    /// Parses the labels produced by [`ExecBackend::as_str`].
+    pub fn parse(s: &str) -> Option<ExecBackend> {
+        match s {
+            "per-record" => Some(ExecBackend::PerRecord),
+            "columnar" => Some(ExecBackend::Columnar),
+            _ => None,
+        }
+    }
+}
 
 /// Which operator to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -103,10 +134,6 @@ pub struct QuerySet {
     pub prefilter: Option<PrefilterExec>,
     /// Time spent consolidating (reported separately, as in Figure 10).
     pub consolidation_time: Duration,
-    /// Cache key of the consolidated plan, when it came through a
-    /// [`plan_cache::PlanCache`]. The plan guard invalidates this key on a
-    /// trip so the poisoned entry is never re-served.
-    pub plan_key: Option<plan_cache::PlanKey>,
 }
 
 impl QuerySet {
@@ -132,7 +159,6 @@ impl QuerySet {
             consolidated: None,
             prefilter: None,
             consolidation_time: Duration::ZERO,
-            plan_key: None,
         })
     }
 
@@ -141,15 +167,6 @@ impl QuerySet {
     pub fn fold_ns(&self) -> u64 {
         self.many.iter().map(|r| r.fold_ns).sum::<u64>()
             + self.consolidated.as_ref().map_or(0, |r| r.fold_ns)
-    }
-
-    /// Records the plan-cache key of the consolidated program, enabling
-    /// guard-driven invalidation (set automatically by
-    /// [`QuerySet::compile_consolidated_cached`]).
-    #[must_use]
-    pub fn with_plan_key(mut self, key: plan_cache::PlanKey) -> QuerySet {
-        self.plan_key = Some(key);
-        self
     }
 
     /// Attaches a consolidated program (it must notify exactly the ids in
@@ -207,77 +224,6 @@ impl QuerySet {
             FastPred::build(cond, &merged.params).map(|fast| PrefilterExec { fast, min_fuel });
         Ok(self)
     }
-
-    /// Compiles the per-query UDFs *and* a consolidated program obtained
-    /// through `cache`: a stored plan is served when the tier-upgrade rule
-    /// allows (skipping the Ω engine and the SMT solver entirely),
-    /// otherwise the set is consolidated fresh and the cache is filled.
-    ///
-    /// Returns the query set, the consolidation result (cache hits carry
-    /// zeroed solver statistics) and how the cache satisfied the request.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation and consolidation failures as
-    /// [`QuerySetError`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn compile_consolidated_cached(
-        programs: &[udf_lang::ast::Program],
-        interner: &mut udf_lang::intern::Interner,
-        cm: &CostModel,
-        fns: &(dyn udf_lang::cost::FnCost + Sync),
-        fn_cost: &dyn Fn(Symbol) -> Cost,
-        opts: &consolidate::Options,
-        parallel: bool,
-        cache: &plan_cache::PlanCache,
-        backend: ExecBackend,
-    ) -> Result<(QuerySet, consolidate::Consolidated, plan_cache::PlanOutcome), QuerySetError>
-    {
-        let (merged, outcome) = plan_cache::consolidate_many_cached(
-            cache, programs, interner, cm, fns, opts, parallel, backend,
-        )?;
-        let key = plan_cache::PlanKey::derive(programs, interner, opts, cm, backend);
-        let mut qs = QuerySet::compile_many(programs, cm, fn_cost)?
-            .with_consolidated(&merged.program, cm, fn_cost, merged.elapsed)?
-            .with_plan_key(key);
-        if let Some(pf) = &merged.prefilter {
-            qs = qs.with_prefilter(&pf.cond, &merged.program, cm, fn_cost)?;
-        }
-        opts.recorder.observe(names::REGCODE_FOLD_NS, qs.fold_ns());
-        Ok((qs, merged, outcome))
-    }
-}
-
-/// Failure while building a cached consolidated query set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QuerySetError {
-    /// A UDF (per-query or merged) failed to compile.
-    Compile(crate::compile::CompileError),
-    /// The consolidation itself failed (incompatible programs, empty set).
-    Consolidate(consolidate::ConsolidateError),
-}
-
-impl fmt::Display for QuerySetError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QuerySetError::Compile(e) => write!(f, "compile: {e}"),
-            QuerySetError::Consolidate(e) => write!(f, "consolidate: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for QuerySetError {}
-
-impl From<crate::compile::CompileError> for QuerySetError {
-    fn from(e: crate::compile::CompileError) -> QuerySetError {
-        QuerySetError::Compile(e)
-    }
-}
-
-impl From<consolidate::ConsolidateError> for QuerySetError {
-    fn from(e: consolidate::ConsolidateError) -> QuerySetError {
-        QuerySetError::Consolidate(e)
-    }
 }
 
 /// How the engine reacts to per-record execution failures.
@@ -322,11 +268,6 @@ pub struct EngineConfig {
     /// arguments (the sample payload); later entries record only the index,
     /// query and error kind, keeping report size bounded.
     pub max_payload_samples: usize,
-    /// The cache the query set's plan came from, for eviction only: when
-    /// the guard trips, the entry under [`QuerySet::plan_key`] is removed
-    /// ([`plan_cache::PlanCache::invalidate`]) so the next compile of the
-    /// same set re-consolidates instead of re-serving the diverging plan.
-    pub plan_cache: Option<std::sync::Arc<plan_cache::PlanCache>>,
     /// Metrics sink. No-op by default; install
     /// [`udf_obs::RecorderCell::memory`] to collect per-record latency,
     /// record/quarantine counters and (when the same cell is shared with
@@ -344,7 +285,6 @@ impl Default for EngineConfig {
             guard: GuardPolicy::default(),
             fuel: None,
             max_payload_samples: 8,
-            plan_cache: None,
             recorder: udf_obs::RecorderCell::noop(),
         }
     }
@@ -699,8 +639,7 @@ impl Engine {
         if !grun.tripped() {
             // Healthy plan — or LogOnly, which reports without tripping.
             let mut report = primary?;
-            let incident =
-                (grun.mismatches() > 0).then(|| grun.incident(&policy, records.len(), false));
+            let incident = (grun.mismatches() > 0).then(|| grun.incident(&policy, records.len()));
             report.guard = Some(GuardReport {
                 shadow_runs: grun.shadow_runs(),
                 mismatches: grun.mismatches(),
@@ -710,11 +649,10 @@ impl Engine {
             return Ok(report);
         }
         // The consolidated plan diverged from the sequential semantics: its
-        // results (even a nominal success) are untrustworthy. Evict the
-        // plan from the cache so the divergence cannot recur on the next
-        // compile, then apply the policy.
-        let invalidated = self.invalidate_plan(queries);
-        let incident = grun.incident(&policy, records.len(), invalidated);
+        // results (even a nominal success) are untrustworthy. Whoever cached
+        // the plan evicts it on seeing the trip; the engine applies the
+        // policy.
+        let incident = grun.incident(&policy, records.len());
         match policy.on_mismatch {
             GuardAction::FailFast => Err(EngineError::GuardTripped { incident }),
             // LogOnly never trips (see GuardRun::record_mismatch); Demote
@@ -731,15 +669,6 @@ impl Engine {
                 });
                 Ok(report)
             }
-        }
-    }
-
-    /// Removes the query set's plan from the attached cache, if both exist.
-    /// Returns whether a cached plan was evicted.
-    fn invalidate_plan(&self, queries: &QuerySet) -> bool {
-        match (&self.config.plan_cache, queries.plan_key) {
-            (Some(cache), Some(key)) => cache.invalidate(key),
-            _ => false,
         }
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Consolidation is proved observationally equivalent on paper (Theorem 1),
 //! but a deployed engine also faces hazards the proof does not cover: a
-//! plan-cache entry rotted on disk, a miscompiled merged program, or a
+//! cached plan rotted on disk, a miscompiled merged program, or a
 //! library whose behaviour drifted between consolidation time and run time.
 //! The *plan guard* defends against all of them by shadow-executing every
 //! record through the sequential `Many` path while a `Consolidated` job
@@ -19,12 +19,13 @@
 //! On a trip with [`GuardAction::Demote`], the engine discards the
 //! consolidated results mid-stream (workers abort at the next record), runs
 //! the whole job again through the sequential path — so no record is
-//! dropped and the output is bit-identical to a pure-`Many` run — and
-//! invalidates the plan's entry in the attached plan cache so the next
-//! compile re-consolidates instead of re-serving the poisoned plan. The
+//! dropped and the output is bit-identical to a pure-`Many` run. The
 //! structured [`PlanIncident`] lands in [`crate::engine::JobReport::guard`]
 //! (or in [`crate::engine::EngineError::GuardTripped`] under
-//! [`GuardAction::FailFast`]).
+//! [`GuardAction::FailFast`]). The engine knows nothing of where the plan
+//! came from: a caller that cached it evicts it on seeing either trip
+//! (the plan cache's `evict_if_tripped`), so a poisoned plan is never
+//! re-served.
 
 use crate::compile::NOTIFY_NONE;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,17 +34,17 @@ use std::sync::Mutex;
 /// What the engine does when a shadowed record diverges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GuardAction {
-    /// Discard the consolidated results, rerun the job through the
-    /// sequential `Many` path, and invalidate the plan in the cache. The
-    /// job still succeeds, with outputs identical to a pure-sequential run.
+    /// Discard the consolidated results and rerun the job through the
+    /// sequential `Many` path. The job still succeeds, with outputs
+    /// identical to a pure-sequential run.
     #[default]
     Demote,
-    /// Abort the job with [`crate::engine::EngineError::GuardTripped`]
-    /// (still invalidating the cached plan).
+    /// Abort the job with [`crate::engine::EngineError::GuardTripped`].
     FailFast,
-    /// Record the incident in the report but keep the consolidated results
-    /// and the cached plan. For observation in environments where the
-    /// sequential rerun is too expensive.
+    /// Record the incident in the report but keep the consolidated results.
+    /// The job does not trip, so a cached plan stays cached. For
+    /// observation in environments where the sequential rerun is too
+    /// expensive.
     LogOnly,
 }
 
@@ -149,8 +150,6 @@ pub struct PlanIncident {
     pub action: GuardAction,
     /// Up to [`MAX_MISMATCH_EXAMPLES`] captured divergences.
     pub examples: Vec<GuardMismatch>,
-    /// Whether a cached plan entry was invalidated in response.
-    pub plan_invalidated: bool,
 }
 
 impl std::fmt::Display for PlanIncident {
@@ -233,12 +232,7 @@ impl GuardRun {
 
     /// Assembles the structured incident. Examples are sorted by record so
     /// the report is deterministic across worker counts.
-    pub(crate) fn incident(
-        &self,
-        policy: &GuardPolicy,
-        records: usize,
-        plan_invalidated: bool,
-    ) -> PlanIncident {
+    pub(crate) fn incident(&self, policy: &GuardPolicy, records: usize) -> PlanIncident {
         let mut examples = self
             .examples
             .lock()
@@ -251,7 +245,6 @@ impl GuardRun {
             mismatches: self.mismatches(),
             action: policy.on_mismatch,
             examples,
-            plan_invalidated,
         }
     }
 }
@@ -287,10 +280,9 @@ mod tests {
             },
         );
         assert!(run.tripped(), "one divergence trips the run");
-        let incident = run.incident(&policy, 100, true);
+        let incident = run.incident(&policy, 100);
         assert_eq!(incident.mismatches, 1);
         assert_eq!(incident.examples.len(), 1);
-        assert!(incident.plan_invalidated);
     }
 
     #[test]
@@ -310,7 +302,7 @@ mod tests {
         );
         assert!(!run.tripped());
         assert_eq!(run.mismatches(), 1, "the divergence is still reported");
-        let incident = run.incident(&policy, 1, false);
+        let incident = run.incident(&policy, 1);
         assert_eq!(incident.action, GuardAction::LogOnly);
         assert_eq!(incident.examples.len(), 1);
     }
@@ -332,7 +324,7 @@ mod tests {
                 },
             );
         }
-        let incident = run.incident(&policy, 0, false);
+        let incident = run.incident(&policy, 0);
         assert_eq!(incident.mismatches as usize, MAX_MISMATCH_EXAMPLES + 5);
         assert_eq!(incident.examples.len(), MAX_MISMATCH_EXAMPLES);
     }

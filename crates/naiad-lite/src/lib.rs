@@ -44,7 +44,8 @@
 //! * [`guard`] — differential plan validation: a [`guard::GuardPolicy`]
 //!   shadow-executes every record through the sequential path during
 //!   consolidated runs, and on divergence demotes the job to sequential
-//!   execution (self-healing) and invalidates the cached plan.
+//!   execution (self-healing) or fails it; the engine does not know where
+//!   a plan came from, so a caller that cached it evicts it.
 //!
 //! Record shards and aggregation chunks share one failure policy: one task
 //! runner, one isolated evaluation, one transient-fault retry (immediate,
@@ -73,7 +74,7 @@ pub use batch::{BatchVm, RecordBatch};
 pub use compile::{CompileError, VmError, DEFAULT_FUEL};
 pub use engine::{
     Engine, EngineConfig, EngineError, ErrorKind, ErrorPolicy, ExecBackend, ExecMode, JobReport,
-    QuarantineEntry, QuarantineReport, QuerySet, QuerySetError,
+    QuarantineEntry, QuarantineReport, QuerySet,
 };
 pub use regcode::{RegProgram, RegVm};
 pub use env::{ScalarEnv, UdfEnv};

@@ -32,16 +32,14 @@
 
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use udf_lang::canon::Fnv64;
 
 /// FNV-1a 64 over a byte string — the workspace's durable-record checksum
-/// (the same constants as the bench output digests).
+/// ([`Fnv64`], the same hasher as the engine's output digests).
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv64::new();
+    h.bytes(bytes);
+    h.finish()
 }
 
 /// Returns the line starting at `pos` (without its newline) and the offset

@@ -1,4 +1,4 @@
-//! A concurrent cache of consolidated query plans.
+//! A cache of consolidated query plans.
 //!
 //! Consolidation (the Ω engine of PLDI'14 Figure 8) is pure static analysis:
 //! the same ordered UDF set under the same options always produces the same
@@ -8,29 +8,32 @@
 //!
 //! * [`PlanKey`] — a stable 128-bit key: the canonical (alpha-renamed)
 //!   structural hash of the ordered program set ([`udf_lang::canon`]) folded
-//!   with a fingerprint of the plan-relevant options and cost model.
-//! * [`PlanCache`] — a sharded LRU (`RwLock` per shard, capacity + byte
-//!   budget, hit/miss/insert/eviction counters) storing each plan as its
-//!   wire text — interner-independent, so one cache serves many engines —
-//!   together with its [`ConsolidationStats`] and [`DegradationTier`].
+//!   with a fingerprint of the plan-relevant options, the cost model and the
+//!   [`ExecBackend`].
+//! * [`PlanCache`] — an LRU behind one lock (capacity-bounded,
+//!   hit/miss/insert/eviction counters) storing each plan as its wire text —
+//!   interner-independent, so one cache serves many engines — together with
+//!   its [`ConsolidationStats`].
 //! * [`portable`] — the one codec between [`udf_lang::ast`] and that wire
 //!   text ([`write_program`] / [`read_program`]); a hit is one
 //!   `read_program` against the caller's interner.
 //! * [`PlanCache::save`] / [`PlanCache::load`] — a hand-rolled textual
 //!   snapshot for warm starts across processes.
-//! * [`consolidate_many_cached`] — the drop-in consolidation entry point:
-//!   serve a cached plan when one is usable, otherwise consolidate and fill
-//!   the cache.
+//! * [`consolidate_many_cached`] / [`consolidate_aggs_cached`] — the cached
+//!   consolidation entry points: serve a stored plan when one is usable,
+//!   otherwise consolidate and fill the cache. [`compile_consolidated_cached`]
+//!   adds the compile to a [`QuerySet`], and [`evict_if_tripped`] removes a
+//!   plan the engine's guard caught diverging, so it is never re-served.
 //!
-//! # Tier-upgrade rule
+//! # Only Full plans are stored
 //!
 //! A budgeted run can degrade ([`DegradationTier::Partial`] /
 //! [`DegradationTier::Sequential`]); caching must never *freeze* that
-//! degradation. A hit is served as-is only when the stored plan is `Full`
-//! or the current budget is already exhausted; otherwise the set is
-//! re-consolidated and the stored plan is replaced only if the fresh tier is
-//! at least as good. Callers therefore never observe a cached plan worse
-//! than what a fresh run under their budget would produce.
+//! degradation. The cached entry points store a result only when it is
+//! `Full`, and serve a stored entry only when it is `Full`. A degraded
+//! result is returned to its caller and not stored, so the next call
+//! consolidates again. A snapshot written before this rule may hold a
+//! degraded entry: it loads, and it is never served.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,56 +43,20 @@ pub mod framing;
 pub mod portable;
 mod snapshot;
 
-use consolidate::{
-    BudgetState, Consolidated, ConsolidateError, ConsolidationStats, DegradationTier, Options,
-};
+use consolidate::{ConsolidateError, Consolidated, ConsolidationStats, DegradationTier, Options};
+use naiad_lite::engine::{EngineError, ExecBackend, JobReport, QuerySet};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use udf_lang::ast::{BoolExpr, Program};
 use udf_lang::canon::Fnv128;
-use udf_lang::cost::{CostModel, FnCost};
-use udf_lang::intern::Interner;
+use udf_lang::cost::{Cost, CostModel, FnCost};
+use udf_lang::intern::{Interner, Symbol};
+use udf_obs::{names, RecorderCell};
 
 pub use framing::RecoveryIncident;
 pub use portable::{read_program, write_program};
 pub use snapshot::SnapshotRecovery;
-
-/// Which execution backend a consolidated plan is compiled for.
-///
-/// The engine runs a merged plan's register bytecode either a record at a
-/// time or through the columnar batch executor (struct-of-arrays record
-/// batches). The backend is part of the plan fingerprint — see
-/// [`PlanKey::derive`] — so a cache hit never serves a plan keyed for the
-/// other backend.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum ExecBackend {
-    /// The scalar register VM interprets each record individually.
-    #[default]
-    PerRecord,
-    /// Register bytecode executed block-at-a-time over record batches.
-    Columnar,
-}
-
-impl ExecBackend {
-    /// Short lowercase label for reports and `--backend` flags.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ExecBackend::PerRecord => "per-record",
-            ExecBackend::Columnar => "columnar",
-        }
-    }
-
-    /// Parses the labels produced by [`ExecBackend::as_str`].
-    pub fn parse(s: &str) -> Option<ExecBackend> {
-        match s {
-            "per-record" => Some(ExecBackend::PerRecord),
-            "columnar" => Some(ExecBackend::Columnar),
-            _ => None,
-        }
-    }
-}
 
 /// Stable cache key: canonical program-set hash × plan-relevant options.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -111,8 +78,8 @@ impl PlanKey {
     /// entailments prove), the cost model, and the execution backend the
     /// plan is lowered for. It deliberately excludes the
     /// [`consolidate::ConsolidationBudget`]: budgets bound *work*, not the
-    /// target plan, and the tier-upgrade rule handles budget-degraded
-    /// entries. The external `FnCost` oracle cannot be fingerprinted;
+    /// target plan, and a budget-degraded plan is never stored. The
+    /// external `FnCost` oracle cannot be fingerprinted;
     /// callers using per-function costs beyond [`CostModel`] should keep
     /// separate caches per cost assignment.
     pub fn derive(
@@ -200,8 +167,8 @@ impl PlanKey {
 
 /// What an entry stores. The two key spaces are disjoint —
 /// [`PlanKey::derive`] and [`PlanKey::derive_agg`] fold distinct domain
-/// tags — so a lookup never sees the other variant, but accessors stay total
-/// for defensive callers.
+/// tags — so a lookup never sees the other variant, but the serve decision
+/// still checks the shape.
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Plan {
     /// A merged program (the Ω engine's output) as [`write_program`] text.
@@ -218,13 +185,9 @@ enum Plan {
 #[derive(Clone, Debug)]
 pub struct CachedPlan {
     plan: Plan,
-    /// Statistics of the run that produced it.
+    /// Statistics of the run that produced it; `stats.tier` is the plan's
+    /// degradation tier, and only a `Full` plan is served.
     pub stats: ConsolidationStats,
-    /// Degradation tier of the stored plan (drives the upgrade rule).
-    pub tier: DegradationTier,
-    /// Footprint charged against the byte budget: the wire text's length
-    /// (one byte per verdict for an aggregation entry).
-    pub bytes: usize,
 }
 
 impl CachedPlan {
@@ -237,7 +200,10 @@ impl CachedPlan {
         stats: ConsolidationStats,
     ) -> CachedPlan {
         let text = write_program(program, prefilter, interner);
-        CachedPlan::from_plan(Plan::Program(text), stats)
+        CachedPlan {
+            plan: Plan::Program(text),
+            stats,
+        }
     }
 
     /// Packages wire text from outside the process (a snapshot), reading it
@@ -248,24 +214,17 @@ impl CachedPlan {
     /// Returns [`read_program`]'s description of the first syntax error.
     pub(crate) fn from_wire(text: String, stats: ConsolidationStats) -> Result<CachedPlan, String> {
         read_program(&text, &mut Interner::new())?;
-        Ok(CachedPlan::from_plan(Plan::Program(text), stats))
+        Ok(CachedPlan {
+            plan: Plan::Program(text),
+            stats,
+        })
     }
 
     /// Packages the positional verdicts of a proved aggregation set.
     pub fn new_agg(proved: Vec<bool>, stats: ConsolidationStats) -> CachedPlan {
-        CachedPlan::from_plan(Plan::Agg(proved), stats)
-    }
-
-    fn from_plan(plan: Plan, stats: ConsolidationStats) -> CachedPlan {
-        let bytes = match &plan {
-            Plan::Program(text) => text.len(),
-            Plan::Agg(proved) => proved.len(),
-        };
         CachedPlan {
-            plan,
-            tier: stats.tier,
+            plan: Plan::Agg(proved),
             stats,
-            bytes,
         }
     }
 
@@ -295,68 +254,53 @@ impl CachedPlan {
 /// Cache shape parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
-    /// Maximum number of entries (across all shards).
+    /// Maximum number of entries (at least 1); an insert past it evicts
+    /// the least recently used entry.
     pub capacity: usize,
-    /// Maximum total approximate bytes (across all shards).
-    pub max_bytes: usize,
-    /// Number of lock shards (rounded up to at least 1).
-    pub shards: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> CacheConfig {
-        CacheConfig {
-            capacity: 1024,
-            max_bytes: 64 << 20,
-            shards: 16,
-        }
+        CacheConfig { capacity: 1024 }
     }
 }
 
 /// Point-in-time counters of a [`PlanCache`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that found a usable entry.
+    /// Requests served from a stored plan.
     pub hits: u64,
-    /// Lookups that found nothing.
+    /// Requests that found no servable plan and consolidated fresh.
     pub misses: u64,
     /// Entries inserted.
     pub inserts: u64,
-    /// Entries evicted by the capacity or byte budget.
+    /// Entries evicted by the capacity bound.
     pub evictions: u64,
-    /// Entries removed by [`PlanCache::invalidate`] (e.g. a plan guard
-    /// evicting a key whose stored plan diverged at runtime).
+    /// Entries removed by [`PlanCache::invalidate`] (e.g.
+    /// [`evict_if_tripped`] removing a plan that diverged at runtime).
     pub invalidations: u64,
     /// Current entry count.
     pub entries: usize,
-    /// Current approximate byte footprint.
-    pub bytes: usize,
 }
 
 struct Entry {
     plan: Arc<CachedPlan>,
-    /// Global tick of the last touch; loaded/stored relaxed (gets take only
-    /// the shard read lock).
-    last_used: AtomicU64,
+    /// Tick of the last touch.
+    last_used: u64,
 }
 
 #[derive(Default)]
-struct Shard {
+struct Inner {
     map: HashMap<u128, Entry>,
-    bytes: usize,
+    tick: u64,
+    /// Every counter but `entries`, which is `map.len()`.
+    stats: CacheStats,
 }
 
-/// Sharded, thread-safe LRU plan cache.
+/// Thread-safe LRU plan cache.
 pub struct PlanCache {
-    shards: Vec<RwLock<Shard>>,
-    per_shard_cap: usize,
-    per_shard_bytes: usize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
+    capacity: usize,
+    inner: Mutex<Inner>,
 }
 
 impl Default for PlanCache {
@@ -372,127 +316,106 @@ impl std::fmt::Debug for PlanCache {
 }
 
 impl PlanCache {
-    /// Creates an empty cache. Capacity and byte budgets are divided evenly
-    /// across shards (each shard gets at least one slot).
+    /// Creates an empty cache.
     pub fn new(config: CacheConfig) -> PlanCache {
-        let n = config.shards.max(1);
         PlanCache {
-            shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
-            per_shard_cap: (config.capacity / n).max(1),
-            per_shard_bytes: (config.max_bytes / n).max(1),
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
+            capacity: config.capacity.max(1),
+            inner: Mutex::default(),
         }
     }
 
-    fn shard(&self, key: PlanKey) -> &RwLock<Shard> {
-        &self.shards[(key.0 as usize) % self.shards.len()]
+    /// Every update leaves the map and the counters valid, so a lock
+    /// poisoned by a panicking holder is recovered rather than propagated.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Looks up a plan, refreshing its LRU position. Counts a hit or miss.
+    /// Looks up a stored entry, whatever its tier or shape, refreshing its
+    /// LRU position. Counts nothing: a hit or a miss is counted where a
+    /// request is served (the cached entry points).
     pub fn get(&self, key: PlanKey) -> Option<Arc<CachedPlan>> {
-        let shard = self.shard(key).read().unwrap_or_else(|e| e.into_inner());
-        match shard.map.get(&key.0) {
-            Some(e) => {
-                e.last_used.store(self.next_tick(), Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&e.plan))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let mut inner = self.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
+        let entry = inner.map.get_mut(&key.0)?;
+        entry.last_used = tick;
+        Some(Arc::clone(&entry.plan))
     }
 
-    /// Inserts (or replaces) a plan, evicting least-recently-used entries
-    /// while the shard is over its capacity or byte budget.
-    pub fn insert(&self, key: PlanKey, plan: CachedPlan) {
-        let tick = self.next_tick();
-        let mut shard = self.shard(key).write().unwrap_or_else(|e| e.into_inner());
-        let bytes = plan.bytes;
-        if let Some(old) = shard.map.insert(
-            key.0,
-            Entry {
-                plan: Arc::new(plan),
-                last_used: AtomicU64::new(tick),
-            },
-        ) {
-            shard.bytes -= old.plan.bytes;
+    /// The serve decision of every cached entry point, and the one place
+    /// hits and misses are counted: a stored entry is served when it is
+    /// `Full` and `rebuild` accepts its shape. Counts one hit or one miss,
+    /// here and on `recorder`.
+    fn serve<T>(
+        &self,
+        key: PlanKey,
+        recorder: &RecorderCell,
+        rebuild: impl FnOnce(&CachedPlan) -> Option<T>,
+    ) -> Option<T> {
+        let served = self
+            .get(key)
+            .filter(|plan| plan.stats.tier == DegradationTier::Full)
+            .and_then(|plan| rebuild(&plan));
+        let mut inner = self.lock();
+        if served.is_some() {
+            inner.stats.hits += 1;
+            recorder.add(names::PLAN_CACHE_HIT, 1);
+        } else {
+            inner.stats.misses += 1;
+            recorder.add(names::PLAN_CACHE_MISS, 1);
         }
-        shard.bytes += bytes;
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        while shard.map.len() > self.per_shard_cap
-            || (shard.bytes > self.per_shard_bytes && shard.map.len() > 1)
-        {
-            // O(n) min scan: shards are small (capacity / shard count) and
-            // eviction is rare next to gets, so this beats maintaining an
-            // ordered structure under the write lock.
-            let victim = shard
+        served
+    }
+
+    /// Inserts (or replaces) a plan, evicting the least recently used entry
+    /// when the cache is over capacity.
+    pub fn insert(&self, key: PlanKey, plan: CachedPlan) {
+        let mut inner = self.lock();
+        inner.tick += 1;
+        let last_used = inner.tick;
+        let plan = Arc::new(plan);
+        inner.map.insert(key.0, Entry { plan, last_used });
+        inner.stats.inserts += 1;
+        if inner.map.len() > self.capacity {
+            // O(n) min scan: inserts are rare next to gets, and the cache
+            // holds one entry per distinct query set.
+            let victim = inner
                 .map
                 .iter()
-                .filter(|(&k, _)| k != key.0 || shard.map.len() == 1)
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
+                .filter(|(&k, _)| k != key.0)
+                .min_by_key(|(_, e)| e.last_used)
                 .map(|(&k, _)| k);
-            match victim {
-                Some(k) => {
-                    if let Some(e) = shard.map.remove(&k) {
-                        shard.bytes -= e.plan.bytes;
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                None => break,
+            if let Some(k) = victim {
+                inner.map.remove(&k);
+                inner.stats.evictions += 1;
             }
         }
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let (mut entries, mut bytes) = (0, 0);
-        for s in &self.shards {
-            let s = s.read().unwrap_or_else(|e| e.into_inner());
-            entries += s.map.len();
-            bytes += s.bytes;
-        }
+        let inner = self.lock();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            entries,
-            bytes,
+            entries: inner.map.len(),
+            ..inner.stats
         }
     }
 
     /// Removes a plan outright, returning whether it was present. Unlike an
-    /// LRU eviction this is a *correctness* removal: the plan guard calls it
-    /// when a stored plan's runtime behaviour diverged from the sequential
-    /// semantics, so the next compile of the same query set re-consolidates
-    /// instead of re-serving the poisoned entry.
+    /// LRU eviction this is a *correctness* removal: [`evict_if_tripped`]
+    /// calls it when a stored plan's runtime behaviour diverged from the
+    /// sequential semantics, so the next compile of the same query set
+    /// re-consolidates instead of re-serving the poisoned entry.
     pub fn invalidate(&self, key: PlanKey) -> bool {
-        let mut shard = self.shard(key).write().unwrap_or_else(|e| e.into_inner());
-        match shard.map.remove(&key.0) {
-            Some(e) => {
-                shard.bytes -= e.plan.bytes;
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            None => false,
-        }
+        let mut inner = self.lock();
+        let removed = inner.map.remove(&key.0).is_some();
+        inner.stats.invalidations += u64::from(removed);
+        removed
     }
 
     /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.stats().entries
+        self.lock().map.len()
     }
 
     /// Whether the cache holds no plans.
@@ -500,15 +423,14 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// All entries, keyed (used by snapshots and tests).
+    /// All entries, sorted by key (used by snapshots and tests).
     pub fn entries(&self) -> Vec<(PlanKey, Arc<CachedPlan>)> {
-        let mut out = Vec::new();
-        for s in &self.shards {
-            let s = s.read().unwrap_or_else(|e| e.into_inner());
-            for (&k, e) in &s.map {
-                out.push((PlanKey(k), Arc::clone(&e.plan)));
-            }
-        }
+        let inner = self.lock();
+        let mut out: Vec<_> = inner
+            .map
+            .iter()
+            .map(|(&k, e)| (PlanKey(k), Arc::clone(&e.plan)))
+            .collect();
         out.sort_by_key(|(k, _)| k.0);
         out
     }
@@ -554,28 +476,21 @@ impl PlanCache {
     pub fn load_recovering(
         path: impl AsRef<std::path::Path>,
         config: CacheConfig,
-        recorder: &udf_obs::RecorderCell,
+        recorder: &RecorderCell,
     ) -> std::io::Result<(PlanCache, SnapshotRecovery)> {
         let (cache, recovery) = snapshot::load_recovering(path.as_ref(), config)?;
-        recorder.add(
-            udf_obs::names::CACHE_SNAPSHOT_SALVAGED,
-            recovery.salvaged as u64,
-        );
+        recorder.add(names::CACHE_SNAPSHOT_SALVAGED, recovery.salvaged as u64);
         Ok((cache, recovery))
     }
 }
 
-/// How [`consolidate_many_cached`] satisfied a request.
+/// How a cached entry point satisfied a request.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PlanOutcome {
     /// Served from the cache; no solver work performed.
     Hit,
-    /// Consolidated fresh and inserted.
+    /// Consolidated fresh; stored when the result is `Full`.
     Miss,
-    /// A degraded entry was found and re-consolidation was attempted under
-    /// the current (unexhausted) budget; the better of the two plans was
-    /// served and stored.
-    Upgrade,
 }
 
 impl PlanOutcome {
@@ -584,14 +499,13 @@ impl PlanOutcome {
         match self {
             PlanOutcome::Hit => "hit",
             PlanOutcome::Miss => "miss",
-            PlanOutcome::Upgrade => "upgrade",
         }
     }
 }
 
-/// Consolidates `programs` through `cache`: serves a stored plan when the
-/// tier-upgrade rule allows it, otherwise runs
-/// [`consolidate::consolidate_many`] and stores the result.
+/// Consolidates `programs` through `cache`: serves a stored `Full` plan,
+/// otherwise runs [`consolidate::consolidate_many`] and stores the result
+/// when it is `Full`.
 ///
 /// On a [`PlanOutcome::Hit`] the returned [`ConsolidationStats`] carry the
 /// *stored* rule/query counters (they describe the plan) but zeroed
@@ -624,9 +538,11 @@ pub fn consolidate_many_cached(
     let key = PlanKey::derive(programs, interner, opts, cm, backend);
     // Rebuilds a stored plan against the caller's interner; the pre-filter's
     // synthesis counters are zero on a reload — no proving was done.
-    let queries = u32::try_from(programs.len()).unwrap_or(u32::MAX);
-    let rehydrate = |plan: &CachedPlan, stats: ConsolidationStats, interner: &mut Interner| {
+    let hit = cache.serve(key, &opts.recorder, |plan| {
         let (program, cond) = plan.read(interner)?;
+        let mut stats = plan.stats;
+        stats.solver = udf_smt::SolverStats::default();
+        let queries = u32::try_from(programs.len()).unwrap_or(u32::MAX);
         Some(Consolidated {
             program,
             stats,
@@ -639,67 +555,30 @@ pub fn consolidate_many_cached(
                 entailment_queries: 0,
             }),
         })
-    };
-    // Defensive: the agg key space is disjoint by construction, but an
-    // entry of the wrong shape is treated as a miss rather than served.
-    let cached = cache.get(key).filter(|p| p.wire().is_some());
-    if let Some(plan) = &cached {
-        let budget_spent = BudgetState::new(&opts.budget).exhausted();
-        if plan.tier == DegradationTier::Full || budget_spent {
-            let mut stats = plan.stats;
-            stats.solver = udf_smt::SolverStats::default();
-            if let Some(served) = rehydrate(plan, stats, interner) {
-                opts.recorder.add(udf_obs::names::PLAN_CACHE_HIT, 1);
-                return Ok((served, PlanOutcome::Hit));
-            }
-        }
+    });
+    if let Some(served) = hit {
+        return Ok((served, PlanOutcome::Hit));
     }
-    // Miss, or a degraded entry under a live budget: consolidate fresh.
     let fresh = consolidate::consolidate_many(programs, interner, cm, fns, opts, parallel)?;
-    // Upgrade attempt: keep whichever plan sits higher on the tier lattice
-    // (`Full < Partial < Sequential` in the derived order), so a cached
-    // Partial is never displaced by a fresh Sequential.
-    let stored_better = match &cached {
-        Some(old) if fresh.stats.tier > old.tier => {
-            let mut stats = old.stats;
-            stats.solver = fresh.stats.solver;
-            stats.memo_hits += fresh.stats.memo_hits;
-            rehydrate(old, stats, interner)
-        }
-        _ => None,
-    };
-    match stored_better {
-        Some(served) => {
-            opts.recorder.add(udf_obs::names::PLAN_CACHE_UPGRADE, 1);
-            Ok((served, PlanOutcome::Upgrade))
-        }
-        None => {
-            let cond = fresh.prefilter.as_ref().map(|pf| &pf.cond);
-            let plan = CachedPlan::new(&fresh.program, cond, interner, fresh.stats);
-            cache.insert(key, plan);
-            if cached.is_some() {
-                opts.recorder.add(udf_obs::names::PLAN_CACHE_UPGRADE, 1);
-                Ok((fresh, PlanOutcome::Upgrade))
-            } else {
-                opts.recorder.add(udf_obs::names::PLAN_CACHE_MISS, 1);
-                Ok((fresh, PlanOutcome::Miss))
-            }
-        }
+    if fresh.stats.tier == DegradationTier::Full {
+        let cond = fresh.prefilter.as_ref().map(|pf| &pf.cond);
+        cache.insert(
+            key,
+            CachedPlan::new(&fresh.program, cond, interner, fresh.stats),
+        );
     }
+    Ok((fresh, PlanOutcome::Miss))
 }
 
 /// Proves the homomorphism obligations of `defs` through `cache`: serves
-/// stored verdicts when the tier-upgrade rule allows it, otherwise runs
-/// [`consolidate::consolidate_aggs`] and stores the result.
+/// stored `Full` verdicts, otherwise runs [`consolidate::consolidate_aggs`]
+/// and stores the result when it is `Full`.
 ///
 /// On a [`PlanOutcome::Hit`] the returned
 /// [`consolidate::AggConsolidation`] reports every definition as
 /// [`consolidate::ProofOutcome::Memo`] — answered without proving — with
 /// zeroed solver statistics, so callers can assert "the warm run made zero
-/// SMT checks". The same tier-upgrade rule as
-/// [`consolidate_many_cached`] applies: a degraded verdict set is
-/// re-proved under a live budget and only replaced by an outcome at least
-/// as good.
+/// SMT checks".
 ///
 /// # Errors
 ///
@@ -716,53 +595,122 @@ pub fn consolidate_aggs_cached(
     }
     let start = Instant::now();
     let key = PlanKey::derive_agg(defs, interner, opts, cm);
-    // Shape check mirrors `consolidate_many_cached`; a count mismatch means
-    // a stale or foreign entry and is treated as a miss.
-    let cached = cache
-        .get(key)
-        .filter(|p| p.proved().is_some_and(|flags| flags.len() == defs.len()));
-    let from_flags = |flags: &[bool], tier: DegradationTier| consolidate::AggConsolidation {
-        outcomes: flags.iter().map(|&p| consolidate::ProofOutcome::Memo(p)).collect(),
-        tier,
-        stats: consolidate::AggProofStats::default(),
-        elapsed: start.elapsed(),
-    };
-    if let Some(plan) = &cached {
-        let budget_spent = BudgetState::new(&opts.budget).exhausted();
-        if plan.tier == DegradationTier::Full || budget_spent {
-            if let Some(flags) = plan.proved() {
-                opts.recorder.add(udf_obs::names::PLAN_CACHE_HIT, 1);
-                return Ok((from_flags(flags, plan.tier), key, PlanOutcome::Hit));
-            }
-        }
+    // A count mismatch means a stale or foreign entry: not served.
+    let hit = cache.serve(key, &opts.recorder, |plan| {
+        let flags = plan.proved().filter(|flags| flags.len() == defs.len())?;
+        Some(consolidate::AggConsolidation {
+            outcomes: flags
+                .iter()
+                .map(|&p| consolidate::ProofOutcome::Memo(p))
+                .collect(),
+            tier: DegradationTier::Full,
+            stats: consolidate::AggProofStats::default(),
+            elapsed: start.elapsed(),
+        })
+    });
+    if let Some(served) = hit {
+        return Ok((served, key, PlanOutcome::Hit));
     }
     let fresh = consolidate::consolidate_aggs(defs, interner, opts)?;
-    let stored_better = match &cached {
-        Some(old) if fresh.tier > old.tier => old.proved().map(|flags| (old.tier, flags)),
-        _ => None,
+    if fresh.tier == DegradationTier::Full {
+        let stats = ConsolidationStats {
+            entailment_queries: fresh.stats.entailment_queries,
+            memo_hits: fresh.stats.proof_memo_hits,
+            solver: fresh.stats.solver,
+            tier: fresh.tier,
+            ..ConsolidationStats::default()
+        };
+        cache.insert(key, CachedPlan::new_agg(fresh.proved_flags(), stats));
+    }
+    Ok((fresh, key, PlanOutcome::Miss))
+}
+
+/// Compiles the per-query UDFs *and* a consolidated program obtained
+/// through [`consolidate_many_cached`] into one [`QuerySet`].
+///
+/// Returns the query set, the consolidation result (cache hits carry
+/// zeroed solver statistics), the plan's key — what [`evict_if_tripped`]
+/// takes once the set has run — and how the cache satisfied the request.
+///
+/// # Errors
+///
+/// Propagates compilation and consolidation failures as
+/// [`QuerySetError`].
+#[allow(clippy::too_many_arguments)]
+pub fn compile_consolidated_cached(
+    programs: &[Program],
+    interner: &mut Interner,
+    cm: &CostModel,
+    fns: &(dyn FnCost + Sync),
+    fn_cost: &dyn Fn(Symbol) -> Cost,
+    opts: &Options,
+    parallel: bool,
+    cache: &PlanCache,
+    backend: ExecBackend,
+) -> Result<(QuerySet, Consolidated, PlanKey, PlanOutcome), QuerySetError> {
+    let (merged, outcome) =
+        consolidate_many_cached(cache, programs, interner, cm, fns, opts, parallel, backend)?;
+    let key = PlanKey::derive(programs, interner, opts, cm, backend);
+    let mut qs = QuerySet::compile_many(programs, cm, fn_cost)?.with_consolidated(
+        &merged.program,
+        cm,
+        fn_cost,
+        merged.elapsed,
+    )?;
+    if let Some(pf) = &merged.prefilter {
+        qs = qs.with_prefilter(&pf.cond, &merged.program, cm, fn_cost)?;
+    }
+    opts.recorder.observe(names::REGCODE_FOLD_NS, qs.fold_ns());
+    Ok((qs, merged, key, outcome))
+}
+
+/// Evicts `key` from `cache` when `job`'s plan guard tripped — a demoted
+/// report ([`naiad_lite::GuardAction::Demote`]) or
+/// [`EngineError::GuardTripped`] ([`naiad_lite::GuardAction::FailFast`]) —
+/// so the diverging plan is never served again. A
+/// [`naiad_lite::GuardAction::LogOnly`] audit never trips and evicts
+/// nothing. Returns whether an entry was removed.
+pub fn evict_if_tripped(
+    cache: &PlanCache,
+    key: PlanKey,
+    job: &Result<JobReport, EngineError>,
+) -> bool {
+    let tripped = match job {
+        Ok(report) => report.guard.as_ref().is_some_and(|g| g.demoted),
+        Err(e) => matches!(e, EngineError::GuardTripped { .. }),
     };
-    match stored_better {
-        Some((tier, proved)) => {
-            opts.recorder.add(udf_obs::names::PLAN_CACHE_UPGRADE, 1);
-            Ok((from_flags(proved, tier), key, PlanOutcome::Upgrade))
+    tripped && cache.invalidate(key)
+}
+
+/// Failure while building a cached consolidated query set.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum QuerySetError {
+    /// A UDF (per-query or merged) failed to compile.
+    Compile(naiad_lite::CompileError),
+    /// The consolidation itself failed (incompatible programs, empty set).
+    Consolidate(ConsolidateError),
+}
+
+impl std::fmt::Display for QuerySetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            QuerySetError::Compile(e) => write!(f, "compile: {e}"),
+            QuerySetError::Consolidate(e) => write!(f, "consolidate: {e}"),
         }
-        None => {
-            let stats = ConsolidationStats {
-                entailment_queries: fresh.stats.entailment_queries,
-                memo_hits: fresh.stats.proof_memo_hits,
-                solver: fresh.stats.solver,
-                tier: fresh.tier,
-                ..ConsolidationStats::default()
-            };
-            cache.insert(key, CachedPlan::new_agg(fresh.proved_flags(), stats));
-            if cached.is_some() {
-                opts.recorder.add(udf_obs::names::PLAN_CACHE_UPGRADE, 1);
-                Ok((fresh, key, PlanOutcome::Upgrade))
-            } else {
-                opts.recorder.add(udf_obs::names::PLAN_CACHE_MISS, 1);
-                Ok((fresh, key, PlanOutcome::Miss))
-            }
-        }
+    }
+}
+
+impl std::error::Error for QuerySetError {}
+
+impl From<naiad_lite::CompileError> for QuerySetError {
+    fn from(e: naiad_lite::CompileError) -> QuerySetError {
+        QuerySetError::Compile(e)
+    }
+}
+
+impl From<ConsolidateError> for QuerySetError {
+    fn from(e: ConsolidateError) -> QuerySetError {
+        QuerySetError::Consolidate(e)
     }
 }
 
@@ -960,61 +908,176 @@ mod tests {
         assert_eq!(cache.len(), 2, "one entry per backend");
     }
 
+    /// Options whose query ceiling of 0 degrades every consolidation.
+    fn starved() -> Options {
+        Options {
+            budget: consolidate::ConsolidationBudget::default().with_max_solver_queries(0),
+            ..Options::default()
+        }
+    }
+
     #[test]
-    fn degraded_entries_upgrade_under_fresh_budget() {
+    fn degraded_program_plans_are_returned_but_not_stored() {
         let mut i = Interner::new();
         let programs = family(&mut i);
         let cm = CostModel::default();
         let fns = UniformFnCost(50);
         let cache = PlanCache::default();
-        // Exhaust immediately: query ceiling 0 degrades to Sequential.
-        let starved = Options {
-            budget: consolidate::ConsolidationBudget::default().with_max_solver_queries(0),
-            ..Options::default()
+        let run = |opts: &Options, i: &mut Interner| {
+            consolidate_many_cached(
+                &cache,
+                &programs,
+                i,
+                &cm,
+                &fns,
+                opts,
+                false,
+                ExecBackend::PerRecord,
+            )
+            .expect("consolidation succeeds")
         };
-        let (degraded, o1) =
-            consolidate_many_cached(&cache, &programs, &mut i, &cm, &fns, &starved, false, ExecBackend::PerRecord)
-                .expect("starved run succeeds");
+        let (degraded, o1) = run(&starved(), &mut i);
         assert_eq!(o1, PlanOutcome::Miss);
-        assert!(degraded.stats.tier > DegradationTier::Full);
-
-        // Same options, same key: a second starved run may reuse the entry…
-        let state = BudgetState::new(&starved.budget);
         assert!(
-            !state.exhausted(),
-            "query ceilings are charged, not pre-exhausted; upgrade path must run"
+            degraded.stats.tier > DegradationTier::Full,
+            "the budget degrades the plan"
         );
-        // …but since the budget is not *pre*-exhausted, the rule demands a
-        // re-consolidation attempt, which under the same ceiling cannot be
-        // worse, and under an unlimited one reaches Full.
-        let unlimited = Options::default();
-        let key_starved = PlanKey::derive(&programs, &i, &starved, &cm, ExecBackend::PerRecord);
-        let key_unlimited = PlanKey::derive(&programs, &i, &unlimited, &cm, ExecBackend::PerRecord);
-        assert_eq!(
-            key_starved, key_unlimited,
-            "budget must not partition the key space"
-        );
-        let (upgraded, o2) =
-            consolidate_many_cached(&cache, &programs, &mut i, &cm, &fns, &unlimited, false, ExecBackend::PerRecord)
-                .expect("upgrade run succeeds");
-        assert_eq!(o2, PlanOutcome::Upgrade);
-        assert_eq!(upgraded.stats.tier, DegradationTier::Full);
+        assert!(cache.is_empty(), "a degraded plan is not stored");
 
-        // The upgraded plan is now served on hits.
-        let (served, o3) =
-            consolidate_many_cached(&cache, &programs, &mut i, &cm, &fns, &unlimited, false, ExecBackend::PerRecord)
-                .expect("warm run succeeds");
+        // The budget is not part of the key: the unbudgeted call asks for
+        // the same entry, finds none, and stores its Full plan…
+        let (full, o2) = run(&Options::default(), &mut i);
+        assert_eq!(o2, PlanOutcome::Miss);
+        assert_eq!(full.stats.tier, DegradationTier::Full);
+        assert_eq!(cache.len(), 1);
+
+        // …which the next call is served, whatever its budget.
+        for opts in [Options::default(), starved()] {
+            let (served, o) = run(&opts, &mut i);
+            assert_eq!(o, PlanOutcome::Hit);
+            assert_eq!(served.stats.tier, DegradationTier::Full);
+            assert_eq!(
+                pretty::program(&served.program, &i),
+                pretty::program(&full.program, &i)
+            );
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.inserts), (2, 2, 1));
+    }
+
+    #[test]
+    fn degraded_agg_sets_are_returned_but_not_stored() {
+        let mut i = Interner::new();
+        let defs = udf_lang::parse_aggs(
+            "aggregate sum @1 (x) {
+                 state s = 0;
+                 fold { s := s + x; }
+                 merge { s := s + rhs_s; }
+             }",
+            &mut i,
+        )
+        .expect("test aggs parse");
+        let cache = PlanCache::default();
+        let cm = CostModel::default();
+
+        let (degraded, k1, o1) =
+            consolidate_aggs_cached(&cache, &defs, &mut i, &cm, &starved()).expect("starved run");
+        assert_eq!(o1, PlanOutcome::Miss);
+        assert!(
+            degraded.tier > DegradationTier::Full,
+            "the budget degrades the set"
+        );
+        assert!(cache.is_empty(), "a degraded verdict set is not stored");
+
+        let opts = Options::default();
+        let (full, k2, o2) =
+            consolidate_aggs_cached(&cache, &defs, &mut i, &cm, &opts).expect("unbudgeted run");
+        assert_eq!((k2, o2), (k1, PlanOutcome::Miss));
+        assert_eq!(full.tier, DegradationTier::Full);
+        assert_eq!(cache.len(), 1);
+
+        let (served, _, o3) =
+            consolidate_aggs_cached(&cache, &defs, &mut i, &cm, &opts).expect("warm run");
         assert_eq!(o3, PlanOutcome::Hit);
-        assert_eq!(served.stats.tier, DegradationTier::Full);
+        assert_eq!(served.proved_flags(), full.proved_flags());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 2, 1));
+    }
+
+    #[test]
+    fn partial_snapshot_entries_load_but_are_never_served() {
+        let mut i = Interner::new();
+        let programs = family(&mut i);
+        let cm = CostModel::default();
+        let fns = UniformFnCost(50);
+        let opts = Options::default();
+        let key = PlanKey::derive(&programs, &i, &opts, &cm, ExecBackend::PerRecord);
+
+        // A v3 snapshot holding a Partial plan under the family's key, as an
+        // older writer stored degraded plans.
+        let stats = ConsolidationStats {
+            tier: DegradationTier::Partial,
+            ..ConsolidationStats::default()
+        };
+        let writer = PlanCache::default();
+        writer.insert(key, CachedPlan::new(&programs[0], None, &i, stats));
+        let dir = std::env::temp_dir().join("plan-cache-test-partial");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.txt");
+        writer.save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with("plan-cache-snapshot v3\n"), "{text}");
+        assert!(text.contains("tier partial\n"), "{text}");
+        let loaded = PlanCache::load(&path, CacheConfig::default()).unwrap();
+        std::fs::remove_file(&path).ok();
+        let entry = loaded.get(key).expect("the Partial entry loads");
+        assert_eq!(entry.stats.tier, DegradationTier::Partial);
+
+        // Not served: the request consolidates fresh and stores its Full plan
+        // over it, and only that one is a hit.
+        let (fresh, o1) = consolidate_many_cached(
+            &loaded,
+            &programs,
+            &mut i,
+            &cm,
+            &fns,
+            &opts,
+            false,
+            ExecBackend::PerRecord,
+        )
+        .expect("fresh run");
+        assert_eq!(o1, PlanOutcome::Miss);
+        assert!(
+            fresh.stats.solver.checks > 0,
+            "the Partial plan was not served"
+        );
+        assert_eq!(
+            loaded.stats().hits,
+            0,
+            "a Partial entry is never counted as a hit"
+        );
+        let (_, o2) = consolidate_many_cached(
+            &loaded,
+            &programs,
+            &mut i,
+            &cm,
+            &fns,
+            &opts,
+            false,
+            ExecBackend::PerRecord,
+        )
+        .expect("warm run");
+        assert_eq!(o2, PlanOutcome::Hit);
+        assert_eq!(
+            loaded.get(key).expect("stored").stats.tier,
+            DegradationTier::Full
+        );
+        assert_eq!((loaded.stats().hits, loaded.stats().misses), (1, 1));
     }
 
     #[test]
     fn lru_evicts_by_capacity() {
-        let cache = PlanCache::new(CacheConfig {
-            capacity: 2,
-            max_bytes: usize::MAX,
-            shards: 1,
-        });
+        let cache = PlanCache::new(CacheConfig { capacity: 2 });
         cache.insert(PlanKey(1), skip_plan(1));
         cache.insert(PlanKey(2), skip_plan(2));
         assert!(cache.get(PlanKey(1)).is_some(), "touch 1 so 2 is the LRU");
@@ -1024,19 +1087,5 @@ mod tests {
         assert!(cache.get(PlanKey(1)).is_some());
         assert!(cache.get(PlanKey(3)).is_some());
         assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn byte_budget_evicts() {
-        let cache = PlanCache::new(CacheConfig {
-            capacity: 1024,
-            max_bytes: 1,
-            shards: 1,
-        });
-        cache.insert(PlanKey(1), skip_plan(1));
-        cache.insert(PlanKey(2), skip_plan(2));
-        // Over budget with >1 entry: evict down to a single entry.
-        assert_eq!(cache.len(), 1);
-        assert!(cache.stats().evictions >= 1);
     }
 }

@@ -77,7 +77,7 @@ const STATS: [(&str, StatField); 25] = [
 /// Renders one entry's payload — the `tier`/`stat`/plan lines the header's
 /// length and checksum cover.
 fn render_payload(plan: &CachedPlan) -> String {
-    let mut payload = format!("tier {}\n", plan.tier.as_str());
+    let mut payload = format!("tier {}\n", plan.stats.tier.as_str());
     let mut stats = plan.stats;
     for (name, field) in STATS {
         let _ = writeln!(payload, "stat {name} {}", field(&mut stats));
@@ -179,13 +179,6 @@ pub struct SnapshotRecovery {
     /// One incident per skipped entry (or rejected header), in the
     /// [`RecoveryIncident`] shape shared with the `udf-serve` journal.
     pub incidents: Vec<RecoveryIncident>,
-}
-
-impl SnapshotRecovery {
-    /// `true` when nothing was skipped.
-    pub fn is_clean(&self) -> bool {
-        self.salvaged == 0 && self.incidents.is_empty()
-    }
 }
 
 /// Parses one entry header via the shared framing, extracting the key.
@@ -345,7 +338,6 @@ mod tests {
             assert_eq!(ka, kb);
             assert_eq!(pa.plan, pb.plan);
             assert_eq!(pa.stats, pb.stats);
-            assert_eq!(pa.tier, pb.tier);
         }
     }
 

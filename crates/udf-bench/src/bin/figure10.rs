@@ -12,7 +12,7 @@
 //!
 //! `--metrics` installs a shared in-memory [`udf_obs`] recorder and prints
 //! its JSON snapshot after the sweep; combined with `--warm-cache` the
-//! snapshot includes the `plan_cache.*` hit/miss/upgrade counters.
+//! snapshot includes the `plan_cache.*` hit/miss counters.
 //!
 //! The paper sweeps the number of News-domain mixed queries from 10 to 300
 //! and plots (log-scale): `whereMany` UDF & total time growing linearly,
@@ -302,8 +302,8 @@ fn run_warm(
     let stats = cache.stats();
     println!("---");
     println!(
-        "cache: {} hits, {} misses, {} inserts, {} entries, {} bytes",
-        stats.hits, stats.misses, stats.inserts, stats.entries, stats.bytes
+        "cache: {} hits, {} misses, {} inserts, {} entries",
+        stats.hits, stats.misses, stats.inserts, stats.entries
     );
     if !all_same {
         println!("warm runs did not reproduce the cold plans");

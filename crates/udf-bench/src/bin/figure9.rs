@@ -363,9 +363,8 @@ struct GuardDemo {
 /// salvaged on load. Prints a short transcript and returns the totals
 /// according to the job reports.
 fn run_guard_demo(recorder: &udf_obs::RecorderCell) -> GuardDemo {
-    use naiad_lite::engine::{EngineConfig, QuerySet};
+    use naiad_lite::engine::EngineConfig;
     use naiad_lite::{fault, Engine, ErrorPolicy, ExecMode, GuardPolicy, ScalarEnv};
-    use std::sync::Arc;
 
     println!("--- guarded-execution demo ---");
     let mut demo = GuardDemo::default();
@@ -387,8 +386,8 @@ fn run_guard_demo(recorder: &udf_obs::RecorderCell) -> GuardDemo {
         .collect();
     let cm = udf_lang::cost::CostModel::default();
     let opts = consolidate::Options::default();
-    let cache = Arc::new(plan_cache::PlanCache::default());
-    let (queries, _, _) = QuerySet::compile_consolidated_cached(
+    let cache = plan_cache::PlanCache::default();
+    let (queries, _, key, _) = plan_cache::compile_consolidated_cached(
         &programs,
         &mut interner,
         &cm,
@@ -407,7 +406,6 @@ fn run_guard_demo(recorder: &udf_obs::RecorderCell) -> GuardDemo {
             error_policy: ErrorPolicy::Quarantine { max_errors: 64 },
             guard,
             max_retries,
-            plan_cache: Some(Arc::clone(&cache)),
             recorder: recorder.clone(),
             ..EngineConfig::default()
         })
@@ -432,9 +430,10 @@ fn run_guard_demo(recorder: &udf_obs::RecorderCell) -> GuardDemo {
             break;
         }
     }
-    let healed = engine(GuardPolicy::audit_all(), 0)
-        .run(&env, &records, &corrupted, ExecMode::Consolidated, false)
-        .expect("demotion self-heals");
+    let healer = engine(GuardPolicy::audit_all(), 0);
+    let healed = healer.run(&env, &records, &corrupted, ExecMode::Consolidated, false);
+    plan_cache::evict_if_tripped(&cache, key, &healed);
+    let healed = healed.expect("demotion self-heals");
     let g = healed.guard.expect("guard report");
     demo.shadow_runs += g.shadow_runs;
     demo.mismatches += g.mismatches;
@@ -470,7 +469,7 @@ fn run_guard_demo(recorder: &udf_obs::RecorderCell) -> GuardDemo {
 
     // 4. Snapshot a cache, flip one payload byte, salvage on load.
     let cache2 = plan_cache::PlanCache::default();
-    let (_, _, _) = QuerySet::compile_consolidated_cached(
+    plan_cache::compile_consolidated_cached(
         &programs,
         &mut interner,
         &cm,

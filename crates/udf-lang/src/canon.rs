@@ -83,6 +83,49 @@ impl Fnv128 {
     }
 }
 
+/// Incremental 64-bit FNV-1a hasher: the workspace's one FNV-1a 64. It is
+/// the checksum of every durable record (`plan_cache::framing`) and the
+/// output digest of engine and service runs (`naiad_lite::digest`).
+///
+/// Feeding the words of a byte string one at a time gives the same digest
+/// as feeding their concatenated `to_le_bytes` at once.
+#[derive(Debug, Clone)]
+pub struct Fnv64(u64);
+
+impl Fnv64 {
+    /// A hasher at the FNV-1a 64 offset basis.
+    #[must_use]
+    pub fn new() -> Fnv64 {
+        Fnv64(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds one word into the digest, little-endian byte order.
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Folds a byte string into the digest.
+    #[inline]
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The digest so far.
+    #[must_use]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Fnv64 {
+        Fnv64::new()
+    }
+}
+
 /// Node tags of the canonical stream. Every tag is followed by a fixed
 /// number of operands (variable-length children are length-prefixed), so the
 /// stream is prefix-free and structurally unambiguous.

@@ -162,13 +162,11 @@ pub const REGCODE_FOLD_NS: &str = "regcode.fold_ns";
 /// Counter: snapshot entries skipped by salvage-on-load because their
 /// payload was corrupt or truncated.
 pub const CACHE_SNAPSHOT_SALVAGED: &str = "cache.snapshot_salvaged";
-/// Counter: plan-cache lookups served as-is.
+/// Counter: plan-cache requests served from a stored `Full` plan.
 pub const PLAN_CACHE_HIT: &str = "plan_cache.hit";
-/// Counter: plan-cache misses (fresh consolidation stored).
+/// Counter: plan-cache requests consolidated fresh (the result is stored
+/// when it is `Full`).
 pub const PLAN_CACHE_MISS: &str = "plan_cache.miss";
-/// Counter: plan-cache hits on a degraded entry that were re-consolidated
-/// and upgraded to a better tier.
-pub const PLAN_CACHE_UPGRADE: &str = "plan_cache.upgrade";
 /// Counter: entailment-memo verdicts dropped because a query they were
 /// derived from was demoted or quarantined at runtime.
 pub const ENTAIL_MEMO_INVALIDATED: &str = "consolidate.entail.memo_invalidated";

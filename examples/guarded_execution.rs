@@ -2,21 +2,19 @@
 //! differential validation, then corrupt the plan and watch the guard
 //! detect the divergence, demote the job to the sequential reference path,
 //! and still return correct results — the fail-soft story of
-//! `ARCHITECTURE.md` § Soundness and degradation.
+//! `ARCHITECTURE.md` § Soundness and degradation. The plan came from a plan
+//! cache, so the trip also evicts it there (`evict_if_tripped`).
 //!
 //! ```text
 //! cargo run --example guarded_execution
 //! ```
 
-use query_consolidation::cache::PlanCache;
-use query_consolidation::dataflow::engine::{
-    Engine, EngineConfig, ExecBackend, ExecMode, QuerySet,
-};
+use query_consolidation::cache::{compile_consolidated_cached, evict_if_tripped, PlanCache};
+use query_consolidation::dataflow::engine::{Engine, EngineConfig, ExecBackend, ExecMode};
 use query_consolidation::dataflow::regcode::ROp;
 use query_consolidation::dataflow::{GuardPolicy, ScalarEnv};
 use query_consolidation::engine::Options;
 use query_consolidation::lang::{parse::parse_program, CostModel, FnLibrary, Interner};
-use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The query set holds one copy of each plan, which both backends
@@ -50,9 +48,9 @@ fn run(backend: ExecBackend) -> Result<(), Box<dyn std::error::Error>> {
         .collect::<Result<_, _>>()?;
 
     let cm = CostModel::default();
-    let cache = Arc::new(PlanCache::default());
+    let cache = PlanCache::default();
     let fc = |f| query_consolidation::lang::library::Library::cost(&lib, f);
-    let (queries, _, _) = QuerySet::compile_consolidated_cached(
+    let (queries, _, key, _) = compile_consolidated_cached(
         &programs,
         &mut interner,
         &cm,
@@ -69,7 +67,6 @@ fn run(backend: ExecBackend) -> Result<(), Box<dyn std::error::Error>> {
         Engine::new(2).with_config(EngineConfig {
             backend,
             guard: GuardPolicy::audit_all(),
-            plan_cache: Some(Arc::clone(&cache)),
             ..EngineConfig::default()
         })
     };
@@ -85,8 +82,8 @@ fn run(backend: ExecBackend) -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(g.mismatches, 0);
 
     // Corrupted plan: flip one Notify instruction. The guard catches the
-    // divergence, demotes to the per-query sequential path, and evicts the
-    // poisoned cache entry — the caller still gets correct counts.
+    // divergence and demotes to the per-query sequential path — the caller
+    // still gets correct counts — and the trip evicts the poisoned entry.
     let mut corrupted = queries.clone();
     let plan = corrupted.consolidated.as_mut().expect("consolidated plan");
     for instr in &mut plan.code {
@@ -95,7 +92,9 @@ fn run(backend: ExecBackend) -> Result<(), Box<dyn std::error::Error>> {
             break;
         }
     }
-    let healed = engine().run(&env, &records, &corrupted, ExecMode::Consolidated, false)?;
+    let healed = engine().run(&env, &records, &corrupted, ExecMode::Consolidated, false);
+    evict_if_tripped(&cache, key, &healed);
+    let healed = healed?;
     let g = healed.guard.as_ref().expect("audit produced a report");
     println!(
         "corrupted    : counts {:?}, {} mismatches, demoted={}, cache evictions={}",

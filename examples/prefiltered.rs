@@ -13,13 +13,11 @@
 //! guard the call is unreachable and the verifier can prove that skipping
 //! the record changes nothing.
 
-use query_consolidation::dataflow::engine::{
-    Engine, ExecBackend, ExecMode, QuerySet,
-};
+use query_consolidation::cache::{compile_consolidated_cached, PlanCache};
+use query_consolidation::dataflow::engine::{Engine, ExecBackend, ExecMode};
 use query_consolidation::dataflow::ScalarEnv;
 use query_consolidation::engine::Options;
 use query_consolidation::lang::{parse::parse_program, CostModel, FnLibrary, Interner};
-use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut interner = Interner::new();
@@ -58,8 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             prefilter,
             ..Options::default()
         };
-        let cache = Arc::new(query_consolidation::cache::PlanCache::default());
-        let (qs, merged, _) = QuerySet::compile_consolidated_cached(
+        let cache = PlanCache::default();
+        let (qs, merged, _, _) = compile_consolidated_cached(
             &programs,
             &mut interner,
             &cm,

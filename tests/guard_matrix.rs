@@ -6,13 +6,15 @@
 //! 1. **Corruption detection** — a consolidated plan whose bytecode was
 //!    mutated behind the optimizer's back is caught by the shadow sampler,
 //!    the job self-heals by demoting to sequential execution (output
-//!    bit-identical to a pure-sequential run), and the poisoned plan is
-//!    evicted from the plan cache so it cannot be re-served.
+//!    bit-identical to a pure-sequential run), and
+//!    `plan_cache::evict_if_tripped` removes the poisoned plan from the
+//!    cache it came from — under `Demote` and `FailFast` alike — so the next
+//!    compile consolidates afresh instead of re-serving it.
 //! 2. **Retry drains transients** — `Transient(k)` faults recover with zero
 //!    quarantines when `k ≤ max_retries`, and quarantine with exact retry
 //!    accounting when `k > max_retries`.
 //! 3. **LogOnly is read-only** — an auditing guard never changes job
-//!    outputs, even over a corrupted plan.
+//!    outputs, even over a corrupted plan, and evicts nothing.
 //! 4. **Disabled guard is free** — `audit: false` performs no shadow
 //!    runs and leaves reports identical to an unguarded engine's.
 //!
@@ -29,8 +31,7 @@ use naiad_lite::engine::{
 };
 use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan};
 use naiad_lite::{ErrorKind, GuardAction, GuardPolicy};
-use plan_cache::PlanCache;
-use std::sync::Arc;
+use plan_cache::{evict_if_tripped, PlanCache, PlanKey, PlanOutcome};
 use udf_lang::cost::CostModel;
 use udf_lang::intern::Interner;
 use udf_lang::library::Library;
@@ -38,20 +39,26 @@ use udf_obs::names;
 
 const BACKENDS: [ExecBackend; 2] = [ExecBackend::PerRecord, ExecBackend::Columnar];
 
-/// Builds the standard harness with consolidation routed through `cache`
-/// (so the query set carries a plan key the guard can invalidate).
-fn harness(cache: &PlanCache, plan: FaultPlan) -> Harness {
-    harness_for(cache, plan, ExecBackend::PerRecord)
+/// Builds the standard harness, its plan consolidated through a cache of
+/// its own.
+fn harness(plan: FaultPlan) -> Harness {
+    harness_for(&PlanCache::default(), plan, ExecBackend::PerRecord).0
 }
 
-/// [`harness`] with the plan keyed for `backend`.
-fn harness_for(cache: &PlanCache, plan: FaultPlan, backend: ExecBackend) -> Harness {
+/// The standard harness with consolidation routed through `cache` and the
+/// plan keyed for `backend`, with the key to evict and how the cache
+/// answered.
+fn harness_for(
+    cache: &PlanCache,
+    plan: FaultPlan,
+    backend: ExecBackend,
+) -> (Harness, PlanKey, PlanOutcome) {
     let mut interner = Interner::new();
     let lib = library(&mut interner);
     let programs = probing_queries(&mut interner, 3);
     let cm = CostModel::default();
     let opts = consolidate::Options::default();
-    let (queries, _merged, _outcome) = QuerySet::compile_consolidated_cached(
+    let (queries, _merged, key, outcome) = plan_cache::compile_consolidated_cached(
         &programs,
         &mut interner,
         &cm,
@@ -63,7 +70,11 @@ fn harness_for(cache: &PlanCache, plan: FaultPlan, backend: ExecBackend) -> Harn
         backend,
     )
     .expect("cached consolidation succeeds");
-    Harness::new(&mut interner, &programs, queries, plan)
+    (
+        Harness::new(&mut interner, &programs, queries, plan),
+        key,
+        outcome,
+    )
 }
 
 /// Flips the broadcast value of the first `Notify` instruction in the
@@ -86,22 +97,16 @@ fn corrupt_consolidated(queries: &mut QuerySet) {
     *notify = !*notify;
 }
 
-fn guarded_engine(cache: &Arc<PlanCache>, guard: GuardPolicy) -> Engine {
-    guarded_engine_on(cache, guard, ExecBackend::PerRecord, 4)
+fn guarded_engine(guard: GuardPolicy) -> Engine {
+    guarded_engine_on(guard, ExecBackend::PerRecord, 4)
 }
 
-fn guarded_engine_on(
-    cache: &Arc<PlanCache>,
-    guard: GuardPolicy,
-    backend: ExecBackend,
-    workers: usize,
-) -> Engine {
+fn guarded_engine_on(guard: GuardPolicy, backend: ExecBackend, workers: usize) -> Engine {
     Engine::new(workers).with_config(EngineConfig {
         error_policy: ErrorPolicy::Quarantine { max_errors: 64 },
         backend,
         guard,
         fuel: Some(TEST_FUEL),
-        plan_cache: Some(Arc::clone(cache)),
         recorder: udf_obs::RecorderCell::memory(),
         ..EngineConfig::default()
     })
@@ -113,24 +118,43 @@ fn verdict(report: &JobReport) -> (u64, u64, bool) {
     (g.shadow_runs, g.mismatches, g.demoted)
 }
 
+/// After a trip was evicted: the cache no longer holds `key`, and the next
+/// cached compile of the same set consolidates afresh (and stores it again).
+fn assert_evicted(cache: &PlanCache, key: PlanKey, backend: ExecBackend, ctx: &str) {
+    assert!(
+        cache.get(key).is_none(),
+        "{ctx}: poisoned plan must not be re-served"
+    );
+    let (_, again, outcome) = harness_for(cache, FaultPlan::none(), backend);
+    assert_eq!(again, key, "{ctx}: the same set keys the same plan");
+    assert_eq!(
+        outcome,
+        PlanOutcome::Miss,
+        "{ctx}: the next compile consolidates"
+    );
+}
+
 /// Corruption → detection → demotion → cache eviction, on `backend`.
 fn corrupted_plan_scenario(backend: ExecBackend, workers: usize) -> JobReport {
     let ctx = format!("{backend:?}, {workers} workers");
-    let cache = Arc::new(PlanCache::default());
-    let mut h = harness_for(&cache, FaultPlan::none(), backend);
+    let cache = PlanCache::default();
+    let (mut h, key, outcome) = harness_for(&cache, FaultPlan::none(), backend);
+    assert_eq!(outcome, PlanOutcome::Miss, "{ctx}");
     assert_eq!(cache.len(), 1, "{ctx}: consolidation filled the cache");
     corrupt_consolidated(&mut h.queries);
 
-    let engine = guarded_engine_on(&cache, GuardPolicy::audit_all(), backend, workers);
-    let guarded = h
-        .run(&engine, ExecMode::Consolidated)
-        .expect("Demote self-heals instead of failing");
+    let engine = guarded_engine_on(GuardPolicy::audit_all(), backend, workers);
+    let guarded = h.run(&engine, ExecMode::Consolidated);
+    assert!(
+        evict_if_tripped(&cache, key, &guarded),
+        "{ctx}: a demotion evicts"
+    );
+    let guarded = guarded.expect("Demote self-heals instead of failing");
     check(&guarded, &h.oracle, &ctx);
     let guard = guarded.guard.clone().expect("guarded consolidated run reports");
     assert!(guard.demoted, "{ctx}: divergence must demote the job");
     assert!(guard.mismatches >= 1, "{ctx}");
     let incident = guard.incident.expect("a demotion carries its incident");
-    assert!(incident.plan_invalidated, "{ctx}: the cached plan must be evicted");
     assert!(!incident.examples.is_empty(), "{ctx}: incident names the records");
 
     // Self-healing: the demoted report is identical to a pure-sequential
@@ -146,12 +170,12 @@ fn corrupted_plan_scenario(backend: ExecBackend, workers: usize) -> JobReport {
     assert_eq!(guarded.quarantine, sequential.quarantine, "{ctx}");
 
     // Eviction: the poisoned entry is gone, accounted as an invalidation.
-    assert_eq!(cache.len(), 0, "{ctx}: poisoned plan must not be re-served");
     assert_eq!(cache.stats().invalidations, 1, "{ctx}");
+    assert_evicted(&cache, key, backend, &ctx);
 
-    // The same corruption under FailFast is a structured error instead.
+    // The same corruption under FailFast is a structured error instead, and
+    // evicts the plan the recompile stored again.
     let failfast = guarded_engine_on(
-        &cache,
         GuardPolicy {
             on_mismatch: GuardAction::FailFast,
             ..GuardPolicy::audit_all()
@@ -159,7 +183,14 @@ fn corrupted_plan_scenario(backend: ExecBackend, workers: usize) -> JobReport {
         backend,
         workers,
     );
-    match h.run(&failfast, ExecMode::Consolidated) {
+    let failed = h.run(&failfast, ExecMode::Consolidated);
+    assert!(
+        evict_if_tripped(&cache, key, &failed),
+        "{ctx}: a FailFast trip evicts"
+    );
+    assert_eq!(cache.stats().invalidations, 2, "{ctx}");
+    assert_evicted(&cache, key, backend, &ctx);
+    match failed {
         Err(EngineError::GuardTripped { incident }) => {
             assert!(incident.mismatches >= 1, "{ctx}");
             assert_eq!(incident.action, GuardAction::FailFast, "{ctx}");
@@ -191,8 +222,7 @@ fn retry_drains_transient_faults_below_the_retry_budget() {
     for record in [7usize, 42, 113] {
         plan.insert(record, FaultKind::Transient(depth));
     }
-    let cache = Arc::new(PlanCache::default());
-    let h = harness(&cache, plan);
+    let h = harness(plan);
 
     let engine = quarantine_engine()
         .with_retry(max_retries)
@@ -237,8 +267,7 @@ fn retry_budget_exhaustion_quarantines_with_exact_accounting() {
     for record in faulted {
         plan.insert(record, FaultKind::Transient(depth));
     }
-    let cache = Arc::new(PlanCache::default());
-    let h = harness(&cache, plan);
+    let h = harness(plan);
 
     let engine = quarantine_engine().with_retry(max_retries);
     for mode in [ExecMode::Many, ExecMode::Consolidated] {
@@ -267,11 +296,11 @@ fn retry_budget_exhaustion_quarantines_with_exact_accounting() {
 }
 
 /// A `LogOnly` audit over a corrupted plan on `backend`: observes, never
-/// intervenes.
+/// intervenes, never evicts.
 fn log_only_scenario(backend: ExecBackend) -> JobReport {
     let ctx = format!("{backend:?}");
-    let cache = Arc::new(PlanCache::default());
-    let mut h = harness_for(&cache, FaultPlan::none(), backend);
+    let cache = PlanCache::default();
+    let (mut h, key, _) = harness_for(&cache, FaultPlan::none(), backend);
     corrupt_consolidated(&mut h.queries);
 
     // Reference: the corrupted plan run with no guard at all.
@@ -281,7 +310,6 @@ fn log_only_scenario(backend: ExecBackend) -> JobReport {
         .expect("unguarded run");
 
     let engine = guarded_engine_on(
-        &cache,
         GuardPolicy {
             on_mismatch: GuardAction::LogOnly,
             ..GuardPolicy::audit_all()
@@ -289,16 +317,25 @@ fn log_only_scenario(backend: ExecBackend) -> JobReport {
         backend,
         4,
     );
-    let audited = h
-        .run(&engine, ExecMode::Consolidated)
-        .expect("LogOnly never fails the job");
+    let audited = h.run(&engine, ExecMode::Consolidated);
+    assert!(
+        !evict_if_tripped(&cache, key, &audited),
+        "{ctx}: LogOnly must not evict"
+    );
+    let audited = audited.expect("LogOnly never fails the job");
     let guard = audited.guard.clone().expect("guard report present");
     assert!(!guard.demoted, "{ctx}: LogOnly must not demote");
     assert!(guard.mismatches >= 1, "{ctx}: the divergence is still observed");
     let incident = guard.incident.expect("threshold reached => incident");
     assert_eq!(incident.action, GuardAction::LogOnly, "{ctx}");
-    assert!(!incident.plan_invalidated, "{ctx}: LogOnly must not evict");
     assert_eq!(cache.len(), 1, "{ctx}: plan stays cached under LogOnly");
+    assert_eq!(cache.stats().invalidations, 0, "{ctx}");
+    let (_, _, outcome) = harness_for(&cache, FaultPlan::none(), backend);
+    assert_eq!(
+        outcome,
+        PlanOutcome::Hit,
+        "{ctx}: the next compile is served"
+    );
 
     // Identical consolidated outputs: the audit is purely observational.
     assert_eq!(audited.counts, unguarded.counts, "{ctx}");
@@ -320,20 +357,16 @@ fn log_only_guard_never_changes_outputs() {
 #[test]
 fn disabled_guard_runs_zero_shadows_and_changes_nothing() {
     silence_injected_panics();
-    let cache = Arc::new(PlanCache::default());
-    let h = harness(&cache, FaultPlan::seeded(chaos(0xfa06), 200, 8));
+    let h = harness(FaultPlan::seeded(chaos(0xfa06), 200, 8));
 
     let plain = h
         .run(&quarantine_engine(), ExecMode::Consolidated)
         .expect("plain run");
 
-    let engine = guarded_engine(
-        &cache,
-        GuardPolicy {
-            audit: false,
-            ..GuardPolicy::default()
-        },
-    );
+    let engine = guarded_engine(GuardPolicy {
+        audit: false,
+        ..GuardPolicy::default()
+    });
     let guarded = h
         .run(&engine, ExecMode::Consolidated)
         .expect("unaudited run");

@@ -14,8 +14,9 @@
 mod common;
 
 use common::EnvCost;
-use query_consolidation::cache::{ExecBackend, PlanKey};
+use query_consolidation::cache::PlanKey;
 use query_consolidation::dataflow::digest::Fnv64;
+use query_consolidation::dataflow::engine::ExecBackend;
 use query_consolidation::dataflow::engine::QuerySet;
 use query_consolidation::dataflow::env::{ScalarEnv, UdfEnv};
 use query_consolidation::dataflow::regcode::RegProgram;

@@ -20,7 +20,6 @@
 mod common;
 
 use common::{check, Oracle};
-use std::sync::Arc;
 
 use proptest::prelude::*;
 use udf_lang::cost::CostModel;
@@ -108,7 +107,7 @@ fn run(
         ..consolidate::Options::default()
     };
     let cache = plan_cache::PlanCache::default();
-    let (qs, _, _) = QuerySet::compile_consolidated_cached(
+    let (qs, _, _, _) = plan_cache::compile_consolidated_cached(
         &programs,
         &mut interner,
         &cm,
@@ -240,7 +239,7 @@ fn negated_guard_is_not_skipped_wrongly() {
         ..consolidate::Options::default()
     };
     let cache = plan_cache::PlanCache::default();
-    let (qs, merged, _) = QuerySet::compile_consolidated_cached(
+    let (qs, merged, _, _) = plan_cache::compile_consolidated_cached(
         &programs,
         &mut interner,
         &cm,
@@ -293,9 +292,9 @@ fn cache_hit_rehydrates_prefilter() {
         prefilter: true,
         ..consolidate::Options::default()
     };
-    let cache = Arc::new(plan_cache::PlanCache::default());
+    let cache = plan_cache::PlanCache::default();
     let compile = |interner: &mut Interner| {
-        QuerySet::compile_consolidated_cached(
+        plan_cache::compile_consolidated_cached(
             &programs,
             interner,
             &cm,
@@ -308,10 +307,10 @@ fn cache_hit_rehydrates_prefilter() {
         )
         .unwrap()
     };
-    let (qs_cold, merged_cold, outcome_cold) = compile(&mut interner);
+    let (qs_cold, merged_cold, _, outcome_cold) = compile(&mut interner);
     assert_eq!(outcome_cold, plan_cache::PlanOutcome::Miss);
     assert!(qs_cold.prefilter.is_some(), "cold compile synthesizes");
-    let (qs_warm, merged_warm, outcome_warm) = compile(&mut interner);
+    let (qs_warm, merged_warm, _, outcome_warm) = compile(&mut interner);
     assert_eq!(outcome_warm, plan_cache::PlanOutcome::Hit);
     assert!(qs_warm.prefilter.is_some(), "cache hit rehydrates the pre-filter");
     assert_eq!(merged_warm.stats.solver.checks, 0, "hit does no solver work");

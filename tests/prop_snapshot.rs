@@ -326,7 +326,6 @@ proptest! {
             prop_assert_eq!(pa.wire(), pb.wire());
             prop_assert_eq!(pa.proved(), pb.proved());
             prop_assert_eq!(pa.stats, pb.stats);
-            prop_assert_eq!(pa.tier, pb.tier);
         }
     }
 

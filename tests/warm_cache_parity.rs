@@ -16,7 +16,7 @@
 mod common;
 
 use common::{check, library, probing_queries, quarantine_engine, Harness, TEST_FUEL};
-use naiad_lite::engine::{Engine, ExecMode, QuerySet};
+use naiad_lite::engine::{Engine, ExecMode};
 use naiad_lite::fault::{silence_injected_panics, FaultPlan};
 use plan_cache::{PlanCache, PlanOutcome};
 use udf_lang::cost::CostModel;
@@ -38,7 +38,7 @@ fn submit(cache: &PlanCache, plan: FaultPlan) -> Run {
     let programs = probing_queries(&mut interner, 4);
     let cm = CostModel::default();
     let opts = consolidate::Options::default();
-    let (queries, merged, outcome) = QuerySet::compile_consolidated_cached(
+    let (queries, merged, _key, outcome) = plan_cache::compile_consolidated_cached(
         &programs,
         &mut interner,
         &cm,

@@ -7,6 +7,8 @@ use crate::rules::{Engine, Options, RuleStats};
 use crate::symbolic::{SymState, SymbolicCtx};
 use udf_obs::names;
 use std::fmt;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use udf_lang::analysis::{notify_ids, rename_locals};
@@ -240,8 +242,9 @@ pub fn consolidate_pair(
 
 /// Consolidates `n` programs with the parallel divide-and-conquer strategy
 /// of §6.1: locals are renamed apart once, then pairs are merged level by
-/// level of a balanced reduction tree, with the pairs of each level
-/// consolidated on separate threads.
+/// level of a balanced reduction tree. With `parallel`, the pairs of each
+/// level are consolidated on `min(available_parallelism, pairs)` threads,
+/// each taking the next unclaimed pair; results keep pair order.
 ///
 /// The run's [`crate::budget::ConsolidationBudget`] (`opts.budget`) is
 /// shared across all pair threads. On exhaustion the output degrades but
@@ -293,31 +296,18 @@ pub fn consolidate_many(
     while level.len() > 1 {
         let mut next: Vec<Program> = Vec::with_capacity(level.len().div_ceil(2));
         let pairs: Vec<(&Program, &Program)> = level.chunks(2).filter(|c| c.len() == 2).map(|c| (&c[0], &c[1])).collect();
+        let merge = |&(a, b): &(&Program, &Program)| {
+            consolidate_pair_budgeted(a, b, frozen, cm, fns, opts, Some(&state))
+        };
         let results: Vec<Result<Consolidated, ConsolidateError>> = if parallel && pairs.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = pairs
-                    .iter()
-                    .map(|&(a, b)| {
-                        let state = Arc::clone(&state);
-                        scope.spawn(move || {
-                            consolidate_pair_budgeted(a, b, frozen, cm, fns, opts, Some(&state))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        // A panicking pair thread degrades its pair, not
-                        // the whole run: concatenation is always available.
-                        h.join().unwrap_or(Err(ConsolidateError::Empty))
-                    })
-                    .collect()
-            })
-        } else {
-            pairs
-                .iter()
-                .map(|&(a, b)| consolidate_pair_budgeted(a, b, frozen, cm, fns, opts, Some(&state)))
+            // A panicking pair degrades its pair, not the whole run:
+            // concatenation is always available.
+            run_claimed(pairs.len(), |k| merge(&pairs[k]))
+                .into_iter()
+                .map(|r| r.unwrap_or(Err(ConsolidateError::Empty)))
                 .collect()
+        } else {
+            pairs.iter().map(merge).collect()
         };
         for (k, r) in results.into_iter().enumerate() {
             let c = match r {
@@ -372,6 +362,44 @@ pub fn consolidate_many(
         }),
         prefilter,
     })
+}
+
+/// Runs `task(k)` for every `k` in `0..n` on `min(available_parallelism,
+/// n)` scoped threads, each claiming the next unclaimed `k`, and returns the
+/// results in `k` order; a task that panics yields `None`. More threads than
+/// cores would only preempt one another — inside the shared memo's lock,
+/// among other places. With one thread the calling thread runs every task.
+fn run_claimed<T: Send>(n: usize, task: impl Fn(usize) -> T + Sync) -> Vec<Option<T>> {
+    let threads = std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(n);
+    // Relaxed: the counter only hands out indices; results come back
+    // through `join`.
+    let next = AtomicUsize::new(0);
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            if k >= n {
+                return done;
+            }
+            done.push((k, catch_unwind(AssertUnwindSafe(|| task(k))).ok()));
+        }
+    };
+    let mut done: Vec<(usize, Option<T>)> = if threads <= 1 {
+        drain()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(drain)).collect();
+            // Every task is isolated, so a thread itself cannot unwind.
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
+                .collect()
+        })
+    };
+    done.sort_unstable_by_key(|(k, _)| *k);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 pub(crate) fn add_stats(acc: &mut ConsolidationStats, s: &ConsolidationStats) {

@@ -516,7 +516,8 @@ impl<'a, E: UdfEnv> FoldCtx<'a, E> {
             state,
             args,
         };
-        let cost = attempt(vm, self.fuel, &self.folds[di], &env, rec, &mut [], false)
+        let fold = &self.folds[di];
+        let cost = attempt(vm, self.fuel, |vm| vm.run(fold, &env, rec, &mut [], false))
             .map_err(|f| (id, f))?;
         state.copy_from_slice(&vm.registers()[..state.len()]);
         Ok(cost)

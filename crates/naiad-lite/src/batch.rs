@@ -110,12 +110,14 @@ enum Exit {
     /// Every lane still in the selection continues at this pc (jump target
     /// or fall-through); route the whole selection with one copy.
     Uniform(u32),
-    /// A conditional branch split the selection: lanes whose `src` register
-    /// is zero continue at `target`, the rest fall through to the block end.
+    /// A conditional branch split the selection: lanes for which the
+    /// terminating jump is taken continue at `target`, the rest fall through
+    /// to the block end.
     Branch {
-        /// Condition register of the terminating `JumpIfZero`.
-        src: u16,
-        /// Branch target when the register is zero.
+        /// The terminating `JumpIfZero` / `JumpUnlessBin` /
+        /// `JumpUnlessBinK`.
+        jump: ROp,
+        /// Branch target when the jump is taken.
         target: u32,
     },
     /// Every lane still in the selection halted; nothing to route.
@@ -129,6 +131,59 @@ fn block_index(prog: &RegProgram, pc: u32) -> usize {
     let b = prog.blocks.partition_point(|blk| blk.start < pc);
     debug_assert_eq!(prog.blocks[b].start, pc, "jump target is a block start");
     b
+}
+
+/// The [`Exit`] of a block ending in `op`, when `op` is a conditional jump.
+#[inline]
+fn branch_exit(op: ROp) -> Option<Exit> {
+    match op {
+        ROp::JumpIfZero { target, .. }
+        | ROp::JumpUnlessBin { target, .. }
+        | ROp::JumpUnlessBinK { target, .. } => Some(Exit::Branch { jump: op, target }),
+        _ => None,
+    }
+}
+
+/// Routes each lane of `sel` by the conditional jump `jump`: to `taken`
+/// when the jump is taken (its condition is 0), else to `fallthrough`. The
+/// condition is evaluated per lane here, so a fused compare-and-branch
+/// needs no register for its comparison.
+fn split(
+    regs: &[i64],
+    cap: usize,
+    jump: ROp,
+    sel: &[u32],
+    taken: &mut Vec<u32>,
+    fallthrough: &mut Vec<u32>,
+) {
+    let mut route = |l: u32, cond: i64| {
+        if cond == 0 {
+            taken.push(l);
+        } else {
+            fallthrough.push(l);
+        }
+    };
+    match jump {
+        ROp::JumpIfZero { src, .. } => {
+            let bs = src as usize * cap;
+            for &l in sel {
+                route(l, regs[bs + l as usize]);
+            }
+        }
+        ROp::JumpUnlessBin { op, a, b, .. } => {
+            let (ba, bb) = (a as usize * cap, b as usize * cap);
+            for &l in sel {
+                route(l, apply_bin(op, regs[ba + l as usize], regs[bb + l as usize]));
+            }
+        }
+        ROp::JumpUnlessBinK { op, r, k, .. } => {
+            let br = r as usize * cap;
+            for &l in sel {
+                route(l, apply_bin(op, regs[br + l as usize], k));
+            }
+        }
+        _ => unreachable!("only conditional jumps end a block in Exit::Branch"),
+    }
 }
 
 /// Runs `f` over the selected lanes; a full selection iterates densely so
@@ -393,10 +448,9 @@ impl BatchVm {
                         }
                     }
                 }
-                Exit::Branch { src, target } => {
+                Exit::Branch { jump, target } => {
                     let bt = block_index(prog, target);
                     let bf = block_index(prog, block.end);
-                    let bs = src as usize * cap;
                     // Split buckets out of `self` so both halves of the
                     // partition can be pushed to in one pass.
                     let (lo, hi) = (bt.min(bf), bt.max(bf));
@@ -409,13 +463,7 @@ impl BatchVm {
                         } else {
                             (&mut tail[0], &mut head[bf])
                         };
-                        for &l in &sel {
-                            if self.regs[bs + l as usize] == 0 {
-                                taken.push(l);
-                            } else {
-                                fallthrough.push(l);
-                            }
-                        }
+                        split(&self.regs, cap, jump, &sel, taken, fallthrough);
                     }
                     pending += sel.len();
                     if lo < cur {
@@ -494,13 +542,12 @@ impl BatchVm {
         }
         let last = &prog.code[end - 1];
         match last.op {
-            ROp::JumpIfZero { src, target } => Exit::Branch { src, target },
             ROp::Jump { target } => Exit::Uniform(target),
             ROp::Halt => Exit::Halted,
-            _ => {
-                exec_pure(&mut self.regs, cap, &last.op, sel);
+            op => branch_exit(op).unwrap_or_else(|| {
+                exec_pure(&mut self.regs, cap, &op, sel);
                 Exit::Uniform(block.end)
-            }
+            }),
         }
     }
 
@@ -631,10 +678,11 @@ impl BatchVm {
                         sel.retain(|&l| fault[l as usize].is_none());
                     }
                 }
-                ROp::JumpIfZero { src, target } => return Exit::Branch { src, target },
                 ROp::Jump { target } => return Exit::Uniform(target),
                 ROp::Halt => return Exit::Halted,
-                _ => unreachable!("pure ops are consumed by the run above"),
+                op => {
+                    return branch_exit(op).expect("pure ops are consumed by the run above");
+                }
             }
             i += 1;
         }
@@ -650,6 +698,8 @@ mod tests {
     use crate::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
     use crate::regcode::RegVm;
     use udf_lang::ast::ProgId;
+    use udf_lang::intern::Symbol;
+    use udf_lang::library::LibError;
     use udf_lang::cost::CostModel;
     use udf_lang::intern::Interner;
     use udf_lang::parse::parse_program;
@@ -672,10 +722,57 @@ mod tests {
             .collect()
     }
 
+    /// Logs every call an environment receives, so two machines can be
+    /// held to the same call sequence per record.
+    struct Logged<E: UdfEnv> {
+        inner: E,
+        calls: std::sync::Mutex<Vec<(usize, Vec<i64>)>>,
+    }
+
+    impl<E: UdfEnv> Logged<E> {
+        fn new(inner: E) -> Self {
+            Logged {
+                inner,
+                calls: std::sync::Mutex::new(Vec::new()),
+            }
+        }
+
+        /// The argument lists of the calls made on record `id`, in order.
+        fn calls_on(&self, id: usize) -> Vec<Vec<i64>> {
+            let calls = self.calls.lock().unwrap();
+            calls.iter().filter(|(r, _)| *r == id).map(|(_, a)| a.clone()).collect()
+        }
+    }
+
+    impl<E: UdfEnv> UdfEnv for Logged<FaultyEnv<E>> {
+        type Rec = (usize, E::Rec);
+
+        fn arity(&self) -> usize {
+            self.inner.arity()
+        }
+
+        fn args(&self, rec: &Self::Rec, out: &mut Vec<i64>) {
+            self.inner.args(rec, out);
+        }
+
+        fn call(&self, rec: &Self::Rec, f: Symbol, args: &[i64]) -> Result<i64, LibError> {
+            self.calls.lock().unwrap().push((rec.0, args.to_vec()));
+            self.inner.call(rec, f, args)
+        }
+
+        fn fn_cost(&self, f: Symbol) -> udf_lang::cost::Cost {
+            self.inner.fn_cost(f)
+        }
+    }
+
     /// Batch execution over a faulty env must be lane-for-lane identical to
     /// running the scalar machine per record, at every fuel: costs,
-    /// notifications, and fault classification. Each machine gets its own
-    /// copy of the (stateful) environment.
+    /// notifications, fault classification, and the calls the environment
+    /// sees. Each machine gets its own copy of the (stateful) environment.
+    /// Programs `c` and `d` reach both superinstructions: calls into a slot
+    /// (`x := f(v)`, `x := f(x)`, a faulting call inside one, one in a loop)
+    /// and comparison- and connective-guarded branches, with constants on
+    /// either side.
     #[test]
     fn batch_matches_scalar_per_record_under_faults() {
         silence_injected_panics();
@@ -686,6 +783,17 @@ mod tests {
                  if (acc > w) { notify true; } else { notify false; }
              }",
             "program b @2 (v, w) { if (w <= 5) { notify true; } else { notify false; } }",
+            "program c @3 (v, w) {
+                 x := f(v); x := f(x); k := x;
+                 while (k > 40) { k := k - 7; }
+                 while (0 < w) { w := f(w) - 2 * w - 2; }
+                 if (k < w) { notify true; } else { notify false; }
+             }",
+            "program d @4 (v, w) {
+                 acc := w;
+                 if (v < 4 && 2 <= w) { acc := f(acc); } else { acc := f(v) + acc; }
+                 if (!(acc == 5) || 7 < v) { notify true; } else { notify false; }
+             }",
         ];
         for fuel in (0..400).chain([crate::compile::DEFAULT_FUEL]) {
             let mut i = Interner::new();
@@ -701,14 +809,18 @@ mod tests {
                     FaultKind::Transient(2),
                 ],
             );
-            let batch_env = FaultyEnv::new(ScalarEnv::new(2, lib(&mut i)), trigger, plan.clone())
-                .with_burn_value(1_000);
-            let scalar_env = FaultyEnv::new(ScalarEnv::new(2, lib(&mut i)), trigger, plan)
-                .with_burn_value(1_000);
+            let batch_env = Logged::new(
+                FaultyEnv::new(ScalarEnv::new(2, lib(&mut i)), trigger, plan.clone())
+                    .with_burn_value(1_000),
+            );
+            let scalar_env = Logged::new(
+                FaultyEnv::new(ScalarEnv::new(2, lib(&mut i)), trigger, plan)
+                    .with_burn_value(1_000),
+            );
             let base = ScalarEnv::new(2, lib(&mut i));
             let regs = compile_set(&srcs, &mut i, &base);
             let reg_refs: Vec<&RegProgram> = regs.iter().collect();
-            let n_q = 2usize;
+            let n_q = srcs.len();
             let recs: Vec<(usize, Vec<i64>)> =
                 (0..64).map(|k| (k, vec![k as i64 % 9, k as i64 % 11])).collect();
 
@@ -751,6 +863,11 @@ mod tests {
                     )
                 });
                 assert_eq!(b_fault, s_fault, "fuel {fuel}, lane {lane}: fault diverged");
+                assert_eq!(
+                    batch_env.calls_on(rec.0),
+                    scalar_env.calls_on(rec.0),
+                    "fuel {fuel}, lane {lane}: calls diverged"
+                );
                 if s_fault.is_none() {
                     assert_eq!(bvm.cost(lane), s_cost, "fuel {fuel}, lane {lane}: cost");
                     assert_eq!(

@@ -80,10 +80,12 @@ enum Av {
     Reg(u16),
 }
 
-/// The store peephole: makes a pure (side-effect-free) instruction that
-/// writes `from` write `to` instead. False, and nothing changed, for any
-/// other instruction — stateful ops never match, so a store after a call
-/// becomes an explicit [`ROp::Move`] (keeping the call last in its group).
+/// The store peephole: makes the value-producing instruction that writes
+/// `from` write `to` instead. False, and nothing changed, for any other
+/// instruction. A call matches too (call-into-slot): the interpreter ticks
+/// an assignment *before* it evaluates the right-hand side, so charging the
+/// store's step to the call's instruction keeps the call the last node
+/// charged there.
 fn retarget(op: &mut ROp, from: u16, to: u16) -> bool {
     match op {
         ROp::Const { dst, .. }
@@ -91,6 +93,7 @@ fn retarget(op: &mut ROp, from: u16, to: u16) -> bool {
         | ROp::Bin { dst, .. }
         | ROp::BinK { dst, .. }
         | ROp::Not { dst, .. }
+        | ROp::Call { dst, .. }
             if *dst == from =>
         {
             *dst = to;
@@ -149,7 +152,11 @@ impl Compiler<'_> {
     }
 
     fn patch_jump(&mut self, at: usize, to: u32) {
-        if let ROp::Jump { target } | ROp::JumpIfZero { target, .. } = &mut self.code[at].op {
+        if let ROp::Jump { target }
+        | ROp::JumpIfZero { target, .. }
+        | ROp::JumpUnlessBin { target, .. }
+        | ROp::JumpUnlessBinK { target, .. } = &mut self.code[at].op
+        {
             *target = to;
         }
     }
@@ -275,7 +282,7 @@ impl Compiler<'_> {
             Av::Reg(src) => {
                 // Peephole: a temporary on top was written by the instruction
                 // just emitted (in this block: no expression spans a block
-                // boundary) — when that one is pure, retarget it.
+                // boundary) — retarget it.
                 let folded = src >= self.n_slots
                     && self.code.last_mut().is_some_and(|last| {
                         let hit = retarget(&mut last.op, src, slot);
@@ -293,10 +300,15 @@ impl Compiler<'_> {
         }
     }
 
-    /// Branches on the pending condition, returning the jump to patch. A
-    /// constant condition is materialised rather than the branch folded
-    /// away: the branch test is a step, and divergent loops must consume
-    /// fuel at the same rate.
+    /// Branches on the pending condition, returning the jump to patch.
+    ///
+    /// Compare-and-branch: a condition computed by the instruction just
+    /// emitted — a comparison or connective into a temporary that nothing
+    /// but this branch reads — becomes one [`ROp::JumpUnlessBin`] /
+    /// [`ROp::JumpUnlessBinK`] carrying both nodes' accounting; neither is
+    /// stateful. A constant condition is materialised rather than the branch
+    /// folded away: the branch test is a step, and divergent loops must
+    /// consume fuel at the same rate.
     fn branch(&mut self) -> Result<usize, CompileError> {
         let cond = self.pop();
         let (src, cost, steps) = match cond.v {
@@ -307,6 +319,37 @@ impl Compiler<'_> {
                 (dst, self.cm.branch, 1)
             }
         };
+        if let Some(last) = self.code.last_mut().filter(|_| src >= self.n_slots) {
+            let fused = match last.op {
+                ROp::Bin { op, dst, a, b } if dst == src => Some(ROp::JumpUnlessBin {
+                    op,
+                    a,
+                    b,
+                    target: 0,
+                }),
+                ROp::BinK {
+                    op,
+                    dst,
+                    r,
+                    k,
+                    reg_on_left,
+                } if dst == src => if reg_on_left { Some(op) } else { op.swapped() }.map(|op| {
+                    ROp::JumpUnlessBinK {
+                        op,
+                        r,
+                        k,
+                        target: 0,
+                    }
+                }),
+                _ => None,
+            };
+            if let Some(op) = fused {
+                last.op = op;
+                last.cost += cost;
+                last.steps += steps;
+                return Ok(self.code.len() - 1);
+            }
+        }
         Ok(self.emit(ROp::JumpIfZero { src, target: 0 }, cost, steps))
     }
 

@@ -766,19 +766,27 @@ struct ShardCtx<'a, E: UdfEnv> {
 }
 
 /// Evaluates every program `mode` requires for one record on the scalar
-/// [`RegVm`], one isolated [`attempt`] each. On the first failure the whole
+/// [`RegVm`], one isolated [`attempt`] each. The record is decoded once,
+/// into `params`, for all of its programs. On the first failure the whole
 /// record is abandoned: its partial notifications and cost are discarded by
 /// the caller.
 fn eval_record<E: UdfEnv>(
     ctx: &ShardCtx<'_, E>,
     vm: &mut RegVm,
+    params: &mut Vec<i64>,
     rec: &E::Rec,
     mode: ExecMode,
     track_cost: bool,
     notify: &mut [i8],
 ) -> Outcome {
+    params.clear();
+    ctx.env.args(rec, params);
+    let params = &params[..];
     let mut run = |c: &RegProgram, query: Option<ProgId>| {
-        attempt(vm, ctx.fuel, c, ctx.env, rec, notify, track_cost).map_err(|f| (query, f))
+        attempt(vm, ctx.fuel, |vm| {
+            vm.run_decoded(c, ctx.env, rec, params, notify, track_cost)
+        })
+        .map_err(|f| (query, f))
     };
     match mode {
         ExecMode::Many => {
@@ -821,6 +829,7 @@ trait ShardExec<E: UdfEnv> {
 struct ScalarExec<'a, E: UdfEnv> {
     ctx: &'a ShardCtx<'a, E>,
     vm: RegVm,
+    params: Vec<i64>,
     last: Outcome,
 }
 
@@ -829,6 +838,7 @@ impl<'a, E: UdfEnv> ScalarExec<'a, E> {
         ScalarExec {
             ctx,
             vm: RegVm::new().with_fuel(ctx.fuel),
+            params: Vec::new(),
             last: Ok(0),
         }
     }
@@ -840,7 +850,15 @@ impl<E: UdfEnv> ShardExec<E> for ScalarExec<'_, E> {
     fn eval(&mut self, recs: &[E::Rec], live: Option<&[bool]>, notify: &mut [i8]) {
         let (ctx, rec) = (self.ctx, &recs[0]);
         if live.is_none_or(|m| m[0]) {
-            self.last = eval_record(ctx, &mut self.vm, rec, ctx.mode, ctx.track_cost, notify);
+            self.last = eval_record(
+                ctx,
+                &mut self.vm,
+                &mut self.params,
+                rec,
+                ctx.mode,
+                ctx.track_cost,
+                notify,
+            );
         }
     }
 
@@ -947,6 +965,15 @@ fn run_shard<E: UdfEnv, X: ShardExec<E>>(
     // Kept apart from the backend's own machine so a retry or a shadow run
     // never disturbs its state.
     let mut reference = RegVm::new().with_fuel(fuel);
+    let mut params: Vec<i64> = Vec::new();
+    // Shadow runs are tallied here and added to the shared counters once,
+    // however the shard ends: a per-record add would contend on the cache
+    // line every worker polls for a trip.
+    let mut shadows = ShadowTally {
+        guard,
+        recorder,
+        runs: 0,
+    };
     // The pre-filter applies only to the consolidated operator and only
     // when the fuel budget clears its soundness floor (see PrefilterExec).
     let prefilter = queries
@@ -1021,7 +1048,15 @@ fn run_shard<E: UdfEnv, X: ShardExec<E>>(
             let (outcome, retries) = match first {
                 Err(fault) => quarantine.retry(config.max_retries, fault, || {
                     lane_notify.fill(NOTIFY_NONE);
-                    eval_record(ctx, &mut reference, rec, mode, track_cost, lane_notify)
+                    eval_record(
+                        ctx,
+                        &mut reference,
+                        &mut params,
+                        rec,
+                        mode,
+                        track_cost,
+                        lane_notify,
+                    )
                 }),
                 ok => (ok, 0),
             };
@@ -1040,26 +1075,34 @@ fn run_shard<E: UdfEnv, X: ShardExec<E>>(
                     retries > 0 || outcome.as_ref().is_err_and(|(_, f)| f.is_transient());
                 if !transient_involved {
                     let _guard_span = recorder.span(names::GUARD_NS);
-                    g.record_shadow();
-                    recorder.add(names::GUARD_SHADOW_RUNS, 1);
+                    shadows.runs += 1;
                     shadow_notify.fill(NOTIFY_NONE);
                     let shadow = eval_record(
                         ctx,
                         &mut reference,
+                        &mut params,
                         rec,
                         ExecMode::Many,
                         false,
                         &mut shadow_notify,
                     );
-                    let consolidated = match &outcome {
-                        Ok(_) => GuardObservation::from_notify(lane_notify),
-                        Err(_) => GuardObservation::Quarantined,
+                    // The paths agree when both quarantine the record or both
+                    // notify the same; observations are built only to report
+                    // a divergence.
+                    let agree = match (&outcome, &shadow) {
+                        (Ok(_), Ok(_)) => *lane_notify == shadow_notify[..],
+                        (ok_c, ok_s) => ok_c.is_err() && ok_s.is_err(),
                     };
-                    let sequential = match &shadow {
-                        Ok(_) => GuardObservation::from_notify(&shadow_notify),
-                        Err(_) => GuardObservation::Quarantined,
-                    };
-                    if consolidated != sequential {
+                    if !agree {
+                        let observe = |ok: bool, notify: &[i8]| {
+                            if ok {
+                                GuardObservation::from_notify(notify)
+                            } else {
+                                GuardObservation::Quarantined
+                            }
+                        };
+                        let consolidated = observe(outcome.is_ok(), lane_notify);
+                        let sequential = observe(shadow.is_ok(), &shadow_notify);
                         recorder.add(names::GUARD_MISMATCHES, 1);
                         g.record_mismatch(
                             &config.guard,
@@ -1127,6 +1170,24 @@ fn run_shard<E: UdfEnv, X: ShardExec<E>>(
         quarantine,
         prefilter_skipped,
     })
+}
+
+/// A shard's shadow runs, added to [`GuardRun`] and the recorder's
+/// `guard.shadow_runs` when the shard ends — by return, error or unwind —
+/// so the job's totals stay exact.
+struct ShadowTally<'a> {
+    guard: Option<&'a GuardRun>,
+    recorder: &'a udf_obs::RecorderCell,
+    runs: u64,
+}
+
+impl Drop for ShadowTally<'_> {
+    fn drop(&mut self) {
+        if let Some(g) = self.guard.filter(|_| self.runs > 0) {
+            g.record_shadows(self.runs);
+            self.recorder.add(names::GUARD_SHADOW_RUNS, self.runs);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -196,9 +196,9 @@ impl GuardRun {
         GuardRun::default()
     }
 
-    /// Counts one shadow run.
-    pub(crate) fn record_shadow(&self) {
-        self.shadow_runs.fetch_add(1, Ordering::Relaxed);
+    /// Counts `n` shadow runs (a shard's, added once when it ends).
+    pub(crate) fn record_shadows(&self, n: u64) {
+        self.shadow_runs.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Counts one divergence and captures it (up to the example cap). Trips
@@ -269,7 +269,7 @@ mod tests {
     fn trips_on_the_first_divergence() {
         let policy = GuardPolicy::audit_all();
         let run = GuardRun::new();
-        run.record_shadow();
+        run.record_shadows(1);
         assert!(!run.tripped(), "an agreeing shadow run never trips");
         run.record_mismatch(
             &policy,

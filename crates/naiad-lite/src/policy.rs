@@ -20,8 +20,7 @@ use crate::compile::VmError;
 use crate::engine::{
     EngineConfig, EngineError, ErrorKind, ErrorPolicy, QuarantineEntry, QuarantineReport,
 };
-use crate::env::UdfEnv;
-use crate::regcode::{RegProgram, RegVm};
+use crate::regcode::RegVm;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use udf_lang::ast::ProgId;
@@ -141,19 +140,16 @@ impl RecordFault {
 /// program faulted (`None` for the consolidated program) and the fault.
 pub(crate) type Outcome = Result<u64, (Option<ProgId>, RecordFault)>;
 
-/// Runs `prog` on `rec` once, with a panic caught as a fault. The machine's
-/// state is unspecified after an unwind through [`RegVm::run`], so `vm` is
-/// replaced by a fresh one of budget `fuel`.
-pub(crate) fn attempt<E: UdfEnv>(
+/// Makes one run on `vm` (a [`RegVm::run`] or [`RegVm::run_decoded`]),
+/// with a panic caught as a fault. The machine's state is unspecified after
+/// an unwind through a run, so `vm` is replaced by a fresh one of budget
+/// `fuel`.
+pub(crate) fn attempt(
     vm: &mut RegVm,
     fuel: u64,
-    prog: &RegProgram,
-    env: &E,
-    rec: &E::Rec,
-    notify: &mut [i8],
-    track_cost: bool,
+    run: impl FnOnce(&mut RegVm) -> Result<u64, VmError>,
 ) -> Result<u64, RecordFault> {
-    match isolate(|| vm.run(prog, env, rec, notify, track_cost)) {
+    match isolate(|| run(vm)) {
         Ok(run) => run.map_err(RecordFault::Vm),
         Err(message) => {
             *vm = RegVm::new().with_fuel(fuel);

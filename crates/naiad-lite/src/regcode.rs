@@ -14,6 +14,27 @@
 //! [`crate::batch::BatchVm`] a batch at a time. Aggregation folds and
 //! merges ([`crate::agg`]) run on [`RegVm`] too.
 //!
+//! # Instruction set
+//!
+//! | op | effect | stateful |
+//! |----|--------|----------|
+//! | [`ROp::Const`], [`ROp::Move`] | `dst ← k`, `dst ← src` | no |
+//! | [`ROp::Bin`], [`ROp::BinK`], [`ROp::Not`] | `dst ← a ⊙ b`, `r ⊙ k` / `k ⊙ r`, `¬src` | no |
+//! | [`ROp::Call`] | `dst ← f(args)`; `dst` is the assigned variable's slot for `x := f(..)` | yes |
+//! | [`ROp::Notify`] | record a query's broadcast | yes |
+//! | [`ROp::JumpIfZero`] | jump when `src` is 0 | no |
+//! | [`ROp::JumpUnlessBin`], [`ROp::JumpUnlessBinK`] | jump when `a ⊙ b` / `r ⊙ k` is 0 | no |
+//! | [`ROp::Jump`], [`ROp::Halt`] | jump, stop | no |
+//!
+//! Two of them are superinstructions the compiler forms where a pair would
+//! otherwise run back to back:
+//!
+//! * **compare-and-branch** — a comparison or connective whose only reader
+//!   is the branch right after it becomes one `JumpUnlessBin`/`BinK`,
+//!   computing its condition without writing a register;
+//! * **call-into-slot** — `x := f(..)` is one `Call` writing `x`'s slot,
+//!   with no temporary and no `Move` after it.
+//!
 //! # Exactness
 //!
 //! The AST interpreter (`udf_lang::interp`) is the reference semantics:
@@ -35,6 +56,14 @@
 //!    spent so far equals the nodes evaluated before the call, so a faulting
 //!    environment (e.g. [`crate::fault::FaultyEnv`]) observes the identical
 //!    call sequence even when fuel runs out mid-expression.
+//!
+//! Both superinstructions keep them. A compare-and-branch sums the steps
+//! and cost of the comparison, its operands and the branch test (1), and
+//! holds no stateful node (2). A call-into-slot adds the assignment's step
+//! and cost to the call's instruction (1); the interpreter ticks an
+//! assignment *before* it evaluates the right-hand side, so the assignment
+//! is charged before the call and the call is still the last node charged
+//! (2). A call that fails aborts the run before its slot is written.
 //!
 //! Branches on constant conditions are deliberately *not* folded away: the
 //! branch test is a node and costs one step, so the condition is
@@ -64,6 +93,27 @@ pub enum RBin {
     And,
     /// Strict disjunction.
     Or,
+    /// `a > b` as 0/1: `k < r` with its operands swapped, so a fused
+    /// branch keeps its register on the left (see [`RBin::swapped`]).
+    Gt,
+    /// `a ≥ b` as 0/1: `k ≤ r` with its operands swapped.
+    Ge,
+}
+
+impl RBin {
+    /// The operator `o` with `a o b == b self a`, if there is one: the
+    /// comparisons mirror, the commutative operators are their own mirror,
+    /// and subtraction has none.
+    pub fn swapped(self) -> Option<RBin> {
+        match self {
+            RBin::Lt => Some(RBin::Gt),
+            RBin::Le => Some(RBin::Ge),
+            RBin::Gt => Some(RBin::Lt),
+            RBin::Ge => Some(RBin::Le),
+            RBin::Add | RBin::Mul | RBin::EqI | RBin::And | RBin::Or => Some(self),
+            RBin::Sub => None,
+        }
+    }
 }
 
 /// Applies a binary operator: wrapping arithmetic, 0/1 comparisons and
@@ -79,6 +129,8 @@ pub fn apply_bin(op: RBin, a: i64, b: i64) -> i64 {
         RBin::EqI => i64::from(a == b),
         RBin::And => i64::from(a != 0 && b != 0),
         RBin::Or => i64::from(a != 0 || b != 0),
+        RBin::Gt => i64::from(a > b),
+        RBin::Ge => i64::from(a >= b),
     }
 }
 
@@ -162,6 +214,32 @@ pub enum ROp {
     JumpIfZero {
         /// Condition register.
         src: u16,
+        /// Register-code target (block start).
+        target: u32,
+    },
+    /// Jump to `target` when `a ⊙ b` is 0: a comparison or connective
+    /// fused with the branch that is its only reader.
+    JumpUnlessBin {
+        /// Operator.
+        op: RBin,
+        /// Left operand register.
+        a: u16,
+        /// Right operand register.
+        b: u16,
+        /// Register-code target (block start).
+        target: u32,
+    },
+    /// Jump to `target` when `r ⊙ k` is 0: [`ROp::JumpUnlessBin`] with one
+    /// operand folded. The register is always the left operand (a constant
+    /// on the left is moved right with [`RBin::swapped`]), which keeps the
+    /// instruction two words wide.
+    JumpUnlessBinK {
+        /// Operator.
+        op: RBin,
+        /// Register operand (left).
+        r: u16,
+        /// Constant operand (right).
+        k: i64,
         /// Register-code target (block start).
         target: u32,
     },
@@ -289,13 +367,45 @@ impl RegVm {
         notify_out: &mut [i8],
         track_cost: bool,
     ) -> Result<Cost, VmError> {
-        debug_assert_eq!(notify_out.len(), prog.n_queries);
+        // The record's fields land straight in the parameter slots.
         self.regs.clear();
+        env.args(rec, &mut self.regs);
+        self.exec(prog, env, rec, notify_out, track_cost)
+    }
+
+    /// [`RegVm::run`] on a record decoded already: `params` is what
+    /// [`UdfEnv::args`] writes for `rec`. A caller running several programs
+    /// on one record decodes it once and hands every run the same `params`.
+    ///
+    /// # Errors
+    ///
+    /// As [`RegVm::run`].
+    pub fn run_decoded<E: UdfEnv>(
+        &mut self,
+        prog: &RegProgram,
+        env: &E,
+        rec: &E::Rec,
+        params: &[i64],
+        notify_out: &mut [i8],
+        track_cost: bool,
+    ) -> Result<Cost, VmError> {
+        self.regs.clear();
+        self.regs.extend_from_slice(params);
+        self.exec(prog, env, rec, notify_out, track_cost)
+    }
+
+    /// Runs `prog` with the parameter slots already in the register file.
+    fn exec<E: UdfEnv>(
+        &mut self,
+        prog: &RegProgram,
+        env: &E,
+        rec: &E::Rec,
+        notify_out: &mut [i8],
+        track_cost: bool,
+    ) -> Result<Cost, VmError> {
+        debug_assert_eq!(notify_out.len(), prog.n_queries);
+        debug_assert_eq!(self.regs.len(), prog.n_params as usize);
         self.regs.resize(prog.n_regs as usize, 0);
-        self.args.clear();
-        env.args(rec, &mut self.args);
-        debug_assert_eq!(self.args.len(), prog.n_params as usize);
-        self.regs[..prog.n_params as usize].copy_from_slice(&self.args);
 
         let mut pc = 0usize;
         let mut cost: Cost = 0;
@@ -356,6 +466,18 @@ impl RegVm {
                 }
                 ROp::JumpIfZero { src, target } => {
                     if self.regs[src as usize] == 0 {
+                        pc = target as usize;
+                        continue;
+                    }
+                }
+                ROp::JumpUnlessBin { op, a, b, target } => {
+                    if apply_bin(op, self.regs[a as usize], self.regs[b as usize]) == 0 {
+                        pc = target as usize;
+                        continue;
+                    }
+                }
+                ROp::JumpUnlessBinK { op, r, k, target } => {
+                    if apply_bin(op, self.regs[r as usize], k) == 0 {
                         pc = target as usize;
                         continue;
                     }
@@ -683,20 +805,126 @@ mod tests {
         }
     }
 
+    /// Call-into-slot: `x := f(..)` writes `x`'s slot from the call itself,
+    /// with no temporary and no move, and the call's instruction carries the
+    /// assignment's step (charged before the call, as the interpreter ticks
+    /// it). `x := f(x)` reads its argument before the call overwrites it.
     #[test]
-    fn stores_after_calls_stay_separate_instructions() {
-        let (_, reg, _) = compile(
-            "program p @0 (a, b) { x := f(a); if (x > 0) { notify true; } else { notify false; } }",
+    fn calls_store_into_their_slot() {
+        let src = "program p @0 (a, b) { x := f(a); x := f(x); if (x > 0) { notify true; } else { notify false; } }";
+        let (_, reg, _) = compile(src);
+        assert!(
+            !reg.code.iter().any(|i| matches!(i.op, ROp::Move { .. })),
+            "{:?}",
+            reg.code
         );
-        // The store into `x` must not fold into the call group: a move (or
-        // later instruction) follows the call.
-        let call_idx = reg
+        let calls: Vec<&RInstr> = reg
             .code
             .iter()
-            .position(|i| matches!(i.op, ROp::Call { .. }))
-            .expect("program has a call");
-        assert!(matches!(reg.code[call_idx + 1].op, ROp::Move { .. }));
-        assert_eq!(reg.code[call_idx + 1].steps, 1, "store charges its own step");
+            .filter(|i| matches!(i.op, ROp::Call { .. }))
+            .collect();
+        assert_eq!(calls.len(), 2);
+        for call in calls {
+            let ROp::Call { dst, .. } = call.op else {
+                unreachable!()
+            };
+            assert!(
+                dst < reg.n_slots,
+                "the call writes a variable slot: {call:?}"
+            );
+            assert_eq!(call.steps, 3, "argument read, call and assignment");
+        }
+        assert_parity_all_fuels(src, vec![3, 1]);
+        assert_parity_all_fuels(src, vec![-3, 1]);
+    }
+
+    /// Compare-and-branch: a comparison or connective whose only reader is
+    /// the branch becomes one jump carrying both nodes' steps; a constant on
+    /// the left is swapped right. A negation keeps its explicit
+    /// `JumpIfZero`.
+    #[test]
+    fn conditions_fuse_into_their_branch() {
+        let (_, reg, _) = compile(
+            "program p @0 (a, b) {
+                 if (a < b) { notify @1 true; } else { notify @1 false; }
+                 if (a > 4) { notify @2 true; } else { notify @2 false; }
+                 if (a < 4 && b <= a) { notify @3 true; } else { notify @3 false; }
+                 if (!(a == b)) { notify @4 true; } else { notify @4 false; }
+             }",
+        );
+        let jumps: Vec<ROp> = reg
+            .code
+            .iter()
+            .map(|i| i.op)
+            .filter(|op| {
+                matches!(
+                    op,
+                    ROp::JumpIfZero { .. } | ROp::JumpUnlessBin { .. } | ROp::JumpUnlessBinK { .. }
+                )
+            })
+            .collect();
+        assert!(
+            matches!(
+                jumps[..],
+                [
+                    ROp::JumpUnlessBin { op: RBin::Lt, .. },
+                    ROp::JumpUnlessBinK {
+                        op: RBin::Gt,
+                        k: 4,
+                        ..
+                    },
+                    ROp::JumpUnlessBin { op: RBin::And, .. },
+                    ROp::JumpIfZero { .. },
+                ]
+            ),
+            "{jumps:?}"
+        );
+        let fused = reg
+            .code
+            .iter()
+            .find(|i| matches!(i.op, ROp::JumpUnlessBin { op: RBin::Lt, .. }))
+            .expect("first branch fused");
+        assert_eq!(
+            fused.steps, 4,
+            "two reads, the comparison and the branch test"
+        );
+        for rec in [vec![3, 5], vec![5, 3], vec![4, 4], vec![-1, -9]] {
+            assert_parity_all_fuels(
+                "program p @0 (a, b) {
+                     if (a < b) { notify @1 true; } else { notify @1 false; }
+                     if (a > 4) { notify @2 true; } else { notify @2 false; }
+                     if (a < 4 && b <= a) { notify @3 true; } else { notify @3 false; }
+                     if (!(a == b)) { notify @4 true; } else { notify @4 false; }
+                 }",
+                rec,
+            );
+        }
+    }
+
+    /// The register is always the left operand of a folded branch:
+    /// swapping the operator keeps every comparison's value.
+    #[test]
+    fn swapped_operators_mirror_their_operands() {
+        let ops = [
+            RBin::Add,
+            RBin::Sub,
+            RBin::Mul,
+            RBin::Lt,
+            RBin::Le,
+            RBin::EqI,
+            RBin::And,
+            RBin::Or,
+            RBin::Gt,
+            RBin::Ge,
+        ];
+        for op in ops {
+            for (a, b) in [(3, 5), (5, 3), (4, 4), (0, -2), (-7, 0), (0, 0)] {
+                match op.swapped() {
+                    Some(m) => assert_eq!(apply_bin(op, a, b), apply_bin(m, b, a), "{op:?}"),
+                    None => assert_eq!(op, RBin::Sub),
+                }
+            }
+        }
     }
 
     /// Variables in the order the compiler numbers their slots: parameters,
@@ -803,6 +1031,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The dispatch loop streams `RInstr`s: `JumpUnlessBinK` keeps its
+    /// register on the left (no side flag) so no op outgrows 16 bytes.
+    #[test]
+    fn instructions_stay_compact() {
+        assert_eq!(std::mem::size_of::<ROp>(), 16);
+        assert_eq!(std::mem::size_of::<RInstr>(), 32);
     }
 
     #[test]

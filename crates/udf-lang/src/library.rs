@@ -12,7 +12,6 @@
 
 use crate::cost::{Cost, FnCost};
 use crate::intern::Symbol;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -89,6 +88,10 @@ struct Entry {
 
 /// A table-backed [`Library`].
 ///
+/// Entries sit in a vector indexed by [`Symbol::index`], so a call costs one
+/// bounds check and one indirection to its closure, not a hash: interned
+/// symbols are dense, and a library registers a handful of them.
+///
 /// # Example
 ///
 /// ```
@@ -104,12 +107,13 @@ struct Entry {
 /// ```
 #[derive(Default, Clone)]
 pub struct FnLibrary {
-    entries: HashMap<Symbol, Arc<Entry>>,
+    /// Slot `i` holds the function of the symbol with index `i`, if any.
+    entries: Vec<Option<Arc<Entry>>>,
 }
 
 impl fmt::Debug for FnLibrary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut names: Vec<&str> = self.entries.values().map(|e| e.name.as_str()).collect();
+        let mut names: Vec<&str> = self.entries.iter().flatten().map(|e| e.name.as_str()).collect();
         names.sort_unstable();
         f.debug_struct("FnLibrary").field("functions", &names).finish()
     }
@@ -127,33 +131,37 @@ impl FnLibrary {
     where
         F: Fn(&[i64]) -> i64 + Send + Sync + 'static,
     {
-        self.entries.insert(
-            sym,
-            Arc::new(Entry {
-                name: name.to_owned(),
-                arity,
-                cost,
-                imp: Arc::new(imp),
-            }),
-        );
+        let at = sym.index();
+        if self.entries.len() <= at {
+            self.entries.resize(at + 1, None);
+        }
+        self.entries[at] = Some(Arc::new(Entry {
+            name: name.to_owned(),
+            arity,
+            cost,
+            imp: Arc::new(imp),
+        }));
+    }
+
+    fn entry(&self, f: Symbol) -> Option<&Entry> {
+        self.entries.get(f.index())?.as_deref()
     }
 
     /// Declared arity of `f`, if registered.
     pub fn arity(&self, f: Symbol) -> Option<usize> {
-        self.entries.get(&f).map(|e| e.arity)
+        self.entry(f).map(|e| e.arity)
     }
 
     /// Whether `f` is registered.
     pub fn contains(&self, f: Symbol) -> bool {
-        self.entries.contains_key(&f)
+        self.entry(f).is_some()
     }
 }
 
 impl Library for FnLibrary {
     fn call(&self, f: Symbol, args: &[i64]) -> Result<i64, LibError> {
         let entry = self
-            .entries
-            .get(&f)
+            .entry(f)
             .ok_or_else(|| LibError::UnknownFunction(format!("#{}", f.index())))?;
         if args.len() != entry.arity {
             return Err(LibError::ArityMismatch {
@@ -166,7 +174,7 @@ impl Library for FnLibrary {
     }
 
     fn cost(&self, f: Symbol) -> Cost {
-        self.entries.get(&f).map_or(DEFAULT_CALL_COST, |e| e.cost)
+        self.entry(f).map_or(DEFAULT_CALL_COST, |e| e.cost)
     }
 }
 
@@ -206,5 +214,60 @@ mod tests {
         // Unknown functions still have a (default) cost so static estimation
         // never fails.
         assert_eq!(lib.cost(g), DEFAULT_CALL_COST);
+    }
+
+    /// Entries are indexed by symbol: a library holding only a high index
+    /// sizes its table to it, and the empty slots below are unknown.
+    #[test]
+    fn sparse_high_symbol_index() {
+        let high = Symbol::from_index(4_000);
+        let mut lib = FnLibrary::new();
+        lib.register(high, "high", 2, 9, |a| a[0] - a[1]);
+        assert_eq!(lib.call(high, &[10, 3]), Ok(7));
+        assert_eq!((lib.cost(high), lib.arity(high)), (9, Some(2)));
+        assert!(lib.contains(high));
+        let past = Symbol::from_index(4_001);
+        assert!(matches!(lib.call(past, &[]), Err(LibError::UnknownFunction(n)) if n == "#4001"));
+        assert_eq!(format!("{lib:?}"), r#"FnLibrary { functions: ["high"] }"#);
+    }
+
+    /// A symbol below the largest registered one that was never registered
+    /// behaves exactly like one past the table: unknown, default cost.
+    #[test]
+    fn unregistered_symbol_below_the_largest_is_unknown() {
+        let mut i = Interner::new();
+        let (a, gap, c) = (i.intern("a"), i.intern("gap"), i.intern("c"));
+        let mut lib = FnLibrary::new();
+        lib.register(a, "a", 0, 1, |_| 1);
+        lib.register(c, "c", 0, 3, |_| 3);
+        assert!(!lib.contains(gap));
+        assert_eq!(lib.arity(gap), None);
+        assert_eq!(lib.cost(gap), DEFAULT_CALL_COST);
+        assert_eq!(
+            lib.call(gap, &[]),
+            Err(LibError::UnknownFunction(format!("#{}", gap.index())))
+        );
+        assert_eq!((lib.call(a, &[]), lib.call(c, &[])), (Ok(1), Ok(3)));
+    }
+
+    /// Registering a symbol again replaces its name, arity, cost and body.
+    #[test]
+    fn re_registration_replaces_the_entry() {
+        let mut i = Interner::new();
+        let f = i.intern("f");
+        let mut lib = FnLibrary::new();
+        lib.register(f, "f", 1, 5, |a| a[0]);
+        lib.register(f, "f2", 2, 8, |a| a[0] * a[1]);
+        assert_eq!(lib.call(f, &[3, 4]), Ok(12));
+        assert_eq!((lib.cost(f), lib.arity(f)), (8, Some(2)));
+        assert_eq!(
+            lib.call(f, &[3]),
+            Err(LibError::ArityMismatch {
+                name: "f2".to_owned(),
+                expected: 2,
+                got: 1
+            })
+        );
+        assert_eq!(format!("{lib:?}"), r#"FnLibrary { functions: ["f2"] }"#);
     }
 }

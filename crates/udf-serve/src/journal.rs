@@ -59,7 +59,7 @@
 //! `tests/recovery_matrix.rs` sweeps every point, driven by `ci/chaos.sh`.
 
 use plan_cache::framing::{self, RecoveryIncident};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -170,8 +170,9 @@ fn io_err(e: io::Error) -> JournalError {
 /// or recover a journaled service. The encoding must be injective and must
 /// not contain newlines.
 pub trait JournalRec: Sized {
-    /// Renders the record as one line (no trailing newline).
-    fn encode_rec(&self) -> String;
+    /// Appends the record as one line (no trailing newline) to `out`, so a
+    /// frame or checkpoint of many records is written into one buffer.
+    fn encode_rec(&self, out: &mut String);
     /// Parses a line produced by [`JournalRec::encode_rec`].
     ///
     /// # Errors
@@ -181,15 +182,11 @@ pub trait JournalRec: Sized {
 }
 
 impl JournalRec for Vec<i64> {
-    fn encode_rec(&self) -> String {
-        let mut out = String::new();
+    fn encode_rec(&self, out: &mut String) {
         for (i, v) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(' ');
-            }
-            out.push_str(&v.to_string());
+            let sep = if i > 0 { " " } else { "" };
+            let _ = write!(out, "{sep}{v}");
         }
-        out
     }
 
     fn decode_rec(line: &str) -> Result<Vec<i64>, String> {
@@ -203,12 +200,10 @@ impl JournalRec for Vec<i64> {
 /// `FaultyEnv<ScalarEnv>` ingests (fault plans key on the embedded id, so
 /// a recovered service replays the same faults for the same records).
 impl JournalRec for (usize, Vec<i64>) {
-    fn encode_rec(&self) -> String {
-        let payload = self.1.encode_rec();
-        if payload.is_empty() {
-            self.0.to_string()
-        } else {
-            format!("{} {payload}", self.0)
+    fn encode_rec(&self, out: &mut String) {
+        let _ = write!(out, "{}", self.0);
+        for v in &self.1 {
+            let _ = write!(out, " {v}");
         }
     }
 
@@ -268,7 +263,7 @@ pub(crate) struct Journal<R> {
     appends_total: u64,
     checkpoints_total: u64,
     sim: Option<SimCrash>,
-    pub(crate) encode: fn(&R) -> String,
+    pub(crate) encode: fn(&R, &mut String),
     recorder: udf_obs::RecorderCell,
 }
 
@@ -673,13 +668,22 @@ mod tests {
 
     #[test]
     fn record_codecs_round_trip() {
+        fn line<R: JournalRec>(r: &R) -> String {
+            let mut out = String::from("rec ");
+            r.encode_rec(&mut out);
+            out.split_off(4)
+        }
         let v = vec![-3i64, 0, 99];
-        assert_eq!(Vec::<i64>::decode_rec(&v.encode_rec()).unwrap(), v);
+        assert_eq!(line(&v), "-3 0 99");
+        assert_eq!(Vec::<i64>::decode_rec(&line(&v)).unwrap(), v);
         let empty: Vec<i64> = Vec::new();
-        assert_eq!(Vec::<i64>::decode_rec(&empty.encode_rec()).unwrap(), empty);
+        assert_eq!(line(&empty), "");
+        assert_eq!(Vec::<i64>::decode_rec(&line(&empty)).unwrap(), empty);
         let p = (7usize, vec![1i64, -2]);
-        assert_eq!(<(usize, Vec<i64>)>::decode_rec(&p.encode_rec()).unwrap(), p);
+        assert_eq!(line(&p), "7 1 -2");
+        assert_eq!(<(usize, Vec<i64>)>::decode_rec(&line(&p)).unwrap(), p);
         let bare = (3usize, Vec::<i64>::new());
-        assert_eq!(<(usize, Vec<i64>)>::decode_rec(&bare.encode_rec()).unwrap(), bare);
+        assert_eq!(line(&bare), "3");
+        assert_eq!(<(usize, Vec<i64>)>::decode_rec(&line(&bare)).unwrap(), bare);
     }
 }

@@ -22,6 +22,7 @@ use udf_lang::analysis::notify_ids;
 use udf_lang::ast::{ProgId, Program};
 use udf_lang::cost::{Cost, CostModel, FnCost};
 use udf_lang::intern::{Interner, Symbol};
+use udf_lang::library::LibError;
 use udf_obs::names;
 
 /// [`FnCost`] view of a [`UdfEnv`], so delta consolidation prices library
@@ -346,6 +347,44 @@ pub struct Service<E: UdfEnv> {
     poisoned: bool,
 }
 
+/// `E` over borrowed records, so one engine job can run a selection of an
+/// epoch's records without copying them. Arguments, calls and costs are
+/// `E`'s own: a stateful environment (fault plans keyed by record) sees the
+/// same records it would see through `E`.
+struct ByRef<'e, 'r, E: UdfEnv> {
+    env: &'e E,
+    records: std::marker::PhantomData<&'r E::Rec>,
+}
+
+impl<'e, E: UdfEnv> ByRef<'e, '_, E> {
+    fn new(env: &'e E) -> Self {
+        ByRef {
+            env,
+            records: std::marker::PhantomData,
+        }
+    }
+}
+
+impl<'r, E: UdfEnv> UdfEnv for ByRef<'_, 'r, E> {
+    type Rec = &'r E::Rec;
+
+    fn arity(&self) -> usize {
+        self.env.arity()
+    }
+
+    fn args(&self, rec: &Self::Rec, out: &mut Vec<i64>) {
+        self.env.args(rec, out);
+    }
+
+    fn call(&self, rec: &Self::Rec, f: Symbol, args: &[i64]) -> Result<i64, LibError> {
+        self.env.call(rec, f, args)
+    }
+
+    fn fn_cost(&self, f: Symbol) -> Cost {
+        self.env.fn_cost(f)
+    }
+}
+
 impl<E: UdfEnv> fmt::Debug for Service<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Service").field("status", &self.status()).finish()
@@ -577,7 +616,9 @@ impl<E: UdfEnv> Service<E> {
                         b.records.len()
                     );
                     for r in &b.records {
-                        let _ = writeln!(p, "rec {}", enc(r));
+                        p.push_str("rec ");
+                        enc(r, &mut p);
+                        p.push('\n');
                     }
                     ("sub", p)
                 }
@@ -880,12 +921,14 @@ impl<E: UdfEnv> Service<E> {
         Ok(QuerySet::compile_many(&state.programs, &self.cm, &fc)?)
     }
 
-    /// Runs one tenant solo over `records`, merging counts and per-tenant
-    /// quarantine into `out`.
-    fn run_solo(
+    /// Runs one tenant solo over `records` (read through `env`: the
+    /// service's own, or [`ByRef`] of it), merging counts and per-tenant
+    /// quarantine into `out`; `seqs[i]` is record `i`'s sequence number.
+    fn run_solo<F: UdfEnv>(
         &self,
+        env: &F,
         state: &TenantState,
-        records: &[E::Rec],
+        records: &[F::Rec],
         seqs: &[u64],
         out: &mut TenantEpochReport,
     ) -> Result<(), ServeError> {
@@ -895,7 +938,7 @@ impl<E: UdfEnv> Service<E> {
         let qs = self.solo_queryset(state)?;
         let engine = self.engine(GuardPolicy::default());
         let job = engine
-            .run(&self.env, records, &qs, ExecMode::Many, false)
+            .run(env, records, &qs, ExecMode::Many, false)
             .map_err(|e| ServeError::Engine(e.to_string()))?;
         for (idx, pid) in qs.query_ids.iter().enumerate() {
             *out.counts.entry(pid.0).or_insert(0) += job.counts[idx];
@@ -911,7 +954,8 @@ impl<E: UdfEnv> Service<E> {
     /// the engine cannot attribute them) are re-run per tenant solo: each
     /// tenant's outcome on those records then depends only on its own
     /// queries — one tenant's faulting UDF never erases another tenant's
-    /// notifications.
+    /// notifications. Each tenant runs once, over all of the epoch's
+    /// quarantined records.
     fn distribute_consolidated(
         &self,
         job: &JobReport,
@@ -927,19 +971,19 @@ impl<E: UdfEnv> Service<E> {
                 }
             }
         }
-        for rec in job.quarantine.records() {
-            for (tenant, state) in &self.tenants {
-                if state.demoted || state.programs.is_empty() {
-                    continue; // demoted tenants run solo over the whole batch
-                }
-                if let Some(rep) = out.get_mut(tenant) {
-                    self.run_solo(
-                        state,
-                        &records[rec..=rec],
-                        &seqs[rec..=rec],
-                        rep,
-                    )?;
-                }
+        let quarantined = job.quarantine.records();
+        if quarantined.is_empty() {
+            return Ok(());
+        }
+        let picked: Vec<&E::Rec> = quarantined.iter().map(|&r| &records[r]).collect();
+        let picked_seqs: Vec<u64> = quarantined.iter().map(|&r| seqs[r]).collect();
+        let env = ByRef::new(&self.env);
+        for (tenant, state) in &self.tenants {
+            if state.demoted || state.programs.is_empty() {
+                continue; // demoted tenants run solo over the whole batch
+            }
+            if let Some(rep) = out.get_mut(tenant) {
+                self.run_solo(&env, state, &picked, &picked_seqs, rep)?;
             }
         }
         Ok(())
@@ -1187,7 +1231,7 @@ impl<E: UdfEnv> Service<E> {
             }
             if let Some(rep) = report.tenants.get_mut(tenant) {
                 rep.solo = true;
-                self.run_solo(state, &records, &seqs, rep)?;
+                self.run_solo(&self.env, state, &records, &seqs, rep)?;
             }
         }
         // Tenant quarantine budgets: demote over-budget tenants so the next
@@ -1356,7 +1400,9 @@ impl<E: UdfEnv> Service<E> {
                 b.records.len()
             );
             for r in &b.records {
-                let _ = writeln!(p, "rec {}", enc(r));
+                p.push_str("rec ");
+                enc(r, &mut p);
+                p.push('\n');
             }
         }
         for (id, st) in &self.tenants {

@@ -360,6 +360,19 @@ fn hostile_tenant_is_demoted_alone_and_others_are_bit_identical() {
         assert!(e[&good].quarantined.is_empty(), "innocent tenant 1 quarantined");
         assert!(e[&also_good].quarantined.is_empty(), "innocent tenant 2 quarantined");
     }
+    // Every hostile query calls the trigger, so the hostile tenant's
+    // quarantine is exactly the planned records, by sequence number (record
+    // `v` is the `v`-th submitted), whether it ran shared or demoted.
+    for (k, e) in reports_a.iter().enumerate() {
+        let epoch = (k * 20) as u64..(k * 20 + 20) as u64;
+        let planned: Vec<u64> = faults
+            .records()
+            .into_iter()
+            .map(|r| r as u64)
+            .filter(|r| epoch.contains(r))
+            .collect();
+        assert_eq!(e[&hostile].quarantined, planned, "epoch {k}");
+    }
 
     // Run B: identical stream, hostile tenant never registered.
     let mut without_hostile = service(faults, config);

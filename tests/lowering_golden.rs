@@ -1,15 +1,16 @@
 //! Golden digests of the register bytecode the compiler emits, and of one
 //! plan-cache key.
 //!
-//! The values were read on the commit *before* `naiad_lite::compile` became
-//! a one-pass AST → `RegProgram` compiler (it used to flatten to stack ops
-//! and re-derive the expression structure from them) and before eight
-//! never-set `consolidate::Options` knobs became constants. Both changes
-//! promise "same code out, same keys": this file is that promise. A digest
-//! that moves means the emitted code — instruction order, register
-//! numbering, cost/step grouping, block boundaries — or the key derivation
-//! changed, which every machine, the fuel contract and every stored
-//! snapshot observe.
+//! A digest that moves means the emitted code — instruction order,
+//! register numbering, cost/step grouping, block boundaries — or the key
+//! derivation changed, which every machine, the fuel contract and every
+//! stored snapshot observe. The family and unit digests were last re-pinned
+//! when the compiler gained its two superinstructions (compare-and-branch,
+//! and calls that store straight into the assigned variable's slot; see
+//! `naiad_lite::regcode`): every family's code shrank by 7–26 %, and the
+//! machines' observables did not move (`prop_vm` and `backend_parity`
+//! hold them). The `PlanKey` pin has not moved since eight never-set
+//! `consolidate::Options` knobs became constants.
 
 mod common;
 
@@ -114,11 +115,11 @@ fn weather_families_lower_to_the_pinned_code() {
         &mut i,
         boxed(weather::families()),
         &[
-            ("Q1", 0xc076d25548209e83),
-            ("Q2", 0x6bd329433ff5655b),
-            ("Q3", 0xcb684c3c90338a94),
-            ("Q4", 0x8c8bce04e41e09d7),
-            ("Mix", 0x7ef77f1e5098b597),
+            ("Q1", 0xc4e4625d0d775292),
+            ("Q2", 0x2a53c30824d8f386),
+            ("Q3", 0x0b3e28aec56f0483),
+            ("Q4", 0xb849e71c99b2ee98),
+            ("Mix", 0xcea899de22dfd2fa),
         ],
     );
 }
@@ -133,10 +134,10 @@ fn flight_families_lower_to_the_pinned_code() {
         &mut i,
         boxed(flight::families()),
         &[
-            ("Q1", 0x8db02cfa8713726b),
-            ("Q2", 0xff487e1a64d61094),
-            ("Q3", 0x636585b3987823c0),
-            ("Mix", 0x8c3e4af76d93ccac),
+            ("Q1", 0x00c92adbd01fa727),
+            ("Q2", 0xd997a1e61fa84ecc),
+            ("Q3", 0xfdbf511b8c6a4a06),
+            ("Mix", 0x55fafa61942d9c2e),
         ],
     );
 }
@@ -151,11 +152,11 @@ fn news_families_lower_to_the_pinned_code() {
         &mut i,
         boxed(news::families()),
         &[
-            ("Q1", 0xc79a144e817464c6),
-            ("Q2", 0xa32ae42df51e80b4),
-            ("Q3", 0x41d8bf5cc1a76db8),
-            ("BC", 0xdb44b822a30df608),
-            ("PF", 0xa4bd755d28095bf7),
+            ("Q1", 0xc0b931c17f2a8a95),
+            ("Q2", 0x9a2bd0a05ac24b0d),
+            ("Q3", 0xf3db6141feda3359),
+            ("BC", 0x326372f2dedb0a2e),
+            ("PF", 0x2f4cf07c68392ce8),
         ],
     );
 }
@@ -170,10 +171,10 @@ fn twitter_families_lower_to_the_pinned_code() {
         &mut i,
         boxed(twitter::families()),
         &[
-            ("Q1", 0xbc2840bbda408f1a),
-            ("Q2", 0x7ef9b8e94c3fcfc9),
-            ("Q3", 0xcf7a1163ff410957),
-            ("BC", 0xbb42a9634f927d71),
+            ("Q1", 0x1a07cbdeb039e088),
+            ("Q2", 0x230a5b54485d4e49),
+            ("Q3", 0x6f57e9ab70b20917),
+            ("BC", 0xa5e18fd10d26a39b),
         ],
     );
 }
@@ -191,10 +192,10 @@ fn stock_families_lower_to_the_pinned_code() {
         &mut i,
         stock::families_sized(600),
         &[
-            ("Q1", 0x32135398f15e1012),
-            ("Q2", 0xa0694fa28cc1e4b2),
-            ("Q3", 0xe67c5f74a95b51c9),
-            ("BC", 0xac03b0bc18934468),
+            ("Q1", 0x8272043c24b0c767),
+            ("Q2", 0xa685b0e8d6aeb124),
+            ("Q3", 0xb85272fa82f6a21b),
+            ("BC", 0x5e931fca0cd48c73),
         ],
     );
 }
@@ -320,20 +321,20 @@ fn unit_programs_lower_to_the_pinned_code() {
         "regcode unit programs",
         &got,
         &[
-            ("straight_line", 0xf3da7377dd984e83),
-            ("call_and_loop", 0x7b4643f7a8b62d87),
-            ("strict_connectives", 0x4aae69bc3fd1674e),
-            ("constant_folding", 0xdd5265a8667be9ee),
+            ("straight_line", 0x30edb73a8d3ca61b),
+            ("call_and_loop", 0x2e274e90bc0defac),
+            ("strict_connectives", 0x8394e1f17b739f87),
+            ("constant_folding", 0x493f189f4536d0ce),
             ("divergent_loop", 0xc4807f918b2a29ce),
             ("duplicate_notify", 0x6f35cba3782d89da),
-            ("multi_query", 0x32dda2f4d8f45b4a),
-            ("two_calls", 0xd01b2610c9911b27),
-            ("store_after_call", 0x1d85d55bc1fc8a77),
-            ("constant_argument", 0x7e3a96fc169fbdbc),
-            ("pending_operands", 0x77ba253889cc804e),
+            ("multi_query", 0x1b89296fed0775fa),
+            ("two_calls", 0x064f31c3b2cb6e61),
+            ("store_after_call", 0x5978f84424818e3b),
+            ("constant_argument", 0xf47a36ada38b31a1),
+            ("pending_operands", 0xeda5c657be3475e0),
             ("constant_condition", 0x5290539df0e57380),
-            ("moves_and_block_constants", 0xb0242b7f66a87d64),
-            ("nested_control", 0xb3ada1e791c7c5c7),
+            ("moves_and_block_constants", 0x3aea666510120ffc),
+            ("nested_control", 0x961e57daa4c39018),
         ],
     );
 }

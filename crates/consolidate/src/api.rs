@@ -5,7 +5,6 @@ use crate::budget::{BudgetState, DegradationTier};
 use crate::explain::ExplainReport;
 use crate::rules::{Engine, Options, RuleStats};
 use crate::symbolic::{SymState, SymbolicCtx};
-use udf_obs::names;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -15,6 +14,7 @@ use udf_lang::analysis::{notify_ids, rename_locals};
 use udf_lang::ast::Program;
 use udf_lang::cost::{CostModel, FnCost};
 use udf_lang::intern::Interner;
+use udf_obs::names;
 
 /// Errors reported by the consolidation entry points.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -295,7 +295,11 @@ pub fn consolidate_many(
     let frozen: &Interner = interner;
     while level.len() > 1 {
         let mut next: Vec<Program> = Vec::with_capacity(level.len().div_ceil(2));
-        let pairs: Vec<(&Program, &Program)> = level.chunks(2).filter(|c| c.len() == 2).map(|c| (&c[0], &c[1])).collect();
+        let pairs: Vec<(&Program, &Program)> = level
+            .chunks(2)
+            .filter(|c| c.len() == 2)
+            .map(|c| (&c[0], &c[1]))
+            .collect();
         let merge = |&(a, b): &(&Program, &Program)| {
             consolidate_pair_budgeted(a, b, frozen, cm, fns, opts, Some(&state))
         };

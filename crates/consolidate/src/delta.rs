@@ -52,8 +52,9 @@
 //! plain data and back ([`PlanImage`]; this crate has no serialiser), which
 //! is how a service checkpoint reinstalls a plan instead of re-proving it.
 
-use crate::api::{add_stats, consolidate_pair_budgeted, ConsolidateError, Consolidated,
-                 ConsolidationStats};
+use crate::api::{
+    add_stats, consolidate_pair_budgeted, ConsolidateError, Consolidated, ConsolidationStats,
+};
 use crate::budget::{BudgetState, DegradationTier};
 use crate::memo::EntailmentMemo;
 use crate::rules::Options;
@@ -258,7 +259,9 @@ impl DeltaPlan {
     /// Tier of the current plan (worst node on the root derivation;
     /// [`DegradationTier::Full`] when empty).
     pub fn tier(&self) -> DegradationTier {
-        self.nodes[1].as_ref().map_or(DegradationTier::Full, |n| n.tier)
+        self.nodes[1]
+            .as_ref()
+            .map_or(DegradationTier::Full, |n| n.tier)
     }
 
     /// Registered query ids in slot order — the order [`DeltaPlan::programs`]
@@ -330,8 +333,16 @@ impl DeltaPlan {
         // A failed pair (parameter mismatch with the live set) returns here
         // with the tree, the membership, `free` and `renames` untouched.
         let node = cap + slot;
-        let spine =
-            self.merge_spine(node, Some(&leaf), sibling, interner, cm, fns, opts, &mut report)?;
+        let spine = self.merge_spine(
+            node,
+            Some(&leaf),
+            sibling,
+            interner,
+            cm,
+            fns,
+            opts,
+            &mut report,
+        )?;
         if grew {
             self.grow();
             report.grew = true;
@@ -426,7 +437,13 @@ impl DeltaPlan {
     /// [`DeltaError::InvalidImage`] naming the first violated check.
     pub fn restore(image: PlanImage) -> Result<DeltaPlan, DeltaError> {
         let bad = |why: String| Err(DeltaError::InvalidImage(why));
-        let PlanImage { cap, renames, free, leaves, nodes } = image;
+        let PlanImage {
+            cap,
+            renames,
+            free,
+            leaves,
+            nodes,
+        } = image;
         if !cap.is_power_of_two() {
             return bad(format!("capacity {cap} is not a power of two"));
         }
@@ -456,14 +473,22 @@ impl DeltaPlan {
                 None => return bad(format!("slot {slot} is outside capacity {cap}")),
             }
         }
-        for LeafImage { slot, original, renamed } in leaves {
+        for LeafImage {
+            slot,
+            original,
+            renamed,
+        } in leaves
+        {
             let id = original.id;
             let own = std::iter::once(id).collect();
             if renamed.id != id
                 || notify_ids(&original.body) != own
                 || notify_ids(&renamed.body) != own
             {
-                return bad(format!("leaf {slot} does not notify exactly its own id {}", id.0));
+                return bad(format!(
+                    "leaf {slot} does not notify exactly its own id {}",
+                    id.0
+                ));
             }
             if plan.by_id.insert(id, slot).is_some() {
                 return bad(format!("query id {} is registered twice", id.0));
@@ -476,7 +501,9 @@ impl DeltaPlan {
         }
         let inside = |n: &NodeImage| (1..cap).contains(&n.index);
         if !nodes.iter().all(inside) || !nodes.windows(2).all(|w| w[0].index < w[1].index) {
-            return bad(format!("stored nodes are not in increasing order inside 1..{cap}"));
+            return bad(format!(
+                "stored nodes are not in increasing order inside 1..{cap}"
+            ));
         }
         // Bottom-up, like `refresh`: children are final before their parent.
         let mut stored = nodes.into_iter().rev().peekable();
@@ -497,7 +524,9 @@ impl DeltaPlan {
                     })
                 }
                 (Some(_), Some(_), None) => {
-                    return bad(format!("node {k} merges two live children but is not stored"));
+                    return bad(format!(
+                        "node {k} merges two live children but is not stored"
+                    ));
                 }
                 (_, _, Some(_)) => {
                     return bad(format!(
@@ -575,8 +604,16 @@ impl DeltaPlan {
                 0 => (below, sibling(k ^ 1)),
                 _ => (sibling(k ^ 1), below),
             };
-            let merged =
-                merge_children(left, right, interner, cm, fns, &opts, budget.as_ref(), report)?;
+            let merged = merge_children(
+                left,
+                right,
+                interner,
+                cm,
+                fns,
+                &opts,
+                budget.as_ref(),
+                report,
+            )?;
             spine.push(merged);
             k /= 2;
         }
@@ -593,7 +630,6 @@ impl DeltaPlan {
             self.nodes[k] = merged;
         }
     }
-
 }
 
 /// Renames every local of `program` to `d{n}$<name>`. Unlike
@@ -675,7 +711,8 @@ mod tests {
         }
         assert_eq!(plan.len(), 5);
         assert_eq!(plan.ids().len(), 5);
-        plan.remove(ProgId(2), &i, &cm, &fns, &opts).expect("remove");
+        plan.remove(ProgId(2), &i, &cm, &fns, &opts)
+            .expect("remove");
         assert_eq!(plan.len(), 4);
         assert!(!plan.contains(ProgId(2)));
         assert!(plan.program().is_some());
@@ -712,7 +749,8 @@ mod tests {
         let fns = UniformFnCost(10);
         let opts = Options::default();
         let mut plan = DeltaPlan::new();
-        plan.add(&query(0, &mut i), &mut i, &cm, &fns, &opts).expect("add");
+        plan.add(&query(0, &mut i), &mut i, &cm, &fns, &opts)
+            .expect("add");
         let before = pretty::program(plan.program().expect("plan"), &i);
         // Mismatched parameter list: the spine pair fails.
         let bad = parse_program("program b @7 (x, y) { notify true; }", &mut i).expect("parses");
@@ -744,7 +782,9 @@ mod tests {
             plan.cap,
             plan.free,
             plan.renames,
-            plan.by_id.iter().collect::<std::collections::BTreeMap<_, _>>()
+            plan.by_id
+                .iter()
+                .collect::<std::collections::BTreeMap<_, _>>()
         )
     }
 
@@ -759,9 +799,14 @@ mod tests {
         let opts = Options::default();
         let mut plan = DeltaPlan::new();
         for k in 0..2 {
-            plan.add(&query(k, &mut i), &mut i, &cm, &fns, &opts).expect("add");
+            plan.add(&query(k, &mut i), &mut i, &cm, &fns, &opts)
+                .expect("add");
         }
-        assert_eq!((plan.cap, plan.free.len()), (2, 0), "the next add must grow");
+        assert_eq!(
+            (plan.cap, plan.free.len()),
+            (2, 0),
+            "the next add must grow"
+        );
         let before = whole_tree(&plan, &i);
         let src = "program b @7 (x, y) { z := x; if (z > y) { notify true; } }";
         let bad = parse_program(src, &mut i).expect("parses");
@@ -769,17 +814,24 @@ mod tests {
             plan.add(&bad, &mut i, &cm, &fns, &opts),
             Err(DeltaError::Consolidate(ConsolidateError::ParamMismatch)),
         ));
-        assert_eq!(whole_tree(&plan, &i), before, "a failed add must not write anything");
-        plan.remove(ProgId(0), &i, &cm, &fns, &opts).expect("remove after the failed add");
+        assert_eq!(
+            whole_tree(&plan, &i),
+            before,
+            "a failed add must not write anything"
+        );
+        plan.remove(ProgId(0), &i, &cm, &fns, &opts)
+            .expect("remove after the failed add");
         assert_eq!(plan.ids(), vec![ProgId(1)]);
         let root = plan.program().expect("q1 is still registered");
         assert_eq!(notify_ids(&root.body), std::iter::once(ProgId(1)).collect());
         // And the plan goes on as one that never saw the bad program.
         let mut twin = DeltaPlan::new();
         for k in 0..2 {
-            twin.add(&query(k, &mut i), &mut i, &cm, &fns, &opts).expect("add");
+            twin.add(&query(k, &mut i), &mut i, &cm, &fns, &opts)
+                .expect("add");
         }
-        twin.remove(ProgId(0), &i, &cm, &fns, &opts).expect("remove");
+        twin.remove(ProgId(0), &i, &cm, &fns, &opts)
+            .expect("remove");
         assert_eq!(whole_tree(&plan, &i), whole_tree(&twin, &i));
     }
 
@@ -791,13 +843,20 @@ mod tests {
         let opts = Options::default();
         let mut plan = DeltaPlan::new();
         for k in 0..5 {
-            plan.add(&query(k, &mut i), &mut i, &cm, &fns, &opts).expect("add");
+            plan.add(&query(k, &mut i), &mut i, &cm, &fns, &opts)
+                .expect("add");
         }
-        plan.remove(ProgId(1), &i, &cm, &fns, &opts).expect("remove");
-        plan.remove(ProgId(4), &i, &cm, &fns, &opts).expect("remove");
+        plan.remove(ProgId(1), &i, &cm, &fns, &opts)
+            .expect("remove");
+        plan.remove(ProgId(4), &i, &cm, &fns, &opts)
+            .expect("remove");
         let image = plan.export();
         assert_eq!(image.leaves.len(), 3);
-        assert_eq!(image.nodes.len(), 2, "q2|q3 and q0|(q2 q3); the other four are passthroughs");
+        assert_eq!(
+            image.nodes.len(),
+            2,
+            "q2|q3 and q0|(q2 q3); the other four are passthroughs"
+        );
         let restored = DeltaPlan::restore(image.clone()).expect("a plan's own image restores");
         assert_eq!(whole_tree(&restored, &i), whole_tree(&plan, &i));
         assert_eq!(restored.export(), image);
@@ -811,7 +870,8 @@ mod tests {
         let opts = Options::default();
         let mut plan = DeltaPlan::new();
         for k in 0..3 {
-            plan.add(&query(k, &mut i), &mut i, &cm, &fns, &opts).expect("add");
+            plan.add(&query(k, &mut i), &mut i, &cm, &fns, &opts)
+                .expect("add");
         }
         let image = plan.export();
         let rejected = |edit: &dyn Fn(&mut PlanImage), what: &str| {
@@ -828,27 +888,42 @@ mod tests {
         rejected(&|im| im.free.clear(), "do not fill");
         rejected(&|im| im.free[0] = im.leaves[0].slot, "listed twice");
         rejected(&|im| im.free[0] = 9, "outside capacity");
-        rejected(&|im| im.leaves[1].renamed = im.leaves[0].renamed.clone(), "its own id");
-        rejected(&|im| im.nodes[0].program = im.leaves[0].renamed.clone(), "children notify");
+        rejected(
+            &|im| im.leaves[1].renamed = im.leaves[0].renamed.clone(),
+            "its own id",
+        );
+        rejected(
+            &|im| im.nodes[0].program = im.leaves[0].renamed.clone(),
+            "children notify",
+        );
         rejected(&|im| im.nodes.reverse(), "increasing order");
         rejected(&|im| im.nodes.clear(), "is not stored");
         rejected(
             &|im| {
-                let outside = NodeImage { index: 4, ..im.nodes[0].clone() };
+                let outside = NodeImage {
+                    index: 4,
+                    ..im.nodes[0].clone()
+                };
                 im.nodes.push(outside);
             },
             "inside 1..4",
         );
         rejected(
             &|im| {
-                let passthrough = NodeImage { index: 3, ..im.nodes[0].clone() };
+                let passthrough = NodeImage {
+                    index: 3,
+                    ..im.nodes[0].clone()
+                };
                 im.nodes.push(passthrough);
             },
             "does not merge two live children",
         );
         rejected(
             &|im| {
-                let dup = LeafImage { slot: im.free[0], ..im.leaves[0].clone() };
+                let dup = LeafImage {
+                    slot: im.free[0],
+                    ..im.leaves[0].clone()
+                };
                 im.free.clear();
                 im.leaves.push(dup);
             },
@@ -884,7 +959,9 @@ mod tests {
         let mut plan = DeltaPlan::new();
         let mut grew = false;
         for k in 0..9 {
-            let r = plan.add(&query(k, &mut i), &mut i, &cm, &fns, &opts).expect("add");
+            let r = plan
+                .add(&query(k, &mut i), &mut i, &cm, &fns, &opts)
+                .expect("add");
             grew |= r.grew;
         }
         assert!(grew, "9 adds must outgrow the initial capacity");

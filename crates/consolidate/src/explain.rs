@@ -135,11 +135,7 @@ pub fn build_tree(entries: Vec<ExplainEntry>) -> Vec<ExplainNode> {
     roots
 }
 
-fn attach(
-    roots: &mut Vec<ExplainNode>,
-    stack: &mut [(usize, ExplainNode)],
-    node: ExplainNode,
-) {
+fn attach(roots: &mut Vec<ExplainNode>, stack: &mut [(usize, ExplainNode)], node: ExplainNode) {
     match stack.last_mut() {
         Some((_, parent)) => parent.children.push(node),
         None => roots.push(node),
@@ -224,7 +220,11 @@ fn render_node(n: &ExplainNode, indent: usize, out: &mut String) {
         out.push_str(&pad);
         out.push_str("  |= ");
         out.push_str(&e.query);
-        out.push_str(if e.proved { "  [proved, " } else { "  [not proved, " });
+        out.push_str(if e.proved {
+            "  [proved, "
+        } else {
+            "  [not proved, "
+        });
         out.push_str(e.via.name());
         out.push_str("]\n");
     }

@@ -321,9 +321,15 @@ fn build_obligations(def: &AggDef, interner: &mut Interner) -> Obligations {
     );
     let mut nb = BTreeMap::new();
     let ns = fresh_map(interner, &mut nb, &state, "n");
-    let h1_prog = init_assigns
-        .then(copy_all(&ns, &xs))
-        .then(inst(&def.merge, interner, &ns, Some(&zs), false, &merge_locals, "h1"));
+    let h1_prog = init_assigns.then(copy_all(&ns, &xs)).then(inst(
+        &def.merge,
+        interner,
+        &ns,
+        Some(&zs),
+        false,
+        &merge_locals,
+        "h1",
+    ));
     let h1 = Law {
         program: h1_prog,
         equalities: ns.iter().copied().zip(xs.iter().copied()).collect(),
@@ -335,15 +341,47 @@ fn build_obligations(def: &AggDef, interner: &mut Interner) -> Obligations {
     let mut gb = BTreeMap::new();
     let gs = fresh_map(interner, &mut gb, &state, "g");
     let lhs = copy_all(&fs, &ys)
-        .then(inst(&def.fold, interner, &fs, None, true, &fold_locals, "lf"))
+        .then(inst(
+            &def.fold,
+            interner,
+            &fs,
+            None,
+            true,
+            &fold_locals,
+            "lf",
+        ))
         .then(copy_all(&gs, &xs))
-        .then(inst(&def.merge, interner, &gs, Some(&fs), false, &merge_locals, "lm"));
+        .then(inst(
+            &def.merge,
+            interner,
+            &gs,
+            Some(&fs),
+            false,
+            &merge_locals,
+            "lm",
+        ));
     // H2 RHS: w := x; merge(w, y); fold(w, a)  — fold_r(x ⊕ y).
     let mut wb = BTreeMap::new();
     let ws = fresh_map(interner, &mut wb, &state, "w");
     let rhs_prog = copy_all(&ws, &xs)
-        .then(inst(&def.merge, interner, &ws, Some(&ys), false, &merge_locals, "rm"))
-        .then(inst(&def.fold, interner, &ws, None, true, &fold_locals, "rf"));
+        .then(inst(
+            &def.merge,
+            interner,
+            &ws,
+            Some(&ys),
+            false,
+            &merge_locals,
+            "rm",
+        ))
+        .then(inst(
+            &def.fold,
+            interner,
+            &ws,
+            None,
+            true,
+            &fold_locals,
+            "rf",
+        ));
     let h2 = Law {
         program: lhs.then(rhs_prog),
         equalities: gs.into_iter().zip(ws).collect(),
@@ -422,7 +460,8 @@ mod tests {
         let mut opts = Options::default();
         let memo = std::sync::Arc::new(EntailmentMemo::new());
         opts.memo = Some(std::sync::Arc::clone(&memo));
-        let src = "aggregate s @1 (x) { state s = 0; fold { s := s + x; } merge { s := s + rhs_s; } }";
+        let src =
+            "aggregate s @1 (x) { state s = 0; fold { s := s + x; } merge { s := s + rhs_s; } }";
         let (c1, _) = prove(src, &opts);
         assert_eq!(c1.outcomes, vec![ProofOutcome::Proved]);
         assert_eq!(c1.stats.checks, 1);

@@ -18,7 +18,7 @@
 //! unassigned variables, preserved automatically by SSA versioning), is
 //! inductive and holds at the loop head.
 
-use crate::symbolic::{SymbolicCtx, SymState};
+use crate::symbolic::{SymState, SymbolicCtx};
 use std::collections::BTreeSet;
 use udf_lang::analysis::{assigned_vars, bool_expr_vars};
 use udf_lang::ast::{BoolExpr, CmpOp, IntExpr, Stmt};
@@ -48,9 +48,7 @@ impl LinearInv {
                     IntExpr::sub(IntExpr::Var(v), IntExpr::Const(-c))
                 },
             ),
-            LinearInv::Const(u, c) => {
-                BoolExpr::Cmp(CmpOp::Eq, IntExpr::Var(u), IntExpr::Const(c))
-            }
+            LinearInv::Const(u, c) => BoolExpr::Cmp(CmpOp::Eq, IntExpr::Var(u), IntExpr::Const(c)),
         }
     }
 }

@@ -77,13 +77,16 @@ pub mod rules;
 pub mod simplify;
 pub mod symbolic;
 
-pub use api::{consolidate_many, consolidate_pair, consolidate_pair_prerenamed, Consolidated,
-              ConsolidateError, ConsolidationStats};
+pub use api::{
+    consolidate_many, consolidate_pair, consolidate_pair_prerenamed, ConsolidateError,
+    Consolidated, ConsolidationStats,
+};
 pub use budget::{BudgetState, ConsolidationBudget, DegradationTier};
 pub use delta::{DeltaError, DeltaPlan, DeltaReport, LeafImage, NodeImage, PlanImage};
+pub use explain::{
+    EntailmentEvent, EntailmentVia, ExplainEntry, ExplainNode, ExplainReport, PairExplain,
+};
 pub use homomorphism::{consolidate_aggs, AggConsolidation, AggProofStats, ProofOutcome};
-pub use explain::{EntailmentEvent, EntailmentVia, ExplainEntry, ExplainNode, ExplainReport,
-                  PairExplain};
 pub use memo::EntailmentMemo;
 pub use prefilter::{Prefilter, Reject as PrefilterReject};
 pub use rules::{IfPolicy, Options, RuleStats};

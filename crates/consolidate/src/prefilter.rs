@@ -124,7 +124,11 @@ impl std::fmt::Display for Reject {
 /// Inlines `e` into a parameter-only, call-free expression using the map of
 /// known parameter-defined locals; `None` when the expression depends on a
 /// call or an untracked local.
-fn inline_int(e: &IntExpr, env: &BTreeMap<Symbol, IntExpr>, params: &BTreeSet<Symbol>) -> Option<IntExpr> {
+fn inline_int(
+    e: &IntExpr,
+    env: &BTreeMap<Symbol, IntExpr>,
+    params: &BTreeSet<Symbol>,
+) -> Option<IntExpr> {
     match e {
         IntExpr::Const(c) => Some(IntExpr::Const(*c)),
         IntExpr::Var(v) => {
@@ -146,7 +150,12 @@ fn inline_int(e: &IntExpr, env: &BTreeMap<Symbol, IntExpr>, params: &BTreeSet<Sy
 /// Polarity-aware widening: returns an upper bound of `e` when `pos` and a
 /// lower bound when `!pos`, over parameters only. Atoms that cannot be
 /// inlined are widened to the polarity constant.
-fn approx(e: &BoolExpr, env: &BTreeMap<Symbol, IntExpr>, params: &BTreeSet<Symbol>, pos: bool) -> BoolExpr {
+fn approx(
+    e: &BoolExpr,
+    env: &BTreeMap<Symbol, IntExpr>,
+    params: &BTreeSet<Symbol>,
+    pos: bool,
+) -> BoolExpr {
     match e {
         BoolExpr::Const(b) => BoolExpr::Const(*b),
         BoolExpr::Cmp(op, a, b) => match (inline_int(a, env, params), inline_int(b, env, params)) {
@@ -178,9 +187,8 @@ fn fold(e: BoolExpr) -> BoolExpr {
             match (op, &a, &b) {
                 (BoolOp::And, BoolExpr::Const(true), _) => b,
                 (BoolOp::And, _, BoolExpr::Const(true)) => a,
-                (BoolOp::And, BoolExpr::Const(false), _) | (BoolOp::And, _, BoolExpr::Const(false)) => {
-                    BoolExpr::Const(false)
-                }
+                (BoolOp::And, BoolExpr::Const(false), _)
+                | (BoolOp::And, _, BoolExpr::Const(false)) => BoolExpr::Const(false),
                 (BoolOp::Or, BoolExpr::Const(false), _) => b,
                 (BoolOp::Or, _, BoolExpr::Const(false)) => a,
                 (BoolOp::Or, BoolExpr::Const(true), _) | (BoolOp::Or, _, BoolExpr::Const(true)) => {
@@ -197,7 +205,11 @@ fn fold(e: BoolExpr) -> BoolExpr {
 /// Upper bound for "executing `s` from here may broadcast `notify true`",
 /// over parameters only. Threads `env`, the map of locals currently known
 /// to hold parameter-only values, through the walk.
-fn may_notify_true(s: &Stmt, env: &mut BTreeMap<Symbol, IntExpr>, params: &BTreeSet<Symbol>) -> BoolExpr {
+fn may_notify_true(
+    s: &Stmt,
+    env: &mut BTreeMap<Symbol, IntExpr>,
+    params: &BTreeSet<Symbol>,
+) -> BoolExpr {
     match s {
         Stmt::Skip => BoolExpr::Const(false),
         Stmt::Notify(_, v) => BoolExpr::Const(*v),
@@ -227,7 +239,10 @@ fn may_notify_true(s: &Stmt, env: &mut BTreeMap<Symbol, IntExpr>, params: &BTree
             let ne = may_notify_true(e, &mut env_e, params);
             // Keep only bindings both branches agree on.
             env.retain(|k, v| env_t.get(k) == Some(v) && env_e.get(k) == Some(v));
-            fold(BoolExpr::or(BoolExpr::and(up_then, nt), BoolExpr::and(up_else, ne)))
+            fold(BoolExpr::or(
+                BoolExpr::and(up_then, nt),
+                BoolExpr::and(up_else, ne),
+            ))
         }
         Stmt::While(c, body) => {
             // A notification inside the loop requires (a) entering it at
@@ -353,7 +368,10 @@ fn simplify_or(e: BoolExpr) -> BoolExpr {
     }
     let mut out = BoolExpr::Const(false);
     let or_in = |e: BoolExpr, out: &mut BoolExpr| {
-        *out = fold(BoolExpr::or(std::mem::replace(out, BoolExpr::Const(false)), e));
+        *out = fold(BoolExpr::or(
+            std::mem::replace(out, BoolExpr::Const(false)),
+            e,
+        ));
     };
     for kb in keys {
         if let (Some(l), Some(u)) = (kb.lower, kb.upper) {
@@ -571,7 +589,8 @@ pub fn synthesize(
     match &r {
         Ok(pf) => {
             opts.recorder.add(names::PREFILTER_SYNTHESIZED, 1);
-            opts.recorder.observe(names::PREFILTER_PATHS, pf.paths_checked);
+            opts.recorder
+                .observe(names::PREFILTER_PATHS, pf.paths_checked);
         }
         Err(Reject::Trivial) => opts.recorder.add(names::PREFILTER_TRIVIAL, 1),
         Err(_) => opts.recorder.add(names::PREFILTER_REJECTED, 1),
@@ -623,7 +642,10 @@ mod tests {
         );
         let c = candidate(std::slice::from_ref(&p));
         let x = i.intern("x");
-        assert_eq!(c, BoolExpr::Cmp(CmpOp::Le, IntExpr::Const(5), IntExpr::Var(x)));
+        assert_eq!(
+            c,
+            BoolExpr::Cmp(CmpOp::Le, IntExpr::Const(5), IntExpr::Var(x))
+        );
     }
 
     #[test]
@@ -681,15 +703,9 @@ mod tests {
         let opts = Options::default();
         let cm = CostModel::default();
         let fns = UniformFnCost(50);
-        let merged = crate::consolidate_many(
-            &[a.clone(), b.clone()],
-            &mut i,
-            &cm,
-            &fns,
-            &opts,
-            false,
-        )
-        .expect("consolidate");
+        let merged =
+            crate::consolidate_many(&[a.clone(), b.clone()], &mut i, &cm, &fns, &opts, false)
+                .expect("consolidate");
         let pf = synthesize(&[a, b], &merged.program, &i, &cm, &fns, &opts).expect("prefilter");
         assert!(pf.paths_checked >= 1);
         assert_eq!(pf.queries, 2);
@@ -741,8 +757,9 @@ mod tests {
         let opts = Options::default();
         let cm = CostModel::default();
         let fns = UniformFnCost(50);
-        let merged = crate::consolidate_many(&[a.clone(), b.clone()], &mut i, &cm, &fns, &opts, false)
-            .expect("consolidate");
+        let merged =
+            crate::consolidate_many(&[a.clone(), b.clone()], &mut i, &cm, &fns, &opts, false)
+                .expect("consolidate");
         assert_eq!(
             synthesize(&[a, b], &merged.program, &i, &cm, &fns, &opts),
             Err(Reject::Trivial)

@@ -26,11 +26,11 @@ use crate::invariants;
 use crate::simplify::{self, is_false, is_true};
 use crate::symbolic::{EntailmentMode, SymState, SymbolicCtx};
 use std::collections::BTreeSet;
-use udf_obs::names;
 use udf_lang::analysis::{assigned_vars, bool_expr_fns, bool_expr_vars, called_fns, read_vars};
 use udf_lang::ast::{BoolExpr, Stmt};
 use udf_lang::cost::{CostModel, FnCost};
 use udf_lang::intern::Symbol;
+use udf_obs::names;
 
 /// Which If rule to use when `Ψ` decides neither branch (If 3/4/5 trade
 /// cross-simplification opportunities against code size).
@@ -160,7 +160,9 @@ pub struct Engine<'c, 'i> {
 
 impl<'c, 'i> std::fmt::Debug for Engine<'c, 'i> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Engine").field("stats", &self.stats).finish_non_exhaustive()
+        f.debug_struct("Engine")
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
     }
 }
 
@@ -204,7 +206,13 @@ impl<'c, 'i> Engine<'c, 'i> {
     /// Counts a committed rule in the metrics sink and, in explain mode,
     /// appends a derivation entry justified by every entailment event since
     /// the previous commit.
-    fn note_rule(&mut self, depth: usize, metric: &'static str, rule: &'static str, detail: String) {
+    fn note_rule(
+        &mut self,
+        depth: usize,
+        metric: &'static str,
+        rule: &'static str,
+        detail: String,
+    ) {
         self.opts.recorder.add(metric, 1);
         if self.trace.is_some() {
             let entailments = self.cx.drain_explain();
@@ -250,9 +258,7 @@ impl<'c, 'i> Engine<'c, 'i> {
         if fns_a.intersection(fns_b).next().is_some() {
             return true;
         }
-        vars_a
-            .intersection(vars_b)
-            .any(|v| self.params.contains(v))
+        vars_a.intersection(vars_b).any(|v| self.params.contains(v))
     }
 
     /// Relatedness of a test predicate to the other program. Deliberately
@@ -278,14 +284,22 @@ impl<'c, 'i> Engine<'c, 'i> {
     pub fn omega(&mut self, st: SymState, s1: Stmt, s2: Stmt, depth: usize) -> Stmt {
         if self.cx.budget_exhausted() {
             self.stats.budget_fallbacks += 1;
-            self.note_rule(depth, names::RULE_BUDGET_FALLBACK, "BudgetFallback", String::new());
+            self.note_rule(
+                depth,
+                names::RULE_BUDGET_FALLBACK,
+                "BudgetFallback",
+                String::new(),
+            );
             return s1.then(s2);
         }
-        if depth > MAX_DEPTH
-            || self.cx.entailment_queries() - self.query_base > MAX_PAIR_QUERIES
-        {
+        if depth > MAX_DEPTH || self.cx.entailment_queries() - self.query_base > MAX_PAIR_QUERIES {
             self.stats.depth_fallbacks += 1;
-            self.note_rule(depth, names::RULE_DEPTH_FALLBACK, "DepthFallback", String::new());
+            self.note_rule(
+                depth,
+                names::RULE_DEPTH_FALLBACK,
+                "DepthFallback",
+                String::new(),
+            );
             return s1.then(s2);
         }
         let (h1, t1) = s1.split_head();
@@ -454,9 +468,7 @@ impl<'c, 'i> Engine<'c, 'i> {
         if let Stmt::While(g2, b2) = h2 {
             let b2 = *b2;
             if self.opts.loop_fusion {
-                if let Some(out) =
-                    self.try_fuse_loops(&st, &g1, &b1, &t1, &g2, &b2, &t2, depth)
-                {
+                if let Some(out) = self.try_fuse_loops(&st, &g1, &b1, &t1, &g2, &b2, &t2, depth) {
                     return out;
                 }
             }

@@ -17,7 +17,7 @@
 //! * **(Bool 4/5)** — connectives simplify their operands and constant-fold
 //!   (`fold`).
 
-use crate::symbolic::{SymbolicCtx, SymState};
+use crate::symbolic::{SymState, SymbolicCtx};
 use udf_lang::ast::{BoolExpr, CmpOp, IntExpr, IntOp};
 use udf_lang::cost::{Cost, CostModel, FnCost};
 use udf_lang::intern::Symbol;

@@ -178,7 +178,10 @@ impl<'i> SymbolicCtx<'i> {
     /// Takes the entailment events accumulated since the previous drain
     /// (empty when explain mode is off).
     pub fn drain_explain(&mut self) -> Vec<EntailmentEvent> {
-        self.explain_log.as_mut().map(std::mem::take).unwrap_or_default()
+        self.explain_log
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Counts one applied cross-simplification rewrite (Figure 3 hit).
@@ -447,11 +450,8 @@ impl<'i> SymbolicCtx<'i> {
     /// `phi`.
     fn cone_of_influence(&mut self, st: &SymState, phi: FormulaId) -> FormulaId {
         let mut relevant: BTreeSet<udf_smt::VarId> = (*self.formula_vars(phi)).clone();
-        let conj_vars: Vec<std::rc::Rc<BTreeSet<udf_smt::VarId>>> = st
-            .conjuncts
-            .iter()
-            .map(|&c| self.formula_vars(c))
-            .collect();
+        let conj_vars: Vec<std::rc::Rc<BTreeSet<udf_smt::VarId>>> =
+            st.conjuncts.iter().map(|&c| self.formula_vars(c)).collect();
         let mut included = vec![false; st.conjuncts.len()];
         loop {
             let mut changed = false;
@@ -517,11 +517,7 @@ impl<'i> SymbolicCtx<'i> {
     /// value of `t` in it. This evaluates arbitrary terms — including
     /// uninterpreted calls — under one coherent model, which drives the
     /// candidate filter of the cross-simplifier. Cached per `(Ψ, t)`.
-    pub fn model_with_probe(
-        &mut self,
-        st: &SymState,
-        t: TermId,
-    ) -> Option<(Model, i128)> {
+    pub fn model_with_probe(&mut self, st: &SymState, t: TermId) -> Option<(Model, i128)> {
         if self.mode == EntailmentMode::Syntactic {
             return None;
         }
@@ -558,12 +554,7 @@ impl<'i> SymbolicCtx<'i> {
     }
 
     /// Value of a program variable in a model (missing ⇒ unconstrained ⇒ 0).
-    pub fn model_value(
-        &mut self,
-        st: &SymState,
-        model: &Model,
-        var: Symbol,
-    ) -> i128 {
+    pub fn model_value(&mut self, st: &SymState, model: &Model, var: Symbol) -> i128 {
         let t = self.smt_var(var, st.version(var));
         if let udf_smt::ctx::Term::Var(v) = self.smt.term(t) {
             model.get(v).copied().unwrap_or(0)
@@ -747,11 +738,7 @@ impl SymState {
     }
 }
 
-fn collect_term_vars(
-    smt: &Context,
-    t: TermId,
-    out: &mut BTreeSet<udf_smt::VarId>,
-) {
+fn collect_term_vars(smt: &Context, t: TermId, out: &mut BTreeSet<udf_smt::VarId>) {
     match smt.term(t) {
         udf_smt::ctx::Term::Int(_) => {}
         udf_smt::ctx::Term::Var(v) => {
@@ -772,11 +759,7 @@ fn collect_term_vars(
     }
 }
 
-fn collect_formula_vars(
-    smt: &Context,
-    f: FormulaId,
-    out: &mut BTreeSet<udf_smt::VarId>,
-) {
+fn collect_formula_vars(smt: &Context, f: FormulaId, out: &mut BTreeSet<udf_smt::VarId>) {
     match smt.formula(f) {
         udf_smt::ctx::Formula::True | udf_smt::ctx::Formula::False => {}
         udf_smt::ctx::Formula::Le(a, b)

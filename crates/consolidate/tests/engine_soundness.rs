@@ -39,10 +39,10 @@ fn library(interner: &mut Interner) -> FnLibrary {
 #[derive(Clone, Debug)]
 enum GTerm {
     Const(i8),
-    Param(u8),           // α0 / α1
-    Local(u8),           // x0 / x1 / x2 (reads default to 0-initialized: we
-                         // always pre-assign locals — see emit)
-    F(Box<GTerm>),       // f(t)
+    Param(u8), // α0 / α1
+    Local(u8), // x0 / x1 / x2 (reads default to 0-initialized: we
+    // always pre-assign locals — see emit)
+    F(Box<GTerm>), // f(t)
     G(Box<GTerm>, Box<GTerm>),
     Bin(u8, Box<GTerm>, Box<GTerm>),
 }
@@ -75,10 +75,12 @@ fn gterm() -> impl Strategy<Value = GTerm> {
     leaf.prop_recursive(3, 12, 2, |inner| {
         prop_oneof![
             inner.clone().prop_map(|t| GTerm::F(Box::new(t))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| GTerm::G(Box::new(a), Box::new(b))),
-            (0u8..3, inner.clone(), inner)
-                .prop_map(|(op, a, b)| GTerm::Bin(op, Box::new(a), Box::new(b))),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| GTerm::G(Box::new(a), Box::new(b))),
+            (0u8..3, inner.clone(), inner).prop_map(|(op, a, b)| GTerm::Bin(
+                op,
+                Box::new(a),
+                Box::new(b)
+            )),
         ]
     })
 }
@@ -183,11 +185,7 @@ fn elaborate(p: &GProg, id: u32, interner: &mut Interner) -> Program {
         Stmt::Notify(ProgId(id), true),
         Stmt::Notify(ProgId(id), false),
     ));
-    Program::new(
-        ProgId(id),
-        names.params.to_vec(),
-        Stmt::seq_all(body),
-    )
+    Program::new(ProgId(id), names.params.to_vec(), Stmt::seq_all(body))
 }
 
 /// Checks Definition 1 on a concrete input; returns a description of the
@@ -380,7 +378,11 @@ fn paper_example6_loop_fusion() {
         &Options::default(),
     )
     .unwrap();
-    assert_eq!(merged.stats.rules.loop2, 1, "Loop 2 should fire: {:?}", merged.stats);
+    assert_eq!(
+        merged.stats.rules.loop2, 1,
+        "Loop 2 should fire: {:?}",
+        merged.stats
+    );
     // The fused loop calls f once per iteration: cost(merged) must be far
     // below the sum for sizeable alpha.
     let interp = Interp::new(CostModel::default(), &lib);
@@ -493,8 +495,8 @@ fn many_way_consolidation_is_sound() {
 fn incompatible_programs_are_rejected() {
     let mut interner = Interner::new();
     let lib = FnLibrary::new();
-    let a = udf_lang::parse::parse_program("program a @1 (x) { notify true; }", &mut interner)
-        .unwrap();
+    let a =
+        udf_lang::parse::parse_program("program a @1 (x) { notify true; }", &mut interner).unwrap();
     let b = udf_lang::parse::parse_program("program b @1 (x) { notify false; }", &mut interner)
         .unwrap();
     let c = udf_lang::parse::parse_program("program c @2 (y) { notify false; }", &mut interner)

@@ -139,7 +139,12 @@ fn loop_fusion_switch_controls_loop2() {
     let cf = interp.run(&fused.program, &[0], &interner).unwrap();
     let cu = interp.run(&unfused.program, &[0], &interner).unwrap();
     assert_eq!(cf.notifications, cu.notifications);
-    assert!(cf.cost < cu.cost, "fusion should save: {} vs {}", cf.cost, cu.cost);
+    assert!(
+        cf.cost < cu.cost,
+        "fusion should save: {} vs {}",
+        cf.cost,
+        cu.cost
+    );
 }
 
 #[test]

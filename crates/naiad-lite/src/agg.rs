@@ -213,8 +213,12 @@ impl Engine {
         // Each definition's fold (over `state ++ params`) and merge (over
         // `state ++ rhs`), compiled once for the job.
         let compile = |def: &AggDef, view: Program| {
-            RegProgram::compile(&view, &[], &queries.cost_model, &|f| env.fn_cost(f))
-                .map_err(|error| EngineError::Compile { query: def.id, error })
+            RegProgram::compile(&view, &[], &queries.cost_model, &|f| env.fn_cost(f)).map_err(
+                |error| EngineError::Compile {
+                    query: def.id,
+                    error,
+                },
+            )
         };
         let mut fold_code = Vec::with_capacity(queries.defs.len());
         let mut merge_code = Vec::with_capacity(queries.defs.len());
@@ -347,7 +351,10 @@ impl Engine {
         recorder.add(names::AGG_FOLDS, folds);
         recorder.add(names::AGG_MERGES, merges);
         recorder.add(names::ENGINE_RECORDS, records.len() as u64);
-        recorder.add(names::ENGINE_QUARANTINED, quarantine.records_quarantined as u64);
+        recorder.add(
+            names::ENGINE_QUARANTINED,
+            quarantine.records_quarantined as u64,
+        );
         for e in &quarantine.entries {
             recorder.add(e.kind.counter(), 1);
         }
@@ -442,7 +449,12 @@ impl<'a, E: UdfEnv> FoldCtx<'a, E> {
         let n_spans = records.len().div_ceil(span).max(1);
         run_tasks(self.workers, n_spans, |c| {
             let lo = c * span;
-            self.fold_span(&records[lo..(lo + span).min(records.len())], lo, queries, group)
+            self.fold_span(
+                &records[lo..(lo + span).min(records.len())],
+                lo,
+                queries,
+                group,
+            )
         })
         .into_iter()
         .enumerate()
@@ -479,20 +491,19 @@ impl<'a, E: UdfEnv> FoldCtx<'a, E> {
             let _timer = timing.then(|| recorder.span(names::ENGINE_FOLD_NS));
             for (pass, &di) in passes.iter_mut().zip(group) {
                 let id = Some(queries.defs[di].id);
-                let Err(fault) = self.fold_one(&mut vm, di, rec, &args, &mut pass.state, id)
-                else {
+                let Err(fault) = self.fold_one(&mut vm, di, rec, &args, &mut pass.state, id) else {
                     pass.folds += 1;
                     continue;
                 };
-                let (outcome, retries) = pass.quarantine.retry(self.config.max_retries, fault, || {
-                    self.fold_one(&mut vm, di, rec, &args, &mut pass.state, id)
-                });
+                let (outcome, retries) =
+                    pass.quarantine.retry(self.config.max_retries, fault, || {
+                        self.fold_one(&mut vm, di, rec, &args, &mut pass.state, id)
+                    });
                 match outcome {
                     Ok(_) => pass.folds += 1,
                     Err(fault) => {
-                        pass.quarantine.admit(self.config, base + off, fault, retries, || {
-                            args.clone()
-                        })?;
+                        pass.quarantine
+                            .admit(self.config, base + off, fault, retries, || args.clone())?;
                     }
                 }
             }
@@ -798,7 +809,13 @@ mod tests {
         let defs = parse_aggs(&src, &mut interner).expect("parse");
         let env = ScalarEnv::new(1, FnLibrary::new());
         let err = Engine::new(1)
-            .run_agg(&env, &scalar_records(3), &AggQuerySet::sequential(defs), &interner, AggMode::Consolidated)
+            .run_agg(
+                &env,
+                &scalar_records(3),
+                &AggQuerySet::sequential(defs),
+                &interner,
+                AggMode::Consolidated,
+            )
             .expect_err("too many arguments");
         assert_eq!(
             err,

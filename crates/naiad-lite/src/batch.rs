@@ -42,7 +42,7 @@
 
 use crate::env::UdfEnv;
 use crate::policy::{panic_message, RecordFault};
-use crate::regcode::{apply_bin, Block, RArg, RegProgram, ROp};
+use crate::regcode::{apply_bin, Block, RArg, ROp, RegProgram};
 use crate::VmError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -173,7 +173,10 @@ fn split(
         ROp::JumpUnlessBin { op, a, b, .. } => {
             let (ba, bb) = (a as usize * cap, b as usize * cap);
             for &l in sel {
-                route(l, apply_bin(op, regs[ba + l as usize], regs[bb + l as usize]));
+                route(
+                    l,
+                    apply_bin(op, regs[ba + l as usize], regs[bb + l as usize]),
+                );
             }
         }
         ROp::JumpUnlessBinK { op, r, k, .. } => {
@@ -215,7 +218,9 @@ fn exec_pure(regs: &mut [i64], cap: usize, op: &ROp, sel: &[u32]) {
         }
         ROp::Bin { op, dst, a, b } => {
             let (bd, ba, bb) = (dst as usize * cap, a as usize * cap, b as usize * cap);
-            for_lanes(sel, cap, |l| regs[bd + l] = apply_bin(op, regs[ba + l], regs[bb + l]));
+            for_lanes(sel, cap, |l| {
+                regs[bd + l] = apply_bin(op, regs[ba + l], regs[bb + l])
+            });
         }
         ROp::BinK {
             op,
@@ -492,14 +497,7 @@ impl BatchVm {
     /// then compacts `sel`, which otherwise stays untouched — the common
     /// all-lanes-pass case does no selection churn at all).
     #[inline]
-    fn gate(
-        &mut self,
-        pi: usize,
-        steps: u64,
-        cost: u64,
-        track_cost: bool,
-        sel: &[u32],
-    ) -> bool {
+    fn gate(&mut self, pi: usize, steps: u64, cost: u64, track_cost: bool, sel: &[u32]) -> bool {
         let mut any_fault = false;
         for &l in sel {
             let li = l as usize;
@@ -639,9 +637,8 @@ impl BatchVm {
                                 RArg::Const(k) => k,
                             });
                         }
-                        let call = catch_unwind(AssertUnwindSafe(|| {
-                            env.call(&recs[li], f, &self.args)
-                        }));
+                        let call =
+                            catch_unwind(AssertUnwindSafe(|| env.call(&recs[li], f, &self.args)));
                         match call {
                             Ok(Ok(v)) => self.regs[bd + li] = v,
                             Ok(Err(e)) => {
@@ -698,10 +695,10 @@ mod tests {
     use crate::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
     use crate::regcode::RegVm;
     use udf_lang::ast::ProgId;
-    use udf_lang::intern::Symbol;
-    use udf_lang::library::LibError;
     use udf_lang::cost::CostModel;
     use udf_lang::intern::Interner;
+    use udf_lang::intern::Symbol;
+    use udf_lang::library::LibError;
     use udf_lang::parse::parse_program;
     use udf_lang::FnLibrary;
 
@@ -740,7 +737,11 @@ mod tests {
         /// The argument lists of the calls made on record `id`, in order.
         fn calls_on(&self, id: usize) -> Vec<Vec<i64>> {
             let calls = self.calls.lock().unwrap();
-            calls.iter().filter(|(r, _)| *r == id).map(|(_, a)| a.clone()).collect()
+            calls
+                .iter()
+                .filter(|(r, _)| *r == id)
+                .map(|(_, a)| a.clone())
+                .collect()
         }
     }
 
@@ -821,8 +822,9 @@ mod tests {
             let regs = compile_set(&srcs, &mut i, &base);
             let reg_refs: Vec<&RegProgram> = regs.iter().collect();
             let n_q = srcs.len();
-            let recs: Vec<(usize, Vec<i64>)> =
-                (0..64).map(|k| (k, vec![k as i64 % 9, k as i64 % 11])).collect();
+            let recs: Vec<(usize, Vec<i64>)> = (0..64)
+                .map(|k| (k, vec![k as i64 % 9, k as i64 % 11]))
+                .collect();
 
             // Columnar pass.
             let mut row = Vec::new();

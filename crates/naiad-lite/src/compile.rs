@@ -610,11 +610,15 @@ mod tests {
         let mut i = Interner::new();
         let env = scalar_env(&mut i);
         let p = parse_program(src, &mut i).unwrap();
-        let ids: Vec<ProgId> = udf_lang::analysis::notify_ids(&p.body).into_iter().collect();
+        let ids: Vec<ProgId> = udf_lang::analysis::notify_ids(&p.body)
+            .into_iter()
+            .collect();
         let cm = CostModel::default();
         let prog = RegProgram::compile(&p, &ids, &cm, &|f| env.fn_cost(f)).unwrap();
         let mut out = vec![NOTIFY_NONE; ids.len()];
-        let vm = RegVm::new().with_fuel(fuel).run(&prog, &env, &rec, &mut out, true);
+        let vm = RegVm::new()
+            .with_fuel(fuel)
+            .run(&prog, &env, &rec, &mut out, true);
         let lib = RecordLibrary::new(&env, &rec);
         let reference = Interp::new(cm, &lib).with_fuel(fuel).run(&p, &rec, &i);
         match (vm, reference) {
@@ -798,7 +802,11 @@ mod tests {
     #[test]
     fn divergent_loop_hits_fuel() {
         assert_eq!(
-            run_both("program p @0 (a, b) { while (0 < 1) { skip; } }", vec![0, 0], 1_000),
+            run_both(
+                "program p @0 (a, b) { while (0 < 1) { skip; } }",
+                vec![0, 0],
+                1_000
+            ),
             Err(VmError::OutOfFuel)
         );
     }

@@ -38,15 +38,17 @@ use crate::batch::{BatchVm, RecordBatch};
 use crate::compile::{VmError, DEFAULT_FUEL, NOTIFY_NONE};
 use crate::env::UdfEnv;
 use crate::fastpred::FastPred;
-use crate::guard::{GuardAction, GuardMismatch, GuardObservation, GuardPolicy, GuardReport, GuardRun};
+use crate::guard::{
+    GuardAction, GuardMismatch, GuardObservation, GuardPolicy, GuardReport, GuardRun,
+};
 use crate::policy::{attempt, finalize_quarantine, run_tasks, Outcome};
 use crate::regcode::{RegProgram, RegVm};
 use std::fmt;
 use std::time::{Duration, Instant};
 use udf_lang::ast::ProgId;
-use udf_obs::names;
 use udf_lang::cost::{Cost, CostModel};
 use udf_lang::intern::Symbol;
+use udf_obs::names;
 
 /// Which execution backend runs a plan's register bytecode: a record at a
 /// time, or through the columnar batch executor (struct-of-arrays record
@@ -697,8 +699,12 @@ impl Engine {
         let shards: Vec<&[E::Rec]> = records.chunks(shard_len).collect();
         let start = Instant::now();
         let shard_results = run_tasks(self.workers, shards.len(), |k| match config.backend {
-            ExecBackend::PerRecord => run_shard(ctx, ScalarExec::new(ctx), shards[k], k * shard_len),
-            ExecBackend::Columnar => run_shard(ctx, ColumnarExec::new(ctx), shards[k], k * shard_len),
+            ExecBackend::PerRecord => {
+                run_shard(ctx, ScalarExec::new(ctx), shards[k], k * shard_len)
+            }
+            ExecBackend::Columnar => {
+                run_shard(ctx, ColumnarExec::new(ctx), shards[k], k * shard_len)
+            }
         });
         let udf_time = start.elapsed();
         let mut counts = vec![0u64; n_q];
@@ -1226,7 +1232,9 @@ mod tests {
         .unwrap();
         let records: Vec<Vec<i64>> = (0..100).map(|v| vec![v]).collect();
         let engine = Engine::new(4);
-        let r = engine.run(&env, &records, &qs, ExecMode::Many, true).unwrap();
+        let r = engine
+            .run(&env, &records, &qs, ExecMode::Many, true)
+            .unwrap();
         assert_eq!(r.counts, vec![99, 89, 79]);
         assert_eq!(r.missing, vec![0, 0, 0]);
         assert_eq!(r.records, 100);
@@ -1253,13 +1261,18 @@ mod tests {
             udf_lang::library::Library::cost(&lib, f)
         })
         .unwrap()
-        .with_consolidated(&merged.program, &cm, &|f| {
-            udf_lang::library::Library::cost(&lib, f)
-        }, merged.elapsed)
+        .with_consolidated(
+            &merged.program,
+            &cm,
+            &|f| udf_lang::library::Library::cost(&lib, f),
+            merged.elapsed,
+        )
         .unwrap();
         let records: Vec<Vec<i64>> = (-20..120).map(|v| vec![v]).collect();
         let engine = Engine::new(3);
-        let many = engine.run(&env, &records, &qs, ExecMode::Many, true).unwrap();
+        let many = engine
+            .run(&env, &records, &qs, ExecMode::Many, true)
+            .unwrap();
         let cons = engine
             .run(&env, &records, &qs, ExecMode::Consolidated, true)
             .unwrap();
@@ -1281,8 +1294,12 @@ mod tests {
         let cm = CostModel::default();
         let qs = QuerySet::compile_many(&programs, &cm, &|_| 10).unwrap();
         let records: Vec<Vec<i64>> = (0..1000).map(|v| vec![v % 37]).collect();
-        let a = Engine::new(1).run(&env, &records, &qs, ExecMode::Many, false).unwrap();
-        let b = Engine::new(8).run(&env, &records, &qs, ExecMode::Many, false).unwrap();
+        let a = Engine::new(1)
+            .run(&env, &records, &qs, ExecMode::Many, false)
+            .unwrap();
+        let b = Engine::new(8)
+            .run(&env, &records, &qs, ExecMode::Many, false)
+            .unwrap();
         assert_eq!(a.counts, b.counts);
     }
 

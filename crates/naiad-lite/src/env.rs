@@ -67,7 +67,9 @@ pub struct ScalarEnv {
 
 impl std::fmt::Debug for ScalarEnv {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScalarEnv").field("arity", &self.arity).finish()
+        f.debug_struct("ScalarEnv")
+            .field("arity", &self.arity)
+            .finish()
     }
 }
 

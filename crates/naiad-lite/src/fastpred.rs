@@ -162,11 +162,7 @@ mod tests {
             ),
             BoolExpr::and(
                 BoolExpr::Cmp(CmpOp::Lt, IntExpr::Var(b), IntExpr::Const(-5)),
-                BoolExpr::not(BoolExpr::Cmp(
-                    CmpOp::Eq,
-                    IntExpr::Var(a),
-                    IntExpr::Const(0),
-                )),
+                BoolExpr::not(BoolExpr::Cmp(CmpOp::Eq, IntExpr::Var(a), IntExpr::Const(0))),
             ),
         );
         let fast = FastPred::build(&cond, &params).expect("fragment supported");
@@ -186,7 +182,11 @@ mod tests {
             let (expected, _cost) = interp
                 .bool_expr(&env, &cond, &interner)
                 .expect("condition is total");
-            assert_eq!(fast.eval(&rec), expected, "fast/interp divergence on {rec:?}");
+            assert_eq!(
+                fast.eval(&rec),
+                expected,
+                "fast/interp divergence on {rec:?}"
+            );
         }
     }
 

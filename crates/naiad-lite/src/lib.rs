@@ -76,9 +76,9 @@ pub use engine::{
     Engine, EngineConfig, EngineError, ErrorKind, ErrorPolicy, ExecBackend, ExecMode, JobReport,
     QuarantineEntry, QuarantineReport, QuerySet,
 };
-pub use regcode::{RegProgram, RegVm};
 pub use env::{ScalarEnv, UdfEnv};
 pub use fault::{FaultKind, FaultPlan, FaultyEnv};
 pub use guard::{
     GuardAction, GuardMismatch, GuardObservation, GuardPolicy, GuardReport, PlanIncident,
 };
+pub use regcode::{RegProgram, RegVm};

@@ -517,7 +517,9 @@ mod tests {
         let mut i = Interner::new();
         let env = scalar_env(&mut i);
         let p = parse_program(src, &mut i).unwrap();
-        let ids: Vec<ProgId> = udf_lang::analysis::notify_ids(&p.body).into_iter().collect();
+        let ids: Vec<ProgId> = udf_lang::analysis::notify_ids(&p.body)
+            .into_iter()
+            .collect();
         let cm = CostModel::default();
         let reg = RegProgram::compile(&p, &ids, &cm, &|f| env.fn_cost(f)).unwrap();
         (p, reg, env)
@@ -602,12 +604,19 @@ mod tests {
 
     fn scalar_run<E: UdfEnv>(reg: &RegProgram, env: &E, rec: &E::Rec, fuel: u64) -> Observed {
         let mut out = vec![NOTIFY_NONE; reg.n_queries];
-        let r = RegVm::new().with_fuel(fuel).run(reg, env, rec, &mut out, true);
+        let r = RegVm::new()
+            .with_fuel(fuel)
+            .run(reg, env, rec, &mut out, true);
         observed(r, &out)
     }
 
     /// Runs `recs` as one batch, returning each lane's observables.
-    fn batch_run<E: UdfEnv>(reg: &RegProgram, env: &E, recs: &[E::Rec], fuel: u64) -> Vec<Observed> {
+    fn batch_run<E: UdfEnv>(
+        reg: &RegProgram,
+        env: &E,
+        recs: &[E::Rec],
+        fuel: u64,
+    ) -> Vec<Observed> {
         let n_q = reg.n_queries;
         let batch = RecordBatch::gather(env, recs, &mut Vec::new());
         let mut bvm = BatchVm::new(fuel);
@@ -725,7 +734,11 @@ mod tests {
 
     #[test]
     fn divergent_loop_parity_hits_fuel_at_same_budget() {
-        assert_parity_fuels("program p @0 (a, b) { while (0 < 1) { skip; } }", vec![0, 0], false);
+        assert_parity_fuels(
+            "program p @0 (a, b) { while (0 < 1) { skip; } }",
+            vec![0, 0],
+            false,
+        );
     }
 
     #[test]
@@ -758,7 +771,10 @@ mod tests {
         );
         let reg_steps: u64 = reg.code.iter().map(|i| u64::from(i.steps)).sum();
         let (ast_steps, ast_cost) = ast_accounting(&p, &env);
-        assert_eq!(reg_steps, ast_steps, "every node, jump and halt charged once");
+        assert_eq!(
+            reg_steps, ast_steps,
+            "every node, jump and halt charged once"
+        );
         let reg_cost: Cost = reg.code.iter().map(|i| i.cost).sum();
         assert_eq!(reg_cost, ast_cost, "every node's cost charged once");
         assert_eq!(reg.total_steps(), reg_steps, "blocks partition the code");
@@ -789,8 +805,9 @@ mod tests {
             };
             let (s_env, b_env) = (mk_env(), mk_env());
             let p = parse_program(src, &mut i).unwrap();
-            let ids: Vec<ProgId> =
-                udf_lang::analysis::notify_ids(&p.body).into_iter().collect();
+            let ids: Vec<ProgId> = udf_lang::analysis::notify_ids(&p.body)
+                .into_iter()
+                .collect();
             let cm = CostModel::default();
             let reg = RegProgram::compile(&p, &ids, &cm, &|f| s_env.fn_cost(f)).unwrap();
             let rec = (0usize, vec![4i64, 9]);

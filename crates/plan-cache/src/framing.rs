@@ -151,8 +151,7 @@ pub struct FrameHeader {
 /// A human-readable reason when the line is not UTF-8, does not start with
 /// `keyword`, or its length/checksum tokens do not parse.
 pub fn parse_frame_header(line: &[u8], keyword: &str) -> Result<FrameHeader, String> {
-    let text =
-        std::str::from_utf8(line).map_err(|_| format!("{keyword} header is not UTF-8"))?;
+    let text = std::str::from_utf8(line).map_err(|_| format!("{keyword} header is not UTF-8"))?;
     let mut words: Vec<&str> = text.split_ascii_whitespace().collect();
     if words.first() != Some(&keyword) {
         return Err(format!("not a {keyword} header"));
@@ -163,7 +162,9 @@ pub fn parse_frame_header(line: &[u8], keyword: &str) -> Result<FrameHeader, Str
     let crc_word = words.pop().expect("len checked");
     let len_word = words.pop().expect("len checked");
     let crc = u64::from_str_radix(crc_word, 16).map_err(|_| "bad checksum hex".to_owned())?;
-    let len: usize = len_word.parse().map_err(|_| "bad payload length".to_owned())?;
+    let len: usize = len_word
+        .parse()
+        .map_err(|_| "bad payload length".to_owned())?;
     Ok(FrameHeader {
         fields: words[1..].iter().map(|w| (*w).to_owned()).collect(),
         len,

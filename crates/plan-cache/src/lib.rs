@@ -311,7 +311,9 @@ impl Default for PlanCache {
 
 impl std::fmt::Debug for PlanCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlanCache").field("stats", &self.stats()).finish()
+        f.debug_struct("PlanCache")
+            .field("stats", &self.stats())
+            .finish()
     }
 }
 
@@ -750,15 +752,31 @@ mod tests {
         let opts = Options::default();
         let cache = PlanCache::default();
 
-        let (cold, o1) =
-            consolidate_many_cached(&cache, &programs, &mut i, &cm, &fns, &opts, false, ExecBackend::PerRecord)
-                .expect("cold run succeeds");
+        let (cold, o1) = consolidate_many_cached(
+            &cache,
+            &programs,
+            &mut i,
+            &cm,
+            &fns,
+            &opts,
+            false,
+            ExecBackend::PerRecord,
+        )
+        .expect("cold run succeeds");
         assert_eq!(o1, PlanOutcome::Miss);
         assert!(cold.stats.solver.checks > 0, "cold run must hit the solver");
 
-        let (warm, o2) =
-            consolidate_many_cached(&cache, &programs, &mut i, &cm, &fns, &opts, false, ExecBackend::PerRecord)
-                .expect("warm run succeeds");
+        let (warm, o2) = consolidate_many_cached(
+            &cache,
+            &programs,
+            &mut i,
+            &cm,
+            &fns,
+            &opts,
+            false,
+            ExecBackend::PerRecord,
+        )
+        .expect("warm run succeeds");
         assert_eq!(o2, PlanOutcome::Hit);
         assert_eq!(warm.stats.solver.checks, 0, "a hit must skip the solver");
         assert_eq!(
@@ -881,14 +899,28 @@ mod tests {
 
         // Fill for the per-record backend…
         let (_, o1) = consolidate_many_cached(
-            &cache, &programs, &mut i, &cm, &fns, &opts, false, ExecBackend::PerRecord,
+            &cache,
+            &programs,
+            &mut i,
+            &cm,
+            &fns,
+            &opts,
+            false,
+            ExecBackend::PerRecord,
         )
         .expect("per-record run succeeds");
         assert_eq!(o1, PlanOutcome::Miss);
 
         // …a columnar request for the same set must NOT be served from it.
         let (_, o2) = consolidate_many_cached(
-            &cache, &programs, &mut i, &cm, &fns, &opts, false, ExecBackend::Columnar,
+            &cache,
+            &programs,
+            &mut i,
+            &cm,
+            &fns,
+            &opts,
+            false,
+            ExecBackend::Columnar,
         )
         .expect("columnar run succeeds");
         assert_eq!(

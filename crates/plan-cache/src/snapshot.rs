@@ -103,7 +103,11 @@ pub(crate) fn save(cache: &PlanCache, path: &Path) -> io::Result<()> {
     out.push('\n');
     for (key, plan) in cache.entries() {
         let payload = render_payload(&plan);
-        out.push_str(&framing::render_frame("entry", &[key.to_string()], &payload));
+        out.push_str(&framing::render_frame(
+            "entry",
+            &[key.to_string()],
+            &payload,
+        ));
     }
     // Atomic publish (shared [`framing::atomic_write`] idiom): readers see
     // either the old snapshot or the complete new one — never a half-written
@@ -216,7 +220,9 @@ fn parse_entries(bytes: &[u8], cache: &PlanCache) -> SnapshotRecovery {
             }
             Err((resume, msg)) => {
                 recovery.salvaged += 1;
-                recovery.incidents.push(RecoveryIncident::new(SUBSYSTEM, msg));
+                recovery
+                    .incidents
+                    .push(RecoveryIncident::new(SUBSYSTEM, msg));
                 pos = resume;
             }
         }
@@ -473,7 +479,10 @@ mod tests {
         let recorder = udf_obs::RecorderCell::memory();
         let (loaded, recovery) =
             PlanCache::load_recovering(&path, CacheConfig::default(), &recorder).unwrap();
-        assert_eq!((recovery.total, recovery.loaded, recovery.salvaged), (4, 3, 1));
+        assert_eq!(
+            (recovery.total, recovery.loaded, recovery.salvaged),
+            (4, 3, 1)
+        );
         assert_eq!(loaded.len(), 3);
         assert!(
             recovery.incidents[0].detail.contains("checksum mismatch"),
@@ -510,7 +519,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(loaded.len(), 1);
-        assert_eq!((recovery.total, recovery.loaded, recovery.salvaged), (2, 1, 1));
+        assert_eq!(
+            (recovery.total, recovery.loaded, recovery.salvaged),
+            (2, 1, 1)
+        );
         std::fs::remove_file(&path).ok();
     }
 }

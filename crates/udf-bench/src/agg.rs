@@ -248,7 +248,14 @@ pub fn run_agg_domain(
             for f in fams {
                 let defs = (f.build)(scale.defs, seed, &mut interner);
                 out.push(run_agg_family(
-                    "weather", f.label, &env, &records, defs, &mut interner, workers, opts,
+                    "weather",
+                    f.label,
+                    &env,
+                    &records,
+                    defs,
+                    &mut interner,
+                    workers,
+                    opts,
                 ));
             }
         }
@@ -258,7 +265,14 @@ pub fn run_agg_domain(
             for f in fams {
                 let defs = (f.build)(scale.defs, seed, &mut interner);
                 out.push(run_agg_family(
-                    "flight", f.label, &env, &records, defs, &mut interner, workers, opts,
+                    "flight",
+                    f.label,
+                    &env,
+                    &records,
+                    defs,
+                    &mut interner,
+                    workers,
+                    opts,
                 ));
             }
         }
@@ -269,7 +283,14 @@ pub fn run_agg_domain(
             for f in fams {
                 let defs = (f.build)(scale.defs, seed, &mut interner);
                 out.push(run_agg_family(
-                    "news", f.label, &env, &records, defs, &mut interner, workers, opts,
+                    "news",
+                    f.label,
+                    &env,
+                    &records,
+                    defs,
+                    &mut interner,
+                    workers,
+                    opts,
                 ));
             }
         }
@@ -280,7 +301,14 @@ pub fn run_agg_domain(
             for f in fams {
                 let defs = (f.build)(scale.defs, seed, &mut interner);
                 out.push(run_agg_family(
-                    "twitter", f.label, &env, &records, defs, &mut interner, workers, opts,
+                    "twitter",
+                    f.label,
+                    &env,
+                    &records,
+                    defs,
+                    &mut interner,
+                    workers,
+                    opts,
                 ));
             }
         }
@@ -299,7 +327,14 @@ pub fn run_agg_domain(
             for f in fams {
                 let defs = (f.build)(scale.defs, seed, &mut interner);
                 out.push(run_agg_family(
-                    "stock", f.label, &env, &records, defs, &mut interner, workers, opts,
+                    "stock",
+                    f.label,
+                    &env,
+                    &records,
+                    defs,
+                    &mut interner,
+                    workers,
+                    opts,
                 ));
             }
         }
@@ -337,8 +372,19 @@ pub fn format_agg_row(r: &AggFamilyRun) -> String {
 pub fn agg_header() -> String {
     format!(
         "{:<8} {:<4} {:>4} {:>8} {:>10} {:>11} {:>12} {:>8} {:>7} {:>8} {:>7} {:>6}  {}",
-        "domain", "fam", "n", "records", "proved", "spdup", "proof", "tier", "digest", "folds",
-        "merges", "q'tine", "scaling"
+        "domain",
+        "fam",
+        "n",
+        "records",
+        "proved",
+        "spdup",
+        "proof",
+        "tier",
+        "digest",
+        "folds",
+        "merges",
+        "q'tine",
+        "scaling"
     )
 }
 

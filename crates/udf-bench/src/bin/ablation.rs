@@ -39,29 +39,47 @@ fn main() {
 
     let configs: Vec<(&str, Options)> = vec![
         ("heuristic (paper)", Options::default()),
-        ("always-if3", Options {
-            if_policy: IfPolicy::AlwaysIf3,
-            ..Options::default()
-        }),
-        ("always-if4", Options {
-            if_policy: IfPolicy::AlwaysIf4,
-            ..Options::default()
-        }),
-        ("always-if5", Options {
-            if_policy: IfPolicy::AlwaysIf5,
-            ..Options::default()
-        }),
-        ("no-loop-fusion", Options {
-            loop_fusion: false,
-            ..Options::default()
-        }),
-        ("syntactic-only", Options {
-            mode: EntailmentMode::Syntactic,
-            ..Options::default()
-        }),
+        (
+            "always-if3",
+            Options {
+                if_policy: IfPolicy::AlwaysIf3,
+                ..Options::default()
+            },
+        ),
+        (
+            "always-if4",
+            Options {
+                if_policy: IfPolicy::AlwaysIf4,
+                ..Options::default()
+            },
+        ),
+        (
+            "always-if5",
+            Options {
+                if_policy: IfPolicy::AlwaysIf5,
+                ..Options::default()
+            },
+        ),
+        (
+            "no-loop-fusion",
+            Options {
+                loop_fusion: false,
+                ..Options::default()
+            },
+        ),
+        (
+            "syntactic-only",
+            Options {
+                mode: EntailmentMode::Syntactic,
+                ..Options::default()
+            },
+        ),
     ];
 
-    println!("Ablations — weather Mix + news BC + stock Q1 (queries: {}, seed {seed})", scale.queries);
+    println!(
+        "Ablations — weather Mix + news BC + stock Q1 (queries: {}, seed {seed})",
+        scale.queries
+    );
     println!(
         "{:<18} {:<8} {:<4} {:>10} {:>10} {:>12} {:>8} {:>7}",
         "config", "domain", "fam", "udf-spdup", "tot-spdup", "consolid.(s)", "size", "agree"

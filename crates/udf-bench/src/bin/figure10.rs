@@ -79,7 +79,9 @@ fn main() {
     // especially on the small `--fast` datasets, whose per-pass times are
     // single-digit milliseconds.
     scale.passes = if prefilter {
-        scale.passes.max(if scale.records >= 0.99 { 20 } else { 100 })
+        scale
+            .passes
+            .max(if scale.records >= 0.99 { 20 } else { 100 })
     } else {
         scale.passes.min(2)
     };
@@ -97,15 +99,36 @@ fn main() {
     let records = udf_data::news::dataset_sized(n_articles.max(100), seed);
 
     println!("Figure 10 — scalability with the number of UDFs (news domain, BC mix)");
-    println!("records: {}, workers: {workers}, seed {seed}", records.len());
+    println!(
+        "records: {}, workers: {workers}, seed {seed}",
+        records.len()
+    );
     if warm_cache {
-        run_warm(sweep, scale, seed, workers, &opts, &mut interner, &env, &records);
+        run_warm(
+            sweep,
+            scale,
+            seed,
+            workers,
+            &opts,
+            &mut interner,
+            &env,
+            &records,
+        );
         dump_metrics(&opts);
         return;
     }
     if prefilter {
         run_prefilter(
-            sweep, scale, seed, workers, &mut opts, &mut interner, &env, &records, backend, &json,
+            sweep,
+            scale,
+            seed,
+            workers,
+            &mut opts,
+            &mut interner,
+            &env,
+            &records,
+            backend,
+            &json,
         );
         dump_metrics(&opts);
         return;
@@ -113,8 +136,14 @@ fn main() {
     let mut runs = Vec::new();
     println!(
         "{:>6} {:>14} {:>14} {:>14} {:>14} {:>14} {:>10} {:>6}",
-        "nUDFs", "many-udf(s)", "many-total(s)", "cons-udf(s)", "cons-total(s)", "consolid.(s)",
-        "tier", "q'tine"
+        "nUDFs",
+        "many-udf(s)",
+        "many-total(s)",
+        "cons-udf(s)",
+        "cons-total(s)",
+        "consolid.(s)",
+        "tier",
+        "q'tine"
     );
     for &n in sweep {
         // The paper's scalability benchmark uses mixes of News query
@@ -144,7 +173,11 @@ fn main() {
             r.consolidation.as_secs_f64(),
             r.stats.tier.as_str(),
             r.quarantined,
-            if r.outputs_agree { "" } else { "  OUTPUT MISMATCH" },
+            if r.outputs_agree {
+                ""
+            } else {
+                "  OUTPUT MISMATCH"
+            },
         );
         runs.push(r);
     }
@@ -276,15 +309,31 @@ fn run_warm(
     for &n in sweep {
         let programs = (bc_family().build)(n, seed, interner);
         let cold = run_family_cached(
-            "news", "BC", env, records, programs.clone(), interner, workers, opts,
-            scale.passes, Some(&cache),
+            "news",
+            "BC",
+            env,
+            records,
+            programs.clone(),
+            interner,
+            workers,
+            opts,
+            scale.passes,
+            Some(&cache),
         );
         let warm = run_family_cached(
-            "news", "BC", env, records, programs, interner, workers, opts,
-            scale.passes, Some(&cache),
+            "news",
+            "BC",
+            env,
+            records,
+            programs,
+            interner,
+            workers,
+            opts,
+            scale.passes,
+            Some(&cache),
         );
-        let same_plan = cold.merged_text == warm.merged_text && cold.outputs_agree
-            && warm.outputs_agree;
+        let same_plan =
+            cold.merged_text == warm.merged_text && cold.outputs_agree && warm.outputs_agree;
         all_same &= same_plan
             && warm.plan_outcome == Some(plan_cache::PlanOutcome::Hit)
             && warm.stats.solver.checks == 0;

@@ -78,28 +78,24 @@ fn main() {
                 };
             }
             "--queries" => {
-                scale.queries = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--queries N");
+                scale.queries = it.next().and_then(|v| v.parse().ok()).expect("--queries N");
             }
             "--passes" => {
-                scale.passes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--passes P");
+                scale.passes = it.next().and_then(|v| v.parse().ok()).expect("--passes P");
             }
             "--seed" => {
                 seed = it.next().and_then(|v| v.parse().ok()).expect("--seed S");
             }
             "all" => domains.extend(DomainKind::ALL),
-            name => match DomainKind::parse(name) {
-                Some(d) => domains.push(d),
-                None => {
-                    eprintln!("unknown domain `{name}`; use one of weather/flight/news/twitter/stock/all");
-                    std::process::exit(2);
+            name => {
+                match DomainKind::parse(name) {
+                    Some(d) => domains.push(d),
+                    None => {
+                        eprintln!("unknown domain `{name}`; use one of weather/flight/news/twitter/stock/all");
+                        std::process::exit(2);
+                    }
                 }
-            },
+            }
         }
     }
     if domains.is_empty() {
@@ -126,7 +122,10 @@ fn main() {
         naiad_lite::GuardPolicy::default()
     };
     println!("Figure 9 — speedup of where_consolidated over where_many");
-    println!("(queries per family: {}, passes: {}, seed {seed})", scale.queries, scale.passes);
+    println!(
+        "(queries per family: {}, passes: {}, seed {seed})",
+        scale.queries, scale.passes
+    );
     println!("{}", header());
     let mut runs = Vec::new();
     // `--prefilter`: every cell runs twice, pushdown off then on, so the
@@ -142,14 +141,8 @@ fn main() {
                 println!("-- backend: {}", backend.as_str());
             }
             for &d in &domains {
-                for r in udf_bench::run_domain_guarded(
-                    d,
-                    scale,
-                    seed,
-                    &opts,
-                    guard_policy,
-                    backend,
-                ) {
+                for r in udf_bench::run_domain_guarded(d, scale, seed, &opts, guard_policy, backend)
+                {
                     println!("{}", format_row(&r));
                     runs.push(r);
                 }
@@ -165,10 +158,9 @@ fn main() {
             .filter(|r| r.backend == ExecBackend::PerRecord)
             .collect();
         for r in runs.iter().filter(|r| r.backend == ExecBackend::Columnar) {
-            let Some(b) = base
-                .iter()
-                .find(|b| b.domain == r.domain && b.family == r.family && b.prefilter == r.prefilter)
-            else {
+            let Some(b) = base.iter().find(|b| {
+                b.domain == r.domain && b.family == r.family && b.prefilter == r.prefilter
+            }) else {
                 continue;
             };
             if b.output_digest != r.output_digest {
@@ -200,13 +192,21 @@ fn main() {
         // lifetime, reported in the main table's `consolid.` column.
         println!(
             "{:>8} {:>6} {:>11} {:>10} {:>9} {:>11} {:>11} {:>9}",
-            "domain", "family", "backend", "skipped", "select.", "off-udf(s)", "on-udf(s)", "udf-spdup"
+            "domain",
+            "family",
+            "backend",
+            "skipped",
+            "select.",
+            "off-udf(s)",
+            "on-udf(s)",
+            "udf-spdup"
         );
         let off: Vec<&udf_bench::FamilyRun> = runs.iter().filter(|r| !r.prefilter).collect();
         for r in runs.iter().filter(|r| r.prefilter) {
-            let Some(b) = off.iter().find(|b| {
-                b.domain == r.domain && b.family == r.family && b.backend == r.backend
-            }) else {
+            let Some(b) = off
+                .iter()
+                .find(|b| b.domain == r.domain && b.family == r.family && b.backend == r.backend)
+            else {
                 continue;
             };
             if b.output_digest != r.output_digest {
@@ -281,7 +281,10 @@ fn main() {
             checks as f64 / pairs.max(1) as f64
         );
         let disagreements = runs.iter().filter(|r| !r.outputs_agree).count();
-        println!("output checks : {} families, {disagreements} mismatches", runs.len());
+        println!(
+            "output checks : {} families, {disagreements} mismatches",
+            runs.len()
+        );
         if disagreements > 0 {
             std::process::exit(1);
         }
@@ -302,10 +305,8 @@ fn main() {
         let pairs: u64 = runs.iter().map(|r| r.stats.pairs_consolidated).sum();
         let demo = demo.unwrap_or_default();
         let shadow = demo.shadow_runs + runs.iter().map(|r| r.shadow_runs).sum::<u64>();
-        let mismatches =
-            demo.mismatches + runs.iter().map(|r| r.guard_mismatches).sum::<u64>();
-        let demotions =
-            demo.demotions + runs.iter().map(|r| r.guard_demotions).sum::<u64>();
+        let mismatches = demo.mismatches + runs.iter().map(|r| r.guard_mismatches).sum::<u64>();
+        let demotions = demo.demotions + runs.iter().map(|r| r.guard_demotions).sum::<u64>();
         let retries = demo.retries + runs.iter().map(|r| r.retries).sum::<u64>();
         let mut coherent = true;
         for (name, stat) in [
@@ -418,7 +419,10 @@ fn run_guard_demo(recorder: &udf_obs::RecorderCell) -> GuardDemo {
     let g = audited.guard.expect("guard report");
     demo.shadow_runs += g.shadow_runs;
     demo.mismatches += g.mismatches;
-    println!("healthy audit : {} shadow runs, {} mismatches", g.shadow_runs, g.mismatches);
+    println!(
+        "healthy audit : {} shadow runs, {} mismatches",
+        g.shadow_runs, g.mismatches
+    );
 
     // 2. Corrupted plan: flip one Notify instruction; the guard detects the
     // divergence, demotes to sequential, and evicts the cached plan.

@@ -147,7 +147,9 @@ pub fn run_family<E: UdfEnv>(
     workers: usize,
     opts: &Options,
 ) -> FamilyRun {
-    run_family_passes(domain, family, env, records, programs, interner, workers, opts, 1)
+    run_family_passes(
+        domain, family, env, records, programs, interner, workers, opts, 1,
+    )
 }
 
 /// Like [`run_family`] but evaluates the query set over `passes` arrivals of
@@ -250,8 +252,7 @@ pub fn run_family_guarded<E: UdfEnv>(
 
     // Compile both plans.
     let t0 = Instant::now();
-    let qs =
-        QuerySet::compile_many(&programs, &cm, &|f| env.fn_cost(f)).expect("family compiles");
+    let qs = QuerySet::compile_many(&programs, &cm, &|f| env.fn_cost(f)).expect("family compiles");
     let compile_many = t0.elapsed();
     let t0 = Instant::now();
     let mut qs = qs
@@ -311,8 +312,14 @@ pub fn run_family_guarded<E: UdfEnv>(
         first.get_or_insert((many, cons));
     }
     let (many, cons) = first.expect("at least one pass");
-    let many = naiad_lite::engine::JobReport { udf_time: many_udf, ..many };
-    let cons = naiad_lite::engine::JobReport { udf_time: cons_udf, ..cons };
+    let many = naiad_lite::engine::JobReport {
+        udf_time: many_udf,
+        ..many
+    };
+    let cons = naiad_lite::engine::JobReport {
+        udf_time: cons_udf,
+        ..cons
+    };
     let output_digest = {
         let mut h = Fnv64::new();
         for report in [&many, &cons] {
@@ -439,8 +446,18 @@ pub fn run_domain_guarded(
             for fam in udf_data::weather::families() {
                 let programs = (fam.build)(scale.queries, seed, &mut interner);
                 out.push(run_family_guarded(
-                    "weather", fam.label, &env, &records, programs, &mut interner, workers, opts,
-                    scale.passes, None, guard, backend,
+                    "weather",
+                    fam.label,
+                    &env,
+                    &records,
+                    programs,
+                    &mut interner,
+                    workers,
+                    opts,
+                    scale.passes,
+                    None,
+                    guard,
+                    backend,
                 ));
             }
         }
@@ -451,8 +468,18 @@ pub fn run_domain_guarded(
             for fam in udf_data::flight::families() {
                 let programs = (fam.build)(scale.queries, seed, &mut interner);
                 out.push(run_family_guarded(
-                    "flight", fam.label, &env, &records, programs, &mut interner, workers, opts,
-                    scale.passes, None, guard, backend,
+                    "flight",
+                    fam.label,
+                    &env,
+                    &records,
+                    programs,
+                    &mut interner,
+                    workers,
+                    opts,
+                    scale.passes,
+                    None,
+                    guard,
+                    backend,
                 ));
             }
         }
@@ -464,8 +491,18 @@ pub fn run_domain_guarded(
             for fam in udf_data::news::families() {
                 let programs = (fam.build)(scale.queries, seed, &mut interner);
                 out.push(run_family_guarded(
-                    "news", fam.label, &env, &records, programs, &mut interner, workers, opts,
-                    scale.passes, None, guard, backend,
+                    "news",
+                    fam.label,
+                    &env,
+                    &records,
+                    programs,
+                    &mut interner,
+                    workers,
+                    opts,
+                    scale.passes,
+                    None,
+                    guard,
+                    backend,
                 ));
             }
         }
@@ -477,8 +514,18 @@ pub fn run_domain_guarded(
             for fam in udf_data::twitter::families() {
                 let programs = (fam.build)(scale.queries, seed, &mut interner);
                 out.push(run_family_guarded(
-                    "twitter", fam.label, &env, &records, programs, &mut interner, workers, opts,
-                    scale.passes, None, guard, backend,
+                    "twitter",
+                    fam.label,
+                    &env,
+                    &records,
+                    programs,
+                    &mut interner,
+                    workers,
+                    opts,
+                    scale.passes,
+                    None,
+                    guard,
+                    backend,
                 ));
             }
         }
@@ -498,8 +545,18 @@ pub fn run_domain_guarded(
             for (label, build) in udf_data::stock::families_sized(days as i64) {
                 let programs = build(scale.queries, seed, &mut interner);
                 out.push(run_family_guarded(
-                    "stock", label, &env, &records, programs, &mut interner, workers, opts,
-                    scale.passes, None, guard, backend,
+                    "stock",
+                    label,
+                    &env,
+                    &records,
+                    programs,
+                    &mut interner,
+                    workers,
+                    opts,
+                    scale.passes,
+                    None,
+                    guard,
+                    backend,
                 ));
             }
         }

@@ -120,22 +120,46 @@ fn recorder_counters_match_consolidation_stats() {
     let check = hist(names::SMT_CHECK_NS);
     assert_eq!(check.count, s.solver.checks);
     assert_eq!(hist(names::SMT_THEORY_NS).count, s.solver.theory_checks);
-    assert_eq!(hist(names::SMT_MINIMIZE_NS).count, s.solver.theory_conflicts);
+    assert_eq!(
+        hist(names::SMT_MINIMIZE_NS).count,
+        s.solver.theory_conflicts
+    );
     let (cnf, sat) = (hist(names::SMT_CNF_NS), hist(names::SMT_SAT_NS));
-    assert!(cnf.count > 0 && cnf.count <= check.count, "one CNF per non-trivial check");
-    assert!(sat.count >= cnf.count, "every compiled check searches at least once");
-    let phases: u64 = [names::SMT_CNF_NS, names::SMT_SAT_NS, names::SMT_THEORY_NS, names::SMT_MINIMIZE_NS]
-        .iter()
-        .map(|n| hist(n).sum)
-        .sum();
-    assert!(phases <= check.sum, "phases {phases} ns exceed checks {} ns", check.sum);
+    assert!(
+        cnf.count > 0 && cnf.count <= check.count,
+        "one CNF per non-trivial check"
+    );
+    assert!(
+        sat.count >= cnf.count,
+        "every compiled check searches at least once"
+    );
+    let phases: u64 = [
+        names::SMT_CNF_NS,
+        names::SMT_SAT_NS,
+        names::SMT_THEORY_NS,
+        names::SMT_MINIMIZE_NS,
+    ]
+    .iter()
+    .map(|n| hist(n).sum)
+    .sum();
+    assert!(
+        phases <= check.sum,
+        "phases {phases} ns exceed checks {} ns",
+        check.sum
+    );
     // Each blocking clause has at least one literal; none fell back here.
     assert!(s.solver.core_literals >= s.solver.theory_conflicts);
-    assert_eq!(s.solver.core_fallbacks, 0, "an explanation was not refuted on its own");
+    assert_eq!(
+        s.solver.core_fallbacks, 0,
+        "an explanation was not refuted on its own"
+    );
     // Sanity: the family is non-trivial — work actually happened.
     assert!(s.entailment_queries > 0, "family produced no queries");
     assert!(s.solver.checks > 0, "family never reached the solver");
-    assert!(s.solver.theory_conflicts > 0, "family never hit a theory conflict");
+    assert!(
+        s.solver.theory_conflicts > 0,
+        "family never hit a theory conflict"
+    );
 }
 
 #[test]
@@ -203,9 +227,15 @@ fn explain_toggle_does_not_change_the_plan() {
     };
     let (traced, traced_text) = consolidate_with(&explain_opts);
 
-    assert!(plain.explain.is_none(), "explain off must not build a report");
+    assert!(
+        plain.explain.is_none(),
+        "explain off must not build a report"
+    );
     let report = traced.explain.expect("explain on must build a report");
-    assert!(!report.rules_fired().is_empty(), "derivation must name rules");
+    assert!(
+        !report.rules_fired().is_empty(),
+        "derivation must name rules"
+    );
 
     // Tracing is observation only: the merged program and every counter the
     // Ω engine drives must be identical. Solver-internal search counters
@@ -213,11 +243,23 @@ fn explain_toggle_does_not_change_the_plan() {
     // iteration order, so they are excluded — but the number of checks the
     // engine issued is not allowed to move.
     assert_eq!(plain_text, traced_text, "explain changed the merged plan");
-    assert_eq!(plain.stats.rules, traced.stats.rules, "explain changed the rules fired");
-    assert_eq!(plain.stats.entailment_queries, traced.stats.entailment_queries);
+    assert_eq!(
+        plain.stats.rules, traced.stats.rules,
+        "explain changed the rules fired"
+    );
+    assert_eq!(
+        plain.stats.entailment_queries,
+        traced.stats.entailment_queries
+    );
     assert_eq!(plain.stats.memo_hits, traced.stats.memo_hits);
-    assert_eq!(plain.stats.countermodel_hits, traced.stats.countermodel_hits);
-    assert_eq!(plain.stats.pairs_consolidated, traced.stats.pairs_consolidated);
+    assert_eq!(
+        plain.stats.countermodel_hits,
+        traced.stats.countermodel_hits
+    );
+    assert_eq!(
+        plain.stats.pairs_consolidated,
+        traced.stats.pairs_consolidated
+    );
     assert_eq!(plain.stats.pairs_degraded, traced.stats.pairs_degraded);
     assert_eq!(plain.stats.tier, traced.stats.tier);
     assert_eq!(plain.stats.solver.checks, traced.stats.solver.checks);

@@ -82,7 +82,14 @@ impl UdfEnv for FlightEnv {
     }
 
     fn args(&self, rec: &FlightRecord, out: &mut Vec<i64>) {
-        out.extend_from_slice(&[rec.airline, rec.origin, rec.dest, rec.price, rec.stops, rec.day]);
+        out.extend_from_slice(&[
+            rec.airline,
+            rec.origin,
+            rec.dest,
+            rec.price,
+            rec.stops,
+            rec.day,
+        ]);
     }
 
     fn call(&self, rec: &FlightRecord, f: Symbol, args: &[i64]) -> Result<i64, LibError> {
@@ -124,8 +131,8 @@ pub fn dataset_sized(
                     let airline = r.gen_range(0..AIRLINES);
                     // The paper: price is a multiple arithmetic progression
                     // in the airline and city identifiers.
-                    let price = 60 + airline * 3 % 220 + o * 23 + d * 17 + day * 5
-                        + r.gen_range(0..40);
+                    let price =
+                        60 + airline * 3 % 220 + o * 23 + d * 17 + day * 5 + r.gen_range(0..40);
                     let stops = i64::from(r.gen_range(0..4) != 0); // 1/4 direct
                     records.push(FlightRecord {
                         airline,
@@ -206,7 +213,15 @@ fn build_n(fam: usize, n: usize, seed: u64, interner: &mut Interner) -> Vec<Prog
     let mut r = rng("flight", "queries", seed.wrapping_add(fam as u64));
     let zipf = Zipf::new((CITIES * (CITIES - 1)) as usize);
     (0..n)
-        .map(|q| build_family(fam, u32::try_from(q).expect("fits"), &mut r, &zipf, interner))
+        .map(|q| {
+            build_family(
+                fam,
+                u32::try_from(q).expect("fits"),
+                &mut r,
+                &zipf,
+                interner,
+            )
+        })
         .collect()
 }
 
@@ -223,10 +238,22 @@ pub fn mix(n: usize, seed: u64, interner: &mut Interner) -> Vec<Program> {
 /// Query families in presentation order: Q1–Q3 plus Mix.
 pub fn families() -> Vec<Family> {
     vec![
-        Family { label: "Q1", build: |n, s, i| build_n(0, n, s, i) },
-        Family { label: "Q2", build: |n, s, i| build_n(1, n, s, i) },
-        Family { label: "Q3", build: |n, s, i| build_n(2, n, s, i) },
-        Family { label: "Mix", build: mix },
+        Family {
+            label: "Q1",
+            build: |n, s, i| build_n(0, n, s, i),
+        },
+        Family {
+            label: "Q2",
+            build: |n, s, i| build_n(1, n, s, i),
+        },
+        Family {
+            label: "Q3",
+            build: |n, s, i| build_n(2, n, s, i),
+        },
+        Family {
+            label: "Mix",
+            build: mix,
+        },
     ]
 }
 
@@ -241,7 +268,10 @@ mod tests {
         let mut i = Interner::new();
         let (env, records) = dataset_sized(2, &mut i, 5);
         assert_eq!(records.len(), (DAYS * CITIES * (CITIES - 1) * 2) as usize);
-        let f = records.iter().find(|f| f.stops == 0).expect("some direct flights");
+        let f = records
+            .iter()
+            .find(|f| f.stops == 0)
+            .expect("some direct flights");
         let avg = env
             .call(f, i.intern("avgPrice"), &[f.origin, f.dest])
             .unwrap();

@@ -219,18 +219,41 @@ fn build_n(fam: usize, n: usize, seed: u64, interner: &mut Interner) -> Vec<Prog
     let mut r = rng("news", "queries", seed.wrapping_add(fam as u64));
     let words = Zipf::new(50); // the §6.2 "list of specified words"
     (0..n)
-        .map(|q| build_family(fam, u32::try_from(q).expect("fits"), &mut r, &words, interner))
+        .map(|q| {
+            build_family(
+                fam,
+                u32::try_from(q).expect("fits"),
+                &mut r,
+                &words,
+                interner,
+            )
+        })
         .collect()
 }
 
 /// Query families: Q1–Q3 plus BC.
 pub fn families() -> Vec<Family> {
     vec![
-        Family { label: "Q1", build: |n, s, i| build_n(0, n, s, i) },
-        Family { label: "Q2", build: |n, s, i| build_n(1, n, s, i) },
-        Family { label: "Q3", build: |n, s, i| build_n(2, n, s, i) },
-        Family { label: "BC", build: |n, s, i| build_n(3, n, s, i) },
-        Family { label: "PF", build: |n, s, i| build_n(4, n, s, i) },
+        Family {
+            label: "Q1",
+            build: |n, s, i| build_n(0, n, s, i),
+        },
+        Family {
+            label: "Q2",
+            build: |n, s, i| build_n(1, n, s, i),
+        },
+        Family {
+            label: "Q3",
+            build: |n, s, i| build_n(2, n, s, i),
+        },
+        Family {
+            label: "BC",
+            build: |n, s, i| build_n(3, n, s, i),
+        },
+        Family {
+            label: "PF",
+            build: |n, s, i| build_n(4, n, s, i),
+        },
     ]
 }
 

@@ -199,7 +199,13 @@ fn build_family(
     parse_program(&src, interner).expect("generated stock query parses")
 }
 
-fn build_sized(fam: usize, n: usize, days: i64, seed: u64, interner: &mut Interner) -> Vec<Program> {
+fn build_sized(
+    fam: usize,
+    n: usize,
+    days: i64,
+    seed: u64,
+    interner: &mut Interner,
+) -> Vec<Program> {
     let mut r = rng("stock", "queries", seed.wrapping_add(fam as u64));
     (0..n)
         .map(|q| build_family(fam, u32::try_from(q).expect("fits"), days, &mut r, interner))
@@ -213,10 +219,22 @@ fn build_n(fam: usize, n: usize, seed: u64, interner: &mut Interner) -> Vec<Prog
 /// Query families: Q1–Q3 plus BC.
 pub fn families() -> Vec<Family> {
     vec![
-        Family { label: "Q1", build: |n, s, i| build_n(0, n, s, i) },
-        Family { label: "Q2", build: |n, s, i| build_n(1, n, s, i) },
-        Family { label: "Q3", build: |n, s, i| build_n(2, n, s, i) },
-        Family { label: "BC", build: |n, s, i| build_n(3, n, s, i) },
+        Family {
+            label: "Q1",
+            build: |n, s, i| build_n(0, n, s, i),
+        },
+        Family {
+            label: "Q2",
+            build: |n, s, i| build_n(1, n, s, i),
+        },
+        Family {
+            label: "Q3",
+            build: |n, s, i| build_n(2, n, s, i),
+        },
+        Family {
+            label: "BC",
+            build: |n, s, i| build_n(3, n, s, i),
+        },
     ]
 }
 

@@ -184,10 +184,22 @@ fn build_n(fam: usize, n: usize, seed: u64, interner: &mut Interner) -> Vec<Prog
 /// Query families: Q1–Q3 plus BC.
 pub fn families() -> Vec<Family> {
     vec![
-        Family { label: "Q1", build: |n, s, i| build_n(0, n, s, i) },
-        Family { label: "Q2", build: |n, s, i| build_n(1, n, s, i) },
-        Family { label: "Q3", build: |n, s, i| build_n(2, n, s, i) },
-        Family { label: "BC", build: |n, s, i| build_n(3, n, s, i) },
+        Family {
+            label: "Q1",
+            build: |n, s, i| build_n(0, n, s, i),
+        },
+        Family {
+            label: "Q2",
+            build: |n, s, i| build_n(1, n, s, i),
+        },
+        Family {
+            label: "Q3",
+            build: |n, s, i| build_n(2, n, s, i),
+        },
+        Family {
+            label: "BC",
+            build: |n, s, i| build_n(3, n, s, i),
+        },
     ]
 }
 
@@ -202,7 +214,9 @@ mod tests {
         let tw = dataset_sized(200, 1);
         assert!(tw.iter().any(|t| t.smileys > 0));
         assert!(tw.iter().all(|t| (0..3).contains(&t.lang)));
-        assert!(tw.iter().all(|t| t.sentiment.iter().all(|&s| (10..=95).contains(&s))));
+        assert!(tw
+            .iter()
+            .all(|t| t.sentiment.iter().all(|&s| (10..=95).contains(&s))));
     }
 
     #[test]

@@ -51,12 +51,7 @@ impl Distribution<usize> for Zipf {
 
 /// Wraps a filter predicate into the standard UDF shape
 /// `if (cond) { notifyᵢ true } else { notifyᵢ false }` preceded by `prologue`.
-pub fn filter_program(
-    id: u32,
-    params: &[Symbol],
-    prologue: Stmt,
-    cond: BoolExpr,
-) -> Program {
+pub fn filter_program(id: u32, params: &[Symbol], prologue: Stmt, cond: BoolExpr) -> Program {
     let body = prologue.then(Stmt::ite(
         cond,
         Stmt::Notify(ProgId(id), true),
@@ -73,12 +68,7 @@ pub fn params(interner: &mut Interner, names: &[&str]) -> Vec<Symbol> {
 /// Samples `n` queries by drawing a family index from `weights` for each
 /// (the paper's Mix/Q5 construction, e.g. `{15, 15, 10, 10}`), delegating to
 /// `build(family_idx, query_id, rng)`.
-pub fn sample_mix<F>(
-    n: usize,
-    weights: &[u32],
-    rng: &mut SmallRng,
-    mut build: F,
-) -> Vec<Program>
+pub fn sample_mix<F>(n: usize, weights: &[u32], rng: &mut SmallRng, mut build: F) -> Vec<Program>
 where
     F: FnMut(usize, u32, &mut SmallRng) -> Program,
 {

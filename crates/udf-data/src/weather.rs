@@ -118,7 +118,11 @@ impl UdfEnv for WeatherEnv {
                     got: args.len(),
                 });
             }
-            Ok(WeatherEnv::month_aggregate(&rec.hourly_rain, args[0], false))
+            Ok(WeatherEnv::month_aggregate(
+                &rec.hourly_rain,
+                args[0],
+                false,
+            ))
         } else {
             Err(LibError::UnknownFunction(format!("#{}", f.index())))
         }
@@ -141,16 +145,11 @@ pub fn dataset_sized(n_cities: usize, seed: u64) -> Vec<CityRecord> {
             let hourly_temp = (0..HOURS)
                 .map(|h| {
                     let day = (h / 24) % 365;
-                    let season =
-                        (f64::from(day as u32) / 365.0 * std::f64::consts::TAU).sin();
-                    let diurnal = (f64::from((h % 24) as u32) / 24.0
-                        * std::f64::consts::TAU)
-                        .sin();
+                    let season = (f64::from(day as u32) / 365.0 * std::f64::consts::TAU).sin();
+                    let diurnal = (f64::from((h % 24) as u32) / 24.0 * std::f64::consts::TAU).sin();
                     let noise = r.gen_range(-10..11);
-                    i16::try_from(
-                        base + (season * 55.0) as i64 + (diurnal * 10.0) as i64 + noise,
-                    )
-                    .unwrap_or(0)
+                    i16::try_from(base + (season * 55.0) as i64 + (diurnal * 10.0) as i64 + noise)
+                        .unwrap_or(0)
                 })
                 .collect();
             let hourly_rain = (0..HOURS)
@@ -253,11 +252,26 @@ pub fn mix(n: usize, seed: u64, interner: &mut Interner) -> Vec<Program> {
 /// Query families in presentation order: Q1–Q4 plus Mix.
 pub fn families() -> Vec<Family> {
     vec![
-        Family { label: "Q1", build: family_n(0) },
-        Family { label: "Q2", build: family_n(1) },
-        Family { label: "Q3", build: family_n(2) },
-        Family { label: "Q4", build: family_n(3) },
-        Family { label: "Mix", build: mix },
+        Family {
+            label: "Q1",
+            build: family_n(0),
+        },
+        Family {
+            label: "Q2",
+            build: family_n(1),
+        },
+        Family {
+            label: "Q3",
+            build: family_n(2),
+        },
+        Family {
+            label: "Q4",
+            build: family_n(3),
+        },
+        Family {
+            label: "Mix",
+            build: mix,
+        },
     ]
 }
 

@@ -182,7 +182,10 @@ impl AggDef {
         let rhs: BTreeSet<Symbol> = self.state.iter().map(|s| s.rhs).collect();
 
         let fold_assigned = assigned_vars(&self.fold);
-        if let Some(v) = fold_assigned.iter().find(|v| params.contains(v) || rhs.contains(v)) {
+        if let Some(v) = fold_assigned
+            .iter()
+            .find(|v| params.contains(v) || rhs.contains(v))
+        {
             return Err(AggError::FoldAssignsInput(interner.resolve(*v).to_string()));
         }
         if let Some(v) = read_vars(&self.fold)
@@ -193,8 +196,13 @@ impl AggDef {
         }
 
         let merge_assigned = assigned_vars(&self.merge);
-        if let Some(v) = merge_assigned.iter().find(|v| params.contains(v) || rhs.contains(v)) {
-            return Err(AggError::MergeAssignsInput(interner.resolve(*v).to_string()));
+        if let Some(v) = merge_assigned
+            .iter()
+            .find(|v| params.contains(v) || rhs.contains(v))
+        {
+            return Err(AggError::MergeAssignsInput(
+                interner.resolve(*v).to_string(),
+            ));
         }
         if let Some(v) = read_vars(&self.merge)
             .into_iter()
@@ -208,7 +216,9 @@ impl AggDef {
         let unset = first_unassigned_read(&self.fold, &fold_entry)
             .or_else(|| first_unassigned_read(&self.merge, &merge_entry));
         if let Some(v) = unset {
-            return Err(AggError::MaybeUninitialized(interner.resolve(v).to_string()));
+            return Err(AggError::MaybeUninitialized(
+                interner.resolve(v).to_string(),
+            ));
         }
         Ok(())
     }
@@ -310,7 +320,10 @@ pub fn parse_agg(src: &str, interner: &mut Interner) -> Result<AggDef, String> {
     let def = parse_one(&mut c, interner)?;
     c.skip_ws();
     if !c.eof() {
-        return Err(format!("trailing input after aggregate: `{}`", c.rest_preview()));
+        return Err(format!(
+            "trailing input after aggregate: `{}`",
+            c.rest_preview()
+        ));
     }
     Ok(def)
 }
@@ -512,9 +525,12 @@ fn parse_one(c: &mut Cursor, interner: &mut Interner) -> Result<AggDef, String> 
     // Each body is parsed by wrapping it as a parameterless program; the
     // shared parser does no scope checking, so state/rhs reads are fine here
     // and AggDef::validate applies the aggregation-specific rules after.
-    let fold = parse_program(&format!("program __fold @{} () {{ {fold_src} }}", id.0), interner)
-        .map_err(|e| format!("in fold: {e}"))?
-        .body;
+    let fold = parse_program(
+        &format!("program __fold @{} () {{ {fold_src} }}", id.0),
+        interner,
+    )
+    .map_err(|e| format!("in fold: {e}"))?
+    .body;
     let merge = parse_program(
         &format!("program __merge @{} () {{ {merge_src} }}", id.0),
         interner,
@@ -554,9 +570,10 @@ mod tests {
         let mut it = Interner::new();
         let bad = "aggregate a @1 (x) { state s = 0; fold { notify true; } merge { s := rhs_s; } }";
         assert!(parse_agg(bad, &mut it).unwrap_err().contains("notify"));
-        let bad2 =
-            "aggregate a @1 (x) { state s = 0; fold { s := x; } merge { s := f(rhs_s); } }";
-        assert!(parse_agg(bad2, &mut it).unwrap_err().contains("merge calls"));
+        let bad2 = "aggregate a @1 (x) { state s = 0; fold { s := x; } merge { s := f(rhs_s); } }";
+        assert!(parse_agg(bad2, &mut it)
+            .unwrap_err()
+            .contains("merge calls"));
     }
 
     #[test]
@@ -564,7 +581,9 @@ mod tests {
         let mut it = Interner::new();
         // fold assigns a parameter
         let bad = "aggregate a @1 (x) { state s = 0; fold { x := 1; } merge { s := rhs_s; } }";
-        assert!(parse_agg(bad, &mut it).unwrap_err().contains("fold assigns"));
+        assert!(parse_agg(bad, &mut it)
+            .unwrap_err()
+            .contains("fold assigns"));
         // merge reads a record parameter
         let bad2 = "aggregate a @1 (x) { state s = 0; fold { s := x; } merge { s := x + rhs_s; } }";
         assert!(parse_agg(bad2, &mut it).unwrap_err().contains("foreign"));
@@ -580,12 +599,18 @@ mod tests {
             fold { if (x < 0) { t := x; } s := s + t; }
             merge { s := s + rhs_s; } }";
         let err = parse_agg(fold, &mut it).unwrap_err();
-        assert_eq!(err, AggError::MaybeUninitialized("t".to_string()).to_string());
+        assert_eq!(
+            err,
+            AggError::MaybeUninitialized("t".to_string()).to_string()
+        );
         let merge = "aggregate a @1 (x) { state s = 0;
             fold { s := s + x; }
             merge { if (rhs_s < 0) { t := rhs_s; } else { skip; } s := s + t; } }";
         let err = parse_agg(merge, &mut it).unwrap_err();
-        assert_eq!(err, AggError::MaybeUninitialized("t".to_string()).to_string());
+        assert_eq!(
+            err,
+            AggError::MaybeUninitialized("t".to_string()).to_string()
+        );
         // Assigned on both branches, or before a loop that reassigns it: fine.
         let ok = "aggregate a @1 (x) { state s = 0;
             fold { if (x < 0) { t := x; } else { t := 0; }

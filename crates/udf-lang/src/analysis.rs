@@ -209,10 +209,7 @@ pub fn subst_stmt(s: &Stmt, map: &BTreeMap<Symbol, Symbol>) -> Stmt {
         Stmt::Skip => Stmt::Skip,
         Stmt::Notify(id, b) => Stmt::Notify(*id, *b),
         Stmt::Assign(x, e) => Stmt::Assign(map.get(x).copied().unwrap_or(*x), subst_int(e, map)),
-        Stmt::Seq(a, b) => Stmt::Seq(
-            Box::new(subst_stmt(a, map)),
-            Box::new(subst_stmt(b, map)),
-        ),
+        Stmt::Seq(a, b) => Stmt::Seq(Box::new(subst_stmt(a, map)), Box::new(subst_stmt(b, map))),
         Stmt::If(c, a, b) => Stmt::If(
             subst_bool(c, map),
             Box::new(subst_stmt(a, map)),
@@ -249,7 +246,11 @@ pub fn rename_locals_with(
             map.insert(v, name(interner, &base));
         }
     }
-    Program::new(program.id, program.params.clone(), subst_stmt(&program.body, &map))
+    Program::new(
+        program.id,
+        program.params.clone(),
+        subst_stmt(&program.body, &map),
+    )
 }
 
 /// Static validation failures.
@@ -372,7 +373,10 @@ mod tests {
         );
         let reads: Vec<&str> = read_vars(&p.body).iter().map(|&s| i.resolve(s)).collect();
         assert_eq!(reads, vec!["n", "x"]);
-        let writes: Vec<&str> = assigned_vars(&p.body).iter().map(|&s| i.resolve(s)).collect();
+        let writes: Vec<&str> = assigned_vars(&p.body)
+            .iter()
+            .map(|&s| i.resolve(s))
+            .collect();
         assert_eq!(writes, vec!["x"]);
         let fns: Vec<&str> = called_fns(&p.body).iter().map(|&s| i.resolve(s)).collect();
         assert_eq!(fns, vec!["f", "g"]);
@@ -440,6 +444,9 @@ mod tests {
         let mut map = BTreeMap::new();
         map.insert(x, y);
         let s2 = subst_stmt(&s, &map);
-        assert_eq!(s2, Stmt::Assign(y, IntExpr::add(IntExpr::Var(y), IntExpr::Const(1))));
+        assert_eq!(
+            s2,
+            Stmt::Assign(y, IntExpr::add(IntExpr::Var(y), IntExpr::Const(1)))
+        );
     }
 }

@@ -60,19 +60,12 @@ fn bool_cost(e: &BoolExpr, cm: &CostModel, fns: &dyn FnCost) -> Cost {
 }
 
 /// Computes static cost bounds of `s`.
-pub fn stmt_bounds(
-    s: &Stmt,
-    cm: &CostModel,
-    fns: &dyn FnCost,
-    opts: &BoundsOptions,
-) -> CostBounds {
+pub fn stmt_bounds(s: &Stmt, cm: &CostModel, fns: &dyn FnCost, opts: &BoundsOptions) -> CostBounds {
     match s {
         Stmt::Skip => CostBounds::exact(0),
         Stmt::Assign(_, e) => CostBounds::exact(cm.int_expr_cost(e, fns) + cm.assign),
         Stmt::Notify(..) => CostBounds::exact(cm.notify),
-        Stmt::Seq(a, b) => {
-            stmt_bounds(a, cm, fns, opts).add(stmt_bounds(b, cm, fns, opts))
-        }
+        Stmt::Seq(a, b) => stmt_bounds(a, cm, fns, opts).add(stmt_bounds(b, cm, fns, opts)),
         Stmt::If(c, a, b) => {
             let test = CostBounds::exact(bool_cost(c, cm, fns) + cm.branch);
             let branches = stmt_bounds(a, cm, fns, opts).join(stmt_bounds(b, cm, fns, opts));
@@ -83,11 +76,9 @@ pub fn stmt_bounds(
             let body_bounds = stmt_bounds(body, cm, fns, opts);
             // Zero iterations: one guard evaluation.
             let min = guard;
-            let max = opts.loop_iterations.and_then(|n| {
-                body_bounds
-                    .max
-                    .map(|bm| guard * (n + 1) + bm * n)
-            });
+            let max = opts
+                .loop_iterations
+                .and_then(|n| body_bounds.max.map(|bm| guard * (n + 1) + bm * n));
             CostBounds { min, max }
         }
     }
@@ -141,7 +132,11 @@ mod tests {
         let interp = Interp::new(CostModel::default(), &lib);
         for a in [-3i64, 3] {
             let r = interp.run(&p, &[a], &i2).unwrap();
-            assert!(r.cost >= b.min && r.cost <= b.max.unwrap(), "{a}: {}", r.cost);
+            assert!(
+                r.cost >= b.min && r.cost <= b.max.unwrap(),
+                "{a}: {}",
+                r.cost
+            );
         }
     }
 

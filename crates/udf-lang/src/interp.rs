@@ -498,7 +498,9 @@ mod tests {
         let (mut i, lib) = setup();
         let y = i.intern("mystery");
         let interp = Interp::new(CostModel::default(), &lib);
-        let err = interp.int_expr(&Env::new(), &IntExpr::Var(y), &i).unwrap_err();
+        let err = interp
+            .int_expr(&Env::new(), &IntExpr::Var(y), &i)
+            .unwrap_err();
         assert_eq!(err, EvalError::UnboundVar("mystery".to_owned()));
     }
 
@@ -518,7 +520,10 @@ mod tests {
         assert_eq!(r.env.get(&x), Some(&6));
         assert!(matches!(
             interp.run(&p, &[1], &i),
-            Err(EvalError::ArityMismatch { expected: 2, got: 1 })
+            Err(EvalError::ArityMismatch {
+                expected: 2,
+                got: 1
+            })
         ));
     }
 

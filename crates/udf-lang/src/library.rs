@@ -113,9 +113,16 @@ pub struct FnLibrary {
 
 impl fmt::Debug for FnLibrary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut names: Vec<&str> = self.entries.iter().flatten().map(|e| e.name.as_str()).collect();
+        let mut names: Vec<&str> = self
+            .entries
+            .iter()
+            .flatten()
+            .map(|e| e.name.as_str())
+            .collect();
         names.sort_unstable();
-        f.debug_struct("FnLibrary").field("functions", &names).finish()
+        f.debug_struct("FnLibrary")
+            .field("functions", &names)
+            .finish()
     }
 }
 
@@ -202,7 +209,14 @@ mod tests {
         let mut lib = FnLibrary::new();
         lib.register(f, "f", 1, 1, |a| a[0]);
         let err = lib.call(f, &[1, 2]).unwrap_err();
-        assert!(matches!(err, LibError::ArityMismatch { expected: 1, got: 2, .. }));
+        assert!(matches!(
+            err,
+            LibError::ArityMismatch {
+                expected: 1,
+                got: 2,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -210,7 +224,10 @@ mod tests {
         let mut i = Interner::new();
         let g = i.intern("g");
         let lib = FnLibrary::new();
-        assert!(matches!(lib.call(g, &[]), Err(LibError::UnknownFunction(_))));
+        assert!(matches!(
+            lib.call(g, &[]),
+            Err(LibError::UnknownFunction(_))
+        ));
         // Unknown functions still have a (default) cost so static estimation
         // never fails.
         assert_eq!(lib.cost(g), DEFAULT_CALL_COST);

@@ -34,7 +34,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at {}:{}: {}", self.line, self.col, self.message)
+        write!(
+            f,
+            "parse error at {}:{}: {}",
+            self.line, self.col, self.message
+        )
     }
 }
 
@@ -333,9 +337,7 @@ impl<'s> Lexer<'s> {
                         _ => Tok::Ident(word.to_owned()),
                     }
                 }
-                other => {
-                    return Err(self.err(format!("unexpected character `{}`", other as char)))
-                }
+                other => return Err(self.err(format!("unexpected character `{}`", other as char))),
             };
             out.push((tok, loc));
         }
@@ -402,7 +404,10 @@ impl<'a> Parser<'a> {
         let _name = self.ident()?;
         let id = if *self.peek() == Tok::At {
             self.bump();
-            ProgId(u32::try_from(self.number()?).map_err(|_| self.err_here("program id out of range"))?)
+            ProgId(
+                u32::try_from(self.number()?)
+                    .map_err(|_| self.err_here("program id out of range"))?,
+            )
         } else {
             ProgId(0)
         };

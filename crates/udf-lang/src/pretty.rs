@@ -33,7 +33,13 @@ pub fn stmt(s: &Stmt, interner: &Interner) -> String {
 pub fn program(p: &Program, interner: &Interner) -> String {
     let mut out = String::new();
     let params: Vec<&str> = p.params.iter().map(|&s| interner.resolve(s)).collect();
-    let _ = writeln!(out, "program p{} @{} ({}) {{", p.id.0, p.id.0, params.join(", "));
+    let _ = writeln!(
+        out,
+        "program p{} @{} ({}) {{",
+        p.id.0,
+        p.id.0,
+        params.join(", ")
+    );
     write_stmt(&mut out, &p.body, interner, 1, Some(p.id));
     out.push_str("}\n");
     out
@@ -178,7 +184,12 @@ fn write_stmt(out: &mut String, s: &Stmt, interner: &Interner, level: usize, ctx
             if ctx == Some(*id) {
                 let _ = writeln!(out, "notify {};", if *b { "true" } else { "false" });
             } else {
-                let _ = writeln!(out, "notify @{} {};", id.0, if *b { "true" } else { "false" });
+                let _ = writeln!(
+                    out,
+                    "notify @{} {};",
+                    id.0,
+                    if *b { "true" } else { "false" }
+                );
             }
         }
     }

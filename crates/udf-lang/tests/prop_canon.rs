@@ -41,8 +41,11 @@ fn gterm() -> impl Strategy<Value = GTerm> {
         prop_oneof![
             (0u8..2, prop::collection::vec(inner.clone(), 0..3))
                 .prop_map(|(f, args)| GTerm::Call(f, args)),
-            (0u8..3, inner.clone(), inner)
-                .prop_map(|(op, a, b)| GTerm::Bin(op, Box::new(a), Box::new(b))),
+            (0u8..3, inner.clone(), inner).prop_map(|(op, a, b)| GTerm::Bin(
+                op,
+                Box::new(a),
+                Box::new(b)
+            )),
         ]
     })
 }
@@ -52,9 +55,7 @@ fn gbool() -> impl Strategy<Value = GBool> {
         any::<bool>().prop_map(GBool::Const),
         (0u8..3, gterm(), gterm()).prop_map(|(op, a, b)| GBool::Cmp(op, a, b)),
     ];
-    atom.prop_recursive(2, 8, 2, |inner| {
-        inner.prop_map(|b| GBool::Not(Box::new(b)))
-    })
+    atom.prop_recursive(2, 8, 2, |inner| inner.prop_map(|b| GBool::Not(Box::new(b))))
 }
 
 fn gstmt(depth: u32) -> BoxedStrategy<GStmt> {

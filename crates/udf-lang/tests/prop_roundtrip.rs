@@ -43,8 +43,11 @@ fn gterm() -> impl Strategy<Value = GTerm> {
         prop_oneof![
             (0u8..2, prop::collection::vec(inner.clone(), 0..3))
                 .prop_map(|(f, args)| GTerm::Call(f, args)),
-            (0u8..3, inner.clone(), inner)
-                .prop_map(|(op, a, b)| GTerm::Bin(op, Box::new(a), Box::new(b))),
+            (0u8..3, inner.clone(), inner).prop_map(|(op, a, b)| GTerm::Bin(
+                op,
+                Box::new(a),
+                Box::new(b)
+            )),
         ]
     })
 }
@@ -57,8 +60,11 @@ fn gbool() -> impl Strategy<Value = GBool> {
     atom.prop_recursive(3, 16, 2, |inner| {
         prop_oneof![
             inner.clone().prop_map(|b| GBool::Not(Box::new(b))),
-            (0u8..2, inner.clone(), inner)
-                .prop_map(|(op, a, b)| GBool::Bin(op, Box::new(a), Box::new(b))),
+            (0u8..2, inner.clone(), inner).prop_map(|(op, a, b)| GBool::Bin(
+                op,
+                Box::new(a),
+                Box::new(b)
+            )),
         ]
     })
 }

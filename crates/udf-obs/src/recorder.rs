@@ -81,7 +81,8 @@ impl MemoryRecorder {
 
 impl Recorder for MemoryRecorder {
     fn add(&self, metric: &'static str, delta: u64) {
-        self.counter_cell(metric).fetch_add(delta, Ordering::Relaxed);
+        self.counter_cell(metric)
+            .fetch_add(delta, Ordering::Relaxed);
     }
 
     fn observe(&self, metric: &'static str, value: u64) {

@@ -129,7 +129,8 @@ mod tests {
     #[test]
     fn escapes_dump_is_golden() {
         let mut s = MetricsSnapshot::default();
-        s.counters.insert("weird \"name\"\\with\nstuff\tπ\r\u{1}".into(), 7);
+        s.counters
+            .insert("weird \"name\"\\with\nstuff\tπ\r\u{1}".into(), 7);
         assert_eq!(
             s.to_json(),
             r#"{"counters":{"weird \"name\"\\with\nstuff\tπ\r\u0001":7},"histograms":{}}"#

@@ -54,7 +54,12 @@ fn bounds_partition_u64() {
     let mut next = 0u64;
     for i in 0..BUCKETS {
         let (lo, hi) = bucket_bounds(i);
-        assert_eq!(lo, next, "bucket {i} does not start where {} ended", i.wrapping_sub(1));
+        assert_eq!(
+            lo,
+            next,
+            "bucket {i} does not start where {} ended",
+            i.wrapping_sub(1)
+        );
         assert!(hi >= lo);
         if i + 1 < BUCKETS {
             next = hi + 1;

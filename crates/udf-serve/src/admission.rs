@@ -138,7 +138,9 @@ impl<R> IngestQueue<R> {
     pub fn restore_batch(&mut self, batch: PendingBatch<R>) {
         self.queued_records += batch.records.len();
         self.next_batch = self.next_batch.max(batch.id + 1);
-        self.next_seq = self.next_seq.max(batch.start_seq + batch.records.len() as u64);
+        self.next_seq = self
+            .next_seq
+            .max(batch.start_seq + batch.records.len() as u64);
         self.batches.push_back(batch);
     }
 
@@ -236,19 +238,27 @@ mod tests {
         let mut q: IngestQueue<i64> = IngestQueue::new(5);
         assert!(matches!(
             q.offer(vec![1, 2, 3], 0),
-            Admission::Admitted { batch: 0, queued: 3 }
+            Admission::Admitted {
+                batch: 0,
+                queued: 3
+            }
         ));
         let r = q.offer(vec![4, 5, 6], 0);
         assert!(matches!(
             r,
             Admission::Rejected {
-                reason: RejectReason::QueueFull { queued: 3, capacity: 5 }
+                reason: RejectReason::QueueFull {
+                    queued: 3,
+                    capacity: 5
+                }
             }
         ));
         assert_eq!(q.queued_records(), 3, "rejected records must not enter");
         assert!(matches!(
             q.offer(vec![], 0),
-            Admission::Rejected { reason: RejectReason::EmptyBatch }
+            Admission::Rejected {
+                reason: RejectReason::EmptyBatch
+            }
         ));
     }
 

@@ -191,7 +191,10 @@ impl JournalRec for Vec<i64> {
 
     fn decode_rec(line: &str) -> Result<Vec<i64>, String> {
         line.split_ascii_whitespace()
-            .map(|w| w.parse::<i64>().map_err(|_| format!("bad record value {w:?}")))
+            .map(|w| {
+                w.parse::<i64>()
+                    .map_err(|_| format!("bad record value {w:?}"))
+            })
             .collect()
     }
 }
@@ -215,7 +218,10 @@ impl JournalRec for (usize, Vec<i64>) {
             .parse::<usize>()
             .map_err(|_| "bad faulty record id".to_owned())?;
         let rest: Result<Vec<i64>, String> = words
-            .map(|w| w.parse::<i64>().map_err(|_| format!("bad record value {w:?}")))
+            .map(|w| {
+                w.parse::<i64>()
+                    .map_err(|_| format!("bad record value {w:?}"))
+            })
             .collect();
         Ok((id, rest?))
     }
@@ -421,7 +427,9 @@ impl<R> Journal<R> {
         }
         std::fs::rename(&tmp, &ckpt).map_err(io_err)?;
         if let Some((CrashPoint::PostRenamePreTruncate, _)) = sim {
-            return Err(JournalError::SimulatedCrash(CrashPoint::PostRenamePreTruncate));
+            return Err(JournalError::SimulatedCrash(
+                CrashPoint::PostRenamePreTruncate,
+            ));
         }
         let journal_path = self.dir.join(JOURNAL_FILE);
         framing::atomic_write(&journal_path, format!("{JOURNAL_HEADER}\n").as_bytes())
@@ -565,8 +573,8 @@ pub(crate) fn load_journal(dir: &Path) -> Result<LoadedJournal, JournalError> {
                 Ok((seq, header))
             })
             .and_then(|(seq, header)| {
-                let (payload, resume) = framing::check_frame(&bytes, &header, payload_start)
-                    .map_err(|(_, e)| e)?;
+                let (payload, resume) =
+                    framing::check_frame(&bytes, &header, payload_start).map_err(|(_, e)| e)?;
                 Ok((
                     LoadedFrame {
                         seq,
@@ -618,9 +626,13 @@ mod tests {
         let d = dir("round-trip");
         let mut j: Journal<Vec<i64>> =
             Journal::create(&d, None, udf_obs::RecorderCell::noop()).unwrap();
-        j.append("sub", "batch 0 epoch 0 seq 0 n 1\nrec 1 2 3\n").unwrap();
-        j.append("epoch", "epoch 1 mode idle processed 0 applied 0 errors 0 digest 0\n")
+        j.append("sub", "batch 0 epoch 0 seq 0 n 1\nrec 1 2 3\n")
             .unwrap();
+        j.append(
+            "epoch",
+            "epoch 1 mode idle processed 0 applied 0 errors 0 digest 0\n",
+        )
+        .unwrap();
         let loaded = load_journal(&d).unwrap();
         assert_eq!(loaded.frames.len(), 2);
         assert_eq!(loaded.frames[0].kind, "sub");
@@ -658,7 +670,10 @@ mod tests {
         .unwrap();
         j.append("rej", "n 1\n").unwrap();
         let err = j.append("rej", "n 2\n").unwrap_err();
-        assert!(matches!(err, JournalError::SimulatedCrash(CrashPoint::MidAppend)));
+        assert!(matches!(
+            err,
+            JournalError::SimulatedCrash(CrashPoint::MidAppend)
+        ));
         let loaded = load_journal(&d).unwrap();
         assert_eq!(loaded.frames.len(), 1, "intact prefix survives");
         assert!(loaded.truncated_tail);

@@ -171,7 +171,10 @@ impl fmt::Display for ServeError {
             ),
             ServeError::Journal(e) => write!(f, "{e}"),
             ServeError::Poisoned => {
-                write!(f, "service poisoned by an earlier journal failure; recover from disk")
+                write!(
+                    f,
+                    "service poisoned by an earlier journal failure; recover from disk"
+                )
             }
         }
     }
@@ -387,7 +390,9 @@ impl<'r, E: UdfEnv> UdfEnv for ByRef<'_, 'r, E> {
 
 impl<E: UdfEnv> fmt::Debug for Service<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Service").field("status", &self.status()).finish()
+        f.debug_struct("Service")
+            .field("status", &self.status())
+            .finish()
     }
 }
 
@@ -483,8 +488,7 @@ impl<E: UdfEnv> Service<E> {
     where
         E::Rec: JournalRec,
     {
-        journal::clean_orphan_temps(dir)
-            .map_err(|e| JournalError::Io(e.to_string()))?;
+        journal::clean_orphan_temps(dir).map_err(|e| JournalError::Io(e.to_string()))?;
         let sim = config.sim_crash;
         let recorder = config.recorder.clone();
         let mut svc = Service::new(env, config);
@@ -526,7 +530,10 @@ impl<E: UdfEnv> Service<E> {
         recorder.add(names::JOURNAL_FRAMES_REPLAYED, report.frames_replayed);
         recorder.add(names::JOURNAL_FRAMES_SKIPPED, report.frames_skipped);
         recorder.add(names::JOURNAL_FRAMES_SALVAGED, report.frames_salvaged);
-        recorder.add(names::SERVE_RECOVERY_PLAN_NODES_RESTORED, report.plan_nodes_restored);
+        recorder.add(
+            names::SERVE_RECOVERY_PLAN_NODES_RESTORED,
+            report.plan_nodes_restored,
+        );
         recorder.add(names::SERVE_RECOVERY_SOLVER_CHECKS, report.solver_checks);
         Ok((svc, report))
     }
@@ -669,8 +676,11 @@ impl<E: UdfEnv> Service<E> {
         };
         if self.journal.is_some() {
             let sexpr = write_program(program, None, &self.interner);
-            let payload =
-                format!("tenant {} outcome {}\n{sexpr}\n", tenant.0, churn_tag(&outcome));
+            let payload = format!(
+                "tenant {} outcome {}\n{sexpr}\n",
+                tenant.0,
+                churn_tag(&outcome)
+            );
             self.journal_append("reg", &payload)?;
         }
         Ok(outcome)
@@ -733,9 +743,9 @@ impl<E: UdfEnv> Service<E> {
 
     /// Position of a still-pending registration of `query`, if any.
     fn pending_register(&self, query: ProgId) -> Option<usize> {
-        self.pending_churn.iter().position(|op| {
-            matches!(op, ChurnOp::Register { program, .. } if program.id == query)
-        })
+        self.pending_churn
+            .iter()
+            .position(|op| matches!(op, ChurnOp::Register { program, .. } if program.id == query))
     }
 
     fn apply_register(
@@ -751,15 +761,13 @@ impl<E: UdfEnv> Service<E> {
         let outcome = if demoted {
             ChurnOutcome::AppliedSolo
         } else {
-            let report = self
-                .plan
-                .add(
-                    program,
-                    &mut self.interner,
-                    &self.cm,
-                    &EnvCost(&self.env),
-                    &self.config.consolidation,
-                )?;
+            let report = self.plan.add(
+                program,
+                &mut self.interner,
+                &self.cm,
+                &EnvCost(&self.env),
+                &self.config.consolidation,
+            )?;
             self.note_delta(&report);
             ChurnOutcome::Applied(Box::new(report))
         };
@@ -811,7 +819,9 @@ impl<E: UdfEnv> Service<E> {
 
     /// Books one delta operation on the shared plan.
     fn note_delta(&mut self, report: &DeltaReport) {
-        self.config.recorder.add(names::SERVE_DELTA_RECONSOLIDATIONS, 1);
+        self.config
+            .recorder
+            .add(names::SERVE_DELTA_RECONSOLIDATIONS, 1);
         self.delta_solver_checks += report.stats.solver.checks;
     }
 
@@ -880,29 +890,30 @@ impl<E: UdfEnv> Service<E> {
         }
         let programs = self.plan.programs();
         let merged = self.plan.program().cloned();
-        self.shared_qs = match (programs.is_empty(), merged) {
-            (false, Some(merged)) => {
-                let fc = |f: Symbol| self.env.fn_cost(f);
-                let mut qs = QuerySet::compile_many(&programs, &self.cm, &fc)?
-                    .with_consolidated(&merged, &self.cm, &fc, Duration::ZERO)?;
-                if self.config.consolidation.prefilter {
-                    self.shared_prefilter = consolidate::prefilter::synthesize(
-                        &programs,
-                        &merged,
-                        &self.interner,
-                        &self.cm,
-                        &EnvCost(&self.env),
-                        &self.config.consolidation,
-                    )
-                    .ok();
-                    if let Some(pf) = &self.shared_prefilter {
-                        qs = qs.with_prefilter(&pf.cond, &merged, &self.cm, &fc)?;
+        self.shared_qs =
+            match (programs.is_empty(), merged) {
+                (false, Some(merged)) => {
+                    let fc = |f: Symbol| self.env.fn_cost(f);
+                    let mut qs = QuerySet::compile_many(&programs, &self.cm, &fc)?
+                        .with_consolidated(&merged, &self.cm, &fc, Duration::ZERO)?;
+                    if self.config.consolidation.prefilter {
+                        self.shared_prefilter = consolidate::prefilter::synthesize(
+                            &programs,
+                            &merged,
+                            &self.interner,
+                            &self.cm,
+                            &EnvCost(&self.env),
+                            &self.config.consolidation,
+                        )
+                        .ok();
+                        if let Some(pf) = &self.shared_prefilter {
+                            qs = qs.with_prefilter(&pf.cond, &merged, &self.cm, &fc)?;
+                        }
                     }
+                    Some(qs)
                 }
-                Some(qs)
-            }
-            _ => None,
-        };
+                _ => None,
+            };
         self.qs_dirty = false;
         Ok(())
     }
@@ -1170,8 +1181,7 @@ impl<E: UdfEnv> Service<E> {
                     break;
                 }
                 self.rebuild_shared()?;
-                let Some(query_ids) = self.shared_qs.as_ref().map(|q| q.query_ids.clone())
-                else {
+                let Some(query_ids) = self.shared_qs.as_ref().map(|q| q.query_ids.clone()) else {
                     break;
                 };
                 let engine = self.engine(EPOCH_GUARD);
@@ -1298,10 +1308,9 @@ impl<E: UdfEnv> Service<E> {
                 }
             }
             self.journal_append("epoch", &payload)?;
-            let due = self
-                .journal
-                .as_ref()
-                .is_some_and(|j| j.appends_since_checkpoint() >= self.config.journal_checkpoint_every);
+            let due = self.journal.as_ref().is_some_and(|j| {
+                j.appends_since_checkpoint() >= self.config.journal_checkpoint_every
+            });
             if due {
                 self.checkpoint()?;
             }
@@ -1386,10 +1395,17 @@ impl<E: UdfEnv> Service<E> {
         let _ = writeln!(
             p,
             "counters {} {} {} {}",
-            self.counters.admitted, self.counters.rejected, self.counters.shed,
+            self.counters.admitted,
+            self.counters.rejected,
+            self.counters.shed,
             self.counters.processed
         );
-        let _ = writeln!(p, "queue {} {}", self.queue.next_batch(), self.queue.next_seq());
+        let _ = writeln!(
+            p,
+            "queue {} {}",
+            self.queue.next_batch(),
+            self.queue.next_seq()
+        );
         for b in self.queue.batches() {
             let _ = writeln!(
                 p,
@@ -1563,7 +1579,11 @@ impl<E: UdfEnv> Service<E> {
                     let index = parse_field(words.next(), "node index")?;
                     let tier = parse_field(words.next(), "node tier")?;
                     let program = read_program(rest_after(line, 3)?, &mut self.interner)?.0;
-                    nodes.push(NodeImage { index, program, tier });
+                    nodes.push(NodeImage {
+                        index,
+                        program,
+                        tier,
+                    });
                 }
                 _ => return Err(format!("unrecognized checkpoint line {line:?}")),
             }
@@ -1577,7 +1597,11 @@ impl<E: UdfEnv> Service<E> {
         let leaves = renamed_leaves
             .into_iter()
             .map(|(slot, renamed)| match shared(renamed.id) {
-                Some(original) => Ok(LeafImage { slot, original, renamed }),
+                Some(original) => Ok(LeafImage {
+                    slot,
+                    original,
+                    renamed,
+                }),
                 None => Err(format!(
                     "plan leaf {} is not a query of any tenant in the shared plan",
                     renamed.id.0
@@ -1593,7 +1617,13 @@ impl<E: UdfEnv> Service<E> {
             ));
         }
         let installed = (leaves.len() + nodes.len()) as u64;
-        let image = PlanImage { cap, renames, free, leaves, nodes };
+        let image = PlanImage {
+            cap,
+            renames,
+            free,
+            leaves,
+            nodes,
+        };
         self.plan = DeltaPlan::restore(image).map_err(|e| e.to_string())?;
         self.qs_dirty = true;
         Ok(installed)
@@ -1657,7 +1687,8 @@ impl<E: UdfEnv> Service<E> {
                 let program = read_program(src, &mut self.interner)?.0;
                 match tag {
                     "deferred" => {
-                        self.pending_churn.push_back(ChurnOp::Register { tenant, program });
+                        self.pending_churn
+                            .push_back(ChurnOp::Register { tenant, program });
                         Ok(())
                     }
                     "applied" | "solo" => self
@@ -1685,7 +1716,8 @@ impl<E: UdfEnv> Service<E> {
                         Ok(())
                     }
                     "deferred" => {
-                        self.pending_churn.push_back(ChurnOp::Deregister { tenant, query });
+                        self.pending_churn
+                            .push_back(ChurnOp::Deregister { tenant, query });
                         Ok(())
                     }
                     "applied" | "solo" => self

@@ -52,14 +52,8 @@ impl TenantState {
 /// backlog for the epoch's time).
 #[derive(Debug, Clone)]
 pub(crate) enum ChurnOp {
-    Register {
-        tenant: TenantId,
-        program: Program,
-    },
-    Deregister {
-        tenant: TenantId,
-        query: ProgId,
-    },
+    Register { tenant: TenantId, program: Program },
+    Deregister { tenant: TenantId, query: ProgId },
 }
 
 /// How a register/deregister call was handled.

@@ -75,7 +75,9 @@ fn admission_is_bounded_and_shedding_is_explicit() {
 
     // Five batches of two records fill the queue exactly.
     for i in 0..5 {
-        let a = svc.submit(batch(i * 2..i * 2 + 2)).expect("journal off: infallible");
+        let a = svc
+            .submit(batch(i * 2..i * 2 + 2))
+            .expect("journal off: infallible");
         assert!(matches!(a, Admission::Admitted { .. }), "batch {i}: {a:?}");
     }
     // The sixth is rejected — records never enter, nothing is dropped.
@@ -127,7 +129,11 @@ fn churn_defers_under_pressure_and_applies_when_calm() {
     assert!(svc.status().pressure >= 0.75);
     let out = svc.register(t, &q2).expect("pressured registration defers");
     assert!(matches!(out, ChurnOutcome::Deferred));
-    assert_eq!(svc.status().plan_queries, 1, "deferred op must not touch the plan");
+    assert_eq!(
+        svc.status().plan_queries,
+        1,
+        "deferred op must not touch the plan"
+    );
 
     // The pressured epoch defers churn and runs sequentially.
     let rep = svc.run_epoch().expect("epoch runs");
@@ -219,7 +225,10 @@ fn a_refused_registration_into_a_full_tree_leaves_no_trace() {
         svc.submit(batch(0..20)).expect("journal off: infallible");
         let rep = svc.run_epoch().expect("epoch runs");
         assert_eq!(rep.mode, EpochMode::Consolidated);
-        assert_eq!(rep.tenants[&t].counts[&1], 10, "half(v) > 4 for v in 10..20");
+        assert_eq!(
+            rep.tenants[&t].counts[&1], 10,
+            "half(v) > 4 for v in 10..20"
+        );
         rep.output_digest
     };
     assert_eq!(run(true), run(false));
@@ -301,7 +310,10 @@ fn drive(
     let mut out = Vec::new();
     for e in 0..epochs {
         let lo = (e as i64) * 20;
-        match svc.submit(batch(lo..lo + 20)).expect("journal off: infallible") {
+        match svc
+            .submit(batch(lo..lo + 20))
+            .expect("journal off: infallible")
+        {
             Admission::Admitted { .. } => {}
             other => panic!("stream must admit: {other:?}"),
         }
@@ -315,12 +327,7 @@ fn drive(
 #[test]
 fn hostile_tenant_is_demoted_alone_and_others_are_bit_identical() {
     silence_injected_panics();
-    let faults = FaultPlan::seeded_kinds(
-        0x5e21,
-        60,
-        8,
-        &[FaultKind::LibError, FaultKind::Panic],
-    );
+    let faults = FaultPlan::seeded_kinds(0x5e21, 60, 8, &[FaultKind::LibError, FaultKind::Panic]);
     let config = ServeConfig {
         queue_capacity: 64,
         epoch_batch_limit: 20,
@@ -353,12 +360,20 @@ fn hostile_tenant_is_demoted_alone_and_others_are_bit_identical() {
     assert!(!with_hostile.tenant(good).expect("exists").demoted);
     assert!(!with_hostile.tenant(also_good).expect("exists").demoted);
     assert!(
-        reports_a.iter().any(|e| !e[&hostile].quarantined.is_empty()),
+        reports_a
+            .iter()
+            .any(|e| !e[&hostile].quarantined.is_empty()),
         "faults must be attributed to the hostile tenant"
     );
     for e in &reports_a {
-        assert!(e[&good].quarantined.is_empty(), "innocent tenant 1 quarantined");
-        assert!(e[&also_good].quarantined.is_empty(), "innocent tenant 2 quarantined");
+        assert!(
+            e[&good].quarantined.is_empty(),
+            "innocent tenant 1 quarantined"
+        );
+        assert!(
+            e[&also_good].quarantined.is_empty(),
+            "innocent tenant 2 quarantined"
+        );
     }
     // Every hostile query calls the trigger, so the hostile tenant's
     // quarantine is exactly the planned records, by sequence number (record
@@ -398,7 +413,11 @@ fn same_seed_runs_are_identical() {
             0xd00d,
             100,
             10,
-            &[FaultKind::LibError, FaultKind::Panic, FaultKind::Transient(1)],
+            &[
+                FaultKind::LibError,
+                FaultKind::Panic,
+                FaultKind::Transient(1),
+            ],
         );
         let mut svc = service(
             faults,
@@ -426,7 +445,11 @@ fn same_seed_runs_are_identical() {
         log.push_str(&format!("{:?}", svc.accounting()));
         log
     };
-    assert_eq!(run(), run(), "same-seed service runs must be byte-identical");
+    assert_eq!(
+        run(),
+        run(),
+        "same-seed service runs must be byte-identical"
+    );
 }
 
 /// A pushdown-friendly query: a cheap `v >= k` guard nests the library call,
@@ -466,28 +489,50 @@ fn prefilter_rebuilds_on_churn() {
         let q = guarded_query(svc.interner_mut(), id, k, th);
         svc.register(t, &q).expect("registers");
     }
-    assert!(svc.prefilter().is_none(), "nothing synthesized before an epoch");
+    assert!(
+        svc.prefilter().is_none(),
+        "nothing synthesized before an epoch"
+    );
 
     let _ = svc.submit(batch(0..8));
     svc.run_epoch().expect("epoch runs");
-    let cond1 = svc.prefilter().expect("epoch synthesized a pre-filter").cond.clone();
+    let cond1 = svc
+        .prefilter()
+        .expect("epoch synthesized a pre-filter")
+        .cond
+        .clone();
 
     // Registering widens the reachable set; the stale filter would wrongly
     // skip records only the new query selects, so it must drop at once.
     let q3 = guarded_query(svc.interner_mut(), 3, 5, 1);
     svc.register(t, &q3).expect("registers");
-    assert!(svc.prefilter().is_none(), "churn clears the stale pre-filter");
+    assert!(
+        svc.prefilter().is_none(),
+        "churn clears the stale pre-filter"
+    );
     let _ = svc.submit(batch(8..16));
     svc.run_epoch().expect("epoch runs");
-    let cond2 = svc.prefilter().expect("re-synthesized after register").cond.clone();
+    let cond2 = svc
+        .prefilter()
+        .expect("re-synthesized after register")
+        .cond
+        .clone();
     assert_ne!(cond1, cond2, "the new guard must widen the condition");
 
     // Deregistering restores the original query set — and the rebuilt
     // condition is bit-identical to the original synthesis.
-    svc.deregister(t, udf_lang::ast::ProgId(3)).expect("deregisters");
-    assert!(svc.prefilter().is_none(), "churn clears the stale pre-filter");
+    svc.deregister(t, udf_lang::ast::ProgId(3))
+        .expect("deregisters");
+    assert!(
+        svc.prefilter().is_none(),
+        "churn clears the stale pre-filter"
+    );
     let _ = svc.submit(batch(16..24));
     svc.run_epoch().expect("epoch runs");
-    let cond3 = svc.prefilter().expect("re-synthesized after deregister").cond.clone();
+    let cond3 = svc
+        .prefilter()
+        .expect("re-synthesized after deregister")
+        .cond
+        .clone();
     assert_eq!(cond1, cond3, "same query set, same condition");
 }

@@ -156,7 +156,10 @@ impl Euf {
             if let Some(existing) = self.signature_of(app) {
                 // Congruent to an existing application: merge immediately.
                 let fresh = self.union(existing, n, Why::Cong);
-                debug_assert!(fresh.is_ok(), "a fresh node has no constant and no disequality");
+                debug_assert!(
+                    fresh.is_ok(),
+                    "a fresh node has no constant and no disequality"
+                );
             } else {
                 self.sig.insert(self.key.clone(), n);
             }

@@ -189,7 +189,10 @@ impl Rat {
     pub fn checked_div(self, o: Rat) -> Option<Rat> {
         let recip = match o.num.signum() {
             0 => return None,
-            1 => Rat { num: o.den, den: o.num },
+            1 => Rat {
+                num: o.den,
+                den: o.num,
+            },
             _ => Rat {
                 num: -o.den,
                 den: o.num.checked_neg()?,
@@ -271,7 +274,10 @@ mod tests {
         let b = Rat::new(1, 2).unwrap();
         assert!(a < b);
         assert!(Rat::int(-1) < Rat::ZERO);
-        assert_eq!(Rat::new(2, 4).unwrap().cmp(&Rat::new(1, 2).unwrap()), Ordering::Equal);
+        assert_eq!(
+            Rat::new(2, 4).unwrap().cmp(&Rat::new(1, 2).unwrap()),
+            Ordering::Equal
+        );
     }
 
     #[test]
@@ -317,7 +323,10 @@ mod tests {
         let e = Rat::new(i128::MAX, (1i128 << 41) + 3).unwrap();
         assert_eq!(c.cmp(&e), Ordering::Greater);
         assert_eq!(e.cmp(&c), Ordering::Less);
-        assert_eq!(e.checked_neg().unwrap().cmp(&c.checked_neg().unwrap()), Ordering::Greater);
+        assert_eq!(
+            e.checked_neg().unwrap().cmp(&c.checked_neg().unwrap()),
+            Ordering::Greater
+        );
     }
 
     #[test]
@@ -420,7 +429,9 @@ mod tests {
                 a / b + i128::from(a % b != 0)
             } else {
                 let m = a.unsigned_abs() / b.unsigned_abs();
-                0i128.checked_sub_unsigned(m).expect("|a| / b fits below zero")
+                0i128
+                    .checked_sub_unsigned(m)
+                    .expect("|a| / b fits below zero")
             }
         }
     }
@@ -434,10 +445,30 @@ mod tests {
     fn agrees(x: Rat, y: Rat) {
         let (px, py) = (pair(x), pair(y));
         let ctx = || format!("{x} and {y}");
-        assert_eq!(x.checked_add(y).map(pair), reference::add(px, py), "add {}", ctx());
-        assert_eq!(x.checked_sub(y).map(pair), reference::sub(px, py), "sub {}", ctx());
-        assert_eq!(x.checked_mul(y).map(pair), reference::mul(px, py), "mul {}", ctx());
-        assert_eq!(x.checked_div(y).map(pair), reference::div(px, py), "div {}", ctx());
+        assert_eq!(
+            x.checked_add(y).map(pair),
+            reference::add(px, py),
+            "add {}",
+            ctx()
+        );
+        assert_eq!(
+            x.checked_sub(y).map(pair),
+            reference::sub(px, py),
+            "sub {}",
+            ctx()
+        );
+        assert_eq!(
+            x.checked_mul(y).map(pair),
+            reference::mul(px, py),
+            "mul {}",
+            ctx()
+        );
+        assert_eq!(
+            x.checked_div(y).map(pair),
+            reference::div(px, py),
+            "div {}",
+            ctx()
+        );
         assert_eq!(x.cmp(&y), reference::cmp(px, py), "cmp {}", ctx());
         assert_eq!(x.floor(), reference::floor(px), "floor {x}");
         assert_eq!(x.ceil(), reference::ceil(px), "ceil {x}");
@@ -466,7 +497,11 @@ mod tests {
     fn fast_paths_equal_the_general_formulas() {
         for n in -30..=30 {
             for d in -30..=30 {
-                assert_eq!(Rat::new(n, d).map(pair), reference::new(n, d), "new {n}/{d}");
+                assert_eq!(
+                    Rat::new(n, d).map(pair),
+                    reference::new(n, d),
+                    "new {n}/{d}"
+                );
             }
         }
         let small: Vec<Rat> = (-8..=8)
@@ -490,11 +525,19 @@ mod tests {
                 2 => 1,
                 _ => i128::from(rng.gen_range(-9i64..10)),
             };
-            assert_eq!(Rat::new(num, den).map(pair), reference::new(num, den), "new {num}/{den}");
+            assert_eq!(
+                Rat::new(num, den).map(pair),
+                reference::new(num, den),
+                "new {num}/{den}"
+            );
         }
         let mut values: Vec<Rat> = Vec::new();
         while values.len() < 600 {
-            let num = if rng.gen_bool(0.5) { edge(&mut rng) } else { i128::from(rng.gen::<i64>()) };
+            let num = if rng.gen_bool(0.5) {
+                edge(&mut rng)
+            } else {
+                i128::from(rng.gen::<i64>())
+            };
             let den = match rng.gen_range(0..3) {
                 0 => edge(&mut rng),
                 1 => i128::from(rng.gen::<i64>()),

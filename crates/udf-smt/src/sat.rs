@@ -51,7 +51,12 @@ impl Lit {
 
 impl fmt::Debug for Lit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{}", if self.is_neg() { "¬" } else { "" }, self.var().0)
+        write!(
+            f,
+            "{}{}",
+            if self.is_neg() { "¬" } else { "" },
+            self.var().0
+        )
     }
 }
 
@@ -83,10 +88,10 @@ struct Clause {
 #[derive(Debug)]
 pub struct SatSolver {
     clauses: Vec<Clause>,
-    watches: Vec<Vec<u32>>, // literal index -> clause indices watching it
-    assign: Vec<LBool>,     // per var
-    phase: Vec<bool>,       // saved phase per var
-    level: Vec<u32>,        // per var
+    watches: Vec<Vec<u32>>,   // literal index -> clause indices watching it
+    assign: Vec<LBool>,       // per var
+    phase: Vec<bool>,         // saved phase per var
+    level: Vec<u32>,          // per var
     reason: Vec<Option<u32>>, // per var: clause that implied it
     trail: Vec<Lit>,
     trail_lim: Vec<usize>, // decision level boundaries
@@ -240,7 +245,11 @@ impl SatSolver {
     fn enqueue(&mut self, l: Lit, reason: Option<u32>) {
         let v = l.var().0 as usize;
         debug_assert_eq!(self.assign[v], LBool::Undef);
-        self.assign[v] = if l.is_neg() { LBool::False } else { LBool::True };
+        self.assign[v] = if l.is_neg() {
+            LBool::False
+        } else {
+            LBool::True
+        };
         self.phase[v] = !l.is_neg();
         self.level[v] = self.decision_level();
         self.reason[v] = reason;

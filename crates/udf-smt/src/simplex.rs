@@ -286,13 +286,20 @@ fn tighten_con(expr: &LinExpr, rel: Rel, row: &mut [Rat]) -> Result<Bounds, Tigh
         return tighten_integral(expr, rel, row);
     }
     let mut lcm: i128 = 1;
-    for c in expr.coeffs.iter().map(|(_, c)| c).chain(std::iter::once(&expr.constant)) {
+    for c in expr
+        .coeffs
+        .iter()
+        .map(|(_, c)| c)
+        .chain(std::iter::once(&expr.constant))
+    {
         let d = c.den();
         let g = i128::try_from(gcd(lcm.unsigned_abs(), d.unsigned_abs()))
             .expect("a gcd of positive i128s fits");
         lcm = (lcm / g).checked_mul(d).ok_or(Tightened::Overflow)?;
     }
-    let scaled = expr.checked_scale(Rat::int(lcm)).ok_or(Tightened::Overflow)?;
+    let scaled = expr
+        .checked_scale(Rat::int(lcm))
+        .ok_or(Tightened::Overflow)?;
     tighten_integral(&scaled, rel, row)
 }
 
@@ -300,7 +307,10 @@ fn tighten_con(expr: &LinExpr, rel: Rel, row: &mut [Rat]) -> Result<Bounds, Tigh
 /// emits only such rows, mostly with coefficient gcd 1, which are copied
 /// as they are.
 fn tighten_integral(expr: &LinExpr, rel: Rel, row: &mut [Rat]) -> Result<Bounds, Tightened> {
-    let g = expr.coeffs.iter().fold(0, |g, (_, c)| gcd(g, c.num().unsigned_abs()));
+    let g = expr
+        .coeffs
+        .iter()
+        .fold(0, |g, (_, c)| gcd(g, c.num().unsigned_abs()));
     if g == 0 {
         // Constant constraint.
         let c = expr.constant;
@@ -317,7 +327,11 @@ fn tighten_integral(expr: &LinExpr, rel: Rel, row: &mut [Rat]) -> Result<Bounds,
     }
     // Σ c x ⊲ b with b = −constant; divide by g. (g = 2¹²⁷ only when every
     // coefficient is i128::MIN.)
-    let b = expr.constant.num().checked_neg().ok_or(Tightened::Overflow)?;
+    let b = expr
+        .constant
+        .num()
+        .checked_neg()
+        .ok_or(Tightened::Overflow)?;
     let g = i128::try_from(g).map_err(|_| Tightened::Overflow)?;
     let bg = Rat::new(b, g).expect("positive denominator");
     let bounds = match rel {
@@ -344,7 +358,11 @@ impl Tableau {
     fn build(p: &LiaProblem) -> Built {
         // One row per constraint and disequality that mentions a variable
         // (the others are decided here and get none).
-        let m = p.constraints.iter().filter(|c| !c.expr.is_constant()).count()
+        let m = p
+            .constraints
+            .iter()
+            .filter(|c| !c.expr.is_constant())
+            .count()
             + p.diseqs.iter().filter(|d| !d.is_constant()).count();
         let n = p.num_vars;
         let mut t = Tableau {
@@ -433,7 +451,9 @@ impl Tableau {
                 continue;
             }
             let b = &mut self.cols[self.basic[r]].beta;
-            *b = b.checked_add(a.checked_mul(delta).ok_or(Overflow)?).ok_or(Overflow)?;
+            *b = b
+                .checked_add(a.checked_mul(delta).ok_or(Overflow)?)
+                .ok_or(Overflow)?;
         }
         Ok(())
     }
@@ -478,7 +498,11 @@ impl Tableau {
         scratch.clear();
         for (s, &ak) in self.row(r).iter().enumerate() {
             if s != sj && !ak.is_zero() {
-                let nk = ak.checked_neg().ok_or(Overflow)?.checked_mul(inv).ok_or(Overflow)?;
+                let nk = ak
+                    .checked_neg()
+                    .ok_or(Overflow)?
+                    .checked_mul(inv)
+                    .ok_or(Overflow)?;
                 scratch.push((s, nk));
             }
         }
@@ -667,7 +691,6 @@ fn solve_rec(root: Tableau, budget: &mut u64, pivots: &mut u64) -> LiaResult {
         }
         *budget -= 1;
         match t.check(pivots, &mut blame, &mut scratch) {
-
             Err(Overflow) => {
                 saw_unknown = true;
                 continue;
@@ -735,24 +758,15 @@ mod tests {
     use super::*;
 
     fn le(expr: LinExpr) -> LinCon {
-        LinCon {
-            expr,
-            rel: Rel::Le,
-        }
+        LinCon { expr, rel: Rel::Le }
     }
 
     fn ge(expr: LinExpr) -> LinCon {
-        LinCon {
-            expr,
-            rel: Rel::Ge,
-        }
+        LinCon { expr, rel: Rel::Ge }
     }
 
     fn eq(expr: LinExpr) -> LinCon {
-        LinCon {
-            expr,
-            rel: Rel::Eq,
-        }
+        LinCon { expr, rel: Rel::Eq }
     }
 
     fn expr(terms: &[(usize, i128)], k: i128) -> LinExpr {

@@ -411,7 +411,9 @@ pub fn check_with_model_stats(
         if !merged_any {
             let mut out = Model::default();
             for (&t, &proxy) in &lz.var_of_term {
-                let Some(&val) = model.get(proxy) else { continue };
+                let Some(&val) = model.get(proxy) else {
+                    continue;
+                };
                 match ctx.term(t) {
                     Term::Var(v) => {
                         out.vars.insert(*v, val);
@@ -572,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn nonlinear_products_are_opaque_but_congruent_syntactically(){
+    fn nonlinear_products_are_opaque_but_congruent_syntactically() {
         // x*y = x*y is consistent trivially; x*y ≠ x*y is inconsistent
         // because hash-consing gives both sides one proxy.
         let mut ctx = Context::new();
@@ -610,7 +612,12 @@ mod tests {
         let mut ctx = Context::new();
         let [x, y, z] = ["x", "y", "z"].map(|n| ctx.int_var(n));
         let [one, two, three, five] = [1, 2, 3, 5].map(|c| ctx.int(c));
-        let lits = [ctx.eq(x, one), ctx.le(y, five), ctx.eq(x, two), ctx.eq(z, three)];
+        let lits = [
+            ctx.eq(x, one),
+            ctx.le(y, five),
+            ctx.eq(x, two),
+            ctx.eq(z, three),
+        ];
         assert_eq!(core(&ctx, &lits.map(|a| (a, true))), vec![0, 2]);
     }
 
@@ -620,7 +627,12 @@ mod tests {
         let mut ctx = Context::new();
         let [x, y, z] = ["x", "y", "z"].map(|n| ctx.int_var(n));
         let [three, five, seven] = [3, 5, 7].map(|c| ctx.int(c));
-        let lits = [ctx.le(five, x), ctx.le(y, seven), ctx.le(x, three), ctx.eq(z, y)];
+        let lits = [
+            ctx.le(five, x),
+            ctx.le(y, seven),
+            ctx.le(x, three),
+            ctx.eq(z, y),
+        ];
         assert_eq!(core(&ctx, &lits.map(|a| (a, true))), vec![0, 2]);
     }
 
@@ -633,7 +645,12 @@ mod tests {
         let [a, b, w] = ["a", "b", "w"].map(|n| ctx.int_var(n));
         let [zero, one, three] = [0, 1, 3].map(|c| ctx.int(c));
         let (fa, fb) = (ctx.app(f, vec![a]), ctx.app(f, vec![b]));
-        let lits = [ctx.eq(a, b), ctx.le(w, three), ctx.le(fa, zero), ctx.le(one, fb)];
+        let lits = [
+            ctx.eq(a, b),
+            ctx.le(w, three),
+            ctx.le(fa, zero),
+            ctx.le(one, fb),
+        ];
         assert_eq!(core(&ctx, &lits.map(|a| (a, true))), vec![0, 2, 3]);
     }
 

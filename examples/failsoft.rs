@@ -67,9 +67,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Run 100 records with 6 injected faults (lib error / panic / fuel burn,
     // chosen by seed) under the quarantine policy: the run completes, the
     // report names the casualties, and both modes agree on the survivors.
-    let merged = consolidate_many(&programs, &mut interner, &cm, &lib, &Options::default(), false)?;
-    let queries = QuerySet::compile_many(&programs, &cm, &|f| lib.cost(f))?
-        .with_consolidated(&merged.program, &cm, &|f| lib.cost(f), merged.elapsed)?;
+    let merged = consolidate_many(
+        &programs,
+        &mut interner,
+        &cm,
+        &lib,
+        &Options::default(),
+        false,
+    )?;
+    let queries = QuerySet::compile_many(&programs, &cm, &|f| lib.cost(f))?.with_consolidated(
+        &merged.program,
+        &cm,
+        &|f| lib.cost(f),
+        merged.elapsed,
+    )?;
     let plan = FaultPlan::seeded(7, 100, 6);
     let env = FaultyEnv::new(ScalarEnv::new(1, lib), probe, plan);
     let records = FaultyEnv::<ScalarEnv>::index_records((0..100).map(|v| vec![v]));

@@ -44,8 +44,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         merged.program.size()
     );
 
-    let qs = QuerySet::compile_many(&programs, &cm, &|f| env.fn_cost(f))?
-        .with_consolidated(&merged.program, &cm, &|f| env.fn_cost(f), merged.elapsed)?;
+    let qs = QuerySet::compile_many(&programs, &cm, &|f| env.fn_cost(f))?.with_consolidated(
+        &merged.program,
+        &cm,
+        &|f| env.fn_cost(f),
+        merged.elapsed,
+    )?;
     let engine = Engine::default();
     let many = engine.run(&env, &records, &qs, ExecMode::Many, false)?;
     let cons = engine.run(&env, &records, &qs, ExecMode::Consolidated, false)?;

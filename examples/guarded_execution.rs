@@ -104,7 +104,10 @@ fn run(backend: ExecBackend) -> Result<(), Box<dyn std::error::Error>> {
         cache.stats().invalidations
     );
     assert!(g.demoted, "the corrupted plan must demote");
-    assert_eq!(healed.counts, healthy.counts, "demotion self-heals the answer");
+    assert_eq!(
+        healed.counts, healthy.counts,
+        "demotion self-heals the answer"
+    );
     println!("the guard caught the corruption and the sequential rerun healed it");
     Ok(())
 }

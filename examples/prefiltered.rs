@@ -91,10 +91,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The guarantee the verifier bought: identical observables, lower cost.
-    assert_eq!(reports[0].counts, reports[1].counts, "notifications must agree");
+    assert_eq!(
+        reports[0].counts, reports[1].counts,
+        "notifications must agree"
+    );
     assert_eq!(reports[0].missing, reports[1].missing);
-    assert!(reports[1].prefilter_skipped > 0, "the guard family must skip");
-    assert!(reports[1].cost <= reports[0].cost, "skipping must not cost more");
+    assert!(
+        reports[1].prefilter_skipped > 0,
+        "the guard family must skip"
+    );
+    assert!(
+        reports[1].cost <= reports[0].cost,
+        "skipping must not cost more"
+    );
     println!("pushdown was unobservable: identical notifications, lower cost");
     Ok(())
 }

@@ -40,8 +40,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     println!("=== input UDFs");
-    println!("{}", query_consolidation::lang::pretty::program(&f1, &interner));
-    println!("{}", query_consolidation::lang::pretty::program(&f2, &interner));
+    println!(
+        "{}",
+        query_consolidation::lang::pretty::program(&f1, &interner)
+    );
+    println!(
+        "{}",
+        query_consolidation::lang::pretty::program(&f2, &interner)
+    );
 
     // Consolidate: Π₁ ⊗ Π₂.
     let merged = consolidate_pair(
@@ -52,7 +58,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &lib,
         &Options::default(),
     )?;
-    println!("=== consolidated ({:?}, rules {:?})", merged.elapsed, merged.stats);
+    println!(
+        "=== consolidated ({:?}, rules {:?})",
+        merged.elapsed, merged.stats
+    );
     println!(
         "{}",
         query_consolidation::lang::pretty::program(&merged.program, &interner)

@@ -24,7 +24,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    println!("{:>6} {:>12} {:>12} {:>12}", "nUDFs", "many(ms)", "cons(ms)", "consolid(ms)");
+    println!(
+        "{:>6} {:>12} {:>12} {:>12}",
+        "nUDFs", "many(ms)", "cons(ms)", "consolid(ms)"
+    );
     let bc = news::families()
         .into_iter()
         .find(|f| f.label == "BC")
@@ -39,8 +42,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &Options::default(),
             true,
         )?;
-        let qs = QuerySet::compile_many(&programs, &cm, &|f| env.fn_cost(f))?
-            .with_consolidated(&merged.program, &cm, &|f| env.fn_cost(f), merged.elapsed)?;
+        let qs = QuerySet::compile_many(&programs, &cm, &|f| env.fn_cost(f))?.with_consolidated(
+            &merged.program,
+            &cm,
+            &|f| env.fn_cost(f),
+            merged.elapsed,
+        )?;
         let engine = Engine::default();
         let many = engine.run(&env, &records, &qs, ExecMode::Many, false)?;
         let cons = engine.run(&env, &records, &qs, ExecMode::Consolidated, false)?;

@@ -96,7 +96,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ref_digests.insert(e, d);
         }
     }
-    println!("reference: {} epochs, {:?}", ref_digests.len(), reference.accounting());
+    println!(
+        "reference: {} epochs, {:?}",
+        ref_digests.len(),
+        reference.accounting()
+    );
 
     // Journaled run with a crash armed mid-schedule: the 9th journal frame
     // (an epoch commit) tears half-written, as a power cut would leave it.
@@ -157,7 +161,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Err(e) => return Err(e.into()),
         }
     }
-    println!("recovered run: {} epochs, {:?}", digests.len(), svc.accounting());
+    println!(
+        "recovered run: {} epochs, {:?}",
+        digests.len(),
+        svc.accounting()
+    );
 
     // Bit-identical: same digest chain, same accounting — journal on or off,
     // crash or no crash.

@@ -38,7 +38,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Cold: consolidates for real — the solver discharges entailments.
     let (cold, outcome) = query_consolidation::cache::consolidate_many_cached(
-        &cache, &programs, &mut interner, &cm, &UniformFnCost(20), &opts, false,
+        &cache,
+        &programs,
+        &mut interner,
+        &cm,
+        &UniformFnCost(20),
+        &opts,
+        false,
         query_consolidation::dataflow::engine::ExecBackend::PerRecord,
     )?;
     println!(
@@ -51,7 +57,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Warm: the same submission is a pure lookup.
     let (warm, outcome) = query_consolidation::cache::consolidate_many_cached(
-        &cache, &programs, &mut interner, &cm, &UniformFnCost(20), &opts, false,
+        &cache,
+        &programs,
+        &mut interner,
+        &cm,
+        &UniformFnCost(20),
+        &opts,
+        false,
         query_consolidation::dataflow::engine::ExecBackend::PerRecord,
     )?;
     println!(
@@ -72,11 +84,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let restored = PlanCache::load(&path, CacheConfig::default())?;
     let _ = std::fs::remove_file(&path);
     let (reloaded, outcome) = query_consolidation::cache::consolidate_many_cached(
-        &restored, &programs, &mut interner, &cm, &UniformFnCost(20), &opts, false,
+        &restored,
+        &programs,
+        &mut interner,
+        &cm,
+        &UniformFnCost(20),
+        &opts,
+        false,
         query_consolidation::dataflow::engine::ExecBackend::PerRecord,
     )?;
-    println!("after restart: {outcome:?} — {} SMT checks", reloaded.stats.solver.checks);
-    assert_eq!(outcome, PlanOutcome::Hit, "snapshots warm-start the next run");
+    println!(
+        "after restart: {outcome:?} — {} SMT checks",
+        reloaded.stats.solver.checks
+    );
+    assert_eq!(
+        outcome,
+        PlanOutcome::Hit,
+        "snapshots warm-start the next run"
+    );
     println!("cache stats: {:?}", restored.stats());
     Ok(())
 }

@@ -54,8 +54,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Run both plans over the dataset and compare.
     let cm = CostModel::default();
     let programs = vec![g1, g2];
-    let qs = QuerySet::compile_many(&programs, &cm, &|f| env.fn_cost(f))?
-        .with_consolidated(&merged.program, &cm, &|f| env.fn_cost(f), merged.elapsed)?;
+    let qs = QuerySet::compile_many(&programs, &cm, &|f| env.fn_cost(f))?.with_consolidated(
+        &merged.program,
+        &cm,
+        &|f| env.fn_cost(f),
+        merged.elapsed,
+    )?;
     let engine = Engine::new(4);
     let many = engine.run(&env, &records, &qs, ExecMode::Many, true)?;
     let cons = engine.run(&env, &records, &qs, ExecMode::Consolidated, true)?;
@@ -68,9 +72,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cons.cost.expect("tracked"),
         many.cost.unwrap() as f64 / cons.cost.unwrap() as f64
     );
-    println!(
-        "wall time:     {:?} vs {:?}",
-        many.udf_time, cons.udf_time
-    );
+    println!("wall time:     {:?} vs {:?}", many.udf_time, cons.udf_time);
     Ok(())
 }

@@ -37,7 +37,9 @@ impl udf_lang::library::Library for StubLib {
         // Deterministic stub: a hash of the function index and arguments.
         let mut acc = f.index() as i64 + 17;
         for (k, a) in args.iter().enumerate() {
-            acc = acc.wrapping_mul(31).wrapping_add(a.wrapping_mul(k as i64 + 1));
+            acc = acc
+                .wrapping_mul(31)
+                .wrapping_add(a.wrapping_mul(k as i64 + 1));
         }
         Ok(acc.rem_euclid(1_000))
     }
@@ -99,7 +101,9 @@ fn main() -> ExitCode {
             "--no-loop-fusion" => opts.loop_fusion = false,
             "--syntactic" => opts.mode = EntailmentMode::Syntactic,
             "--args" => {
-                let Some(list) = it.next() else { return usage() };
+                let Some(list) = it.next() else {
+                    return usage();
+                };
                 for v in list.split(',').filter(|s| !s.is_empty()) {
                     match v.trim().parse() {
                         Ok(n) => run_args.push(n),
@@ -111,11 +115,15 @@ fn main() -> ExitCode {
                 }
             }
             "--fn" => {
-                let Some(spec) = it.next() else { return usage() };
+                let Some(spec) = it.next() else {
+                    return usage();
+                };
                 let Some((name, cost)) = spec.split_once('=') else {
                     return usage();
                 };
-                let Ok(cost) = cost.parse() else { return usage() };
+                let Ok(cost) = cost.parse() else {
+                    return usage();
+                };
                 fn_costs.insert(name.to_owned(), cost);
             }
             "--iterations" => {
@@ -142,8 +150,7 @@ fn main() -> ExitCode {
 
     match cmd.as_str() {
         "consolidate" => {
-            let merged = match consolidate_many(&programs, &mut interner, &cm, &lib, &opts, false)
-            {
+            let merged = match consolidate_many(&programs, &mut interner, &cm, &lib, &opts, false) {
                 Ok(m) => m,
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -165,8 +172,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "run" => {
-            let merged = match consolidate_many(&programs, &mut interner, &cm, &lib, &opts, false)
-            {
+            let merged = match consolidate_many(&programs, &mut interner, &cm, &lib, &opts, false) {
                 Ok(m) => m,
                 Err(e) => {
                     eprintln!("error: {e}");

@@ -16,8 +16,7 @@
 
 use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan, FaultyEnv};
 use naiad_lite::{
-    AggMode, AggQuerySet, AggReport, Engine, EngineError, ErrorKind, ErrorPolicy, ScalarEnv,
-    UdfEnv,
+    AggMode, AggQuerySet, AggReport, Engine, EngineError, ErrorKind, ErrorPolicy, ScalarEnv, UdfEnv,
 };
 use proptest::prelude::*;
 use udf_lang::agg::{parse_agg, AggDef};
@@ -121,7 +120,11 @@ fn run(
     // recovered or is an entry carrying its retries.
     let q = &rep.quarantine;
     let unrecovered = q.entries.iter().filter(|e| e.retries > 0).count();
-    assert_eq!(q.records_retried, q.records_recovered + unrecovered, "{ctx}");
+    assert_eq!(
+        q.records_retried,
+        q.records_recovered + unrecovered,
+        "{ctx}"
+    );
     rep
 }
 
@@ -133,7 +136,10 @@ fn assert_counters_equal_report(rep: &AggReport, ctx: &str) {
     let total = snap.counter(names::ENGINE_QUARANTINED);
     assert_eq!(total, q.records_quarantined as u64, "{ctx}");
     for (kind, name) in [
-        (ErrorKind::DuplicateNotify, names::ENGINE_QUARANTINED_DUPLICATE_NOTIFY),
+        (
+            ErrorKind::DuplicateNotify,
+            names::ENGINE_QUARANTINED_DUPLICATE_NOTIFY,
+        ),
         (ErrorKind::Lib, names::ENGINE_QUARANTINED_LIB),
         (ErrorKind::OutOfFuel, names::ENGINE_QUARANTINED_OUT_OF_FUEL),
         (ErrorKind::Panic, names::ENGINE_QUARANTINED_PANIC),
@@ -141,7 +147,11 @@ fn assert_counters_equal_report(rep: &AggReport, ctx: &str) {
         let in_report = q.entries.iter().filter(|e| e.kind == kind).count();
         assert_eq!(snap.counter(name), in_report as u64, "{ctx}: {kind}");
     }
-    assert_eq!(snap.counter(names::ENGINE_RETRIES), q.retry_attempts, "{ctx}");
+    assert_eq!(
+        snap.counter(names::ENGINE_RETRIES),
+        q.retry_attempts,
+        "{ctx}"
+    );
 }
 
 /// The observable output: (states, post-demotion flags, quarantine report).
@@ -237,7 +247,11 @@ fn a_fold_panic_quarantines_only_the_owning_udaf() {
             assert_eq!(rep.quarantine.records_quarantined, 1, "{workers}w {mode:?}");
             let e = &rep.quarantine.entries[0];
             assert_eq!(e.record, faulted);
-            assert_eq!(e.query, Some(udf_lang::ast::ProgId(1)), "risky owns the fault");
+            assert_eq!(
+                e.query,
+                Some(udf_lang::ast::ProgId(1)),
+                "risky owns the fault"
+            );
             // risky sums all records except the faulted one (values v - 40).
             let sum_all: i64 = (0..n_records as i64).map(|v| v - 40).sum();
             assert_eq!(rep.states[0], vec![sum_all - (faulted as i64 - 40)]);
@@ -264,8 +278,10 @@ fn quarantine_counters_survive_retries_and_merge_demotion() {
     silence_injected_panics();
     let mut interner = Interner::new();
     let probe = interner.intern("probe");
-    let (mut defs, mut proved) =
-        defs_of(&[Shape::Sum(2), Shape::CountGt(10), Shape::Last], &mut interner);
+    let (mut defs, mut proved) = defs_of(
+        &[Shape::Sum(2), Shape::CountGt(10), Shape::Last],
+        &mut interner,
+    );
     // Claimed homomorphic, but the merge runs out of fuel: demoted at run time.
     defs.push(
         parse_agg(
@@ -295,7 +311,13 @@ fn quarantine_counters_survive_retries_and_merge_demotion() {
             let rep = run(workers, mode, &queries, probe, &plan, n_records, &interner);
             let ctx = format!("{workers} workers {mode:?}");
             assert_eq!(rep.proved, vec![true, true, false, false], "{ctx}");
-            let by_kind = |k| rep.quarantine.entries.iter().filter(|e| e.kind == k).count();
+            let by_kind = |k| {
+                rep.quarantine
+                    .entries
+                    .iter()
+                    .filter(|e| e.kind == k)
+                    .count()
+            };
             assert!(by_kind(ErrorKind::Lib) > 0, "{ctx}");
             assert!(by_kind(ErrorKind::Panic) > 0, "{ctx}");
             assert!(rep.quarantine.retry_attempts > 0, "{ctx}");
@@ -358,7 +380,11 @@ fn a_merge_demoted_definition_keeps_no_retries_of_its_discarded_pass() {
         let q = &rep.quarantine;
         assert_eq!(rep.proved, vec![true, false], "{mode:?}");
         assert_eq!(q.entries.len(), 1, "{mode:?}");
-        assert_eq!((q.entries[0].record, q.entries[0].retries), (5, 2), "{mode:?}");
+        assert_eq!(
+            (q.entries[0].record, q.entries[0].retries),
+            (5, 2),
+            "{mode:?}"
+        );
         assert_eq!(
             (q.records_retried, q.retry_attempts, q.records_recovered),
             (1, 2, 0),
@@ -462,8 +488,15 @@ fn empty_flagged_max_is_proved_and_matches_the_sequential_fold() {
     // Record values are `index − 40`: 30 records are all negative and leave
     // most of 8 workers' shards empty; 700 cross the chunk boundary.
     for (n_records, max) in [(30usize, -11i64), (700, 659)] {
-        let reference =
-            run(1, AggMode::Consolidated, &sequential, probe, &plan, n_records, &interner);
+        let reference = run(
+            1,
+            AggMode::Consolidated,
+            &sequential,
+            probe,
+            &plan,
+            n_records,
+            &interner,
+        );
         assert_eq!(reference.states, vec![vec![1, max]]);
         for workers in [1usize, 2, 8] {
             for mode in [AggMode::Separate, AggMode::Consolidated] {

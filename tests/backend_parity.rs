@@ -126,7 +126,11 @@ fn workload(n_queries: u32, n_records: usize, faults: FaultPlan) -> Workload {
 /// in place of the consolidated program.
 fn guarded_workload(faults: FaultPlan, prefilter: bool, plan: Option<&str>) -> Workload {
     let w = build(guarded_queries, 2, 600, faults, prefilter, plan);
-    assert_eq!(w.queries.prefilter.is_some(), prefilter, "pre-filter attached");
+    assert_eq!(
+        w.queries.prefilter.is_some(),
+        prefilter,
+        "pre-filter attached"
+    );
     w
 }
 
@@ -399,7 +403,11 @@ fn reachable_faults() -> FaultPlan {
         FaultKind::Panic,
     ];
     let mut plan = FaultPlan::none();
-    for (i, r) in (0..600usize).filter(|r| r % 97 >= 40).step_by(5).enumerate() {
+    for (i, r) in (0..600usize)
+        .filter(|r| r % 97 >= 40)
+        .step_by(5)
+        .enumerate()
+    {
         plan.insert(r, kinds[i % kinds.len()]);
     }
     plan
@@ -456,8 +464,7 @@ fn guard_fail_fast_trip_is_identical() {
         }
         for workers in [1usize, 2, 8] {
             let run = |b| {
-                let (err, counters) =
-                    run_to_error(&w, b, workers, ErrorPolicy::FailFast, guard);
+                let (err, counters) = run_to_error(&w, b, workers, ErrorPolicy::FailFast, guard);
                 let EngineError::GuardTripped { mut incident } = err else {
                     panic!("expected GuardTripped, got {err:?}");
                 };
@@ -486,19 +493,29 @@ fn call_bearing_prefilter_condition_fails_open() {
     let cond = BoolExpr::Cmp(
         CmpOp::Le,
         IntExpr::Const(40),
-        IntExpr::Call(hand_made.probe, vec![IntExpr::Var(hand_made.plan.params[0])]),
+        IntExpr::Call(
+            hand_made.probe,
+            vec![IntExpr::Var(hand_made.plan.params[0])],
+        ),
     );
     hand_made.queries = hand_made
         .queries
         .with_prefilter(&cond, &hand_made.plan, &CostModel::default(), &|_| 20)
         .expect("rejection is not an error");
-    assert!(hand_made.queries.prefilter.is_none(), "no pre-filter attached");
+    assert!(
+        hand_made.queries.prefilter.is_none(),
+        "no pre-filter attached"
+    );
     let run = |w: &Workload| run_both(w, ExecMode::Consolidated, None, 1, GuardPolicy::default());
     let (op, oc) = run(&off);
     let (hp, hc) = run(&hand_made);
     assert!(!op.quarantine.is_clean(), "the faults must bite");
     check(&op, &off.oracle(None), "off per-record");
-    for (r, ctx) in [(&oc, "off columnar"), (&hp, "hand-made per-record"), (&hc, "hand-made columnar")] {
+    for (r, ctx) in [
+        (&oc, "off columnar"),
+        (&hp, "hand-made per-record"),
+        (&hc, "hand-made columnar"),
+    ] {
         assert_parity(&op, r, ctx);
         assert_eq!(r.prefilter_skipped, 0, "{ctx}: skipped");
     }

@@ -246,8 +246,7 @@ fn deregister_defers_through_shed_then_applies() {
     // Epoch 3: calm at last — the deferred deregister applies.
     svc.run_epoch().expect("epoch 3");
     assert!(
-        !svc
-            .tenant(TenantId(0))
+        !svc.tenant(TenantId(0))
             .expect("tenant 0")
             .query_ids()
             .contains(&udf_lang::ast::ProgId(0)),

@@ -81,7 +81,10 @@ fn delta_add_and_remove_beat_scratch_on_solver_checks() {
         .expect("delta add of the 22nd query");
     let scratch22 = consolidate_many(&programs, &mut interner, &cm, &lib, &opts, false)
         .expect("scratch consolidation");
-    assert!(scratch22.stats.solver.checks > 0, "comparison must not be vacuous");
+    assert!(
+        scratch22.stats.solver.checks > 0,
+        "comparison must not be vacuous"
+    );
     assert!(
         add.stats.solver.checks < scratch22.stats.solver.checks,
         "delta add must do strictly fewer SMT checks: {} vs scratch {}",
@@ -134,7 +137,11 @@ fn run_with_faults(
         fault_seed,
         80,
         9,
-        &[FaultKind::LibError, FaultKind::Panic, FaultKind::Transient(9)],
+        &[
+            FaultKind::LibError,
+            FaultKind::Panic,
+            FaultKind::Transient(9),
+        ],
     );
     let env = FaultyEnv::new(ScalarEnv::new(1, lib), trigger, plan);
     let records = FaultyEnv::<ScalarEnv>::index_records(scalar_records(0..80));

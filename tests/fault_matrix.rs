@@ -154,13 +154,12 @@ fn sample_payloads_are_capped_and_correct() {
     silence_injected_panics();
     let plan = FaultPlan::seeded(chaos(0xfa04), 200, 10);
     let h = harness(2, plan);
-    let engine = Engine::new(1)
-        .with_config(naiad_lite::EngineConfig {
-            error_policy: ErrorPolicy::Quarantine { max_errors: 64 },
-            fuel: Some(TEST_FUEL),
-            max_payload_samples: 3,
-            ..Default::default()
-        });
+    let engine = Engine::new(1).with_config(naiad_lite::EngineConfig {
+        error_policy: ErrorPolicy::Quarantine { max_errors: 64 },
+        fuel: Some(TEST_FUEL),
+        max_payload_samples: 3,
+        ..Default::default()
+    });
     let run = h.run(&engine, ExecMode::Many).expect("runs");
     let with_sample: Vec<_> = run
         .quarantine

@@ -151,11 +151,17 @@ fn corrupted_plan_scenario(backend: ExecBackend, workers: usize) -> JobReport {
     );
     let guarded = guarded.expect("Demote self-heals instead of failing");
     check(&guarded, &h.oracle, &ctx);
-    let guard = guarded.guard.clone().expect("guarded consolidated run reports");
+    let guard = guarded
+        .guard
+        .clone()
+        .expect("guarded consolidated run reports");
     assert!(guard.demoted, "{ctx}: divergence must demote the job");
     assert!(guard.mismatches >= 1, "{ctx}");
     let incident = guard.incident.expect("a demotion carries its incident");
-    assert!(!incident.examples.is_empty(), "{ctx}: incident names the records");
+    assert!(
+        !incident.examples.is_empty(),
+        "{ctx}: incident names the records"
+    );
 
     // Self-healing: the demoted report is identical to a pure-sequential
     // run of the same job — no dropped records, no count drift.
@@ -325,7 +331,10 @@ fn log_only_scenario(backend: ExecBackend) -> JobReport {
     let audited = audited.expect("LogOnly never fails the job");
     let guard = audited.guard.clone().expect("guard report present");
     assert!(!guard.demoted, "{ctx}: LogOnly must not demote");
-    assert!(guard.mismatches >= 1, "{ctx}: the divergence is still observed");
+    assert!(
+        guard.mismatches >= 1,
+        "{ctx}: the divergence is still observed"
+    );
     let incident = guard.incident.expect("threshold reached => incident");
     assert_eq!(incident.action, GuardAction::LogOnly, "{ctx}");
     assert_eq!(cache.len(), 1, "{ctx}: plan stays cached under LogOnly");

@@ -97,7 +97,11 @@ fn example2_weather_loops_fuse() {
         &Options::default(),
     )
     .unwrap();
-    assert_eq!(merged.stats.rules.loop2, 1, "loops must fuse: {:?}", merged.stats);
+    assert_eq!(
+        merged.stats.rules.loop2, 1,
+        "loops must fuse: {:?}",
+        merged.stats
+    );
     let printed = pretty::program(&merged.program, &interner);
     // One call in the prologue (month 1) and one in the fused body.
     assert_eq!(

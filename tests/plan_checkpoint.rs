@@ -117,7 +117,9 @@ impl Churn {
     fn deregister(&mut self, at: usize, services: &mut [&mut Service<ScalarEnv>]) {
         let (tenant, id) = self.live.remove(at);
         for svc in services.iter_mut() {
-            let outcome = svc.deregister(TenantId(tenant), ProgId(id)).expect("deregister");
+            let outcome = svc
+                .deregister(TenantId(tenant), ProgId(id))
+                .expect("deregister");
             assert!(matches!(outcome, ChurnOutcome::Applied(_)));
         }
     }
@@ -178,7 +180,11 @@ fn churned(name: &str, ops: u32) -> (Service<ScalarEnv>, Churn, PathBuf, PathBuf
 fn recovery_installs_the_exported_tree_exactly() {
     let (mut live, _, dir, copy) = churned("exact", 40);
     let image = live.plan().export();
-    assert!(image.cap >= 8, "five live queries need capacity 8 (cap {})", image.cap);
+    assert!(
+        image.cap >= 8,
+        "five live queries need capacity 8 (cap {})",
+        image.cap
+    );
     assert!(!image.free.is_empty() && !image.nodes.is_empty());
 
     let (mut recovered, report) = recover(&copy).expect("recover");
@@ -201,8 +207,16 @@ fn a_restored_plan_continues_like_its_live_twin() {
         churn.step(&mut [&mut live, &mut recovered]);
     }
     let root = |svc: &mut Service<ScalarEnv>| {
-        let root = svc.plan().program().cloned().expect("queries are registered");
-        (pretty::program(&root, svc.interner_mut()), svc.plan().ids(), svc.plan().tier())
+        let root = svc
+            .plan()
+            .program()
+            .cloned()
+            .expect("queries are registered");
+        (
+            pretty::program(&root, svc.interner_mut()),
+            svc.plan().ids(),
+            svc.plan().tier(),
+        )
     };
     assert_eq!(root(&mut recovered), root(&mut live));
     // And not just at the root: same slots, same merges, same names.
@@ -263,22 +277,28 @@ fn an_inconsistent_tree_behind_a_valid_checksum_is_corrupt() {
             .find(|l| l.starts_with(prefix))
             .unwrap_or_else(|| panic!("no {prefix:?} line in\n{payload}"))
     };
-    let swap_line = |old: &str, new: &str| payload.replacen(&format!("{old}\n"), &format!("{new}\n"), 1);
+    let swap_line =
+        |old: &str, new: &str| payload.replacen(&format!("{old}\n"), &format!("{new}\n"), 1);
     let program_of = |line: &str, fields: usize| -> String {
-        line.splitn(fields + 1, ' ').nth(fields).expect("program text").to_owned()
+        line.splitn(fields + 1, ' ')
+            .nth(fields)
+            .expect("program text")
+            .to_owned()
     };
 
     // A stored merge that does not notify what its children notify: the
     // root's text replaced by one leaf's.
     let node = line_of(&format!("node {} ", image.nodes[0].index));
     let leaf = line_of(&format!("leaf {} ", image.leaves[0].slot));
-    let forged = format!(
-        "node {} full {}",
-        image.nodes[0].index,
-        program_of(leaf, 2)
-    );
+    let forged = format!("node {} full {}", image.nodes[0].index, program_of(leaf, 2));
     write_checkpoint(&copy, &header, &next_seq, &swap_line(node, &forged));
-    assert_corrupt(&copy, &["checkpoint", "does not notify exactly what its children notify"]);
+    assert_corrupt(
+        &copy,
+        &[
+            "checkpoint",
+            "does not notify exactly what its children notify",
+        ],
+    );
 
     // A slot both live and free.
     let free = line_of("free");
@@ -298,7 +318,10 @@ fn an_inconsistent_tree_behind_a_valid_checksum_is_corrupt() {
     let (own, foreign) = (image.leaves[0].original.id.0, image.leaves[1].original.id.0);
     let text = program_of(leaf, 2);
     let hijacked = text.replace(&format!("(notify {own} "), &format!("(notify {foreign} "));
-    assert_ne!(text, hijacked, "the wire text spells notify as (notify <id> <bool>): {text}");
+    assert_ne!(
+        text, hijacked,
+        "the wire text spells notify as (notify <id> <bool>): {text}"
+    );
     let forged = format!("leaf {} {hijacked}", image.leaves[0].slot);
     write_checkpoint(&copy, &header, &next_seq, &swap_line(leaf, &forged));
     assert_corrupt(&copy, &["checkpoint", "does not notify exactly its own id"]);
@@ -323,7 +346,10 @@ fn a_v1_checkpoint_is_refused_by_name() {
     let (header, next_seq, payload) = read_checkpoint(&copy);
     assert_eq!(header, "udf-serve-checkpoint v2");
     write_checkpoint(&copy, "udf-serve-checkpoint v1", &next_seq, &payload);
-    assert_corrupt(&copy, &["udf-serve-checkpoint v1", "udf-serve-checkpoint v2"]);
+    assert_corrupt(
+        &copy,
+        &["udf-serve-checkpoint v1", "udf-serve-checkpoint v2"],
+    );
     for d in [dir, copy] {
         let _ = std::fs::remove_dir_all(d);
     }
@@ -333,10 +359,16 @@ fn a_v1_checkpoint_is_refused_by_name() {
 fn recovery_is_solver_free_unless_the_tail_changes_the_query_set() {
     let (mut live, mut churn, dir, copy) = churned("solver-free", 12);
     let (recovered, report) = recover(&copy).expect("recover");
-    assert_eq!(report.solver_checks, 0, "a checkpoint-only directory needs no proof");
+    assert_eq!(
+        report.solver_checks, 0,
+        "a checkpoint-only directory needs no proof"
+    );
     assert_eq!(report.frames_replayed, 0);
     assert!(report.plan_nodes_restored > 0);
-    assert_eq!(format!("{:?}", recovered.status()), format!("{:?}", live.status()));
+    assert_eq!(
+        format!("{:?}", recovered.status()),
+        format!("{:?}", live.status())
+    );
     drop(recovered);
 
     // Registrations after the checkpoint are journal tail: those, and only
@@ -349,7 +381,10 @@ fn recovery_is_solver_free_unless_the_tail_changes_the_query_set() {
     drop(live);
     let (mut recovered, report) = recover(&dir).expect("recover with a tail");
     assert_eq!(report.frames_replayed, tail);
-    assert!(report.solver_checks > 0, "the tail's delta ops are re-proved");
+    assert!(
+        report.solver_checks > 0,
+        "the tail's delta ops are re-proved"
+    );
     assert_eq!(render(&mut recovered), expected);
     for d in [dir, copy] {
         let _ = std::fs::remove_dir_all(d);

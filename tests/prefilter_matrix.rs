@@ -78,7 +78,9 @@ fn source(id: usize, s: &Shape) -> String {
 fn library(interner: &mut Interner) -> FnLibrary {
     let probe = interner.intern("probe");
     let mut lib = FnLibrary::new();
-    lib.register(probe, "probe", 1, 20, |a| a[0].wrapping_mul(3).wrapping_sub(7));
+    lib.register(probe, "probe", 1, 20, |a| {
+        a[0].wrapping_mul(3).wrapping_sub(7)
+    });
     lib
 }
 
@@ -264,7 +266,11 @@ fn negated_guard_is_not_skipped_wrongly() {
     if merged.prefilter.is_some() {
         // If a pre-filter verified, it may only have skipped records with
         // a >= 25 — i.e. at most 35 of the 60.
-        assert!(report.prefilter_skipped <= 35, "{}", report.prefilter_skipped);
+        assert!(
+            report.prefilter_skipped <= 35,
+            "{}",
+            report.prefilter_skipped
+        );
     } else {
         assert_eq!(report.prefilter_skipped, 0);
     }
@@ -312,8 +318,14 @@ fn cache_hit_rehydrates_prefilter() {
     assert!(qs_cold.prefilter.is_some(), "cold compile synthesizes");
     let (qs_warm, merged_warm, _, outcome_warm) = compile(&mut interner);
     assert_eq!(outcome_warm, plan_cache::PlanOutcome::Hit);
-    assert!(qs_warm.prefilter.is_some(), "cache hit rehydrates the pre-filter");
-    assert_eq!(merged_warm.stats.solver.checks, 0, "hit does no solver work");
+    assert!(
+        qs_warm.prefilter.is_some(),
+        "cache hit rehydrates the pre-filter"
+    );
+    assert_eq!(
+        merged_warm.stats.solver.checks, 0,
+        "hit does no solver work"
+    );
     assert_eq!(
         merged_cold.prefilter.as_ref().map(|p| &p.cond),
         merged_warm.prefilter.as_ref().map(|p| &p.cond),
@@ -332,5 +344,8 @@ fn cache_hit_rehydrates_prefilter() {
     let warm = run(&qs_warm);
     assert_eq!(cold.counts, warm.counts);
     assert_eq!(cold.prefilter_skipped, warm.prefilter_skipped);
-    assert!(cold.prefilter_skipped > 0, "records below every guard are skipped");
+    assert!(
+        cold.prefilter_skipped > 0,
+        "records below every guard are skipped"
+    );
 }

@@ -219,7 +219,15 @@ fn reference<E: UdfEnv>(
         }
     }
     let seq: Vec<usize> = (0..defs.len()).filter(|&i| !proved_out[i]).collect();
-    fold_range(env, records, (0, records.len()), defs, &seq, interner, &mut result);
+    fold_range(
+        env,
+        records,
+        (0, records.len()),
+        defs,
+        &seq,
+        interner,
+        &mut result,
+    );
 
     let mut entries: Vec<(usize, Entry)> = result
         .iter()
@@ -257,11 +265,7 @@ fn assert_engine_matches<E: UdfEnv>(
                 .with_fuel(FUEL)
                 .run_agg(env, records, queries, interner, mode)
                 .expect("quarantine absorbs every fault");
-            assert_eq!(
-                &outcome(&rep),
-                expect,
-                "{ctx}: {workers} workers, {mode:?}"
-            );
+            assert_eq!(&outcome(&rep), expect, "{ctx}: {workers} workers, {mode:?}");
         }
     }
 }
@@ -339,7 +343,10 @@ impl BodyGen<'_> {
     }
 
     fn block(&mut self, n: usize, depth: usize) -> String {
-        (0..n).map(|_| self.stmt(depth)).collect::<Vec<_>>().join(" ")
+        (0..n)
+            .map(|_| self.stmt(depth))
+            .collect::<Vec<_>>()
+            .join(" ")
     }
 
     /// A nested block: its assignments do not outlive it.
@@ -405,7 +412,11 @@ fn random_def(seed: u64, id: usize) -> String {
         g: &mut g,
         calls: true,
         slots: slots.clone(),
-        defined: ["v", "w"].iter().map(|s| s.to_string()).chain(slots.clone()).collect(),
+        defined: ["v", "w"]
+            .iter()
+            .map(|s| s.to_string())
+            .chain(slots.clone())
+            .collect(),
         fresh: 0,
     };
     let n = 1 + fold.g.below(4);
@@ -506,13 +517,33 @@ fn every_domain_family_matches_the_interpreter_fold() {
     }
     let mut i = Interner::new();
     let weather = udf_data::weather::WeatherEnv::new(&mut i);
-    check(DomainKind::Weather, &weather, &udf_data::weather::dataset_sized(260, 3), &mut i);
+    check(
+        DomainKind::Weather,
+        &weather,
+        &udf_data::weather::dataset_sized(260, 3),
+        &mut i,
+    );
     let (flight, records) = udf_data::flight::dataset_sized(1, &mut i, 3);
     check(DomainKind::Flight, &flight, &records[..300], &mut i);
     let news = udf_data::news::NewsEnv::new(&mut i);
-    check(DomainKind::News, &news, &udf_data::news::dataset_sized(300, 3), &mut i);
+    check(
+        DomainKind::News,
+        &news,
+        &udf_data::news::dataset_sized(300, 3),
+        &mut i,
+    );
     let twitter = udf_data::twitter::TwitterEnv::new(&mut i);
-    check(DomainKind::Twitter, &twitter, &udf_data::twitter::dataset_sized(300, 3), &mut i);
+    check(
+        DomainKind::Twitter,
+        &twitter,
+        &udf_data::twitter::dataset_sized(300, 3),
+        &mut i,
+    );
     let stock = udf_data::stock::StockEnv::new(&mut i);
-    check(DomainKind::Stock, &stock, &udf_data::stock::dataset_sized(260, 600, 3), &mut i);
+    check(
+        DomainKind::Stock,
+        &stock,
+        &udf_data::stock::dataset_sized(260, 600, 3),
+        &mut i,
+    );
 }

@@ -34,8 +34,8 @@ use udf_smt::{cnf, Interp, Model, SatResult, Solver};
 #[derive(Clone, Debug)]
 enum GenTerm {
     Const(i8),
-    Var(u8),          // 0..3
-    App(Box<GenTerm>),// f(t)
+    Var(u8),           // 0..3
+    App(Box<GenTerm>), // f(t)
     Add(Box<GenTerm>, Box<GenTerm>),
     Sub(Box<GenTerm>, Box<GenTerm>),
     MulC(i8, Box<GenTerm>),
@@ -130,8 +130,7 @@ fn gen_formula_of(apps: bool, depth: u32) -> impl Strategy<Value = GenFormula> {
             inner.clone().prop_map(|f| GenFormula::Not(Box::new(f))),
             (inner.clone(), inner.clone())
                 .prop_map(|(a, b)| GenFormula::And(Box::new(a), Box::new(b))),
-            (inner.clone(), inner)
-                .prop_map(|(a, b)| GenFormula::Or(Box::new(a), Box::new(b))),
+            (inner.clone(), inner).prop_map(|(a, b)| GenFormula::Or(Box::new(a), Box::new(b))),
         ]
     })
 }
@@ -324,8 +323,14 @@ fn assert_core_explains(ctx: &mut Context, literals: &[TheoryLit]) {
         return;
     };
     assert!(!core.is_empty(), "an empty conjunction is consistent");
-    assert!(core.windows(2).all(|w| w[0] < w[1]), "sorted, distinct: {core:?}");
-    assert!(core.iter().all(|&i| i < literals.len()), "core ⊆ input: {core:?}");
+    assert!(
+        core.windows(2).all(|w| w[0] < w[1]),
+        "sorted, distinct: {core:?}"
+    );
+    assert!(
+        core.iter().all(|&i| i < literals.len()),
+        "core ⊆ input: {core:?}"
+    );
     let subset: Vec<TheoryLit> = core.iter().map(|&i| literals[i]).collect();
     let f = conjoin(ctx, &subset);
     assert_eq!(
@@ -336,7 +341,10 @@ fn assert_core_explains(ctx: &mut Context, literals: &[TheoryLit]) {
         ctx.formula_to_string(f)
     );
     if let Some(model) = brute_force_has_model(ctx, f) {
-        panic!("core {core:?} has model {model:?}: {}", ctx.formula_to_string(f));
+        panic!(
+            "core {core:?} has model {model:?}: {}",
+            ctx.formula_to_string(f)
+        );
     }
 }
 

@@ -145,7 +145,10 @@ impl Builder {
                     // 5: a constant on the left of the comparison.
                     match op {
                         0..=2 => cmp(*op),
-                        3 => BoolExpr::and(cmp(0), BoolExpr::Cmp(CmpOp::Le, IntExpr::Const(1), self.term(b))),
+                        3 => BoolExpr::and(
+                            cmp(0),
+                            BoolExpr::Cmp(CmpOp::Le, IntExpr::Const(1), self.term(b)),
+                        ),
                         4 => BoolExpr::not(cmp(2)),
                         _ => BoolExpr::Cmp(CmpOp::Lt, IntExpr::Const(3), self.term(a)),
                     }

@@ -66,11 +66,22 @@ fn warm_cache_run_is_indistinguishable_from_cold() {
     let plan = FaultPlan::seeded(0xca9e, 200, 12);
 
     let cold = submit(&cache, plan.clone());
-    assert_eq!(cold.outcome, PlanOutcome::Miss, "first submission consolidates");
-    assert!(cold.solver_checks > 0, "cold consolidation does solver work");
+    assert_eq!(
+        cold.outcome,
+        PlanOutcome::Miss,
+        "first submission consolidates"
+    );
+    assert!(
+        cold.solver_checks > 0,
+        "cold consolidation does solver work"
+    );
 
     let warm = submit(&cache, plan);
-    assert_eq!(warm.outcome, PlanOutcome::Hit, "second submission is served");
+    assert_eq!(
+        warm.outcome,
+        PlanOutcome::Hit,
+        "second submission is served"
+    );
     assert_eq!(
         warm.solver_checks, 0,
         "a cache hit must perform zero SMT checks"

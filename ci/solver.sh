@@ -1,7 +1,15 @@
 #!/bin/sh
 # Solver gate: everything that holds udf-smt's verdicts, and the plans
 # built on them, to "sound, and the same as before" when the solver's
-# search changes (conflict cores, explanations, limits).
+# search changes (conflict cores, explanations, limits, which literals a
+# final check sees, the CNF's shape).
+#
+# The search checks only the literals a boolean model needs (relevancy),
+# takes a confirmed candidate core as it is (greedy deletion runs only on a
+# candidate the theory did not refute), and asserts the root's conjuncts as
+# unit clauses. None of that may move a verdict: solver_golden pins the
+# verdicts apart from the models and counters, which do move with it, and
+# the stock_tail suite bounds the simplex pivots of Stock at eight queries.
 #
 # 1. udf-smt's and consolidate's own unit tests: simplex and congruence
 #    explanations, the sabotaged-candidate test that only passes because
@@ -18,7 +26,8 @@
 #    kernel's answers, models, cores and work counters on seeded corpora,
 #    held to digests pinned before its representation last changed
 #    (solver_golden); the paper's examples; incremental vs from-scratch
-#    plans; cold vs cached plans.
+#    plans; cold vs cached plans; Stock's four families at eight queries
+#    under a pivot budget, each merged program held to Thm. 1 (stock_tail).
 # 3. The solver's own tests, prop_solver and solver_golden again in the
 #    release profile. Overflow checks are off there: an unchecked operation
 #    wraps silently instead of panicking, so only the checked_* discipline
@@ -36,7 +45,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 SOUNDNESS_CASES=48 cargo test -q -p udf-smt -p consolidate
-cargo test -q --test prop_solver --test solver_golden --test paper_examples --test delta_equivalence --test warm_cache_parity
+cargo test -q --test prop_solver --test solver_golden --test paper_examples --test delta_equivalence --test warm_cache_parity --test stock_tail
 cargo test --release -q -p udf-smt
 cargo test --release -q --test prop_solver --test solver_golden
 plan_is() {

@@ -1,94 +1,196 @@
 //! Tseitin compilation of formulas to CNF over theory atoms.
 //!
 //! Every theory atom (`≤`, `<`, `=`) becomes one SAT variable; composite
-//! nodes get auxiliary variables with the standard Tseitin equivalences. The
-//! mapping from SAT variables back to atoms is returned so the solver can
-//! translate satisfying assignments into theory literal sets.
+//! nodes get auxiliary variables with the standard Tseitin equivalences.
+//! The root's `And` spine is the exception: each of its conjuncts is
+//! asserted as a unit clause of its own, with no variable for the spine.
+//!
+//! The compiled formula keeps each node's literal, so after a SAT model the
+//! solver can ask which atoms the model needs to make the formula true
+//! ([`CompiledFormula::relevant_atoms`]) without re-evaluating it.
 
-use crate::ctx::{Context, Formula, FormulaId};
+use crate::ctx::{Context, Formula, FormulaId, IdMap};
 use crate::sat::{Lit, SatSolver, Var};
-use std::collections::{BTreeMap, HashMap};
 
-/// Result of compiling a formula: the clauses have been added to the solver;
-/// `atoms` maps the SAT variables that stand for theory atoms to their
-/// formula ids.
+/// Result of compiling a formula: the clauses have been added to the
+/// solver; `atoms` lists the SAT variables that stand for theory atoms.
 #[derive(Debug)]
 pub struct CompiledFormula {
-    /// SAT variable → theory atom, in variable order: the literal sets the
+    /// SAT variable and theory atom, in variable order: the literal sets the
     /// solver builds from it (and so its cores, and its verdicts on the
     /// incomplete fragment) do not depend on a hash order.
-    pub atoms: BTreeMap<Var, FormulaId>,
+    pub atoms: Vec<(Var, FormulaId)>,
+    /// Every compiled node, children before parents.
+    nodes: Vec<Node>,
+    /// The nodes asserted by unit clauses: the conjuncts of the root's
+    /// `And` spine.
+    roots: Vec<usize>,
+}
+
+/// A compiled subformula and the literal whose value it has in every model
+/// of the clauses (full Tseitin encoding).
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    shape: Shape,
+    lit: Lit,
+}
+
+/// A node's connective; operands index [`CompiledFormula::nodes`].
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// Index into [`CompiledFormula::atoms`].
+    Atom(usize),
+    Const,
+    Not(usize),
+    And(usize, usize),
+    Or(usize, usize),
+}
+
+impl CompiledFormula {
+    /// Marks in `relevant` (one flag per entry of `atoms`) the atoms whose
+    /// values under `sat`'s last model justify the formula, and clears the
+    /// others: a true `And` or a false `Or` needs both operands, a true
+    /// `Or` or a false `And` its first operand with that value, and `Not`
+    /// what its operand needs. Any assignment that agrees with the model on
+    /// the marked atoms makes the formula true.
+    pub fn relevant_atoms(&self, sat: &SatSolver, relevant: &mut Vec<bool>) {
+        relevant.clear();
+        relevant.resize(self.atoms.len(), false);
+        let holds = |n: usize| {
+            let l = self.nodes[n].lit;
+            sat.value(l.var()) != l.is_neg()
+        };
+        let mut seen = vec![false; self.nodes.len()];
+        let mut stack = self.roots.clone();
+        while let Some(n) = stack.pop() {
+            if std::mem::replace(&mut seen[n], true) {
+                continue;
+            }
+            match self.nodes[n].shape {
+                Shape::Atom(i) => relevant[i] = true,
+                Shape::Const => {}
+                Shape::Not(a) => stack.push(a),
+                Shape::And(a, b) | Shape::Or(a, b) => {
+                    let value = holds(n);
+                    if value == matches!(self.nodes[n].shape, Shape::And(..)) {
+                        stack.extend([b, a]);
+                    } else {
+                        stack.push(if holds(a) == value { a } else { b });
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Compiles `root` into `solver`, returning the atom mapping.
 ///
-/// Uses full (bidirectional) Tseitin encoding so the formula and its CNF are
-/// equisatisfiable and every total SAT assignment induces a well-defined
-/// truth value for every atom.
+/// Uses full (bidirectional) Tseitin encoding below the root's `And`
+/// spine, so the formula and its CNF are equisatisfiable and, in every
+/// model of the clauses, each compiled node's literal has that node's truth
+/// value.
 pub fn compile(ctx: &Context, root: FormulaId, solver: &mut SatSolver) -> CompiledFormula {
     let mut c = Compiler {
         ctx,
         solver,
-        lit_of: HashMap::new(),
-        atoms: BTreeMap::new(),
+        node_of: IdMap::default(),
+        spine: IdMap::default(),
+        out: CompiledFormula {
+            atoms: Vec::new(),
+            nodes: Vec::new(),
+            roots: Vec::new(),
+        },
     };
-    let l = c.lit(root);
-    c.solver.add_clause(&[l]);
-    CompiledFormula { atoms: c.atoms }
+    c.spine(root);
+    c.out
 }
 
 struct Compiler<'a> {
     ctx: &'a Context,
     solver: &'a mut SatSolver,
-    lit_of: HashMap<FormulaId, Lit>,
-    atoms: BTreeMap<Var, FormulaId>,
+    /// Formula → index of its compiled node.
+    node_of: IdMap<FormulaId, usize>,
+    /// The `And` nodes of the root's spine already walked.
+    spine: IdMap<FormulaId, ()>,
+    out: CompiledFormula,
 }
 
 impl<'a> Compiler<'a> {
-    fn lit(&mut self, f: FormulaId) -> Lit {
-        if let Some(&l) = self.lit_of.get(&f) {
-            return l;
-        }
-        let l = match self.ctx.formula(f).clone() {
-            Formula::True => {
-                let v = self.solver.new_var();
-                self.solver.add_clause(&[Lit::pos(v)]);
-                Lit::pos(v)
+    /// Asserts the conjuncts of `f`'s `And` spine, left operand first.
+    fn spine(&mut self, f: FormulaId) {
+        if let Formula::And(a, b) = *self.ctx.formula(f) {
+            if self.spine.insert(f, ()).is_none() {
+                self.spine(a);
+                self.spine(b);
             }
-            Formula::False => {
-                let v = self.solver.new_var();
-                self.solver.add_clause(&[Lit::neg(v)]);
-                Lit::pos(v)
+            return;
+        }
+        let n = self.node(f);
+        self.solver.add_clause(&[self.out.nodes[n].lit]);
+        self.out.roots.push(n);
+    }
+
+    fn node(&mut self, f: FormulaId) -> usize {
+        if let Some(&n) = self.node_of.get(&f) {
+            return n;
+        }
+        let node = match *self.ctx.formula(f) {
+            Formula::True | Formula::False => {
+                let lit = Lit::pos(self.solver.new_var());
+                let unit = if matches!(self.ctx.formula(f), Formula::True) {
+                    lit
+                } else {
+                    lit.negate()
+                };
+                self.solver.add_clause(&[unit]);
+                Node {
+                    shape: Shape::Const,
+                    lit,
+                }
             }
             Formula::Le(..) | Formula::Lt(..) | Formula::Eq(..) => {
                 let v = self.solver.new_var();
-                self.atoms.insert(v, f);
-                Lit::pos(v)
+                self.out.atoms.push((v, f));
+                Node {
+                    shape: Shape::Atom(self.out.atoms.len() - 1),
+                    lit: Lit::pos(v),
+                }
             }
-            Formula::Not(g) => self.lit(g).negate(),
+            Formula::Not(g) => {
+                let a = self.node(g);
+                Node {
+                    shape: Shape::Not(a),
+                    lit: self.out.nodes[a].lit.negate(),
+                }
+            }
             Formula::And(a, b) => {
-                let la = self.lit(a);
-                let lb = self.lit(b);
-                let v = self.solver.new_var();
-                let lv = Lit::pos(v);
+                let (a, b) = (self.node(a), self.node(b));
+                let (la, lb) = (self.out.nodes[a].lit, self.out.nodes[b].lit);
+                let lv = Lit::pos(self.solver.new_var());
                 self.solver.add_clause(&[lv.negate(), la]);
                 self.solver.add_clause(&[lv.negate(), lb]);
                 self.solver.add_clause(&[lv, la.negate(), lb.negate()]);
-                lv
+                Node {
+                    shape: Shape::And(a, b),
+                    lit: lv,
+                }
             }
             Formula::Or(a, b) => {
-                let la = self.lit(a);
-                let lb = self.lit(b);
-                let v = self.solver.new_var();
-                let lv = Lit::pos(v);
+                let (a, b) = (self.node(a), self.node(b));
+                let (la, lb) = (self.out.nodes[a].lit, self.out.nodes[b].lit);
+                let lv = Lit::pos(self.solver.new_var());
                 self.solver.add_clause(&[lv.negate(), la, lb]);
                 self.solver.add_clause(&[lv, la.negate()]);
                 self.solver.add_clause(&[lv, lb.negate()]);
-                lv
+                Node {
+                    shape: Shape::Or(a, b),
+                    lit: lv,
+                }
             }
         };
-        self.lit_of.insert(f, l);
-        l
+        self.out.nodes.push(node);
+        self.node_of.insert(f, self.out.nodes.len() - 1);
+        self.out.nodes.len() - 1
     }
 }
 
@@ -127,7 +229,7 @@ mod tests {
         let mut sat = SatSolver::new();
         let compiled = compile(&ctx, na, &mut sat);
         assert_eq!(sat.solve(1000), SatOutcome::Sat);
-        let (&v, &atom) = compiled.atoms.iter().next().unwrap();
+        let (v, atom) = compiled.atoms[0];
         assert_eq!(atom, a);
         assert!(!sat.value(v), "¬a requires the atom variable to be false");
     }
@@ -143,6 +245,25 @@ mod tests {
         let compiled = compile(&ctx, phi, &mut sat);
         assert_eq!(compiled.atoms.len(), 1);
         assert_eq!(sat.solve(1000), SatOutcome::Sat);
+    }
+
+    #[test]
+    fn the_root_spine_gets_no_variable() {
+        // `a ∧ (b ∨ c)`: three atoms and the `Or`; the root `And` is two
+        // unit clauses.
+        let mut ctx = Context::new();
+        let x = ctx.int_var("x");
+        let [a, b, c] = [0, 1, 2].map(|k| {
+            let k = ctx.int(k);
+            ctx.le(x, k)
+        });
+        let bc = ctx.or(b, c);
+        let phi = ctx.and(a, bc);
+        let mut sat = SatSolver::new();
+        let compiled = compile(&ctx, phi, &mut sat);
+        assert_eq!(compiled.atoms.len(), 3);
+        assert_eq!(sat.num_vars(), 4);
+        assert_eq!(sat.solve(100), SatOutcome::Sat);
     }
 
     #[test]

@@ -26,17 +26,19 @@
 #    interpreter oracle (exit 1 on `correct: false`). Timings from a smoke
 #    run are not asserted on.
 #
-# First, the executor must not depend on the plan store: plan-cache keys on
-# naiad-lite's ExecBackend and evicts on its guard reports, never the other
-# way round.
+# First, nothing in production depends on the plan store: plan-cache is a
+# leaf that only the benchmark's warm-scan workload, the warm_start example
+# and tests use. It keys on naiad-lite's ExecBackend and frames its snapshot
+# with udf-serve's framing, never the other way round.
 set -eu
 cd "$(dirname "$0")/.."
 
-deps="$(cargo tree --offline -p naiad-lite -e normal)"
-if echo "$deps" | grep -q "plan-cache"; then
-    echo "naiad-lite depends on plan-cache (cargo tree -p naiad-lite -e normal)" >&2
-    exit 1
-fi
+for crate in naiad-lite udf-serve udf-bench consolidate; do
+    if cargo tree --offline -p "$crate" -e normal | grep -q "plan-cache"; then
+        echo "$crate depends on plan-cache (cargo tree -p $crate -e normal)" >&2
+        exit 1
+    fi
+done
 
 cargo test -q -p udf-lang
 cargo test -q -p naiad-lite

@@ -170,11 +170,6 @@ impl<'i> SymbolicCtx<'i> {
         self.explain_log = Some(Vec::new());
     }
 
-    /// Whether explain mode is on.
-    pub fn explain_enabled(&self) -> bool {
-        self.explain_log.is_some()
-    }
-
     /// Takes the entailment events accumulated since the previous drain
     /// (empty when explain mode is off).
     pub fn drain_explain(&mut self) -> Vec<EntailmentEvent> {

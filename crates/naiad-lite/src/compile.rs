@@ -498,7 +498,6 @@ impl RegProgram {
         cm: &CostModel,
         fn_cost: &dyn Fn(Symbol) -> Cost,
     ) -> Result<RegProgram, CompileError> {
-        let t0 = std::time::Instant::now();
         if query_ids.len() > usize::from(u16::MAX) + 1 {
             return Err(CompileError::TooManyQueries(query_ids.len()));
         }
@@ -537,7 +536,6 @@ impl RegProgram {
             n_slots,
             n_params,
             n_queries: query_ids.len(),
-            fold_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
         })
     }
 }

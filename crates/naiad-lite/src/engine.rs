@@ -164,13 +164,6 @@ impl QuerySet {
         })
     }
 
-    /// Total nanoseconds spent lowering this set to register bytecode
-    /// (reported through the `regcode.fold_ns` metric).
-    pub fn fold_ns(&self) -> u64 {
-        self.many.iter().map(|r| r.fold_ns).sum::<u64>()
-            + self.consolidated.as_ref().map_or(0, |r| r.fold_ns)
-    }
-
     /// Attaches a consolidated program (it must notify exactly the ids in
     /// `query_ids`).
     ///
@@ -651,9 +644,8 @@ impl Engine {
             return Ok(report);
         }
         // The consolidated plan diverged from the sequential semantics: its
-        // results (even a nominal success) are untrustworthy. Whoever cached
-        // the plan evicts it on seeing the trip; the engine applies the
-        // policy.
+        // results (even a nominal success) are untrustworthy, and the
+        // engine applies the policy.
         let incident = grun.incident(&policy, records.len());
         match policy.on_mismatch {
             GuardAction::FailFast => Err(EngineError::GuardTripped { incident }),

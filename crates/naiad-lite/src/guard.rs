@@ -23,9 +23,8 @@
 //! structured [`PlanIncident`] lands in [`crate::engine::JobReport::guard`]
 //! (or in [`crate::engine::EngineError::GuardTripped`] under
 //! [`GuardAction::FailFast`]). The engine knows nothing of where the plan
-//! came from: a caller that cached it evicts it on seeing either trip
-//! (the plan cache's `evict_if_tripped`), so a poisoned plan is never
-//! re-served.
+//! came from, and a trip costs that job its consolidation, never a wrong
+//! answer.
 
 use crate::compile::NOTIFY_NONE;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

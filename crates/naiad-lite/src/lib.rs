@@ -44,8 +44,7 @@
 //! * [`guard`] — differential plan validation: a [`guard::GuardPolicy`]
 //!   shadow-executes every record through the sequential path during
 //!   consolidated runs, and on divergence demotes the job to sequential
-//!   execution (self-healing) or fails it; the engine does not know where
-//!   a plan came from, so a caller that cached it evicts it.
+//!   execution (self-healing) or fails it.
 //!
 //! Record shards and aggregation chunks share one failure policy: one task
 //! runner, one isolated evaluation, one transient-fault retry (immediate,

@@ -299,9 +299,6 @@ pub struct RegProgram {
     pub n_params: u16,
     /// Number of distinct query ids this program may notify.
     pub n_queries: usize,
-    /// Wall time spent compiling, reported through the `regcode.fold_ns`
-    /// metric.
-    pub fold_ns: u64,
 }
 
 impl RegProgram {

@@ -3,14 +3,13 @@
 //! The format is line-oriented and hand-rolled (the build is offline; no
 //! serde). Keys are canonical hashes — stable across processes by
 //! construction — and programs are the single-line S-expressions of
-//! [`crate::portable`], written verbatim from the entry, so a snapshot
+//! [`udf_lang::wire`], written verbatim from the entry, so a snapshot
 //! written by one run primes the next.
 //!
-//! Snapshots are crash-safe: every entry header carries the byte length of
-//! its payload and an FNV-1a 64 checksum over it, writes go through a temp
-//! file renamed into place (a crash mid-write never leaves a half-written
-//! snapshot at the target path), and [`load_recovering`] salvages around
-//! corrupt or truncated entries instead of erroring the whole file:
+//! Every entry is one [`udf_serve::framing`] record: its header carries the
+//! byte length of its payload and an FNV-1a 64 checksum over it, and writes
+//! go through a temp file renamed into place, so a crash mid-write never
+//! leaves a half-written snapshot at the target path:
 //!
 //! ```text
 //! plan-cache-snapshot v3
@@ -24,21 +23,19 @@
 //!
 //! The plan line is `program <wire text>` for a merged program and
 //! `proved true false …` for an aggregation entry's positional verdicts.
-//! A file with any other header (older formats included) is not read:
-//! strict loading fails, lenient loading starts cold — the cost is a
-//! re-consolidation, never a wrong plan.
+//! Loading is all or nothing: a file with any other header (older formats
+//! included), a line that is not a verified entry, or an entry that does
+//! not parse fails the load — the cost is a re-consolidation, never a
+//! wrong plan.
 
-use crate::framing::{self, byte_line, RecoveryIncident};
 use crate::{CacheConfig, CachedPlan, Plan, PlanCache, PlanKey};
 use consolidate::{ConsolidationStats, DegradationTier};
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
+use udf_serve::framing::{self, byte_line};
 
 const HEADER: &str = "plan-cache-snapshot v3";
-
-/// Incident source tag for the shared [`RecoveryIncident`] shape.
-const SUBSYSTEM: &str = "plan-cache";
 
 /// Projects one persisted counter out of the statistics.
 type StatField = fn(&mut ConsolidationStats) -> &mut u64;
@@ -120,8 +117,7 @@ fn bad(msg: impl Into<String>) -> io::Error {
 }
 
 /// Parses one payload (the `tier`/`stat`/plan lines) into a cached plan.
-/// Any malformed line is an error — in salvage mode the caller skips the
-/// entry, in strict mode it fails the load.
+/// Any malformed line is an error.
 fn parse_payload(payload: &str) -> Result<CachedPlan, String> {
     let mut tier = None;
     let mut stats = ConsolidationStats::default();
@@ -166,25 +162,6 @@ fn parse_payload(payload: &str) -> Result<CachedPlan, String> {
     }
 }
 
-/// Account of a lenient snapshot load (see [`PlanCache::load_recovering`]).
-///
-/// Every entry header the loader recognizes is counted in `total` and lands
-/// in exactly one of `loaded` (verified and inserted) or `salvaged` (skipped
-/// because its payload failed the length, checksum, or shape checks), so
-/// `loaded + salvaged == total` always holds.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SnapshotRecovery {
-    /// Entry headers recognized in the file.
-    pub total: usize,
-    /// Entries that verified and were inserted into the cache.
-    pub loaded: usize,
-    /// Entries skipped because they were corrupt or truncated.
-    pub salvaged: usize,
-    /// One incident per skipped entry (or rejected header), in the
-    /// [`RecoveryIncident`] shape shared with the `udf-serve` journal.
-    pub incidents: Vec<RecoveryIncident>,
-}
-
 /// Parses one entry header via the shared framing, extracting the key.
 fn parse_entry_header(line: &[u8]) -> Result<(u128, framing::FrameHeader), String> {
     let header = framing::parse_frame_header(line, "entry")?;
@@ -195,106 +172,38 @@ fn parse_entry_header(line: &[u8]) -> Result<(u128, framing::FrameHeader), Strin
     Ok((key, header))
 }
 
-/// The shared parser. In lenient mode every malformed entry is skipped and
-/// accounted; in strict mode (`load`) the first incident fails the load.
-fn parse_entries(bytes: &[u8], cache: &PlanCache) -> SnapshotRecovery {
-    let mut recovery = SnapshotRecovery::default();
-    // Skip the header line (the caller verified it).
-    let (_, mut pos) = byte_line(bytes, 0);
+/// Reads every entry after the file header into `cache`; the first line
+/// that is not a verified, well-formed entry is the error.
+fn parse_entries(bytes: &[u8], mut pos: usize, cache: &PlanCache) -> Result<(), String> {
     while pos < bytes.len() {
-        let (line, next) = byte_line(bytes, pos);
-        if !line.starts_with(b"entry ") {
-            // Blank separators, the `end` of a salvaged-over entry, or
-            // corrupt debris between entries: not an entry, not counted.
-            pos = next;
-            continue;
-        }
-        recovery.total += 1;
-        // Verify the entry in stages; the first failure salvages it: the
-        // incident is recorded, the scan resumes at `resume`, and the outer
-        // loop hunts for the next `entry ` line from there.
-        match verify_entry(bytes, line, next, cache) {
-            Ok(resume) => {
-                recovery.loaded += 1;
-                pos = resume;
-            }
-            Err((resume, msg)) => {
-                recovery.salvaged += 1;
-                recovery
-                    .incidents
-                    .push(RecoveryIncident::new(SUBSYSTEM, msg));
-                pos = resume;
-            }
-        }
+        let (line, payload_start) = byte_line(bytes, pos);
+        let (key, header) = parse_entry_header(line)?;
+        let (payload, next) = framing::check_frame(bytes, &header, payload_start)
+            .map_err(|e| format!("entry {key:032x}: {e}"))?;
+        let plan = parse_payload(payload).map_err(|e| format!("entry {key:032x}: {e}"))?;
+        cache.insert(PlanKey(key), plan);
+        pos = next;
     }
-    recovery
-}
-
-/// Checks one entry (header at `line`, payload starting at `payload_start`)
-/// and inserts it on success. Returns the offset to continue scanning from —
-/// past the `end` terminator on success, at the best guess for the next
-/// header on failure (with the incident message).
-fn verify_entry(
-    bytes: &[u8],
-    line: &[u8],
-    payload_start: usize,
-    cache: &PlanCache,
-) -> Result<usize, (usize, String)> {
-    let (key, header) =
-        parse_entry_header(line).map_err(|e| (payload_start, format!("entry skipped: {e}")))?;
-    let key_text = format!("{key:032x}");
-    let (payload, resume) = framing::check_frame(bytes, &header, payload_start)
-        .map_err(|(resume, e)| (resume, format!("entry {key_text} skipped: {e}")))?;
-    let plan = parse_payload(payload).map_err(|e| {
-        let payload_end = payload_start + header.len;
-        (payload_end, format!("entry {key_text} skipped: {e}"))
-    })?;
-    cache.insert(PlanKey(key), plan);
-    Ok(resume)
-}
-
-fn has_header(bytes: &[u8]) -> bool {
-    byte_line(bytes, 0).0 == HEADER.as_bytes()
+    Ok(())
 }
 
 pub(crate) fn load(path: &Path, config: CacheConfig) -> io::Result<PlanCache> {
     let bytes = std::fs::read(path)?;
-    if !has_header(&bytes) {
+    let (header, pos) = byte_line(&bytes, 0);
+    if header != HEADER.as_bytes() {
         return Err(bad("missing snapshot header"));
     }
     let cache = PlanCache::new(config);
-    match parse_entries(&bytes, &cache).incidents.first() {
-        None => Ok(cache),
-        Some(first) => Err(bad(first.detail.clone())),
-    }
-}
-
-pub(crate) fn load_recovering(
-    path: &Path,
-    config: CacheConfig,
-) -> io::Result<(PlanCache, SnapshotRecovery)> {
-    let bytes = std::fs::read(path)?;
-    let cache = PlanCache::new(config);
-    let recovery = if has_header(&bytes) {
-        parse_entries(&bytes, &cache)
-    } else {
-        SnapshotRecovery {
-            incidents: vec![RecoveryIncident::new(
-                SUBSYSTEM,
-                "unrecognized snapshot header, starting cold",
-            )],
-            ..SnapshotRecovery::default()
-        }
-    };
-    Ok((cache, recovery))
+    parse_entries(&bytes, pos, &cache).map_err(bad)?;
+    Ok(cache)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framing::fnv64;
     use udf_lang::ast::{BoolExpr, CmpOp, IntExpr, ProgId, Program, Stmt};
     use udf_lang::intern::Interner;
+    use udf_serve::framing::fnv64;
 
     fn sample_cache() -> PlanCache {
         let cache = PlanCache::default();
@@ -408,6 +317,11 @@ mod tests {
                 "bad-crc",
                 "plan-cache-snapshot v3\nentry 2a 34 0000000000000000\ntier full\nprogram (program 1 (params) (skip))\nend\n".to_owned(),
             ),
+            // A line between entries that is not an entry header.
+            (
+                "debris",
+                framed("tier full\nprogram (program 1 (params) (skip))\n") + "\n",
+            ),
         ];
         for (name, text) in cases {
             let path = dir.join(name);
@@ -416,15 +330,6 @@ mod tests {
                 PlanCache::load(&path, CacheConfig::default()).is_err(),
                 "case {name} must be rejected"
             );
-            // The lenient loader turns every one of them into a cold start.
-            let (cache, recovery) = PlanCache::load_recovering(
-                &path,
-                CacheConfig::default(),
-                &udf_obs::RecorderCell::noop(),
-            )
-            .unwrap();
-            assert_eq!(cache.len(), 0, "case {name}");
-            assert_eq!(recovery.incidents.len(), 1, "case {name}");
             std::fs::remove_file(&path).ok();
         }
     }
@@ -448,81 +353,108 @@ mod tests {
     }
 
     #[test]
-    fn salvage_skips_corrupt_entries_and_keeps_the_rest() {
-        let dir = std::env::temp_dir().join("plan-cache-test-salvage");
+    fn a_flipped_payload_byte_fails_the_load() {
+        let dir = std::env::temp_dir().join("plan-cache-test-flipped");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.txt");
-        let cache = PlanCache::default();
-        for id in 0..4u32 {
-            cache.insert(
-                PlanKey(u128::from(id) + 1),
-                CachedPlan::new(
-                    &Program::new(ProgId(id), vec![], Stmt::Notify(ProgId(id), true)),
-                    None,
-                    &Interner::new(),
-                    ConsolidationStats::default(),
-                ),
-            );
-        }
-        cache.save(&path).unwrap();
-        // Flip one payload byte of the second entry: its checksum breaks,
-        // the other three must still load.
+        sample_cache().save(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        let needle = b"(program 1 ";
+        // One flipped payload byte breaks that entry's checksum.
+        let needle = b"(program 4 ";
         let at = bytes
             .windows(needle.len())
             .position(|w| w == needle)
-            .expect("second entry present");
+            .expect("program entry present");
         bytes[at + 9] ^= 0x20;
         std::fs::write(&path, &bytes).unwrap();
-
-        let recorder = udf_obs::RecorderCell::memory();
-        let (loaded, recovery) =
-            PlanCache::load_recovering(&path, CacheConfig::default(), &recorder).unwrap();
-        assert_eq!(
-            (recovery.total, recovery.loaded, recovery.salvaged),
-            (4, 3, 1)
-        );
-        assert_eq!(loaded.len(), 3);
-        assert!(
-            recovery.incidents[0].detail.contains("checksum mismatch"),
-            "{recovery:?}"
-        );
-        assert_eq!(recovery.incidents[0].subsystem, "plan-cache");
-        assert_eq!(
-            recorder
-                .snapshot()
-                .unwrap()
-                .counter(udf_obs::names::CACHE_SNAPSHOT_SALVAGED),
-            1
-        );
-        // Strict load refuses the same file.
-        assert!(PlanCache::load(&path, CacheConfig::default()).is_err());
+        let err = PlanCache::load(&path, CacheConfig::default()).unwrap_err();
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn salvage_tolerates_truncation() {
+    fn a_truncated_snapshot_fails_the_load() {
         let dir = std::env::temp_dir().join("plan-cache-test-truncate");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.txt");
-        let cache = sample_cache();
-        cache.save(&path).unwrap();
+        sample_cache().save(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        // Cut the file mid-payload: the last entry is unloadable, but the
-        // load still succeeds with an accounted salvage.
+        // A file cut mid-payload loses its last entry's terminator.
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
-        let (loaded, recovery) = PlanCache::load_recovering(
-            &path,
-            CacheConfig::default(),
-            &udf_obs::RecorderCell::noop(),
-        )
-        .unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(
-            (recovery.total, recovery.loaded, recovery.salvaged),
-            (2, 1, 1)
-        );
+        assert!(PlanCache::load(&path, CacheConfig::default()).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The exact bytes `save` writes for [`sample_cache`]: one program
+    /// entry (a renamed local and a pre-filter) and one aggregation entry.
+    const GOLDEN_SNAPSHOT: &str = "plan-cache-snapshot v3\n\
+        entry 0000000000000000deadbeef00000001 777 ca9f7a0399685dc7\n\
+        tier partial\n\
+        stat entailment_queries 41\n\
+        stat memo_hits 3\n\
+        stat pairs_consolidated 2\n\
+        stat pairs_degraded 0\n\
+        stat rules.if_eliminated 0\n\
+        stat rules.if3 1\n\
+        stat rules.if4 0\n\
+        stat rules.if5 0\n\
+        stat rules.loop2 0\n\
+        stat rules.loop3 0\n\
+        stat rules.loop_seq 0\n\
+        stat rules.depth_fallbacks 0\n\
+        stat rules.budget_fallbacks 0\n\
+        stat solver.checks 17\n\
+        stat solver.theory_checks 0\n\
+        stat solver.theory_conflicts 0\n\
+        stat solver.minimized_literals 0\n\
+        stat solver.core_literals 0\n\
+        stat solver.core_fallbacks 0\n\
+        stat solver.unknowns 0\n\
+        stat solver.sat_decisions 0\n\
+        stat solver.sat_conflicts 0\n\
+        stat solver.sat_propagations 0\n\
+        stat solver.simplex_pivots 0\n\
+        stat solver.theory_rounds 0\n\
+        program (program 4 (params price) (seq (assign u0$x%2 (mul (var price) (int 3))) (notify 4 true)) (prefilter (le (int 10) (var price))))\n\
+        end\n\
+        entry 0000000000000000deadbeef00000002 658 f829635b85f50978\n\
+        tier partial\n\
+        stat entailment_queries 41\n\
+        stat memo_hits 3\n\
+        stat pairs_consolidated 2\n\
+        stat pairs_degraded 0\n\
+        stat rules.if_eliminated 0\n\
+        stat rules.if3 1\n\
+        stat rules.if4 0\n\
+        stat rules.if5 0\n\
+        stat rules.loop2 0\n\
+        stat rules.loop3 0\n\
+        stat rules.loop_seq 0\n\
+        stat rules.depth_fallbacks 0\n\
+        stat rules.budget_fallbacks 0\n\
+        stat solver.checks 17\n\
+        stat solver.theory_checks 0\n\
+        stat solver.theory_conflicts 0\n\
+        stat solver.minimized_literals 0\n\
+        stat solver.core_literals 0\n\
+        stat solver.core_fallbacks 0\n\
+        stat solver.unknowns 0\n\
+        stat solver.sat_decisions 0\n\
+        stat solver.sat_conflicts 0\n\
+        stat solver.sat_propagations 0\n\
+        stat solver.simplex_pivots 0\n\
+        stat solver.theory_rounds 0\n\
+        proved true false\n\
+        end\n";
+
+    #[test]
+    fn save_bytes_are_golden() {
+        let dir = std::env::temp_dir().join("plan-cache-test-golden");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.txt");
+        sample_cache().save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(text, GOLDEN_SNAPSHOT);
     }
 }

@@ -1,7 +1,7 @@
 //! Regenerates **Figure 10**: scalability with the number of UDFs.
 //!
 //! ```text
-//! cargo run -p udf-bench --release --bin figure10 -- [--fast] [--warm-cache] [--seed S] [--metrics] [--prefilter] [--backend B] [--json PATH]
+//! cargo run -p udf-bench --release --bin figure10 -- [--fast] [--seed S] [--metrics] [--prefilter] [--backend B] [--json PATH]
 //! ```
 //!
 //! `--prefilter` switches the sweep to the PF family (token-count guards
@@ -11,32 +11,23 @@
 //! consolidated-total speedup at each sweep point.
 //!
 //! `--metrics` installs a shared in-memory [`udf_obs`] recorder and prints
-//! its JSON snapshot after the sweep; combined with `--warm-cache` the
-//! snapshot includes the `plan_cache.*` hit/miss counters.
+//! its JSON snapshot after the sweep.
 //!
 //! The paper sweeps the number of News-domain mixed queries from 10 to 300
 //! and plots (log-scale): `whereMany` UDF & total time growing linearly,
 //! `whereConsolidated` UDF & total time staying roughly constant, and
 //! consolidation time staying under a second. This binary prints the same
 //! series as a table.
-//!
-//! With `--warm-cache` every sweep point runs twice against one shared
-//! [`plan_cache::PlanCache`]: a cold submission that consolidates and fills
-//! the cache, then a warm resubmission that must be served from it. The
-//! table then reports both consolidation times and asserts the cached plan
-//! pretty-prints identically to the freshly consolidated one.
 
 use consolidate::Options;
 use naiad_lite::engine::ExecBackend;
-use plan_cache::PlanCache;
-use udf_bench::{run_family_cached, run_family_guarded, Scale};
+use udf_bench::{run_family_guarded, Scale};
 use udf_lang::intern::Interner;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::full();
     let mut seed = 42u64;
-    let mut warm_cache = false;
     let mut metrics = false;
     let mut prefilter = false;
     let mut json: Option<String> = None;
@@ -45,7 +36,6 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--fast" => scale = Scale::fast(),
-            "--warm-cache" => warm_cache = true,
             "--metrics" => metrics = true,
             "--prefilter" => prefilter = true,
             "--json" => {
@@ -103,20 +93,6 @@ fn main() {
         "records: {}, workers: {workers}, seed {seed}",
         records.len()
     );
-    if warm_cache {
-        run_warm(
-            sweep,
-            scale,
-            seed,
-            workers,
-            &opts,
-            &mut interner,
-            &env,
-            &records,
-        );
-        dump_metrics(&opts);
-        return;
-    }
     if prefilter {
         run_prefilter(
             sweep,
@@ -159,7 +135,6 @@ fn main() {
             workers,
             &opts,
             scale.passes,
-            None,
             naiad_lite::GuardPolicy::default(),
             backend,
         );
@@ -252,7 +227,6 @@ fn run_prefilter(
                 workers,
                 opts,
                 scale.passes,
-                None,
                 naiad_lite::GuardPolicy::default(),
                 backend,
             ));
@@ -284,79 +258,4 @@ fn run_prefilter(
         std::process::exit(1);
     }
     println!("every pushdown-on run reproduced the pushdown-off digest bit-for-bit");
-}
-
-/// Warm-cache sweep: each point is submitted twice against one shared plan
-/// cache — cold (consolidates, fills) then warm (served from the cache).
-#[allow(clippy::too_many_arguments)]
-fn run_warm(
-    sweep: &[usize],
-    scale: Scale,
-    seed: u64,
-    workers: usize,
-    opts: &Options,
-    interner: &mut Interner,
-    env: &udf_data::news::NewsEnv,
-    records: &[udf_data::news::Article],
-) {
-    let cache = PlanCache::default();
-    println!("warm-cache mode: every point runs cold, then again from the shared cache");
-    println!(
-        "{:>6} {:>14} {:>14} {:>9} {:>9} {:>10} {:>6}",
-        "nUDFs", "cold-cons.(s)", "warm-cons.(s)", "speedup", "outcome", "same-plan", "q'tine"
-    );
-    let mut all_same = true;
-    for &n in sweep {
-        let programs = (bc_family().build)(n, seed, interner);
-        let cold = run_family_cached(
-            "news",
-            "BC",
-            env,
-            records,
-            programs.clone(),
-            interner,
-            workers,
-            opts,
-            scale.passes,
-            Some(&cache),
-        );
-        let warm = run_family_cached(
-            "news",
-            "BC",
-            env,
-            records,
-            programs,
-            interner,
-            workers,
-            opts,
-            scale.passes,
-            Some(&cache),
-        );
-        let same_plan =
-            cold.merged_text == warm.merged_text && cold.outputs_agree && warm.outputs_agree;
-        all_same &= same_plan
-            && warm.plan_outcome == Some(plan_cache::PlanOutcome::Hit)
-            && warm.stats.solver.checks == 0;
-        println!(
-            "{:>6} {:>14.4} {:>14.4} {:>8.1}x {:>9} {:>10} {:>6}",
-            n,
-            cold.consolidation.as_secs_f64(),
-            warm.consolidation.as_secs_f64(),
-            cold.consolidation.as_secs_f64() / warm.consolidation.as_secs_f64().max(1e-9),
-            warm.plan_outcome.map_or("-", |o| o.as_str()),
-            if same_plan { "ok" } else { "MISMATCH" },
-            cold.quarantined + warm.quarantined,
-        );
-    }
-    let stats = cache.stats();
-    println!("---");
-    println!(
-        "cache: {} hits, {} misses, {} inserts, {} entries",
-        stats.hits, stats.misses, stats.inserts, stats.entries
-    );
-    if !all_same {
-        println!("warm runs did not reproduce the cold plans");
-        std::process::exit(1);
-    }
-    println!("every warm run was a cache hit with zero SMT checks and an identical plan");
 }

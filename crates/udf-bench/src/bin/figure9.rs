@@ -12,9 +12,8 @@
 //! counters against the summed [`consolidate::ConsolidationStats`] (they
 //! must agree — both are incremented at the same sites). It also appends a
 //! small guarded-execution demo (audited healthy plan, corrupted plan that
-//! demotes, transient faults that retry, snapshot corruption that salvages)
-//! so the guard/retry/salvage metric names are populated and cross-checked
-//! the same way.
+//! demotes, transient faults that retry) so the guard and retry metric
+//! names are populated and cross-checked the same way.
 //!
 //! `--guard` additionally runs the benchmark sweep itself under a
 //! `LogOnly` plan guard auditing every record — the shadow/mismatch columns
@@ -318,7 +317,6 @@ fn main() {
             (udf_obs::names::GUARD_MISMATCHES, mismatches),
             (udf_obs::names::GUARD_DEMOTIONS, demotions),
             (udf_obs::names::ENGINE_RETRIES, retries),
-            (udf_obs::names::CACHE_SNAPSHOT_SALVAGED, demo.salvaged),
         ] {
             let rec = snap.counter(name);
             let ok = rec == stat;
@@ -354,18 +352,17 @@ struct GuardDemo {
     mismatches: u64,
     demotions: u64,
     retries: u64,
-    salvaged: u64,
 }
 
 /// Exercises every guarded-execution metric once, against `recorder`:
 /// a fully audited healthy plan (shadow runs, zero mismatches), a corrupted
-/// plan that trips the guard and demotes (mismatches + demotion + cache
-/// eviction), transient faults drained by retry, and a bit-flipped snapshot
-/// salvaged on load. Prints a short transcript and returns the totals
-/// according to the job reports.
+/// plan that trips the guard and demotes (mismatches + demotion), and
+/// transient faults drained by retry. Prints a short transcript and returns
+/// the totals according to the job reports.
 fn run_guard_demo(recorder: &udf_obs::RecorderCell) -> GuardDemo {
-    use naiad_lite::engine::EngineConfig;
+    use naiad_lite::engine::{EngineConfig, QuerySet};
     use naiad_lite::{fault, Engine, ErrorPolicy, ExecMode, GuardPolicy, ScalarEnv};
+    use udf_lang::library::Library;
 
     println!("--- guarded-execution demo ---");
     let mut demo = GuardDemo::default();
@@ -386,20 +383,18 @@ fn run_guard_demo(recorder: &udf_obs::RecorderCell) -> GuardDemo {
         })
         .collect();
     let cm = udf_lang::cost::CostModel::default();
-    let opts = consolidate::Options::default();
-    let cache = plan_cache::PlanCache::default();
-    let (queries, _, key, _) = plan_cache::compile_consolidated_cached(
+    let merged = consolidate::consolidate_many(
         &programs,
         &mut interner,
         &cm,
         &lib,
-        &|f| udf_lang::library::Library::cost(&lib, f),
-        &opts,
+        &consolidate::Options::default(),
         false,
-        &cache,
-        ExecBackend::PerRecord,
     )
     .expect("demo consolidates");
+    let queries = QuerySet::compile_many(&programs, &cm, &|f| lib.cost(f))
+        .and_then(|qs| qs.with_consolidated(&merged.program, &cm, &|f| lib.cost(f), merged.elapsed))
+        .expect("demo compiles");
     let records: Vec<Vec<i64>> = (0..64i64).map(|v| vec![v]).collect();
     let env = ScalarEnv::new(1, lib);
     let engine = |guard: GuardPolicy, max_retries: u32| {
@@ -425,7 +420,7 @@ fn run_guard_demo(recorder: &udf_obs::RecorderCell) -> GuardDemo {
     );
 
     // 2. Corrupted plan: flip one Notify instruction; the guard detects the
-    // divergence, demotes to sequential, and evicts the cached plan.
+    // divergence and demotes to sequential.
     let mut corrupted = queries.clone();
     let plan = corrupted.consolidated.as_mut().expect("demo plan");
     for instr in &mut plan.code {
@@ -434,19 +429,16 @@ fn run_guard_demo(recorder: &udf_obs::RecorderCell) -> GuardDemo {
             break;
         }
     }
-    let healer = engine(GuardPolicy::audit_all(), 0);
-    let healed = healer.run(&env, &records, &corrupted, ExecMode::Consolidated, false);
-    plan_cache::evict_if_tripped(&cache, key, &healed);
-    let healed = healed.expect("demotion self-heals");
+    let healed = engine(GuardPolicy::audit_all(), 0)
+        .run(&env, &records, &corrupted, ExecMode::Consolidated, false)
+        .expect("demotion self-heals");
     let g = healed.guard.expect("guard report");
     demo.shadow_runs += g.shadow_runs;
     demo.mismatches += g.mismatches;
     demo.demotions += u64::from(g.demoted);
     println!(
-        "corrupted plan: {} mismatches, demoted={}, cache evictions={}",
-        g.mismatches,
-        g.demoted,
-        cache.stats().invalidations
+        "corrupted plan: {} mismatches, demoted={}",
+        g.mismatches, g.demoted
     );
 
     // 3. Transient faults drained by retry (no quarantine).
@@ -471,42 +463,6 @@ fn run_guard_demo(recorder: &udf_obs::RecorderCell) -> GuardDemo {
         retried.quarantine.records_quarantined
     );
 
-    // 4. Snapshot a cache, flip one payload byte, salvage on load.
-    let cache2 = plan_cache::PlanCache::default();
-    plan_cache::compile_consolidated_cached(
-        &programs,
-        &mut interner,
-        &cm,
-        &udf_lang::cost::UniformFnCost(20),
-        &|_| 20,
-        &opts,
-        false,
-        &cache2,
-        ExecBackend::PerRecord,
-    )
-    .expect("demo reconsolidates");
-    let path = std::env::temp_dir().join(format!("figure9-demo-{}.snap", std::process::id()));
-    let recovery = cache2
-        .save(&path)
-        .and_then(|()| {
-            let mut bytes = std::fs::read(&path)?;
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x40;
-            std::fs::write(&path, bytes)?;
-            let (_, recovery) = plan_cache::PlanCache::load_recovering(
-                &path,
-                plan_cache::CacheConfig::default(),
-                recorder,
-            )?;
-            Ok(recovery)
-        })
-        .expect("snapshot demo round-trips");
-    let _ = std::fs::remove_file(&path);
-    demo.salvaged += recovery.salvaged as u64;
-    println!(
-        "snapshot      : {} entries, {} loaded, {} salvaged",
-        recovery.total, recovery.loaded, recovery.salvaged
-    );
     demo
 }
 

@@ -70,15 +70,8 @@ pub struct FamilyRun {
     /// datasets; benches run under [`naiad_lite::ErrorPolicy::Quarantine`]
     /// so a faulting record degrades the row instead of killing the sweep).
     pub quarantined: usize,
-    /// Pretty-printed merged program — lets warm-cache sweeps assert the
-    /// cached plan is textually identical to a freshly consolidated one.
-    pub merged_text: String,
-    /// How the plan cache satisfied the request (`None` when no cache was
-    /// supplied and consolidation always ran fresh).
-    pub plan_outcome: Option<plan_cache::PlanOutcome>,
     /// Rule-derivation tree for the merged plan; present only when
-    /// [`Options::explain`](consolidate::Options) was set and the plan was
-    /// consolidated fresh (cache hits carry no derivation).
+    /// [`Options::explain`](consolidate::Options) was set.
     pub explain: Option<consolidate::ExplainReport>,
     /// Shadow (sequential) re-executions performed by the plan guard across
     /// all passes — 0 unless a [`naiad_lite::GuardPolicy`] was active.
@@ -170,28 +163,6 @@ pub fn run_family_passes<E: UdfEnv>(
     opts: &Options,
     passes: usize,
 ) -> FamilyRun {
-    run_family_cached(
-        domain, family, env, records, programs, interner, workers, opts, passes, None,
-    )
-}
-
-/// Like [`run_family_passes`] but consults `cache` before consolidating:
-/// a stored plan for the same (canonical) query set is served without
-/// touching the Ω engine or the SMT solver, modelling a platform that
-/// amortizes consolidation across job submissions.
-#[allow(clippy::too_many_arguments)]
-pub fn run_family_cached<E: UdfEnv>(
-    domain: &str,
-    family: &str,
-    env: &E,
-    records: &[E::Rec],
-    programs: Vec<Program>,
-    interner: &mut Interner,
-    workers: usize,
-    opts: &Options,
-    passes: usize,
-    cache: Option<&plan_cache::PlanCache>,
-) -> FamilyRun {
     run_family_guarded(
         domain,
         family,
@@ -202,16 +173,15 @@ pub fn run_family_cached<E: UdfEnv>(
         workers,
         opts,
         passes,
-        cache,
         naiad_lite::GuardPolicy::default(),
         ExecBackend::PerRecord,
     )
 }
 
-/// Like [`run_family_cached`] but with an explicit plan-guard and
+/// Like [`run_family_passes`] but with an explicit plan-guard and
 /// execution-backend configuration on the engine; the guard counters land
 /// in the returned [`FamilyRun`] columns. The defaults (guard disabled,
-/// [`ExecBackend::PerRecord`]) make this exactly [`run_family_cached`].
+/// [`ExecBackend::PerRecord`]) make this exactly [`run_family_passes`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_family_guarded<E: UdfEnv>(
     domain: &str,
@@ -223,7 +193,6 @@ pub fn run_family_guarded<E: UdfEnv>(
     workers: usize,
     opts: &Options,
     passes: usize,
-    cache: Option<&plan_cache::PlanCache>,
     guard: naiad_lite::GuardPolicy,
     backend: ExecBackend,
 ) -> FamilyRun {
@@ -231,23 +200,10 @@ pub fn run_family_guarded<E: UdfEnv>(
     let n_queries = programs.len();
     let source_size: usize = programs.iter().map(Program::size).sum();
 
-    // Consolidate (timed, parallel divide-and-conquer as in §6.1), going
-    // through the plan cache when one is supplied.
-    let fns = FnCostOf(env);
-    let (merged, plan_outcome) = match cache {
-        Some(cache) => {
-            let (merged, outcome) = plan_cache::consolidate_many_cached(
-                cache, &programs, interner, &cm, &fns, opts, true, backend,
-            )
+    // Consolidate (timed, parallel divide-and-conquer as in §6.1).
+    let merged =
+        consolidate::consolidate_many(&programs, interner, &cm, &FnCostOf(env), opts, true)
             .expect("families share params and have distinct ids");
-            (merged, Some(outcome))
-        }
-        None => (
-            consolidate::consolidate_many(&programs, interner, &cm, &fns, opts, true)
-                .expect("families share params and have distinct ids"),
-            None,
-        ),
-    };
     let consolidation = merged.elapsed;
 
     // Compile both plans.
@@ -352,8 +308,6 @@ pub fn run_family_guarded<E: UdfEnv>(
         outputs_agree,
         stats: merged.stats,
         quarantined,
-        merged_text: udf_lang::pretty::program(&merged.program, interner),
-        plan_outcome,
         explain: merged.explain,
         shadow_runs,
         guard_mismatches,
@@ -455,7 +409,6 @@ pub fn run_domain_guarded(
                     workers,
                     opts,
                     scale.passes,
-                    None,
                     guard,
                     backend,
                 ));
@@ -477,7 +430,6 @@ pub fn run_domain_guarded(
                     workers,
                     opts,
                     scale.passes,
-                    None,
                     guard,
                     backend,
                 ));
@@ -500,7 +452,6 @@ pub fn run_domain_guarded(
                     workers,
                     opts,
                     scale.passes,
-                    None,
                     guard,
                     backend,
                 ));
@@ -523,7 +474,6 @@ pub fn run_domain_guarded(
                     workers,
                     opts,
                     scale.passes,
-                    None,
                     guard,
                     backend,
                 ));
@@ -554,7 +504,6 @@ pub fn run_domain_guarded(
                     workers,
                     opts,
                     scale.passes,
-                    None,
                     guard,
                     backend,
                 ));

@@ -84,7 +84,7 @@ impl Fnv128 {
 }
 
 /// Incremental 64-bit FNV-1a hasher: the workspace's one FNV-1a 64. It is
-/// the checksum of every durable record (`plan_cache::framing`) and the
+/// the checksum of every durable record (`udf_serve::framing`) and the
 /// output digest of engine and service runs (`naiad_lite::digest`).
 ///
 /// Feeding the words of a byte string one at a time gives the same digest

@@ -21,7 +21,9 @@
 //! * [`analysis`] — free/assigned-variable analyses and renaming used by the
 //!   consolidation engine,
 //! * [`canon`] — De Bruijn-style alpha-canonicalization and stable structural
-//!   hashing, the key basis for the plan cache.
+//!   hashing, the key basis for the plan cache,
+//! * [`wire`] — the one-line text form a program takes across a process
+//!   boundary (journal, checkpoint, plan-cache snapshot).
 //!
 //! # Example
 //!
@@ -57,6 +59,7 @@ pub mod interp;
 pub mod library;
 pub mod parse;
 pub mod pretty;
+pub mod wire;
 
 pub use agg::{agg_hash, agg_set_key, parse_agg, parse_aggs, AggDef, AggError, StateSlot};
 pub use ast::{BoolExpr, BoolOp, CmpOp, IntExpr, IntOp, ProgId, Program, Stmt};

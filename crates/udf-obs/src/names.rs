@@ -155,13 +155,6 @@ pub const GUARD_NS: &str = "engine.guard_ns";
 /// handling of the lanes is accounted separately under
 /// [`ENGINE_RECORD_NS`]).
 pub const ENGINE_BATCH_NS: &str = "engine.batch_ns";
-/// Histogram (ns): wall-clock latency of compiling one program's AST to
-/// register bytecode (constant folding + copy propagation included),
-/// summed over the programs of a query set and observed once per compile.
-pub const REGCODE_FOLD_NS: &str = "regcode.fold_ns";
-/// Counter: snapshot entries skipped by salvage-on-load because their
-/// payload was corrupt or truncated.
-pub const CACHE_SNAPSHOT_SALVAGED: &str = "cache.snapshot_salvaged";
 /// Counter: plan-cache requests served from a stored `Full` plan.
 pub const PLAN_CACHE_HIT: &str = "plan_cache.hit";
 /// Counter: plan-cache requests consolidated fresh (the result is stored

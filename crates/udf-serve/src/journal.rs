@@ -5,13 +5,12 @@
 //! [`crate::Service::recover`]) appends one checksummed frame per state
 //! transition — register, deregister, submit/reject, epoch commit — to
 //! `journal.log` inside its durability directory, using the workspace's
-//! shared [`plan_cache::framing`] record format. Periodically the journal
-//! prefix is folded into a full-state `checkpoint` file (atomic
-//! tmp+fsync+rename, the same publication discipline as the plan-cache
-//! snapshot), after which the journal is truncated back to its header.
-//! Programs inside `reg` frames and checkpoint lines are the single-line
-//! wire text of [`plan_cache::portable`]: one `write_program` out, one
-//! `read_program` back, the exact tree either way.
+//! [`crate::framing`] record format. Periodically the journal prefix is
+//! folded into a full-state `checkpoint` file (atomic tmp+fsync+rename),
+//! after which the journal is truncated back to its header. Programs
+//! inside `reg` frames and checkpoint lines are the single-line wire text
+//! of [`udf_lang::wire`]: one `write_program` out, one `read_program`
+//! back, the exact tree either way.
 //!
 //! A checkpoint is *state*, the shared plan included: it carries the
 //! [`consolidate::DeltaPlan`] merge tree itself (`plan` / `free` / `leaf`
@@ -36,8 +35,7 @@
 //! - **Torn tails are salvaged, never parsed.** The first frame that fails
 //!   length/terminator/checksum/sequence validation ends replay; it and
 //!   everything after it are truncated away, reported through
-//!   [`RecoveryReport`] with the same [`RecoveryIncident`] shape the
-//!   plan-cache salvage uses.
+//!   [`RecoveryReport`] as [`RecoveryIncident`]s.
 //! - **Epoch commits are exactly-once.** `run_epoch` appends a single
 //!   commit frame carrying the epoch's engine-dependent effects (demotions,
 //!   per-tenant quarantine deltas) plus an output digest. Replay re-derives
@@ -58,7 +56,7 @@
 //! recover from the directory and diff against an uncrashed reference —
 //! `tests/recovery_matrix.rs` sweeps every point, driven by `ci/chaos.sh`.
 
-use plan_cache::framing::{self, RecoveryIncident};
+use crate::framing::{self, RecoveryIncident};
 use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
@@ -227,8 +225,7 @@ impl JournalRec for (usize, Vec<i64>) {
     }
 }
 
-/// What a service recovery found and did — the journal-side mirror of
-/// [`plan_cache::SnapshotRecovery`].
+/// What a service recovery found and did.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
     /// Frames replayed into service state.
@@ -240,7 +237,7 @@ pub struct RecoveryReport {
     pub frames_salvaged: u64,
     /// Whether the journal ended in a torn tail (salvage fired).
     pub truncated_tail: bool,
-    /// One incident per salvaged artifact, in the workspace-shared shape.
+    /// One incident per salvaged artifact.
     pub incidents: Vec<RecoveryIncident>,
     /// `(epoch, output_digest)` of every replayed epoch commit frame, in
     /// order — chaos tests diff these against the uncrashed reference.
@@ -521,8 +518,7 @@ pub(crate) fn load_checkpoint(dir: &Path) -> Result<Option<LoadedCheckpoint>, Jo
     let next_seq = header.fields[0]
         .parse::<u64>()
         .map_err(|_| corrupt("bad next-seq"))?;
-    let (payload, resume) =
-        framing::check_frame(&bytes, &header, pos).map_err(|(_, e)| corrupt(&e))?;
+    let (payload, resume) = framing::check_frame(&bytes, &header, pos).map_err(|e| corrupt(&e))?;
     if resume != bytes.len() {
         return Err(corrupt("trailing bytes after state frame"));
     }
@@ -573,8 +569,7 @@ pub(crate) fn load_journal(dir: &Path) -> Result<LoadedJournal, JournalError> {
                 Ok((seq, header))
             })
             .and_then(|(seq, header)| {
-                let (payload, resume) =
-                    framing::check_frame(&bytes, &header, payload_start).map_err(|(_, e)| e)?;
+                let (payload, resume) = framing::check_frame(&bytes, &header, payload_start)?;
                 Ok((
                     LoadedFrame {
                         seq,

@@ -36,6 +36,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod admission;
+pub mod framing;
 pub mod journal;
 pub mod service;
 pub mod tenant;

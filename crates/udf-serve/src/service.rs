@@ -12,7 +12,6 @@ use naiad_lite::engine::{
 };
 use naiad_lite::guard::{GuardAction, GuardObservation, GuardPolicy, PlanIncident};
 use naiad_lite::UdfEnv;
-use plan_cache::{read_program, write_program};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
@@ -23,6 +22,7 @@ use udf_lang::ast::{ProgId, Program};
 use udf_lang::cost::{Cost, CostModel, FnCost};
 use udf_lang::intern::{Interner, Symbol};
 use udf_lang::library::LibError;
+use udf_lang::wire::{read_program, write_program};
 use udf_obs::names;
 
 /// [`FnCost`] view of a [`UdfEnv`], so delta consolidation prices library
@@ -1375,13 +1375,8 @@ impl<E: UdfEnv> Service<E> {
         self.journal.as_ref().map(Journal::next_seq)
     }
 
-    /// Whether a journal failure has poisoned this instance.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
     /// Renders the full-state checkpoint payload: epoch, counters, queue
-    /// contents, tenants (programs as [`plan_cache::write_program`] text),
+    /// contents, tenants (programs as [`write_program`] text),
     /// pending churn, and the shared plan's tree ([`DeltaPlan::export`]):
     /// one `plan <cap> <renames>` line, the `free` list in order, a `leaf
     /// <slot> <renamed program>` per live leaf and a `node <index> <tier>

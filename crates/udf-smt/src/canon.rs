@@ -11,6 +11,18 @@
 //! occurrence in a fixed traversal of Ψ then φ, while function symbols keep
 //! their (semantic) names and arities.
 //!
+//! The traversal walks the hash-consed DAG, not the tree it stands for:
+//! every compound term and formula node is numbered at its first visit,
+//! and a node met again is one back-reference to that number. A key
+//! therefore costs the DAG's size — `sp` shares each φ-equation and guard
+//! between both sides of every `if`, so the tree can be exponentially
+//! larger. Leaves (constants, variables, ⊤, ⊥) are hashed in full each
+//! time, as cheap as a back-reference, so a query with no shared compound
+//! node hashes exactly as a tree walk would. Because contexts hash-cons
+//! fully (equal structure is the same node), two queries equal up to
+//! renaming meet the same nodes in the same order, and the stream of one
+//! still determines its tree.
+//!
 //! The hash is a 128-bit FNV-1a over a prefix-free tagged byte stream —
 //! deterministic across processes and independent of the arena ids in any
 //! particular [`Context`]. Collisions are possible in principle (the table
@@ -18,15 +30,22 @@
 //! are negligible next to solver resource limits; a false hit would require
 //! an FNV-128 collision between two canonical streams.
 
-use crate::ctx::{Context, Formula, FormulaId, Term, TermId, VarId};
-use std::collections::HashMap;
+use crate::ctx::{Context, Formula, FormulaId, IdMap, Term, TermId, VarId};
+use std::collections::hash_map::Entry;
+use std::hash::Hash;
 
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
 
 struct Hasher<'c> {
     ctx: &'c Context,
-    vars: HashMap<VarId, u64>,
+    /// First-visit numbers of the compound term and formula nodes seen so
+    /// far, and how many there are.
+    terms: IdMap<TermId, u64>,
+    formulas: IdMap<FormulaId, u64>,
+    nodes: u64,
+    /// Each variable's canonical name: its rank by first occurrence.
+    vars: IdMap<VarId, u64>,
     state: u128,
 }
 
@@ -34,7 +53,10 @@ impl<'c> Hasher<'c> {
     fn new(ctx: &'c Context) -> Hasher<'c> {
         Hasher {
             ctx,
-            vars: HashMap::new(),
+            terms: IdMap::default(),
+            formulas: IdMap::default(),
+            nodes: 0,
+            vars: IdMap::default(),
             state: FNV_OFFSET,
         }
     }
@@ -59,6 +81,12 @@ impl<'c> Hasher<'c> {
         self.bytes(s.as_bytes());
     }
 
+    /// A back-reference to the node numbered `n`.
+    fn back_ref(&mut self, tag: u8, n: u64) {
+        self.byte(tag);
+        self.u64(n);
+    }
+
     fn var(&mut self, v: VarId) {
         let next = self.vars.len() as u64;
         let idx = *self.vars.entry(v).or_insert(next);
@@ -67,7 +95,14 @@ impl<'c> Hasher<'c> {
     }
 
     fn term(&mut self, id: TermId) {
-        match self.ctx.term(id) {
+        let ctx = self.ctx;
+        let term = ctx.term(id);
+        if !matches!(term, Term::Int(_) | Term::Var(_)) {
+            if let Some(n) = seen_before(&mut self.terms, &mut self.nodes, id) {
+                return self.back_ref(15, n);
+            }
+        }
+        match term {
             Term::Int(c) => {
                 self.byte(1);
                 self.bytes(&c.to_le_bytes());
@@ -77,8 +112,7 @@ impl<'c> Hasher<'c> {
                 self.byte(3);
                 // Function symbols are semantic: hash the resolved name, not
                 // the per-context id.
-                let name = self.ctx.fn_name(*f).to_owned();
-                self.str(&name);
+                self.str(ctx.fn_name(*f));
                 self.u64(args.len() as u64);
                 for &a in args {
                     self.term(a);
@@ -103,7 +137,13 @@ impl<'c> Hasher<'c> {
     }
 
     fn formula(&mut self, id: FormulaId) {
-        match self.ctx.formula(id) {
+        let formula = self.ctx.formula(id);
+        if !matches!(formula, Formula::True | Formula::False) {
+            if let Some(n) = seen_before(&mut self.formulas, &mut self.nodes, id) {
+                return self.back_ref(16, n);
+            }
+        }
+        match formula {
             Formula::True => self.byte(7),
             Formula::False => self.byte(8),
             Formula::Le(a, b) => {
@@ -135,6 +175,19 @@ impl<'c> Hasher<'c> {
                 self.formula(*a);
                 self.formula(*b);
             }
+        }
+    }
+}
+
+/// The number `id` got at an earlier visit, or `None` after numbering it
+/// `nodes` now.
+fn seen_before<K: Eq + Hash>(seen: &mut IdMap<K, u64>, nodes: &mut u64, id: K) -> Option<u64> {
+    match seen.entry(id) {
+        Entry::Occupied(e) => Some(*e.get()),
+        Entry::Vacant(e) => {
+            e.insert(*nodes);
+            *nodes += 1;
+            None
         }
     }
 }
@@ -228,5 +281,69 @@ mod tests {
         let pf = c.le(fx, zero);
         let pg = c.le(gx, zero);
         assert_ne!(formula_key(&c, pf), formula_key(&c, pg));
+    }
+
+    /// `levels` levels over variables `x`, `y`, each referring to the level
+    /// below twice — as `t + t` in the terms and twice in the formulas — so
+    /// the tree doubles per level while the context adds a few nodes.
+    fn shared(ctx: &mut Context, x: &str, y: &str, k: i64, levels: i64) -> (FormulaId, FormulaId) {
+        let (x, y) = (ctx.int_var(x), ctx.int_var(y));
+        let mut t = x;
+        for _ in 0..levels {
+            t = ctx.add(t, t);
+        }
+        let kk = ctx.int(k);
+        let mut f = ctx.le(t, kk);
+        for level in 0..levels {
+            let c = ctx.int(level);
+            let (lo, hi) = (ctx.le(x, c), ctx.lt(c, y));
+            let (a, b) = (ctx.or(f, lo), ctx.or(f, hi));
+            f = ctx.and(a, b);
+        }
+        let zero = ctx.int(0);
+        (f, ctx.le(y, zero))
+    }
+
+    #[test]
+    fn a_key_costs_the_dag_not_the_tree() {
+        // 64 levels: a tree of 2^64 nodes, which a tree walk never finishes.
+        let mut c1 = Context::new();
+        let (p1, q1) = shared(&mut c1, "x", "y", 7, 64);
+        let mut c2 = Context::new();
+        let _noise = c2.int_var("zzz");
+        let (p2, q2) = shared(&mut c2, "u1$x%9", "u1$y%2", 7, 64);
+        assert_eq!(entailment_key(&c1, p1, q1), entailment_key(&c2, p2, q2));
+        let mut c3 = Context::new();
+        let (p3, q3) = shared(&mut c3, "x", "y", 8, 64);
+        assert_ne!(entailment_key(&c1, p1, q1), entailment_key(&c3, p3, q3));
+    }
+
+    #[test]
+    fn a_query_with_no_shared_node_hashes_as_a_tree() {
+        // The tree walk's stream for `x ≤ 3`: Le, Var #0, Int 3.
+        let mut c = Context::new();
+        let x = c.int_var("x");
+        let three = c.int(3);
+        let f = c.le(x, three);
+        let mut tree = Hasher::new(&c);
+        tree.byte(9);
+        tree.byte(2);
+        tree.u64(0);
+        tree.byte(1);
+        tree.bytes(&3i64.to_le_bytes());
+        assert_eq!(formula_key(&c, f), tree.state);
+    }
+
+    #[test]
+    fn a_back_reference_is_not_a_fresh_node() {
+        // `(x + 1) * (x + 1)` and `(x + 1) * (y + 1)` differ only in whether
+        // the second factor is the node already seen.
+        let mut c = Context::new();
+        let (x, y) = (c.int_var("x"), c.int_var("y"));
+        let (one, zero) = (c.int(1), c.int(0));
+        let (x1, y1) = (c.add(x, one), c.add(y, one));
+        let (xx, xy) = (c.mul(x1, x1), c.mul(x1, y1));
+        let (fxx, fxy) = (c.le(xx, zero), c.le(xy, zero));
+        assert_ne!(formula_key(&c, fxx), formula_key(&c, fxy));
     }
 }

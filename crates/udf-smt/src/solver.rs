@@ -458,11 +458,6 @@ impl Solver {
         let q = ctx.and(hypothesis, neg);
         self.check(ctx, q) == SatResult::Unsat
     }
-
-    /// Whether `f` is unsatisfiable.
-    pub fn is_unsat(&mut self, ctx: &Context, f: FormulaId) -> bool {
-        self.check(ctx, f) == SatResult::Unsat
-    }
 }
 
 /// Whether `model`, read as a total interpretation, gives every literal its

@@ -2,18 +2,19 @@
 //! differential validation, then corrupt the plan and watch the guard
 //! detect the divergence, demote the job to the sequential reference path,
 //! and still return correct results — the fail-soft story of
-//! `ARCHITECTURE.md` § Soundness and degradation. The plan came from a plan
-//! cache, so the trip also evicts it there (`evict_if_tripped`).
+//! `ARCHITECTURE.md` § Soundness and degradation.
 //!
 //! ```text
 //! cargo run --example guarded_execution
 //! ```
 
-use query_consolidation::cache::{compile_consolidated_cached, evict_if_tripped, PlanCache};
-use query_consolidation::dataflow::engine::{Engine, EngineConfig, ExecBackend, ExecMode};
+use query_consolidation::dataflow::engine::{
+    Engine, EngineConfig, ExecBackend, ExecMode, QuerySet,
+};
 use query_consolidation::dataflow::regcode::ROp;
 use query_consolidation::dataflow::{GuardPolicy, ScalarEnv};
-use query_consolidation::engine::Options;
+use query_consolidation::engine::{consolidate_many, Options};
+use query_consolidation::lang::library::Library;
 use query_consolidation::lang::{parse::parse_program, CostModel, FnLibrary, Interner};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,18 +49,19 @@ fn run(backend: ExecBackend) -> Result<(), Box<dyn std::error::Error>> {
         .collect::<Result<_, _>>()?;
 
     let cm = CostModel::default();
-    let cache = PlanCache::default();
-    let fc = |f| query_consolidation::lang::library::Library::cost(&lib, f);
-    let (queries, _, key, _) = compile_consolidated_cached(
+    let merged = consolidate_many(
         &programs,
         &mut interner,
         &cm,
         &lib,
-        &fc,
         &Options::default(),
         false,
-        &cache,
-        backend,
+    )?;
+    let queries = QuerySet::compile_many(&programs, &cm, &|f| lib.cost(f))?.with_consolidated(
+        &merged.program,
+        &cm,
+        &|f| lib.cost(f),
+        merged.elapsed,
     )?;
     let records: Vec<Vec<i64>> = (0..64).map(|v| vec![v]).collect();
     let env = ScalarEnv::new(1, lib);
@@ -83,7 +85,7 @@ fn run(backend: ExecBackend) -> Result<(), Box<dyn std::error::Error>> {
 
     // Corrupted plan: flip one Notify instruction. The guard catches the
     // divergence and demotes to the per-query sequential path — the caller
-    // still gets correct counts — and the trip evicts the poisoned entry.
+    // still gets correct counts.
     let mut corrupted = queries.clone();
     let plan = corrupted.consolidated.as_mut().expect("consolidated plan");
     for instr in &mut plan.code {
@@ -92,16 +94,11 @@ fn run(backend: ExecBackend) -> Result<(), Box<dyn std::error::Error>> {
             break;
         }
     }
-    let healed = engine().run(&env, &records, &corrupted, ExecMode::Consolidated, false);
-    evict_if_tripped(&cache, key, &healed);
-    let healed = healed?;
+    let healed = engine().run(&env, &records, &corrupted, ExecMode::Consolidated, false)?;
     let g = healed.guard.as_ref().expect("audit produced a report");
     println!(
-        "corrupted    : counts {:?}, {} mismatches, demoted={}, cache evictions={}",
-        healed.counts,
-        g.mismatches,
-        g.demoted,
-        cache.stats().invalidations
+        "corrupted    : counts {:?}, {} mismatches, demoted={}",
+        healed.counts, g.mismatches, g.demoted
     );
     assert!(g.demoted, "the corrupted plan must demote");
     assert_eq!(

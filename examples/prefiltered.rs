@@ -13,10 +13,9 @@
 //! guard the call is unreachable and the verifier can prove that skipping
 //! the record changes nothing.
 
-use query_consolidation::cache::{compile_consolidated_cached, PlanCache};
-use query_consolidation::dataflow::engine::{Engine, ExecBackend, ExecMode};
+use query_consolidation::dataflow::engine::{Engine, ExecMode, QuerySet};
 use query_consolidation::dataflow::ScalarEnv;
-use query_consolidation::engine::Options;
+use query_consolidation::engine::{consolidate_many, Options};
 use query_consolidation::lang::{parse::parse_program, CostModel, FnLibrary, Interner};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -56,19 +55,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             prefilter,
             ..Options::default()
         };
-        let cache = PlanCache::default();
-        let (qs, merged, _, _) = compile_consolidated_cached(
-            &programs,
-            &mut interner,
+        let merged = consolidate_many(&programs, &mut interner, &cm, &lib, &opts, false)?;
+        let mut qs = QuerySet::compile_many(&programs, &cm, &fc)?.with_consolidated(
+            &merged.program,
             &cm,
-            &lib,
             &fc,
-            &opts,
-            false,
-            &cache,
-            ExecBackend::PerRecord,
+            merged.elapsed,
         )?;
         if let Some(pf) = &merged.prefilter {
+            qs = qs.with_prefilter(&pf.cond, &merged.program, &cm, &fc)?;
             println!(
                 "synthesized pre-filter ({} paths, {} entailment queries):",
                 pf.paths_checked, pf.entailment_queries

@@ -102,6 +102,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PlanOutcome::Hit,
         "snapshots warm-start the next run"
     );
-    println!("cache stats: {:?}", restored.stats());
+    println!("restored cache: {} plan(s)", restored.len());
     Ok(())
 }

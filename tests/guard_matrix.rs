@@ -6,15 +6,13 @@
 //! 1. **Corruption detection** — a consolidated plan whose bytecode was
 //!    mutated behind the optimizer's back is caught by the shadow sampler,
 //!    the job self-heals by demoting to sequential execution (output
-//!    bit-identical to a pure-sequential run), and
-//!    `plan_cache::evict_if_tripped` removes the poisoned plan from the
-//!    cache it came from — under `Demote` and `FailFast` alike — so the next
-//!    compile consolidates afresh instead of re-serving it.
+//!    bit-identical to a pure-sequential run), and under `FailFast` the
+//!    same trip is a structured error.
 //! 2. **Retry drains transients** — `Transient(k)` faults recover with zero
 //!    quarantines when `k ≤ max_retries`, and quarantine with exact retry
 //!    accounting when `k > max_retries`.
 //! 3. **LogOnly is read-only** — an auditing guard never changes job
-//!    outputs, even over a corrupted plan, and evicts nothing.
+//!    outputs, even over a corrupted plan.
 //! 4. **Disabled guard is free** — `audit: false` performs no shadow
 //!    runs and leaves reports identical to an unguarded engine's.
 //!
@@ -31,7 +29,6 @@ use naiad_lite::engine::{
 };
 use naiad_lite::fault::{silence_injected_panics, FaultKind, FaultPlan};
 use naiad_lite::{ErrorKind, GuardAction, GuardPolicy};
-use plan_cache::{evict_if_tripped, PlanCache, PlanKey, PlanOutcome};
 use udf_lang::cost::CostModel;
 use udf_lang::intern::Interner;
 use udf_lang::library::Library;
@@ -39,46 +36,24 @@ use udf_obs::names;
 
 const BACKENDS: [ExecBackend; 2] = [ExecBackend::PerRecord, ExecBackend::Columnar];
 
-/// Builds the standard harness, its plan consolidated through a cache of
-/// its own.
+/// Builds the standard harness: three probing queries and their
+/// consolidated plan.
 fn harness(plan: FaultPlan) -> Harness {
-    harness_for(&PlanCache::default(), plan, ExecBackend::PerRecord).0
-}
-
-/// The standard harness with consolidation routed through `cache` and the
-/// plan keyed for `backend`, with the key to evict and how the cache
-/// answered.
-fn harness_for(
-    cache: &PlanCache,
-    plan: FaultPlan,
-    backend: ExecBackend,
-) -> (Harness, PlanKey, PlanOutcome) {
     let mut interner = Interner::new();
     let lib = library(&mut interner);
     let programs = probing_queries(&mut interner, 3);
     let cm = CostModel::default();
     let opts = consolidate::Options::default();
-    let (queries, _merged, key, outcome) = plan_cache::compile_consolidated_cached(
-        &programs,
-        &mut interner,
-        &cm,
-        &lib,
-        &|f| lib.cost(f),
-        &opts,
-        false,
-        cache,
-        backend,
-    )
-    .expect("cached consolidation succeeds");
-    (
-        Harness::new(&mut interner, &programs, queries, plan),
-        key,
-        outcome,
-    )
+    let merged = consolidate::consolidate_many(&programs, &mut interner, &cm, &lib, &opts, false)
+        .expect("consolidation succeeds");
+    let queries = QuerySet::compile_many(&programs, &cm, &|f| lib.cost(f))
+        .and_then(|qs| qs.with_consolidated(&merged.program, &cm, &|f| lib.cost(f), merged.elapsed))
+        .expect("the query set compiles");
+    Harness::new(&mut interner, &programs, queries, plan)
 }
 
 /// Flips the broadcast value of the first `Notify` instruction in the
-/// consolidated bytecode — the minimal "plan corrupted in the cache / by a
+/// consolidated bytecode — the minimal "plan corrupted in storage / by a
 /// miscompile" simulation: still a perfectly well-formed program, just one
 /// that disagrees with the sequential semantics on some records.
 fn corrupt_consolidated(queries: &mut QuerySet) {
@@ -118,38 +93,16 @@ fn verdict(report: &JobReport) -> (u64, u64, bool) {
     (g.shadow_runs, g.mismatches, g.demoted)
 }
 
-/// After a trip was evicted: the cache no longer holds `key`, and the next
-/// cached compile of the same set consolidates afresh (and stores it again).
-fn assert_evicted(cache: &PlanCache, key: PlanKey, backend: ExecBackend, ctx: &str) {
-    assert!(
-        cache.get(key).is_none(),
-        "{ctx}: poisoned plan must not be re-served"
-    );
-    let (_, again, outcome) = harness_for(cache, FaultPlan::none(), backend);
-    assert_eq!(again, key, "{ctx}: the same set keys the same plan");
-    assert_eq!(
-        outcome,
-        PlanOutcome::Miss,
-        "{ctx}: the next compile consolidates"
-    );
-}
-
-/// Corruption → detection → demotion → cache eviction, on `backend`.
+/// Corruption → detection → demotion, on `backend`.
 fn corrupted_plan_scenario(backend: ExecBackend, workers: usize) -> JobReport {
     let ctx = format!("{backend:?}, {workers} workers");
-    let cache = PlanCache::default();
-    let (mut h, key, outcome) = harness_for(&cache, FaultPlan::none(), backend);
-    assert_eq!(outcome, PlanOutcome::Miss, "{ctx}");
-    assert_eq!(cache.len(), 1, "{ctx}: consolidation filled the cache");
+    let mut h = harness(FaultPlan::none());
     corrupt_consolidated(&mut h.queries);
 
     let engine = guarded_engine_on(GuardPolicy::audit_all(), backend, workers);
-    let guarded = h.run(&engine, ExecMode::Consolidated);
-    assert!(
-        evict_if_tripped(&cache, key, &guarded),
-        "{ctx}: a demotion evicts"
-    );
-    let guarded = guarded.expect("Demote self-heals instead of failing");
+    let guarded = h
+        .run(&engine, ExecMode::Consolidated)
+        .expect("Demote self-heals instead of failing");
     check(&guarded, &h.oracle, &ctx);
     let guard = guarded
         .guard
@@ -175,12 +128,7 @@ fn corrupted_plan_scenario(backend: ExecBackend, workers: usize) -> JobReport {
     assert_eq!(guarded.missing, sequential.missing, "{ctx}");
     assert_eq!(guarded.quarantine, sequential.quarantine, "{ctx}");
 
-    // Eviction: the poisoned entry is gone, accounted as an invalidation.
-    assert_eq!(cache.stats().invalidations, 1, "{ctx}");
-    assert_evicted(&cache, key, backend, &ctx);
-
-    // The same corruption under FailFast is a structured error instead, and
-    // evicts the plan the recompile stored again.
+    // The same corruption under FailFast is a structured error instead.
     let failfast = guarded_engine_on(
         GuardPolicy {
             on_mismatch: GuardAction::FailFast,
@@ -189,14 +137,7 @@ fn corrupted_plan_scenario(backend: ExecBackend, workers: usize) -> JobReport {
         backend,
         workers,
     );
-    let failed = h.run(&failfast, ExecMode::Consolidated);
-    assert!(
-        evict_if_tripped(&cache, key, &failed),
-        "{ctx}: a FailFast trip evicts"
-    );
-    assert_eq!(cache.stats().invalidations, 2, "{ctx}");
-    assert_evicted(&cache, key, backend, &ctx);
-    match failed {
+    match h.run(&failfast, ExecMode::Consolidated) {
         Err(EngineError::GuardTripped { incident }) => {
             assert!(incident.mismatches >= 1, "{ctx}");
             assert_eq!(incident.action, GuardAction::FailFast, "{ctx}");
@@ -207,7 +148,7 @@ fn corrupted_plan_scenario(backend: ExecBackend, workers: usize) -> JobReport {
 }
 
 #[test]
-fn corrupted_plan_is_detected_demoted_and_evicted() {
+fn corrupted_plan_is_detected_and_demoted() {
     for workers in [1usize, 4] {
         let [p, c] = BACKENDS.map(|b| corrupted_plan_scenario(b, workers));
         // After a trip the other shards stop at a timing-dependent record,
@@ -302,11 +243,10 @@ fn retry_budget_exhaustion_quarantines_with_exact_accounting() {
 }
 
 /// A `LogOnly` audit over a corrupted plan on `backend`: observes, never
-/// intervenes, never evicts.
+/// intervenes.
 fn log_only_scenario(backend: ExecBackend) -> JobReport {
     let ctx = format!("{backend:?}");
-    let cache = PlanCache::default();
-    let (mut h, key, _) = harness_for(&cache, FaultPlan::none(), backend);
+    let mut h = harness(FaultPlan::none());
     corrupt_consolidated(&mut h.queries);
 
     // Reference: the corrupted plan run with no guard at all.
@@ -323,12 +263,9 @@ fn log_only_scenario(backend: ExecBackend) -> JobReport {
         backend,
         4,
     );
-    let audited = h.run(&engine, ExecMode::Consolidated);
-    assert!(
-        !evict_if_tripped(&cache, key, &audited),
-        "{ctx}: LogOnly must not evict"
-    );
-    let audited = audited.expect("LogOnly never fails the job");
+    let audited = h
+        .run(&engine, ExecMode::Consolidated)
+        .expect("LogOnly never fails the job");
     let guard = audited.guard.clone().expect("guard report present");
     assert!(!guard.demoted, "{ctx}: LogOnly must not demote");
     assert!(
@@ -337,14 +274,6 @@ fn log_only_scenario(backend: ExecBackend) -> JobReport {
     );
     let incident = guard.incident.expect("threshold reached => incident");
     assert_eq!(incident.action, GuardAction::LogOnly, "{ctx}");
-    assert_eq!(cache.len(), 1, "{ctx}: plan stays cached under LogOnly");
-    assert_eq!(cache.stats().invalidations, 0, "{ctx}");
-    let (_, _, outcome) = harness_for(&cache, FaultPlan::none(), backend);
-    assert_eq!(
-        outcome,
-        PlanOutcome::Hit,
-        "{ctx}: the next compile is served"
-    );
 
     // Identical consolidated outputs: the audit is purely observational.
     assert_eq!(audited.counts, unguarded.counts, "{ctx}");

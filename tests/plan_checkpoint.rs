@@ -19,11 +19,11 @@ mod common;
 
 use common::{chaos, library, splitmix64};
 use naiad_lite::ScalarEnv;
-use plan_cache::framing;
 use std::path::{Path, PathBuf};
 use udf_lang::ast::ProgId;
 use udf_lang::intern::Interner;
 use udf_lang::pretty;
+use udf_serve::framing;
 use udf_serve::{
     ChurnOutcome, JournalError, RecoveryReport, ServeConfig, ServeError, Service, TenantId,
 };

@@ -30,6 +30,33 @@ use udf_lang::FnLibrary;
 use naiad_lite::engine::{Engine, EngineConfig, ExecBackend, ExecMode, JobReport, QuerySet};
 use naiad_lite::fault::{FaultKind, FaultPlan, FaultyEnv};
 use naiad_lite::{ErrorPolicy, GuardAction, GuardPolicy, ScalarEnv, DEFAULT_FUEL};
+use plan_cache::{consolidate_many_cached, PlanCache, PlanOutcome};
+use udf_lang::library::Library;
+
+/// Consolidates `programs` through `cache` for `backend`, then compiles the
+/// per-query programs, the merged plan and its pre-filter into one set.
+fn compile_cached(
+    cache: &PlanCache,
+    programs: &[udf_lang::ast::Program],
+    interner: &mut Interner,
+    lib: &FnLibrary,
+    opts: &consolidate::Options,
+    backend: ExecBackend,
+) -> (QuerySet, consolidate::Consolidated, PlanOutcome) {
+    let cm = CostModel::default();
+    let (merged, outcome) =
+        consolidate_many_cached(cache, programs, interner, &cm, lib, opts, false, backend).unwrap();
+    let fn_cost = |f| lib.cost(f);
+    let mut qs = QuerySet::compile_many(programs, &cm, &fn_cost)
+        .and_then(|qs| qs.with_consolidated(&merged.program, &cm, &fn_cost, merged.elapsed))
+        .unwrap();
+    if let Some(pf) = &merged.prefilter {
+        qs = qs
+            .with_prefilter(&pf.cond, &merged.program, &cm, &fn_cost)
+            .unwrap();
+    }
+    (qs, merged, outcome)
+}
 
 /// One query of the mix. `a` and `b` are the two record fields.
 #[derive(Clone, Debug)]
@@ -103,24 +130,18 @@ fn run(
         .enumerate()
         .map(|(id, s)| parse_program(&source(id, s), &mut interner).unwrap())
         .collect();
-    let cm = CostModel::default();
     let opts = consolidate::Options {
         prefilter,
         ..consolidate::Options::default()
     };
-    let cache = plan_cache::PlanCache::default();
-    let (qs, _, _, _) = plan_cache::compile_consolidated_cached(
+    let (qs, _, _) = compile_cached(
+        &PlanCache::default(),
         &programs,
         &mut interner,
-        &cm,
         &lib,
-        &|f| udf_lang::library::Library::cost(&lib, f),
         &opts,
-        false,
-        &cache,
         backend,
-    )
-    .unwrap();
+    );
     let attached = qs.prefilter.is_some();
 
     let mut plan = FaultPlan::none();
@@ -235,24 +256,18 @@ fn negated_guard_is_not_skipped_wrongly() {
         &mut interner,
     )
     .unwrap()];
-    let cm = CostModel::default();
     let opts = consolidate::Options {
         prefilter: true,
         ..consolidate::Options::default()
     };
-    let cache = plan_cache::PlanCache::default();
-    let (qs, merged, _, _) = plan_cache::compile_consolidated_cached(
+    let (qs, merged, _) = compile_cached(
+        &PlanCache::default(),
         &programs,
         &mut interner,
-        &cm,
         &lib,
-        &|f| udf_lang::library::Library::cost(&lib, f),
         &opts,
-        false,
-        &cache,
         ExecBackend::PerRecord,
-    )
-    .unwrap();
+    );
     let records: Vec<Vec<i64>> = (0..60).map(|a| vec![a, 0]).collect();
     let env = ScalarEnv::new(2, library(&mut Interner::new()));
     let report = Engine::new(2)
@@ -293,31 +308,26 @@ fn cache_hit_rehydrates_prefilter() {
         .enumerate()
         .map(|(id, s)| parse_program(&source(id, s), &mut interner).unwrap())
         .collect();
-    let cm = CostModel::default();
     let opts = consolidate::Options {
         prefilter: true,
         ..consolidate::Options::default()
     };
-    let cache = plan_cache::PlanCache::default();
+    let cache = PlanCache::default();
     let compile = |interner: &mut Interner| {
-        plan_cache::compile_consolidated_cached(
+        compile_cached(
+            &cache,
             &programs,
             interner,
-            &cm,
             &lib,
-            &|f| udf_lang::library::Library::cost(&lib, f),
             &opts,
-            false,
-            &cache,
             ExecBackend::PerRecord,
         )
-        .unwrap()
     };
-    let (qs_cold, merged_cold, _, outcome_cold) = compile(&mut interner);
-    assert_eq!(outcome_cold, plan_cache::PlanOutcome::Miss);
+    let (qs_cold, merged_cold, outcome_cold) = compile(&mut interner);
+    assert_eq!(outcome_cold, PlanOutcome::Miss);
     assert!(qs_cold.prefilter.is_some(), "cold compile synthesizes");
-    let (qs_warm, merged_warm, _, outcome_warm) = compile(&mut interner);
-    assert_eq!(outcome_warm, plan_cache::PlanOutcome::Hit);
+    let (qs_warm, merged_warm, outcome_warm) = compile(&mut interner);
+    assert_eq!(outcome_warm, PlanOutcome::Hit);
     assert!(
         qs_warm.prefilter.is_some(),
         "cache hit rehydrates the pre-filter"

@@ -11,16 +11,17 @@
 //!   all reach it — so a mutated wire string is `Ok` or `Err`, never a panic;
 //! * snapshot round-trip — `save` then `load` reproduces every entry, and
 //!   saving the loaded cache is byte-identical;
-//! * crash safety — a snapshot put through arbitrary truncation and bit-flip
-//!   corruption still loads via `load_recovering` without panics or errors,
-//!   and the accounting always satisfies `loaded + salvaged == total`.
+//! * strict loading — a snapshot with one byte changed or its tail cut off
+//!   loads as an error or as exactly what was saved (a prefix of it, when
+//!   cut at an entry boundary), never as different plans, and never panics.
 
 use consolidate::{ConsolidationStats, DegradationTier};
-use plan_cache::{read_program, write_program, CacheConfig, CachedPlan, PlanCache, PlanKey};
+use plan_cache::{CacheConfig, CachedPlan, PlanCache, PlanKey};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use udf_lang::ast::{BoolExpr, BoolOp, CmpOp, IntExpr, IntOp, ProgId, Program, Stmt};
 use udf_lang::intern::{Interner, Symbol};
+use udf_lang::wire::{read_program, write_program};
 
 /// Generated trees name their variables and functions by index into a pool
 /// of this many names; [`pool`] interns the pool in order, so the symbol with
@@ -330,57 +331,68 @@ proptest! {
     }
 
     #[test]
-    fn corrupted_snapshots_always_salvage(
+    fn damaged_snapshots_load_strictly(
         names in pool(),
         programs in program_entries(5),
-        truncate in (any::<bool>(), any::<u64>()),
-        flips in prop::collection::vec((any::<u64>(), 0u32..8), 0..6),
+        (at, with, cut) in (any::<u64>(), 1u8..=255, any::<bool>()),
     ) {
-        let path = scratch_file("plan-cache-prop-corrupt");
+        let path = scratch_file("plan-cache-prop-damaged");
         let cache = cache_of(&names, &programs);
         cache.save(&path).expect("save");
-
-        // Simulate a crash (truncation at an arbitrary point) and/or bit
-        // rot (flips at arbitrary offsets) over the raw snapshot bytes.
         let mut bytes = std::fs::read(&path).expect("read snapshot");
-        let pristine_len = bytes.len();
-        if truncate.0 {
-            bytes.truncate((truncate.1 as usize) % (pristine_len + 1));
+        let at = (at as usize) % bytes.len();
+        // The key field of an entry header: the one span no checksum
+        // covers.
+        let in_key = bytes[..at]
+            .rsplit(|&b| b == b'\n')
+            .next()
+            .is_some_and(|line| line.starts_with(b"entry ") && line.len() < 6 + 32);
+        if cut {
+            bytes.truncate(at);
+        } else {
+            bytes[at] ^= with;
         }
-        for (off, bit) in &flips {
-            if !bytes.is_empty() {
-                let i = (*off as usize) % bytes.len();
-                bytes[i] ^= 1u8 << bit;
-            }
-        }
-        let untouched = bytes.len() == pristine_len && flips.is_empty();
-        std::fs::write(&path, &bytes).expect("rewrite corrupted snapshot");
-
-        let recorder = udf_obs::RecorderCell::memory();
-        let loaded = PlanCache::load_recovering(&path, CacheConfig::default(), &recorder);
+        std::fs::write(&path, &bytes).expect("rewrite damaged snapshot");
+        let loaded = PlanCache::load(&path, CacheConfig::default());
         std::fs::remove_file(&path).ok();
 
-        // Corruption is never an I/O error, never a panic.
-        let (salvaged_cache, recovery) = loaded.expect("lenient load always succeeds");
-        prop_assert_eq!(recovery.loaded + recovery.salvaged, recovery.total);
-        // One incident per skipped entry, plus possibly one for a rejected
-        // file header (which is not an entry and salvages nothing).
-        prop_assert!(recovery.incidents.len() >= recovery.salvaged);
-        prop_assert!(recovery.incidents.len() <= recovery.salvaged + 1);
-        prop_assert_eq!(
-            recorder
-                .snapshot()
-                .expect("memory recorder snapshots")
-                .counter(udf_obs::names::CACHE_SNAPSHOT_SALVAGED),
-            recovery.salvaged as u64
-        );
-        // Inserts can collapse duplicate keys but never exceed the loads.
-        prop_assert!(salvaged_cache.len() <= recovery.loaded);
-        // And when the corruption happened to be a no-op, nothing may be
-        // lost: the salvage path must not reject healthy data.
-        if untouched {
-            prop_assert_eq!(recovery.salvaged, 0);
-            prop_assert_eq!(salvaged_cache.len(), cache.len());
+        let Ok(loaded) = loaded else { return Ok(()) };
+        let (saved, got) = (stored(&cache), stored(&loaded));
+        if cut {
+            // Cut at an entry boundary: the entries before it, in order.
+            prop_assert!(saved.starts_with(&got));
+        } else if in_key {
+            // A changed key digit (or its case) is read as another key:
+            // the plans are still exactly the saved ones.
+            prop_assert!(same_plans(&saved, &got));
+        } else {
+            prop_assert_eq!(saved, got);
         }
     }
+}
+
+/// One entry as plain data: key, wire text or verdicts, statistics.
+type Stored = (
+    PlanKey,
+    Option<String>,
+    Option<Vec<bool>>,
+    ConsolidationStats,
+);
+
+fn stored(cache: &PlanCache) -> Vec<Stored> {
+    let plain = |(key, plan): (PlanKey, std::sync::Arc<CachedPlan>)| {
+        let wire = plan.wire().map(str::to_owned);
+        (key, wire, plan.proved().map(<[bool]>::to_vec), plan.stats)
+    };
+    cache.entries().into_iter().map(plain).collect()
+}
+
+/// Whether `a` and `b` hold the same plans, whatever their keys.
+fn same_plans(a: &[Stored], b: &[Stored]) -> bool {
+    let mut rest: Vec<_> = b.iter().map(|(_, w, p, s)| (w, p, s)).collect();
+    a.len() == b.len()
+        && a.iter().all(|(_, w, p, s)| {
+            let at = rest.iter().position(|&x| x == (w, p, s));
+            at.map(|i| rest.swap_remove(i)).is_some()
+        })
 }

@@ -4,8 +4,8 @@
 //! The invariants under test:
 //!
 //! 1. **Plan identity** — the cached program pretty-prints identically to a
-//!    freshly consolidated one, even though it crossed the cache as an
-//!    interner-independent portable program (simulated here by rebuilding
+//!    freshly consolidated one, even though it crossed the cache as
+//!    interner-independent wire text (simulated here by rebuilding
 //!    the whole pipeline against a brand-new interner).
 //! 2. **Zero solver work on a hit** — the second submission of the same
 //!    query set performs no SMT `check` calls at all.
@@ -16,12 +16,13 @@
 mod common;
 
 use common::{check, library, probing_queries, quarantine_engine, Harness, TEST_FUEL};
-use naiad_lite::engine::{Engine, ExecMode};
+use naiad_lite::engine::{Engine, ExecBackend, ExecMode, QuerySet};
 use naiad_lite::fault::{silence_injected_panics, FaultPlan};
 use plan_cache::{PlanCache, PlanOutcome};
 use udf_lang::cost::CostModel;
 use udf_lang::intern::Interner;
 use udf_lang::library::Library;
+use udf_obs::{names, RecorderCell};
 
 struct Run {
     h: Harness,
@@ -31,25 +32,31 @@ struct Run {
 }
 
 /// One full "job submission": fresh interner (as a new process would have),
-/// queries rebuilt from source, consolidation routed through `cache`.
-fn submit(cache: &PlanCache, plan: FaultPlan) -> Run {
+/// queries rebuilt from source, consolidation routed through `cache` and
+/// its hits and misses counted on `recorder`.
+fn submit(cache: &PlanCache, recorder: &RecorderCell, plan: FaultPlan) -> Run {
     let mut interner = Interner::new();
     let lib = library(&mut interner);
     let programs = probing_queries(&mut interner, 4);
     let cm = CostModel::default();
-    let opts = consolidate::Options::default();
-    let (queries, merged, _key, outcome) = plan_cache::compile_consolidated_cached(
+    let opts = consolidate::Options {
+        recorder: recorder.clone(),
+        ..consolidate::Options::default()
+    };
+    let (merged, outcome) = plan_cache::consolidate_many_cached(
+        cache,
         &programs,
         &mut interner,
         &cm,
         &lib,
-        &|f| lib.cost(f),
         &opts,
         false,
-        cache,
-        naiad_lite::engine::ExecBackend::PerRecord,
+        ExecBackend::PerRecord,
     )
     .expect("cached consolidation succeeds");
+    let queries = QuerySet::compile_many(&programs, &cm, &|f| lib.cost(f))
+        .and_then(|qs| qs.with_consolidated(&merged.program, &cm, &|f| lib.cost(f), merged.elapsed))
+        .expect("the query set compiles");
     let merged_text = udf_lang::pretty::program(&merged.program, &interner);
     Run {
         h: Harness::new(&mut interner, &programs, queries, plan),
@@ -63,9 +70,10 @@ fn submit(cache: &PlanCache, plan: FaultPlan) -> Run {
 fn warm_cache_run_is_indistinguishable_from_cold() {
     silence_injected_panics();
     let cache = PlanCache::default();
+    let recorder = RecorderCell::memory();
     let plan = FaultPlan::seeded(0xca9e, 200, 12);
 
-    let cold = submit(&cache, plan.clone());
+    let cold = submit(&cache, &recorder, plan.clone());
     assert_eq!(
         cold.outcome,
         PlanOutcome::Miss,
@@ -76,7 +84,7 @@ fn warm_cache_run_is_indistinguishable_from_cold() {
         "cold consolidation does solver work"
     );
 
-    let warm = submit(&cache, plan);
+    let warm = submit(&cache, &recorder, plan);
     assert_eq!(
         warm.outcome,
         PlanOutcome::Hit,
@@ -118,17 +126,18 @@ fn warm_cache_run_is_indistinguishable_from_cold() {
         warm_cons.quarantine.records()
     );
 
-    let stats = cache.stats();
-    assert_eq!(stats.hits, 1);
-    assert_eq!(stats.misses, 1);
-    assert_eq!(stats.inserts, 1);
+    let counters = recorder.snapshot().expect("a memory recorder");
+    assert_eq!(counters.counter(names::PLAN_CACHE_HIT), 1);
+    assert_eq!(counters.counter(names::PLAN_CACHE_MISS), 1);
+    assert_eq!(cache.len(), 1);
 }
 
 #[test]
 fn healthy_records_select_identically_through_the_cache() {
     let cache = PlanCache::default();
-    let cold = submit(&cache, FaultPlan::none());
-    let warm = submit(&cache, FaultPlan::none());
+    let recorder = RecorderCell::noop();
+    let cold = submit(&cache, &recorder, FaultPlan::none());
+    let warm = submit(&cache, &recorder, FaultPlan::none());
     assert_eq!(warm.outcome, PlanOutcome::Hit);
 
     let engine = Engine::new(2).with_fuel(TEST_FUEL);

@@ -33,14 +33,16 @@
 #    wraps silently instead of panicking, so only the checked_* discipline
 #    keeps an overflow an `Unknown`, and these runs are where a slip shows
 #    (the `Rat` fast-path test compares against the general formulas).
-# 4. The benchmark's cold path at smoke scale: source text to notifications
-#    through the solver, every output checked against the interpreter
-#    oracle (exit 1 on `correct: false`). Timings are not asserted on; the
-#    plans are: the counts below are exact and deterministic on the default
-#    seeds (42/42) and on the held-out pair (--seed 20140609 --query-seed 7),
-#    so a solver or pool change that alters one plan fails here in seconds,
-#    not in a 20-minute bench comparison. A change that is meant to alter
-#    plans updates them, and says so.
+# 4. The benchmark's cold path at smoke scale, then at full scale for one
+#    second: source text to notifications through the solver, every output
+#    checked against the interpreter oracle (exit 1 on `correct: false`).
+#    Timings are not asserted on; the plans are: the counts below are exact
+#    and deterministic on the default seeds (42/42) and on the held-out pair
+#    (--seed 20140609 --query-seed 7), so a solver, pool or cache change
+#    that alters one plan fails here in a minute, not in a 20-minute bench
+#    comparison. The full-scale counts are the ones every performance
+#    change to Ω is held to. A change that is meant to alter plans updates
+#    them, and says so.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -66,5 +68,17 @@ out="$(bash bench/run.sh --smoke --workload cold-omega --seed 20140609 --query-s
 plan_is consolidate.rules_fired 83.000000
 plan_is consolidate.merged_size_ratio 2.337900
 plan_is plan_cost_ratio 0.341973
+plan_is consolidate.full_tier_share 1.000000
+seeds="42/42, full scale"
+out="$(bash bench/run.sh --workload cold-omega --seconds 1)"
+plan_is consolidate.rules_fired 524.000000
+plan_is consolidate.merged_size_ratio 3.353890
+plan_is plan_cost_ratio 0.259976
+plan_is consolidate.full_tier_share 1.000000
+seeds="20140609/7, full scale"
+out="$(bash bench/run.sh --workload cold-omega --seconds 1 --seed 20140609 --query-seed 7)"
+plan_is consolidate.rules_fired 604.000000
+plan_is consolidate.merged_size_ratio 3.347950
+plan_is plan_cost_ratio 0.260604
 plan_is consolidate.full_tier_share 1.000000
 echo "solver: ok"

@@ -5,10 +5,10 @@ use crate::budget::{BudgetState, DegradationTier};
 use crate::explain::ExplainReport;
 use crate::rules::{Engine, Options, RuleStats};
 use crate::symbolic::{SymState, SymbolicCtx};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use udf_lang::analysis::{notify_ids, rename_locals};
 use udf_lang::ast::Program;
@@ -241,10 +241,13 @@ pub fn consolidate_pair(
 }
 
 /// Consolidates `n` programs with the parallel divide-and-conquer strategy
-/// of §6.1: locals are renamed apart once, then pairs are merged level by
-/// level of a balanced reduction tree. With `parallel`, the pairs of each
-/// level are consolidated on `min(available_parallelism, pairs)` threads,
-/// each taking the next unclaimed pair; results keep pair order.
+/// of §6.1: locals are renamed apart once, then pairs are merged along a
+/// balanced reduction tree, each pair as soon as both of its inputs exist.
+/// With `parallel`, pairs are consolidated on `min(available_parallelism,
+/// first-level pairs)` threads, each taking the lowest-numbered ready pair;
+/// without it, one level after another on the calling thread. Either way
+/// the tree, its pairs and the order results are committed in are those of
+/// level-by-level reduction.
 ///
 /// The run's [`crate::budget::ConsolidationBudget`] (`opts.budget`) is
 /// shared across all pair threads. On exhaustion the output degrades but
@@ -285,62 +288,36 @@ pub fn consolidate_many(
     };
     // Rename all locals apart up front (needs &mut Interner); the reduction
     // itself only reads the interner and can run in parallel.
-    let mut level: Vec<Program> = programs
+    let leaves: Vec<Program> = programs
         .iter()
         .enumerate()
         .map(|(k, p)| rename_locals(p, interner, &format!("u{k}$")))
         .collect();
+    let frozen: &Interner = interner;
+    let merge = |a: &Program, b: &Program| {
+        consolidate_pair_budgeted(a, b, frozen, cm, fns, opts, Some(&state))
+    };
+    let (program, outcomes) = reduce(leaves, parallel, merge);
     let mut stats = ConsolidationStats::default();
     let mut explain_pairs = Vec::new();
-    let frozen: &Interner = interner;
-    while level.len() > 1 {
-        let mut next: Vec<Program> = Vec::with_capacity(level.len().div_ceil(2));
-        let pairs: Vec<(&Program, &Program)> = level
-            .chunks(2)
-            .filter(|c| c.len() == 2)
-            .map(|c| (&c[0], &c[1]))
-            .collect();
-        let merge = |&(a, b): &(&Program, &Program)| {
-            consolidate_pair_budgeted(a, b, frozen, cm, fns, opts, Some(&state))
-        };
-        let results: Vec<Result<Consolidated, ConsolidateError>> = if parallel && pairs.len() > 1 {
+    for outcome in outcomes {
+        match outcome {
+            Merge::Done(s, explain) => {
+                add_stats(&mut stats, &s);
+                if let Some(mut rep) = explain {
+                    explain_pairs.append(&mut rep.pairs);
+                }
+            }
             // A panicking pair degrades its pair, not the whole run:
             // concatenation is always available.
-            run_claimed(pairs.len(), |k| merge(&pairs[k]))
-                .into_iter()
-                .map(|r| r.unwrap_or(Err(ConsolidateError::Empty)))
-                .collect()
-        } else {
-            pairs.iter().map(merge).collect()
-        };
-        for (k, r) in results.into_iter().enumerate() {
-            let c = match r {
-                Ok(c) => c,
-                Err(e @ (ConsolidateError::ParamMismatch | ConsolidateError::DuplicateIds)) => {
-                    return Err(e);
-                }
-                // Only the poisoned-thread placeholder reaches here (the
-                // `Empty` check ran before the loop): degrade this pair.
-                Err(ConsolidateError::Empty) => {
-                    let (a, b) = pairs[k];
-                    stats.pairs_degraded += 1;
-                    opts.recorder.add(names::PAIRS_DEGRADED, 1);
-                    next.push(sequential_merge(a, b));
-                    continue;
-                }
-            };
-            add_stats(&mut stats, &c.stats);
-            if let Some(mut rep) = c.explain {
-                explain_pairs.append(&mut rep.pairs);
+            Merge::Panicked => {
+                stats.pairs_degraded += 1;
+                opts.recorder.add(names::PAIRS_DEGRADED, 1);
             }
-            next.push(c.program);
+            Merge::Failed(e) => return Err(e),
         }
-        if level.len() % 2 == 1 {
-            next.push(level.pop().expect("odd element"));
-        }
-        level = next;
     }
-    let program = level.pop().expect("non-empty reduction");
+    let program = program.ok_or(ConsolidateError::Empty)?;
     stats.tier = if !state.exhausted() && stats.pairs_degraded == 0 {
         DegradationTier::Full
     } else if any_rewrites(&stats.rules) {
@@ -368,42 +345,139 @@ pub fn consolidate_many(
     })
 }
 
-/// Runs `task(k)` for every `k` in `0..n` on `min(available_parallelism,
-/// n)` scoped threads, each claiming the next unclaimed `k`, and returns the
-/// results in `k` order; a task that panics yields `None`. More threads than
+/// How one merge of the reduction tree ended.
+enum Merge {
+    /// Consolidated: its statistics and explain report.
+    Done(Box<ConsolidationStats>, Option<ExplainReport>),
+    /// The pair panicked; its output is the sequential merge.
+    Panicked,
+    /// The pair was refused; nothing that depends on it runs.
+    Failed(ConsolidateError),
+}
+
+/// The reduction tree of §6.1 over `leaves`: each level pairs its nodes in
+/// order, and an odd last node moves up a level after the level's merges.
+/// Returns the root's program (`None` if a merge under it failed) and how
+/// each merge ended, in level order.
+///
+/// A merge starts as soon as both of its inputs exist, not when its whole
+/// level is done. With `parallel`, merges run on `min(available_parallelism,
+/// pairs in the first level)` scoped threads, each claiming the
+/// lowest-numbered ready merge, and a panicking merge is isolated. Without
+/// it, the calling thread runs the merges in level order. More threads than
 /// cores would only preempt one another — inside the shared memo's lock,
-/// among other places. With one thread the calling thread runs every task.
-fn run_claimed<T: Send>(n: usize, task: impl Fn(usize) -> T + Sync) -> Vec<Option<T>> {
-    let threads = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(n);
-    // Relaxed: the counter only hands out indices; results come back
-    // through `join`.
-    let next = AtomicUsize::new(0);
-    let drain = || {
-        let mut done = Vec::new();
-        loop {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= n {
-                return done;
-            }
-            done.push((k, catch_unwind(AssertUnwindSafe(|| task(k))).ok()));
+/// among other places.
+fn reduce(
+    leaves: Vec<Program>,
+    parallel: bool,
+    merge: impl Fn(&Program, &Program) -> Result<Consolidated, ConsolidateError> + Sync,
+) -> (Option<Program>, Vec<Merge>) {
+    // Nodes are the leaves, then the merges' outputs in level order.
+    let n = leaves.len();
+    let mut inputs: Vec<(usize, usize)> = Vec::new();
+    let mut level: Vec<usize> = (0..n).collect();
+    while level.len() > 1 {
+        let mut next = Vec::with_capacity(level.len().div_ceil(2));
+        for pair in level.chunks_exact(2) {
+            inputs.push((pair[0], pair[1]));
+            next.push(n + inputs.len() - 1);
         }
+        if level.len() % 2 == 1 {
+            next.extend(level.last());
+        }
+        level = next;
+    }
+    let root = level.first().copied();
+    let mut parent = vec![None; n + inputs.len()];
+    for (j, &(a, b)) in inputs.iter().enumerate() {
+        parent[a] = Some(j);
+        parent[b] = Some(j);
+    }
+    let mut programs: Vec<Option<Program>> = leaves.into_iter().map(Some).collect();
+    programs.resize_with(n + inputs.len(), || None);
+    let tree = Mutex::new(Tree {
+        ready: (0..inputs.len())
+            .filter(|&j| inputs[j].0 < n && inputs[j].1 < n)
+            .collect(),
+        running: 0,
+        programs,
+        outcomes: (0..inputs.len()).map(|_| None).collect(),
+    });
+    let wake = Condvar::new();
+    let work = || loop {
+        let (j, a, b) = {
+            let mut t = tree.lock().expect("no merge panics holding the tree");
+            loop {
+                if let Some(j) = t.ready.pop_first() {
+                    t.running += 1;
+                    let a = t.programs[inputs[j].0].take().expect("ready input");
+                    let b = t.programs[inputs[j].1].take().expect("ready input");
+                    break (j, a, b);
+                }
+                if t.running == 0 {
+                    return;
+                }
+                t = wake.wait(t).expect("no merge panics holding the tree");
+            }
+        };
+        let (program, outcome) = match if parallel {
+            catch_unwind(AssertUnwindSafe(|| merge(&a, &b)))
+        } else {
+            Ok(merge(&a, &b))
+        } {
+            Ok(Ok(c)) => (Some(c.program), Merge::Done(Box::new(c.stats), c.explain)),
+            Ok(Err(e)) => (None, Merge::Failed(e)),
+            Err(_) => (Some(sequential_merge(&a, &b)), Merge::Panicked),
+        };
+        let mut t = tree.lock().expect("no merge panics holding the tree");
+        t.running -= 1;
+        t.outcomes[j] = Some(outcome);
+        if program.is_some() {
+            t.programs[n + j] = program;
+            if let Some(up) = parent[n + j] {
+                let (x, y) = inputs[up];
+                if t.programs[x].is_some() && t.programs[y].is_some() {
+                    t.ready.insert(up);
+                }
+            }
+        }
+        wake.notify_all();
     };
-    let mut done: Vec<(usize, Option<T>)> = if threads <= 1 {
-        drain()
+    let first_level = n / 2;
+    let threads = if parallel {
+        std::thread::available_parallelism()
+            .map_or(1, std::num::NonZeroUsize::get)
+            .min(first_level)
+    } else {
+        1
+    };
+    if threads <= 1 {
+        work();
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(drain)).collect();
-            // Every task is isolated, so a thread itself cannot unwind.
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
-                .collect()
-        })
-    };
-    done.sort_unstable_by_key(|(k, _)| *k);
-    done.into_iter().map(|(_, r)| r).collect()
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+            // Every merge is isolated, so a thread itself cannot unwind.
+            for h in handles {
+                h.join().unwrap_or_else(|p| resume_unwind(p));
+            }
+        });
+    }
+    let mut t = tree.into_inner().expect("no merge panics holding the tree");
+    let program = root.and_then(|r| t.programs[r].take());
+    // A merge that never ran sits above a failed one, which comes first.
+    let outcomes = t.outcomes.into_iter().map_while(|o| o).collect();
+    (program, outcomes)
+}
+
+/// The shared state of [`reduce`].
+struct Tree {
+    /// Merges whose inputs both exist and that no thread has claimed.
+    ready: BTreeSet<usize>,
+    /// Merges claimed and not finished.
+    running: usize,
+    /// Each node's program from when it exists until a merge takes it.
+    programs: Vec<Option<Program>>,
+    outcomes: Vec<Option<Merge>>,
 }
 
 pub(crate) fn add_stats(acc: &mut ConsolidationStats, s: &ConsolidationStats) {
@@ -424,4 +498,126 @@ pub(crate) fn add_stats(acc: &mut ConsolidationStats, s: &ConsolidationStats) {
     acc.solver += s.solver;
     acc.pairs_consolidated += s.pairs_consolidated;
     acc.pairs_degraded += s.pairs_degraded;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use udf_lang::cost::UniformFnCost;
+    use udf_lang::parse::parse_program;
+    use udf_lang::pretty;
+
+    fn queries(n: u32, interner: &mut Interner) -> Vec<Program> {
+        (0..n)
+            .map(|k| {
+                parse_program(
+                    &format!(
+                        "program q{k} @{k} (v) {{ w := inc(v); if (w > {}) {{ notify true; }} else {{ notify false; }} }}",
+                        k * 10
+                    ),
+                    interner,
+                )
+                .expect("test query parses")
+            })
+            .collect()
+    }
+
+    /// The reduction done the old way, one level at a time, with
+    /// `sequential_merge` for a merge.
+    fn level_by_level(mut level: Vec<Program>) -> Program {
+        while level.len() > 1 {
+            let mut next: Vec<Program> = level
+                .chunks_exact(2)
+                .map(|c| sequential_merge(&c[0], &c[1]))
+                .collect();
+            if level.len() % 2 == 1 {
+                next.extend(level.pop());
+            }
+            level = next;
+        }
+        level.pop().expect("non-empty")
+    }
+
+    fn concatenated(a: &Program, b: &Program) -> Result<Consolidated, ConsolidateError> {
+        Ok(Consolidated {
+            program: sequential_merge(a, b),
+            stats: ConsolidationStats {
+                pairs_consolidated: 1,
+                ..ConsolidationStats::default()
+            },
+            elapsed: Duration::ZERO,
+            explain: None,
+            prefilter: None,
+        })
+    }
+
+    #[test]
+    fn the_tree_without_level_barriers_is_the_level_by_level_tree() {
+        let mut i = Interner::new();
+        for n in 1..=11 {
+            let leaves = queries(n, &mut i);
+            let expected = pretty::program(&level_by_level(leaves.clone()), &i);
+            for parallel in [false, true] {
+                let (root, outcomes) = reduce(leaves.clone(), parallel, concatenated);
+                let root = root.expect("no merge fails");
+                assert_eq!(pretty::program(&root, &i), expected, "n = {n}");
+                assert_eq!(outcomes.len(), n as usize - 1);
+                assert!(outcomes.iter().all(|o| matches!(o, Merge::Done(..))));
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_merge_runs_nothing_above_it() {
+        // Seven leaves: level 0 merges (0,1) (2,3) (4,5), level 1 merges
+        // {01, 23} and {45, 6}, then the root. Refusing (2,3) leaves the
+        // merges of 01 with it, and the root, unrun; {45, 6} still runs.
+        let mut i = Interner::new();
+        let leaves = queries(7, &mut i);
+        let (two, three) = (leaves[2].id, leaves[3].id);
+        for parallel in [false, true] {
+            let ran = Mutex::new(Vec::new());
+            let (root, outcomes) = reduce(leaves.clone(), parallel, |a, b| {
+                ran.lock().expect("no panic").push(a.id);
+                if (a.id, b.id) == (two, three) {
+                    Err(ConsolidateError::DuplicateIds)
+                } else {
+                    concatenated(a, b)
+                }
+            });
+            assert!(root.is_none());
+            assert!(matches!(
+                outcomes[1],
+                Merge::Failed(ConsolidateError::DuplicateIds)
+            ));
+            assert_eq!(
+                outcomes.len(),
+                3,
+                "the level-0 merges; the rest are not all done"
+            );
+            let mut ran = ran.into_inner().expect("no panic");
+            ran.sort_unstable();
+            assert_eq!(ran.len(), 4, "three level-0 merges and {{45, 6}}");
+        }
+    }
+
+    #[test]
+    fn parallel_and_serial_consolidation_agree() {
+        let mut i = Interner::new();
+        let programs = queries(9, &mut i);
+        let (cm, fns) = (CostModel::default(), UniformFnCost(10));
+        let opts = Options::default();
+        // Each run renames apart in an interner of its own, so the fresh
+        // names match too.
+        let (mut i1, mut i2) = (i.clone(), i.clone());
+        let serial = consolidate_many(&programs, &mut i1, &cm, &fns, &opts, false).expect("ok");
+        let parallel = consolidate_many(&programs, &mut i2, &cm, &fns, &opts, true).expect("ok");
+        assert_eq!(
+            pretty::program(&serial.program, &i1),
+            pretty::program(&parallel.program, &i2)
+        );
+        assert_eq!(serial.stats.rules, parallel.stats.rules);
+        assert_eq!(serial.stats.pairs_consolidated, 8);
+        assert_eq!(parallel.stats.pairs_consolidated, 8);
+    }
 }

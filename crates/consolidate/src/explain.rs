@@ -102,7 +102,7 @@ pub struct PairExplain {
 
 /// Full explain output of a consolidation run (one entry per engine pair;
 /// `consolidate_many` concatenates the pairs of its reduction tree in
-/// completion order, level by level).
+/// level order, whatever order they finished in).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExplainReport {
     /// Per-pair derivations.

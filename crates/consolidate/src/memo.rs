@@ -1,14 +1,15 @@
 //! Cross-thread entailment memoization.
 //!
-//! `consolidate_many` reduces its query set level by level, spawning one
-//! thread per pair; every thread owns an independent [`SymbolicCtx`] and so
+//! `consolidate_many` reduces its query set along a tree of pairs, on a
+//! few threads; every pair owns an independent [`SymbolicCtx`] and so
 //! an independent per-context entailment cache. Structurally similar pairs
 //! (query families are generated from templates, so similarity is the common
 //! case) fire the *same* obligations `Ψ ⊨ φ` up to variable renaming, and
-//! each thread re-pays the SMT bill.
+//! each pair re-pays the SMT bill.
 //!
 //! [`EntailmentMemo`] is a process-wide verdict table keyed on the canonical
-//! hash of the query ([`udf_smt::canon::entailment_key`]): variables are
+//! hash of the query ([`udf_smt::canon::entailment_key`], resumed per
+//! question from a kept prefix of Ψ's stream): variables are
 //! De Bruijn-numbered jointly across `(Ψ, φ)`, so SSA fresh counters and
 //! per-run renaming prefixes vanish. The table is sharded under `RwLock`s
 //! and shared via `Arc` across pair threads *and across consolidation runs*

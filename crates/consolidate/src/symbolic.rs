@@ -48,6 +48,16 @@ pub type Model = HashMap<udf_smt::VarId, i128>;
 /// `Context` size.
 const COUNTERMODEL_POOL: usize = 32;
 
+/// Ψs whose cone components ([`Components`]) and canonical key prefix
+/// ([`udf_smt::canon::KeyPrefix`]) a context keeps, most recently used
+/// first. Questions come in runs under one state, so a few suffice; each
+/// entry is the size of its Ψ.
+const PER_PSI_CACHE: usize = 4;
+
+/// At this many conjuncts an entailment asks only the cone of influence of
+/// φ, not the whole Ψ.
+const CONE_MIN_CONJUNCTS: usize = 24;
+
 /// Shared symbolic machinery for one consolidation run.
 pub struct SymbolicCtx<'i> {
     /// The underlying SMT context (public for tests and extensions).
@@ -60,6 +70,13 @@ pub struct SymbolicCtx<'i> {
     model_cache: HashMap<FormulaId, Option<Model>>,
     probe_cache: HashMap<(FormulaId, TermId), Option<(Model, i128)>>,
     fvars_cache: HashMap<FormulaId, std::rc::Rc<BTreeSet<udf_smt::VarId>>>,
+    /// `(variable, version)` → its SMT term: `sp` asks for the same few
+    /// versions many times over.
+    smt_vars: HashMap<(Symbol, u32), TermId>,
+    /// Cone components of recent Ψs (see [`SymbolicCtx::cone_of_influence`]).
+    components: Vec<Components>,
+    /// Canonical key prefixes of recent (cone) Ψs.
+    key_prefixes: Vec<(FormulaId, udf_smt::canon::KeyPrefix)>,
     probe_counter: u64,
     entailment_queries: u64,
     entailment_cache_hits: u64,
@@ -134,6 +151,9 @@ impl<'i> SymbolicCtx<'i> {
             model_cache: HashMap::new(),
             probe_cache: HashMap::new(),
             fvars_cache: HashMap::new(),
+            smt_vars: HashMap::new(),
+            components: Vec::new(),
+            key_prefixes: Vec::new(),
             probe_counter: 0,
             entailment_queries: 0,
             entailment_cache_hits: 0,
@@ -234,6 +254,17 @@ impl<'i> SymbolicCtx<'i> {
     }
 
     fn smt_var(&mut self, var: Symbol, version: u32) -> TermId {
+        if let Some(&t) = self.smt_vars.get(&(var, version)) {
+            debug_assert_eq!(t, self.smt_var_by_name(var, version));
+            return t;
+        }
+        let t = self.smt_var_by_name(var, version);
+        self.smt_vars.insert((var, version), t);
+        t
+    }
+
+    /// The SMT variable `var@version`, looked up by its name.
+    fn smt_var_by_name(&mut self, var: Symbol, version: u32) -> TermId {
         let name = format!("{}@{}", self.interner.resolve(var), version);
         self.smt.int_var(&name)
     }
@@ -329,7 +360,7 @@ impl<'i> SymbolicCtx<'i> {
                     self.note_entailment(phi, false, EntailmentVia::BudgetExhausted);
                     return false;
                 }
-                let psi = if st.conjuncts.len() >= 24 {
+                let psi = if st.conjuncts.len() >= CONE_MIN_CONJUNCTS {
                     self.cone_of_influence(st, phi)
                 } else {
                     st.psi
@@ -344,10 +375,7 @@ impl<'i> SymbolicCtx<'i> {
                 // canonical alpha-renamed form, so structurally equal
                 // queries from other pair threads hit here. Hits perform no
                 // solver work and therefore do not charge the budget.
-                let key = self
-                    .memo
-                    .as_ref()
-                    .map(|_| udf_smt::canon::entailment_key(&self.smt, psi, phi));
+                let key = self.memo.is_some().then(|| self.entailment_key(psi, phi));
                 if let (Some(memo), Some(key)) = (&self.memo, key) {
                     if let Some(v) = memo.lookup_scoped(key, &self.memo_scope) {
                         self.memo_hits += 1;
@@ -370,9 +398,9 @@ impl<'i> SymbolicCtx<'i> {
                         self.note_entailment(phi, false, EntailmentVia::BudgetExhausted);
                         return false;
                     }
-                    let (r, model) = self.solver.check_with_model(&self.smt, q);
-                    if let Some(model) = model {
-                        self.keep_countermodel(q, model);
+                    let (r, interp) = self.solver.check_with_interp(&self.smt, q);
+                    if let Some(interp) = interp {
+                        self.keep_countermodel(q, interp);
                     }
                     (r == SatResult::Unsat, EntailmentVia::Solver)
                 };
@@ -417,19 +445,18 @@ impl<'i> SymbolicCtx<'i> {
         true
     }
 
-    /// Offers the solver's `Sat` model of `q` to the pool. It is admitted
-    /// only if `q` evaluates true under it: nonlinear products and function
-    /// tables are opaque to the theory, so some `Sat` models are models of
-    /// the abstraction only.
-    fn keep_countermodel(&mut self, q: FormulaId, model: udf_smt::Model) {
+    /// Offers the solver's `Sat` model of `q`, as the interpretation that
+    /// extends it, to the pool. It is admitted only if `q` evaluates true
+    /// under it: nonlinear products and function tables are opaque to the
+    /// theory, so some `Sat` models are models of the abstraction only.
+    fn keep_countermodel(&mut self, q: FormulaId, mut interp: Interp) {
         let _span = self.recorder.span(names::ENTAIL_COUNTERMODEL_NS);
         #[cfg(test)]
         let sabotaged = self.sabotage_admitted.map(|(var, value)| {
-            let mut model = model.clone();
+            let mut model = interp.model().clone();
             model.vars.insert(var, value);
             Interp::new(model)
         });
-        let mut interp = Interp::new(model);
         if interp.formula(&self.smt, q) != Some(true) {
             self.countermodel_rejected += 1;
             self.recorder.add(names::ENTAIL_COUNTERMODEL_REJECTED, 1);
@@ -441,9 +468,81 @@ impl<'i> SymbolicCtx<'i> {
         self.countermodels.truncate(COUNTERMODEL_POOL);
     }
 
+    /// [`udf_smt::canon::entailment_key`]`(psi, phi)`, resumed from the
+    /// kept prefix of `psi` when there is one.
+    fn entailment_key(&mut self, psi: FormulaId, phi: FormulaId) -> u128 {
+        match self.key_prefixes.iter().position(|(p, _)| *p == psi) {
+            Some(k) => self.key_prefixes[..=k].rotate_right(1),
+            None => {
+                let prefix = udf_smt::canon::entailment_prefix(&self.smt, psi);
+                self.key_prefixes.truncate(PER_PSI_CACHE - 1);
+                self.key_prefixes.insert(0, (psi, prefix));
+            }
+        }
+        let key = udf_smt::canon::entailment_key_from(&self.smt, &self.key_prefixes[0].1, phi);
+        debug_assert_eq!(
+            key,
+            udf_smt::canon::entailment_key(&self.smt, psi, phi),
+            "a resumed key differs from the one-shot key"
+        );
+        key
+    }
+
     /// Conjunction of the `Ψ` conjuncts transitively sharing variables with
-    /// `phi`.
+    /// `phi`: those in the connected components (conjuncts joined by a
+    /// shared variable) that `phi`'s variables touch, in conjunct order.
+    /// The components are computed once per Ψ; the fixpoint that grows the
+    /// relevant variable set one conjunct at a time picks the same
+    /// conjuncts, and so the same formula.
     fn cone_of_influence(&mut self, st: &SymState, phi: FormulaId) -> FormulaId {
+        let k = match self
+            .components
+            .iter()
+            .position(|c| c.psi == st.psi && c.conjuncts == st.conjuncts)
+        {
+            Some(k) => k,
+            None => {
+                let conj_vars: Vec<_> =
+                    st.conjuncts.iter().map(|&c| self.formula_vars(c)).collect();
+                let components = Components::new(st, &conj_vars);
+                self.components.truncate(PER_PSI_CACHE - 1);
+                self.components.insert(0, components);
+                0
+            }
+        };
+        self.components[..=k].rotate_right(1);
+        let phi_vars = self.formula_vars(phi);
+        let comps = &mut self.components[0];
+        let mut touched: Vec<usize> = phi_vars
+            .iter()
+            .filter_map(|v| comps.of_var.get(v).copied())
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let cone = match comps.cones.get(&touched) {
+            Some(&cone) => cone,
+            None => {
+                let picked: Vec<FormulaId> = comps
+                    .conjuncts
+                    .iter()
+                    .zip(&comps.of_conjunct)
+                    .filter(|(_, c)| c.is_some_and(|c| touched.binary_search(&c).is_ok()))
+                    .map(|(&f, _)| f)
+                    .collect();
+                let cone = self.smt.and_all(picked);
+                self.components[0].cones.insert(touched, cone);
+                cone
+            }
+        };
+        debug_assert_eq!(cone, self.cone_fixpoint(st, phi), "cone components");
+        cone
+    }
+
+    /// The cone of influence by fixpoint: the relevant variables start as
+    /// `phi`'s, and every conjunct that shares one joins the cone and adds
+    /// its own, until none does. The oracle [`SymbolicCtx::cone_of_influence`]
+    /// is held to.
+    fn cone_fixpoint(&mut self, st: &SymState, phi: FormulaId) -> FormulaId {
         let mut relevant: BTreeSet<udf_smt::VarId> = (*self.formula_vars(phi)).clone();
         let conj_vars: Vec<std::rc::Rc<BTreeSet<udf_smt::VarId>>> =
             st.conjuncts.iter().map(|&c| self.formula_vars(c)).collect();
@@ -530,7 +629,7 @@ impl<'i> SymbolicCtx<'i> {
         // Restrict to the cone of influence of the probed term: variables
         // outside it cannot be proved equal to `t` anyway, so their model
         // values are never useful to the candidate filter.
-        let psi = if st.conjuncts.len() >= 24 {
+        let psi = if st.conjuncts.len() >= CONE_MIN_CONJUNCTS {
             self.cone_of_influence(st, eq)
         } else {
             st.psi
@@ -555,6 +654,62 @@ impl<'i> SymbolicCtx<'i> {
             model.get(v).copied().unwrap_or(0)
         } else {
             0
+        }
+    }
+}
+
+/// The conjuncts of one Ψ grouped into connected components: two conjuncts
+/// are joined when they share a variable. A conjunct without variables is
+/// in no component, so no cone takes it.
+#[derive(Debug)]
+struct Components {
+    psi: FormulaId,
+    conjuncts: Vec<FormulaId>,
+    /// Component of each conjunct (`None`: it has no variable).
+    of_conjunct: Vec<Option<usize>>,
+    /// Component of each variable the conjuncts mention.
+    of_var: HashMap<udf_smt::VarId, usize>,
+    /// Cones already built, by the sorted components they take.
+    cones: HashMap<Vec<usize>, FormulaId>,
+}
+
+impl Components {
+    /// Union-find over the conjuncts of `st`, `conj_vars[k]` being the
+    /// variables of the `k`th; a component is named by its first conjunct.
+    fn new(st: &SymState, conj_vars: &[std::rc::Rc<BTreeSet<udf_smt::VarId>>]) -> Components {
+        fn find(parent: &mut [usize], mut k: usize) -> usize {
+            while parent[k] != k {
+                parent[k] = parent[parent[k]];
+                k = parent[k];
+            }
+            k
+        }
+        let mut parent: Vec<usize> = (0..conj_vars.len()).collect();
+        let mut first_with: HashMap<udf_smt::VarId, usize> = HashMap::new();
+        for (k, vars) in conj_vars.iter().enumerate() {
+            for &v in vars.iter() {
+                let j = *first_with.entry(v).or_insert(k);
+                let (rj, rk) = (find(&mut parent, j), find(&mut parent, k));
+                // The smaller index is the root, so every root is the first
+                // conjunct of its component.
+                parent[rj.max(rk)] = rj.min(rk);
+            }
+        }
+        let of_conjunct = conj_vars
+            .iter()
+            .enumerate()
+            .map(|(k, vars)| (!vars.is_empty()).then(|| find(&mut parent, k)))
+            .collect();
+        let of_var = first_with
+            .into_iter()
+            .map(|(v, k)| (v, find(&mut parent, k)))
+            .collect();
+        Components {
+            psi: st.psi,
+            conjuncts: st.conjuncts.clone(),
+            of_conjunct,
+            of_var,
+            cones: HashMap::new(),
         }
     }
 }
@@ -976,6 +1131,77 @@ mod tests {
         assert!(!cx.entails(&st, f2), "valid, but unproved: over budget");
         assert!(budget.exhausted());
         assert_eq!(cx.solver_stats().checks, 1);
+    }
+
+    #[test]
+    fn the_component_cone_is_the_fixpoint_cone() {
+        // Random Ψs of 24-40 conjuncts over 12 variables, some of them
+        // variable-free (`f(k) ≤ k`), asked about φs over 16 variables, the
+        // last four of which no conjunct mentions. Each state grows between
+        // questions, and its forks share a prefix of conjuncts.
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let i = Interner::new();
+        for seed in 0..60u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (mut cx, mut st) = initial_state(&i, EntailmentMode::Smt, &[]);
+            let f = cx.smt.fn_sym("f", 1);
+            let vars: Vec<TermId> = (0..16).map(|k| cx.smt.int_var(&format!("v{k}"))).collect();
+            // Mostly within blocks of three variables, so Ψ has several
+            // components; one atom in ten links two blocks.
+            let atom = |cx: &mut SymbolicCtx<'_>, rng: &mut SmallRng, vars_in: usize| {
+                let k = cx.smt.int(rng.gen_range(-3..4));
+                if rng.gen_range(0..6) == 0 {
+                    let fk = cx.smt.app(f, vec![k]);
+                    return cx.smt.le(fk, k);
+                }
+                let ia = rng.gen_range(0..vars_in);
+                let a = vars[ia];
+                let b = match rng.gen_range(0..10) {
+                    0 => vars[rng.gen_range(0..vars_in)],
+                    1..=4 => vars[(ia / 3 * 3 + rng.gen_range(0..3)).min(vars_in - 1)],
+                    _ => k,
+                };
+                let sum = cx.smt.add(a, b);
+                cx.smt.le(sum, k)
+            };
+            for _ in 0..24 {
+                let c = atom(&mut cx, &mut rng, 12);
+                st.assume_formula(&mut cx, c);
+            }
+            let mut fork = st.clone();
+            for _ in 0..rng.gen_range(0..16) {
+                for state in [&mut st, &mut fork] {
+                    let c = atom(&mut cx, &mut rng, 12);
+                    state.assume_formula(&mut cx, c);
+                    for _ in 0..4 {
+                        let (p, q) = (atom(&mut cx, &mut rng, 16), atom(&mut cx, &mut rng, 16));
+                        let phi = cx.smt.or(p, q);
+                        let fast = cx.cone_of_influence(state, phi);
+                        assert_eq!(fast, cx.cone_fixpoint(state, phi), "seed {seed}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_psi_with_two_conjunct_lists_has_two_cones() {
+        // `[a ∧ b]` and `[a, b]` are the same Ψ node; φ over `a`'s variable
+        // takes the whole first conjunct but only `a` of the second list.
+        let i = Interner::new();
+        let (mut cx, mut whole) = initial_state(&i, EntailmentMode::Smt, &[]);
+        let (x, y, zero) = (cx.smt.int_var("x"), cx.smt.int_var("y"), cx.smt.int(0));
+        let (a, b) = (cx.smt.le(x, zero), cx.smt.le(y, zero));
+        let mut split = whole.clone();
+        let ab = cx.smt.and(a, b);
+        whole.assume_formula(&mut cx, ab);
+        split.assume_formula(&mut cx, a);
+        split.assume_formula(&mut cx, b);
+        assert_eq!(whole.psi, split.psi);
+        let phi = cx.smt.lt(x, zero);
+        assert_eq!(cx.cone_of_influence(&whole, phi), ab);
+        assert_eq!(cx.cone_of_influence(&split, phi), a);
+        assert_eq!(cx.cone_of_influence(&whole, phi), ab);
     }
 
     #[test]

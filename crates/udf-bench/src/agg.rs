@@ -1,7 +1,7 @@
 //! Aggregation benchmark cells: consolidated-vs-separate UDAF execution.
 //!
 //! [`run_agg_family`] is the aggregation analogue of
-//! [`crate::run_family`]: prove the homomorphism obligations for one
+//! [`crate::run_family_guarded`]: prove the homomorphism obligations for one
 //! family of [`AggDef`]s (timed), run the set once per definition
 //! ([`AggMode::Separate`]) and once as a shared-scan multi-state pass
 //! ([`AggMode::Consolidated`]) on the multi-worker engine, re-run the

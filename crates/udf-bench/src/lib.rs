@@ -1,10 +1,10 @@
 //! Benchmark harness regenerating the paper's evaluation (§6.3).
 //!
-//! * [`run_family`] executes one (domain, query family) cell of Figure 9:
-//!   generate the dataset and `n` queries, consolidate them (timed, parallel
-//!   divide-and-conquer), run `where_many` and `where_consolidated` on the
-//!   multi-worker engine, verify the outputs agree record-for-record, and
-//!   report UDF-time and total-time speedups.
+//! * [`run_family_guarded`] executes one (domain, query family) cell of
+//!   Figure 9: generate the dataset and `n` queries, consolidate them
+//!   (timed, parallel divide-and-conquer), run `where_many` and
+//!   `where_consolidated` on the multi-worker engine, verify the outputs
+//!   agree record-for-record, and report UDF-time and total-time speedups.
 //! * The `figure9`, `figure10`, and `ablation` binaries print the tables;
 //!   see `EXPERIMENTS.md` for the recorded paper-vs-measured numbers.
 //!
@@ -128,60 +128,15 @@ impl FamilyRun {
     }
 }
 
-/// Executes one family benchmark over an arbitrary dataset binding.
-#[allow(clippy::too_many_arguments)]
-pub fn run_family<E: UdfEnv>(
-    domain: &str,
-    family: &str,
-    env: &E,
-    records: &[E::Rec],
-    programs: Vec<Program>,
-    interner: &mut Interner,
-    workers: usize,
-    opts: &Options,
-) -> FamilyRun {
-    run_family_passes(
-        domain, family, env, records, programs, interner, workers, opts, 1,
-    )
-}
-
-/// Like [`run_family`] but evaluates the query set over `passes` arrivals of
-/// the collection — the standing-query scenario of the paper's introduction
-/// (a stream platform consolidates once and evaluates the merged UDF on
-/// every arriving batch). UDF-time speedup is independent of `passes`;
-/// total-time speedup amortizes the one-off consolidation cost the same way
-/// a long-running job amortizes it over I/O volume.
-#[allow(clippy::too_many_arguments)]
-pub fn run_family_passes<E: UdfEnv>(
-    domain: &str,
-    family: &str,
-    env: &E,
-    records: &[E::Rec],
-    programs: Vec<Program>,
-    interner: &mut Interner,
-    workers: usize,
-    opts: &Options,
-    passes: usize,
-) -> FamilyRun {
-    run_family_guarded(
-        domain,
-        family,
-        env,
-        records,
-        programs,
-        interner,
-        workers,
-        opts,
-        passes,
-        naiad_lite::GuardPolicy::default(),
-        ExecBackend::PerRecord,
-    )
-}
-
-/// Like [`run_family_passes`] but with an explicit plan-guard and
-/// execution-backend configuration on the engine; the guard counters land
-/// in the returned [`FamilyRun`] columns. The defaults (guard disabled,
-/// [`ExecBackend::PerRecord`]) make this exactly [`run_family_passes`].
+/// Executes one family benchmark over an arbitrary dataset binding,
+/// evaluating the query set over `passes` arrivals of the collection — the
+/// standing-query scenario of the paper's introduction (a stream platform
+/// consolidates once and evaluates the merged UDF on every arriving batch).
+/// UDF-time speedup is independent of `passes`; total-time speedup
+/// amortizes the one-off consolidation cost the same way a long-running job
+/// amortizes it over I/O volume. The engine runs under the plan-guard and
+/// execution-backend configuration given; the guard counters land in the
+/// returned [`FamilyRun`] columns.
 #[allow(clippy::too_many_arguments)]
 pub fn run_family_guarded<E: UdfEnv>(
     domain: &str,

@@ -37,10 +37,13 @@ use std::hash::Hash;
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
 
-struct Hasher<'c> {
+struct Hasher<'c, 'p> {
     ctx: &'c Context,
+    /// The numbering a resumed walk continues: nodes and variables met
+    /// before the point it resumes from.
+    base: Option<&'p KeyPrefix>,
     /// First-visit numbers of the compound term and formula nodes seen so
-    /// far, and how many there are.
+    /// far (beyond `base`), and how many there are (`base`'s included).
     terms: IdMap<TermId, u64>,
     formulas: IdMap<FormulaId, u64>,
     nodes: u64,
@@ -49,15 +52,29 @@ struct Hasher<'c> {
     state: u128,
 }
 
-impl<'c> Hasher<'c> {
-    fn new(ctx: &'c Context) -> Hasher<'c> {
+impl<'c, 'p> Hasher<'c, 'p> {
+    fn new(ctx: &'c Context) -> Hasher<'c, 'p> {
         Hasher {
             ctx,
+            base: None,
             terms: IdMap::default(),
             formulas: IdMap::default(),
             nodes: 0,
             vars: IdMap::default(),
             state: FNV_OFFSET,
+        }
+    }
+
+    /// A hasher in the state `base` saved, with nothing of its own yet.
+    fn resume(ctx: &'c Context, base: &'p KeyPrefix) -> Hasher<'c, 'p> {
+        Hasher {
+            ctx,
+            base: Some(base),
+            terms: IdMap::default(),
+            formulas: IdMap::default(),
+            nodes: base.nodes,
+            vars: IdMap::default(),
+            state: base.state,
         }
     }
 
@@ -88,8 +105,13 @@ impl<'c> Hasher<'c> {
     }
 
     fn var(&mut self, v: VarId) {
-        let next = self.vars.len() as u64;
-        let idx = *self.vars.entry(v).or_insert(next);
+        let idx = match self.base.and_then(|b| b.vars.get(&v)) {
+            Some(&idx) => idx,
+            None => {
+                let next = (self.base.map_or(0, |b| b.vars.len()) + self.vars.len()) as u64;
+                *self.vars.entry(v).or_insert(next)
+            }
+        };
         self.byte(2);
         self.u64(idx);
     }
@@ -98,7 +120,11 @@ impl<'c> Hasher<'c> {
         let ctx = self.ctx;
         let term = ctx.term(id);
         if !matches!(term, Term::Int(_) | Term::Var(_)) {
-            if let Some(n) = seen_before(&mut self.terms, &mut self.nodes, id) {
+            let base = self.base.and_then(|b| b.terms.get(&id));
+            if let Some(n) = base
+                .copied()
+                .or_else(|| seen_before(&mut self.terms, &mut self.nodes, id))
+            {
                 return self.back_ref(15, n);
             }
         }
@@ -139,7 +165,11 @@ impl<'c> Hasher<'c> {
     fn formula(&mut self, id: FormulaId) {
         let formula = self.ctx.formula(id);
         if !matches!(formula, Formula::True | Formula::False) {
-            if let Some(n) = seen_before(&mut self.formulas, &mut self.nodes, id) {
+            let base = self.base.and_then(|b| b.formulas.get(&id));
+            if let Some(n) = base
+                .copied()
+                .or_else(|| seen_before(&mut self.formulas, &mut self.nodes, id))
+            {
                 return self.back_ref(16, n);
             }
         }
@@ -204,6 +234,44 @@ pub fn entailment_key(ctx: &Context, psi: FormulaId, phi: FormulaId) -> u128 {
     h.byte(b'E');
     h.formula(psi);
     h.byte(b'|');
+    h.formula(phi);
+    h.state
+}
+
+/// The key stream of [`entailment_key`] up to and including the `|` after
+/// Ψ: its hash state and the numbers its nodes and variables got. Every
+/// question asked under one Ψ starts with this stream, so a caller that
+/// keeps it hashes only φ per question ([`entailment_key_from`]).
+#[derive(Debug)]
+pub struct KeyPrefix {
+    terms: IdMap<TermId, u64>,
+    formulas: IdMap<FormulaId, u64>,
+    nodes: u64,
+    vars: IdMap<VarId, u64>,
+    state: u128,
+}
+
+/// The [`KeyPrefix`] of questions asked under `psi`.
+pub fn entailment_prefix(ctx: &Context, psi: FormulaId) -> KeyPrefix {
+    let mut h = Hasher::new(ctx);
+    h.byte(b'E');
+    h.formula(psi);
+    h.byte(b'|');
+    KeyPrefix {
+        terms: h.terms,
+        formulas: h.formulas,
+        nodes: h.nodes,
+        vars: h.vars,
+        state: h.state,
+    }
+}
+
+/// [`entailment_key`]`(ctx, psi, phi)` for the `psi` whose prefix is
+/// `prefix`, hashing only `phi`: the walk of φ resumes with Ψ's nodes and
+/// variables already numbered, so every byte after the prefix is the one
+/// the one-shot walk writes.
+pub fn entailment_key_from(ctx: &Context, prefix: &KeyPrefix, phi: FormulaId) -> u128 {
+    let mut h = Hasher::resume(ctx, prefix);
     h.formula(phi);
     h.state
 }
@@ -332,6 +400,109 @@ mod tests {
         tree.byte(1);
         tree.bytes(&3i64.to_le_bytes());
         assert_eq!(formula_key(&c, f), tree.state);
+    }
+
+    /// A random DAG over `vars` variables and the unary `f`, grown by
+    /// combining earlier nodes (so later ones share them), and the formulas
+    /// it made. Built from `seed` alone: two calls with different `names`
+    /// are alpha-variants of each other.
+    fn random_dag(ctx: &mut Context, seed: u64, names: &[String]) -> Vec<FormulaId> {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let f = ctx.fn_sym("f", 1);
+        let mut terms: Vec<TermId> = names.iter().map(|n| ctx.int_var(n)).collect();
+        for c in -2..3 {
+            terms.push(ctx.int(c));
+        }
+        let mut formulas = Vec::new();
+        for _ in 0..40 {
+            let (a, b) = (
+                terms[rng.gen_range(0..terms.len())],
+                terms[rng.gen_range(0..terms.len())],
+            );
+            match rng.gen_range(0..4) {
+                0 => terms.push(ctx.add(a, b)),
+                1 => terms.push(ctx.sub(a, b)),
+                2 => terms.push(ctx.mul(a, b)),
+                _ => terms.push(ctx.app(f, vec![a])),
+            }
+            let (a, b) = (
+                terms[rng.gen_range(0..terms.len())],
+                terms[rng.gen_range(0..terms.len())],
+            );
+            let atom = match rng.gen_range(0..3) {
+                0 => ctx.le(a, b),
+                1 => ctx.lt(a, b),
+                _ => ctx.eq(a, b),
+            };
+            formulas.push(atom);
+            if formulas.len() > 2 {
+                let (p, q) = (
+                    formulas[rng.gen_range(0..formulas.len())],
+                    formulas[rng.gen_range(0..formulas.len())],
+                );
+                let node = match rng.gen_range(0..3) {
+                    0 => ctx.and(p, q),
+                    1 => ctx.or(p, q),
+                    _ => ctx.not(p),
+                };
+                formulas.push(node);
+            }
+        }
+        formulas
+    }
+
+    #[test]
+    fn a_resumed_key_is_the_one_shot_key() {
+        // Ψ a conjunction of random DAG nodes, φ another node of the same
+        // DAG (so it shares nodes and variables with Ψ) or a fresh one over
+        // variables Ψ never mentions; several φ resume from one prefix, and
+        // an alpha-variant context resumes to the same keys.
+        for seed in 0..200u64 {
+            let names: Vec<String> = (0..4).map(|k| format!("v{k}")).collect();
+            let renamed: Vec<String> = (0..4).map(|k| format!("u{seed}$w%{k}@3")).collect();
+            let mut c1 = Context::new();
+            let nodes1 = random_dag(&mut c1, seed, &names);
+            let mut c2 = Context::new();
+            let _noise = c2.int_var("zzz");
+            let nodes2 = random_dag(&mut c2, seed, &renamed);
+            let k = nodes1.len();
+            let pick = |i: u64| ((seed.wrapping_mul(31).wrapping_add(i * 7)) % k as u64) as usize;
+            let psi_parts: Vec<usize> = (0..1 + seed % 5).map(pick).collect();
+            let psi1 = c1.and_all(psi_parts.iter().map(|&i| nodes1[i]));
+            let psi2 = c2.and_all(psi_parts.iter().map(|&i| nodes2[i]));
+            let outside = {
+                let y = c1.int_var("y_outside");
+                let zero = c1.int(0);
+                c1.le(y, zero)
+            };
+            let prefix1 = entailment_prefix(&c1, psi1);
+            let prefix2 = entailment_prefix(&c2, psi2);
+            for i in 0..6 {
+                let j = pick(100 + i);
+                let (phi1, phi2) = (nodes1[j], nodes2[j]);
+                let one_shot = entailment_key(&c1, psi1, phi1);
+                assert_eq!(
+                    entailment_key_from(&c1, &prefix1, phi1),
+                    one_shot,
+                    "seed {seed}"
+                );
+                assert_eq!(
+                    entailment_key_from(&c2, &prefix2, phi2),
+                    one_shot,
+                    "seed {seed}"
+                );
+            }
+            assert_eq!(
+                entailment_key_from(&c1, &prefix1, outside),
+                entailment_key(&c1, psi1, outside)
+            );
+            // φ = Ψ: every node of φ is a back-reference into the prefix.
+            assert_eq!(
+                entailment_key_from(&c1, &prefix1, psi1),
+                entailment_key(&c1, psi1, psi1)
+            );
+        }
     }
 
     #[test]

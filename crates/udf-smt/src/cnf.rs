@@ -14,7 +14,7 @@ use crate::sat::{Lit, SatSolver, Var};
 
 /// Result of compiling a formula: the clauses have been added to the
 /// solver; `atoms` lists the SAT variables that stand for theory atoms.
-#[derive(Debug)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CompiledFormula {
     /// SAT variable and theory atom, in variable order: the literal sets the
     /// solver builds from it (and so its cores, and its verdicts on the
@@ -29,14 +29,14 @@ pub struct CompiledFormula {
 
 /// A compiled subformula and the literal whose value it has in every model
 /// of the clauses (full Tseitin encoding).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Node {
     shape: Shape,
     lit: Lit,
 }
 
 /// A node's connective; operands index [`CompiledFormula::nodes`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Shape {
     /// Index into [`CompiledFormula::atoms`].
     Atom(usize),
@@ -93,21 +93,63 @@ pub fn compile(ctx: &Context, root: FormulaId, solver: &mut SatSolver) -> Compil
     let mut c = Compiler {
         ctx,
         solver,
-        node_of: IdMap::default(),
-        spine: IdMap::default(),
-        out: CompiledFormula {
-            atoms: Vec::new(),
-            nodes: Vec::new(),
-            roots: Vec::new(),
-        },
+        tables: Tables::default(),
     };
     c.spine(root);
-    c.out
+    c.tables.out
 }
 
-struct Compiler<'a> {
-    ctx: &'a Context,
-    solver: &'a mut SatSolver,
+/// A compile paused between two conjuncts of a root `a ∧ b`: the SAT
+/// instance holding the clauses of `a`'s spine, and the compiler's tables.
+/// [`Paused::resume`] copies them and compiles `b` into the copy, which
+/// leaves the same instance, variable for variable and clause for clause,
+/// as [`compile`] of `a ∧ b` does on a fresh one: the walk is left operand
+/// first and numbers variables as it meets nodes, so everything it does for
+/// `a` comes before anything it does for `b`.
+#[derive(Clone, Debug)]
+pub(crate) struct Paused {
+    sat: SatSolver,
+    tables: Tables,
+}
+
+impl Paused {
+    /// `a`'s spine compiled into a fresh SAT instance.
+    pub(crate) fn start(ctx: &Context, a: FormulaId) -> Paused {
+        let mut sat = SatSolver::new();
+        let mut c = Compiler {
+            ctx,
+            solver: &mut sat,
+            tables: Tables::default(),
+        };
+        c.spine(a);
+        let tables = c.tables;
+        Paused { sat, tables }
+    }
+
+    /// Makes `sat` the instance of `root = a ∧ b`, where `self` is paused
+    /// after `a`, and returns the compiled formula.
+    pub(crate) fn resume(
+        &self,
+        ctx: &Context,
+        root: FormulaId,
+        b: FormulaId,
+        sat: &mut SatSolver,
+    ) -> CompiledFormula {
+        sat.clone_from(&self.sat);
+        let mut c = Compiler {
+            ctx,
+            solver: sat,
+            tables: self.tables.clone(),
+        };
+        c.tables.spine.insert(root, ());
+        c.spine(b);
+        c.tables.out
+    }
+}
+
+/// What a compile has built so far, besides the clauses.
+#[derive(Clone, Debug, Default)]
+struct Tables {
     /// Formula → index of its compiled node.
     node_of: IdMap<FormulaId, usize>,
     /// The `And` nodes of the root's spine already walked.
@@ -115,23 +157,29 @@ struct Compiler<'a> {
     out: CompiledFormula,
 }
 
+struct Compiler<'a> {
+    ctx: &'a Context,
+    solver: &'a mut SatSolver,
+    tables: Tables,
+}
+
 impl<'a> Compiler<'a> {
     /// Asserts the conjuncts of `f`'s `And` spine, left operand first.
     fn spine(&mut self, f: FormulaId) {
         if let Formula::And(a, b) = *self.ctx.formula(f) {
-            if self.spine.insert(f, ()).is_none() {
+            if self.tables.spine.insert(f, ()).is_none() {
                 self.spine(a);
                 self.spine(b);
             }
             return;
         }
         let n = self.node(f);
-        self.solver.add_clause(&[self.out.nodes[n].lit]);
-        self.out.roots.push(n);
+        self.solver.add_clause(&[self.tables.out.nodes[n].lit]);
+        self.tables.out.roots.push(n);
     }
 
     fn node(&mut self, f: FormulaId) -> usize {
-        if let Some(&n) = self.node_of.get(&f) {
+        if let Some(&n) = self.tables.node_of.get(&f) {
             return n;
         }
         let node = match *self.ctx.formula(f) {
@@ -150,9 +198,9 @@ impl<'a> Compiler<'a> {
             }
             Formula::Le(..) | Formula::Lt(..) | Formula::Eq(..) => {
                 let v = self.solver.new_var();
-                self.out.atoms.push((v, f));
+                self.tables.out.atoms.push((v, f));
                 Node {
-                    shape: Shape::Atom(self.out.atoms.len() - 1),
+                    shape: Shape::Atom(self.tables.out.atoms.len() - 1),
                     lit: Lit::pos(v),
                 }
             }
@@ -160,12 +208,12 @@ impl<'a> Compiler<'a> {
                 let a = self.node(g);
                 Node {
                     shape: Shape::Not(a),
-                    lit: self.out.nodes[a].lit.negate(),
+                    lit: self.tables.out.nodes[a].lit.negate(),
                 }
             }
             Formula::And(a, b) => {
                 let (a, b) = (self.node(a), self.node(b));
-                let (la, lb) = (self.out.nodes[a].lit, self.out.nodes[b].lit);
+                let (la, lb) = (self.tables.out.nodes[a].lit, self.tables.out.nodes[b].lit);
                 let lv = Lit::pos(self.solver.new_var());
                 self.solver.add_clause(&[lv.negate(), la]);
                 self.solver.add_clause(&[lv.negate(), lb]);
@@ -177,7 +225,7 @@ impl<'a> Compiler<'a> {
             }
             Formula::Or(a, b) => {
                 let (a, b) = (self.node(a), self.node(b));
-                let (la, lb) = (self.out.nodes[a].lit, self.out.nodes[b].lit);
+                let (la, lb) = (self.tables.out.nodes[a].lit, self.tables.out.nodes[b].lit);
                 let lv = Lit::pos(self.solver.new_var());
                 self.solver.add_clause(&[lv.negate(), la, lb]);
                 self.solver.add_clause(&[lv, la.negate()]);
@@ -188,9 +236,11 @@ impl<'a> Compiler<'a> {
                 }
             }
         };
-        self.out.nodes.push(node);
-        self.node_of.insert(f, self.out.nodes.len() - 1);
-        self.out.nodes.len() - 1
+        self.tables.out.nodes.push(node);
+        self.tables
+            .node_of
+            .insert(f, self.tables.out.nodes.len() - 1);
+        self.tables.out.nodes.len() - 1
     }
 }
 

@@ -89,6 +89,26 @@ impl Euf {
         Euf::default()
     }
 
+    /// Empties the instance for another literal set, keeping the memory
+    /// its tables grew to: afterwards it behaves as [`Euf::new`] does.
+    pub(crate) fn clear(&mut self) {
+        self.node_of.clear();
+        self.terms.clear();
+        self.parent.clear();
+        self.rank.clear();
+        self.use_list.clear();
+        self.app.clear();
+        self.args.clear();
+        self.sig.clear();
+        self.key.clear();
+        self.proof.clear();
+        self.lits.clear();
+        self.konst.clear();
+        self.diseqs.clear();
+        self.diseqs_of.clear();
+        self.pending.clear();
+    }
+
     /// Registers `t` and all its subterms, returning the node index.
     pub fn add_term(&mut self, ctx: &Context, t: TermId) -> u32 {
         if let Some(&n) = self.node_of.get(&t) {

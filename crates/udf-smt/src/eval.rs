@@ -23,7 +23,7 @@
 //! nodes, and re-evaluating a conjunction that grew by one conjunct costs
 //! one node.
 
-use crate::ctx::{Context, FnSym, Formula, FormulaId, Term, TermId, VarId};
+use crate::ctx::{Context, FnSym, Formula, FormulaId, Term, TermId};
 use crate::theory::Model;
 use std::collections::HashMap;
 
@@ -31,10 +31,9 @@ use std::collections::HashMap;
 /// evaluation (see the module docs).
 #[derive(Debug)]
 pub struct Interp {
-    vars: HashMap<VarId, i128>,
-    /// The model's value per application term: what a table entry is
-    /// initialised from when that term is the first to need it.
-    apps: HashMap<TermId, i128>,
+    /// The variable values, and per application term the value a table
+    /// entry is initialised from when that term is the first to need it.
+    model: Model,
     table: HashMap<(FnSym, Vec<i128>), i128>,
     /// Memo per term / formula id: `None` not yet evaluated, `Some(None)`
     /// overflowed.
@@ -47,12 +46,30 @@ impl Interp {
     /// application values as far as they are functional, 0 everywhere else.
     pub fn new(model: Model) -> Interp {
         Interp {
-            vars: model.vars,
-            apps: model.apps,
+            model,
             table: HashMap::new(),
             terms: Vec::new(),
             formulas: Vec::new(),
         }
+    }
+
+    /// The model this interpretation extends.
+    pub fn model(&self) -> &Model {
+        &self.model
+    }
+
+    /// The model this interpretation extends, given back.
+    pub fn into_model(self) -> Model {
+        self.model
+    }
+
+    /// Forgets every value evaluated so far, function table entries
+    /// included: afterwards it reads every formula as
+    /// [`Interp::new`]`(model)` would.
+    pub fn reset(&mut self) {
+        self.table.clear();
+        self.terms.clear();
+        self.formulas.clear();
     }
 
     /// Value of `t`; `None` when computing it overflows `i128`.
@@ -63,13 +80,13 @@ impl Interp {
         }
         let value = match ctx.term(t) {
             Term::Int(c) => Some(i128::from(*c)),
-            Term::Var(v) => Some(self.vars.get(v).copied().unwrap_or(0)),
+            Term::Var(v) => Some(self.model.vars.get(v).copied().unwrap_or(0)),
             Term::App(f, args) => args
                 .iter()
                 .map(|&a| self.term(ctx, a))
                 .collect::<Option<Vec<i128>>>()
                 .map(|args| {
-                    let given = self.apps.get(&t).copied().unwrap_or(0);
+                    let given = self.model.apps.get(&t).copied().unwrap_or(0);
                     *self.table.entry((*f, args)).or_insert(given)
                 }),
             Term::Add(a, b) => self.pair(ctx, *a, *b).and_then(|(a, b)| a.checked_add(b)),

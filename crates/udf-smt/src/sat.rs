@@ -79,13 +79,26 @@ pub enum SatOutcome {
     Unknown,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug, PartialEq)]
 struct Clause {
     lits: Vec<Lit>,
 }
 
-/// The CDCL solver.
-#[derive(Debug)]
+impl Clone for Clause {
+    fn clone(&self) -> Clause {
+        Clause {
+            lits: self.lits.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Clause) {
+        self.lits.clone_from(&source.lits);
+    }
+}
+
+/// The CDCL solver. A clone is an independent solver in the same state,
+/// which continues exactly as the original would.
+#[derive(Debug, PartialEq)]
 pub struct SatSolver {
     clauses: Vec<Clause>,
     watches: Vec<Vec<u32>>,   // literal index -> clause indices watching it
@@ -121,6 +134,34 @@ impl Default for SatSolver {
     }
 }
 
+impl Clone for SatSolver {
+    fn clone(&self) -> SatSolver {
+        let mut copy = SatSolver::new();
+        copy.clone_from(self);
+        copy
+    }
+
+    /// Copies `source` into the memory `self` already holds: clause and
+    /// watch lists are overwritten in place where they exist.
+    fn clone_from(&mut self, source: &SatSolver) {
+        self.clauses.clone_from(&source.clauses);
+        self.watches.clone_from(&source.watches);
+        self.assign.clone_from(&source.assign);
+        self.phase.clone_from(&source.phase);
+        self.level.clone_from(&source.level);
+        self.reason.clone_from(&source.reason);
+        self.trail.clone_from(&source.trail);
+        self.trail_lim.clone_from(&source.trail_lim);
+        self.prop_head = source.prop_head;
+        self.activity.clone_from(&source.activity);
+        self.act_inc = source.act_inc;
+        self.ok = source.ok;
+        self.conflicts = source.conflicts;
+        self.decisions = source.decisions;
+        self.propagations = source.propagations;
+    }
+}
+
 impl SatSolver {
     /// Creates an empty solver.
     pub fn new() -> SatSolver {
@@ -141,6 +182,12 @@ impl SatSolver {
             decisions: 0,
             propagations: 0,
         }
+    }
+
+    /// Empties the solver, keeping the memory it grew: afterwards it is
+    /// [`SatSolver::new`]'s.
+    pub fn clear(&mut self) {
+        self.clone_from(&SatSolver::new());
     }
 
     /// Allocates a fresh variable.

@@ -26,7 +26,12 @@
 //! core as a *lemma* of that context, and a later check of a formula over
 //! the same context starts with a blocking clause for each lemma whose atoms
 //! all occur in it: a conflict is learned once per context instead of once
-//! per check. Nothing else carries over from one check to the next.
+//! per check. Beside the lemmas the solver keeps CNF compiles paused after
+//! the left conjunct of a root `a ∧ b` — entailments under one context
+//! formula Ψ are all `Ψ ∧ ¬φ` — and resumes the one for `a` instead of
+//! compiling `a` again; a resumed compile is the fresh one, variable for
+//! variable. Nothing else carries over from one check to the next but
+//! emptied buffers.
 //!
 //! [`Solver::check`] decides satisfiability of a formula modulo LIA ∪ EUF;
 //! [`Solver::is_valid`] answers entailment questions by refutation — the form
@@ -104,11 +109,12 @@ impl std::ops::AddAssign for SolverStats {
 
 /// Configuration and statistics holder for SMT checks.
 ///
-/// Across [`Solver::check`] calls the solver keeps its statistics and the
-/// theory lemmas (confirmed cores) it learned on the [`Context`] it last
-/// checked against. A check against another context — a new one, or a clone
-/// — drops the lemmas first, so one instance can serve many queries over
-/// many contexts; the lemmas only ever save work on the same one.
+/// Across [`Solver::check`] calls the solver keeps its statistics, and the
+/// theory lemmas (confirmed cores) and paused CNF compiles of the
+/// [`Context`] it last checked against. A check against another context — a
+/// new one, or a clone — drops them first, so one instance can serve many
+/// queries over many contexts; what it keeps only ever saves work on the
+/// same one.
 #[derive(Clone, Debug)]
 pub struct Solver {
     /// SAT conflict budget per boolean search.
@@ -133,15 +139,46 @@ pub struct Solver {
     #[cfg(test)]
     sabotage_candidates: bool,
     stats: SolverStats,
-    lemmas: Lemmas,
+    kept: Kept,
+    scratch: Scratch,
 }
 
-/// Literal sets `theory::check` refuted as given, all over the atoms of the
-/// one [`Context`] whose identity is `ctx` (0: none yet).
+/// The SAT instance and theory tables one check fills and the next reuses,
+/// emptied before each use: a check starts with the memory the previous
+/// ones grew, and with nothing else of theirs.
+#[derive(Debug, Default)]
+struct Scratch {
+    sat: SatSolver,
+    theory: theory::Scratch,
+}
+
+/// A clone starts with empty buffers: nothing in them is worth copying.
+impl Clone for Scratch {
+    fn clone(&self) -> Scratch {
+        Scratch::default()
+    }
+}
+
+/// Compiles a solver keeps paused, most recently used first (see
+/// [`Kept::paused`]). Each is the size of its formula's CNF.
+const PAUSED_COMPILES: usize = 4;
+
+/// What the solver keeps about the one [`Context`] whose identity is `ctx`
+/// (0: none yet). All of it names that context's nodes, so all of it is
+/// dropped together when a check names another context.
 #[derive(Clone, Debug, Default)]
-struct Lemmas {
+struct Kept {
     ctx: u64,
+    /// Literal sets `theory::check` refuted as given.
     cores: Vec<Vec<TheoryLit>>,
+    /// Compiles of roots `a ∧ b` paused after `a`, by `a`: entailments
+    /// asked under one context formula Ψ are `Ψ ∧ ¬φ`, and every one of
+    /// them compiles Ψ's spine first, the same way.
+    paused: Vec<(FormulaId, cnf::Paused)>,
+    /// Left conjuncts met once and not paused: a compile is paused the
+    /// second time its `a` comes, since pausing costs a copy that a Ψ
+    /// asked about once never pays back.
+    met_once: Vec<FormulaId>,
 }
 
 impl Default for Solver {
@@ -162,7 +199,8 @@ impl Solver {
             #[cfg(test)]
             sabotage_candidates: false,
             stats: SolverStats::default(),
-            lemmas: Lemmas::default(),
+            kept: Kept::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -193,6 +231,18 @@ impl Solver {
         ctx: &Context,
         f: FormulaId,
     ) -> (SatResult, Option<theory::Model>) {
+        let (r, interp) = self.check_with_interp(ctx, f);
+        (r, interp.map(Interp::into_model))
+    }
+
+    /// Like [`Solver::check_with_model`], with the model as the total
+    /// [`Interp`] that extends it, as [`Interp::new`] builds it: the one the
+    /// search read it through to confirm a `Sat`, reset.
+    pub fn check_with_interp(
+        &mut self,
+        ctx: &Context,
+        f: FormulaId,
+    ) -> (SatResult, Option<Interp>) {
         let _span = self.recorder.span(names::SMT_CHECK_NS);
         self.stats.checks += 1;
         self.recorder.add(names::SMT_CHECKS, 1);
@@ -200,7 +250,7 @@ impl Solver {
             (SatResult::Unknown, None)
         } else {
             match ctx.formula(f) {
-                Formula::True => (SatResult::Sat, Some(theory::Model::default())),
+                Formula::True => (SatResult::Sat, Some(Interp::new(theory::Model::default()))),
                 Formula::False => (SatResult::Unsat, None),
                 _ => self.search_fresh(ctx, f),
             }
@@ -214,17 +264,17 @@ impl Solver {
 
     /// Runs [`Solver::search`] on a fresh SAT instance, seeded with the
     /// lemmas of `ctx` that apply to `f`, and folds its counters.
-    fn search_fresh(&mut self, ctx: &Context, f: FormulaId) -> (SatResult, Option<theory::Model>) {
-        if self.lemmas.ctx != ctx.id() {
-            self.lemmas = Lemmas {
+    fn search_fresh(&mut self, ctx: &Context, f: FormulaId) -> (SatResult, Option<Interp>) {
+        if self.kept.ctx != ctx.id() {
+            self.kept = Kept {
                 ctx: ctx.id(),
-                cores: Vec::new(),
+                ..Kept::default()
             };
         }
-        let mut sat = SatSolver::new();
+        let mut sat = std::mem::take(&mut self.scratch.sat);
         let compiled = {
             let _span = self.recorder.span(names::SMT_CNF_NS);
-            cnf::compile(ctx, f, &mut sat)
+            self.compile(ctx, f, &mut sat)
         };
         let replayed = self.replay_lemmas(&compiled.atoms, &mut sat);
         let out = self.search(ctx, &compiled, &mut sat);
@@ -236,6 +286,7 @@ impl Solver {
         self.recorder.add(names::SMT_SAT_CONFLICTS, st.conflicts);
         self.recorder
             .add(names::SMT_SAT_PROPAGATIONS, st.propagations);
+        self.scratch.sat = sat;
         if replayed && out.0 == SatResult::Unsat {
             // A solver of its own, with no lemmas, stats or recorder shared:
             // a retained lemma that was not a refutation shows as a `Sat`.
@@ -255,16 +306,64 @@ impl Solver {
         out
     }
 
+    /// Makes `sat` an instance holding the CNF of `f`, and returns the
+    /// compiled formula. A root `a ∧ b` whose `a` is itself a conjunction
+    /// resumes the kept compile paused after `a` (pausing one the second
+    /// time `a` comes); the result is the one a fresh compile makes.
+    fn compile(
+        &mut self,
+        ctx: &Context,
+        f: FormulaId,
+        sat: &mut SatSolver,
+    ) -> cnf::CompiledFormula {
+        let fresh = |sat: &mut SatSolver| {
+            sat.clear();
+            cnf::compile(ctx, f, sat)
+        };
+        let Formula::And(a, b) = *ctx.formula(f) else {
+            return fresh(sat);
+        };
+        if !matches!(ctx.formula(a), Formula::And(..)) {
+            return fresh(sat);
+        }
+        let Kept {
+            paused, met_once, ..
+        } = &mut self.kept;
+        match paused.iter().position(|(p, _)| *p == a) {
+            Some(k) => paused[..=k].rotate_right(1),
+            None => {
+                if let Some(k) = met_once.iter().position(|&m| m == a) {
+                    met_once.remove(k);
+                } else {
+                    met_once.truncate(2 * PAUSED_COMPILES - 1);
+                    met_once.insert(0, a);
+                    return fresh(sat);
+                }
+                paused.truncate(PAUSED_COMPILES - 1);
+                paused.insert(0, (a, cnf::Paused::start(ctx, a)));
+            }
+        }
+        let compiled = paused[0].1.resume(ctx, f, b, sat);
+        debug_assert!(
+            {
+                let mut scratch = SatSolver::new();
+                fresh(&mut scratch) == compiled && scratch == *sat
+            },
+            "a resumed compile differs from a fresh one"
+        );
+        compiled
+    }
+
     /// Adds one blocking clause per retained lemma whose atoms all occur in
     /// `atom_vars`; whether it added any.
     fn replay_lemmas(&self, atom_vars: &[(Var, FormulaId)], sat: &mut SatSolver) -> bool {
-        if self.lemmas.cores.is_empty() {
+        if self.kept.cores.is_empty() {
             return false;
         }
         let var_of: IdMap<FormulaId, Var> = atom_vars.iter().map(|&(v, a)| (a, v)).collect();
         let mut replayed = false;
         let mut clause = Vec::new();
-        for core in &self.lemmas.cores {
+        for core in &self.kept.cores {
             clause.clear();
             for &(a, value) in core {
                 match var_of.get(&a) {
@@ -289,7 +388,7 @@ impl Solver {
         ctx: &Context,
         compiled: &cnf::CompiledFormula,
         sat: &mut SatSolver,
-    ) -> (SatResult, Option<theory::Model>) {
+    ) -> (SatResult, Option<Interp>) {
         let mut saw_unknown = false;
         let mut relevant = Vec::new();
         for _ in 0..self.max_final_checks {
@@ -306,20 +405,24 @@ impl Solver {
             compiled.relevant_atoms(sat, &mut relevant);
             let (mut vars, mut literals, mut checked) =
                 self.final_check(ctx, compiled, sat, &relevant);
-            if let Ok(model) = &checked {
-                if literals.len() < compiled.atoms.len() && !satisfies(ctx, model, &literals) {
-                    // The theory reads a product of two unknowns as an
-                    // opaque variable, tied to other terms only by the
-                    // congruences among the literals it is given. A
-                    // relevant set can lack the terms that refute it, so
-                    // its model may not be one; then every atom decides.
-                    relevant.fill(true);
-                    (vars, literals, checked) = self.final_check(ctx, compiled, sat, &relevant);
+            if let Ok(model) = checked {
+                let mut interp = Interp::new(model);
+                if literals.len() == compiled.atoms.len() || satisfies(ctx, &mut interp, &literals)
+                {
+                    interp.reset();
+                    return (SatResult::Sat, Some(interp));
                 }
+                // The theory reads a product of two unknowns as an opaque
+                // variable, tied to other terms only by the congruences
+                // among the literals it is given. A relevant set can lack
+                // the terms that refute it, so its model may not be one;
+                // then every atom decides.
+                relevant.fill(true);
+                (vars, literals, checked) = self.final_check(ctx, compiled, sat, &relevant);
             }
             // Indices into `literals` whose conjunction the clause rules out.
             let blocked: Vec<usize> = match checked {
-                Ok(model) => return (SatResult::Sat, Some(model)),
+                Ok(model) => return (SatResult::Sat, Some(Interp::new(model))),
                 Err(NoModel::Inconsistent(candidate)) => {
                     self.stats.theory_conflicts += 1;
                     self.recorder.add(names::SMT_THEORY_CONFLICTS, 1);
@@ -328,7 +431,7 @@ impl Solver {
                     self.stats.core_literals += core.len() as u64;
                     self.recorder
                         .add(names::SMT_CORE_LITERALS, core.len() as u64);
-                    self.lemmas
+                    self.kept
                         .cores
                         .push(core.iter().map(|&i| literals[i]).collect());
                     core
@@ -386,7 +489,13 @@ impl Solver {
         literals: &[TheoryLit],
     ) -> Result<theory::Model, NoModel> {
         let mut t = TheoryStats::default();
-        let checked = theory::check_with_model_stats(ctx, literals, &self.theory_limits, &mut t);
+        let checked = theory::check_in(
+            ctx,
+            literals,
+            &self.theory_limits,
+            &mut t,
+            &mut self.scratch.theory,
+        );
         self.stats.simplex_pivots += t.pivots;
         self.stats.theory_rounds += t.rounds;
         self.recorder.add(names::SMT_SIMPLEX_PIVOTS, t.pivots);
@@ -460,10 +569,9 @@ impl Solver {
     }
 }
 
-/// Whether `model`, read as a total interpretation, gives every literal its
-/// value; then it makes true every formula those literals justify.
-fn satisfies(ctx: &Context, model: &theory::Model, literals: &[TheoryLit]) -> bool {
-    let mut interp = Interp::new(model.clone());
+/// Whether `interp` gives every literal its value; then it makes true every
+/// formula those literals justify.
+fn satisfies(ctx: &Context, interp: &mut Interp, literals: &[TheoryLit]) -> bool {
     literals
         .iter()
         .all(|&(atom, value)| interp.formula(ctx, atom) == Some(value))

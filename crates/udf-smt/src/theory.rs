@@ -90,6 +90,7 @@ pub struct Model {
     pub apps: HashMap<TermId, i128>,
 }
 
+#[derive(Debug, Default)]
 struct Linearizer {
     /// Theory-variable index per source variable / opaque term.
     var_of_term: IdMap<TermId, usize>,
@@ -98,12 +99,10 @@ struct Linearizer {
 }
 
 impl Linearizer {
-    fn new() -> Linearizer {
-        Linearizer {
-            var_of_term: IdMap::default(),
-            num_vars: 0,
-            memo: IdMap::default(),
-        }
+    fn clear(&mut self) {
+        self.var_of_term.clear();
+        self.num_vars = 0;
+        self.memo.clear();
     }
 
     fn proxy(&mut self, t: TermId) -> usize {
@@ -214,13 +213,53 @@ pub fn check_with_model_stats(
     limits: &TheoryLimits,
     stats: &mut TheoryStats,
 ) -> Result<Model, NoModel> {
-    let mut euf = Euf::new();
-    let mut lz = Linearizer::new();
+    check_in(ctx, literals, limits, stats, &mut Scratch::default())
+}
+
+/// The tables a theory check builds, kept from one check to the next so
+/// that a check starts with the memory the previous ones grew: a check
+/// empties them first, so what they held never reaches its answer.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    euf: Euf,
+    lz: Linearizer,
+    problem: LiaProblem,
+    base_lit: Vec<usize>,
+    diseq_lit: Vec<usize>,
+    interface: Vec<TermId>,
+    classes: Vec<(u32, usize)>,
+    class_eqs: Vec<(TermId, TermId)>,
+}
+
+/// [`check_with_model_stats`] in `scratch`'s tables.
+pub(crate) fn check_in(
+    ctx: &Context,
+    literals: &[TheoryLit],
+    limits: &TheoryLimits,
+    stats: &mut TheoryStats,
+    scratch: &mut Scratch,
+) -> Result<Model, NoModel> {
+    let Scratch {
+        euf,
+        lz,
+        problem,
+        base_lit,
+        diseq_lit,
+        interface,
+        classes,
+        class_eqs,
+    } = scratch;
+    euf.clear();
+    lz.clear();
+    base_lit.clear();
+    diseq_lit.clear();
+    interface.clear();
     // The arithmetic side: the literals' constraints and disequalities, each
     // with its literal. A round appends its class equalities after the
     // literals' constraints, a probe its one side constraint after those.
-    let mut problem = LiaProblem::default();
-    let (mut base_lit, mut diseq_lit): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
+    problem.num_vars = 0;
+    problem.constraints.clear();
+    problem.diseqs.clear();
 
     // Phase 1: dispatch literals to both theories.
     for (i, &(atom, polarity)) in literals.iter().enumerate() {
@@ -275,7 +314,6 @@ pub fn check_with_model_stats(
 
     // Interface terms: arguments of registered applications (candidates for
     // implied-equality probing), in term order.
-    let mut interface: Vec<TermId> = Vec::new();
     for &t in euf.registered_terms() {
         if let Term::App(_, args) = ctx.term(t) {
             interface.extend_from_slice(args);
@@ -285,8 +323,6 @@ pub fn check_with_model_stats(
     interface.dedup();
 
     // Phase 2: Nelson–Oppen exchange.
-    let mut classes: Vec<(u32, usize)> = Vec::new();
-    let mut class_eqs: Vec<(TermId, TermId)> = Vec::new();
     for _round in 0..limits.max_rounds {
         stats.rounds += 1;
         // EUF classes → LIA equalities `rep = m`: each class's first
@@ -334,10 +370,10 @@ pub fn check_with_model_stats(
         };
         let mut budget = limits.lia_budget;
         stats.simplex_calls += 1;
-        let model = match simplex::solve_counted(&problem, &mut budget, &mut stats.pivots) {
+        let model = match simplex::solve_counted(problem, &mut budget, &mut stats.pivots) {
             LiaResult::Unsat(core) => {
                 let mut lits = Vec::new();
-                blame(&euf, n_round, &core, &mut lits);
+                blame(euf, n_round, &core, &mut lits);
                 return Err(NoModel::Inconsistent(lits));
             }
             LiaResult::Unknown => return Err(NoModel::Unknown),
@@ -368,7 +404,7 @@ pub fn check_with_model_stats(
                 if euf.equal(t1, t2) {
                     continue;
                 }
-                if value(&mut lz, i)? != value(&mut lz, j)? {
+                if value(lz, i)? != value(lz, j)? {
                     continue;
                 }
                 probes += 1;
@@ -388,11 +424,11 @@ pub fn check_with_model_stats(
                     });
                     let mut b = limits.lia_budget;
                     stats.simplex_calls += 1;
-                    let solved = simplex::solve_counted(&problem, &mut b, &mut stats.pivots);
+                    let solved = simplex::solve_counted(problem, &mut b, &mut stats.pivots);
                     problem.constraints.pop();
                     match solved {
                         LiaResult::Unsat(core) => {
-                            blame(&euf, n_round + 1, &core, &mut reason);
+                            blame(euf, n_round + 1, &core, &mut reason);
                         }
                         LiaResult::Sat(_) => {
                             implied = false;

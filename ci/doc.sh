@@ -7,7 +7,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 # The vendored crates (rand/proptest subsets) are not held to the
-# gate — list the workspace's own crates explicitly.
+# gate — list the workspace's own crates explicitly, the root package (the
+# facade library and the `qc` binary) included.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items \
     -p udf-lang -p udf-smt -p udf-obs -p consolidate -p plan-cache \
-    -p naiad-lite -p udf-serve -p udf-data -p udf-bench
+    -p naiad-lite -p udf-serve -p udf-data -p udf-bench -p query-consolidation

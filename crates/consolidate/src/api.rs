@@ -86,7 +86,7 @@ pub struct Consolidated {
     /// Wall-clock time spent consolidating.
     pub elapsed: Duration,
     /// Rule-derivation trees, present iff [`Options::explain`] was set
-    /// (`consolidate_many` concatenates one [`crate::explain::PairExplain`]
+    /// (`consolidate_many` concatenates one `crate::explain::PairExplain`
     /// per engine pair).
     pub explain: Option<ExplainReport>,
     /// The verified cross-query pre-filter, present iff

@@ -55,7 +55,7 @@ impl ConsolidationBudget {
     }
 
     /// Whether every ceiling is absent.
-    pub fn is_unlimited(&self) -> bool {
+    pub(crate) fn is_unlimited(&self) -> bool {
         *self == ConsolidationBudget::UNLIMITED
     }
 }
@@ -63,7 +63,7 @@ impl ConsolidationBudget {
 /// Shared mutable budget accounting for one run. Cheap to consult from
 /// several pair-consolidation threads; exhaustion is sticky.
 #[derive(Debug)]
-pub struct BudgetState {
+pub(crate) struct BudgetState {
     deadline_at: Option<Instant>,
     max_queries: u64,
     queries: AtomicU64,
@@ -72,7 +72,7 @@ pub struct BudgetState {
 
 impl BudgetState {
     /// Starts accounting for `budget` now (the deadline clock begins here).
-    pub fn new(budget: &ConsolidationBudget) -> BudgetState {
+    pub(crate) fn new(budget: &ConsolidationBudget) -> BudgetState {
         BudgetState {
             deadline_at: budget.deadline.map(|d| Instant::now() + d),
             max_queries: budget.max_solver_queries.unwrap_or(u64::MAX),
@@ -84,7 +84,7 @@ impl BudgetState {
     /// Charges one solver query. Returns `false` — without charging — once
     /// the budget is exhausted; the caller must then treat the query as
     /// unproved.
-    pub fn charge_query(&self) -> bool {
+    pub(crate) fn charge_query(&self) -> bool {
         if self.exhausted() {
             return false;
         }
@@ -97,7 +97,7 @@ impl BudgetState {
     }
 
     /// Whether the budget has run out (also trips on a passed deadline).
-    pub fn exhausted(&self) -> bool {
+    pub(crate) fn exhausted(&self) -> bool {
         if self.exhausted.load(Ordering::Relaxed) {
             return true;
         }
@@ -111,7 +111,8 @@ impl BudgetState {
     }
 
     /// Queries charged so far.
-    pub fn queries_charged(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn queries_charged(&self) -> u64 {
         self.queries.load(Ordering::Relaxed)
     }
 }

@@ -20,7 +20,7 @@ use udf_obs::write_json_string;
 
 /// How one entailment question `Ψ ⊨ φ` was answered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EntailmentVia {
+pub(crate) enum EntailmentVia {
     /// Syntactic mode: `φ` was (or was not) literally a conjunct of `Ψ`.
     Syntactic,
     /// Served from the per-pair validity cache.
@@ -39,7 +39,7 @@ pub enum EntailmentVia {
 
 impl EntailmentVia {
     /// Stable lowercase name used in text and JSON renderings.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             EntailmentVia::Syntactic => "syntactic",
             EntailmentVia::Cache => "cache",
@@ -53,7 +53,7 @@ impl EntailmentVia {
 
 /// One entailment question asked while deciding a rule.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EntailmentEvent {
+pub(crate) struct EntailmentEvent {
     /// The queried formula `φ`, printed over SSA-versioned variables.
     pub query: String,
     /// Whether `Ψ ⊨ φ` was proved.
@@ -64,7 +64,7 @@ pub struct EntailmentEvent {
 
 /// One committed rule application, as recorded by the engine (flat form).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExplainEntry {
+pub(crate) struct ExplainEntry {
     /// Ω recursion depth at which the rule committed.
     pub depth: usize,
     /// Rule name (`"Assign"`, `"If4"`, `"Loop2"`, `"BudgetFallback"`, …).
@@ -78,7 +78,7 @@ pub struct ExplainEntry {
 
 /// A node of the reassembled derivation tree.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExplainNode {
+pub(crate) struct ExplainNode {
     /// Rule name.
     pub rule: &'static str,
     /// Fragment the rule applied to.
@@ -91,7 +91,7 @@ pub struct ExplainNode {
 
 /// Derivation of one program pair `Π_left ⊗ Π_right`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PairExplain {
+pub(crate) struct PairExplain {
     /// Id of the first program of the pair.
     pub left: ProgId,
     /// Id of the second program of the pair.
@@ -106,13 +106,13 @@ pub struct PairExplain {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExplainReport {
     /// Per-pair derivations.
-    pub pairs: Vec<PairExplain>,
+    pub(crate) pairs: Vec<PairExplain>,
 }
 
 /// Rebuilds the derivation tree from the engine's flat, pre-order entry
 /// list: an entry becomes a child of the nearest preceding entry with a
 /// strictly smaller depth.
-pub fn build_tree(entries: Vec<ExplainEntry>) -> Vec<ExplainNode> {
+pub(crate) fn build_tree(entries: Vec<ExplainEntry>) -> Vec<ExplainNode> {
     let mut roots: Vec<ExplainNode> = Vec::new();
     let mut stack: Vec<(usize, ExplainNode)> = Vec::new();
     for e in entries {
@@ -144,7 +144,7 @@ fn attach(roots: &mut Vec<ExplainNode>, stack: &mut [(usize, ExplainNode)], node
 
 impl ExplainReport {
     /// A report covering a single pair, from the engine's flat trace.
-    pub fn single(left: ProgId, right: ProgId, entries: Vec<ExplainEntry>) -> ExplainReport {
+    pub(crate) fn single(left: ProgId, right: ProgId, entries: Vec<ExplainEntry>) -> ExplainReport {
         ExplainReport {
             pairs: vec![PairExplain {
                 left,

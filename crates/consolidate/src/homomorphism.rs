@@ -63,7 +63,7 @@ pub enum ProofOutcome {
 
 impl ProofOutcome {
     /// Whether the definition may be folded in parallel.
-    pub fn is_proved(self) -> bool {
+    pub(crate) fn is_proved(self) -> bool {
         matches!(self, ProofOutcome::Proved | ProofOutcome::Memo(true))
     }
 }

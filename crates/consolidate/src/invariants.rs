@@ -26,7 +26,7 @@ use udf_lang::intern::Symbol;
 
 /// A candidate (and, once filtered, proven) linear invariant.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LinearInv {
+pub(crate) enum LinearInv {
     /// `u = v + c`.
     VarOffset(Symbol, Symbol, i64),
     /// `u = c`.
@@ -35,7 +35,7 @@ pub enum LinearInv {
 
 impl LinearInv {
     /// The invariant as a program-level boolean expression.
-    pub fn to_expr(&self) -> BoolExpr {
+    pub(crate) fn to_expr(&self) -> BoolExpr {
         match *self {
             LinearInv::VarOffset(u, v, c) => BoolExpr::Cmp(
                 CmpOp::Eq,
@@ -65,11 +65,12 @@ pub const MAX_ROUNDS: usize = 4;
 /// Result of [`infer`]: the loop-head state (assigned variables havoced,
 /// invariant assumed) plus the surviving linear relations.
 #[derive(Debug)]
-pub struct LoopHead {
+pub(crate) struct LoopHead {
     /// Symbolic state at the loop head (invariant included, guard *not*
     /// included).
     pub state: SymState,
     /// The proven linear relations.
+    #[cfg(test)]
     pub invariants: Vec<LinearInv>,
 }
 
@@ -110,7 +111,7 @@ fn filter_entailed(
 /// Infers an inductive invariant for `while (guard₁ ∧ guard₂) do body₁;body₂`
 /// entered from `entry`. `guard2`/`body2` are `None` when analyzing a single
 /// loop (used for self-simplification of one program's loop).
-pub fn infer(
+pub(crate) fn infer(
     cx: &mut SymbolicCtx<'_>,
     entry: &SymState,
     guard1: &BoolExpr,
@@ -219,6 +220,7 @@ pub fn infer(
     }
     LoopHead {
         state,
+        #[cfg(test)]
         invariants: candidates,
     }
 }

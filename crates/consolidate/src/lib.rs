@@ -9,7 +9,7 @@
 //!
 //! The crate decomposes the paper's machinery into:
 //!
-//! * [`symbolic`] — contexts `Ψ` as SMT formulas over SSA-versioned
+//! * `symbolic` — contexts `Ψ` as SMT formulas over SSA-versioned
 //!   variables, with `sp` for every statement form;
 //! * [`simplify`] — the cross-simplification judgements of Figure 3,
 //!   model-guided and confirmed by validity queries;
@@ -22,7 +22,7 @@
 //!   parameter-only pre-filter whose failure proves every query notifies
 //!   `false`, letting the engine skip the merged program per record
 //!   (fail-open; see `DESIGN.md`);
-//! * [`explain`] — opt-in rule-derivation trees recording which rule fired
+//! * `explain` — opt-in rule-derivation trees recording which rule fired
 //!   where and which entailments justified it (see `OBSERVABILITY.md`).
 //!
 //! Metrics: every layer emits counters/latency histograms through the
@@ -62,32 +62,31 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // Production code must justify fallibility; tests may unwrap freely.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod api;
 pub mod budget;
-pub mod delta;
-pub mod explain;
+mod delta;
+mod explain;
 pub mod homomorphism;
 pub mod invariants;
-pub mod memo;
+mod memo;
 pub mod prefilter;
 pub mod rules;
 pub mod simplify;
-pub mod symbolic;
+mod symbolic;
 
 pub use api::{
     consolidate_many, consolidate_pair, consolidate_pair_prerenamed, ConsolidateError,
     Consolidated, ConsolidationStats,
 };
-pub use budget::{BudgetState, ConsolidationBudget, DegradationTier};
+pub use budget::{ConsolidationBudget, DegradationTier};
 pub use delta::{DeltaError, DeltaPlan, DeltaReport, LeafImage, NodeImage, PlanImage};
-pub use explain::{
-    EntailmentEvent, EntailmentVia, ExplainEntry, ExplainNode, ExplainReport, PairExplain,
-};
+pub use explain::ExplainReport;
 pub use homomorphism::{consolidate_aggs, AggConsolidation, AggProofStats, ProofOutcome};
 pub use memo::EntailmentMemo;
-pub use prefilter::{Prefilter, Reject as PrefilterReject};
+pub use prefilter::Prefilter;
 pub use rules::{IfPolicy, Options, RuleStats};
 pub use symbolic::EntailmentMode;

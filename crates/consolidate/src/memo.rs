@@ -33,7 +33,7 @@ struct MemoEntry {
     verdict: bool,
     /// Sorted, deduplicated notify ids of every program pair whose
     /// consolidation stored *or reused* this verdict. Empty for verdicts
-    /// recorded through the unscoped [`EntailmentMemo::store`].
+    /// recorded through the unscoped `EntailmentMemo::store`.
     scope: Vec<u32>,
 }
 
@@ -47,9 +47,9 @@ struct MemoEntry {
 /// when a query's consolidated plan diverges at runtime (plan-guard trip),
 /// every verdict derived from that query's predicates is suspect — serving
 /// it on re-registration would re-prove the same bad plan without ever
-/// touching the solver. [`EntailmentMemo::store_scoped`] tags each verdict
+/// touching the solver. `EntailmentMemo::store_scoped` tags each verdict
 /// with the notify ids of the programs that produced it (and
-/// [`EntailmentMemo::lookup_scoped`] widens the tag set on reuse), so
+/// `EntailmentMemo::lookup_scoped` widens the tag set on reuse), so
 /// [`EntailmentMemo::invalidate_query`] can drop exactly the entries that
 /// query's predicates ever touched.
 pub struct EntailmentMemo {
@@ -76,7 +76,7 @@ impl std::fmt::Debug for EntailmentMemo {
 
 impl EntailmentMemo {
     /// Creates an empty memo table.
-    pub fn new() -> EntailmentMemo {
+    pub(crate) fn new() -> EntailmentMemo {
         EntailmentMemo {
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             hits: AtomicU64::new(0),
@@ -89,7 +89,7 @@ impl EntailmentMemo {
     }
 
     /// Looks up a verdict. Counts a hit or a miss.
-    pub fn lookup(&self, key: u128) -> Option<bool> {
+    pub(crate) fn lookup(&self, key: u128) -> Option<bool> {
         let got = self
             .shard(key)
             .read()
@@ -107,7 +107,7 @@ impl EntailmentMemo {
     /// On a hit the entry's scope is widened to include `scope`, so a later
     /// [`EntailmentMemo::invalidate_query`] for *any* query that ever
     /// relied on this verdict removes it. Counts a hit or a miss.
-    pub fn lookup_scoped(&self, key: u128, scope: &[u32]) -> Option<bool> {
+    pub(crate) fn lookup_scoped(&self, key: u128, scope: &[u32]) -> Option<bool> {
         if scope.is_empty() {
             return self.lookup(key);
         }
@@ -146,13 +146,14 @@ impl EntailmentMemo {
 
     /// Records a verdict with no scope (never removed by
     /// [`EntailmentMemo::invalidate_query`]).
-    pub fn store(&self, key: u128, verdict: bool) {
+    #[cfg(test)]
+    pub(crate) fn store(&self, key: u128, verdict: bool) {
         self.store_scoped(key, verdict, &[]);
     }
 
     /// Records a verdict derived from the queries in `scope` (notify ids).
     /// Re-storing an existing key unions the scopes.
-    pub fn store_scoped(&self, key: u128, verdict: bool, scope: &[u32]) {
+    pub(crate) fn store_scoped(&self, key: u128, verdict: bool, scope: &[u32]) {
         let mut shard = self.shard(key).write().unwrap_or_else(|e| e.into_inner());
         match shard.get_mut(&key) {
             Some(e) => {
@@ -194,25 +195,20 @@ impl EntailmentMemo {
     }
 
     /// Number of memoized verdicts.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.read().unwrap_or_else(|e| e.into_inner()).len())
             .sum()
     }
 
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Total lookup hits since creation.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
     /// Total lookup misses since creation.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 }

@@ -24,9 +24,9 @@
 //!    carries no information and aborts synthesis.
 //! 2. **Verification.** The *merged* program is executed symbolically under
 //!    the assumption `¬P` (strongest postconditions via
-//!    [`crate::symbolic`], forking at conditionals with entailment-based
-//!    branch pruning through the run's solver, [`crate::memo`] table and a
-//!    fresh [`crate::budget::BudgetState`] of the run's shape). The
+//!    `crate::symbolic`, forking at conditionals with entailment-based
+//!    branch pruning through the run's solver, `crate::memo` table and a
+//!    fresh `crate::budget::BudgetState` of the run's shape). The
 //!    candidate is accepted only if **every** reachable path executes no
 //!    library call, reaches no loop, and broadcasts `notify false` exactly
 //!    once per query. Reaching a call is fatal even when the call's value
@@ -52,12 +52,12 @@ use udf_obs::names;
 
 /// Fork budget of the verifier: a candidate whose merged program forks more
 /// than this many times under `¬P` is rejected (fail-open).
-pub const MAX_VERIFY_FORKS: u64 = 512;
+pub(crate) const MAX_VERIFY_FORKS: u64 = 512;
 
 /// Static-cost ceiling for the synthesized condition (per record, under the
 /// run's [`CostModel`] including the `prefilter` dispatch entry). A filter
 /// more expensive than this cannot plausibly pay for itself.
-pub const MAX_FILTER_COST: Cost = 4096;
+pub(crate) const MAX_FILTER_COST: Cost = 4096;
 
 /// A verified pre-filter attached to a consolidated plan.
 ///
@@ -83,7 +83,7 @@ pub enum Reject {
     /// The extracted candidate folded to `true`: no atom over cheap record
     /// fields bounds any query, so there is nothing to push down.
     Trivial,
-    /// The candidate's static evaluation cost exceeds [`MAX_FILTER_COST`].
+    /// The candidate's static evaluation cost exceeds `MAX_FILTER_COST`.
     TooExpensive,
     /// Under `¬P` a path of the merged program reaches a library call; the
     /// strict VM would execute it, so the record cannot be skipped.
@@ -95,7 +95,7 @@ pub enum Reject {
     /// `notify false` exactly once for some query — the candidate is not a
     /// necessary condition after all (refuted).
     Refuted,
-    /// The verifier exceeded [`MAX_VERIFY_FORKS`] symbolic forks.
+    /// The verifier exceeded `MAX_VERIFY_FORKS` symbolic forks.
     PathCap,
     /// The [`crate::budget::ConsolidationBudget`] ran out mid-verification;
     /// an unpruned fork under an exhausted budget proves nothing.
@@ -414,7 +414,7 @@ fn simplify_or(e: BoolExpr) -> BoolExpr {
 
 /// Extracts the candidate `P = ⋁ᵢ NCᵢ` from the original query programs.
 /// Public so tests and tools can inspect the unverified candidate.
-pub fn candidate(originals: &[Program]) -> BoolExpr {
+pub(crate) fn candidate(originals: &[Program]) -> BoolExpr {
     let mut p = BoolExpr::Const(false);
     for prog in originals {
         let params: BTreeSet<Symbol> = prog.params.iter().copied().collect();
@@ -466,7 +466,7 @@ struct VerifyPath<'a> {
 ///
 /// Returns the [`Reject`] reason when the candidate cannot be proved sound;
 /// callers must fall back to running the merged program on every record.
-pub fn verify_candidate(
+pub(crate) fn verify_candidate(
     cond: &BoolExpr,
     merged: &Program,
     interner: &Interner,

@@ -145,7 +145,7 @@ pub struct RuleStats {
 }
 
 /// The Ω engine.
-pub struct Engine<'c, 'i> {
+pub(crate) struct Engine<'c, 'i> {
     cx: &'c mut SymbolicCtx<'i>,
     cm: &'c CostModel,
     fns: &'c dyn FnCost,
@@ -169,7 +169,7 @@ impl<'c, 'i> std::fmt::Debug for Engine<'c, 'i> {
 impl<'c, 'i> Engine<'c, 'i> {
     /// Creates an engine. `params` are the shared input parameters `ᾱ`
     /// (used by the `related` heuristic).
-    pub fn new(
+    pub(crate) fn new(
         cx: &'c mut SymbolicCtx<'i>,
         cm: &'c CostModel,
         fns: &'c dyn FnCost,
@@ -194,7 +194,7 @@ impl<'c, 'i> Engine<'c, 'i> {
 
     /// Takes the flat derivation trace recorded so far (empty unless
     /// `opts.explain` was set; see [`crate::explain::build_tree`]).
-    pub fn take_trace(&mut self) -> Vec<ExplainEntry> {
+    pub(crate) fn take_trace(&mut self) -> Vec<ExplainEntry> {
         self.trace.take().unwrap_or_default()
     }
 
@@ -281,7 +281,7 @@ impl<'c, 'i> Engine<'c, 'i> {
 
     /// Consolidates `s1 ⊗ s2` under `st`, returning the merged statement.
     /// This is `Ω′` from Figure 8.
-    pub fn omega(&mut self, st: SymState, s1: Stmt, s2: Stmt, depth: usize) -> Stmt {
+    pub(crate) fn omega(&mut self, st: SymState, s1: Stmt, s2: Stmt, depth: usize) -> Stmt {
         if self.cx.budget_exhausted() {
             self.stats.budget_fallbacks += 1;
             self.note_rule(

@@ -18,7 +18,7 @@
 //!   (`fold`).
 
 use crate::symbolic::{SymState, SymbolicCtx};
-use udf_lang::ast::{BoolExpr, CmpOp, IntExpr, IntOp};
+use udf_lang::ast::{BoolExpr, IntExpr, IntOp};
 use udf_lang::cost::{Cost, CostModel, FnCost};
 use udf_lang::intern::Symbol;
 
@@ -32,7 +32,7 @@ pub const MAX_CANDIDATE_CHECKS: usize = 8;
 pub const TRIVIAL_COST: Cost = 1;
 
 /// Structural constant folding for integer expressions (cost-monotone).
-pub fn fold_int(e: IntExpr) -> IntExpr {
+pub(crate) fn fold_int(e: IntExpr) -> IntExpr {
     match e {
         IntExpr::Bin(op, a, b) => {
             let a = fold_int(*a);
@@ -55,7 +55,7 @@ pub fn fold_int(e: IntExpr) -> IntExpr {
 }
 
 /// The `fold` operation of Figure 3: boolean constant folding.
-pub fn fold_bool(e: BoolExpr) -> BoolExpr {
+pub(crate) fn fold_bool(e: BoolExpr) -> BoolExpr {
     match e {
         BoolExpr::Not(a) => match fold_bool(*a) {
             BoolExpr::Const(b) => BoolExpr::Const(!b),
@@ -95,7 +95,7 @@ pub fn fold_bool(e: BoolExpr) -> BoolExpr {
 
 /// `Ψ ⊢ᵢ e : e'` — returns a provably equivalent expression whose static
 /// cost never exceeds `e`'s.
-pub fn simplify_int(
+pub(crate) fn simplify_int(
     cx: &mut SymbolicCtx<'_>,
     st: &SymState,
     e: &IntExpr,
@@ -234,7 +234,7 @@ fn proves_equal(cx: &mut SymbolicCtx<'_>, st: &SymState, a: &IntExpr, b: &IntExp
 }
 
 /// `Ψ ⊢ᵦ e : e'` — boolean cross-simplification (Bool 1–5).
-pub fn simplify_bool(
+pub(crate) fn simplify_bool(
     cx: &mut SymbolicCtx<'_>,
     st: &SymState,
     e: &BoolExpr,
@@ -280,35 +280,36 @@ pub fn simplify_bool(
 }
 
 /// Returns `true` when `e` is syntactically `true`.
-pub fn is_true(e: &BoolExpr) -> bool {
+pub(crate) fn is_true(e: &BoolExpr) -> bool {
     matches!(e, BoolExpr::Const(true))
 }
 
 /// Returns `true` when `e` is syntactically `false`.
-pub fn is_false(e: &BoolExpr) -> bool {
+pub(crate) fn is_false(e: &BoolExpr) -> bool {
     matches!(e, BoolExpr::Const(false))
-}
-
-/// Negation helper used when building `Ψ ∧ ¬e` branches: pushes the negation
-/// through comparisons where that is free (`¬(a < b)` ↦ `b ≤ a`).
-pub fn negate(e: &BoolExpr) -> BoolExpr {
-    match e {
-        BoolExpr::Const(b) => BoolExpr::Const(!b),
-        BoolExpr::Cmp(CmpOp::Lt, a, b) => BoolExpr::Cmp(CmpOp::Le, b.clone(), a.clone()),
-        BoolExpr::Cmp(CmpOp::Le, a, b) => BoolExpr::Cmp(CmpOp::Lt, b.clone(), a.clone()),
-        BoolExpr::Not(inner) => (**inner).clone(),
-        other => BoolExpr::not(other.clone()),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::symbolic::{initial_state, EntailmentMode};
+    use udf_lang::ast::CmpOp;
     use udf_lang::cost::UniformFnCost;
     use udf_lang::intern::Interner;
     use udf_lang::parse::{parse_bool_expr, parse_int_expr};
     use udf_lang::pretty;
+
+    /// Negation pushed through comparisons where that is free
+    /// (`¬(a < b)` ↦ `b ≤ a`).
+    fn negate(e: &BoolExpr) -> BoolExpr {
+        match e {
+            BoolExpr::Const(b) => BoolExpr::Const(!b),
+            BoolExpr::Cmp(CmpOp::Lt, a, b) => BoolExpr::Cmp(CmpOp::Le, b.clone(), a.clone()),
+            BoolExpr::Cmp(CmpOp::Le, a, b) => BoolExpr::Cmp(CmpOp::Lt, b.clone(), a.clone()),
+            BoolExpr::Not(inner) => (**inner).clone(),
+            other => BoolExpr::not(other.clone()),
+        }
+    }
 
     fn setup(params: &[&str]) -> (Interner, Vec<Symbol>) {
         let mut i = Interner::new();

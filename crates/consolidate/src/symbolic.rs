@@ -40,7 +40,7 @@ pub enum EntailmentMode {
 }
 
 /// A satisfying assignment of the variables, as returned by the solver.
-pub type Model = HashMap<udf_smt::VarId, i128>;
+pub(crate) type Model = HashMap<udf_smt::VarId, i128>;
 
 /// Countermodels kept per context. A constant, not a knob: the share of
 /// would-be "not valid" solver calls the pool answers is flat from 4 to 256
@@ -59,7 +59,7 @@ const PER_PSI_CACHE: usize = 4;
 const CONE_MIN_CONJUNCTS: usize = 24;
 
 /// Shared symbolic machinery for one consolidation run.
-pub struct SymbolicCtx<'i> {
+pub(crate) struct SymbolicCtx<'i> {
     /// The underlying SMT context (public for tests and extensions).
     pub smt: Context,
     solver: Solver,
@@ -131,7 +131,7 @@ impl<'i> SymbolicCtx<'i> {
     /// consolidation; verdicts stored in or reused from the shared memo are
     /// tagged with them, so a runtime demotion of one of those queries can
     /// drop exactly the verdicts its predicates touched.
-    pub fn new(
+    pub(crate) fn new(
         interner: &'i Interner,
         opts: &Options,
         budget: Option<std::sync::Arc<crate::budget::BudgetState>>,
@@ -171,28 +171,21 @@ impl<'i> SymbolicCtx<'i> {
         }
     }
 
-    /// The metrics sink: every entailment query, cache/memo hit and
-    /// cross-simplification rewrite is counted through it (see
-    /// [`udf_obs::names`] for the emitted names).
-    pub fn recorder(&self) -> &RecorderCell {
-        &self.recorder
-    }
-
     /// The interner names are resolved against (for diagnostics rendering).
-    pub fn interner(&self) -> &Interner {
+    pub(crate) fn interner(&self) -> &Interner {
         self.interner
     }
 
     /// Turns on explain mode: every subsequent [`SymbolicCtx::entails`] call
     /// appends an [`EntailmentEvent`] to an internal log that the Ω engine
     /// drains at each rule commit.
-    pub fn enable_explain(&mut self) {
+    pub(crate) fn enable_explain(&mut self) {
         self.explain_log = Some(Vec::new());
     }
 
     /// Takes the entailment events accumulated since the previous drain
     /// (empty when explain mode is off).
-    pub fn drain_explain(&mut self) -> Vec<EntailmentEvent> {
+    pub(crate) fn drain_explain(&mut self) -> Vec<EntailmentEvent> {
         self.explain_log
             .as_mut()
             .map(std::mem::take)
@@ -215,30 +208,30 @@ impl<'i> SymbolicCtx<'i> {
     }
 
     /// Number of entailments answered from the shared memo table.
-    pub fn memo_hits(&self) -> u64 {
+    pub(crate) fn memo_hits(&self) -> u64 {
         self.memo_hits
     }
 
     /// Number of entailments answered "not valid" by a kept countermodel
     /// (no solver call, no budget charge).
-    pub fn countermodel_hits(&self) -> u64 {
+    pub(crate) fn countermodel_hits(&self) -> u64 {
         self.countermodel_hits
     }
 
     /// Number of solver `Sat` models refused by the countermodel pool: their
     /// own query does not evaluate true under them.
-    pub fn countermodel_rejected(&self) -> u64 {
+    pub(crate) fn countermodel_rejected(&self) -> u64 {
         self.countermodel_rejected
     }
 
     /// Cumulative statistics of the underlying SMT solver (checks performed,
     /// theory work) for this context.
-    pub fn solver_stats(&self) -> udf_smt::SolverStats {
+    pub(crate) fn solver_stats(&self) -> udf_smt::SolverStats {
         self.solver.stats()
     }
 
     /// Whether the attached budget (if any) has run out.
-    pub fn budget_exhausted(&self) -> bool {
+    pub(crate) fn budget_exhausted(&self) -> bool {
         self.budget.as_ref().is_some_and(|b| b.exhausted())
     }
 
@@ -249,7 +242,7 @@ impl<'i> SymbolicCtx<'i> {
     }
 
     /// Number of entailment queries asked so far (including cache hits).
-    pub fn entailment_queries(&self) -> u64 {
+    pub(crate) fn entailment_queries(&self) -> u64 {
         self.entailment_queries
     }
 
@@ -280,7 +273,7 @@ impl<'i> SymbolicCtx<'i> {
     }
 
     /// Translates an integer expression under the versions of `st`.
-    pub fn term_of_int(&mut self, st: &SymState, e: &IntExpr) -> TermId {
+    pub(crate) fn term_of_int(&mut self, st: &SymState, e: &IntExpr) -> TermId {
         match e {
             IntExpr::Const(c) => self.smt.int(*c),
             IntExpr::Var(v) => self.smt_var(*v, st.version(*v)),
@@ -302,7 +295,7 @@ impl<'i> SymbolicCtx<'i> {
     }
 
     /// Translates a boolean expression under the versions of `st`.
-    pub fn formula_of_bool(&mut self, st: &SymState, e: &BoolExpr) -> FormulaId {
+    pub(crate) fn formula_of_bool(&mut self, st: &SymState, e: &BoolExpr) -> FormulaId {
         match e {
             BoolExpr::Const(true) => self.smt.tru(),
             BoolExpr::Const(false) => self.smt.fls(),
@@ -341,7 +334,7 @@ impl<'i> SymbolicCtx<'i> {
     /// with it). Dropping conjuncts weakens `Ψ`, which can only make the
     /// answer `false` where the full context would say `true` — a missed
     /// rewrite, never an unsound one.
-    pub fn entails(&mut self, st: &SymState, phi: FormulaId) -> bool {
+    pub(crate) fn entails(&mut self, st: &SymState, phi: FormulaId) -> bool {
         self.entailment_queries += 1;
         self.recorder.add(names::ENTAIL_QUERIES, 1);
         let _span = self.recorder.span(names::ENTAIL_NS);
@@ -585,7 +578,7 @@ impl<'i> SymbolicCtx<'i> {
     }
 
     /// A model of `Ψ` (if satisfiable and within budget). Cached per `Ψ`.
-    pub fn model(&mut self, st: &SymState) -> Option<Model> {
+    pub(crate) fn model(&mut self, st: &SymState) -> Option<Model> {
         if self.mode == EntailmentMode::Syntactic {
             return None;
         }
@@ -611,7 +604,7 @@ impl<'i> SymbolicCtx<'i> {
     /// value of `t` in it. This evaluates arbitrary terms — including
     /// uninterpreted calls — under one coherent model, which drives the
     /// candidate filter of the cross-simplifier. Cached per `(Ψ, t)`.
-    pub fn model_with_probe(&mut self, st: &SymState, t: TermId) -> Option<(Model, i128)> {
+    pub(crate) fn model_with_probe(&mut self, st: &SymState, t: TermId) -> Option<(Model, i128)> {
         if self.mode == EntailmentMode::Syntactic {
             return None;
         }
@@ -648,7 +641,7 @@ impl<'i> SymbolicCtx<'i> {
     }
 
     /// Value of a program variable in a model (missing ⇒ unconstrained ⇒ 0).
-    pub fn model_value(&mut self, st: &SymState, model: &Model, var: Symbol) -> i128 {
+    pub(crate) fn model_value(&mut self, st: &SymState, model: &Model, var: Symbol) -> i128 {
         let t = self.smt_var(var, st.version(var));
         if let udf_smt::ctx::Term::Var(v) = self.smt.term(t) {
             model.get(v).copied().unwrap_or(0)
@@ -716,7 +709,7 @@ impl Components {
 
 /// Per-path symbolic state: the context formula `Ψ` plus variable versions.
 #[derive(Clone, Debug)]
-pub struct SymState {
+pub(crate) struct SymState {
     /// The context formula.
     pub psi: FormulaId,
     /// Conjuncts of `Ψ` in assertion order (used for pruning and the
@@ -735,7 +728,7 @@ pub struct SymState {
 
 impl SymState {
     /// Initial state: `Ψ = ⊤`, every parameter at version 0.
-    pub fn initial(cx: &mut SymbolicCtx<'_>, params: &[Symbol]) -> SymState {
+    pub(crate) fn initial(cx: &mut SymbolicCtx<'_>, params: &[Symbol]) -> SymState {
         let mut st = SymState {
             psi: cx.smt.tru(),
             conjuncts: Vec::new(),
@@ -752,12 +745,12 @@ impl SymState {
     }
 
     /// Current version of `v` (0 before any assignment).
-    pub fn version(&self, v: Symbol) -> u32 {
+    pub(crate) fn version(&self, v: Symbol) -> u32 {
         self.versions.get(&v).copied().unwrap_or(0)
     }
 
     /// Variables currently tracked (parameters and every assigned local).
-    pub fn vars(&self) -> impl Iterator<Item = Symbol> + '_ {
+    pub(crate) fn vars(&self) -> impl Iterator<Item = Symbol> + '_ {
         self.versions.keys().copied()
     }
 
@@ -768,7 +761,7 @@ impl SymState {
     }
 
     /// Conjoins a formula onto `Ψ`.
-    pub fn assume_formula(&mut self, cx: &mut SymbolicCtx<'_>, f: FormulaId) {
+    pub(crate) fn assume_formula(&mut self, cx: &mut SymbolicCtx<'_>, f: FormulaId) {
         self.conjuncts.push(f);
         if self.conjuncts.len() > self.max_conjuncts {
             // Drop the oldest facts (weakening; still sound).
@@ -781,20 +774,20 @@ impl SymState {
     }
 
     /// Conjoins a program boolean expression onto `Ψ`.
-    pub fn assume(&mut self, cx: &mut SymbolicCtx<'_>, e: &BoolExpr) {
+    pub(crate) fn assume(&mut self, cx: &mut SymbolicCtx<'_>, e: &BoolExpr) {
         let f = cx.formula_of_bool(self, e);
         self.assume_formula(cx, f);
     }
 
     /// Conjoins the negation of a program boolean expression onto `Ψ`.
-    pub fn assume_not(&mut self, cx: &mut SymbolicCtx<'_>, e: &BoolExpr) {
+    pub(crate) fn assume_not(&mut self, cx: &mut SymbolicCtx<'_>, e: &BoolExpr) {
         let f = cx.formula_of_bool(self, e);
         let nf = cx.smt.not(f);
         self.assume_formula(cx, nf);
     }
 
     /// `sp(Ψ, x := e)`: bumps `x` and conjoins `x@new = ⟦e⟧@old`.
-    pub fn assign(&mut self, cx: &mut SymbolicCtx<'_>, x: Symbol, e: &IntExpr) {
+    pub(crate) fn assign(&mut self, cx: &mut SymbolicCtx<'_>, x: Symbol, e: &IntExpr) {
         let t = cx.term_of_int(self, e);
         self.bump(x);
         let xv = cx.smt_var(x, self.version(x));
@@ -806,12 +799,12 @@ impl SymState {
     }
 
     /// Library functions called by `v`'s current defining expression.
-    pub fn def_fns(&self, v: Symbol) -> Option<&BTreeSet<Symbol>> {
+    pub(crate) fn def_fns(&self, v: Symbol) -> Option<&BTreeSet<Symbol>> {
         self.def_fns.get(&v)
     }
 
     /// Invalidates `vars`: each gets a fresh, unconstrained version.
-    pub fn havoc<I: IntoIterator<Item = Symbol>>(&mut self, vars: I) {
+    pub(crate) fn havoc<I: IntoIterator<Item = Symbol>>(&mut self, vars: I) {
         for v in vars {
             self.bump(v);
             self.def_fns.remove(&v);
@@ -820,7 +813,7 @@ impl SymState {
 
     /// Synchronizes version *counters* with another state so that fresh
     /// versions never collide after a fork (call on the state that continues).
-    pub fn absorb_counters(&mut self, other: &SymState) {
+    pub(crate) fn absorb_counters(&mut self, other: &SymState) {
         for (&v, &n) in &other.next_version {
             let e = self.next_version.entry(v).or_insert(n);
             *e = (*e).max(n);
@@ -830,7 +823,7 @@ impl SymState {
     /// `sp(Ψ, S)` for an arbitrary statement: symbolic execution with precise
     /// branch merge and havoc + negated-guard loops. Notifications are
     /// transparent (`sp(Ψ, notifyᵢ b) = Ψ`, as in the paper).
-    pub fn sp_stmt(&mut self, cx: &mut SymbolicCtx<'_>, s: &Stmt) {
+    pub(crate) fn sp_stmt(&mut self, cx: &mut SymbolicCtx<'_>, s: &Stmt) {
         match s {
             Stmt::Skip | Stmt::Notify(..) => {}
             Stmt::Assign(x, e) => self.assign(cx, *x, e),
@@ -932,7 +925,8 @@ fn collect_formula_vars(smt: &Context, f: FormulaId, out: &mut BTreeSet<udf_smt:
 }
 
 /// Convenience: builds a [`SymbolicCtx`] and initial [`SymState`] in one call.
-pub fn initial_state<'i>(
+#[cfg(test)]
+pub(crate) fn initial_state<'i>(
     interner: &'i Interner,
     mode: EntailmentMode,
     params: &[Symbol],

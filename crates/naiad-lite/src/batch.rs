@@ -52,7 +52,7 @@ use crate::compile::NOTIFY_NONE;
 /// A struct-of-arrays view of a run of records: one `i64` column per scalar
 /// field, gathered once per batch through [`UdfEnv::args`].
 #[derive(Debug, Default)]
-pub struct RecordBatch {
+pub(crate) struct RecordBatch {
     cols: Vec<i64>,
     n_fields: usize,
     len: usize,
@@ -61,14 +61,15 @@ pub struct RecordBatch {
 impl RecordBatch {
     /// Gathers `recs` into columns. `row` is caller-provided scratch (reused
     /// across batches so steady-state gathering allocates nothing).
-    pub fn gather<E: UdfEnv>(env: &E, recs: &[E::Rec], row: &mut Vec<i64>) -> RecordBatch {
+    #[cfg(test)]
+    pub(crate) fn gather<E: UdfEnv>(env: &E, recs: &[E::Rec], row: &mut Vec<i64>) -> RecordBatch {
         let mut batch = RecordBatch::default();
         batch.regather(env, recs, row);
         batch
     }
 
     /// Re-fills this batch in place from a new run of records.
-    pub fn regather<E: UdfEnv>(&mut self, env: &E, recs: &[E::Rec], row: &mut Vec<i64>) {
+    pub(crate) fn regather<E: UdfEnv>(&mut self, env: &E, recs: &[E::Rec], row: &mut Vec<i64>) {
         self.n_fields = env.arity();
         self.len = recs.len();
         self.cols.clear();
@@ -84,22 +85,18 @@ impl RecordBatch {
     }
 
     /// Number of lanes (records).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether the batch holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Number of field columns.
-    pub fn n_fields(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_fields(&self) -> usize {
         self.n_fields
     }
 
     /// The column of field `f`.
-    pub fn col(&self, f: usize) -> &[i64] {
+    pub(crate) fn col(&self, f: usize) -> &[i64] {
         &self.cols[f * self.len..(f + 1) * self.len]
     }
 }
@@ -262,7 +259,7 @@ pub struct BatchVm {
 
 impl BatchVm {
     /// Creates a batch VM with the given per-record (per-program) fuel.
-    pub fn new(fuel: u64) -> BatchVm {
+    pub(crate) fn new(fuel: u64) -> BatchVm {
         BatchVm {
             fuel_budget: fuel,
             regs: Vec::new(),
@@ -287,7 +284,8 @@ impl BatchVm {
     /// Afterwards each lane holds its failure (if any, tagged with the
     /// faulting program index) for the engine to take, and [`BatchVm::cost`]
     /// its accumulated cost.
-    pub fn run<E: UdfEnv>(
+    #[cfg(test)]
+    pub(crate) fn run<E: UdfEnv>(
         &mut self,
         progs: &[&RegProgram],
         batch: &RecordBatch,
@@ -299,13 +297,13 @@ impl BatchVm {
         self.run_masked(progs, batch, env, recs, notify, track_cost, None);
     }
 
-    /// [`BatchVm::run`] restricted to the lanes `mask` selects (`None` runs
+    /// `BatchVm::run` restricted to the lanes `mask` selects (`None` runs
     /// them all). Masked-out lanes never execute: they keep cost 0, no
     /// fault, and their `notify` slots untouched — the engine's pre-filter
     /// uses this to compact skipped records out of the batch while leaving
     /// their lane indices stable for the per-record policy replay.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_masked<E: UdfEnv>(
+    pub(crate) fn run_masked<E: UdfEnv>(
         &mut self,
         progs: &[&RegProgram],
         batch: &RecordBatch,
@@ -350,7 +348,7 @@ impl BatchVm {
     }
 
     /// Accumulated abstract cost of `lane` (0 unless cost tracking was on).
-    pub fn cost(&self, lane: usize) -> u64 {
+    pub(crate) fn cost(&self, lane: usize) -> u64 {
         self.cost[lane]
     }
 

@@ -567,7 +567,7 @@ impl VmError {
     /// Whether the error is expected to clear on its own, making a retry of
     /// the same record worthwhile. Today exactly [`LibError::Transient`];
     /// every other error is deterministic, so retrying would only repeat it.
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         matches!(self, VmError::Lib(LibError::Transient(_)))
     }
 }

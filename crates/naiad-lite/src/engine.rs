@@ -107,15 +107,15 @@ pub enum ExecMode {
 /// instruction at most once, so requiring the run's fuel budget to be at
 /// least [`PrefilterExec::min_fuel`] (the consolidated program's total
 /// steps) rules that out too; smaller budgets disable skipping entirely
-/// (fail-open). The evaluator itself is total (see [`crate::fastpred`]).
+/// (fail-open). The evaluator itself is total (see `crate::fastpred`).
 #[derive(Debug, Clone)]
 pub struct PrefilterExec {
     /// Direct evaluator for the condition. Synthesized conditions always
     /// stay in the pure call-free fragment it supports; see
     /// [`crate::fastpred`] for why a VM is too slow here.
-    pub fast: FastPred,
+    pub(crate) fast: FastPred,
     /// Minimum per-record fuel budget for which skipping is sound: the
-    /// consolidated program's [`RegProgram::total_steps`] (an upper bound
+    /// consolidated program's `RegProgram::total_steps` (an upper bound
     /// on its longest loop-free path).
     pub min_fuel: u64,
 }
@@ -188,7 +188,7 @@ impl QuerySet {
     /// called first — the skip-soundness fuel floor is derived from its
     /// total steps.
     ///
-    /// A condition outside the [`FastPred`] fragment (a library call, a
+    /// A condition outside the `FastPred` fragment (a library call, a
     /// non-parameter variable — nothing the synthesis pass produces)
     /// attaches **no** pre-filter: the set runs every record in full, like
     /// after any other rejection.
@@ -247,7 +247,7 @@ pub struct EngineConfig {
     /// verdicts — are bit-identical either way; only throughput differs.
     pub backend: ExecBackend,
     /// Retry attempts per record for a [`VmError`] that classifies as
-    /// transient ([`VmError::is_transient`] — today exactly
+    /// transient (`VmError::is_transient` — today exactly
     /// [`udf_lang::library::LibError::Transient`]) before the record is
     /// quarantined or the job fails. Retries run immediately, on the
     /// driver's own [`RegVm`]. `0` (the default) disables them.
@@ -300,7 +300,7 @@ pub enum ErrorKind {
 
 impl ErrorKind {
     /// Classifies a [`VmError`].
-    pub fn of(e: &VmError) -> ErrorKind {
+    pub(crate) fn of(e: &VmError) -> ErrorKind {
         match e {
             VmError::DuplicateNotify(_) => ErrorKind::DuplicateNotify,
             VmError::Lib(_) => ErrorKind::Lib,
@@ -585,7 +585,7 @@ impl Engine {
     }
 
     /// Number of worker threads used per job.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.workers
     }
 

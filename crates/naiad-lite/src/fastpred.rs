@@ -58,7 +58,7 @@ enum BoolNode {
 /// A pre-filter condition compiled to a direct-evaluation tree with
 /// parameter references resolved to argument-vector indices.
 #[derive(Debug, Clone)]
-pub struct FastPred {
+pub(crate) struct FastPred {
     root: BoolNode,
 }
 
@@ -67,7 +67,7 @@ impl FastPred {
     /// Returns `None` if the condition uses a library call or an unknown
     /// variable (the caller then runs without a pre-filter).
     #[must_use]
-    pub fn build(cond: &BoolExpr, params: &[Symbol]) -> Option<FastPred> {
+    pub(crate) fn build(cond: &BoolExpr, params: &[Symbol]) -> Option<FastPred> {
         Some(FastPred {
             root: build_bool(cond, params)?,
         })
@@ -78,7 +78,7 @@ impl FastPred {
     /// never consumes fuel.
     #[inline]
     #[must_use]
-    pub fn eval(&self, args: &[i64]) -> bool {
+    pub(crate) fn eval(&self, args: &[i64]) -> bool {
         eval_bool(&self.root, args)
     }
 }

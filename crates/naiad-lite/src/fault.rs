@@ -7,10 +7,10 @@
 //! * [`FaultKind::LibError`] — the trigger call returns a library error,
 //!   which the VM surfaces as [`crate::VmError::Lib`];
 //! * [`FaultKind::Panic`] — the trigger call panics (message prefixed with
-//!   [`INJECTED_PANIC_MARKER`]), exercising the engine's per-record
+//!   `INJECTED_PANIC_MARKER`), exercising the engine's per-record
 //!   `catch_unwind` isolation;
 //! * [`FaultKind::FuelBurn`] — the trigger call returns
-//!   [`FaultyEnv::burn_value`] instead of the healthy value; a UDF that
+//!   a huge loop bound instead of the healthy value; a UDF that
 //!   loops on the result then exhausts a suitably small step budget,
 //!   producing [`crate::VmError::OutOfFuel`];
 //! * [`FaultKind::Transient`] — the trigger call fails with
@@ -49,7 +49,7 @@ pub enum FaultKind {
 
 /// Prefix of every injected panic message; panic hooks installed by
 /// [`silence_injected_panics`] use it to tell injected panics from real ones.
-pub const INJECTED_PANIC_MARKER: &str = "injected fault:";
+pub(crate) const INJECTED_PANIC_MARKER: &str = "injected fault:";
 
 /// A deterministic record-index → fault mapping.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -134,13 +134,9 @@ impl FaultPlan {
     }
 
     /// Number of planned faults.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.faults.len()
-    }
-
-    /// Whether the plan is empty.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
     }
 }
 
@@ -183,20 +179,11 @@ impl<E: UdfEnv> FaultyEnv<E> {
     }
 
     /// Overrides the value returned on [`FaultKind::FuelBurn`] faults.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_burn_value(mut self, v: i64) -> FaultyEnv<E> {
+    pub(crate) fn with_burn_value(mut self, v: i64) -> FaultyEnv<E> {
         self.burn_value = v;
         self
-    }
-
-    /// The loop bound returned on fuel-burn faults.
-    pub fn burn_value(&self) -> i64 {
-        self.burn_value
-    }
-
-    /// The installed plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Pairs each record with its global index, producing the record type
@@ -257,7 +244,7 @@ impl<E: UdfEnv> UdfEnv for FaultyEnv<E> {
 
 /// Installs (once per process) a panic hook that suppresses the output of
 /// injected panics — those whose message starts with
-/// [`INJECTED_PANIC_MARKER`] — and forwards everything else to the previous
+/// `INJECTED_PANIC_MARKER` — and forwards everything else to the previous
 /// hook. Call from tests that exercise [`FaultKind::Panic`] so expected
 /// unwinds don't spam stderr.
 pub fn silence_injected_panics() {

@@ -49,7 +49,7 @@ pub enum GuardAction {
 
 impl GuardAction {
     /// Short lowercase label for reports.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             GuardAction::Demote => "demote",
             GuardAction::FailFast => "fail-fast",
@@ -90,7 +90,7 @@ impl GuardPolicy {
     }
 
     /// Whether the policy performs any shadow runs at all.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.audit
     }
 }
@@ -147,7 +147,7 @@ pub struct PlanIncident {
     pub mismatches: u64,
     /// The action the policy prescribed.
     pub action: GuardAction,
-    /// Up to [`MAX_MISMATCH_EXAMPLES`] captured divergences.
+    /// Up to `MAX_MISMATCH_EXAMPLES` captured divergences.
     pub examples: Vec<GuardMismatch>,
 }
 
@@ -178,7 +178,7 @@ pub struct GuardReport {
 
 /// Examples kept per incident; later divergences are counted but not
 /// captured, bounding report size on pathological plans.
-pub const MAX_MISMATCH_EXAMPLES: usize = 8;
+pub(crate) const MAX_MISMATCH_EXAMPLES: usize = 8;
 
 /// Shared per-job guard state, updated lock-free by every worker (examples
 /// take a mutex, but only on the cold mismatch path).

@@ -21,9 +21,9 @@
 //!   cost/fuel accounting). The tree-walking interpreter in
 //!   `udf-lang` remains the semantic reference, and the machines below are
 //!   differentially tested against it;
-//! * [`regcode::RegVm`] / [`batch`] — the two loops over that IR: the
+//! * [`regcode::RegVm`] / `batch` — the two loops over that IR: the
 //!   scalar machine runs a program a record at a time, and a
-//!   struct-of-arrays [`batch::RecordBatch`] executor runs each basic block
+//!   struct-of-arrays `batch::RecordBatch` executor runs each basic block
 //!   across a whole batch of records; selected per job by
 //!   [`engine::ExecBackend`] with bit-identical observables either way;
 //! * [`engine`] — sharded parallel execution across worker threads with the
@@ -53,31 +53,30 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // Production code must justify fallibility; tests may unwrap freely.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod agg;
-pub mod batch;
+mod batch;
 pub mod compile;
 pub mod digest;
 pub mod engine;
 pub mod env;
-pub mod fastpred;
+mod fastpred;
 pub mod fault;
 pub mod guard;
 mod policy;
 pub mod regcode;
 
 pub use agg::{AggMode, AggQuerySet, AggReport, AGG_CHUNK};
-pub use batch::{BatchVm, RecordBatch};
+pub use batch::BatchVm;
 pub use compile::{CompileError, VmError, DEFAULT_FUEL};
 pub use engine::{
     Engine, EngineConfig, EngineError, ErrorKind, ErrorPolicy, ExecBackend, ExecMode, JobReport,
-    QuarantineEntry, QuarantineReport, QuerySet,
+    QuarantineReport, QuerySet,
 };
 pub use env::{ScalarEnv, UdfEnv};
 pub use fault::{FaultKind, FaultPlan, FaultyEnv};
-pub use guard::{
-    GuardAction, GuardMismatch, GuardObservation, GuardPolicy, GuardReport, PlanIncident,
-};
+pub use guard::{GuardAction, GuardObservation, GuardPolicy, GuardReport, PlanIncident};
 pub use regcode::{RegProgram, RegVm};

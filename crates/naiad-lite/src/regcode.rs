@@ -94,7 +94,7 @@ pub enum RBin {
     /// Strict disjunction.
     Or,
     /// `a > b` as 0/1: `k < r` with its operands swapped, so a fused
-    /// branch keeps its register on the left (see [`RBin::swapped`]).
+    /// branch keeps its register on the left (see `RBin::swapped`).
     Gt,
     /// `a ≥ b` as 0/1: `k ≤ r` with its operands swapped.
     Ge,
@@ -104,7 +104,7 @@ impl RBin {
     /// The operator `o` with `a o b == b self a`, if there is one: the
     /// comparisons mirror, the commutative operators are their own mirror,
     /// and subtraction has none.
-    pub fn swapped(self) -> Option<RBin> {
+    pub(crate) fn swapped(self) -> Option<RBin> {
         match self {
             RBin::Lt => Some(RBin::Gt),
             RBin::Le => Some(RBin::Ge),
@@ -119,7 +119,7 @@ impl RBin {
 /// Applies a binary operator: wrapping arithmetic, 0/1 comparisons and
 /// connectives, as in Figure 2.
 #[inline]
-pub fn apply_bin(op: RBin, a: i64, b: i64) -> i64 {
+pub(crate) fn apply_bin(op: RBin, a: i64, b: i64) -> i64 {
     match op {
         RBin::Add => a.wrapping_add(b),
         RBin::Sub => a.wrapping_sub(b),
@@ -231,7 +231,7 @@ pub enum ROp {
     },
     /// Jump to `target` when `r ⊙ k` is 0: [`ROp::JumpUnlessBin`] with one
     /// operand folded. The register is always the left operand (a constant
-    /// on the left is moved right with [`RBin::swapped`]), which keeps the
+    /// on the left is moved right with `RBin::swapped`), which keeps the
     /// instruction two words wide.
     JumpUnlessBinK {
         /// Operator.
@@ -305,7 +305,7 @@ impl RegProgram {
     /// Total steps of the code, each instruction counted once: the node
     /// count of the program it was compiled from (jumps and halt included),
     /// and so an upper bound on the fuel any loop-free path can spend.
-    pub fn total_steps(&self) -> u64 {
+    pub(crate) fn total_steps(&self) -> u64 {
         self.blocks.iter().map(|b| b.steps).sum()
     }
 }
@@ -341,7 +341,7 @@ impl RegVm {
     /// After a run that reached `Halt`, slot `i` holds variable `i`'s final
     /// value — every assignment stores into its variable's slot — which is
     /// how an aggregation fold hands back its new state.
-    pub fn registers(&self) -> &[i64] {
+    pub(crate) fn registers(&self) -> &[i64] {
         &self.regs
     }
 
@@ -377,7 +377,7 @@ impl RegVm {
     /// # Errors
     ///
     /// As [`RegVm::run`].
-    pub fn run_decoded<E: UdfEnv>(
+    pub(crate) fn run_decoded<E: UdfEnv>(
         &mut self,
         prog: &RegProgram,
         env: &E,

@@ -22,10 +22,10 @@ use udf_lang::agg::{parse_agg, AggDef};
 use udf_lang::intern::Interner;
 
 /// Shape labels, in builder order.
-pub const SHAPES: [&str; 4] = ["SUM", "CNT", "VAR", "MIX"];
+pub(crate) const SHAPES: [&str; 4] = ["SUM", "CNT", "VAR", "MIX"];
 
 /// An aggregation-family builder: `(n_defs, seed, interner) → definitions`.
-pub type AggBuilder = fn(usize, u64, &mut Interner) -> Vec<AggDef>;
+pub(crate) type AggBuilder = fn(usize, u64, &mut Interner) -> Vec<AggDef>;
 
 /// A named aggregation family within a domain.
 #[derive(Clone, Debug)]

@@ -27,11 +27,11 @@ use udf_lang::library::LibError;
 use udf_lang::parse::parse_program;
 
 /// Number of cities.
-pub const CITIES: i64 = 10;
+pub(crate) const CITIES: i64 = 10;
 /// Number of airlines.
-pub const AIRLINES: i64 = 500;
+pub(crate) const AIRLINES: i64 = 500;
 /// Days covered (Nov 1–15).
-pub const DAYS: i64 = 15;
+pub(crate) const DAYS: i64 = 15;
 
 /// One flight row.
 #[derive(Debug, Clone)]
@@ -60,12 +60,9 @@ pub struct FlightEnv {
 }
 
 /// Cost of the average-price aggregation.
-pub const AVG_PRICE_COST: Cost = 40;
+pub(crate) const AVG_PRICE_COST: Cost = 40;
 
 impl FlightEnv {
-    /// Parameter names, in argument order.
-    pub const PARAMS: [&'static str; 6] = ["airline", "origin", "dest", "price", "stops", "day"];
-
     fn new(interner: &mut Interner, table: Arc<Vec<i64>>) -> FlightEnv {
         FlightEnv {
             avg_price: interner.intern("avgPrice"),
@@ -160,11 +157,6 @@ pub fn dataset_sized(
         .map(|(&s, &c)| if c > 0 { s / c } else { 0 })
         .collect();
     (FlightEnv::new(interner, Arc::new(table)), records)
-}
-
-/// Paper-sized dataset: 12 daily flights per pair.
-pub fn dataset(interner: &mut Interner, seed: u64) -> (FlightEnv, Vec<FlightRecord>) {
-    dataset_sized(12, interner, seed)
 }
 
 fn pick_pair(r: &mut rand::rngs::SmallRng, zipf: &Zipf) -> (i64, i64) {

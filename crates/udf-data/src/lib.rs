@@ -19,13 +19,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod agg;
 pub mod flight;
 pub mod news;
 pub mod stock;
 pub mod twitter;
-pub mod util;
+mod util;
 pub mod weather;
 
 use udf_lang::ast::Program;

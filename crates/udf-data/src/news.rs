@@ -28,11 +28,11 @@ use udf_lang::parse::parse_program;
 /// Default article count (the Reuters collection size).
 pub const DEFAULT_ARTICLES: usize = 19_043;
 /// Vocabulary size.
-pub const VOCAB: usize = 5_000;
+pub(crate) const VOCAB: usize = 5_000;
 
 /// Length (characters) of word `w` — deterministic so article statistics are
 /// reproducible.
-pub fn word_len(w: i64) -> i64 {
+pub(crate) fn word_len(w: i64) -> i64 {
     3 + (w * 7 + 1) % 10
 }
 
@@ -149,11 +149,6 @@ pub fn dataset_sized(n: usize, seed: u64) -> Vec<Article> {
             }
         })
         .collect()
-}
-
-/// Paper-sized dataset (19043 articles).
-pub fn dataset(seed: u64) -> Vec<Article> {
-    dataset_sized(DEFAULT_ARTICLES, seed)
 }
 
 fn atom(fam: usize, r: &mut rand::rngs::SmallRng, word_list: &Zipf) -> String {

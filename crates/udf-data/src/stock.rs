@@ -29,7 +29,7 @@ pub const DAYS: usize = 3_774;
 /// Number of tickers.
 pub const DEFAULT_TICKERS: usize = 100;
 /// Aggregation window length used by the query families.
-pub const WINDOW: i64 = 250;
+pub(crate) const WINDOW: i64 = 250;
 
 /// One company's history.
 #[derive(Debug, Clone)]
@@ -117,11 +117,6 @@ pub fn dataset_sized(n: usize, days: usize, seed: u64) -> Vec<Ticker> {
             }
         })
         .collect()
-}
-
-/// Paper-sized dataset (100 tickers × 3774 days).
-pub fn dataset(seed: u64) -> Vec<Ticker> {
-    dataset_sized(DEFAULT_TICKERS, DAYS, seed)
 }
 
 /// Window starts are drawn from a small set so queries in a family share

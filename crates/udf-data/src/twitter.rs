@@ -26,9 +26,9 @@ use udf_lang::parse::parse_program;
 /// Default tweet count.
 pub const DEFAULT_TWEETS: usize = 31_152;
 /// Number of sentiment classes ("happiness", …).
-pub const SENTIMENTS: usize = 8;
+pub(crate) const SENTIMENTS: usize = 8;
 /// Number of topic classes ("movies", …).
-pub const TOPICS: usize = 8;
+pub(crate) const TOPICS: usize = 8;
 
 /// One tweet.
 #[derive(Debug, Clone)]
@@ -127,11 +127,6 @@ pub fn dataset_sized(n: usize, seed: u64) -> Vec<Tweet> {
             }
         })
         .collect()
-}
-
-/// Paper-sized dataset (31152 tweets).
-pub fn dataset(seed: u64) -> Vec<Tweet> {
-    dataset_sized(DEFAULT_TWEETS, seed)
 }
 
 fn atom(fam: usize, r: &mut rand::rngs::SmallRng, pop: &Zipf) -> String {

@@ -3,11 +3,10 @@
 use rand::distributions::Distribution;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use udf_lang::ast::{BoolExpr, ProgId, Program, Stmt};
-use udf_lang::intern::{Interner, Symbol};
+use udf_lang::ast::Program;
 
 /// Deterministic RNG for a `(domain, purpose, seed)` triple.
-pub fn rng(domain: &str, purpose: &str, seed: u64) -> SmallRng {
+pub(crate) fn rng(domain: &str, purpose: &str, seed: u64) -> SmallRng {
     // Mix the strings into the seed so each (domain, purpose) stream is
     // independent but reproducible.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;
@@ -21,13 +20,13 @@ pub fn rng(domain: &str, purpose: &str, seed: u64) -> SmallRng {
 /// A Zipf-like sampler over `0..n` with exponent ~1 (rank-frequency shape of
 /// natural-language vocabularies).
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
 impl Zipf {
     /// Builds the sampler for `n` ranks.
-    pub fn new(n: usize) -> Zipf {
+    pub(crate) fn new(n: usize) -> Zipf {
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for k in 1..=n {
@@ -49,26 +48,15 @@ impl Distribution<usize> for Zipf {
     }
 }
 
-/// Wraps a filter predicate into the standard UDF shape
-/// `if (cond) { notifyᵢ true } else { notifyᵢ false }` preceded by `prologue`.
-pub fn filter_program(id: u32, params: &[Symbol], prologue: Stmt, cond: BoolExpr) -> Program {
-    let body = prologue.then(Stmt::ite(
-        cond,
-        Stmt::Notify(ProgId(id), true),
-        Stmt::Notify(ProgId(id), false),
-    ));
-    Program::new(ProgId(id), params.to_vec(), body)
-}
-
-/// Interns a list of parameter names.
-pub fn params(interner: &mut Interner, names: &[&str]) -> Vec<Symbol> {
-    names.iter().map(|n| interner.intern(n)).collect()
-}
-
 /// Samples `n` queries by drawing a family index from `weights` for each
 /// (the paper's Mix/Q5 construction, e.g. `{15, 15, 10, 10}`), delegating to
 /// `build(family_idx, query_id, rng)`.
-pub fn sample_mix<F>(n: usize, weights: &[u32], rng: &mut SmallRng, mut build: F) -> Vec<Program>
+pub(crate) fn sample_mix<F>(
+    n: usize,
+    weights: &[u32],
+    rng: &mut SmallRng,
+    mut build: F,
+) -> Vec<Program>
 where
     F: FnMut(usize, u32, &mut SmallRng) -> Program,
 {
@@ -92,6 +80,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use udf_lang::ast::{ProgId, Stmt};
 
     #[test]
     fn rng_is_deterministic_and_stream_separated() {
@@ -122,7 +111,7 @@ mod tests {
         let mut fam_counts = [0usize; 4];
         let progs = sample_mix(400, &[15, 15, 10, 10], &mut r, |fam, q, _| {
             fam_counts[fam] += 1;
-            filter_program(q, &[], Stmt::Skip, BoolExpr::Const(true))
+            Program::new(ProgId(q), Vec::new(), Stmt::Skip)
         });
         assert_eq!(progs.len(), 400);
         assert!(fam_counts[0] > fam_counts[2]);

@@ -25,9 +25,9 @@ use udf_lang::library::LibError;
 use udf_lang::parse::parse_program;
 
 /// Hourly samples stored per city (two years).
-pub const HOURS: usize = 17_520;
+pub(crate) const HOURS: usize = 17_520;
 /// Hours per month window used by the accessors.
-pub const MONTH_HOURS: usize = 720;
+pub(crate) const MONTH_HOURS: usize = 720;
 /// Default number of cities (the paper's 500).
 pub const DEFAULT_CITIES: usize = 500;
 
@@ -164,11 +164,6 @@ pub fn dataset_sized(n_cities: usize, seed: u64) -> Vec<CityRecord> {
         .collect()
 }
 
-/// The paper-sized dataset (500 cities).
-pub fn dataset(seed: u64) -> Vec<CityRecord> {
-    dataset_sized(DEFAULT_CITIES, seed)
-}
-
 fn q1_source(id: u32, month: i64, threshold: i64) -> String {
     format!(
         "program w_q1_{id} @{id} (city) {{
@@ -241,7 +236,7 @@ fn build_n(fam: usize, n: usize, seed: u64, interner: &mut Interner) -> Vec<Prog
 }
 
 /// The Mix family: `{15, 15, 10, 10}` over Q1–Q4 (§6.2's Q5).
-pub fn mix(n: usize, seed: u64, interner: &mut Interner) -> Vec<Program> {
+pub(crate) fn mix(n: usize, seed: u64, interner: &mut Interner) -> Vec<Program> {
     let mut r = rng("weather", "mix", seed);
     let cell = std::cell::RefCell::new(interner);
     util::sample_mix(n, &[15, 15, 10, 10], &mut r, |fam, id, r| {

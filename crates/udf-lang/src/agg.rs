@@ -19,24 +19,20 @@
 //!
 //! # Concrete syntax
 //!
-//! ```text
-//! aggregate sumvol @3 (id) {
-//!   state s = 0;
-//!   fold  { s := s + volumeAt(0); }
-//!   merge { s := s + rhs_s; }
-//! }
-//! ```
-//!
-//! Each `state` declaration introduces one slot with its `init` constant;
-//! inside `merge` the right-hand partial state is visible as `rhs_<slot>`.
+//! The language's one grammar, in [`crate::parse`], reads aggregates too
+//! ([`parse_agg`], [`parse_aggs`]): a program's header, then one
+//! `state s = init;` declaration per slot, then the `fold { … }` and
+//! `merge { … }` blocks. Inside `merge` the right-hand partial state is
+//! visible as `rhs_<slot>`.
 
 use crate::analysis::{assigned_vars, called_fns, first_unassigned_read, notify_ids, read_vars};
 use crate::ast::{ProgId, Program, Stmt};
 use crate::canon::{program_hash, Fnv128};
 use crate::intern::{Interner, Symbol};
-use crate::parse::parse_program;
 use std::collections::BTreeSet;
 use std::fmt;
+
+pub use crate::parse::{parse_agg, parse_aggs};
 
 /// Domain-separation byte for [`agg_hash`] (distinct from program set keys
 /// and entailment keys so an aggregation key can never collide with either).
@@ -120,34 +116,10 @@ impl fmt::Display for AggError {
 impl std::error::Error for AggError {}
 
 impl AggDef {
-    /// Creates and validates an aggregation definition.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`AggError`] violated by the definition.
-    pub fn new(
-        id: ProgId,
-        params: Vec<Symbol>,
-        state: Vec<StateSlot>,
-        fold: Stmt,
-        merge: Stmt,
-        interner: &Interner,
-    ) -> Result<AggDef, AggError> {
-        let def = AggDef {
-            id,
-            params,
-            state,
-            fold,
-            merge,
-        };
-        def.validate(interner)?;
-        Ok(def)
-    }
-
     /// Checks the well-formedness rules listed on [`AggError`].
     ///
     /// Beyond the scope checks, every read must be definitely assigned
-    /// ([`first_unassigned_read`]): `fold` starts from `params ∪ state`,
+    /// (`first_unassigned_read`): `fold` starts from `params ∪ state`,
     /// `merge` from `state ∪ rhs`. So no scratch local is ever read unset, and
     /// a compiled body — whose registers start at 0 — computes exactly what
     /// the interpreter does.
@@ -254,11 +226,6 @@ impl AggDef {
         Program::new(self.id, ps, self.merge.clone())
     }
 
-    /// Number of AST nodes across both bodies, used in code-size reports.
-    pub fn size(&self) -> usize {
-        self.fold.size() + self.merge.size()
-    }
-
     /// Whether either body contains a `while` loop. The homomorphism prover
     /// refuses loopy definitions up front (strongest-postcondition havocs
     /// loop targets, so the obligation could never be discharged anyway).
@@ -305,240 +272,6 @@ pub fn agg_set_key(defs: &[AggDef], interner: &Interner) -> u128 {
         h.u128(agg_hash(d, interner));
     }
     h.finish()
-}
-
-/// Parses one `aggregate … { … }` definition (syntax in the module docs).
-///
-/// Inside `merge`, each slot `s` has its right-hand copy in scope as
-/// `rhs_s`. The result is validated via [`AggDef::validate`].
-///
-/// # Errors
-///
-/// Returns a description of the first syntax or validation error.
-pub fn parse_agg(src: &str, interner: &mut Interner) -> Result<AggDef, String> {
-    let mut c = Cursor::new(src);
-    let def = parse_one(&mut c, interner)?;
-    c.skip_ws();
-    if !c.eof() {
-        return Err(format!(
-            "trailing input after aggregate: `{}`",
-            c.rest_preview()
-        ));
-    }
-    Ok(def)
-}
-
-/// Parses a source file containing any number of `aggregate` definitions.
-///
-/// # Errors
-///
-/// Returns a description of the first syntax or validation error.
-pub fn parse_aggs(src: &str, interner: &mut Interner) -> Result<Vec<AggDef>, String> {
-    let mut c = Cursor::new(src);
-    let mut out = Vec::new();
-    loop {
-        c.skip_ws();
-        if c.eof() {
-            return Ok(out);
-        }
-        out.push(parse_one(&mut c, interner)?);
-    }
-}
-
-/// Byte-cursor over comment-stripped source.
-struct Cursor {
-    src: Vec<char>,
-    pos: usize,
-}
-
-impl Cursor {
-    fn new(src: &str) -> Cursor {
-        // Strip `//`-to-end-of-line comments so brace balancing can't be
-        // fooled; `/` is not an operator of the language.
-        let mut stripped = String::with_capacity(src.len());
-        for line in src.lines() {
-            let code = line.split_once("//").map_or(line, |(c, _)| c);
-            stripped.push_str(code);
-            stripped.push('\n');
-        }
-        Cursor {
-            src: stripped.chars().collect(),
-            pos: 0,
-        }
-    }
-
-    fn eof(&self) -> bool {
-        self.pos >= self.src.len()
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn rest_preview(&self) -> String {
-        self.src[self.pos..].iter().take(24).collect()
-    }
-
-    fn ident(&mut self) -> Result<String, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_alphanumeric() || c == '_') {
-            self.pos += 1;
-        }
-        if self.pos == start || self.src[start].is_ascii_digit() {
-            return Err(format!("expected identifier at `{}`", self.rest_preview()));
-        }
-        Ok(self.src[start..self.pos].iter().collect())
-    }
-
-    fn number(&mut self) -> Result<i64, String> {
-        self.skip_ws();
-        let neg = self.peek() == Some('-');
-        if neg {
-            self.pos += 1;
-        }
-        let start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected number at `{}`", self.rest_preview()));
-        }
-        let digits: String = self.src[start..self.pos].iter().collect();
-        let v: i64 = digits
-            .parse()
-            .map_err(|_| format!("number out of range: `{digits}`"))?;
-        Ok(if neg { -v } else { v })
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{c}` at `{}`", self.rest_preview()))
-        }
-    }
-
-    fn keyword(&mut self, kw: &str) -> Result<(), String> {
-        let id = self.ident()?;
-        if id == kw {
-            Ok(())
-        } else {
-            Err(format!("expected `{kw}`, found `{id}`"))
-        }
-    }
-
-    /// At a `{`: returns the text between it and its matching `}`.
-    fn brace_block(&mut self) -> Result<String, String> {
-        self.expect('{')?;
-        let start = self.pos;
-        let mut depth = 1usize;
-        while let Some(c) = self.peek() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        let body: String = self.src[start..self.pos].iter().collect();
-                        self.pos += 1;
-                        return Ok(body);
-                    }
-                }
-                _ => {}
-            }
-            self.pos += 1;
-        }
-        Err("unterminated `{` block".to_string())
-    }
-}
-
-fn parse_one(c: &mut Cursor, interner: &mut Interner) -> Result<AggDef, String> {
-    c.keyword("aggregate")?;
-    let _name = c.ident()?;
-    c.skip_ws();
-    let id = if c.peek() == Some('@') {
-        c.pos += 1;
-        let n = c.number()?;
-        ProgId(u32::try_from(n).map_err(|_| "aggregate id out of range".to_string())?)
-    } else {
-        ProgId(0)
-    };
-    c.expect('(')?;
-    let mut params = Vec::new();
-    c.skip_ws();
-    if c.peek() != Some(')') {
-        loop {
-            params.push(interner.intern(&c.ident()?));
-            c.skip_ws();
-            if c.peek() == Some(',') {
-                c.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-    c.expect(')')?;
-    c.expect('{')?;
-
-    let mut state = Vec::new();
-    loop {
-        c.skip_ws();
-        let save = c.pos;
-        let kw = c.ident()?;
-        match kw.as_str() {
-            "state" => {
-                let name = c.ident()?;
-                c.expect('=')?;
-                let init = c.number()?;
-                c.expect(';')?;
-                let slot = StateSlot {
-                    name: interner.intern(&name),
-                    init,
-                    rhs: interner.intern(&format!("rhs_{name}")),
-                };
-                state.push(slot);
-            }
-            "fold" => {
-                c.pos = save;
-                break;
-            }
-            other => {
-                return Err(format!("expected `state` or `fold`, found `{other}`"));
-            }
-        }
-    }
-
-    c.keyword("fold")?;
-    let fold_src = c.brace_block()?;
-    c.keyword("merge")?;
-    let merge_src = c.brace_block()?;
-    c.expect('}')?;
-
-    // Each body is parsed by wrapping it as a parameterless program; the
-    // shared parser does no scope checking, so state/rhs reads are fine here
-    // and AggDef::validate applies the aggregation-specific rules after.
-    let fold = parse_program(
-        &format!("program __fold @{} () {{ {fold_src} }}", id.0),
-        interner,
-    )
-    .map_err(|e| format!("in fold: {e}"))?
-    .body;
-    let merge = parse_program(
-        &format!("program __merge @{} () {{ {merge_src} }}", id.0),
-        interner,
-    )
-    .map_err(|e| format!("in merge: {e}"))?
-    .body;
-
-    AggDef::new(id, params, state, fold, merge, interner).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

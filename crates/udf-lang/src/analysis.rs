@@ -8,10 +8,9 @@
 use crate::ast::{BoolExpr, IntExpr, Program, Stmt};
 use crate::intern::{Interner, Symbol};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 
 /// Collects variables *read* by an integer expression into `out`.
-pub fn int_expr_vars(e: &IntExpr, out: &mut BTreeSet<Symbol>) {
+pub(crate) fn int_expr_vars(e: &IntExpr, out: &mut BTreeSet<Symbol>) {
     match e {
         IntExpr::Const(_) => {}
         IntExpr::Var(v) => {
@@ -174,7 +173,7 @@ pub fn notify_ids(s: &Stmt) -> BTreeSet<crate::ast::ProgId> {
 }
 
 /// Applies a variable substitution to an integer expression.
-pub fn subst_int(e: &IntExpr, map: &BTreeMap<Symbol, Symbol>) -> IntExpr {
+pub(crate) fn subst_int(e: &IntExpr, map: &BTreeMap<Symbol, Symbol>) -> IntExpr {
     match e {
         IntExpr::Const(c) => IntExpr::Const(*c),
         IntExpr::Var(v) => IntExpr::Var(map.get(v).copied().unwrap_or(*v)),
@@ -190,7 +189,7 @@ pub fn subst_int(e: &IntExpr, map: &BTreeMap<Symbol, Symbol>) -> IntExpr {
 }
 
 /// Applies a variable substitution to a boolean expression.
-pub fn subst_bool(e: &BoolExpr, map: &BTreeMap<Symbol, Symbol>) -> BoolExpr {
+pub(crate) fn subst_bool(e: &BoolExpr, map: &BTreeMap<Symbol, Symbol>) -> BoolExpr {
     match e {
         BoolExpr::Const(b) => BoolExpr::Const(*b),
         BoolExpr::Cmp(op, a, b) => BoolExpr::Cmp(*op, subst_int(a, map), subst_int(b, map)),
@@ -255,15 +254,17 @@ pub fn rename_locals_with(
 
 /// Static validation failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ValidateError {
+#[cfg(test)]
+pub(crate) enum ValidateError {
     /// A parameter appears on the left of `:=`.
     AssignsParameter(String),
     /// A variable may be read before any assignment reaches it.
     MaybeUninitialized(String),
 }
 
-impl fmt::Display for ValidateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+#[cfg(test)]
+impl std::fmt::Display for ValidateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ValidateError::AssignsParameter(v) => {
                 write!(f, "parameter `{v}` is assigned; parameters are read-only")
@@ -275,6 +276,7 @@ impl fmt::Display for ValidateError {
     }
 }
 
+#[cfg(test)]
 impl std::error::Error for ValidateError {}
 
 /// Validates a program: parameters are never assigned, and every variable is
@@ -284,7 +286,8 @@ impl std::error::Error for ValidateError {}
 /// # Errors
 ///
 /// Returns the first [`ValidateError`] found.
-pub fn validate(program: &Program, interner: &Interner) -> Result<(), ValidateError> {
+#[cfg(test)]
+pub(crate) fn validate(program: &Program, interner: &Interner) -> Result<(), ValidateError> {
     let params: BTreeSet<Symbol> = program.params.iter().copied().collect();
     for v in assigned_vars(&program.body) {
         if params.contains(&v) {
@@ -306,7 +309,7 @@ pub fn validate(program: &Program, interner: &Interner) -> Result<(), ValidateEr
 /// on entry. Conservative and forward — a conditional assignment counts
 /// after the `if` only when both branches make it, and nothing assigned in
 /// a loop body flows out of the loop (the body may run zero times).
-pub fn first_unassigned_read(s: &Stmt, defined: &BTreeSet<Symbol>) -> Option<Symbol> {
+pub(crate) fn first_unassigned_read(s: &Stmt, defined: &BTreeSet<Symbol>) -> Option<Symbol> {
     check_defined(s, &mut defined.clone()).err()
 }
 

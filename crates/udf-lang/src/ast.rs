@@ -51,7 +51,7 @@ impl IntOp {
     }
 
     /// Source text of the operator.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             IntOp::Add => "+",
             IntOp::Sub => "-",
@@ -84,7 +84,7 @@ impl CmpOp {
     }
 
     /// Source text of the operator.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             CmpOp::Lt => "<",
             CmpOp::Eq => "==",
@@ -106,7 +106,7 @@ pub enum BoolOp {
 impl BoolOp {
     /// Applies the connective.
     #[inline]
-    pub fn apply(self, a: bool, b: bool) -> bool {
+    pub(crate) fn apply(self, a: bool, b: bool) -> bool {
         match self {
             BoolOp::And => a && b,
             BoolOp::Or => a || b,
@@ -114,7 +114,7 @@ impl BoolOp {
     }
 
     /// Source text of the operator.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             BoolOp::And => "&&",
             BoolOp::Or => "||",
@@ -155,7 +155,7 @@ impl IntExpr {
     }
 
     /// Number of AST nodes, used in code-size reports.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         match self {
             IntExpr::Const(_) | IntExpr::Var(_) => 1,
             IntExpr::Call(_, args) => 1 + args.iter().map(IntExpr::size).sum::<usize>(),
@@ -195,7 +195,7 @@ impl BoolExpr {
     }
 
     /// Number of AST nodes.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         match self {
             BoolExpr::Const(_) => 1,
             BoolExpr::Cmp(_, a, b) => 1 + a.size() + b.size(),

@@ -12,8 +12,8 @@
 //! parameters take their declaration position, locals take first-occurrence
 //! order during a fixed left-to-right traversal. Library-function names and
 //! notification ids are *not* renamed (they are semantic, not binders), and
-//! neither are constants or operators. [`canonical_text`] renders that form
-//! as a readable S-expression; [`program_hash`] / [`set_key`] hash the same
+//! neither are constants or operators. `canonical_text` (a test helper)
+//! renders that form as a readable S-expression; [`program_hash`] / [`set_key`] hash the same
 //! byte stream with a 128-bit FNV-1a, so the keys are stable across
 //! processes (a requirement for warm-start snapshots).
 
@@ -50,14 +50,14 @@ impl Fnv128 {
     }
 
     /// Feeds a byte slice.
-    pub fn bytes(&mut self, bs: &[u8]) {
+    pub(crate) fn bytes(&mut self, bs: &[u8]) {
         for &b in bs {
             self.byte(b);
         }
     }
 
     /// Feeds a string, length-prefixed so adjacent strings cannot alias.
-    pub fn str(&mut self, s: &str) {
+    pub(crate) fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
         self.bytes(s.as_bytes());
     }
@@ -68,7 +68,7 @@ impl Fnv128 {
     }
 
     /// Feeds an `i64` little-endian.
-    pub fn i64(&mut self, v: i64) {
+    pub(crate) fn i64(&mut self, v: i64) {
         self.bytes(&v.to_le_bytes());
     }
 
@@ -365,7 +365,8 @@ pub fn set_key(programs: &[Program], interner: &Interner) -> u128 {
 /// indices — the human-readable counterpart of [`program_hash`]. Two
 /// programs produce identical text iff they are alpha-equivalent (same
 /// structure, function names, constants, and notification ids).
-pub fn canonical_text(p: &Program, interner: &Interner) -> String {
+#[cfg(test)]
+pub(crate) fn canonical_text(p: &Program, interner: &Interner) -> String {
     let mut c = Canon::new(interner, true);
     c.program(p);
     c.text.expect("text sink was requested")

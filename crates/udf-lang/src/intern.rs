@@ -84,7 +84,8 @@ impl Interner {
     }
 
     /// Looks up a name without interning it.
-    pub fn get(&self, name: &str) -> Option<Symbol> {
+    #[cfg(test)]
+    pub(crate) fn get(&self, name: &str) -> Option<Symbol> {
         self.map.get(name).copied()
     }
 
@@ -93,7 +94,7 @@ impl Interner {
     ///
     /// Fresh names use the reserved `%` character, which the parser rejects in
     /// identifiers, so fresh symbols can never collide with source names.
-    pub fn fresh(&mut self, prefix: &str) -> Symbol {
+    pub(crate) fn fresh(&mut self, prefix: &str) -> Symbol {
         loop {
             let candidate = format!("{prefix}%{}", self.fresh_counter);
             self.fresh_counter += 1;

@@ -1,7 +1,7 @@
 //! Big-step, cost-annotated interpreter (paper Figure 2).
 //!
 //! Judgements `E, e ⇓ᵏ c` and `E, S ⇓ᵏ E', N` are realized by
-//! [`Interp::int_expr`], [`Interp::bool_expr`], and [`Interp::stmt_in`]; the
+//! `Interp::int_expr`, [`Interp::bool_expr`], and [`Interp::stmt_in`]; the
 //! notification environment `N` collects every `notifyᵢ b` executed. The
 //! disjoint-union `N₁ ⊎ N₂` of Figure 2 is enforced: broadcasting twice for
 //! the same program id is a runtime error.
@@ -32,7 +32,7 @@ pub struct NotificationEnv {
 
 impl NotificationEnv {
     /// Creates an empty notification environment.
-    pub fn new() -> NotificationEnv {
+    pub(crate) fn new() -> NotificationEnv {
         NotificationEnv::default()
     }
 
@@ -42,7 +42,7 @@ impl NotificationEnv {
     ///
     /// Returns [`EvalError::DuplicateNotify`] if id `i` already broadcast —
     /// Figure 2's `⊎` is a *disjoint* union.
-    pub fn notify(&mut self, id: ProgId, b: bool) -> Result<(), EvalError> {
+    pub(crate) fn notify(&mut self, id: ProgId, b: bool) -> Result<(), EvalError> {
         if self.map.insert(id, b).is_some() {
             return Err(EvalError::DuplicateNotify(id));
         }
@@ -359,7 +359,8 @@ impl<'l, L: Library + ?Sized> Interp<'l, L> {
     /// # Errors
     ///
     /// Same failure modes as [`Interp::run`].
-    pub fn int_expr(
+    #[cfg(test)]
+    pub(crate) fn int_expr(
         &self,
         env: &Env,
         e: &IntExpr,

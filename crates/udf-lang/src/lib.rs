@@ -47,6 +47,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod agg;
 pub mod analysis;
@@ -61,9 +62,9 @@ pub mod parse;
 pub mod pretty;
 pub mod wire;
 
-pub use agg::{agg_hash, agg_set_key, parse_agg, parse_aggs, AggDef, AggError, StateSlot};
+pub use agg::{agg_hash, agg_set_key, parse_agg, parse_aggs, AggDef};
 pub use ast::{BoolExpr, BoolOp, CmpOp, IntExpr, IntOp, ProgId, Program, Stmt};
 pub use cost::{Cost, CostModel};
 pub use intern::{Interner, Symbol};
-pub use interp::{EvalError, Interp, NotificationEnv, RunResult};
+pub use interp::{EvalError, Interp};
 pub use library::{FnLibrary, Library};

@@ -155,12 +155,14 @@ impl FnLibrary {
     }
 
     /// Declared arity of `f`, if registered.
-    pub fn arity(&self, f: Symbol) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn arity(&self, f: Symbol) -> Option<usize> {
         self.entry(f).map(|e| e.arity)
     }
 
     /// Whether `f` is registered.
-    pub fn contains(&self, f: Symbol) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, f: Symbol) -> bool {
         self.entry(f).is_some()
     }
 }

@@ -16,9 +16,17 @@
 //! * `>` / `>=` / `!=` are desugared to the core `<` / `<=` / `==` forms of
 //!   Figure 1 by operand swapping and negation.
 //! * `&&` binds tighter than `||`; `!` tighter than both.
+//! * An integer literal is a magnitude that a leading `-` may negate, so
+//!   `-9223372036854775808` is `i64::MIN`, as `pretty` prints it.
+//! * `aggregate sum @3 (id) { state s = 0; fold { … } merge { … } }` is a
+//!   user-defined aggregation ([`crate::agg`]): a program's header, one
+//!   `state` slot and initial value each, then the two bodies. Inside
+//!   `merge` slot `s`'s right-hand copy is `rhs_s`. `aggregate`, `state`,
+//!   `fold` and `merge` are keywords only in that shape.
 
+use crate::agg::{AggDef, StateSlot};
 use crate::ast::{BoolExpr, BoolOp, CmpOp, IntExpr, IntOp, ProgId, Program, Stmt};
-use crate::intern::Interner;
+use crate::intern::{Interner, Symbol};
 use std::fmt;
 
 /// A parse error with 1-based line/column location.
@@ -47,7 +55,8 @@ impl std::error::Error for ParseError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Tok {
     Ident(String),
-    Num(i64),
+    /// A literal's magnitude; a leading `-` is a separate token.
+    Num(u64),
     KwProgram,
     KwSkip,
     KwIf,
@@ -63,6 +72,7 @@ enum Tok {
     Comma,
     Semi,
     At,
+    Eq,     // =
     Assign, // :=
     Plus,
     Minus,
@@ -99,6 +109,7 @@ impl fmt::Display for Tok {
             Tok::Comma => "`,`",
             Tok::Semi => "`;`",
             Tok::At => "`@`",
+            Tok::Eq => "`=`",
             Tok::Assign => "`:=`",
             Tok::Plus => "`+`",
             Tok::Minus => "`-`",
@@ -131,6 +142,16 @@ struct Loc {
     col: usize,
 }
 
+impl Loc {
+    fn error(self, message: impl Into<String>) -> ParseError {
+        ParseError {
+            message: message.into(),
+            line: self.line,
+            col: self.col,
+        }
+    }
+}
+
 impl<'s> Lexer<'s> {
     fn new(src: &'s str) -> Lexer<'s> {
         Lexer {
@@ -142,11 +163,11 @@ impl<'s> Lexer<'s> {
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            message: message.into(),
+        Loc {
             line: self.line,
             col: self.col,
         }
+        .error(message)
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -273,7 +294,7 @@ impl<'s> Lexer<'s> {
                         self.bump();
                         Tok::EqEq
                     } else {
-                        return Err(self.err("expected `==` (assignment is `:=`)"));
+                        Tok::Eq
                     }
                 }
                 b'!' => {
@@ -304,11 +325,11 @@ impl<'s> Lexer<'s> {
                     }
                 }
                 b'0'..=b'9' => {
-                    let mut n: i64 = 0;
+                    let mut n: u64 = 0;
                     while let Some(d @ b'0'..=b'9') = self.peek() {
                         n = n
                             .checked_mul(10)
-                            .and_then(|n| n.checked_add(i64::from(d - b'0')))
+                            .and_then(|n| n.checked_add(u64::from(d - b'0')))
                             .ok_or_else(|| self.err("integer literal overflows i64"))?;
                         self.bump();
                     }
@@ -337,7 +358,15 @@ impl<'s> Lexer<'s> {
                         _ => Tok::Ident(word.to_owned()),
                     }
                 }
-                other => return Err(self.err(format!("unexpected character `{}`", other as char))),
+                _ => {
+                    // Every branch above consumes ASCII only, so `pos` is
+                    // on a character boundary of the source string.
+                    let c = std::str::from_utf8(&self.src[self.pos..])
+                        .ok()
+                        .and_then(|rest| rest.chars().next())
+                        .unwrap_or(char::REPLACEMENT_CHARACTER);
+                    return Err(self.err(format!("unexpected character `{c}`")));
+                }
             };
             out.push((tok, loc));
         }
@@ -351,6 +380,14 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    fn new(src: &str, interner: &'a mut Interner) -> Result<Parser<'a>, ParseError> {
+        Ok(Parser {
+            toks: Lexer::new(src).tokenize()?,
+            pos: 0,
+            interner,
+        })
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].0
     }
@@ -360,12 +397,7 @@ impl<'a> Parser<'a> {
     }
 
     fn err_here(&self, message: impl Into<String>) -> ParseError {
-        let loc = self.loc();
-        ParseError {
-            message: message.into(),
-            line: loc.line,
-            col: loc.col,
-        }
+        self.loc().error(message)
     }
 
     fn bump(&mut self) -> Tok {
@@ -392,25 +424,61 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<i64, ParseError> {
+    /// Whether the next token is the identifier `word` (a contextual keyword).
+    fn at_word(&self, word: &str) -> bool {
+        matches!(self.peek(), Tok::Ident(s) if s == word)
+    }
+
+    fn word(&mut self, word: &str) -> Result<(), ParseError> {
+        if self.at_word(word) {
+            self.bump();
+            Ok(())
+        } else {
+            Err(self.err_here(format!("expected `{word}`, found {}", self.peek())))
+        }
+    }
+
+    fn magnitude(&mut self) -> Result<u64, ParseError> {
         match self.bump() {
             Tok::Num(n) => Ok(n),
             other => Err(self.err_here(format!("expected number, found {other}"))),
         }
     }
 
-    fn program(&mut self) -> Result<Program, ParseError> {
-        self.eat(&Tok::KwProgram)?;
-        let _name = self.ident()?;
-        let id = if *self.peek() == Tok::At {
+    /// An integer literal: a magnitude, negated by a leading `-`.
+    fn number(&mut self) -> Result<i64, ParseError> {
+        let loc = self.loc();
+        let negate = *self.peek() == Tok::Minus;
+        if negate {
             self.bump();
-            ProgId(
-                u32::try_from(self.number()?)
-                    .map_err(|_| self.err_here("program id out of range"))?,
-            )
+        }
+        let m = self.magnitude()?;
+        let n = if negate {
+            0i64.checked_sub_unsigned(m)
         } else {
-            ProgId(0)
+            i64::try_from(m).ok()
         };
+        n.ok_or_else(|| loc.error("integer literal overflows i64"))
+    }
+
+    /// `@n` after a program or aggregate name, or in `notify`; `@0` when
+    /// absent.
+    fn prog_id(&mut self, what: &str) -> Result<ProgId, ParseError> {
+        if *self.peek() != Tok::At {
+            return Ok(ProgId(0));
+        }
+        self.bump();
+        let loc = self.loc();
+        let n = self.magnitude()?;
+        u32::try_from(n)
+            .map(ProgId)
+            .map_err(|_| loc.error(format!("{what} id out of range")))
+    }
+
+    /// `name [@id] (params)`, the header programs and aggregates share.
+    fn header(&mut self, what: &str) -> Result<(ProgId, Vec<Symbol>), ParseError> {
+        let _name = self.ident()?;
+        let id = self.prog_id(what)?;
         self.eat(&Tok::LParen)?;
         let mut params = Vec::new();
         if *self.peek() != Tok::RParen {
@@ -425,8 +493,53 @@ impl<'a> Parser<'a> {
             }
         }
         self.eat(&Tok::RParen)?;
+        Ok((id, params))
+    }
+
+    fn program(&mut self) -> Result<Program, ParseError> {
+        self.eat(&Tok::KwProgram)?;
+        let (id, params) = self.header("program")?;
         let body = self.block(id)?;
         Ok(Program::new(id, params, body))
+    }
+
+    /// One `aggregate` definition, before [`AggDef::validate`].
+    fn aggregate(&mut self) -> Result<AggDef, ParseError> {
+        self.word("aggregate")?;
+        let (id, params) = self.header("aggregate")?;
+        self.eat(&Tok::LBrace)?;
+        let mut state = Vec::new();
+        while self.at_word("state") {
+            self.bump();
+            let name = self.ident()?;
+            self.eat(&Tok::Eq)?;
+            let init = self.number()?;
+            self.eat(&Tok::Semi)?;
+            state.push(StateSlot {
+                name: self.interner.intern(&name),
+                init,
+                rhs: self.interner.intern(&format!("rhs_{name}")),
+            });
+        }
+        self.word("fold")?;
+        let fold = self.block(id)?;
+        self.word("merge")?;
+        let merge = self.block(id)?;
+        self.eat(&Tok::RBrace)?;
+        Ok(AggDef {
+            id,
+            params,
+            state,
+            fold,
+            merge,
+        })
+    }
+
+    /// One aggregate, validated; only syntax errors carry a location.
+    fn valid_aggregate(&mut self) -> Result<AggDef, String> {
+        let def = self.aggregate().map_err(|e| e.to_string())?;
+        def.validate(self.interner).map_err(|e| e.to_string())?;
+        Ok(def)
     }
 
     fn block(&mut self, ctx: ProgId) -> Result<Stmt, ParseError> {
@@ -471,11 +584,7 @@ impl<'a> Parser<'a> {
             Tok::KwNotify => {
                 self.bump();
                 let id = if *self.peek() == Tok::At {
-                    self.bump();
-                    ProgId(
-                        u32::try_from(self.number()?)
-                            .map_err(|_| self.err_here("notify id out of range"))?,
-                    )
+                    self.prog_id("notify")?
                 } else {
                     ctx
                 };
@@ -528,15 +637,7 @@ impl<'a> Parser<'a> {
 
     fn int_atom(&mut self) -> Result<IntExpr, ParseError> {
         match self.peek().clone() {
-            Tok::Num(n) => {
-                self.bump();
-                Ok(IntExpr::Const(n))
-            }
-            Tok::Minus => {
-                self.bump();
-                let n = self.number()?;
-                Ok(IntExpr::Const(n.wrapping_neg()))
-            }
+            Tok::Num(_) | Tok::Minus => Ok(IntExpr::Const(self.number()?)),
             Tok::LParen => {
                 self.bump();
                 let e = self.int_expr()?;
@@ -653,12 +754,7 @@ impl<'a> Parser<'a> {
 ///
 /// Returns a [`ParseError`] with location information on malformed input.
 pub fn parse_program(src: &str, interner: &mut Interner) -> Result<Program, ParseError> {
-    let toks = Lexer::new(src).tokenize()?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        interner,
-    };
+    let mut p = Parser::new(src, interner)?;
     let prog = p.program()?;
     p.eat(&Tok::Eof)?;
     Ok(prog)
@@ -670,15 +766,38 @@ pub fn parse_program(src: &str, interner: &mut Interner) -> Result<Program, Pars
 ///
 /// Returns a [`ParseError`] with location information on malformed input.
 pub fn parse_programs(src: &str, interner: &mut Interner) -> Result<Vec<Program>, ParseError> {
-    let toks = Lexer::new(src).tokenize()?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        interner,
-    };
+    let mut p = Parser::new(src, interner)?;
     let mut out = Vec::new();
     while *p.peek() != Tok::Eof {
         out.push(p.program()?);
+    }
+    Ok(out)
+}
+
+/// Parses one `aggregate … { … }` definition (syntax in the module docs)
+/// and validates it with [`AggDef::validate`].
+///
+/// # Errors
+///
+/// Returns the first syntax error, with its line and column, or the first
+/// validation error.
+pub fn parse_agg(src: &str, interner: &mut Interner) -> Result<AggDef, String> {
+    let mut p = Parser::new(src, interner).map_err(|e| e.to_string())?;
+    let def = p.valid_aggregate()?;
+    p.eat(&Tok::Eof).map_err(|e| e.to_string())?;
+    Ok(def)
+}
+
+/// Parses any number of `aggregate` definitions.
+///
+/// # Errors
+///
+/// As [`parse_agg`], for the first definition with an error.
+pub fn parse_aggs(src: &str, interner: &mut Interner) -> Result<Vec<AggDef>, String> {
+    let mut p = Parser::new(src, interner).map_err(|e| e.to_string())?;
+    let mut out = Vec::new();
+    while *p.peek() != Tok::Eof {
+        out.push(p.valid_aggregate()?);
     }
     Ok(out)
 }
@@ -690,12 +809,7 @@ pub fn parse_programs(src: &str, interner: &mut Interner) -> Result<Vec<Program>
 ///
 /// Returns a [`ParseError`] with location information on malformed input.
 pub fn parse_bool_expr(src: &str, interner: &mut Interner) -> Result<BoolExpr, ParseError> {
-    let toks = Lexer::new(src).tokenize()?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        interner,
-    };
+    let mut p = Parser::new(src, interner)?;
     let e = p.bool_expr()?;
     p.eat(&Tok::Eof)?;
     Ok(e)
@@ -707,12 +821,7 @@ pub fn parse_bool_expr(src: &str, interner: &mut Interner) -> Result<BoolExpr, P
 ///
 /// Returns a [`ParseError`] with location information on malformed input.
 pub fn parse_int_expr(src: &str, interner: &mut Interner) -> Result<IntExpr, ParseError> {
-    let toks = Lexer::new(src).tokenize()?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        interner,
-    };
+    let mut p = Parser::new(src, interner)?;
     let e = p.int_expr()?;
     p.eat(&Tok::Eof)?;
     Ok(e)
@@ -868,6 +977,77 @@ mod tests {
                 IntExpr::Const(-1)
             )
         );
+    }
+
+    #[test]
+    fn i64_min_is_a_literal_and_round_trips() {
+        let mut i = Interner::new();
+        let e = parse_int_expr("-9223372036854775808", &mut i).unwrap();
+        assert_eq!(e, IntExpr::Const(i64::MIN));
+        let p = Program::new(
+            ProgId(0),
+            Vec::new(),
+            Stmt::Assign(i.intern("x"), IntExpr::Const(i64::MIN)),
+        );
+        let printed = crate::pretty::program(&p, &i);
+        assert_eq!(parse_program(&printed, &mut i).unwrap(), p);
+        let err = parse_int_expr("9223372036854775808", &mut i).unwrap_err();
+        assert!(err.message.contains("overflows"), "{err}");
+        assert_eq!((err.line, err.col), (1, 1));
+        let err = parse_int_expr("x - 99999999999999999999", &mut i).unwrap_err();
+        assert!(err.message.contains("overflows"), "{err}");
+    }
+
+    #[test]
+    fn aggregate_syntax_errors_name_line_and_column() {
+        let cases = [
+            (
+                "aggregate a @1 (x) {\n  state s = 0;\n  fold { s := s + x; }\n  merge { s := s + rhs_s;\n}",
+                "5:2",
+            ),
+            (
+                "aggregate a @1 (x) {\n  state s 0;\n  fold { s := x; } merge { s := rhs_s; } }",
+                "2:11",
+            ),
+            (
+                "aggregate a @1 (x) { state s = 0; fold { s := x; } merge { s := rhs_s; } }\nskip;",
+                "2:1",
+            ),
+            (
+                "aggregate a @1 (x, \u{e9}t\u{e9}) { state s = 0; fold { s := x; } merge { s := rhs_s; } }",
+                "1:20",
+            ),
+        ];
+        for (src, at) in cases {
+            let mut i = Interner::new();
+            let err = parse_agg(src, &mut i).unwrap_err();
+            assert!(
+                err.starts_with(&format!("parse error at {at}: ")),
+                "{src:?}: {err}"
+            );
+        }
+        let mut i = Interner::new();
+        let err = parse_agg("aggregate \u{e9} () {}", &mut i).unwrap_err();
+        assert_eq!(err, "parse error at 1:11: unexpected character `\u{e9}`");
+    }
+
+    #[test]
+    fn aggregate_keywords_stay_identifiers_elsewhere() {
+        let mut i = Interner::new();
+        let p = parse_program(
+            "program p @0 (state) { fold := state; merge := fold; notify true; }",
+            &mut i,
+        )
+        .unwrap();
+        assert_eq!(p.params, vec![i.get("state").unwrap()]);
+        let d = parse_agg(
+            "aggregate a @2 (fold) { state s = -9223372036854775808; state t = 7;
+                fold { s := s + fold; } merge { s := s + rhs_s; t := t + rhs_t; } }",
+            &mut i,
+        )
+        .unwrap();
+        assert_eq!(d.id, ProgId(2));
+        assert_eq!(d.init_state(), vec![i64::MIN, 7]);
     }
 
     #[test]

@@ -22,13 +22,6 @@ pub fn bool_expr(e: &BoolExpr, interner: &Interner) -> String {
     s
 }
 
-/// Pretty-prints a statement at the given indentation level.
-pub fn stmt(s: &Stmt, interner: &Interner) -> String {
-    let mut out = String::new();
-    write_stmt(&mut out, s, interner, 0, None);
-    out
-}
-
 /// Pretty-prints a whole program as parseable source text.
 pub fn program(p: &Program, interner: &Interner) -> String {
     let mut out = String::new();

@@ -119,7 +119,8 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Mean sample value, or `None` when empty.
-    pub fn mean(&self) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> Option<u64> {
         (self.count > 0).then(|| self.sum / self.count)
     }
 }

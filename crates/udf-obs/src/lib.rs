@@ -6,11 +6,10 @@
 //! paid, where the solver spent its time. This crate is the measurement
 //! substrate the rest of the workspace reports through:
 //!
-//! * [`Recorder`] — the pluggable sink trait. The default is
-//!   [`NoopRecorder`] (drops everything, `enabled() == false`), so
-//!   instrumented hot paths cost ~one predicted branch until a caller
-//!   installs a [`MemoryRecorder`].
-//! * [`RecorderCell`] — a cloneable `Arc<dyn Recorder>` handle that embeds
+//! * [`RecorderCell`] — a cloneable handle to one of two sinks: the
+//!   default no-op sink (drops everything, `enabled() == false`), so
+//!   instrumented hot paths cost ~one predicted branch, or a
+//!   [`MemoryRecorder`] (`RecorderCell::memory`). The handle embeds
 //!   in configuration structs (`consolidate::Options`, `udf_smt::Solver`,
 //!   `naiad_lite::EngineConfig`) without breaking their derived
 //!   `Clone`/`Debug`/`Default`.
@@ -42,21 +41,23 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod histogram;
+mod histogram;
 pub mod names;
-pub mod recorder;
-pub mod snapshot;
+mod recorder;
+mod snapshot;
 
 pub use histogram::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
-pub use recorder::{MemoryRecorder, NoopRecorder, Recorder};
+pub use recorder::MemoryRecorder;
+use recorder::{NoopRecorder, Recorder};
 pub use snapshot::{write_json_string, MetricsSnapshot};
 
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A cloneable handle to a [`Recorder`], designed to live inside
+/// A cloneable handle to a metrics sink, designed to live inside
 /// configuration structs.
 ///
 /// `RecorderCell` implements `Clone` (shares the sink), `Debug` (does not
@@ -68,11 +69,6 @@ use std::time::Instant;
 pub struct RecorderCell(Arc<dyn Recorder>);
 
 impl RecorderCell {
-    /// Wraps an arbitrary sink.
-    pub fn new(recorder: Arc<dyn Recorder>) -> RecorderCell {
-        RecorderCell(recorder)
-    }
-
     /// The disabled default sink.
     pub fn noop() -> RecorderCell {
         RecorderCell(Arc::new(NoopRecorder))

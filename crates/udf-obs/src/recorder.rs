@@ -4,7 +4,7 @@
 //! `add`/`observe`/`span` unconditionally; the default sink is
 //! [`NoopRecorder`], whose methods compile to nothing observable, so
 //! instrumentation costs ~one predicted branch unless a user installs a
-//! [`MemoryRecorder`] (or their own sink).
+//! [`MemoryRecorder`].
 
 use crate::histogram::Histogram;
 use crate::snapshot::MetricsSnapshot;
@@ -14,7 +14,7 @@ use std::sync::{Arc, RwLock};
 
 /// A metrics sink. Implementations must be cheap and thread-safe: recorders
 /// are shared across pair-consolidation threads and engine worker shards.
-pub trait Recorder: Send + Sync {
+pub(crate) trait Recorder: Send + Sync {
     /// Whether this sink keeps data. Callers use this to skip *collection*
     /// work (e.g. reading the clock); they may still call `add`/`observe`.
     fn enabled(&self) -> bool {
@@ -35,7 +35,7 @@ pub trait Recorder: Send + Sync {
 
 /// The default sink: drops everything, reports [`Recorder::enabled`] `false`.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct NoopRecorder;
+pub(crate) struct NoopRecorder;
 
 impl Recorder for NoopRecorder {
     fn enabled(&self) -> bool {
@@ -58,7 +58,7 @@ pub struct MemoryRecorder {
 
 impl MemoryRecorder {
     /// An empty recorder.
-    pub fn new() -> MemoryRecorder {
+    pub(crate) fn new() -> MemoryRecorder {
         MemoryRecorder::default()
     }
 

@@ -25,16 +25,6 @@ pub enum Admission {
     },
 }
 
-impl Admission {
-    /// The batch id, when admitted.
-    pub fn batch(&self) -> Option<u64> {
-        match self {
-            Admission::Admitted { batch, .. } => Some(*batch),
-            Admission::Rejected { .. } => None,
-        }
-    }
-}
-
 /// Why a batch was refused at admission.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RejectReason {
@@ -92,7 +82,7 @@ pub(crate) struct IngestQueue<R> {
 }
 
 impl<R> IngestQueue<R> {
-    pub fn new(capacity: usize) -> IngestQueue<R> {
+    pub(crate) fn new(capacity: usize) -> IngestQueue<R> {
         IngestQueue {
             batches: VecDeque::new(),
             queued_records: 0,
@@ -102,40 +92,40 @@ impl<R> IngestQueue<R> {
         }
     }
 
-    pub fn queued_records(&self) -> usize {
+    pub(crate) fn queued_records(&self) -> usize {
         self.queued_records
     }
 
     /// Next batch id to be assigned (checkpointed so recovery continues
     /// the same id sequence).
-    pub fn next_batch(&self) -> u64 {
+    pub(crate) fn next_batch(&self) -> u64 {
         self.next_batch
     }
 
     /// Next global record sequence number to be assigned.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
     /// Restores the id/sequence counters from a checkpoint.
-    pub fn set_counters(&mut self, next_batch: u64, next_seq: u64) {
+    pub(crate) fn set_counters(&mut self, next_batch: u64, next_seq: u64) {
         self.next_batch = next_batch;
         self.next_seq = next_seq;
     }
 
     /// The queued batches in admission order (for checkpointing).
-    pub fn batches(&self) -> impl Iterator<Item = &PendingBatch<R>> {
+    pub(crate) fn batches(&self) -> impl Iterator<Item = &PendingBatch<R>> {
         self.batches.iter()
     }
 
     /// The most recently admitted batch, if any still queued.
-    pub fn back(&self) -> Option<&PendingBatch<R>> {
+    pub(crate) fn back(&self) -> Option<&PendingBatch<R>> {
         self.batches.back()
     }
 
     /// Re-enqueues a batch exactly as recorded (recovery replay). Counters
     /// advance so post-recovery admissions continue the same sequences.
-    pub fn restore_batch(&mut self, batch: PendingBatch<R>) {
+    pub(crate) fn restore_batch(&mut self, batch: PendingBatch<R>) {
         self.queued_records += batch.records.len();
         self.next_batch = self.next_batch.max(batch.id + 1);
         self.next_seq = self
@@ -146,11 +136,11 @@ impl<R> IngestQueue<R> {
 
     /// Queue depth as a fraction of capacity, in `[0.0, ∞)` (a single batch
     /// larger than the whole capacity is rejected, so in practice ≤ 1.0).
-    pub fn pressure(&self) -> f64 {
+    pub(crate) fn pressure(&self) -> f64 {
         self.queued_records as f64 / self.capacity as f64
     }
 
-    pub fn offer(&mut self, records: Vec<R>, epoch: u64) -> Admission {
+    pub(crate) fn offer(&mut self, records: Vec<R>, epoch: u64) -> Admission {
         if records.is_empty() {
             return Admission::Rejected {
                 reason: RejectReason::EmptyBatch,
@@ -183,7 +173,11 @@ impl<R> IngestQueue<R> {
 
     /// Removes and returns every batch older than `deadline_epochs` at
     /// `epoch` (admission order preserved).
-    pub fn shed_expired(&mut self, epoch: u64, deadline_epochs: u64) -> Vec<(ShedBatch, Vec<R>)> {
+    pub(crate) fn shed_expired(
+        &mut self,
+        epoch: u64,
+        deadline_epochs: u64,
+    ) -> Vec<(ShedBatch, Vec<R>)> {
         let mut shed = Vec::new();
         let mut keep = VecDeque::with_capacity(self.batches.len());
         for b in self.batches.drain(..) {
@@ -210,7 +204,7 @@ impl<R> IngestQueue<R> {
     /// Pops front batches until `limit` records are taken (the first batch
     /// is always taken even if it alone exceeds the limit: batches are
     /// atomic units).
-    pub fn drain_up_to(&mut self, limit: usize) -> Vec<PendingBatch<R>> {
+    pub(crate) fn drain_up_to(&mut self, limit: usize) -> Vec<PendingBatch<R>> {
         let mut out = Vec::new();
         let mut taken = 0usize;
         while let Some(front) = self.batches.front() {

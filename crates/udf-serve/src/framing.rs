@@ -54,7 +54,7 @@ pub fn byte_line(bytes: &[u8], pos: usize) -> (&[u8], usize) {
 
 /// Sibling temp path for an atomic write (same directory, so the final
 /// `rename` never crosses a filesystem).
-pub fn temp_path(path: &Path) -> PathBuf {
+pub(crate) fn temp_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_owned();
     os.push(format!(".tmp.{}", std::process::id()));
     PathBuf::from(os)
@@ -92,7 +92,7 @@ pub struct RecoveryIncident {
 
 impl RecoveryIncident {
     /// Creates an incident.
-    pub fn new(subsystem: &'static str, detail: impl Into<String>) -> RecoveryIncident {
+    pub(crate) fn new(subsystem: &'static str, detail: impl Into<String>) -> RecoveryIncident {
         RecoveryIncident {
             subsystem,
             detail: detail.into(),

@@ -64,9 +64,9 @@ use std::path::{Path, PathBuf};
 use udf_obs::names;
 
 /// Journal file name inside the durability directory.
-pub const JOURNAL_FILE: &str = "journal.log";
+pub(crate) const JOURNAL_FILE: &str = "journal.log";
 /// Checkpoint file name inside the durability directory.
-pub const CHECKPOINT_FILE: &str = "checkpoint";
+pub(crate) const CHECKPOINT_FILE: &str = "checkpoint";
 
 const JOURNAL_HEADER: &str = "udf-serve-journal v1";
 const CHECKPOINT_HEADER: &str = "udf-serve-checkpoint v2";
@@ -105,18 +105,6 @@ impl fmt::Display for CrashPoint {
         };
         f.write_str(name)
     }
-}
-
-impl CrashPoint {
-    /// Every enumerated crash point, in durability-pipeline order — the
-    /// sweep domain for chaos tests.
-    pub const ALL: [CrashPoint; 5] = [
-        CrashPoint::MidAppend,
-        CrashPoint::PostAppendPreFsync,
-        CrashPoint::MidCheckpoint,
-        CrashPoint::PostCheckpointFsyncPreRename,
-        CrashPoint::PostRenamePreTruncate,
-    ];
 }
 
 /// One armed simulated crash (see [`crate::ServeConfig::sim_crash`]).

@@ -14,13 +14,13 @@
 //!   the root of a binary merge tree; adding or removing one query
 //!   re-consolidates only the `O(log n)` spine above its leaf, reusing
 //!   entailment verdicts from the plan's scoped memo.
-//! - **Admission control & backpressure** ([`admission`]): a bounded
+//! - **Admission control & backpressure** (`admission`): a bounded
 //!   ingest queue with explicit admit/reject decisions and deadline-aware
 //!   shedding; pressure watermarks (75 % and 90 % of the queue) defer
 //!   churn and degrade execution to the sequential reference semantics,
 //!   then shed expired batches. Nothing is ever dropped silently:
 //!   `admitted == processed + shed + queued` holds after every epoch.
-//! - **Per-tenant isolation** ([`tenant`], [`Service::run_epoch`]): guard
+//! - **Per-tenant isolation** (`tenant`, [`Service::run_epoch`]): guard
 //!   trips and quarantine overruns are attributed to the owning tenant,
 //!   which is demoted alone — its queries leave the shared plan, its memo
 //!   verdicts are invalidated, and every other tenant's results are
@@ -33,13 +33,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod admission;
+mod admission;
 pub mod framing;
-pub mod journal;
-pub mod service;
-pub mod tenant;
+mod journal;
+mod service;
+mod tenant;
 
 pub use admission::{Admission, RejectReason, ShedBatch};
 pub use journal::{CrashPoint, JournalError, JournalRec, RecoveryReport, SimCrash};

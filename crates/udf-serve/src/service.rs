@@ -543,16 +543,6 @@ impl<E: UdfEnv> Service<E> {
         &mut self.interner
     }
 
-    /// The dataset environment.
-    pub fn env(&self) -> &E {
-        &self.env
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
     /// Current point-in-time view.
     pub fn status(&self) -> ServiceStatus {
         ServiceStatus {

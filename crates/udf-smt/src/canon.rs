@@ -277,7 +277,8 @@ pub fn entailment_key_from(ctx: &Context, prefix: &KeyPrefix, phi: FormulaId) ->
 }
 
 /// Canonical key of a single formula (fresh variable numbering).
-pub fn formula_key(ctx: &Context, f: FormulaId) -> u128 {
+#[cfg(test)]
+pub(crate) fn formula_key(ctx: &Context, f: FormulaId) -> u128 {
     let mut h = Hasher::new(ctx);
     h.formula(f);
     h.state

@@ -7,7 +7,7 @@
 //!
 //! The compiled formula keeps each node's literal, so after a SAT model the
 //! solver can ask which atoms the model needs to make the formula true
-//! ([`CompiledFormula::relevant_atoms`]) without re-evaluating it.
+//! (`CompiledFormula::relevant_atoms`) without re-evaluating it.
 
 use crate::ctx::{Context, Formula, FormulaId, IdMap};
 use crate::sat::{Lit, SatSolver, Var};
@@ -53,7 +53,7 @@ impl CompiledFormula {
     /// `Or` or a false `And` its first operand with that value, and `Not`
     /// what its operand needs. Any assignment that agrees with the model on
     /// the marked atoms makes the formula true.
-    pub fn relevant_atoms(&self, sat: &SatSolver, relevant: &mut Vec<bool>) {
+    pub(crate) fn relevant_atoms(&self, sat: &SatSolver, relevant: &mut Vec<bool>) {
         relevant.clear();
         relevant.resize(self.atoms.len(), false);
         let holds = |n: usize| {

@@ -220,11 +220,6 @@ impl Context {
         &self.var_names[v.0 as usize]
     }
 
-    /// Number of declared variables.
-    pub fn num_vars(&self) -> usize {
-        self.var_names.len()
-    }
-
     /// Declares (or looks up) an uninterpreted function symbol.
     ///
     /// # Panics
@@ -245,12 +240,12 @@ impl Context {
     }
 
     /// Name of a function symbol.
-    pub fn fn_name(&self, f: FnSym) -> &str {
+    pub(crate) fn fn_name(&self, f: FnSym) -> &str {
         &self.fn_names[f.0 as usize].0
     }
 
     /// Arity of a function symbol.
-    pub fn fn_arity(&self, f: FnSym) -> usize {
+    pub(crate) fn fn_arity(&self, f: FnSym) -> usize {
         self.fn_names[f.0 as usize].1
     }
 
@@ -403,7 +398,7 @@ impl Context {
     }
 
     /// Renders a term for debugging.
-    pub fn term_to_string(&self, id: TermId) -> String {
+    pub(crate) fn term_to_string(&self, id: TermId) -> String {
         let mut s = String::new();
         self.fmt_term(id, &mut s);
         s

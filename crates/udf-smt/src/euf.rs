@@ -46,7 +46,7 @@ struct App {
 
 /// A congruence-closure instance over terms of one [`Context`].
 #[derive(Debug, Default)]
-pub struct Euf {
+pub(crate) struct Euf {
     /// Dense node index per registered term.
     node_of: IdMap<TermId, u32>,
     terms: Vec<TermId>,
@@ -85,12 +85,13 @@ fn index(n: usize) -> u32 {
 
 impl Euf {
     /// Creates an empty instance.
-    pub fn new() -> Euf {
+    #[cfg(test)]
+    pub(crate) fn new() -> Euf {
         Euf::default()
     }
 
     /// Empties the instance for another literal set, keeping the memory
-    /// its tables grew to: afterwards it behaves as [`Euf::new`] does.
+    /// its tables grew to: afterwards it behaves as a fresh `Euf::default()` does.
     pub(crate) fn clear(&mut self) {
         self.node_of.clear();
         self.terms.clear();
@@ -110,7 +111,7 @@ impl Euf {
     }
 
     /// Registers `t` and all its subterms, returning the node index.
-    pub fn add_term(&mut self, ctx: &Context, t: TermId) -> u32 {
+    pub(crate) fn add_term(&mut self, ctx: &Context, t: TermId) -> u32 {
         if let Some(&n) = self.node_of.get(&t) {
             return n;
         }
@@ -348,14 +349,14 @@ impl Euf {
 
     /// Input literals that entail `a = b`; both terms must be registered
     /// and [`Euf::equal`].
-    pub fn explain(&self, a: TermId, b: TermId) -> Vec<usize> {
+    pub(crate) fn explain(&self, a: TermId, b: TermId) -> Vec<usize> {
         self.explain_nodes(self.node_of[&a], self.node_of[&b])
     }
 
     /// Asserts `a = b` on the strength of the input literals `reason`.
     /// `Err` carries the literals behind a contradiction with an asserted
     /// disequality or with the distinctness of integer constants.
-    pub fn merge(
+    pub(crate) fn merge(
         &mut self,
         ctx: &Context,
         a: TermId,
@@ -370,7 +371,7 @@ impl Euf {
 
     /// Asserts `a ≠ b` as input literal `lit`. `Err` explains why `a` and
     /// `b` are already equal.
-    pub fn add_diseq(
+    pub(crate) fn add_diseq(
         &mut self,
         ctx: &Context,
         a: TermId,
@@ -391,7 +392,7 @@ impl Euf {
 
     /// Whether `a = b` follows from the asserted equalities by congruence.
     /// Both terms must have been registered.
-    pub fn equal(&self, a: TermId, b: TermId) -> bool {
+    pub(crate) fn equal(&self, a: TermId, b: TermId) -> bool {
         match (self.node_of.get(&a), self.node_of.get(&b)) {
             (Some(&na), Some(&nb)) => self.find(na) == self.find(nb),
             _ => false,
@@ -400,13 +401,13 @@ impl Euf {
 
     /// All registered terms (for equality propagation in the combination
     /// loop).
-    pub fn registered_terms(&self) -> &[TermId] {
+    pub(crate) fn registered_terms(&self) -> &[TermId] {
         &self.terms
     }
 
     /// Opaque class identifier of a registered term: two registered terms are
     /// equal under the closure iff their class ids coincide.
-    pub fn class_id(&self, t: TermId) -> Option<u32> {
+    pub(crate) fn class_id(&self, t: TermId) -> Option<u32> {
         self.node_of.get(&t).map(|&n| self.find(n))
     }
 }

@@ -59,14 +59,14 @@ impl Interp {
     }
 
     /// The model this interpretation extends, given back.
-    pub fn into_model(self) -> Model {
+    pub(crate) fn into_model(self) -> Model {
         self.model
     }
 
     /// Forgets every value evaluated so far, function table entries
     /// included: afterwards it reads every formula as
     /// [`Interp::new`]`(model)` would.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.table.clear();
         self.terms.clear();
         self.formulas.clear();

@@ -10,13 +10,13 @@
 //!   queries, the key basis for cross-thread memoization,
 //! * [`cnf`] — NNF conversion and Tseitin CNF over theory atoms,
 //! * [`sat`] — a CDCL SAT core (watched literals, first-UIP learning, VSIDS),
-//! * [`euf`] — congruence closure for uninterpreted functions,
+//! * `euf` — congruence closure for uninterpreted functions,
 //! * [`rational`] — exact `i128` rationals for the simplex,
 //! * [`simplex`] — a Dutertre–de Moura style general simplex with integer
 //!   branch-and-bound and disequality splitting,
 //! * [`theory`] — literal translation and the Nelson–Oppen-style equality
 //!   exchange between EUF and LIA,
-//! * [`solver`] — the top loop: SAT search with theory *final checks* and
+//! * `solver` — the top loop: SAT search with theory *final checks* and
 //!   blocking-clause learning,
 //! * [`eval`] — evaluation under a total interpretation built from a `Sat`
 //!   model: the independent check that a countermodel is one.
@@ -55,16 +55,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod canon;
 pub mod cnf;
 pub mod ctx;
-pub mod euf;
+mod euf;
 pub mod eval;
 pub mod rational;
 pub mod sat;
 pub mod simplex;
-pub mod solver;
+mod solver;
 pub mod theory;
 
 pub use ctx::{Context, FnSym, FormulaId, TermId, VarId};

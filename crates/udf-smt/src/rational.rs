@@ -69,9 +69,9 @@ fn cmp_exact(mut a: i128, mut b: i128, mut c: i128, mut d: i128) -> Ordering {
 
 impl Rat {
     /// Zero.
-    pub const ZERO: Rat = Rat { num: 0, den: 1 };
+    pub(crate) const ZERO: Rat = Rat { num: 0, den: 1 };
     /// One.
-    pub const ONE: Rat = Rat { num: 1, den: 1 };
+    pub(crate) const ONE: Rat = Rat { num: 1, den: 1 };
 
     /// Creates `num/den` in lowest terms. Returns `None` if `den == 0` or
     /// the value's lowest terms do not fit (`i128::MIN / -1`).
@@ -101,27 +101,27 @@ impl Rat {
     }
 
     /// Numerator.
-    pub fn num(self) -> i128 {
+    pub(crate) fn num(self) -> i128 {
         self.num
     }
 
     /// Denominator (always positive).
-    pub fn den(self) -> i128 {
+    pub(crate) fn den(self) -> i128 {
         self.den
     }
 
     /// Whether the value is an integer.
-    pub fn is_integer(self) -> bool {
+    pub(crate) fn is_integer(self) -> bool {
         self.den == 1
     }
 
     /// Whether the value is zero.
-    pub fn is_zero(self) -> bool {
+    pub(crate) fn is_zero(self) -> bool {
         self.num == 0
     }
 
     /// Sign: -1, 0, or 1.
-    pub fn signum(self) -> i32 {
+    pub(crate) fn signum(self) -> i32 {
         match self.num.cmp(&0) {
             Ordering::Less => -1,
             Ordering::Equal => 0,
@@ -130,13 +130,13 @@ impl Rat {
     }
 
     /// Floor as an integer.
-    pub fn floor(self) -> i128 {
+    pub(crate) fn floor(self) -> i128 {
         self.num.div_euclid(self.den)
     }
 
     /// Ceiling as an integer. A non-integer has `den ≥ 2`, so its floor is
     /// at most half the numerator and one more cannot overflow.
-    pub fn ceil(self) -> i128 {
+    pub(crate) fn ceil(self) -> i128 {
         if self.is_integer() {
             self.num
         } else {
@@ -145,7 +145,7 @@ impl Rat {
     }
 
     /// Checked addition.
-    pub fn checked_add(self, o: Rat) -> Option<Rat> {
+    pub(crate) fn checked_add(self, o: Rat) -> Option<Rat> {
         // a/1 + c/d = (a·d + c)/d, already in lowest terms because c/d is.
         match (self.den, o.den) {
             (1, 1) => return Some(Rat::int(self.num.checked_add(o.num)?)),
@@ -167,12 +167,12 @@ impl Rat {
     }
 
     /// Checked subtraction.
-    pub fn checked_sub(self, o: Rat) -> Option<Rat> {
+    pub(crate) fn checked_sub(self, o: Rat) -> Option<Rat> {
         self.checked_add(o.checked_neg()?)
     }
 
     /// Checked multiplication.
-    pub fn checked_mul(self, o: Rat) -> Option<Rat> {
+    pub(crate) fn checked_mul(self, o: Rat) -> Option<Rat> {
         if self.den == 1 && o.den == 1 {
             return Some(Rat::int(self.num.checked_mul(o.num)?));
         }
@@ -186,7 +186,7 @@ impl Rat {
     }
 
     /// Checked division. `None` on division by zero or overflow.
-    pub fn checked_div(self, o: Rat) -> Option<Rat> {
+    pub(crate) fn checked_div(self, o: Rat) -> Option<Rat> {
         let recip = match o.num.signum() {
             0 => return None,
             1 => Rat {
@@ -202,7 +202,7 @@ impl Rat {
     }
 
     /// Checked negation.
-    pub fn checked_neg(self) -> Option<Rat> {
+    pub(crate) fn checked_neg(self) -> Option<Rat> {
         Some(Rat {
             num: self.num.checked_neg()?,
             den: self.den,
@@ -348,7 +348,7 @@ mod tests {
     mod reference {
         use std::cmp::Ordering;
 
-        pub type Pair = (i128, i128);
+        pub(super) type Pair = (i128, i128);
 
         fn gcd(mut a: i128, mut b: i128) -> i128 {
             while b != 0 {
@@ -359,7 +359,7 @@ mod tests {
             a.wrapping_abs()
         }
 
-        pub fn new(num: i128, den: i128) -> Option<Pair> {
+        pub(super) fn new(num: i128, den: i128) -> Option<Pair> {
             if den == 0 {
                 return None;
             }
@@ -372,16 +372,16 @@ mod tests {
             Some((num, den))
         }
 
-        pub fn add((a, b): Pair, (c, d): Pair) -> Option<Pair> {
+        pub(super) fn add((a, b): Pair, (c, d): Pair) -> Option<Pair> {
             let n = a.checked_mul(d)?.checked_add(c.checked_mul(b)?)?;
             new(n, b.checked_mul(d)?)
         }
 
-        pub fn sub(x: Pair, (c, d): Pair) -> Option<Pair> {
+        pub(super) fn sub(x: Pair, (c, d): Pair) -> Option<Pair> {
             add(x, (c.checked_neg()?, d))
         }
 
-        pub fn mul((a, b): Pair, (c, d): Pair) -> Option<Pair> {
+        pub(super) fn mul((a, b): Pair, (c, d): Pair) -> Option<Pair> {
             let g1 = gcd(a, d).max(1);
             let g2 = gcd(c, b).max(1);
             let n = (a / g1).checked_mul(c / g2)?;
@@ -389,7 +389,7 @@ mod tests {
             new(n, m)
         }
 
-        pub fn div(x: Pair, (c, d): Pair) -> Option<Pair> {
+        pub(super) fn div(x: Pair, (c, d): Pair) -> Option<Pair> {
             if c == 0 {
                 return None;
             }
@@ -408,7 +408,7 @@ mod tests {
             ((x < 0) != (y < 0) && p != 0 && q != 0, hi, lo)
         }
 
-        pub fn cmp((a, b): Pair, (c, d): Pair) -> Ordering {
+        pub(super) fn cmp((a, b): Pair, (c, d): Pair) -> Ordering {
             let (ln, lh, ll) = wide_mul(a, d);
             let (rn, rh, rl) = wide_mul(c, b);
             match (ln, rn) {
@@ -419,12 +419,12 @@ mod tests {
             }
         }
 
-        pub fn floor((a, b): Pair) -> i128 {
+        pub(super) fn floor((a, b): Pair) -> i128 {
             a.div_euclid(b)
         }
 
         /// Truncation toward zero of a negative magnitude is its ceiling.
-        pub fn ceil((a, b): Pair) -> i128 {
+        pub(super) fn ceil((a, b): Pair) -> i128 {
             if a >= 0 {
                 a / b + i128::from(a % b != 0)
             } else {

@@ -29,18 +29,18 @@ impl Lit {
     }
 
     /// The underlying variable.
-    pub fn var(self) -> Var {
+    pub(crate) fn var(self) -> Var {
         Var(self.0 >> 1)
     }
 
     /// Whether this is the negated literal.
-    pub fn is_neg(self) -> bool {
+    pub(crate) fn is_neg(self) -> bool {
         self.0 & 1 == 1
     }
 
     /// Logical negation.
     #[must_use]
-    pub fn negate(self) -> Lit {
+    pub(crate) fn negate(self) -> Lit {
         Lit(self.0 ^ 1)
     }
 
@@ -119,7 +119,7 @@ pub struct SatSolver {
 
 /// Search statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SatStats {
+pub(crate) struct SatStats {
     /// Number of conflicts encountered.
     pub conflicts: u64,
     /// Number of decisions made.
@@ -186,12 +186,12 @@ impl SatSolver {
 
     /// Empties the solver, keeping the memory it grew: afterwards it is
     /// [`SatSolver::new`]'s.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.clone_from(&SatSolver::new());
     }
 
     /// Allocates a fresh variable.
-    pub fn new_var(&mut self) -> Var {
+    pub(crate) fn new_var(&mut self) -> Var {
         let v = Var(u32::try_from(self.assign.len()).expect("too many SAT variables"));
         self.assign.push(LBool::Undef);
         self.phase.push(false);
@@ -204,7 +204,7 @@ impl SatSolver {
     }
 
     /// Number of allocated variables.
-    pub fn num_vars(&self) -> usize {
+    pub(crate) fn num_vars(&self) -> usize {
         self.assign.len()
     }
 
@@ -518,7 +518,7 @@ impl SatSolver {
     }
 
     /// Cumulative statistics.
-    pub fn stats(&self) -> SatStats {
+    pub(crate) fn stats(&self) -> SatStats {
         SatStats {
             conflicts: self.conflicts,
             decisions: self.decisions,

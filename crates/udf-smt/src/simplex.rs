@@ -31,7 +31,7 @@ impl Default for LinExpr {
 
 impl LinExpr {
     /// The zero expression.
-    pub fn zero() -> LinExpr {
+    pub(crate) fn zero() -> LinExpr {
         LinExpr::constant(Rat::ZERO)
     }
 
@@ -44,7 +44,7 @@ impl LinExpr {
     }
 
     /// The expression `x_v`.
-    pub fn var(v: usize) -> LinExpr {
+    pub(crate) fn var(v: usize) -> LinExpr {
         LinExpr {
             coeffs: vec![(v, Rat::ONE)],
             constant: Rat::ZERO,
@@ -70,12 +70,12 @@ impl LinExpr {
     }
 
     /// `self + other`. Returns `None` on overflow.
-    pub fn checked_add(&self, other: &LinExpr) -> Option<LinExpr> {
+    pub(crate) fn checked_add(&self, other: &LinExpr) -> Option<LinExpr> {
         self.merge(other, Rat::checked_add, Some)
     }
 
     /// `self − other`. Returns `None` on overflow.
-    pub fn checked_sub(&self, other: &LinExpr) -> Option<LinExpr> {
+    pub(crate) fn checked_sub(&self, other: &LinExpr) -> Option<LinExpr> {
         self.merge(other, Rat::checked_sub, Rat::checked_neg)
     }
 
@@ -121,7 +121,7 @@ impl LinExpr {
     }
 
     /// `k · self`. Returns `None` on overflow.
-    pub fn checked_scale(&self, k: Rat) -> Option<LinExpr> {
+    pub(crate) fn checked_scale(&self, k: Rat) -> Option<LinExpr> {
         let mut coeffs = Vec::with_capacity(self.coeffs.len());
         for &(v, c) in &self.coeffs {
             let c2 = c.checked_mul(k)?;
@@ -136,7 +136,7 @@ impl LinExpr {
     }
 
     /// Whether the expression mentions no variables.
-    pub fn is_constant(&self) -> bool {
+    pub(crate) fn is_constant(&self) -> bool {
         self.coeffs.is_empty()
     }
 }
@@ -657,12 +657,13 @@ pub const DEFAULT_BNB_BUDGET: u64 = 4_000;
 /// Checks feasibility of `p` over the integers. `budget` is decremented per
 /// explored branch-and-bound node; exhaustion yields
 /// [`LiaResult::Unknown`].
-pub fn solve(p: &LiaProblem, budget: &mut u64) -> LiaResult {
+#[cfg(test)]
+pub(crate) fn solve(p: &LiaProblem, budget: &mut u64) -> LiaResult {
     let mut pivots = 0;
     solve_counted(p, budget, &mut pivots)
 }
 
-/// Like [`solve`], additionally counting simplex pivot operations into
+/// Like `solve`, additionally counting simplex pivot operations into
 /// `pivots`. The counter is threaded by reference rather than stored on the
 /// tableau because branch-and-bound clones tableaus per node — a field would
 /// double-count cloned history.

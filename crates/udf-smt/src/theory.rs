@@ -4,7 +4,7 @@
 //! Given the atom assignment produced by the SAT core, [`check`] decides
 //! whether the implied conjunction of theory literals is consistent:
 //!
-//! 1. equalities/disequalities go to the congruence closure ([`crate::euf`]),
+//! 1. equalities/disequalities go to the congruence closure (`crate::euf`),
 //! 2. every atom is linearized over *theory variables* — one per source
 //!    variable, per uninterpreted application, and per nonlinear product —
 //!    and handed to the simplex ([`crate::simplex`]),
